@@ -180,6 +180,50 @@ impl ExprInterner {
         id
     }
 
+    /// Drops every node not reachable from `roots` and renumbers the
+    /// survivors densely, returning the old-to-new id map of the
+    /// survivors. Relative order is kept, so ids stay topological and a
+    /// map keyed by `ExprId` keeps its iteration order under the
+    /// renumbering; interning a surviving expression again yields its
+    /// new id.
+    pub fn retain_reachable(
+        &mut self,
+        roots: impl IntoIterator<Item = ExprId>,
+    ) -> HashMap<ExprId, ExprId> {
+        let mut live = vec![false; self.nodes.len()];
+        let mut stack: Vec<ExprId> = roots.into_iter().collect();
+        while let Some(id) = stack.pop() {
+            if !std::mem::replace(&mut live[id.index()], true) {
+                stack.extend(self.nodes[id.index()].children.iter().copied());
+            }
+        }
+        let mut remap: HashMap<ExprId, ExprId> = HashMap::new();
+        let mut nodes = Vec::new();
+        for (old, mut node) in std::mem::take(&mut self.nodes).into_iter().enumerate() {
+            if !live[old] {
+                continue;
+            }
+            // Children precede their parent, so they are already mapped.
+            for c in &mut node.children {
+                *c = remap[c];
+            }
+            remap.insert(ExprId(old as u32), ExprId(nodes.len() as u32));
+            nodes.push(node);
+        }
+        self.nodes = nodes;
+        self.table = std::mem::take(&mut self.table)
+            .into_iter()
+            .filter_map(|(mut key, id)| {
+                let id = *remap.get(&id)?;
+                for c in &mut key.children {
+                    *c = remap[c];
+                }
+                Some((key, id))
+            })
+            .collect();
+        remap
+    }
+
     /// The distinct `(relation, spec)` reads of a node being interned:
     /// its own rollback target (for ρ/ρ̂ leaves) plus its children's,
     /// first occurrence wins.
@@ -344,6 +388,28 @@ mod tests {
         );
         assert!(node.reads_relation("r"));
         assert!(!node.reads_relation("ghost"));
+    }
+
+    #[test]
+    fn retain_reachable_renumbers_survivors_and_keeps_identity() {
+        let mut i = ExprInterner::new();
+        let dead = i.intern(&Expr::current("gone").select(Predicate::True));
+        let kept = i.intern(&query());
+        let before = i.len();
+        let remap = i.retain_reachable([kept]);
+        assert_eq!(i.len(), 4, "the query's four nodes survive");
+        assert!(i.len() < before);
+        assert!(!remap.contains_key(&dead));
+        let new_kept = remap[&kept];
+        assert_eq!(new_kept.index(), i.len() - 1, "ids stay topological");
+        for node in (0..i.len()).map(|k| i.node(ExprId(k as u32))) {
+            assert!(node.children.iter().all(|c| c.index() < i.len()));
+        }
+        // Re-interning a survivor finds it; a dropped expression is new.
+        assert_eq!(i.intern(&query()), new_kept);
+        assert_eq!(i.len(), 4);
+        i.intern(&Expr::current("gone"));
+        assert_eq!(i.len(), 5);
     }
 
     #[test]

@@ -17,8 +17,9 @@ use txtime_core::{
     Command, Database, Expr, RelationType, Sentence, StateSource, StateValue, TransactionNumber,
     TxSpec,
 };
+use txtime_exec::{ExecPool, OpKind};
 use txtime_optimizer::{estimate_cost, optimize, CostModel, SchemaCatalog};
-use txtime_snapshot::generate::{mutate_state, random_state};
+use txtime_snapshot::generate::{mutate_state, random_state, GenConfig};
 use txtime_snapshot::reference::RefSnapshot;
 use txtime_snapshot::{DomainType, Predicate, Schema, SnapshotState, Tuple, Value};
 use txtime_storage::{
@@ -990,6 +991,13 @@ fn e13_kernels() -> Vec<(&'static str, &'static str, Expr)> {
         txtime_snapshot::generate::random_state(&mut rng, &dept_schema, &bench_gen_config(300));
     let a = txtime_snapshot::generate::random_state(&mut rng, &schema, &bench_gen_config(10_000));
     let b = txtime_snapshot::generate::random_state(&mut rng, &schema, &bench_gen_config(10_000));
+    // Past every grain by an order of magnitude: does a split pay at all?
+    let wide = GenConfig {
+        int_range: 10_000_000,
+        ..bench_gen_config(100_000)
+    };
+    let a100k = txtime_snapshot::generate::random_state(&mut rng, &schema, &wide);
+    let b100k = txtime_snapshot::generate::random_state(&mut rng, &schema, &wide);
     vec![
         (
             "σ keep-half |R|=20000",
@@ -1006,6 +1014,16 @@ fn e13_kernels() -> Vec<(&'static str, &'static str, Expr)> {
             "union_10k_10k",
             Expr::snapshot_const(a).union(Expr::snapshot_const(b)),
         ),
+        (
+            "∪ 100000 ∪ 100000",
+            "union_100k_100k",
+            Expr::snapshot_const(a100k.clone()).union(Expr::snapshot_const(b100k.clone())),
+        ),
+        (
+            "− 100000 − 100000",
+            "difference_100k_100k",
+            Expr::snapshot_const(a100k).difference(Expr::snapshot_const(b100k)),
+        ),
     ]
 }
 
@@ -1016,7 +1034,7 @@ fn measure_kernel(engine: &mut Engine, q: &Expr) -> [f64; 4] {
     let mut out = [0.0f64; 4];
     for (i, &t) in E13_THREADS.iter().enumerate() {
         engine.set_threads(t);
-        out[i] = time_median(|| engine.eval(q).expect("constant query").len(), 5);
+        out[i] = time_median(|| engine.eval(q).expect("constant query").len(), 15);
     }
     out
 }
@@ -1074,6 +1092,149 @@ fn measure_resolve_batching(backend: BackendKind) -> (f64, f64) {
     (per_probe, batched)
 }
 
+/// What one split costs: a two-chunk `map_chunks` over no work, against
+/// the same call run inline — thread spawn, join and chunk bookkeeping
+/// exactly as the partitioned kernels pay them. µs, median of 2001.
+fn measure_spawn_join() -> f64 {
+    let split = ExecPool::with_unit_grain(2);
+    let inline = ExecPool::new(1);
+    let items = [0u8; 2];
+    let call = |pool: &ExecPool| {
+        pool.map_chunks(OpKind::Select, &items, 1, |c| c.len())
+            .len()
+    };
+    time_median(|| call(&split), 2001) - time_median(|| call(&inline), 2001)
+}
+
+/// Sequential per-unit cost of each partitioned kernel, in the unit its
+/// grain is counted in. The inputs are the *cheapest* realistic case per
+/// kernel (a keep-half filter, an order-preserving projection, a probe
+/// that rarely matches), so the quotient is the largest grain the kernel
+/// can need. Returns (kernel, its grain's operator, unit, units per call,
+/// µs per call).
+fn measure_kernel_units() -> Vec<(&'static str, OpKind, &'static str, usize, f64)> {
+    use txtime_core::{JoinPhysical, JoinSpec};
+    const N: usize = 16_384;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let schema = bench_schema();
+    let a = random_state(&mut rng, &schema, &bench_gen_config(N));
+    let b = random_state(&mut rng, &schema, &bench_gen_config(N));
+    let one = random_state(&mut rng, &schema, &bench_gen_config(1));
+    let dno = Schema::new(vec![("dno", DomainType::Int)]).unwrap();
+    let dept = random_state(&mut rng, &dno, &bench_gen_config(64));
+    let left = random_state(&mut rng, &schema, &bench_gen_config(256));
+    let keep_half = Predicate::lt_const("id", Value::Int(5000));
+    let spec = JoinSpec {
+        keys: vec![("id".into(), "dno".into())],
+        residual: Predicate::True,
+        physical: JoinPhysical::Hash,
+    };
+    let hcfg = txtime_historical::generate::HistGenConfig {
+        values: bench_gen_config(N),
+        horizon: 1_000,
+        max_periods: 3,
+    };
+    let ha = txtime_historical::generate::random_historical_state(&mut rng, &schema, &hcfg);
+    let hb = txtime_historical::generate::random_historical_state(&mut rng, &schema, &hcfg);
+    const REPS: usize = 41;
+    vec![
+        (
+            "σ keep-half",
+            OpKind::Select,
+            "input tuple",
+            a.len(),
+            time_median(|| a.select(&keep_half).unwrap().len(), REPS),
+        ),
+        (
+            "π prefix [id, name]",
+            OpKind::Project,
+            "input tuple",
+            a.len(),
+            time_median(|| a.project(&["id", "name"]).unwrap().len(), REPS),
+        ),
+        (
+            "∪ balanced",
+            OpKind::Union,
+            "input tuple (both)",
+            a.len() + b.len(),
+            time_median(|| a.union(&b).unwrap().len(), REPS),
+        ),
+        (
+            "∪ one-row right",
+            OpKind::Union,
+            "input tuple (both)",
+            a.len() + one.len(),
+            time_median(|| a.union(&one).unwrap().len(), REPS),
+        ),
+        (
+            "− balanced",
+            OpKind::Difference,
+            "input tuple (both)",
+            a.len() + b.len(),
+            time_median(|| a.difference(&b).unwrap().len(), REPS),
+        ),
+        (
+            "− one-row right",
+            OpKind::Difference,
+            "input tuple (both)",
+            a.len() + one.len(),
+            time_median(|| a.difference(&one).unwrap().len(), REPS),
+        ),
+        (
+            "× 256 × 64",
+            OpKind::Product,
+            "output pair",
+            left.len() * dept.len(),
+            time_median(|| left.product(&dept).unwrap().len(), REPS),
+        ),
+        (
+            "⋈ hash probe, 64-row build",
+            OpKind::Join,
+            "probe tuple",
+            a.len(),
+            time_median(|| a.equi_join(&dept, &spec).unwrap().len(), REPS),
+        ),
+        (
+            "σ̂ keep-half",
+            OpKind::HSelect,
+            "input entry",
+            ha.len(),
+            time_median(|| ha.hselect(&keep_half).unwrap().len(), REPS),
+        ),
+        (
+            "∪̂ balanced",
+            OpKind::HUnion,
+            "input entry (both)",
+            ha.len() + hb.len(),
+            time_median(|| ha.hunion(&hb).unwrap().len(), REPS),
+        ),
+    ]
+}
+
+/// E13c: the break-even grain of each partitioned kernel on this host —
+/// the figures behind `OpKind::min_chunk`.
+fn e13_break_even() {
+    let spawn_join = measure_spawn_join();
+    println!("\nE13c. Break-even grains: one split costs {spawn_join:.1} µs (spawn + join,");
+    println!("      median of 2001); a chunk must carry at least that much kernel work");
+    println!(
+        "{:<30} {:<20} {:>10} {:>10} {:>12} {:>10}",
+        "kernel (sequential)", "unit", "µs/call", "ns/unit", "break-even", "shipped"
+    );
+    for (label, op, unit, units, us) in measure_kernel_units() {
+        let ns_per_unit = us * 1e3 / units as f64;
+        println!(
+            "{:<30} {:<20} {:>10.1} {:>10.1} {:>12.0} {:>10}",
+            label,
+            unit,
+            us,
+            ns_per_unit,
+            spawn_join * 1e3 / ns_per_unit,
+            op.min_chunk()
+        );
+    }
+}
+
 fn e13_parallel() {
     let avail = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -1117,7 +1278,8 @@ fn e13_parallel() {
             per_probe / batched.max(1e-9)
         );
     }
-    println!("=> kernel scaling tracks the physical core count (a 1-core host shows ~1x\n   with bounded scheduling overhead); batching is algorithmic — the shared\n   delta chain is replayed once per batch instead of once per probe — so it\n   pays off regardless of core count.\n");
+    e13_break_even();
+    println!("=> a kernel splits only past its break-even grain (E13c), and then into at\n   most as many chunks as the host has cores (budgets above that clamp, so\n   4T and 8T repeat the 2T column on a 2-core host); which kernels a split\n   then pays for is E13a's answer, not the grain's. Batching is algorithmic —\n   the shared delta chain is replayed once per batch instead of once per\n   probe — so it does not depend on the core count.\n");
 }
 
 // --------------------------------------------------------------------
@@ -1564,10 +1726,11 @@ fn bench5() {
         if *label == "~16" {
             small_delta_speedup = speedup;
         }
-        // Write amplification guard: queuing a pending span on
-        // modify_state is O(1), so a memoized write must stay within an
-        // order of magnitude of the memo-disabled write. (Before the
-        // lazy queue, propagation ran inline and this ratio was ~2000x.)
+        // Write amplification guard: queuing a pending span is the only
+        // contact between modify_state and the memo and is O(1), so a
+        // write with registered readers must stay within an order of
+        // magnitude of the memo-disabled write. (Before the lazy queue,
+        // propagation ran inline and this ratio was ~2000x.)
         assert!(
             m_mod <= 10.0 * p_mod.max(1.0),
             "view-memo write amplification regressed at delta {label}: \

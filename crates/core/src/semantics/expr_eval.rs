@@ -9,7 +9,7 @@
 //! on a specific database does not change that database." Accordingly the
 //! evaluator takes `&Database` and returns a fresh [`StateValue`].
 
-use txtime_exec::{ExecPool, OpKind};
+use txtime_exec::ExecPool;
 use txtime_historical::HistoricalState;
 use txtime_snapshot::{Predicate, SnapshotState};
 
@@ -303,16 +303,16 @@ impl Expr {
     /// Evaluates against any [`StateSource`] with work scheduled on an
     /// [`ExecPool`] — the parallel twin of [`Expr::eval_with`].
     ///
-    /// Three things run concurrently: the two subtrees of every binary
-    /// operator ([`ExecPool::join`]), and the partitioned operator
-    /// kernels (`*_par` in `txtime-snapshot`/`txtime-historical`). The
-    /// result — value *and* error — is identical to the sequential
-    /// evaluation: chunk merges preserve the canonical state order, and
-    /// the left subtree's result is always inspected before the right's,
-    /// so error selection matches left-to-right evaluation. A one-thread
-    /// pool runs everything inline. The parallel-determinism property
-    /// tests in `txtime-storage` pin this equivalence on every backend.
-    pub fn eval_with_pool<S: StateSource + Sync>(
+    /// The tree is walked exactly as [`Expr::eval_with`] walks it — left
+    /// operand, then right, so error selection is the same — and each
+    /// operator runs its partitioned kernel (`*_par` in
+    /// `txtime-snapshot`/`txtime-historical`), which splits only an
+    /// operand large enough to pay for the spawn. The result — value
+    /// *and* error — is identical to the sequential evaluation: chunk
+    /// merges preserve the canonical state order. A one-thread pool runs
+    /// everything inline. The parallel-determinism property tests in
+    /// `txtime-storage` pin this equivalence on every backend.
+    pub fn eval_with_pool<S: StateSource>(
         &self,
         db: &S,
         pool: &ExecPool,
@@ -322,28 +322,19 @@ impl Expr {
             Expr::HistoricalConst(h) => Ok(StateValue::Historical(h.clone())),
 
             Expr::Union(a, b) => {
-                let (l, r) = pool.join(
-                    OpKind::Subtree,
-                    || a.eval_snapshot_pool(db, pool, "union"),
-                    || b.eval_snapshot_pool(db, pool, "union"),
-                );
-                Ok(StateValue::Snapshot(l?.union_par(&r?, pool)?))
+                let l = a.eval_snapshot_pool(db, pool, "union")?;
+                let r = b.eval_snapshot_pool(db, pool, "union")?;
+                Ok(StateValue::Snapshot(l.union_par(&r, pool)?))
             }
             Expr::Difference(a, b) => {
-                let (l, r) = pool.join(
-                    OpKind::Subtree,
-                    || a.eval_snapshot_pool(db, pool, "minus"),
-                    || b.eval_snapshot_pool(db, pool, "minus"),
-                );
-                Ok(StateValue::Snapshot(l?.difference_par(&r?, pool)?))
+                let l = a.eval_snapshot_pool(db, pool, "minus")?;
+                let r = b.eval_snapshot_pool(db, pool, "minus")?;
+                Ok(StateValue::Snapshot(l.difference_par(&r, pool)?))
             }
             Expr::Product(a, b) => {
-                let (l, r) = pool.join(
-                    OpKind::Subtree,
-                    || a.eval_snapshot_pool(db, pool, "times"),
-                    || b.eval_snapshot_pool(db, pool, "times"),
-                );
-                Ok(StateValue::Snapshot(l?.product_par(&r?, pool)?))
+                let l = a.eval_snapshot_pool(db, pool, "times")?;
+                let r = b.eval_snapshot_pool(db, pool, "times")?;
+                Ok(StateValue::Snapshot(l.product_par(&r, pool)?))
             }
             Expr::Project(attrs, e) => match &**e {
                 // The pushdown shapes resolve exactly as in the
@@ -386,28 +377,19 @@ impl Expr {
             Expr::Rollback(ident, spec) => db.resolve_rollback(ident, *spec, false),
 
             Expr::HUnion(a, b) => {
-                let (l, r) = pool.join(
-                    OpKind::Subtree,
-                    || a.eval_historical_pool(db, pool, "hunion"),
-                    || b.eval_historical_pool(db, pool, "hunion"),
-                );
-                Ok(StateValue::Historical(l?.hunion_par(&r?, pool)?))
+                let l = a.eval_historical_pool(db, pool, "hunion")?;
+                let r = b.eval_historical_pool(db, pool, "hunion")?;
+                Ok(StateValue::Historical(l.hunion_par(&r, pool)?))
             }
             Expr::HDifference(a, b) => {
-                let (l, r) = pool.join(
-                    OpKind::Subtree,
-                    || a.eval_historical_pool(db, pool, "hminus"),
-                    || b.eval_historical_pool(db, pool, "hminus"),
-                );
-                Ok(StateValue::Historical(l?.hdifference_par(&r?, pool)?))
+                let l = a.eval_historical_pool(db, pool, "hminus")?;
+                let r = b.eval_historical_pool(db, pool, "hminus")?;
+                Ok(StateValue::Historical(l.hdifference_par(&r, pool)?))
             }
             Expr::HProduct(a, b) => {
-                let (l, r) = pool.join(
-                    OpKind::Subtree,
-                    || a.eval_historical_pool(db, pool, "htimes"),
-                    || b.eval_historical_pool(db, pool, "htimes"),
-                );
-                Ok(StateValue::Historical(l?.hproduct_par(&r?, pool)?))
+                let l = a.eval_historical_pool(db, pool, "htimes")?;
+                let r = b.eval_historical_pool(db, pool, "htimes")?;
+                Ok(StateValue::Historical(l.hproduct_par(&r, pool)?))
             }
             Expr::HProject(attrs, e) => match &**e {
                 Expr::HRollback(ident, spec) => {
@@ -447,33 +429,27 @@ impl Expr {
             },
             Expr::Delta(g, v, e) => {
                 // δ_{G,V} rewrites valid-time components per entry; it
-                // stays sequential (subtree parallelism still applies).
+                // stays sequential.
                 let h = e.eval_historical_pool(db, pool, "delta")?;
                 Ok(StateValue::Historical(h.delta(g, v)?))
             }
             Expr::HRollback(ident, spec) => db.resolve_rollback(ident, *spec, true),
 
             Expr::Join(spec, a, b) => {
-                let (l, r) = pool.join(
-                    OpKind::Subtree,
-                    || a.eval_snapshot_pool(db, pool, "join"),
-                    || b.eval_snapshot_pool(db, pool, "join"),
-                );
-                Ok(StateValue::Snapshot(l?.equi_join_par(&r?, spec, pool)?))
+                let l = a.eval_snapshot_pool(db, pool, "join")?;
+                let r = b.eval_snapshot_pool(db, pool, "join")?;
+                Ok(StateValue::Snapshot(l.equi_join_par(&r, spec, pool)?))
             }
             Expr::HJoin(spec, a, b) => {
-                let (l, r) = pool.join(
-                    OpKind::Subtree,
-                    || a.eval_historical_pool(db, pool, "hjoin"),
-                    || b.eval_historical_pool(db, pool, "hjoin"),
-                );
-                Ok(StateValue::Historical(l?.hequi_join_par(&r?, spec, pool)?))
+                let l = a.eval_historical_pool(db, pool, "hjoin")?;
+                let r = b.eval_historical_pool(db, pool, "hjoin")?;
+                Ok(StateValue::Historical(l.hequi_join_par(&r, spec, pool)?))
             }
         }
     }
 
     /// [`Expr::eval_snapshot`] through the pool-scheduled evaluator.
-    fn eval_snapshot_pool<S: StateSource + Sync>(
+    fn eval_snapshot_pool<S: StateSource>(
         &self,
         db: &S,
         pool: &ExecPool,
@@ -488,7 +464,7 @@ impl Expr {
     }
 
     /// [`Expr::eval_historical`] through the pool-scheduled evaluator.
-    fn eval_historical_pool<S: StateSource + Sync>(
+    fn eval_historical_pool<S: StateSource>(
         &self,
         db: &S,
         pool: &ExecPool,

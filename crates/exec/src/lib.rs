@@ -14,10 +14,15 @@
 //!   Because the inputs come from `BTreeSet`/`BTreeMap`-backed states,
 //!   chunks are disjoint ascending ranges of the canonical order, so an
 //!   in-order merge reproduces the sequential result bit for bit.
-//! * **Independent subtrees** ([`ExecPool::join`]): the two children of a
-//!   binary operator are evaluated concurrently; the left result is
-//!   always inspected first, so error selection matches the sequential
-//!   left-to-right evaluation order.
+//!
+//! A kernel splits only when every chunk would carry at least the
+//! operator's break-even grain ([`OpKind::min_chunk`]): the work one
+//! `thread::scope` spawn-and-join costs, measured on a 2-core host.
+//! Below that the kernel runs inline on the caller's thread. Nothing
+//! else is scheduled: the two operands of a binary operator evaluate
+//! one after the other (their sizes are unknown until they are
+//! evaluated, so there is nothing to weigh a spawn against), and
+//! parallelism *between* queries comes from the server's sessions.
 //!
 //! The pool is hermetic — `std::thread::scope` only, no work-stealing
 //! runtime — and a pool of **one** thread never spawns: every entry point
@@ -30,7 +35,7 @@
 //! call/chunk/wall-time counters, surfaced by [`ExecPool::stats`] (and, in
 //! the CLI, `txtime stats`).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -61,8 +66,6 @@ pub enum OpKind {
     HUnion,
     /// Historical difference −̂.
     HDifference,
-    /// Concurrent evaluation of a binary operator's two subtrees.
-    Subtree,
     /// Batched rollback resolution (`Engine::resolve_many`).
     Resolve,
     /// Delta propagation through memoized views (`modify_state`).
@@ -86,7 +89,7 @@ pub enum OpKind {
 
 impl OpKind {
     /// Every operator kind, in display order.
-    pub const ALL: [OpKind; 19] = [
+    pub const ALL: [OpKind; 18] = [
         OpKind::Select,
         OpKind::Project,
         OpKind::Product,
@@ -99,7 +102,6 @@ impl OpKind {
         OpKind::HJoin,
         OpKind::HUnion,
         OpKind::HDifference,
-        OpKind::Subtree,
         OpKind::Resolve,
         OpKind::Propagate,
         OpKind::Shard,
@@ -121,7 +123,6 @@ impl OpKind {
             OpKind::HProduct => "hproduct",
             OpKind::HUnion => "hunion",
             OpKind::HDifference => "hdifference",
-            OpKind::Subtree => "subtree",
             OpKind::Resolve => "resolve",
             OpKind::Propagate => "propagate",
             OpKind::Shard => "shard",
@@ -133,32 +134,29 @@ impl OpKind {
         }
     }
 
-    /// The minimum number of work units a chunk of this operator should
-    /// carry before splitting pays for a thread spawn. The partitioned
-    /// kernels derive their grains from this table (for the set
-    /// operators the unit is an input tuple/entry; for the products it
-    /// is an output pair), so tiny inputs stay inline on the calling
-    /// thread instead of paying spawn overhead.
+    /// The break-even grain: the least work a chunk of this operator
+    /// must carry before splitting pays for the `thread::scope`
+    /// spawn-and-join it costs. For the set operators the unit is an
+    /// input tuple/entry (both operands counted for ∪/−), for the
+    /// products an output pair, for the joins a probe tuple.
+    ///
+    /// Each figure is `spawn+join time / per-unit kernel time`, measured
+    /// by `experiments e13` (table E13c) on the 2-core reference host
+    /// and recorded with the raw numbers in DESIGN.md §8 ("Break-even
+    /// grains"); the constants are those quotients rounded up to a power
+    /// of two.
     pub const fn min_chunk(self) -> usize {
         match self {
-            // Per-item work is a cheap comparison/copy: demand big chunks.
-            OpKind::Select
-            | OpKind::Project
-            | OpKind::Union
-            | OpKind::Difference
-            | OpKind::HSelect
-            | OpKind::HProject
-            | OpKind::HUnion
-            | OpKind::HDifference => 512,
-            // One left item fans out over the whole right operand: the
-            // grain is sized in output pairs, not input items.
-            OpKind::Product | OpKind::HProduct => 4096,
-            // Per probe tuple: one hash lookup plus its matches.
-            OpKind::Join | OpKind::HJoin => 512,
-            // Units are whole subtrees / rollback targets / memoized
-            // views / shards / chains.
-            OpKind::Subtree
-            | OpKind::Resolve
+            OpKind::Select | OpKind::HSelect => SELECT_GRAIN,
+            OpKind::Project | OpKind::HProject => PROJECT_GRAIN,
+            OpKind::Union | OpKind::Difference | OpKind::HUnion | OpKind::HDifference => {
+                MERGE_GRAIN
+            }
+            OpKind::Product | OpKind::HProduct => PRODUCT_GRAIN,
+            OpKind::Join | OpKind::HJoin => JOIN_GRAIN,
+            // Units are whole rollback targets / memoized views / shards
+            // / chains.
+            OpKind::Resolve
             | OpKind::Propagate
             | OpKind::Shard
             | OpKind::Compact
@@ -171,6 +169,23 @@ impl OpKind {
         OpKind::ALL.iter().position(|&k| k == self).expect("listed")
     }
 }
+
+// Break-even grains behind [`OpKind::min_chunk`]. Measured by
+// `experiments e13` (table E13c) on the 2-core reference host, rustc
+// 1.95.0: one split (spawn + join) costs 57-64 µs; the per-unit costs
+// and quotients are in DESIGN.md §8. Each constant is its kernel's
+// largest quotient over five runs, rounded up to a power of two.
+/// σ/σ̂: 11.2-14.2 ns per input tuple, break-even 4116-5223.
+const SELECT_GRAIN: usize = 8192;
+/// π/π̂: 131-159 ns per input tuple, break-even 369-446.
+const PROJECT_GRAIN: usize = 512;
+/// ∪/−/∪̂/−̂: 12.6-14.3 ns per input tuple of both operands in the
+/// cheapest case (a one-row right operand), break-even 4023-4936.
+const MERGE_GRAIN: usize = 8192;
+/// ×/×̂: 91-100 ns per output pair, break-even 575-696.
+const PRODUCT_GRAIN: usize = 1024;
+/// ⋈/⋈̂: 38-49 ns per probe tuple, break-even 1304-1581.
+const JOIN_GRAIN: usize = 2048;
 
 #[derive(Default)]
 struct OpCounters {
@@ -272,9 +287,9 @@ impl std::fmt::Display for JoinStats {
 /// no spawn, no chunk boundary.
 pub struct ExecPool {
     threads: usize,
-    /// Extra threads currently spawned by [`ExecPool::join`]; bounds
-    /// nested subtree parallelism to the thread budget.
-    in_flight: AtomicUsize,
+    /// Set only by [`ExecPool::with_unit_grain`]: every operator's grain
+    /// is one work unit.
+    unit_grain: bool,
     counters: [OpCounters; OpKind::ALL.len()],
     join_counters: [AtomicU64; 4],
 }
@@ -296,9 +311,20 @@ impl ExecPool {
     pub fn new(threads: usize) -> ExecPool {
         ExecPool {
             threads: threads.max(1),
-            in_flight: AtomicUsize::new(0),
+            unit_grain: false,
             counters: std::array::from_fn(|_| OpCounters::default()),
             join_counters: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+
+    /// Test entry point: a pool of `threads` threads whose kernels split
+    /// down to one work unit per chunk, so the differential suites drive
+    /// multi-chunk kernels on inputs far below the shipped break-even
+    /// grains. No flag, environment variable or config reaches it.
+    pub fn with_unit_grain(threads: usize) -> ExecPool {
+        ExecPool {
+            unit_grain: true,
+            ..ExecPool::new(threads)
         }
     }
 
@@ -344,6 +370,22 @@ impl ExecPool {
         self.threads
     }
 
+    /// The least work a chunk of `op` carries on this pool:
+    /// [`OpKind::min_chunk`].
+    pub fn grain(&self, op: OpKind) -> usize {
+        if self.unit_grain {
+            1
+        } else {
+            op.min_chunk()
+        }
+    }
+
+    /// How many chunks `units` work units of `op` split into: at most
+    /// the thread budget, each carrying at least the operator's grain.
+    pub fn chunks_for(&self, op: OpKind, units: usize) -> usize {
+        (units / self.grain(op)).clamp(1, self.threads)
+    }
+
     /// Partition/merge: splits `items` into at most `threads` contiguous
     /// chunks of at least `grain` items, maps each chunk with `f` (the
     /// first chunk on the calling thread, the rest on scoped workers),
@@ -384,36 +426,6 @@ impl ExecPool {
             started.elapsed().as_nanos() as u64,
         );
         results
-    }
-
-    /// Evaluates two independent computations, concurrently when a thread
-    /// is available, and returns `(a, b)`.
-    ///
-    /// Callers inspect the left result first, so error selection matches
-    /// sequential left-to-right evaluation regardless of which side
-    /// finished first.
-    pub fn join<A, B, FA, FB>(&self, op: OpKind, fa: FA, fb: FB) -> (A, B)
-    where
-        A: Send,
-        B: Send,
-        FA: FnOnce() -> A + Send,
-        FB: FnOnce() -> B + Send,
-    {
-        // Spawning is bounded by the thread budget: deeply nested binary
-        // nodes degrade to inline evaluation instead of a thread explosion.
-        if self.threads <= 1 || self.in_flight.load(Ordering::Relaxed) + 1 >= self.threads {
-            return (fa(), fb());
-        }
-        let started = Instant::now();
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-        let out = std::thread::scope(|s| {
-            let left = s.spawn(fa);
-            let b = fb();
-            (left.join().expect("exec worker panicked"), b)
-        });
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-        self.record(op, 2, started.elapsed().as_nanos() as u64);
-        out
     }
 
     fn record(&self, op: OpKind, chunks: u64, nanos: u64) {
@@ -535,40 +547,17 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both_sides_in_order() {
-        for threads in [1, 4] {
-            let pool = ExecPool::new(threads);
-            let (a, b) = pool.join(OpKind::Subtree, || 1 + 1, || "two");
-            assert_eq!((a, b), (2, "two"));
-        }
-    }
-
-    #[test]
-    fn join_nests_without_exceeding_budget() {
-        let pool = ExecPool::new(2);
-        let (a, (b, c)) = pool.join(
-            OpKind::Subtree,
-            || 1,
-            || pool.join(OpKind::Subtree, || 2, || 3),
-        );
-        assert_eq!((a, b, c), (1, 2, 3));
-    }
-
-    #[test]
     fn stats_account_calls_chunks_and_reset() {
         let pool = ExecPool::new(4);
         let items: Vec<u64> = (0..64).collect();
         pool.map_chunks(OpKind::Select, &items, 8, <[u64]>::len);
         pool.map_chunks(OpKind::Select, &items, 64, <[u64]>::len);
-        pool.join(OpKind::Subtree, || (), || ());
         let stats = pool.stats();
         assert_eq!(stats.threads, 4);
         let select = stats.ops.iter().find(|o| o.name == "select").unwrap();
         assert_eq!(select.calls, 2);
         assert_eq!(select.chunks, 4 + 1);
-        let subtree = stats.ops.iter().find(|o| o.name == "subtree").unwrap();
-        assert_eq!(subtree.calls, 1);
-        assert!(stats.total_calls() >= 3);
+        assert_eq!(stats.total_calls(), 2);
         assert!(stats.to_string().contains("select"));
         pool.reset_stats();
         assert_eq!(pool.stats().total_calls(), 0);
@@ -590,8 +579,17 @@ mod tests {
         for kind in OpKind::ALL {
             assert!(kind.min_chunk() >= 1, "{}", kind.name());
         }
-        // The set kernels demand larger chunks than subtree scheduling.
-        assert!(OpKind::Union.min_chunk() > OpKind::Subtree.min_chunk());
+        // The tuple-at-a-time kernels demand far more than one unit; a
+        // unit-grain pool (the differential suites' entry) overrides it.
+        assert!(OpKind::Union.min_chunk() > OpKind::Shard.min_chunk());
+        let pool = ExecPool::with_unit_grain(2);
+        assert_eq!(pool.grain(OpKind::Union), 1);
+        assert_eq!(pool.chunks_for(OpKind::Union, 2), 2);
+        let shipped = ExecPool::new(2);
+        let g = OpKind::Union.min_chunk();
+        assert_eq!(shipped.chunks_for(OpKind::Union, 2 * g - 1), 1);
+        assert_eq!(shipped.chunks_for(OpKind::Union, 2 * g), 2);
+        assert_eq!(shipped.chunks_for(OpKind::Union, 100 * g), 2);
     }
 
     #[test]

@@ -64,7 +64,7 @@ impl HistoricalState {
     ) -> Result<HistoricalState> {
         let schema = self.schema().product(other.schema())?;
         let compiled = spec.as_predicate().compile(&schema)?;
-        let grain = OpKind::HJoin.min_chunk();
+        let grain = pool.grain(OpKind::HJoin);
         let cols = key_columns(spec, self.schema(), other.schema());
         let chunks: Vec<Vec<Entry>> = match cols {
             Some(cols)
@@ -296,7 +296,7 @@ mod tests {
             let seq = l.hequi_join(&r, &s).unwrap();
             assert_eq!(seq, oracle(&l, &r, &s).unwrap(), "{physical}");
             for threads in [1, 2, 4] {
-                let pool = ExecPool::new(threads);
+                let pool = ExecPool::with_unit_grain(threads);
                 assert_eq!(
                     l.hequi_join_par(&r, &s, &pool).unwrap(),
                     seq,

@@ -19,13 +19,6 @@ use crate::ops::hmerge::{hmerge_difference, hmerge_union};
 use crate::state::{Entry, HistoricalState};
 use crate::Result;
 
-/// Minimum entries per chunk for the entry-at-a-time kernels; sourced
-/// from the shared per-kernel heuristic.
-const SET_GRAIN: usize = OpKind::HSelect.min_chunk();
-
-/// Minimum output pairs per chunk for the product kernel.
-const PRODUCT_PAIR_GRAIN: usize = OpKind::HProduct.min_chunk();
-
 /// Split two sorted runs into at most `want` aligned range pairs: the
 /// left run is cut at evenly spaced indices and the right run at the
 /// matching pivot tuples, so each pair of ranges can be merged
@@ -59,13 +52,18 @@ impl HistoricalState {
     /// [`HistoricalState::hselect`] evaluated over partitioned chunks.
     pub fn hselect_par(&self, predicate: &Predicate, pool: &ExecPool) -> Result<HistoricalState> {
         let compiled = predicate.compile(self.schema())?;
-        let runs = pool.map_chunks(OpKind::HSelect, self.run(), SET_GRAIN, |chunk| {
-            chunk
-                .iter()
-                .filter(|(t, _)| compiled.eval(t))
-                .cloned()
-                .collect::<Vec<_>>()
-        });
+        let runs = pool.map_chunks(
+            OpKind::HSelect,
+            self.run(),
+            pool.grain(OpKind::HSelect),
+            |chunk| {
+                chunk
+                    .iter()
+                    .filter(|(t, _)| compiled.eval(t))
+                    .cloned()
+                    .collect::<Vec<_>>()
+            },
+        );
         let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
         for run in runs {
             out.extend(run);
@@ -83,12 +81,17 @@ impl HistoricalState {
         pool: &ExecPool,
     ) -> Result<HistoricalState> {
         let (schema, indices) = self.schema().project(attrs)?;
-        let runs = pool.map_chunks(OpKind::HProject, self.run(), SET_GRAIN, |chunk| {
-            chunk
-                .iter()
-                .map(|(t, e)| (t.project(&indices), e.clone()))
-                .collect::<Vec<_>>()
-        });
+        let runs = pool.map_chunks(
+            OpKind::HProject,
+            self.run(),
+            pool.grain(OpKind::HProject),
+            |chunk| {
+                chunk
+                    .iter()
+                    .map(|(t, e)| (t.project(&indices), e.clone()))
+                    .collect::<Vec<_>>()
+            },
+        );
         // Chunks are contiguous input ranges, so the concatenation scans
         // projected entries in input order; from_unsorted_vec coalesces
         // collisions with the same left-to-right element unions as the
@@ -107,7 +110,7 @@ impl HistoricalState {
         pool: &ExecPool,
     ) -> Result<HistoricalState> {
         let schema = self.schema().product(other.schema())?;
-        let grain = (PRODUCT_PAIR_GRAIN / other.len().max(1)).max(1);
+        let grain = (pool.grain(OpKind::HProduct) / other.len().max(1)).max(1);
         let runs = pool.map_chunks(OpKind::HProduct, self.run(), grain, |chunk| {
             let mut pairs = Vec::new();
             for (l, le) in chunk {
@@ -134,7 +137,7 @@ impl HistoricalState {
         if self.is_empty() || other.is_empty() || self.shares_run(other) {
             return self.hunion(other);
         }
-        let want = (self.len() + other.len()).div_ceil(SET_GRAIN).max(1);
+        let want = pool.chunks_for(OpKind::HUnion, self.len() + other.len());
         let parts = aligned_parts(self.run(), other.run(), want);
         let runs = pool.map_chunks(OpKind::HUnion, &parts, 1, |chunk| {
             let mut out = Vec::new();
@@ -164,7 +167,7 @@ impl HistoricalState {
         if self.is_empty() || other.is_empty() || self.shares_run(other) {
             return self.hdifference(other);
         }
-        let want = self.len().div_ceil(SET_GRAIN).max(1);
+        let want = pool.chunks_for(OpKind::HDifference, self.len() + other.len());
         let parts = aligned_parts(self.run(), other.run(), want);
         let runs = pool.map_chunks(OpKind::HDifference, &parts, 1, |chunk| {
             let mut out = Vec::new();
@@ -246,7 +249,7 @@ mod tests {
         let c = random(3, "c", 30);
         let pred = Predicate::gt_const("a0", Value::Int(20));
         for threads in [1, 2, 3, 8] {
-            let pool = ExecPool::new(threads);
+            let pool = ExecPool::with_unit_grain(threads);
             assert_eq!(
                 a.hselect(&pred).unwrap(),
                 a.hselect_par(&pred, &pool).unwrap()
@@ -267,7 +270,7 @@ mod tests {
     #[test]
     fn partitioned_kernels_preserve_errors() {
         let a = random(1, "a", 8);
-        let pool = ExecPool::new(4);
+        let pool = ExecPool::with_unit_grain(4);
         assert!(a
             .hselect_par(&Predicate::eq_const("ghost", Value::Int(0)), &pool)
             .is_err());
@@ -282,7 +285,7 @@ mod tests {
     fn partitioned_identity_shortcuts_still_share() {
         let a = random(1, "a", 1200);
         let empty = HistoricalState::empty(schema("a"));
-        let pool = ExecPool::new(4);
+        let pool = ExecPool::with_unit_grain(4);
         let u = a.hunion_par(&empty, &pool).unwrap();
         assert!(a.shares_run(&u));
         let d = a.hdifference_par(&empty, &pool).unwrap();

@@ -96,7 +96,7 @@ proptest! {
         let expected = norm_ref(ra.hunion(&rb));
         prop_assert_eq!(norm(a.hunion(&b)), expected.clone());
         for threads in THREADS {
-            let pool = ExecPool::new(threads);
+            let pool = ExecPool::with_unit_grain(threads);
             prop_assert_eq!(norm(a.hunion_par(&b, &pool)), expected.clone());
         }
     }
@@ -107,7 +107,7 @@ proptest! {
         let expected = norm_ref(ra.hdifference(&rb));
         prop_assert_eq!(norm(a.hdifference(&b)), expected.clone());
         for threads in THREADS {
-            let pool = ExecPool::new(threads);
+            let pool = ExecPool::with_unit_grain(threads);
             prop_assert_eq!(norm(a.hdifference_par(&b, &pool)), expected.clone());
         }
     }
@@ -118,7 +118,7 @@ proptest! {
         let expected = norm_ref(ra.hproduct(&rb));
         prop_assert_eq!(norm(a.hproduct(&b)), expected.clone());
         for threads in THREADS {
-            let pool = ExecPool::new(threads);
+            let pool = ExecPool::with_unit_grain(threads);
             prop_assert_eq!(norm(a.hproduct_par(&b, &pool)), expected.clone());
         }
     }
@@ -129,7 +129,7 @@ proptest! {
         let expected = norm_ref(ra.hproject(&attrs));
         prop_assert_eq!(norm(a.hproject(&attrs)), expected.clone());
         for threads in THREADS {
-            let pool = ExecPool::new(threads);
+            let pool = ExecPool::with_unit_grain(threads);
             prop_assert_eq!(norm(a.hproject_par(&attrs, &pool)), expected.clone());
         }
     }
@@ -140,7 +140,7 @@ proptest! {
         let expected = norm_ref(ra.hselect(&pred));
         prop_assert_eq!(norm(a.hselect(&pred)), expected.clone());
         for threads in THREADS {
-            let pool = ExecPool::new(threads);
+            let pool = ExecPool::with_unit_grain(threads);
             prop_assert_eq!(norm(a.hselect_par(&pred, &pool)), expected.clone());
         }
         let ghost = Predicate::eq_const("ghost", Value::Int(0));

@@ -172,7 +172,7 @@ impl SnapshotState {
     ) -> Result<SnapshotState> {
         let schema = self.schema().product(other.schema())?;
         let compiled = spec.as_predicate().compile(&schema)?;
-        let grain = OpKind::Join.min_chunk();
+        let grain = pool.grain(OpKind::Join);
         let cols = key_columns(spec, self.schema(), other.schema());
         let chunks: Vec<Vec<Tuple>> = match cols {
             Some(cols)
@@ -436,7 +436,7 @@ mod tests {
                 let seq = l.equi_join(&r, &s).unwrap();
                 assert_eq!(seq, oracle(&l, &r, &s).unwrap(), "seed {seed} {physical}");
                 for threads in [1, 2, 4] {
-                    let pool = ExecPool::new(threads);
+                    let pool = ExecPool::with_unit_grain(threads);
                     assert_eq!(
                         l.equi_join_par(&r, &s, &pool).unwrap(),
                         seq,

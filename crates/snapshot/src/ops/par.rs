@@ -23,8 +23,10 @@
 //! * π re-sorts the concatenated projection (unless the projection is an
 //!   order-preserving prefix), so the result does not depend on chunking.
 //!
-//! A one-thread pool evaluates every kernel inline on the calling thread
-//! (see [`ExecPool::map_chunks`]) — the exact sequential path.
+//! A kernel splits only when every chunk carries at least the operator's
+//! break-even grain ([`ExecPool::grain`]); below that, and on a
+//! one-thread pool, it runs inline on the calling thread (see
+//! [`ExecPool::map_chunks`]) — the exact sequential path.
 
 use std::ops::Range;
 
@@ -36,15 +38,6 @@ use crate::predicate::Predicate;
 use crate::state::SnapshotState;
 use crate::tuple::Tuple;
 use crate::Result;
-
-/// Minimum tuples per chunk for the tuple-at-a-time kernels; below
-/// 2 × this, spawn overhead beats the work. Sourced from the shared
-/// per-kernel heuristic so the CLI/engine and kernels agree.
-pub(crate) const SET_GRAIN: usize = OpKind::Select.min_chunk();
-
-/// Minimum output *pairs* per chunk for the product kernel (its per-item
-/// cost scales with the right operand).
-pub(crate) const PRODUCT_PAIR_GRAIN: usize = OpKind::Product.min_chunk();
 
 /// Splits two sorted runs into at most `want` aligned part ranges: the
 /// left run is cut at (roughly) even indices, and the right run is cut at
@@ -77,13 +70,18 @@ impl SnapshotState {
     /// [`SnapshotState::select`] evaluated over partitioned slice ranges.
     pub fn select_par(&self, predicate: &Predicate, pool: &ExecPool) -> Result<SnapshotState> {
         let compiled = predicate.compile(self.schema())?;
-        let runs = pool.map_chunks(OpKind::Select, self.run(), SET_GRAIN, |chunk| {
-            chunk
-                .iter()
-                .filter(|t| compiled.eval(t))
-                .cloned()
-                .collect::<Vec<Tuple>>()
-        });
+        let runs = pool.map_chunks(
+            OpKind::Select,
+            self.run(),
+            pool.grain(OpKind::Select),
+            |chunk| {
+                chunk
+                    .iter()
+                    .filter(|t| compiled.eval(t))
+                    .cloned()
+                    .collect::<Vec<Tuple>>()
+            },
+        );
         let total: usize = runs.iter().map(Vec::len).sum();
         if total == self.len() {
             return Ok(self.clone());
@@ -99,12 +97,17 @@ impl SnapshotState {
     /// [`SnapshotState::project`] evaluated over partitioned slice ranges.
     pub fn project_par(&self, attrs: &[impl AsRef<str>], pool: &ExecPool) -> Result<SnapshotState> {
         let (schema, indices) = self.schema().project(attrs)?;
-        let runs = pool.map_chunks(OpKind::Project, self.run(), SET_GRAIN, |chunk| {
-            chunk
-                .iter()
-                .map(|t| t.project(&indices))
-                .collect::<Vec<Tuple>>()
-        });
+        let runs = pool.map_chunks(
+            OpKind::Project,
+            self.run(),
+            pool.grain(OpKind::Project),
+            |chunk| {
+                chunk
+                    .iter()
+                    .map(|t| t.project(&indices))
+                    .collect::<Vec<Tuple>>()
+            },
+        );
         let mut out = Vec::with_capacity(self.len());
         for run in runs {
             out.extend(run);
@@ -122,7 +125,9 @@ impl SnapshotState {
     /// [`SnapshotState::product`] with the left operand partitioned.
     pub fn product_par(&self, other: &SnapshotState, pool: &ExecPool) -> Result<SnapshotState> {
         let schema = self.schema().product(other.schema())?;
-        let grain = (PRODUCT_PAIR_GRAIN / other.len().max(1)).max(1);
+        // The product's grain counts output pairs; one left tuple fans
+        // out over the whole right operand.
+        let grain = (pool.grain(OpKind::Product) / other.len().max(1)).max(1);
         let runs = pool.map_chunks(OpKind::Product, self.run(), grain, |chunk| {
             let mut pairs = Vec::with_capacity(chunk.len() * other.len());
             for l in chunk {
@@ -147,7 +152,8 @@ impl SnapshotState {
             // Sequential identity shortcuts (O(1) Arc reuse).
             return self.union(other);
         }
-        let parts = aligned_parts(self.run(), other.run(), pool.threads());
+        let want = pool.chunks_for(OpKind::Union, self.len() + other.len());
+        let parts = aligned_parts(self.run(), other.run(), want);
         let runs = pool.map_chunks(OpKind::Union, &parts, 1, |chunk| {
             let mut out = Vec::new();
             for (lr, rr) in chunk {
@@ -183,7 +189,8 @@ impl SnapshotState {
         if self.is_empty() || other.is_empty() || self.shares_run(other) {
             return self.difference(other);
         }
-        let parts = aligned_parts(self.run(), other.run(), pool.threads());
+        let want = pool.chunks_for(OpKind::Difference, self.len() + other.len());
+        let parts = aligned_parts(self.run(), other.run(), want);
         let runs = pool.map_chunks(OpKind::Difference, &parts, 1, |chunk| {
             let mut out = Vec::new();
             for (lr, rr) in chunk {
@@ -261,7 +268,7 @@ mod tests {
         let c = random(3, "c", 40);
         let pred = Predicate::gt_const("a0", Value::Int(20));
         for threads in [1, 2, 3, 8] {
-            let pool = ExecPool::new(threads);
+            let pool = ExecPool::with_unit_grain(threads);
             assert_eq!(
                 a.select(&pred).unwrap(),
                 a.select_par(&pred, &pool).unwrap()
@@ -282,7 +289,7 @@ mod tests {
     #[test]
     fn partitioned_kernels_preserve_errors() {
         let a = random(1, "a", 8);
-        let pool = ExecPool::new(4);
+        let pool = ExecPool::with_unit_grain(4);
         assert!(a
             .select_par(&Predicate::eq_const("ghost", Value::Int(0)), &pool)
             .is_err());
@@ -298,7 +305,7 @@ mod tests {
     fn partitioned_identity_shortcuts_still_share() {
         let a = random(1, "a", 1200);
         let empty = SnapshotState::empty(schema("a"));
-        let pool = ExecPool::new(4);
+        let pool = ExecPool::with_unit_grain(4);
         let u = a.union_par(&empty, &pool).unwrap();
         assert!(a.shares_run(&u));
         let d = a.difference_par(&empty, &pool).unwrap();

@@ -102,7 +102,7 @@ proptest! {
         let expected = norm_ref(ra.union(&rb));
         prop_assert_eq!(norm(a.union(&b)), expected.clone());
         for threads in THREADS {
-            let pool = ExecPool::new(threads);
+            let pool = ExecPool::with_unit_grain(threads);
             prop_assert_eq!(norm(a.union_par(&b, &pool)), expected.clone());
         }
     }
@@ -113,7 +113,7 @@ proptest! {
         let expected = norm_ref(ra.difference(&rb));
         prop_assert_eq!(norm(a.difference(&b)), expected.clone());
         for threads in THREADS {
-            let pool = ExecPool::new(threads);
+            let pool = ExecPool::with_unit_grain(threads);
             prop_assert_eq!(norm(a.difference_par(&b, &pool)), expected.clone());
         }
     }
@@ -124,7 +124,7 @@ proptest! {
         let expected = norm_ref(ra.product(&rb));
         prop_assert_eq!(norm(a.product(&b)), expected.clone());
         for threads in THREADS {
-            let pool = ExecPool::new(threads);
+            let pool = ExecPool::with_unit_grain(threads);
             prop_assert_eq!(norm(a.product_par(&b, &pool)), expected.clone());
         }
     }
@@ -135,7 +135,7 @@ proptest! {
         let expected = norm_ref(ra.project(&attrs));
         prop_assert_eq!(norm(a.project(&attrs)), expected.clone());
         for threads in THREADS {
-            let pool = ExecPool::new(threads);
+            let pool = ExecPool::with_unit_grain(threads);
             prop_assert_eq!(norm(a.project_par(&attrs, &pool)), expected.clone());
         }
     }
@@ -146,7 +146,7 @@ proptest! {
         let expected = norm_ref(ra.select(&pred));
         prop_assert_eq!(norm(a.select(&pred)), expected.clone());
         for threads in THREADS {
-            let pool = ExecPool::new(threads);
+            let pool = ExecPool::with_unit_grain(threads);
             prop_assert_eq!(norm(a.select_par(&pred, &pool)), expected.clone());
         }
         // A predicate compiled for the wrong scheme errors identically.

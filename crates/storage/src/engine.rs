@@ -7,6 +7,7 @@
 //! write-ahead log for recovery. The equivalence is not assumed — it is
 //! established by the differential tests in [`crate::equiv`].
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::num::NonZeroUsize;
@@ -395,53 +396,70 @@ impl Engine {
     /// check exactly this entry point.
     ///
     /// With a multi-thread pool (see [`Engine::set_threads`]) the
-    /// rewritten expression runs on the pool-scheduled evaluator —
-    /// partitioned operator kernels plus concurrent binary subtrees —
-    /// which is result- and error-identical to the sequential one (the
-    /// parallel-determinism property tests pin this); one thread takes
-    /// the exact sequential path.
+    /// rewritten expression runs on the pool-scheduled evaluator, whose
+    /// partitioned kernels split operands past their break-even grain;
+    /// it is result- and error-identical to the sequential one (the
+    /// parallel-determinism property tests pin this), and one thread
+    /// takes the exact sequential path.
     ///
     /// The view memo is consulted first: a repeatedly evaluated
     /// expression whose input relations have not moved is answered from
-    /// its cached state (kept fresh by `modify_state` delta
-    /// propagation); an expression crossing the registration threshold
-    /// is evaluated node-wise so every subexpression's state is cached.
-    /// Both paths are observationally identical — value and error — to
-    /// the plain evaluation below; the memo differential tests pin this
-    /// on every backend.
+    /// its cached state (settled by the queued `modify_state` spans); an
+    /// expression crossing the registration threshold is evaluated
+    /// node-wise so every subexpression's state is cached. Both paths
+    /// are observationally identical — value and error — to the plain
+    /// evaluation; the memo differential tests pin this on every
+    /// backend. Only reads come here: `modify_state` evaluates its
+    /// expression with [`Engine::eval_unmemoized`] and touches the memo
+    /// through `queue_modify` alone.
     pub fn eval(&self, expr: &Expr) -> Result<StateValue, EvalError> {
         // Level 2: cost-based search first, so the memo keys (and
         // registers views for) the *canonical* plan — every source
         // expression in the plan's equivalence group maps to the same
-        // `ExprId`s and therefore hits the same cached views. The
-        // evaluator below is untouched, so sharded stores fan the chosen
-        // plan's ρ-leaves out exactly as they would the original's.
-        let planned;
-        let expr = if self.optimize >= 2 {
-            planned = self.plan(expr);
-            &planned
-        } else {
-            expr
-        };
-        match self.memo.decide(expr, self) {
+        // `ExprId`s and therefore hits the same cached views.
+        let expr = self.planned(expr);
+        match self.memo.decide(&expr, self) {
             MemoDecision::Hit(state) => Ok(state),
-            MemoDecision::Evaluate { register: true } => self.memo.eval_and_register(expr, self),
-            MemoDecision::Evaluate { register: false } => {
-                let rewritten = if self.optimize == 0 {
-                    expr.clone()
-                } else {
-                    pushdown(expr)
-                };
-                // Join-bearing plans always take the pool path: with a
-                // one-thread pool the kernels run inline (identical to
-                // the sequential evaluator), and the pool's join
-                // counters record build/probe sides either way.
-                if self.pool.threads() > 1 || rewritten.contains_join() {
-                    rewritten.eval_with_pool(self, &self.pool)
-                } else {
-                    rewritten.eval_with(self)
-                }
-            }
+            MemoDecision::Evaluate { register: true } => self.memo.eval_and_register(&expr, self),
+            MemoDecision::Evaluate { register: false } => self.eval_plan(&expr),
+        }
+    }
+
+    /// The write path's evaluator: the same plan `eval` would run, on
+    /// the plain evaluator. A write decides nothing in the memo, counts
+    /// towards no registration and flushes no queued span while the
+    /// caller holds the engine exclusively, so its cost depends on the
+    /// relations it reads and not on how many views the memo holds.
+    fn eval_unmemoized(&self, expr: &Expr) -> Result<StateValue, EvalError> {
+        self.eval_plan(&self.planned(expr))
+    }
+
+    /// `expr` itself below optimize level 2, the searched plan at it.
+    fn planned<'a>(&self, expr: &'a Expr) -> Cow<'a, Expr> {
+        if self.optimize >= 2 {
+            Cow::Owned(self.plan(expr))
+        } else {
+            Cow::Borrowed(expr)
+        }
+    }
+
+    /// Runs a plan on the plain evaluator. The evaluator is untouched by
+    /// planning, so sharded stores fan the chosen plan's ρ-leaves out
+    /// exactly as they would the original's.
+    fn eval_plan(&self, plan: &Expr) -> Result<StateValue, EvalError> {
+        let rewritten = if self.optimize == 0 {
+            Cow::Borrowed(plan)
+        } else {
+            Cow::Owned(pushdown(plan))
+        };
+        // Join-bearing plans always take the pool path: with a
+        // one-thread pool the kernels run inline (identical to the
+        // sequential evaluator), and the pool's join counters record
+        // build/probe sides either way.
+        if self.pool.threads() > 1 || rewritten.contains_join() {
+            rewritten.eval_with_pool(self, &self.pool)
+        } else {
+            rewritten.eval_with(self)
         }
     }
 
@@ -691,7 +709,15 @@ impl Engine {
     /// contention. Resets the exec counters. The effective (clamped)
     /// budget is echoed by [`Engine::exec_stats`].
     pub fn set_threads(&mut self, threads: usize) {
-        self.pool = Arc::new(ExecPool::clamped(threads));
+        self.set_pool(ExecPool::clamped(threads));
+    }
+
+    /// Replaces the worker pool outright — the differential suites'
+    /// entry for a pool [`Engine::set_threads`] would not build (an
+    /// unclamped budget, [`ExecPool::with_unit_grain`]).
+    #[doc(hidden)]
+    pub fn set_pool(&mut self, pool: ExecPool) {
+        self.pool = Arc::new(pool);
         // Sharded stores fan per-shard work out on the engine's pool;
         // hand every store the replacement.
         for rel in self.catalog.values_mut() {
@@ -973,7 +999,7 @@ impl Engine {
                 let rtype = self
                     .relation_type(ident)
                     .ok_or_else(|| CoreError::UndefinedRelation(ident.clone()))?;
-                let state = self.eval(expr)?;
+                let state = self.eval_unmemoized(expr)?;
                 if state.is_historical() != rtype.holds_historical() {
                     return Err(CoreError::StateTypeMismatch {
                         relation: ident.clone(),
@@ -992,8 +1018,10 @@ impl Engine {
                         // Opportunistic compaction: fold the chain every
                         // `auto_compact` appends so no later rollback
                         // probe replays more than `fold` deltas. The
-                        // pass is incremental — already-pinned
-                        // checkpoints make it a near-no-op.
+                        // delta stores seed the replay at the nearest
+                        // checkpoint to the first unpinned slot, so a
+                        // pass folds at most the appends since the
+                        // previous one plus one interval.
                         if let Some(auto) = auto_compact {
                             if store.version_count().is_multiple_of(auto.get()) {
                                 store.compact(fold);
@@ -1492,6 +1520,9 @@ mod tests {
             CheckpointPolicy::every_k(8).unwrap(),
         );
         e.set_cache_capacity(2);
+        // The counters below are one chain's: a sharded store probes
+        // the cache once per shard.
+        e.set_shards(1);
         for engine in [&mut oracle, &mut e] {
             engine
                 .execute(&Command::define_relation("r", RelationType::Rollback))
@@ -1527,6 +1558,7 @@ mod tests {
         // probe below must replay — this test pins the materialization
         // cache, not the checkpoint shortcut.
         let mut e = Engine::new(BackendKind::ReverseDelta, CheckpointPolicy::Never);
+        e.set_shards(1); // one chain, one cache probe per read
         e.execute(&Command::define_relation("r", RelationType::Rollback))
             .unwrap();
         for v in [vec![1], vec![1, 2], vec![2], vec![2, 3]] {
@@ -1658,6 +1690,105 @@ mod tests {
         assert_eq!(
             e.eval(&expr).unwrap().into_snapshot().unwrap(),
             snap(&[1, 2])
+        );
+    }
+
+    /// `acct(id, bal)` with ids `0..rows`, and the benchmark's
+    /// update-one-row commit against it.
+    fn acct(rows: i64) -> SnapshotState {
+        let schema = Schema::new(vec![("id", DomainType::Int), ("bal", DomainType::Int)]).unwrap();
+        SnapshotState::from_rows(
+            schema,
+            (0..rows).map(|i| vec![Value::Int(i), Value::Int(0)]),
+        )
+        .unwrap()
+    }
+
+    fn update_one_row(key: i64, bal: i64) -> Command {
+        let schema = Schema::new(vec![("id", DomainType::Int), ("bal", DomainType::Int)]).unwrap();
+        let row =
+            SnapshotState::from_rows(schema, [vec![Value::Int(key), Value::Int(bal)]]).unwrap();
+        Command::modify_state(
+            "acct",
+            Expr::current("acct")
+                .difference(
+                    Expr::current("acct")
+                        .select(txtime_snapshot::Predicate::eq_const("id", Value::Int(key))),
+                )
+                .union(Expr::snapshot_const(row)),
+        )
+    }
+
+    /// A 2-thread engine (whatever the host) holding `acct` at `rows`.
+    fn two_thread_engine(rows: i64) -> Engine {
+        let mut e = Engine::new(
+            BackendKind::ForwardDelta,
+            CheckpointPolicy::every_k(16).unwrap(),
+        );
+        e.set_pool(ExecPool::new(2));
+        // One chain: a sharded store's own fan-out is not the subject.
+        e.set_shards(1);
+        e.execute(&Command::define_relation("acct", RelationType::Rollback))
+            .unwrap();
+        e.execute(&Command::modify_state(
+            "acct",
+            Expr::snapshot_const(acct(rows)),
+        ))
+        .unwrap();
+        e.reset_exec_stats();
+        e
+    }
+
+    #[test]
+    fn commits_feed_no_view_memo_and_split_nothing_at_1024_rows() {
+        let mut e = two_thread_engine(1024);
+        // Repeating keys: the same write expression recurs, which is what
+        // used to cross the memo's registration threshold.
+        for i in 0..2_000i64 {
+            e.execute(&update_one_row(i % 7, i)).unwrap();
+        }
+        let memo = e.memo_stats();
+        assert_eq!(
+            (memo.registrations, memo.views, memo.propagations),
+            (0, 0, 0),
+            "{memo:?}"
+        );
+        assert_eq!((memo.hits, memo.misses), (0, 0), "writes decide nothing");
+        assert_eq!(e.memo_interner_footprint().0, 0, "writes intern nothing");
+        let exec = e.exec_stats();
+        assert!(exec.total_calls() >= 4_000, "minus and union per commit");
+        // Every operator kernel (the rows whose chunks are splits, not
+        // externally recorded counts such as plans enumerated).
+        for (kind, op) in OpKind::ALL.iter().zip(&exec.ops) {
+            if kind.min_chunk() > 1 {
+                assert_eq!(op.chunks, op.calls, "{} split at 1024 rows", op.name);
+            }
+        }
+        assert_eq!(e.version_count("acct"), Some(2_001));
+    }
+
+    #[test]
+    fn commits_past_the_break_even_still_reach_the_partitioned_kernels() {
+        let rows = 4 * OpKind::Union.min_chunk() as i64;
+        let mut e = two_thread_engine(rows);
+        for i in 0..3 {
+            e.execute(&update_one_row(i, 1)).unwrap();
+        }
+        let exec = e.exec_stats();
+        for name in ["difference", "union"] {
+            let op = exec.ops.iter().find(|o| o.name == name).unwrap();
+            assert_eq!(op.calls, 3, "{name}");
+            assert_eq!(op.chunks, 6, "{name} splits two ways at {rows} rows");
+        }
+        // Same answer as the sequential engine.
+        let mut seq = two_thread_engine(rows);
+        seq.set_threads(1);
+        for i in 0..3 {
+            seq.execute(&update_one_row(i, 1)).unwrap();
+        }
+        assert_eq!(
+            e.eval(&Expr::current("acct")).unwrap(),
+            seq.eval(&Expr::current("acct")).unwrap()
         );
     }
 

@@ -38,6 +38,10 @@ pub struct ForwardDeltaStore {
     entries: Vec<(Entry, TransactionNumber)>,
     /// Lifetime compaction counters.
     compaction: CompactionStats,
+    /// The last compaction pass's interval and the chain length it saw:
+    /// every wanted position below that length is already a checkpoint,
+    /// so the next pass at the same interval starts its scan there.
+    compacted: Option<(NonZeroUsize, usize)>,
     /// The current state, cached for O(1) appends and current-state reads.
     current: Option<StateValue>,
     /// Shared materialization cache and this relation's id within it.
@@ -63,6 +67,7 @@ impl ForwardDeltaStore {
             policy,
             entries: Vec::new(),
             compaction: CompactionStats::default(),
+            compacted: None,
             current: None,
             cache,
             interner: StrInterner::new(),
@@ -409,37 +414,46 @@ impl RollbackStore for ForwardDeltaStore {
     fn compact(&mut self, every: NonZeroUsize) -> CompactionStats {
         // Promote the delta entry at every `every`-th chain position to a
         // materialized checkpoint, so no later probe replays more than
-        // `every` deltas. One forward replay visits the whole chain.
-        let wanted = |i: usize| i.is_multiple_of(every.get());
-        if !self
-            .entries
-            .iter()
-            .enumerate()
-            .any(|(i, (e, _))| wanted(i) && matches!(e, Entry::Delta(_)))
-        {
+        // `every` deltas. Positions below the previous pass's high-water
+        // mark are already pinned; one forward replay from the nearest
+        // checkpoint below the first missing slot fills the rest.
+        let len = self.entries.len();
+        let scan_from = match self.compacted {
+            Some((e, upto)) if e == every => upto,
+            _ => 0,
+        };
+        self.compacted = Some((every, len));
+        let missing: Vec<usize> = (scan_from.next_multiple_of(every.get())..len)
+            .step_by(every.get())
+            .filter(|&i| matches!(self.entries[i].0, Entry::Delta(_)))
+            .collect();
+        let (Some(&lo), Some(&hi)) = (missing.first(), missing.last()) else {
             return CompactionStats::default();
-        }
+        };
         let mut pass = CompactionStats {
             runs: 1,
             ..CompactionStats::default()
         };
-        let mut state: Option<StateValue> = None;
-        for i in 0..self.entries.len() {
-            let folded = match &self.entries[i].0 {
-                Entry::Checkpoint(s) => {
-                    state = Some(s.clone());
-                    false
-                }
+        let (seed, mut state) = (0..lo)
+            .rev()
+            .find_map(|i| match &self.entries[i].0 {
+                Entry::Checkpoint(s) => Some((i, s.clone())),
+                Entry::Delta(_) => None,
+            })
+            .expect("chain starts with a checkpoint");
+        let mut want = missing.into_iter().peekable();
+        for i in seed + 1..=hi {
+            match &self.entries[i].0 {
+                Entry::Checkpoint(s) => state = s.clone(),
                 Entry::Delta(d) => {
-                    d.apply_in_place(state.as_mut().expect("chain starts with a checkpoint"));
+                    d.apply_in_place(&mut state);
                     pass.deltas_folded += 1;
-                    true
                 }
-            };
-            if folded && wanted(i) {
-                let s = state.clone().expect("replayed above");
-                pass.tuples_folded += s.len() as u64;
-                self.entries[i].0 = Entry::Checkpoint(s);
+            }
+            if want.peek() == Some(&i) {
+                want.next();
+                pass.tuples_folded += state.len() as u64;
+                self.entries[i].0 = Entry::Checkpoint(state.clone());
             }
         }
         self.compaction = self.compaction.merged(pass);
@@ -460,6 +474,8 @@ impl RollbackStore for ForwardDeltaStore {
                 let base_tx = self.entries[floor].1;
                 self.entries.drain(..=floor);
                 self.entries.insert(0, (Entry::Checkpoint(base), base_tx));
+                // Chain positions shifted: the next pass rescans.
+                self.compacted = None;
                 floor
             }
             _ => 0,
@@ -532,6 +548,48 @@ mod tests {
         assert_eq!(before, after);
         assert_eq!(s.compact(NonZeroUsize::new(5).unwrap()).runs, 0);
         assert_eq!(s.compaction_stats().runs, 1);
+    }
+
+    #[test]
+    fn compact_folds_only_what_the_previous_pass_left() {
+        // `Never` leaves every slot to compaction, the case the engine's
+        // opportunistic pass (every 64 appends) meets on a long chain.
+        let every = NonZeroUsize::new(32).unwrap();
+        let mut s = ForwardDeltaStore::new(CheckpointPolicy::Never);
+        let mut v = 0u64;
+        let mut grow = |s: &mut ForwardDeltaStore, n: u64| {
+            for _ in 0..n {
+                v += 1;
+                s.append(&snap(&[v as i64]), TransactionNumber(v));
+            }
+        };
+        grow(&mut s, 1024);
+        let first = s.compact(every);
+        assert_eq!(first.deltas_folded, 992, "one replay up to the last slot");
+        for _ in 0..4 {
+            grow(&mut s, 64);
+            let pass = s.compact(every);
+            assert_eq!(pass.runs, 1);
+            assert!(
+                pass.deltas_folded <= 64 + 32,
+                "a pass 64 appends later folded {} deltas",
+                pass.deltas_folded
+            );
+        }
+        // A different interval rescans the chain and still pins it all.
+        let before: Vec<_> = (0..=v + 1)
+            .map(|t| s.state_at(TransactionNumber(t)))
+            .collect();
+        assert!(s.compact(NonZeroUsize::new(5).unwrap()).deltas_folded > 1024);
+        assert_eq!(s.compact(NonZeroUsize::new(5).unwrap()).runs, 0);
+        // Truncation shifts positions; the next pass must not trust the
+        // old high-water mark.
+        s.truncate_before(TransactionNumber(103));
+        assert_eq!(s.compact(NonZeroUsize::new(5).unwrap()).runs, 1);
+        let after: Vec<_> = (103..=v + 1)
+            .map(|t| s.state_at(TransactionNumber(t)))
+            .collect();
+        assert_eq!(before[103..], after[..]);
     }
 
     #[test]

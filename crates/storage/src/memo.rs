@@ -77,6 +77,16 @@ pub const DEFAULT_MEMO_CAPACITY: usize = 64;
 /// for caching it.
 pub const DEFAULT_REGISTER_AFTER: u32 = 2;
 
+/// The interner arena may grow to this multiple of the nodes reachable
+/// from registered roots before it is rebuilt from those roots: every
+/// distinct expression ever decided is interned, and one-off reads (an
+/// as-of stream with a fresh `T` each time) would otherwise pile up for
+/// the life of the process.
+pub const INTERNER_SLACK: usize = 4;
+
+/// The arena size below which no rebuild is attempted.
+pub const INTERNER_FLOOR: usize = 1024;
+
 /// A relation's validity stamp: its catalog id and the transaction
 /// number of its latest committed version.
 pub type RelStamp = (u64, TransactionNumber);
@@ -167,6 +177,8 @@ struct Inner {
     roots: BTreeMap<ExprId, u64>,
     /// Missed-evaluation counts, for the registration threshold.
     seen: HashMap<ExprId, u32>,
+    /// The arena size past which [`Inner::bound_interner`] rebuilds.
+    interner_limit: usize,
     /// Deferred `modify_state` spans, folded per relation; flushed on
     /// the next read.
     pending: BTreeMap<String, PendingSpan>,
@@ -194,6 +206,31 @@ impl Inner {
         let before = self.views.len();
         self.views.retain(|id, _| live.contains(id));
         before - self.views.len()
+    }
+
+    /// Keeps the interner arena within [`INTERNER_SLACK`] times its live
+    /// nodes: past the limit, the arena is rebuilt from the registered
+    /// roots, cached views follow their nodes to the new ids, and the
+    /// `seen` counts (keyed by ids that no longer exist) start over.
+    /// Registered views answer exactly as before; an unregistered
+    /// expression merely needs its evaluations counted again.
+    fn bound_interner(&mut self) {
+        if self.interner.len() <= self.interner_limit {
+            return;
+        }
+        let remap = self.interner.retain_reachable(self.roots.keys().copied());
+        // A view whose node did not survive was reachable from no root:
+        // what `gc` would have dropped.
+        self.views = std::mem::take(&mut self.views)
+            .into_iter()
+            .filter_map(|(id, view)| Some((*remap.get(&id)?, view)))
+            .collect();
+        self.roots = std::mem::take(&mut self.roots)
+            .into_iter()
+            .map(|(id, tick)| (remap[&id], tick))
+            .collect();
+        self.seen.clear();
+        self.interner_limit = (INTERNER_SLACK * self.interner.len()).max(INTERNER_FLOOR);
     }
 
     /// Evicts least-recently-used roots down to `capacity`, then GCs;
@@ -996,6 +1033,7 @@ impl ViewRegistry {
                 views: BTreeMap::new(),
                 roots: BTreeMap::new(),
                 seen: HashMap::new(),
+                interner_limit: INTERNER_FLOOR,
                 pending: BTreeMap::new(),
                 capacity,
                 register_after: DEFAULT_REGISTER_AFTER,
@@ -1028,6 +1066,7 @@ impl ViewRegistry {
             return MemoDecision::Evaluate { register: false };
         }
         inner.flush_pending(src, &self.counters);
+        inner.bound_interner();
         let id = inner.interner.intern(expr);
         if let Some(view) = inner.views.get(&id) {
             if view.valid(src) {
@@ -1475,6 +1514,40 @@ mod tests {
         let prev = StateValue::Snapshot(snap(&[1]));
         memo.queue_modify("r", 1, Some(&prev), &hist, TransactionNumber(2));
         assert!(!memo.has_readers("r"));
+    }
+
+    #[test]
+    fn interner_stays_bounded_under_distinct_reads_and_views_keep_hitting() {
+        let mut db = FakeDb::new();
+        db.set("r", 1, 1, StateValue::Snapshot(snap(&[-1, 1, 2])));
+        let memo = ViewRegistry::new();
+        let view = positive(Expr::current("r"));
+        for _ in 0..DEFAULT_REGISTER_AFTER {
+            memo.decide(&view, &db);
+        }
+        let want = memo.eval_and_register(&view, &db).unwrap();
+        let (live, _) = memo.interner_footprint();
+        // Each one-off read interns two fresh nodes (σ over ρ-at-n).
+        let per_read = 2;
+        let bound = (INTERNER_SLACK * live).max(INTERNER_FLOOR) + per_read;
+        for n in 0..50_000u64 {
+            let once = positive(Expr::rollback("r", TxSpec::At(TransactionNumber(n))));
+            assert!(matches!(
+                memo.decide(&once, &db),
+                MemoDecision::Evaluate { register: false }
+            ));
+            if n % 1_000 == 0 {
+                let (nodes, _) = memo.interner_footprint();
+                assert!(nodes <= bound, "{nodes} interned nodes after {n} reads");
+                let MemoDecision::Hit(hit) = memo.decide(&view, &db) else {
+                    panic!("the registered view stopped hitting after {n} reads");
+                };
+                assert_eq!(hit, want);
+            }
+        }
+        let (nodes, _) = memo.interner_footprint();
+        assert!(nodes <= bound, "{nodes} interned nodes at the end");
+        assert_eq!(memo.stats().roots, 1);
     }
 
     #[test]

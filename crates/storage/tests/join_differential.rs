@@ -13,6 +13,7 @@ use txtime_snapshot::rng::{Rng, SeedableRng};
 
 use txtime_core::generate::{random_commands, CmdGenConfig};
 use txtime_core::{Command, Expr, JoinPhysical, JoinSpec, RelationType, StateValue};
+use txtime_exec::ExecPool;
 use txtime_historical::generate::{random_historical_state, HistGenConfig};
 use txtime_snapshot::generate::{random_state, GenConfig};
 use txtime_snapshot::{DomainType, Predicate, Schema, Value};
@@ -48,7 +49,7 @@ fn gen_cfg() -> CmdGenConfig {
 fn engine(backend: BackendKind, memo: bool, shards: usize, threads: usize) -> Engine {
     let mut e = Engine::new(backend, CheckpointPolicy::every_k(3).unwrap());
     e.set_shards(shards);
-    e.set_threads(threads);
+    e.set_pool(ExecPool::with_unit_grain(threads));
     if memo {
         e.set_memo_register_after(1);
     } else {

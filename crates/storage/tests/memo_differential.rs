@@ -2,18 +2,21 @@
 //! memo fully enabled (registration on first evaluation, so repeated
 //! queries hit cached views and every `modify_state` propagates deltas
 //! through them) is observationally identical — values *and* errors —
-//! to an engine with the memo disabled, on every backend, sequentially
-//! and partitioned. This is the property that licenses consulting the
-//! memo in `Engine::eval` at all.
+//! to an engine with the memo disabled and to the denotational evaluator
+//! in `txtime-core`, on every backend, sequentially and partitioned. This
+//! is the property that licenses consulting the memo in `Engine::eval` at
+//! all — and, since `modify_state` evaluates on the plain path and only
+//! queues a span for the memo, the property that licenses that bypass.
 
 use proptest::prelude::*;
 use txtime_snapshot::rng::rngs::StdRng;
 use txtime_snapshot::rng::{Rng, SeedableRng};
 
 use txtime_core::generate::{random_commands, CmdGenConfig};
-use txtime_core::{Command, Expr, RelationType, SchemeChange, TransactionNumber, TxSpec};
+use txtime_core::{Command, Database, Expr, RelationType, SchemeChange, TransactionNumber, TxSpec};
+use txtime_exec::ExecPool;
 use txtime_historical::generate::{random_historical_state, HistGenConfig};
-use txtime_snapshot::generate::{random_predicate, GenConfig};
+use txtime_snapshot::generate::{random_predicate, random_state, GenConfig};
 use txtime_snapshot::{DomainType, Schema, Value};
 use txtime_storage::{BackendKind, CheckpointPolicy, Engine};
 
@@ -43,7 +46,7 @@ fn gen_cfg() -> CmdGenConfig {
 /// subsequent modification must propagate.
 fn memo_engine(backend: BackendKind, threads: usize) -> Engine {
     let mut e = Engine::new(backend, CheckpointPolicy::every_k(3).unwrap());
-    e.set_threads(threads);
+    e.set_pool(ExecPool::with_unit_grain(threads));
     e.set_memo_register_after(1);
     e
 }
@@ -52,50 +55,65 @@ fn memo_engine(backend: BackendKind, threads: usize) -> Engine {
 /// every evaluation takes the plain plan-and-execute path.
 fn plain_engine(backend: BackendKind, threads: usize) -> Engine {
     let mut e = Engine::new(backend, CheckpointPolicy::every_k(3).unwrap());
-    e.set_threads(threads);
+    e.set_pool(ExecPool::with_unit_grain(threads));
     e.set_memo_capacity(0);
     e
 }
 
 /// Evaluates `q` twice on both engines (the second pass on the memo
-/// engine exercises the hit or freshly-propagated path) and demands
-/// byte-identical results, errors included.
-fn assert_agree(memo: &Engine, plain: &Engine, q: &Expr, backend: BackendKind, threads: usize) {
+/// engine exercises the hit or freshly-propagated path) and once on the
+/// oracle, and demands byte-identical results, errors included.
+fn assert_agree(
+    memo: &Engine,
+    plain: &Engine,
+    oracle: &Database,
+    q: &Expr,
+    backend: BackendKind,
+    threads: usize,
+) {
+    let denoted = q.eval(oracle);
     for pass in 0..2 {
         let want = plain.eval(q);
         let got = memo.eval(q);
-        match (&want, &got) {
-            (Ok(a), Ok(b)) => assert_eq!(
-                a, b,
-                "{backend}, {threads} threads, pass {pass}: {q} diverged under memo"
-            ),
-            (Err(a), Err(b)) => assert_eq!(
-                format!("{a:?}"),
-                format!("{b:?}"),
-                "{backend}, {threads} threads, pass {pass}: {q} error diverged under memo"
-            ),
-            _ => panic!(
-                "{backend}, {threads} threads, pass {pass}: {q}: plain {want:?} != memo {got:?}"
-            ),
+        for (who, other) in [("memo", &got), ("oracle", &denoted)] {
+            match (&want, other) {
+                (Ok(a), Ok(b)) => assert_eq!(
+                    a, b,
+                    "{backend}, {threads} threads, pass {pass}: {q}: plain vs {who}"
+                ),
+                (Err(a), Err(b)) => assert_eq!(
+                    format!("{a:?}"),
+                    format!("{b:?}"),
+                    "{backend}, {threads} threads, pass {pass}: {q}: plain vs {who} error"
+                ),
+                _ => panic!(
+                    "{backend}, {threads} threads, pass {pass}: {q}: plain {want:?} != {who} {other:?}"
+                ),
+            }
         }
     }
 }
 
-/// Runs the command sequence on both engines in lockstep, checking the
-/// whole query pool after every command — so views registered early see
-/// every later modification, deletion, and scheme change as a delta
-/// propagation or an invalidation.
+/// Runs the command sequence on both engines and the oracle in lockstep,
+/// checking the whole query pool after every command — so views
+/// registered early see every later modification, deletion, and scheme
+/// change as a delta propagation or an invalidation. Commands whose
+/// index lies in `unread` are not followed by reads: their writes pile
+/// up in one queued span that the next read folds and flushes.
 fn drive(
     cmds: &[Command],
+    unread: std::ops::Range<usize>,
     queries: &[Expr],
     backend: BackendKind,
     threads: usize,
 ) -> (Engine, Engine) {
     let mut memo = memo_engine(backend, threads);
     let mut plain = plain_engine(backend, threads);
-    for cmd in cmds {
+    let mut oracle = Database::empty();
+    for (i, cmd) in cmds.iter().enumerate() {
         let a = memo.execute(cmd);
         let b = plain.execute(cmd);
+        let c = cmd.execute(&oracle);
         match (&a, &b) {
             (Ok(_), Ok(_)) => {}
             (Err(x), Err(y)) => assert_eq!(
@@ -105,8 +123,23 @@ fn drive(
             ),
             _ => panic!("{backend}, {threads} threads: command outcome diverged: {a:?} vs {b:?}"),
         }
+        match (b, c) {
+            (Ok(_), Ok((next, _))) => oracle = next,
+            (Err(x), Err(y)) => assert_eq!(
+                format!("{x:?}"),
+                format!("{y:?}"),
+                "{backend}, {threads} threads: command error diverged from the oracle"
+            ),
+            (b, c) => panic!(
+                "{backend}, {threads} threads: {cmd}: engine {b:?} vs oracle {:?}",
+                c.map(|_| ())
+            ),
+        }
+        if unread.contains(&i) {
+            continue;
+        }
         for q in queries {
-            assert_agree(&memo, &plain, q, backend, threads);
+            assert_agree(&memo, &plain, &oracle, q, backend, threads);
         }
     }
     (memo, plain)
@@ -174,13 +207,44 @@ proptest! {
         q_seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let cmds = random_commands(&mut rng, &schema(), &gen_cfg(), len);
+        let mut cmds = random_commands(&mut rng, &schema(), &gen_cfg(), len);
+        // The write path bypasses the memo; three shapes where it could
+        // have mattered. (a) A write whose expression *is* a registered
+        // display root (the union below is in the fixed pool): it must
+        // neither be answered from that view nor disturb it.
+        let registered_root = Expr::current("r0").union(Expr::current("r1"));
+        cmds.push(Command::modify_state("r1", registered_root.clone()));
+        // (b) A burst of 100 writes to a relation with registered readers
+        // and no read in between: one folded span, flushed by the next
+        // read. Expression writes and constant writes alternate.
+        let burst_start = cmds.len();
+        for i in 0..100usize {
+            let fresh = Expr::snapshot_const(random_state(&mut rng, &schema(), &gen_cfg().values));
+            let expr = if i % 2 == 0 {
+                Expr::current("r0")
+                    .difference(Expr::current("r1"))
+                    .union(fresh)
+            } else {
+                fresh
+            };
+            cmds.push(Command::modify_state("r0", expr));
+        }
+        // Reads resume after the last write of the burst.
+        let unread = burst_start..cmds.len() - 1;
+        // (c) An as-of reader registered before the burst whose target
+        // lands inside the folded span: the fold skips that version, so
+        // the view must be dropped and re-resolved, not patched. Each
+        // successful command advances the clock by one, so command `i`
+        // commits at `i + 1` or a little earlier.
+        let inside = TransactionNumber((burst_start + 50) as u64);
         let mut qrng = StdRng::seed_from_u64(q_seed);
         let mut queries = vec![
             Expr::current("r0"),
-            Expr::current("r0").union(Expr::current("r1")),
+            registered_root,
             Expr::current("r0").difference(Expr::current("r1")),
             Expr::current("r0").product(Expr::current("r1").project(vec!["a0".into()])),
+            Expr::rollback("r0", TxSpec::At(inside)),
+            Expr::rollback("r0", TxSpec::At(inside)).difference(Expr::current("r0")),
             Expr::current("ghost"),
             Expr::hcurrent("r0"),
         ];
@@ -190,7 +254,7 @@ proptest! {
         }
         for backend in BackendKind::ALL {
             for threads in THREADS {
-                let (memo, _) = drive(&cmds, &queries, backend, threads);
+                let (memo, _) = drive(&cmds, unread.clone(), &queries, backend, threads);
                 // The fixed pool repeats every step: the memo must have
                 // actually answered from cache, not silently fallen
                 // through to the plain path each time.
@@ -243,7 +307,7 @@ proptest! {
         }
         for backend in BackendKind::ALL {
             for threads in THREADS {
-                drive(&cmds, &queries, backend, threads);
+                drive(&cmds, 0..0, &queries, backend, threads);
             }
         }
     }
@@ -289,7 +353,7 @@ proptest! {
         }
         for backend in BackendKind::ALL {
             for threads in THREADS {
-                drive(&cmds, &queries, backend, threads);
+                drive(&cmds, 0..0, &queries, backend, threads);
             }
         }
     }

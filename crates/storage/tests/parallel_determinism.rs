@@ -2,7 +2,10 @@
 //! worker pool returns byte-identical results — values *and* errors — to
 //! the one-thread (exact sequential) pool, on every backend, on random
 //! workloads and queries. This is the property that licenses the
-//! partitioned kernels and concurrent-subtree scheduling at all.
+//! partitioned kernels at all. The pools are unit-grain
+//! ([`ExecPool::with_unit_grain`]), so the ten-tuple states here split
+//! into several chunks; the shipped break-even grains would keep every
+//! kernel inline.
 
 use proptest::prelude::*;
 use txtime_snapshot::rng::rngs::StdRng;
@@ -10,6 +13,7 @@ use txtime_snapshot::rng::{Rng, SeedableRng};
 
 use txtime_core::generate::{random_commands, CmdGenConfig};
 use txtime_core::{Command, Expr, RelationType, TransactionNumber, TxSpec};
+use txtime_exec::ExecPool;
 use txtime_historical::generate::{random_historical_state, HistGenConfig};
 use txtime_snapshot::generate::{random_predicate, GenConfig};
 use txtime_snapshot::{DomainType, Schema};
@@ -36,13 +40,14 @@ fn gen_cfg() -> CmdGenConfig {
     }
 }
 
-/// Engines at every thread budget, fed the same command sequence.
+/// Engines at every thread budget (unclamped: 8 threads on any host),
+/// fed the same command sequence.
 fn engines(backend: BackendKind, cmds: &[Command], tiny_cache: bool) -> Vec<Engine> {
     THREADS
         .iter()
         .map(|&n| {
             let mut e = Engine::new(backend, CheckpointPolicy::every_k(3).unwrap());
-            e.set_threads(n);
+            e.set_pool(ExecPool::with_unit_grain(n));
             if tiny_cache {
                 e.set_cache_capacity(1);
             }

@@ -15,6 +15,7 @@ use txtime_snapshot::rng::{Rng, SeedableRng};
 
 use txtime_core::generate::{random_commands, CmdGenConfig};
 use txtime_core::{Command, Expr, RelationType, StateSource, TransactionNumber, TxSpec};
+use txtime_exec::ExecPool;
 use txtime_historical::generate::{random_historical_state, HistGenConfig};
 use txtime_snapshot::generate::{random_predicate, GenConfig};
 use txtime_snapshot::{DomainType, Schema};
@@ -204,7 +205,7 @@ proptest! {
                         let mut engine =
                             Engine::new(backend, CheckpointPolicy::every_k(3).unwrap());
                         engine.set_shards(shards);
-                        engine.set_threads(threads);
+                        engine.set_pool(ExecPool::with_unit_grain(threads));
                         if !memo {
                             engine.set_memo_capacity(0);
                         }

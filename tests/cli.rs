@@ -288,7 +288,14 @@ fn stats_reports_shard_layout_and_compact_folds_chains() {
 #[test]
 fn stats_reports_memo_and_interner_pools() {
     let script = write_script("stats.txq", SCRIPT);
-    let out = txtime(&["stats", script.to_str().unwrap(), "--backend", "fwd-delta"]);
+    let out = txtime(&[
+        "stats",
+        script.to_str().unwrap(),
+        "--backend",
+        "fwd-delta",
+        "--threads",
+        "2",
+    ]);
     assert!(
         out.status.success(),
         "stderr: {}",
@@ -297,6 +304,17 @@ fn stats_reports_memo_and_interner_pools() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     // Space and cache counters from earlier milestones still lead.
     assert!(stdout.contains("cache:"), "stdout: {stdout}");
+    // The pool schedules kernels only: no `subtree` row, and at three
+    // rows no operator kernel split (`N calls N chunks`; the shard and
+    // optimize rows count fan-out and plans, not splits).
+    assert!(stdout.contains("exec:"), "stdout: {stdout}");
+    assert!(!stdout.contains("subtree"), "stdout: {stdout}");
+    for row in stdout.lines().filter(|l| l.contains(" calls ")) {
+        let cols: Vec<&str> = row.split_whitespace().collect();
+        if !["shard", "optimize"].contains(&cols[0]) {
+            assert_eq!(cols[1], cols[3], "a three-row operand was split: {row}");
+        }
+    }
     // View-memo counters and the hash-consed expression DAG footprint.
     assert!(stdout.contains("memo:"), "stdout: {stdout}");
     assert!(stdout.contains("hit rate"), "stdout: {stdout}");
