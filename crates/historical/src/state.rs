@@ -225,16 +225,6 @@ impl HistoricalState {
         Ok(())
     }
 
-    /// A copy of this state with a batch of removals and upserts applied
-    /// — the non-mutating face of [`HistoricalState::apply_delta`], used
-    /// by incremental view maintenance to build a node's next cached
-    /// state while the old one stays live for sibling delta rules.
-    pub fn with_delta(&self, removed: &[Tuple], upserted: &[Entry]) -> Result<HistoricalState> {
-        let mut next = self.clone();
-        next.apply_delta(removed, upserted)?;
-        Ok(next)
-    }
-
     /// The state's scheme.
     pub fn schema(&self) -> &Schema {
         &self.schema

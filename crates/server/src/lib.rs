@@ -290,15 +290,18 @@ impl Shared {
     }
 
     fn stats_text(&self) -> String {
-        let (tx, relations, pending) = {
+        let (tx, relations, memo) = {
             let eng = self.read_engine();
-            (eng.tx(), eng.relations().len(), eng.memo_pending_spans())
+            (eng.tx(), eng.relations().len(), eng.memo_stats())
         };
         format!(
-            "{}{}engine: clock at tx {tx} (durable at tx {}), {relations} relation(s), {pending} memo span(s) queued\nwal: {}\n",
+            "{}{}engine: clock at tx {tx} (durable at tx {}), {relations} relation(s)\nmemo: {} root(s), {} log entries held, largest root lag {} commit(s)\nwal: {}\n",
             self.sessions.snapshot(),
             self.commits.snapshot(),
             self.commits.durable_tx(),
+            memo.roots,
+            memo.log_entries,
+            memo.max_lag,
             self.cfg
                 .wal_path
                 .as_ref()
@@ -787,7 +790,10 @@ fn exec_command(
         }
     } else {
         // Reads: evaluate under the read lock, pinned if the session
-        // holds a snapshot. The lock spans one evaluation only.
+        // holds a snapshot. The lock spans one evaluation only; the
+        // answer is a reference-counted handle, so rendering it (the
+        // larger part of a big reply) happens after the guard is gone
+        // and never keeps the apply thread waiting.
         shared.sessions.reads.fetch_add(1, Ordering::Relaxed);
         let Command::Display(expr) = &cmd else {
             return Ready("ERR exec: unsupported non-mutating command".to_string());
@@ -796,8 +802,8 @@ fn exec_command(
             Some(tx) => pin_expr(expr, tx),
             None => expr.clone(),
         };
-        let eng = shared.read_engine();
-        Ready(match eng.eval(&expr) {
+        let answer = shared.read_engine().eval(&expr);
+        Ready(match answer {
             Ok(state) => format!("VAL\n{state}"),
             Err(e) => format!("ERR exec: {e}"),
         })

@@ -295,16 +295,6 @@ impl SnapshotState {
         Ok(())
     }
 
-    /// A copy of this state with a batch of removals and insertions
-    /// applied — the non-mutating face of [`SnapshotState::apply_delta`],
-    /// used by incremental view maintenance to build a node's next cached
-    /// state without disturbing the one still referenced as "old".
-    pub fn with_delta(&self, removed: &[Tuple], added: &[Tuple]) -> Result<SnapshotState> {
-        let mut next = self.clone();
-        next.apply_delta(removed, added)?;
-        Ok(next)
-    }
-
     /// Approximate footprint in bytes for space accounting (experiment E3).
     pub fn size_bytes(&self) -> usize {
         std::mem::size_of::<SnapshotState>() + self.run.iter().map(Tuple::size_bytes).sum::<usize>()

@@ -65,23 +65,21 @@ pub trait RollbackStore: Send + Sync {
     /// must be presented in strictly increasing order.
     fn append(&mut self, state: &StateValue, tx: TransactionNumber);
 
-    /// [`RollbackStore::append`], additionally returning the
+    /// [`RollbackStore::append`], additionally handing out the
     /// [`StateDelta`] that carries the previous current state to the new
-    /// one — the input to incremental view maintenance. An append to an
-    /// empty store returns a `Reschema` delta (there is no "from" state).
-    ///
-    /// The provided implementation diffs around the plain `append`; the
-    /// delta-based stores override it to hand back the delta they compute
-    /// for their own representation anyway, so a `modify_state` with
-    /// registered dependent views pays for at most one diff.
-    fn append_with_delta(&mut self, state: &StateValue, tx: TransactionNumber) -> StateDelta {
-        let prev = self.current();
+    /// one when the store computes it for its own representation anyway
+    /// — the view memo logs it per commit ([`crate::ViewRegistry`]), so
+    /// a `modify_state` on those stores diffs once. `None` from a store
+    /// that diffs nothing on append (the provided implementation) and
+    /// for the first version: the memo then diffs the two states on
+    /// first demand.
+    fn append_with_delta(
+        &mut self,
+        state: &StateValue,
+        tx: TransactionNumber,
+    ) -> Option<StateDelta> {
         self.append(state, tx);
-        let appended = self.current().expect("append installed a current state");
-        match prev {
-            Some(p) => StateDelta::between(&p, &appended),
-            None => StateDelta::Reschema(Box::new(appended)),
-        }
+        None
     }
 
     /// Size of the per-relation string pool, for stores that intern

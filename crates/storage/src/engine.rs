@@ -171,7 +171,7 @@ pub struct Engine {
     auto_compact: Option<NonZeroUsize>,
     /// The view memo: cached states for repeatedly evaluated
     /// expressions, maintained incrementally by `modify_state` deltas
-    /// (queued O(1) per write, folded and propagated on the next read).
+    /// (logged O(1) per write; a read repairs the view it asks for).
     memo: ViewRegistry,
     /// Optimization level for `eval`: 0 = evaluate the expression as
     /// written, 1 = error-preserving pushdown (the historical default),
@@ -367,13 +367,13 @@ impl Engine {
         Ok(())
     }
 
-    /// Flushes everything an orderly shutdown must not lose: queued
-    /// view-memo spans are folded into their views, and the pending WAL
+    /// Flushes what an orderly shutdown must not lose: the pending WAL
     /// group is written and fsynced. `Drop` calls this, so an engine
     /// going out of scope — `txtime serve` winding down, a panicking
-    /// test — never strands acked work in memory. Idempotent.
+    /// test — never strands acked work in memory. Idempotent. (The view
+    /// memo dies with its engine and has nothing to settle: a lagging
+    /// view is repaired by whoever reads it, or not at all.)
     pub fn shutdown(&mut self) {
-        self.memo.flush(self);
         let _ = self.sync_wal();
     }
 
@@ -403,8 +403,9 @@ impl Engine {
     /// takes the exact sequential path.
     ///
     /// The view memo is consulted first: a repeatedly evaluated
-    /// expression whose input relations have not moved is answered from
-    /// its cached state (settled by the queued `modify_state` spans); an
+    /// expression is answered from its cached state, brought forward
+    /// first through the logged `modify_state` deltas if a relation under
+    /// it has moved (that view only; every other view stays behind); an
     /// expression crossing the registration threshold is evaluated
     /// node-wise so every subexpression's state is cached. Both paths
     /// are observationally identical — value and error — to the plain
@@ -427,8 +428,8 @@ impl Engine {
 
     /// The write path's evaluator: the same plan `eval` would run, on
     /// the plain evaluator. A write decides nothing in the memo, counts
-    /// towards no registration and flushes no queued span while the
-    /// caller holds the engine exclusively, so its cost depends on the
+    /// towards no registration and repairs no view while the caller
+    /// holds the engine exclusively, so its cost depends on the
     /// relations it reads and not on how many views the memo holds.
     fn eval_unmemoized(&self, expr: &Expr) -> Result<StateValue, EvalError> {
         self.eval_plan(&self.planned(expr))
@@ -610,19 +611,35 @@ impl Engine {
     /// by relation, each delta store replays its chain once per batch via
     /// [`RollbackStore::state_at_many`] instead of once per probe
     /// (warming the materialization cache with every version it passes),
-    /// and distinct relations resolve on concurrent pool workers.
+    /// and distinct relations with past probes resolve on concurrent
+    /// pool workers.
     pub fn resolve_many(&self, probes: &[(&str, TxSpec)]) -> Vec<Result<StateValue, EvalError>> {
         let mut groups: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (i, (ident, _)) in probes.iter().enumerate() {
             groups.entry(ident).or_default().push(i);
         }
         let groups: Vec<(&str, Vec<usize>)> = groups.into_iter().collect();
-        let scattered = self.pool.map_chunks(OpKind::Resolve, &groups, 1, |chunk| {
-            chunk
-                .iter()
-                .flat_map(|(ident, indices)| self.resolve_group(ident, indices, probes))
-                .collect::<Vec<_>>()
-        });
+        // A worker per relation pays only where there is a chain to
+        // replay: `ρ(I, ∞)` is a handle clone, far below the cost of a
+        // spawn, so a batch fans out only if at least two of its groups
+        // carry a past probe.
+        let replaying = groups
+            .iter()
+            .filter(|(_, indices)| {
+                indices
+                    .iter()
+                    .any(|&i| matches!(probes[i].1, TxSpec::At(_)))
+            })
+            .count();
+        let grain = if replaying >= 2 { 1 } else { groups.len() };
+        let scattered = self
+            .pool
+            .map_chunks(OpKind::Resolve, &groups, grain, |chunk| {
+                chunk
+                    .iter()
+                    .flat_map(|(ident, indices)| self.resolve_group(ident, indices, probes))
+                    .collect::<Vec<_>>()
+            });
         let mut out: Vec<Option<Result<StateValue, EvalError>>> =
             probes.iter().map(|_| None).collect();
         for (i, r) in scattered.into_iter().flatten() {
@@ -758,12 +775,6 @@ impl Engine {
     /// per-request service time to it (`OpKind::Serve`).
     pub fn pool(&self) -> Arc<ExecPool> {
         self.pool.clone()
-    }
-
-    /// How many relations have a queued, not-yet-propagated view-memo
-    /// write span (drained by reads and by [`Engine::shutdown`]).
-    pub fn memo_pending_spans(&self) -> usize {
-        self.memo.pending_spans()
     }
 
     /// The fold interval [`Engine::compact`] uses when none is given:
@@ -1011,10 +1022,12 @@ impl Engine {
                 let fold = self.default_compact_every();
                 let rel = self.catalog.get_mut(ident).expect("checked above");
                 let rel_id = rel.rel_id;
-                let prev = match &mut rel.keeper {
+                let (prev, delta) = match &mut rel.keeper {
                     Keeper::History(store) => {
                         let prev = store.current();
-                        store.append(&state, next);
+                        // The delta stores diff for their own chain
+                        // anyway; the memo's log takes the same delta.
+                        let delta = store.append_with_delta(&state, next);
                         // Opportunistic compaction: fold the chain every
                         // `auto_compact` appends so no later rollback
                         // probe replays more than `fold` deltas. The
@@ -1027,20 +1040,20 @@ impl Engine {
                                 store.compact(fold);
                             }
                         }
-                        prev
+                        (prev, delta)
                     }
                     Keeper::Single(slot) => {
                         let prev = slot.take().map(|(p, _)| p);
                         *slot = Some((state.clone(), next));
-                        prev
+                        (prev, None)
                     }
                 };
                 self.tx = next;
                 self.note_state_meta(ident, &state);
-                // O(1) enqueue: the memo diffs and propagates the whole
-                // span of queued writes once, on its next read.
+                // One log entry if a cached view reads the relation,
+                // nothing otherwise; no view is walked here.
                 self.memo
-                    .queue_modify(ident, rel_id, prev.as_ref(), &state, next);
+                    .queue_modify(ident, rel_id, prev.as_ref(), &state, delta, next);
                 Ok(CommandOutcome::Modified)
             }
             Command::DeleteRelation(ident) => {
@@ -1225,8 +1238,8 @@ impl Engine {
 impl Drop for Engine {
     fn drop(&mut self) {
         // The satellite fix behind `txtime serve`'s durability story: an
-        // engine dropped with a buffered WAL group or queued memo spans
-        // settles both. Cheap when there is nothing pending.
+        // engine dropped with a buffered WAL group writes it out. Cheap
+        // when there is nothing pending.
         self.shutdown();
     }
 }
@@ -1661,8 +1674,12 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// The pull-model successor of the shutdown-flush test: a view that
+    /// lags when the engine shuts down has nothing to settle. Nothing is
+    /// walked on its behalf, and if the engine is read again the view is
+    /// repaired then.
     #[test]
-    fn shutdown_flushes_queued_memo_spans() {
+    fn shutdown_settles_no_view_and_a_later_read_repairs_it() {
         let mut e = Engine::new(
             BackendKind::ForwardDelta,
             CheckpointPolicy::every_k(4).unwrap(),
@@ -1675,7 +1692,7 @@ mod tests {
             Expr::snapshot_const(snap(&[1])),
         ))
         .unwrap();
-        // Register a view, then write behind it: the write queues a span.
+        // Register a view, then write behind it: the write logs a delta.
         let expr = Expr::rollback("r", TxSpec::Current).select(txtime_snapshot::Predicate::True);
         e.eval(&expr).unwrap();
         e.execute(&Command::modify_state(
@@ -1683,14 +1700,87 @@ mod tests {
             Expr::snapshot_const(snap(&[1, 2])),
         ))
         .unwrap();
-        assert_eq!(e.memo_pending_spans(), 1);
+        let lagging = e.memo_stats();
+        assert_eq!((lagging.log_entries, lagging.max_lag), (1, 1));
         e.shutdown();
-        assert_eq!(e.memo_pending_spans(), 0);
-        // The settled view answers the post-write state.
+        let after = e.memo_stats();
+        assert_eq!(after, lagging, "shutdown touches no view and no log");
+        // The lagging view answers the post-write state when asked.
         assert_eq!(
             e.eval(&expr).unwrap().into_snapshot().unwrap(),
             snap(&[1, 2])
         );
+        let repaired = e.memo_stats();
+        assert_eq!((repaired.repairs, repaired.max_lag), (1, 0));
+    }
+
+    /// Demand-driven maintenance, counted: with many roots registered
+    /// over one relation, a commit followed by one point read touches
+    /// the nodes under that root and no other view.
+    #[test]
+    fn one_read_after_a_commit_repairs_only_the_root_it_asks_for() {
+        const ROOTS: i64 = 40;
+        for backend in BackendKind::ALL {
+            let mut e = Engine::new(backend, CheckpointPolicy::every_k(16).unwrap());
+            e.set_shards(1);
+            e.set_memo_register_after(1);
+            e.execute(&Command::define_relation("acct", RelationType::Rollback))
+                .unwrap();
+            e.execute(&Command::modify_state(
+                "acct",
+                Expr::snapshot_const(acct(256)),
+            ))
+            .unwrap();
+            let point = |key: i64| {
+                Expr::current("acct")
+                    .select(txtime_snapshot::Predicate::eq_const("id", Value::Int(key)))
+            };
+            for key in 0..ROOTS {
+                e.eval(&point(key)).unwrap();
+            }
+            let registered = e.memo_stats();
+            assert_eq!(registered.roots as i64, ROOTS, "{backend}");
+            assert_eq!(
+                registered.views as i64,
+                ROOTS + 1,
+                "{backend}: one shared leaf"
+            );
+
+            e.execute(&update_one_row(3, 99)).unwrap();
+            assert_eq!(e.memo_stats().propagations, 0, "{backend}: the write");
+            let got = e.eval(&point(3)).unwrap().into_snapshot().unwrap();
+            assert_eq!(got.len(), 1, "{backend}");
+            assert!(
+                got.contains(&txtime_snapshot::Tuple::new(vec![
+                    Value::Int(3),
+                    Value::Int(99)
+                ])),
+                "{backend}: {got}"
+            );
+            let read = e.memo_stats();
+            // σ and its ρ leaf: the two nodes under the root.
+            assert!(
+                read.propagations <= 2,
+                "{backend}: {} views touched by one point read",
+                read.propagations
+            );
+            assert_eq!((read.repairs, read.fallbacks), (1, 0), "{backend}");
+            assert_eq!(read.hits, registered.hits + 1, "{backend}");
+            // Every other root stays one commit behind until it is read.
+            assert_eq!(read.max_lag, 1, "{backend}");
+            for key in 0..ROOTS {
+                let want = i64::from(key == 3) * 99;
+                let got = e.eval(&point(key)).unwrap().into_snapshot().unwrap();
+                assert!(
+                    got.contains(&txtime_snapshot::Tuple::new(vec![
+                        Value::Int(key),
+                        Value::Int(want)
+                    ])),
+                    "{backend}: key {key}: {got}"
+                );
+            }
+            assert_eq!(e.memo_stats().max_lag, 0, "{backend}");
+        }
     }
 
     /// `acct(id, bal)` with ids `0..rows`, and the benchmark's
@@ -1790,6 +1880,53 @@ mod tests {
             e.eval(&Expr::current("acct")).unwrap(),
             seq.eval(&Expr::current("acct")).unwrap()
         );
+    }
+
+    #[test]
+    fn resolve_many_fans_out_only_where_chains_replay() {
+        let mut e = two_thread_engine(64);
+        e.execute(&Command::define_relation("other", RelationType::Rollback))
+            .unwrap();
+        for v in [1, 2, 3] {
+            e.execute(&Command::modify_state(
+                "other",
+                Expr::snapshot_const(snap(&[v])),
+            ))
+            .unwrap();
+            e.execute(&update_one_row(v, v)).unwrap();
+        }
+        let resolve_row = |e: &Engine| {
+            let exec = e.exec_stats();
+            let op = exec.ops.iter().find(|o| o.name == "resolve").unwrap();
+            (op.calls, op.chunks)
+        };
+        let past = TxSpec::At(TransactionNumber(5));
+        // Two relations, every probe current: O(1) per leaf, no worker.
+        e.reset_exec_stats();
+        let now = e.resolve_many(&[("acct", TxSpec::Current), ("other", TxSpec::Current)]);
+        assert_eq!(resolve_row(&e), (1, 1), "all-current batch stays inline");
+        // One relation with a chain to replay: still nothing to overlap.
+        let mixed = e.resolve_many(&[("acct", past), ("other", TxSpec::Current)]);
+        assert_eq!(resolve_row(&e), (2, 2), "one replaying group stays inline");
+        // Two chains to replay: one worker each.
+        let both = e.resolve_many(&[("acct", past), ("other", past), ("other", TxSpec::Current)]);
+        assert_eq!(resolve_row(&e), (3, 4), "two replaying groups split");
+        // Positional answers, identical to per-probe evaluation.
+        for (got, (ident, spec)) in now.iter().chain(&mixed).chain(&both).zip([
+            ("acct", TxSpec::Current),
+            ("other", TxSpec::Current),
+            ("acct", past),
+            ("other", TxSpec::Current),
+            ("acct", past),
+            ("other", past),
+            ("other", TxSpec::Current),
+        ]) {
+            assert_eq!(
+                got.as_ref().ok(),
+                e.eval(&Expr::rollback(ident, spec)).ok().as_ref(),
+                "ρ({ident}, {spec:?})"
+            );
+        }
     }
 
     #[test]

@@ -150,23 +150,19 @@ impl RollbackStore for ForwardDeltaStore {
         self.current = Some(state);
     }
 
-    /// The forward-delta store computes exactly the wanted delta for its
-    /// own chain: reuse it instead of diffing twice. Checkpoint entries
-    /// (including the first version) fall back to one diff around the
-    /// checkpointed state.
-    fn append_with_delta(&mut self, state: &StateValue, tx: TransactionNumber) -> StateDelta {
+    /// The chain entry just pushed *is* the wanted delta. Checkpoint
+    /// positions hold a full state instead and pay the one diff here.
+    fn append_with_delta(
+        &mut self,
+        state: &StateValue,
+        tx: TransactionNumber,
+    ) -> Option<StateDelta> {
         let prev = self.current.clone();
         self.append(state, tx);
-        match (self.entries.last(), prev) {
-            (Some((Entry::Delta(d), _)), _) => d.clone(),
-            (_, Some(p)) => {
-                let cur = self.current.as_ref().expect("append installed current");
-                StateDelta::between(&p, cur)
-            }
-            (_, None) => {
-                let cur = self.current.clone().expect("append installed current");
-                StateDelta::Reschema(Box::new(cur))
-            }
+        match (&self.entries.last()?.0, prev) {
+            (Entry::Delta(d), _) => Some(d.clone()),
+            (Entry::Checkpoint(cur), Some(prev)) => Some(StateDelta::between(&prev, cur)),
+            (Entry::Checkpoint(_), None) => None,
         }
     }
 

@@ -20,22 +20,37 @@
 //!   cached state is *the* state the expression denotes — including for
 //!   `ρ(I, n)` leaves with `n` in the past, which are immutable once the
 //!   clock passes `n`.
-//! * **Maintenance.** `modify_state` *queues* an O(1) record — the
-//!   relation's state handles before and after the append — via
-//!   [`ViewRegistry::queue_modify`]; nothing is diffed or walked on the
-//!   write path. On the next memo read ([`ViewRegistry::decide`] or
-//!   [`ViewRegistry::eval_and_register`]) the queue is flushed: each
-//!   relation's span of queued modifies folds into a single
-//!   [`StateDelta`] (`between(first_prev, last_new)` — one linear merge
-//!   over the sorted runs), and the registry walks its cached nodes in
-//!   ascending id order (ids are topological: children precede parents),
-//!   updating each affected view with a per-operator delta rule —
-//!   O(changes · log n) single-pass work — falling back to a targeted
-//!   re-evaluation from the (already updated) cached children when a
-//!   rule does not apply: ×/×̂/δ over the [`delta_beats_reeval`]
-//!   threshold, or a child whose own delta was unknown. A write-heavy
-//!   burst between reads therefore pays one propagation, not one per
-//!   write (the BENCH_5 `memo_modify` write-amplification fix).
+//! * **Maintenance.** Pull-based: a read repairs the view it asks for
+//!   and nothing else. `modify_state` appends one record to the written
+//!   relation's *log* via [`ViewRegistry::queue_modify`] — the commit's
+//!   transaction number and its small [`StateDelta`], which the delta
+//!   stores compute inside `append` anyway — and walks no view; a
+//!   relation no cached view reads has no log, and its commits return at
+//!   the first check. Every other view simply stays behind, at its
+//!   stamp. When [`ViewRegistry::decide`] or
+//!   [`ViewRegistry::eval_and_register`] meets a cached node whose
+//!   stamps lag, it brings forward the nodes *under that node* only,
+//!   children first: a `ρ(I, ∞)` leaf takes the store's current handle;
+//!   an operator at stamp `s` folds the log entries in `(s, now]` into
+//!   one delta for its `ρ` leaves, takes its other children's deltas
+//!   from their own repair when they started from the same stamp, and
+//!   applies its per-operator delta rule — O(changes · log n), edited
+//!   into the cached state in place. It falls back to recomputing that
+//!   one operator from its (repaired) children when no rule applies:
+//!   ×/×̂/δ over the [`delta_beats_reeval`] threshold, a child repaired
+//!   from a different stamp (a subexpression another root already
+//!   brought forward), or a `ρ(I, n)` probe that lands inside the span.
+//!   Lagging is sound because stamps are per relation and transaction
+//!   numbers increase strictly: a view at stamp `s` *is* the expression's
+//!   value as of version `s`, and the entries after `s` are exactly what
+//!   happened since. The log is trimmed on the write path by the rule
+//!   the operators already use: once the logged changes pass a quarter
+//!   of the relation, recomputing wins, so the oldest entries go (the
+//!   newest always stays) and a view stamped before them is dropped and
+//!   re-evaluated on its next read. Stores that diff nothing on append
+//!   (full-copy, tuple-timestamp, sharded, single-version relations)
+//!   log the two state handles instead and the diff happens on first
+//!   demand; consecutive such commits share one entry.
 //!
 //! Node-wise evaluation applies the plain operators rather than the
 //! pushdown shapes the engine's un-memoized path uses; the two are
@@ -53,12 +68,14 @@
 //! listed removal is truly absent, and every tuple whose membership or
 //! valid time actually changed is listed. Deltas may be *supersets* of
 //! the actual change (a listed add that was already present); the apply
-//! kernels ([`SnapshotState::with_delta`],
-//! [`HistoricalState::with_delta`]) are tolerant of exactly that, and
+//! kernels ([`SnapshotState::apply_delta`],
+//! [`HistoricalState::apply_delta`]) are tolerant of exactly that, and
 //! every rule below consults the children's *new* states for the final
-//! membership truth rather than trusting the lists alone.
+//! membership truth rather than trusting the lists alone. Folding a
+//! span of log entries keeps the invariant the same way: every tuple
+//! any entry lists is settled against the relation's current state.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Mutex, MutexGuard};
 
 use txtime_core::{EvalError, Expr, StateSource, StateValue, TransactionNumber, TxSpec};
@@ -128,6 +145,12 @@ impl NodeView {
             .all(|(ident, stamp)| src.relation_stamp(ident) == Some(*stamp))
     }
 
+    fn stamp(&self, ident: &str) -> Option<RelStamp> {
+        self.stamps
+            .iter()
+            .find_map(|(i, s)| (i == ident).then_some(*s))
+    }
+
     fn set_stamp(&mut self, ident: &str, stamp: RelStamp) {
         for (i, s) in &mut self.stamps {
             if i == ident {
@@ -138,10 +161,10 @@ impl NodeView {
     }
 }
 
-/// How one cached node fared during a propagation pass.
+/// How one cached node fared during a repair pass.
 enum Status {
     /// Value unchanged; only the stamp moved (e.g. `ρ(I, n)` with `n`
-    /// before the new transaction).
+    /// before the span's first transaction).
     Bumped,
     /// Value replaced. `Some` carries the node's own delta for its
     /// parents' rules; `None` means the node was recomputed and its
@@ -151,27 +174,215 @@ enum Status {
     Dropped,
 }
 
+/// The statuses of one repair pass, each with the transaction its node
+/// was repaired *from*: a parent may use a child's delta only if both
+/// started from the same stamp, i.e. the delta covers the parent's span.
+type Done = HashMap<ExprId, (TransactionNumber, Status)>;
+
+/// One repair pass: relation `ident` now stands at `now`, and the nodes
+/// under one root that read it are brought there.
+struct Pass<'a> {
+    ident: &'a str,
+    now: RelStamp,
+    src: &'a dyn StampSource,
+    counters: &'a MemoCounters,
+    done: Done,
+}
+
 /// What a child contributed to a parent's delta rule.
 type SnapDelta<'a> = (&'a [Tuple], &'a [Tuple]);
 type HistDelta<'a> = (&'a [Entry], &'a [Tuple]);
 
-/// One relation's queued-but-unflushed span of `modify_state`s: the
-/// state handles before the first queued modify and after the last,
-/// plus the commit transactions bracketing the span. Enqueueing is O(1)
-/// (states are reference-counted handles); the diff is computed once,
-/// at flush.
-struct PendingSpan {
+/// Whether two states share kind and scheme, so that a delta (and the
+/// delta rules) can carry one to the other.
+fn same_shape(a: &StateValue, b: &StateValue) -> bool {
+    match (a, b) {
+        (StateValue::Snapshot(a), StateValue::Snapshot(b)) => a.schema() == b.schema(),
+        (StateValue::Historical(a), StateValue::Historical(b)) => a.schema() == b.schema(),
+        _ => false,
+    }
+}
+
+/// What one log entry knows about its commit(s).
+enum Change {
+    /// The delta carrying the previous version to this one, handed out
+    /// by the store's own append.
+    Delta(StateDelta),
+    /// For stores that diff nothing on append: the state handles before
+    /// the entry's first commit and after its last, diffed on first
+    /// demand. Handles are reference-counted, and only the newest entry
+    /// of a log is ever in this form.
+    Unfolded { prev: StateValue, new: StateValue },
+}
+
+impl Change {
+    /// What the trim rule weighs: the changes a fold would have to
+    /// carry, and at least one step per entry, so that commits that
+    /// change nothing cannot pile up either. Unknown until diffed.
+    fn weight(&self) -> usize {
+        match self {
+            Change::Delta(d) => d.change_count().max(1),
+            Change::Unfolded { .. } => 0,
+        }
+    }
+}
+
+/// One entry of a relation's log: the commits in `first..=last` (one,
+/// unless unfolded commits were merged) and what they changed.
+struct LogEntry {
+    first: TransactionNumber,
+    last: TransactionNumber,
+    commits: usize,
+    change: Change,
+}
+
+/// The recent commits of one relation that cached views read: what a
+/// view stamped at or after `base` folds to catch up.
+struct RelLog {
     rel_id: u64,
-    prev: StateValue,
-    new: StateValue,
-    first_tx: TransactionNumber,
-    last_tx: TransactionNumber,
+    /// The version the first entry applies to. A view stamped below it
+    /// has fallen off the log.
+    base: TransactionNumber,
+    /// Ascending by transaction; each entry applies to the version the
+    /// previous one produced.
+    entries: VecDeque<LogEntry>,
+    /// The summed [`Change::weight`] of the entries.
+    weight: usize,
+}
+
+impl RelLog {
+    fn new(stamp: RelStamp) -> RelLog {
+        RelLog {
+            rel_id: stamp.0,
+            base: stamp.1,
+            entries: VecDeque::new(),
+            weight: 0,
+        }
+    }
+
+    /// The newest version the log knows.
+    fn head(&self) -> TransactionNumber {
+        self.entries.back().map_or(self.base, |e| e.last)
+    }
+
+    /// Logs one commit to a relation of `rows` tuples, then trims: while
+    /// folding everything held would carry a quarter of the relation,
+    /// recomputing beats repairing, so the oldest entry goes. The newest
+    /// always stays, so a view one commit behind is always repaired.
+    fn push(&mut self, tx: TransactionNumber, change: Change, rows: usize) {
+        match (self.entries.back_mut(), change) {
+            (
+                Some(LogEntry {
+                    last,
+                    commits,
+                    change: Change::Unfolded { new: newest, .. },
+                    ..
+                }),
+                Change::Unfolded { new, .. },
+            ) => {
+                *newest = new;
+                *last = tx;
+                *commits += 1;
+            }
+            (_, change) => {
+                self.weight += change.weight();
+                self.entries.push_back(LogEntry {
+                    first: tx,
+                    last: tx,
+                    commits: 1,
+                    change,
+                });
+            }
+        }
+        while self.entries.len() > 1 && !delta_beats_reeval(self.weight, rows) {
+            let oldest = self.entries.pop_front().expect("more than one entry");
+            self.base = oldest.last;
+            self.weight -= oldest.change.weight();
+        }
+    }
+
+    /// The index of the first entry after the version stamped `from`,
+    /// if the log can carry a view from there to `now`: same relation,
+    /// the log reaches `now`, and `from` is a version an entry starts at
+    /// (not trimmed away, not inside a merged entry).
+    fn after(&self, from: RelStamp, now: RelStamp) -> Option<usize> {
+        if (from.0, now.0) != (self.rel_id, self.rel_id) || self.head() != now.1 {
+            return None;
+        }
+        let idx = self.entries.partition_point(|e| e.last <= from.1);
+        let starts_at = match idx.checked_sub(1) {
+            Some(i) => self.entries[i].last,
+            None => self.base,
+        };
+        (starts_at == from.1 && idx < self.entries.len()).then_some(idx)
+    }
+
+    /// How many logged commits a view stamped at `tx` has not seen (at
+    /// least that many, if it has fallen off the log).
+    fn commits_after(&self, tx: TransactionNumber) -> usize {
+        self.entries
+            .iter()
+            .filter(|e| e.last > tx)
+            .map(|e| e.commits)
+            .sum()
+    }
+
+    /// Folds the entries from `idx` on into one delta, settling every
+    /// listed tuple against `current`, the relation's current state.
+    /// `None` only if an entry and `current` disagree on the state kind,
+    /// which a reschema purge rules out.
+    fn fold(&mut self, idx: usize, current: &StateValue) -> Option<StateDelta> {
+        for e in self.entries.range_mut(idx..) {
+            if let Change::Unfolded { prev, new } = &e.change {
+                e.change = Change::Delta(StateDelta::between(prev, new));
+                self.weight += e.change.weight();
+            }
+        }
+        let mut deltas = self.entries.range(idx..).map(|e| match &e.change {
+            Change::Delta(d) => d,
+            Change::Unfolded { .. } => unreachable!("folded above"),
+        });
+        if deltas.len() == 1 {
+            return deltas.next().cloned();
+        }
+        match current {
+            StateValue::Snapshot(cur) => {
+                let mut listed: BTreeSet<&Tuple> = BTreeSet::new();
+                for d in deltas {
+                    let StateDelta::Snapshot { added, removed } = d else {
+                        return None;
+                    };
+                    listed.extend(added.iter().chain(removed));
+                }
+                let (added, removed) = listed.into_iter().cloned().partition(|t| cur.contains(t));
+                Some(StateDelta::Snapshot { added, removed })
+            }
+            StateValue::Historical(cur) => {
+                let mut listed: BTreeSet<&Tuple> = BTreeSet::new();
+                for d in deltas {
+                    let StateDelta::Historical { upserted, removed } = d else {
+                        return None;
+                    };
+                    listed.extend(upserted.iter().map(|(t, _)| t).chain(removed));
+                }
+                let mut upserted = Vec::new();
+                let mut removed = Vec::new();
+                for t in listed {
+                    match cur.valid_time(t) {
+                        Some(e) => upserted.push((t.clone(), e.clone())),
+                        None => removed.push(t.clone()),
+                    }
+                }
+                Some(StateDelta::Historical { upserted, removed })
+            }
+        }
+    }
 }
 
 struct Inner {
     interner: ExprInterner,
-    /// Cached states, keyed by node id. Iterating the map ascending is a
-    /// valid bottom-up propagation order (ids are topological).
+    /// Cached states, keyed by node id (ids are topological: a node's
+    /// children have smaller ids than the node).
     views: BTreeMap<ExprId, NodeView>,
     /// Registered roots with their last-use tick (LRU eviction).
     roots: BTreeMap<ExprId, u64>,
@@ -179,9 +390,9 @@ struct Inner {
     seen: HashMap<ExprId, u32>,
     /// The arena size past which [`Inner::bound_interner`] rebuilds.
     interner_limit: usize,
-    /// Deferred `modify_state` spans, folded per relation; flushed on
-    /// the next read.
-    pending: BTreeMap<String, PendingSpan>,
+    /// One log per relation that a cached view reads; created when the
+    /// first such view is cached, dropped with the last.
+    logs: BTreeMap<String, RelLog>,
     capacity: usize,
     register_after: u32,
     tick: u64,
@@ -193,8 +404,9 @@ impl Inner {
         self.tick
     }
 
-    /// Drops cached views unreachable from any registered root; returns
-    /// how many were dropped.
+    /// Drops cached views unreachable from any registered root, and the
+    /// logs of relations no remaining view reads; returns how many views
+    /// were dropped.
     fn gc(&mut self) -> usize {
         let mut live: BTreeSet<ExprId> = BTreeSet::new();
         let mut stack: Vec<ExprId> = self.roots.keys().copied().collect();
@@ -205,6 +417,12 @@ impl Inner {
         }
         let before = self.views.len();
         self.views.retain(|id, _| live.contains(id));
+        let (views, interner) = (&self.views, &self.interner);
+        self.logs.retain(|ident, _| {
+            views
+                .keys()
+                .any(|id| interner.node(*id).reads_relation(ident))
+        });
         before - self.views.len()
     }
 
@@ -248,8 +466,8 @@ impl Inner {
     /// Drops every view (and root) whose subtree reads `ident`; returns
     /// the number of views dropped.
     fn purge_relation(&mut self, ident: &str) -> usize {
-        // Any queued span for the relation is moot once its readers go.
-        self.pending.remove(ident);
+        // The log is moot once its readers go.
+        self.logs.remove(ident);
         let interner = &self.interner;
         let before = self.views.len();
         self.views
@@ -260,23 +478,45 @@ impl Inner {
         dropped + self.gc()
     }
 
-    /// Evaluates node `id` bottom-up, reusing stamp-valid cached views
-    /// and caching every successfully evaluated node. Mirrors
-    /// [`Expr::eval_with`] exactly: children left-to-right, each checked
-    /// for the operator's expected state kind before the next evaluates,
-    /// so the selected error is identical to the plain evaluator's.
+    /// The cached state of node `id`, if it has one that is current or
+    /// can be brought forward; a view that cannot is dropped.
+    fn current(
+        &mut self,
+        id: ExprId,
+        src: &dyn StampSource,
+        counters: &MemoCounters,
+    ) -> Option<StateValue> {
+        let view = self.views.get(&id)?;
+        if view.valid(src) {
+            return Some(view.state.clone());
+        }
+        if self.repair(id, src, counters) {
+            counters.add_repair();
+            return self.views.get(&id).map(|v| v.state.clone());
+        }
+        // The relation changed outside the log (evolution, truncation,
+        // redefinition), or recomputing the node errored: the next
+        // evaluation starts from scratch.
+        if self.views.remove(&id).is_some() {
+            counters.add_invalidations(1);
+        }
+        None
+    }
+
+    /// Evaluates node `id` bottom-up, reusing cached views (repaired
+    /// first where their stamps lag) and caching every successfully
+    /// evaluated node. Mirrors [`Expr::eval_with`] exactly: children
+    /// left-to-right, each checked for the operator's expected state
+    /// kind before the next evaluates, so the selected error is
+    /// identical to the plain evaluator's.
     fn eval_node(
         &mut self,
         id: ExprId,
         src: &dyn StampSource,
         counters: &MemoCounters,
     ) -> Result<StateValue, EvalError> {
-        if let Some(view) = self.views.get(&id) {
-            if view.valid(src) {
-                return Ok(view.state.clone());
-            }
-            self.views.remove(&id);
-            counters.add_invalidations(1);
+        if let Some(state) = self.current(id, src, counters) {
+            return Ok(state);
         }
         let node = self.interner.node(id).clone();
         let c = |i: usize| node.children[i];
@@ -365,6 +605,18 @@ impl Inner {
             }
         }
         if cacheable {
+            for (ident, stamp) in &stamps {
+                // Readers make a relation's commits worth logging. A
+                // log that does not end at this very version has missed
+                // a commit and can carry nobody here: start over.
+                if self
+                    .logs
+                    .get(ident)
+                    .is_none_or(|l| (l.rel_id, l.head()) != *stamp)
+                {
+                    self.logs.insert(ident.clone(), RelLog::new(*stamp));
+                }
+            }
             self.views.insert(
                 id,
                 NodeView {
@@ -406,203 +658,270 @@ impl Inner {
             })
     }
 
-    /// Settles every queued modify span: one folded delta propagation
-    /// per touched relation. Called at the top of each memo read.
-    fn flush_pending(&mut self, src: &dyn StampSource, counters: &MemoCounters) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let pending = std::mem::take(&mut self.pending);
-        for (ident, span) in pending {
-            let delta = StateDelta::between(&span.prev, &span.new);
-            self.propagate(
-                &ident,
-                span.rel_id,
-                &delta,
-                span.first_tx,
-                span.last_tx,
+    /// Brings the cached view of `id` up to the source's stamps, one
+    /// pass per relation that moved, walking only the nodes under `id`.
+    /// Returns whether the view is valid afterwards.
+    fn repair(&mut self, id: ExprId, src: &dyn StampSource, counters: &MemoCounters) -> bool {
+        let Some(view) = self.views.get(&id) else {
+            return false;
+        };
+        let moved: Vec<(String, Option<RelStamp>)> = view
+            .stamps
+            .iter()
+            .map(|(ident, stamp)| (ident, *stamp, src.relation_stamp(ident)))
+            .filter(|(_, stamp, now)| *now != Some(*stamp))
+            .map(|(ident, _, now)| (ident.clone(), now))
+            .collect();
+        for (ident, now) in &moved {
+            // A relation that is gone (or empty) carries nothing forward.
+            let Some(now) = *now else {
+                return false;
+            };
+            let mut pass = Pass {
+                ident,
+                now,
                 src,
                 counters,
-            );
+                done: Done::new(),
+            };
+            self.repair_rel(id, &mut pass);
+        }
+        self.views.get(&id).is_some_and(|v| v.valid(src))
+    }
+
+    /// Brings node `id` and the nodes under it to `pass.now` for the
+    /// pass's relation, children first, and records how each fared.
+    fn repair_rel(&mut self, id: ExprId, pass: &mut Pass<'_>) {
+        if pass.done.contains_key(&id) {
+            return;
+        }
+        let node = self.interner.node(id).clone();
+        if !node.reads_relation(pass.ident) {
+            return;
+        }
+        // No view, or one already there (a subexpression another read
+        // brought forward): no status, so an operator above recomputes
+        // unless the node is a leaf, whose delta comes from the log.
+        let Some(from) = self.views.get(&id).and_then(|v| v.stamp(pass.ident)) else {
+            return;
+        };
+        if from == pass.now {
+            return;
+        }
+        match &node.op {
+            NodeOp::Rollback(_, spec) | NodeOp::HRollback(_, spec) => {
+                let historical = matches!(node.op, NodeOp::HRollback(..));
+                self.repair_leaf(id, *spec, historical, from, pass);
+            }
+            NodeOp::Const(_) => unreachable!("constants read no relations"),
+            _ => {
+                for child in &node.children {
+                    self.repair_rel(*child, pass);
+                }
+                self.repair_op(id, &node, from, pass);
+            }
         }
     }
 
-    /// A span of `modify_state`s against relation `ident`, already
-    /// applied to the store and folded into one delta: update every
-    /// cached view that reads it. `span_start` is the commit transaction
-    /// of the span's first modify, `new_tx` of its last (the eager
-    /// single-modify path passes them equal).
-    #[allow(clippy::too_many_arguments)]
-    fn propagate(
+    /// Whether `ρ(ident, spec)` provably names at `now` the very version
+    /// it named at `from`: `state_at(n)` cannot see versions committed
+    /// after `n`, and appends to one relation only add strictly newer
+    /// ones. (`n` may exceed `from` and still precede the first commit
+    /// after it — a snapshot pinned on the engine clock — which the log
+    /// can tell.)
+    fn probe_untouched(&self, ident: &str, spec: TxSpec, from: RelStamp, now: RelStamp) -> bool {
+        let TxSpec::At(n) = spec else {
+            return false;
+        };
+        let first_after = || {
+            let log = self.logs.get(ident)?;
+            Some(log.entries[log.after(from, now)?].first)
+        };
+        from.0 == now.0 && (n <= from.1 || first_after().is_some_and(|first| n < first))
+    }
+
+    /// A `ρ`/`ρ̂` leaf needs no delta to catch up: unless its probe
+    /// provably still names the version it holds, it re-resolves from
+    /// the store, which for `ρ(I, ∞)` is the store's own current handle.
+    /// What the leaf means to a parent's rule is settled per parent, in
+    /// [`Inner::leaf_change`].
+    fn repair_leaf(
         &mut self,
-        ident: &str,
-        rel_id: u64,
-        rel_delta: &StateDelta,
-        span_start: TransactionNumber,
-        new_tx: TransactionNumber,
-        src: &dyn StampSource,
-        counters: &MemoCounters,
+        id: ExprId,
+        spec: TxSpec,
+        historical: bool,
+        from: RelStamp,
+        pass: &mut Pass<'_>,
     ) {
-        if matches!(rel_delta, StateDelta::Reschema(_)) {
-            // The relation's scheme (or state kind) changed out from
-            // under its readers; no delta rule applies.
-            let dropped = self.purge_relation(ident);
-            counters.add_invalidations(dropped as u64);
+        let resolved = if self.probe_untouched(pass.ident, spec, from, pass.now) {
+            None
+        } else {
+            Some(pass.src.resolve_rollback(pass.ident, spec, historical))
+        };
+        if let Some(Err(_)) = resolved {
+            // The next evaluation reproduces the error from scratch.
+            self.views.remove(&id);
+            pass.counters.add_invalidations(1);
             return;
         }
-        let stamp = (rel_id, new_tx);
-        let ids: Vec<ExprId> = self.views.keys().copied().collect();
-        let mut statuses: HashMap<ExprId, Status> = HashMap::new();
-        for id in ids {
-            if !self.views.contains_key(&id) {
+        let view = self.views.get_mut(&id).expect("caller saw the view");
+        view.set_stamp(pass.ident, pass.now);
+        if let Some(Ok(state)) = resolved {
+            view.state = state;
+            pass.counters.add_propagation(0);
+        }
+    }
+
+    /// Puts into [`Pass::done`] what leaf `child` contributes over a
+    /// parent's span `(from, now]`: unchanged, or the folded log entries.
+    /// Leaves no status when that is unknowable — the leaf has no cached
+    /// state, the probe names a version inside the span that the fold
+    /// skips, or the parent's stamp is older than the log — and returns
+    /// whether it was the last.
+    fn leaf_change(
+        &mut self,
+        child: ExprId,
+        spec: TxSpec,
+        from: RelStamp,
+        pass: &mut Pass<'_>,
+    ) -> bool {
+        if matches!(pass.done.get(&child), Some((f, _)) if *f == from.1) {
+            // Folded for a sibling parent at the same stamp.
+            return false;
+        }
+        pass.done.remove(&child);
+        let status = if self.probe_untouched(pass.ident, spec, from, pass.now) {
+            Status::Bumped
+        } else {
+            // The rules read the leaf's new state; `repair_rel` just
+            // made it current if it was cached at all.
+            let Some(current) = self.views.get(&child).map(|v| &v.state) else {
+                return false;
+            };
+            let Some(log) = self.logs.get_mut(pass.ident) else {
+                return true;
+            };
+            let Some(idx) = log.after(from, pass.now) else {
+                return true;
+            };
+            if matches!(spec, TxSpec::At(n) if n < pass.now.1) {
+                return false;
+            }
+            match log.fold(idx, current) {
+                Some(delta) => Status::Changed(Some(delta)),
+                None => return false,
+            }
+        };
+        pass.done.insert(child, (from.1, status));
+        false
+    }
+
+    /// Brings operator node `id`, stamped `from` and with its children
+    /// already repaired, to `pass.now`: by stamp alone if no child
+    /// changed, by its delta rule if every changed child's delta covers
+    /// `(from, now]`, else by recomputing it from the children.
+    fn repair_op(&mut self, id: ExprId, node: &ExprNode, from: RelStamp, pass: &mut Pass<'_>) {
+        let mut any_dropped = false;
+        let mut any_changed = false;
+        let mut any_unknown = false;
+        let mut off_log = false;
+        for &child in &node.children {
+            let cnode = self.interner.node(child);
+            if !cnode.reads_relation(pass.ident) {
                 continue;
             }
-            let node = self.interner.node(id).clone();
-            if !node.reads_relation(ident) {
-                continue;
+            if let NodeOp::Rollback(_, spec) | NodeOp::HRollback(_, spec) = cnode.op {
+                off_log |= self.leaf_change(child, spec, from, pass);
             }
-            match &node.op {
-                NodeOp::Rollback(_, spec) | NodeOp::HRollback(_, spec) => {
-                    // `state_at(n)` with `n` below the whole span
-                    // resolves to a version these appends cannot have
-                    // touched (appends only add strictly newer
-                    // versions): the value is immutable, only the stamp
-                    // moves. A probe at or past the span's last
-                    // transaction sees exactly the folded delta. A probe
-                    // landing *inside* the span (several modifies folded
-                    // into one flush) names an intermediate version the
-                    // fold skipped — drop the view and leave no status,
-                    // so parents recompute and the next evaluation
-                    // re-resolves the probe from the store.
-                    if matches!(spec, TxSpec::At(n) if *n >= span_start && *n < new_tx) {
-                        self.views.remove(&id);
-                        counters.add_invalidations(1);
-                        continue;
-                    }
-                    let affected = match spec {
-                        TxSpec::Current => true,
-                        TxSpec::At(n) => *n >= new_tx,
-                    };
-                    if affected {
-                        let view = self.views.get_mut(&id).expect("checked above");
-                        rel_delta.apply_in_place(&mut view.state);
-                        view.set_stamp(ident, stamp);
-                        counters.add_propagation(rel_delta.change_count() as u64);
-                        statuses.insert(id, Status::Changed(Some(rel_delta.clone())));
-                    } else {
-                        let view = self.views.get_mut(&id).expect("checked above");
-                        view.set_stamp(ident, stamp);
-                        statuses.insert(id, Status::Bumped);
-                    }
-                }
-                NodeOp::Const(_) => unreachable!("constants read no relations"),
-                _ => {
-                    let mut any_dropped = false;
-                    let mut any_changed = false;
-                    let mut any_unknown = false;
-                    for child in &node.children {
-                        if !self.interner.node(*child).reads_relation(ident) {
-                            continue;
-                        }
-                        match statuses.get(child) {
-                            Some(Status::Bumped) => {}
-                            Some(Status::Changed(Some(_))) => any_changed = true,
-                            Some(Status::Changed(None)) => any_unknown = true,
-                            Some(Status::Dropped) => any_dropped = true,
-                            // A reading child without a cached view:
-                            // its new value is unknown here.
-                            None => any_unknown = true,
-                        }
-                    }
-                    if any_dropped {
-                        // The child's evaluation errors; so would this
-                        // node's. Drop the view — the next lookup
-                        // reproduces the error from scratch.
-                        self.views.remove(&id);
-                        counters.add_invalidations(1);
-                        statuses.insert(id, Status::Dropped);
-                    } else if !any_changed && !any_unknown {
-                        let view = self.views.get_mut(&id).expect("checked above");
-                        view.set_stamp(ident, stamp);
-                        statuses.insert(id, Status::Bumped);
-                    } else {
-                        let ruled = if any_unknown {
-                            None
-                        } else {
-                            self.delta_rule(&node, id, &statuses)
-                        };
-                        match ruled {
-                            Some((_, delta)) if delta.change_count() == 0 => {
-                                // The change filtered out entirely below
-                                // this node; keep the cached state (and
-                                // its shared runs) untouched.
-                                let view = self.views.get_mut(&id).expect("checked above");
-                                view.set_stamp(ident, stamp);
-                                counters.add_propagation(0);
-                                statuses.insert(id, Status::Changed(Some(delta)));
-                            }
-                            Some((state, delta)) => {
-                                let view = self.views.get_mut(&id).expect("checked above");
-                                view.state = state;
-                                view.set_stamp(ident, stamp);
-                                counters.add_propagation(delta.change_count() as u64);
-                                statuses.insert(id, Status::Changed(Some(delta)));
-                            }
-                            None => {
-                                // Targeted re-evaluation: the children's
-                                // views already hold their new states,
-                                // so this recomputes exactly one
-                                // operator (plus any uncached inputs).
-                                self.views.remove(&id);
-                                match self.eval_node(id, src, counters) {
-                                    Ok(_) => {
-                                        counters.add_fallback();
-                                        statuses.insert(id, Status::Changed(None));
-                                    }
-                                    Err(_) => {
-                                        counters.add_invalidations(1);
-                                        statuses.insert(id, Status::Dropped);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
+            match pass.done.get(&child) {
+                Some((f, status)) if *f == from.1 => match status {
+                    Status::Bumped => {}
+                    Status::Changed(Some(_)) => any_changed = true,
+                    Status::Changed(None) => any_unknown = true,
+                    Status::Dropped => any_dropped = true,
+                },
+                // Uncached, or repaired from another stamp: its change
+                // over this node's span is unknown.
+                _ => any_unknown = true,
             }
         }
+        let status = if any_dropped {
+            // The child's evaluation errors; so would this node's. Drop
+            // the view — the next lookup reproduces the error from
+            // scratch.
+            self.views.remove(&id);
+            pass.counters.add_invalidations(1);
+            Status::Dropped
+        } else if !any_changed && !any_unknown {
+            let view = self.views.get_mut(&id).expect("caller saw the view");
+            view.set_stamp(pass.ident, pass.now);
+            Status::Bumped
+        } else {
+            // Out of the map, the old state has one owner and the rule
+            // edits it in place.
+            let old = self.views.remove(&id).expect("caller saw the view");
+            let ruled = if any_unknown {
+                None
+            } else {
+                self.delta_rule(node, old.state, &pass.done)
+            };
+            match ruled {
+                Some((state, delta)) => {
+                    let mut view = NodeView {
+                        state,
+                        stamps: old.stamps,
+                    };
+                    view.set_stamp(pass.ident, pass.now);
+                    self.views.insert(id, view);
+                    pass.counters.add_propagation(delta.change_count() as u64);
+                    Status::Changed(Some(delta))
+                }
+                // Targeted re-evaluation: the children hold their new
+                // states, so this recomputes exactly one operator (plus
+                // any uncached inputs).
+                None => match self.eval_node(id, pass.src, pass.counters) {
+                    Ok(_) => {
+                        if off_log {
+                            // Too far behind to repair: a re-evaluation.
+                            pass.counters.add_invalidations(1);
+                        } else {
+                            pass.counters.add_fallback();
+                        }
+                        Status::Changed(None)
+                    }
+                    Err(_) => {
+                        pass.counters.add_invalidations(1);
+                        Status::Dropped
+                    }
+                },
+            }
+        };
+        pass.done.insert(id, (from.1, status));
     }
 
     /// A child's snapshot-delta contribution: empty when unchanged,
     /// `None` when no rule applies (wrong kind — defensive only).
-    fn snap_delta<'a>(
-        &self,
-        statuses: &'a HashMap<ExprId, Status>,
-        child: ExprId,
-    ) -> Option<SnapDelta<'a>> {
-        match statuses.get(&child) {
-            None | Some(Status::Bumped) => Some((&[], &[])),
-            Some(Status::Changed(Some(StateDelta::Snapshot { added, removed }))) => {
+    fn snap_delta<'a>(&self, done: &'a Done, child: ExprId) -> Option<SnapDelta<'a>> {
+        match done.get(&child) {
+            None | Some((_, Status::Bumped)) => Some((&[], &[])),
+            Some((_, Status::Changed(Some(StateDelta::Snapshot { added, removed })))) => {
                 Some((added, removed))
             }
             _ => None,
         }
     }
 
-    fn hist_delta<'a>(
-        &self,
-        statuses: &'a HashMap<ExprId, Status>,
-        child: ExprId,
-    ) -> Option<HistDelta<'a>> {
-        match statuses.get(&child) {
-            None | Some(Status::Bumped) => Some((&[], &[])),
-            Some(Status::Changed(Some(StateDelta::Historical { upserted, removed }))) => {
+    fn hist_delta<'a>(&self, done: &'a Done, child: ExprId) -> Option<HistDelta<'a>> {
+        match done.get(&child) {
+            None | Some((_, Status::Bumped)) => Some((&[], &[])),
+            Some((_, Status::Changed(Some(StateDelta::Historical { upserted, removed })))) => {
                 Some((upserted, removed))
             }
             _ => None,
         }
     }
 
-    /// The child's *new* (already propagated) state.
+    /// The child's *new* (already repaired) state.
     fn snap_state(&self, child: ExprId) -> Option<&SnapshotState> {
         match &self.views.get(&child)?.state {
             StateValue::Snapshot(s) => Some(s),
@@ -618,24 +937,25 @@ impl Inner {
     }
 
     /// Applies the per-operator delta rule for `node`, whose changed
-    /// children all carry exact deltas. Returns the node's new state and
-    /// its own delta, or `None` when the rule declines (threshold, or a
-    /// defensive kind mismatch) and the caller should recompute.
+    /// children all carry exact deltas, to its old state `out_old`,
+    /// in place when the caller held the only handle. Returns the node's
+    /// new state and its own delta, or `None` when the rule declines
+    /// (threshold, or a defensive kind mismatch) and the caller should
+    /// recompute.
     fn delta_rule(
         &self,
         node: &ExprNode,
-        id: ExprId,
-        statuses: &HashMap<ExprId, Status>,
+        out_old: StateValue,
+        statuses: &Done,
     ) -> Option<(StateValue, StateDelta)> {
-        let out_old = &self.views.get(&id)?.state;
         let c = |i: usize| node.children[i];
         match &node.op {
             NodeOp::Select(p) => {
                 let (added, removed) = self.snap_delta(statuses, c(0))?;
-                let StateValue::Snapshot(s_old) = out_old else {
+                let StateValue::Snapshot(mut out) = out_old else {
                     return None;
                 };
-                let compiled = p.compile(s_old.schema()).ok()?;
+                let compiled = p.compile(out.schema()).ok()?;
                 let added: Vec<Tuple> =
                     added.iter().filter(|t| compiled.eval(t)).cloned().collect();
                 let removed: Vec<Tuple> = removed
@@ -643,7 +963,7 @@ impl Inner {
                     .filter(|t| compiled.eval(t))
                     .cloned()
                     .collect();
-                let out = s_old.with_delta(&removed, &added).ok()?;
+                out.apply_delta(&removed, &added).ok()?;
                 Some((
                     StateValue::Snapshot(out),
                     StateDelta::Snapshot { added, removed },
@@ -652,7 +972,7 @@ impl Inner {
             NodeOp::Project(attrs) => {
                 let (added, removed) = self.snap_delta(statuses, c(0))?;
                 let child = self.snap_state(c(0))?;
-                let StateValue::Snapshot(s_old) = out_old else {
+                let StateValue::Snapshot(mut out) = out_old else {
                     return None;
                 };
                 let (_, indices) = child.schema().project(attrs).ok()?;
@@ -665,17 +985,22 @@ impl Inner {
                 for img in &added {
                     candidates.remove(img);
                 }
-                if !candidates.is_empty() {
-                    for u in child.run() {
-                        candidates.remove(&u.project(&indices));
-                        if candidates.is_empty() {
-                            break;
-                        }
+                let images = |u: &Tuple, img: &Tuple| {
+                    indices
+                        .iter()
+                        .zip(img.values())
+                        .all(|(&i, v)| u.get(i) == v)
+                };
+                for u in child.run() {
+                    if candidates.is_empty() {
+                        break;
                     }
+                    // Compared in place: no image is built per row.
+                    candidates.retain(|img| !images(u, img));
                 }
                 let added: Vec<Tuple> = added.into_iter().collect();
                 let removed: Vec<Tuple> = candidates.into_iter().collect();
-                let out = s_old.with_delta(&removed, &added).ok()?;
+                out.apply_delta(&removed, &added).ok()?;
                 Some((
                     StateValue::Snapshot(out),
                     StateDelta::Snapshot { added, removed },
@@ -686,7 +1011,7 @@ impl Inner {
                 let (add_b, rem_b) = self.snap_delta(statuses, c(1))?;
                 let a_new = self.snap_state(c(0))?;
                 let b_new = self.snap_state(c(1))?;
-                let StateValue::Snapshot(s_old) = out_old else {
+                let StateValue::Snapshot(mut out) = out_old else {
                     return None;
                 };
                 let added: Vec<Tuple> = add_a.iter().chain(add_b).cloned().collect();
@@ -696,7 +1021,7 @@ impl Inner {
                     .filter(|t| !a_new.contains(t) && !b_new.contains(t))
                     .cloned()
                     .collect();
-                let out = s_old.with_delta(&removed, &added).ok()?;
+                out.apply_delta(&removed, &added).ok()?;
                 Some((
                     StateValue::Snapshot(out),
                     StateDelta::Snapshot { added, removed },
@@ -707,7 +1032,7 @@ impl Inner {
                 let (add_b, rem_b) = self.snap_delta(statuses, c(1))?;
                 let a_new = self.snap_state(c(0))?;
                 let b_new = self.snap_state(c(1))?;
-                let StateValue::Snapshot(s_old) = out_old else {
+                let StateValue::Snapshot(mut out) = out_old else {
                     return None;
                 };
                 let affected: BTreeSet<&Tuple> = add_a
@@ -725,15 +1050,15 @@ impl Inner {
                         removed.push(t.clone());
                     }
                 }
-                let out = s_old.with_delta(&removed, &added).ok()?;
+                out.apply_delta(&removed, &added).ok()?;
                 Some((
                     StateValue::Snapshot(out),
                     StateDelta::Snapshot { added, removed },
                 ))
             }
             NodeOp::Product => {
-                let a_changed = matches!(statuses.get(&c(0)), Some(Status::Changed(_)));
-                let b_changed = matches!(statuses.get(&c(1)), Some(Status::Changed(_)));
+                let a_changed = matches!(statuses.get(&c(0)), Some((_, Status::Changed(_))));
+                let b_changed = matches!(statuses.get(&c(1)), Some((_, Status::Changed(_))));
                 if a_changed && b_changed {
                     // Δa × Δb cross terms make the rule quadratic in the
                     // deltas; recomputing from the cached children is
@@ -756,7 +1081,7 @@ impl Inner {
                 ) {
                     return None;
                 }
-                let StateValue::Snapshot(s_old) = out_old else {
+                let StateValue::Snapshot(mut out) = out_old else {
                     return None;
                 };
                 let pair = |t: &Tuple, u: &Tuple| {
@@ -778,7 +1103,7 @@ impl Inner {
                         removed.push(pair(t, u));
                     }
                 }
-                let out = s_old.with_delta(&removed, &added).ok()?;
+                out.apply_delta(&removed, &added).ok()?;
                 Some((
                     StateValue::Snapshot(out),
                     StateDelta::Snapshot { added, removed },
@@ -786,10 +1111,10 @@ impl Inner {
             }
             NodeOp::HSelect(p) => {
                 let (ups, rem) = self.hist_delta(statuses, c(0))?;
-                let StateValue::Historical(h_old) = out_old else {
+                let StateValue::Historical(mut out) = out_old else {
                     return None;
                 };
-                let compiled = p.compile(h_old.schema()).ok()?;
+                let compiled = p.compile(out.schema()).ok()?;
                 let upserted: Vec<Entry> = ups
                     .iter()
                     .filter(|(t, _)| compiled.eval(t))
@@ -797,7 +1122,7 @@ impl Inner {
                     .collect();
                 let removed: Vec<Tuple> =
                     rem.iter().filter(|t| compiled.eval(t)).cloned().collect();
-                let out = h_old.with_delta(&removed, &upserted).ok()?;
+                out.apply_delta(&removed, &upserted).ok()?;
                 Some((
                     StateValue::Historical(out),
                     StateDelta::Historical { upserted, removed },
@@ -806,7 +1131,7 @@ impl Inner {
             NodeOp::HProject(attrs) => {
                 let (ups, rem) = self.hist_delta(statuses, c(0))?;
                 let child = self.hist_state(c(0))?;
-                let StateValue::Historical(h_old) = out_old else {
+                let StateValue::Historical(mut out) = out_old else {
                     return None;
                 };
                 let (_, indices) = child.schema().project(attrs).ok()?;
@@ -834,7 +1159,7 @@ impl Inner {
                         None => removed.push(img),
                     }
                 }
-                let out = h_old.with_delta(&removed, &upserted).ok()?;
+                out.apply_delta(&removed, &upserted).ok()?;
                 Some((
                     StateValue::Historical(out),
                     StateDelta::Historical { upserted, removed },
@@ -845,7 +1170,7 @@ impl Inner {
                 let (ups_b, rem_b) = self.hist_delta(statuses, c(1))?;
                 let a_new = self.hist_state(c(0))?;
                 let b_new = self.hist_state(c(1))?;
-                let StateValue::Historical(h_old) = out_old else {
+                let StateValue::Historical(mut out) = out_old else {
                     return None;
                 };
                 let affected: BTreeSet<&Tuple> = ups_a
@@ -865,7 +1190,7 @@ impl Inner {
                         (Some(x), Some(y)) => upserted.push((t.clone(), x.union(y))),
                     }
                 }
-                let out = h_old.with_delta(&removed, &upserted).ok()?;
+                out.apply_delta(&removed, &upserted).ok()?;
                 Some((
                     StateValue::Historical(out),
                     StateDelta::Historical { upserted, removed },
@@ -876,7 +1201,7 @@ impl Inner {
                 let (ups_b, rem_b) = self.hist_delta(statuses, c(1))?;
                 let a_new = self.hist_state(c(0))?;
                 let b_new = self.hist_state(c(1))?;
-                let StateValue::Historical(h_old) = out_old else {
+                let StateValue::Historical(mut out) = out_old else {
                     return None;
                 };
                 let affected: BTreeSet<&Tuple> = ups_a
@@ -904,15 +1229,15 @@ impl Inner {
                         }
                     }
                 }
-                let out = h_old.with_delta(&removed, &upserted).ok()?;
+                out.apply_delta(&removed, &upserted).ok()?;
                 Some((
                     StateValue::Historical(out),
                     StateDelta::Historical { upserted, removed },
                 ))
             }
             NodeOp::HProduct => {
-                let a_changed = matches!(statuses.get(&c(0)), Some(Status::Changed(_)));
-                let b_changed = matches!(statuses.get(&c(1)), Some(Status::Changed(_)));
+                let a_changed = matches!(statuses.get(&c(0)), Some((_, Status::Changed(_))));
+                let b_changed = matches!(statuses.get(&c(1)), Some((_, Status::Changed(_))));
                 if a_changed && b_changed {
                     return None;
                 }
@@ -930,7 +1255,7 @@ impl Inner {
                 ) {
                     return None;
                 }
-                let StateValue::Historical(h_old) = out_old else {
+                let StateValue::Historical(mut out) = out_old else {
                     return None;
                 };
                 let mut upserted = Vec::new();
@@ -958,7 +1283,7 @@ impl Inner {
                         });
                     }
                 }
-                let out = h_old.with_delta(&removed, &upserted).ok()?;
+                out.apply_delta(&removed, &upserted).ok()?;
                 Some((
                     StateValue::Historical(out),
                     StateDelta::Historical { upserted, removed },
@@ -973,7 +1298,7 @@ impl Inner {
                 if !delta_beats_reeval(ups.len() + rem.len(), child.len()) {
                     return None;
                 }
-                let StateValue::Historical(h_old) = out_old else {
+                let StateValue::Historical(mut out) = out_old else {
                     return None;
                 };
                 let mut upserted = Vec::new();
@@ -990,7 +1315,7 @@ impl Inner {
                         removed.push(t.clone());
                     }
                 }
-                let out = h_old.with_delta(&removed, &upserted).ok()?;
+                out.apply_delta(&removed, &upserted).ok()?;
                 Some((
                     StateValue::Historical(out),
                     StateDelta::Historical { upserted, removed },
@@ -1006,7 +1331,7 @@ impl Inner {
 
 /// The view memo: hash-consed expression keys over cached, incrementally
 /// maintained states. Interior mutability throughout — lookups and
-/// propagation take `&self`, so the engine can consult it mid-borrow.
+/// repair take `&self`, so the engine can consult it mid-borrow.
 pub struct ViewRegistry {
     inner: Mutex<Inner>,
     counters: MemoCounters,
@@ -1034,7 +1359,7 @@ impl ViewRegistry {
                 roots: BTreeMap::new(),
                 seen: HashMap::new(),
                 interner_limit: INTERNER_FLOOR,
-                pending: BTreeMap::new(),
+                logs: BTreeMap::new(),
                 capacity,
                 register_after: DEFAULT_REGISTER_AFTER,
                 tick: 0,
@@ -1065,24 +1390,17 @@ impl ViewRegistry {
         if inner.capacity == 0 {
             return MemoDecision::Evaluate { register: false };
         }
-        inner.flush_pending(src, &self.counters);
         inner.bound_interner();
         let id = inner.interner.intern(expr);
-        if let Some(view) = inner.views.get(&id) {
-            if view.valid(src) {
-                let state = view.state.clone();
-                self.counters.add_hit();
-                let tick = inner.bump_tick();
-                if let Some(t) = inner.roots.get_mut(&id) {
-                    *t = tick;
-                }
-                return MemoDecision::Hit(state);
+        // A cached root answers as it stands when no relation under it
+        // has moved, and after a repair of its own nodes when one has.
+        if let Some(state) = inner.current(id, src, &self.counters) {
+            self.counters.add_hit();
+            let tick = inner.bump_tick();
+            if let Some(t) = inner.roots.get_mut(&id) {
+                *t = tick;
             }
-            // Stale views are normally repaired by propagation; reaching
-            // here means the backing relation changed outside it
-            // (evolution, truncation) — drop and re-evaluate.
-            inner.views.remove(&id);
-            self.counters.add_invalidations(1);
+            return MemoDecision::Hit(state);
         }
         if inner.interner.node(id).reads.is_empty() {
             // Nothing to stamp against: constant expressions are cheap
@@ -1106,7 +1424,6 @@ impl ViewRegistry {
         src: &dyn StampSource,
     ) -> Result<StateValue, EvalError> {
         let mut inner = self.lock();
-        inner.flush_pending(src, &self.counters);
         let id = inner.interner.intern(expr);
         let result = inner.eval_node(id, src, &self.counters);
         if result.is_ok() {
@@ -1120,109 +1437,48 @@ impl ViewRegistry {
         result
     }
 
-    /// Whether any cached view reads `ident` — the engine's cheap guard
-    /// for whether a `modify_state` needs its delta computed at all.
-    pub fn has_readers(&self, ident: &str) -> bool {
-        let inner = self.lock();
-        inner
-            .views
-            .keys()
-            .any(|id| inner.interner.node(*id).reads_relation(ident))
-    }
-
-    /// Records one `modify_state` against `ident` (already applied to
-    /// the store, committed at `new_tx`) for deferred propagation — the
-    /// engine's write-path entry. `prev` is the relation's state just
-    /// before the append (`None` for its very first state).
+    /// Logs one `modify_state` against `ident` (already applied to the
+    /// store, committed at `new_tx`) — the engine's write-path entry and
+    /// the only contact between a write and the memo. `prev` is the
+    /// relation's state just before the append (`None` for its very
+    /// first state); `delta` carries `prev` to `new` when the store's
+    /// append computed it anyway, and is diffed on first demand when not.
     ///
-    /// The call is O(1): states are reference-counted handles, and
-    /// consecutive modifies to one relation fold into a single span
-    /// whose diff is computed once, on the next memo read. A scheme or
-    /// state-kind boundary (no delta rule can cross it) is settled
-    /// immediately by purging the relation's readers.
+    /// A relation no cached view reads has no log, and the call returns
+    /// at that check. Otherwise it is O(1) in the number of views and,
+    /// given `delta`, in the relation's size: one entry pushed, the
+    /// oldest trimmed. A scheme or state-kind boundary (no delta rule
+    /// can cross it) purges the relation's readers and its log.
     pub fn queue_modify(
         &self,
         ident: &str,
         rel_id: u64,
         prev: Option<&StateValue>,
         new: &StateValue,
+        delta: Option<StateDelta>,
         new_tx: TransactionNumber,
     ) {
         let mut inner = self.lock();
-        if inner.capacity == 0 {
-            return;
-        }
-        let comparable = match (prev, new) {
-            (Some(StateValue::Snapshot(a)), StateValue::Snapshot(b)) => a.schema() == b.schema(),
-            (Some(StateValue::Historical(a)), StateValue::Historical(b)) => {
-                a.schema() == b.schema()
-            }
-            _ => false,
-        };
-        if !comparable {
-            let dropped = inner.purge_relation(ident);
-            self.counters.add_invalidations(dropped as u64);
-            return;
-        }
-        if let Some(span) = inner.pending.get_mut(ident) {
-            // Fold at enqueue: keep the span's opening state, advance
-            // its closing one — `between(prev, new)` at flush covers
-            // the whole run of modifies.
-            span.new = new.clone();
-            span.last_tx = new_tx;
-            return;
-        }
-        if !inner
-            .views
-            .keys()
-            .any(|id| inner.interner.node(*id).reads_relation(ident))
-        {
+        let Some(log) = inner.logs.get_mut(ident) else {
             // No cached view reads the relation; anything registered
             // later evaluates against the already-modified store.
             return;
-        }
-        let prev = prev.expect("comparable implies a prior state").clone();
-        inner.pending.insert(
-            ident.to_string(),
-            PendingSpan {
-                rel_id,
-                prev,
+        };
+        let change = match (delta, prev) {
+            (Some(StateDelta::Reschema(_)), _) | (None, None) => None,
+            (Some(delta), _) => Some(Change::Delta(delta)),
+            (None, Some(prev)) => same_shape(prev, new).then(|| Change::Unfolded {
+                prev: prev.clone(),
                 new: new.clone(),
-                first_tx: new_tx,
-                last_tx: new_tx,
-            },
-        );
-    }
-
-    /// Propagates the delta one `modify_state` applied to `ident`
-    /// (already in the store, committed at `new_tx`) through every
-    /// cached view that reads it — the eager path
-    /// ([`ViewRegistry::queue_modify`] is the engine's deferred one).
-    pub fn apply_modify(
-        &self,
-        ident: &str,
-        rel_id: u64,
-        delta: &StateDelta,
-        new_tx: TransactionNumber,
-        src: &dyn StampSource,
-    ) {
-        let mut inner = self.lock();
-        inner.propagate(ident, rel_id, delta, new_tx, new_tx, src, &self.counters);
-    }
-
-    /// Folds and propagates every queued `modify_state` span now — the
-    /// shutdown path. The lazy write path queues spans to be settled on
-    /// the next read; an engine going away with spans still queued must
-    /// settle them first so no cached view outlives the writes it has
-    /// not yet seen.
-    pub fn flush(&self, src: &dyn StampSource) {
-        let mut inner = self.lock();
-        inner.flush_pending(src, &self.counters);
-    }
-
-    /// How many relations have a queued, not-yet-propagated write span.
-    pub fn pending_spans(&self) -> usize {
-        self.lock().pending.len()
+            }),
+        };
+        match change.filter(|_| log.rel_id == rel_id) {
+            Some(change) => log.push(new_tx, change, new.len()),
+            None => {
+                let dropped = inner.purge_relation(ident);
+                self.counters.add_invalidations(dropped as u64);
+            }
+        }
     }
 
     /// Drops every cached view whose subtree reads `ident` — the sound
@@ -1230,18 +1486,6 @@ impl ViewRegistry {
     pub fn purge_relation(&self, ident: &str) {
         let mut inner = self.lock();
         let dropped = inner.purge_relation(ident);
-        self.counters.add_invalidations(dropped as u64);
-    }
-
-    /// Drops every cached view and registration (the interner and its
-    /// ids survive — they are pure identities).
-    pub fn clear(&self) {
-        let mut inner = self.lock();
-        let dropped = inner.views.len();
-        inner.views.clear();
-        inner.roots.clear();
-        inner.seen.clear();
-        inner.pending.clear();
         self.counters.add_invalidations(dropped as u64);
     }
 
@@ -1255,7 +1499,7 @@ impl ViewRegistry {
             inner.views.clear();
             inner.roots.clear();
             inner.seen.clear();
-            inner.pending.clear();
+            inner.logs.clear();
             d
         } else {
             inner.enforce_capacity()
@@ -1272,7 +1516,17 @@ impl ViewRegistry {
     /// A point-in-time snapshot of the memo counters and gauges.
     pub fn stats(&self) -> MemoStats {
         let inner = self.lock();
-        self.counters.snapshot(inner.roots.len(), inner.views.len())
+        let log_entries = inner.logs.values().map(|l| l.entries.len()).sum();
+        let max_lag = inner
+            .roots
+            .keys()
+            .filter_map(|id| inner.views.get(id))
+            .flat_map(|view| &view.stamps)
+            .filter_map(|(ident, stamp)| Some(inner.logs.get(ident)?.commits_after(stamp.1)))
+            .max()
+            .unwrap_or(0);
+        self.counters
+            .snapshot(inner.roots.len(), inner.views.len(), log_entries, max_lag)
     }
 
     /// Zeroes the counters (cached state is untouched).
@@ -1349,8 +1603,34 @@ mod tests {
         e.select(Predicate::gt_const("x", Value::Int(0)))
     }
 
+    /// Commits `vals` as version `tx` of relation `r` (catalog id 7) and
+    /// logs it the way the engine does: with the store's delta, or — for
+    /// a store that computes none — with the two state handles alone.
+    fn commit(db: &mut FakeDb, memo: &ViewRegistry, tx: u64, vals: &[i64], with_delta: bool) {
+        let prev = db.rels.get("r").map(|(_, _, s)| s.clone());
+        let new = StateValue::Snapshot(snap(vals));
+        db.set("r", 7, tx, new.clone());
+        let delta = prev
+            .as_ref()
+            .filter(|_| with_delta)
+            .map(|p| StateDelta::between(p, &new));
+        memo.queue_modify("r", 7, prev.as_ref(), &new, delta, TransactionNumber(tx));
+    }
+
+    fn register(memo: &ViewRegistry, db: &FakeDb, expr: &Expr) -> StateValue {
+        memo.decide(expr, db);
+        memo.eval_and_register(expr, db).unwrap()
+    }
+
+    fn hit(memo: &ViewRegistry, db: &FakeDb, expr: &Expr) -> StateValue {
+        match memo.decide(expr, db) {
+            MemoDecision::Hit(state) => state,
+            other => panic!("expected a hit, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn register_then_hit_then_propagate() {
+    fn register_then_hit_then_repair() {
         let mut db = FakeDb::new();
         db.set("r", 7, 3, StateValue::Snapshot(snap(&[-1, 1, 2])));
         let memo = ViewRegistry::new();
@@ -1363,27 +1643,144 @@ mod tests {
         ));
         let v = memo.eval_and_register(&expr, &db).unwrap();
         assert_eq!(v, StateValue::Snapshot(snap(&[1, 2])));
-
-        let MemoDecision::Hit(hit) = memo.decide(&expr, &db) else {
-            panic!("expected a hit");
-        };
-        assert_eq!(hit, v);
+        assert_eq!(hit(&memo, &db, &expr), v);
 
         // One tuple added, one removed; the view follows without a
-        // re-evaluation.
-        db.set("r", 7, 4, StateValue::Snapshot(snap(&[-1, 2, 5])));
-        let delta = StateDelta::Snapshot {
-            added: vec![Tuple::new(vec![Value::Int(5)])],
-            removed: vec![Tuple::new(vec![Value::Int(1)])],
-        };
-        memo.apply_modify("r", 7, &delta, TransactionNumber(4), &db);
-        let MemoDecision::Hit(hit) = memo.decide(&expr, &db) else {
-            panic!("expected a post-propagation hit");
-        };
-        assert_eq!(hit, StateValue::Snapshot(snap(&[2, 5])));
+        // re-evaluation, on the read that asks for it.
+        commit(&mut db, &memo, 4, &[-1, 2, 5], true);
+        assert_eq!(memo.stats().propagations, 0, "the write walks no view");
+        assert_eq!(
+            (memo.stats().log_entries, memo.stats().max_lag),
+            (1, 1),
+            "one commit logged, the root one commit behind"
+        );
+        assert_eq!(
+            hit(&memo, &db, &expr),
+            StateValue::Snapshot(snap(&[2, 5])),
+            "a repaired view is a hit"
+        );
         let stats = memo.stats();
-        assert_eq!(stats.hits, 2);
-        assert!(stats.propagations >= 2, "leaf and select both propagate");
+        assert_eq!((stats.hits, stats.misses), (2, 1));
+        assert_eq!(stats.propagations, 2, "leaf and select both propagate");
+        assert_eq!((stats.repairs, stats.fallbacks, stats.max_lag), (1, 0, 0));
+    }
+
+    /// The pull-model successor of the flush-on-read test: a burst of
+    /// writes between reads is logged entry by entry, and the read that
+    /// asks folds the entries since *its* stamp into one net delta.
+    #[test]
+    fn a_write_burst_is_folded_by_the_read_that_asks_and_by_no_other() {
+        for with_delta in [true, false] {
+            let mut db = FakeDb::new();
+            // Large enough that the burst stays under a quarter of it.
+            let base: Vec<i64> = (-1..=40).collect();
+            db.set("r", 7, 3, StateValue::Snapshot(snap(&base)));
+            let memo = ViewRegistry::new();
+            memo.set_register_after(1);
+            let expr = positive(Expr::current("r"));
+            let other = Expr::current("r").select(Predicate::lt_const("x", Value::Int(0)));
+            register(&memo, &db, &expr);
+            register(&memo, &db, &other);
+
+            // +50, then −1 (which `other` holds), then +51 −50: the net
+            // change under `expr` is {+51, −1}.
+            let mut vals = base.clone();
+            vals.push(50);
+            commit(&mut db, &memo, 4, &vals, with_delta);
+            vals.retain(|v| *v != -1 && *v != 1);
+            commit(&mut db, &memo, 5, &vals, with_delta);
+            vals.retain(|v| *v != 50);
+            vals.push(51);
+            commit(&mut db, &memo, 6, &vals, with_delta);
+            let logged = memo.stats();
+            assert_eq!(logged.propagations, 0, "writes walk no view");
+            assert_eq!(logged.max_lag, 3);
+            // A store that hands out no delta shares one unfolded entry
+            // across the burst; one that does logs each commit.
+            assert_eq!(logged.log_entries, if with_delta { 3 } else { 1 });
+
+            let want: Vec<i64> = vals.iter().copied().filter(|v| *v > 0).collect();
+            assert_eq!(
+                hit(&memo, &db, &expr),
+                StateValue::Snapshot(snap(&want)),
+                "with_delta={with_delta}"
+            );
+            let stats = memo.stats();
+            assert_eq!(
+                (stats.repairs, stats.propagations, stats.fallbacks),
+                (1, 2, 0),
+                "one repair of the two nodes under the root that was read"
+            );
+            assert!(
+                stats.propagated_changes <= 4,
+                "the fold settles {{+50, −50}} away (saw {})",
+                stats.propagated_changes
+            );
+            // The other root still stands where it stood, and catches
+            // up when somebody reads it.
+            assert_eq!(stats.max_lag, 3);
+            assert_eq!(hit(&memo, &db, &other), StateValue::Snapshot(snap(&[])));
+            assert_eq!(memo.stats().max_lag, 0);
+        }
+    }
+
+    #[test]
+    fn the_log_is_trimmed_and_a_view_behind_it_is_re_evaluated() {
+        let mut db = FakeDb::new();
+        let mut vals: Vec<i64> = (1..=16).collect();
+        db.set("r", 7, 3, StateValue::Snapshot(snap(&vals)));
+        let memo = ViewRegistry::new();
+        memo.set_register_after(1);
+        let expr = positive(Expr::current("r"));
+        register(&memo, &db, &expr);
+        // 10 000 one-row updates with nobody reading: two changes each,
+        // and a 16-row relation tolerates four before recomputing wins.
+        for i in 0..10_000u64 {
+            vals[(i % 16) as usize] += 16;
+            commit(&mut db, &memo, 4 + i, &vals, true);
+            assert!(memo.stats().log_entries <= 2, "after {i} commits");
+        }
+        let before = memo.stats();
+        assert_eq!(before.propagations, 0);
+        assert!(before.max_lag >= 1, "a lower bound once off the log");
+        assert_eq!(hit(&memo, &db, &expr), StateValue::Snapshot(snap(&vals)));
+        let after = memo.stats();
+        assert_eq!(
+            (after.fallbacks, after.invalidations),
+            (0, before.invalidations + 1),
+            "too far behind: re-evaluated, counted as an invalidation"
+        );
+        // Back on the log, the next commit is repaired by rule again.
+        vals[0] += 16;
+        commit(&mut db, &memo, 20_000, &vals, true);
+        assert_eq!(hit(&memo, &db, &expr), StateValue::Snapshot(snap(&vals)));
+        assert_eq!(memo.stats().invalidations, after.invalidations);
+    }
+
+    #[test]
+    fn a_view_stamped_inside_a_merged_unfolded_entry_is_re_evaluated() {
+        let mut db = FakeDb::new();
+        let mut vals: Vec<i64> = (1..=64).collect();
+        db.set("r", 7, 3, StateValue::Snapshot(snap(&vals)));
+        let memo = ViewRegistry::new();
+        memo.set_register_after(1);
+        let old = positive(Expr::current("r"));
+        let young = Expr::current("r").select(Predicate::gt_const("x", Value::Int(10)));
+        register(&memo, &db, &old);
+        vals.push(100);
+        commit(&mut db, &memo, 4, &vals, false);
+        // Registered between two delta-less commits: they merge into one
+        // entry, whose diff starts before this view's stamp.
+        register(&memo, &db, &young);
+        vals.push(101);
+        commit(&mut db, &memo, 5, &vals, false);
+        assert_eq!(memo.stats().log_entries, 1);
+        let want = StateValue::Snapshot(snap(&vals));
+        assert_eq!(hit(&memo, &db, &old), want, "starts where the entry starts");
+        assert_eq!(memo.stats().invalidations, 0);
+        let want: Vec<i64> = vals.iter().copied().filter(|v| *v > 10).collect();
+        assert_eq!(hit(&memo, &db, &young), StateValue::Snapshot(snap(&want)));
+        assert_eq!(memo.stats().invalidations, 1, "recomputed, not repaired");
     }
 
     #[test]
@@ -1400,7 +1797,7 @@ mod tests {
     }
 
     #[test]
-    fn reschema_and_purge_drop_readers() {
+    fn reschema_and_purge_drop_readers_and_their_log() {
         let mut db = FakeDb::new();
         db.set("r", 1, 1, StateValue::Snapshot(snap(&[1])));
         db.set("s", 2, 2, StateValue::Snapshot(snap(&[2])));
@@ -1409,20 +1806,47 @@ mod tests {
         let on_r = positive(Expr::current("r"));
         let on_s = positive(Expr::current("s"));
         for e in [&on_r, &on_s] {
-            memo.decide(e, &db);
-            memo.eval_and_register(e, &db).unwrap();
+            register(&memo, &db, e);
         }
         assert_eq!(memo.stats().views, 4);
+        // Lagging views (and the log they would have caught up from) go
+        // with a purge like any other.
+        for (ident, id, tx, vals) in [("r", 1, 3, [1, 5]), ("s", 2, 4, [2, 6])] {
+            let prev = db.rels[ident].2.clone();
+            let new = StateValue::Snapshot(snap(&vals));
+            db.set(ident, id, tx, new.clone());
+            let delta = StateDelta::between(&prev, &new);
+            memo.queue_modify(
+                ident,
+                id,
+                Some(&prev),
+                &new,
+                Some(delta),
+                TransactionNumber(tx),
+            );
+        }
+        assert_eq!(memo.stats().log_entries, 2);
 
         // A reschema delta invalidates r's readers, leaves s's alone.
-        let re = StateDelta::Reschema(Box::new(StateValue::Snapshot(snap(&[9]))));
-        memo.apply_modify("r", 1, &re, TransactionNumber(3), &db);
-        assert_eq!(memo.stats().views, 2);
-        assert!(!memo.has_readers("r"));
-        assert!(memo.has_readers("s"));
+        let prev = db.rels["r"].2.clone();
+        let other = StateValue::Snapshot(
+            SnapshotState::from_rows(
+                Schema::new(vec![("y", DomainType::Int)]).unwrap(),
+                vec![vec![Value::Int(9)]],
+            )
+            .unwrap(),
+        );
+        let re = StateDelta::between(&prev, &other);
+        assert!(matches!(re, StateDelta::Reschema(_)));
+        memo.queue_modify("r", 1, Some(&prev), &other, Some(re), TransactionNumber(5));
+        assert_eq!((memo.stats().views, memo.stats().log_entries), (2, 1));
+        assert!(matches!(
+            memo.decide(&on_s, &db),
+            MemoDecision::Hit(s) if s == StateValue::Snapshot(snap(&[2, 6]))
+        ));
 
         memo.purge_relation("s");
-        assert_eq!(memo.stats().views, 0);
+        assert_eq!((memo.stats().views, memo.stats().log_entries), (0, 0));
     }
 
     #[test]
@@ -1449,58 +1873,17 @@ mod tests {
     }
 
     #[test]
-    fn queued_modifies_fold_and_flush_on_read() {
-        let mut db = FakeDb::new();
-        db.set("r", 7, 3, StateValue::Snapshot(snap(&[-1, 1, 2])));
-        let memo = ViewRegistry::new();
-        memo.set_register_after(1);
-        let expr = positive(Expr::current("r"));
-        memo.decide(&expr, &db);
-        memo.eval_and_register(&expr, &db).unwrap();
-
-        // A burst of writes between reads: each enqueue is O(1), and
-        // the flush on the next read folds the burst into one net-delta
-        // propagation (+3 +9 −1 through the select).
-        let chain = [
-            snap(&[-1, 1, 2, 3]),
-            snap(&[-1, 2, 3]),
-            snap(&[-1, 2, 3, 9]),
-        ];
-        let mut prev = StateValue::Snapshot(snap(&[-1, 1, 2]));
-        for (i, s) in chain.iter().enumerate() {
-            let s = StateValue::Snapshot(s.clone());
-            let tx = 4 + i as u64;
-            db.set("r", 7, tx, s.clone());
-            memo.queue_modify("r", 7, Some(&prev), &s, TransactionNumber(tx));
-            prev = s;
-        }
-        let MemoDecision::Hit(hit) = memo.decide(&expr, &db) else {
-            panic!("expected a post-flush hit");
-        };
-        assert_eq!(hit, StateValue::Snapshot(snap(&[2, 3, 9])));
-        let stats = memo.stats();
-        // The folded span carries 3 net changes; an eager scheme would
-        // have propagated each of the 3 writes separately.
-        assert!(
-            stats.propagations <= 6,
-            "one folded propagation pass, not one per write (saw {})",
-            stats.propagations
-        );
-    }
-
-    #[test]
-    fn queue_reschema_purges_readers_immediately() {
+    fn a_state_kind_flip_purges_readers_at_the_write() {
         let mut db = FakeDb::new();
         db.set("r", 1, 1, StateValue::Snapshot(snap(&[1])));
         let memo = ViewRegistry::new();
         memo.set_register_after(1);
         let e = positive(Expr::current("r"));
-        memo.decide(&e, &db);
-        memo.eval_and_register(&e, &db).unwrap();
-        assert!(memo.has_readers("r"));
+        register(&memo, &db, &e);
+        assert_eq!(memo.stats().views, 2);
 
-        // A state-kind flip has no delta rule; the queue settles it on
-        // the spot rather than deferring an unusable span.
+        // A state-kind flip has no delta rule; the write settles it on
+        // the spot rather than logging an entry nobody could fold.
         let hist = StateValue::Historical(
             txtime_historical::HistoricalState::new(
                 Schema::new(vec![("x", DomainType::Int)]).unwrap(),
@@ -1512,8 +1895,19 @@ mod tests {
             .unwrap(),
         );
         let prev = StateValue::Snapshot(snap(&[1]));
-        memo.queue_modify("r", 1, Some(&prev), &hist, TransactionNumber(2));
-        assert!(!memo.has_readers("r"));
+        memo.queue_modify("r", 1, Some(&prev), &hist, None, TransactionNumber(2));
+        assert_eq!((memo.stats().views, memo.stats().log_entries), (0, 0));
+    }
+
+    #[test]
+    fn a_relation_nobody_reads_is_not_logged() {
+        let mut db = FakeDb::new();
+        db.set("r", 7, 3, StateValue::Snapshot(snap(&[1])));
+        let memo = ViewRegistry::new();
+        for tx in 4..100 {
+            commit(&mut db, &memo, tx, &[tx as i64], true);
+        }
+        assert_eq!(memo.stats(), MemoStats::default());
     }
 
     #[test]
@@ -1551,22 +1945,22 @@ mod tests {
     }
 
     #[test]
-    fn stale_stamp_misses_instead_of_hitting() {
+    fn a_stale_stamp_the_log_cannot_explain_is_never_served() {
         let mut db = FakeDb::new();
         db.set("r", 1, 1, StateValue::Snapshot(snap(&[1])));
         let memo = ViewRegistry::new();
         memo.set_register_after(1);
         let e = positive(Expr::current("r"));
-        memo.decide(&e, &db);
-        memo.eval_and_register(&e, &db).unwrap();
-        // The relation moved without propagation (as evolution would):
-        // the stale view must not be served.
+        register(&memo, &db, &e);
+        // The relation moved and the memo was not told: the log does not
+        // reach the new version, so no delta is trusted. The leaf reads
+        // the store and the operator above it is recomputed.
         db.set("r", 1, 9, StateValue::Snapshot(snap(&[4])));
-        assert!(matches!(
-            memo.decide(&e, &db),
-            MemoDecision::Evaluate { register: true }
-        ));
-        let v = memo.eval_and_register(&e, &db).unwrap();
-        assert_eq!(v, StateValue::Snapshot(snap(&[4])));
+        assert_eq!(hit(&memo, &db, &e), StateValue::Snapshot(snap(&[4])));
+        let stats = memo.stats();
+        assert_eq!((stats.invalidations, stats.fallbacks), (1, 0));
+        // The same under a redefined relation (a fresh catalog id).
+        db.set("r", 2, 10, StateValue::Snapshot(snap(&[-3, 6])));
+        assert_eq!(hit(&memo, &db, &e), StateValue::Snapshot(snap(&[6])));
     }
 }

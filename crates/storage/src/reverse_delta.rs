@@ -101,6 +101,20 @@ impl RollbackStore for ReverseDeltaStore {
         self.current = Some(state);
     }
 
+    /// The undo entry just pushed carries the new state back to the
+    /// previous one; its mirror image is the wanted delta, at the cost
+    /// of the changes rather than of a second diff.
+    fn append_with_delta(
+        &mut self,
+        state: &StateValue,
+        tx: TransactionNumber,
+    ) -> Option<StateDelta> {
+        let had_prev = self.current.is_some();
+        self.append(state, tx);
+        let undo = self.undo.last().filter(|_| had_prev)?;
+        Some(undo.mirror(self.current.as_ref()?))
+    }
+
     fn state_at(&self, tx: TransactionNumber) -> Option<StateValue> {
         let idx = self.txs.partition_point(|t| *t <= tx);
         let target = idx.checked_sub(1)?;

@@ -1,12 +1,15 @@
 //! Differential property tests for the view memo: an engine with the
 //! memo fully enabled (registration on first evaluation, so repeated
-//! queries hit cached views and every `modify_state` propagates deltas
-//! through them) is observationally identical — values *and* errors —
+//! queries hit cached views and every `modify_state` leaves them a delta
+//! to catch up from) is observationally identical — values *and* errors —
 //! to an engine with the memo disabled and to the denotational evaluator
 //! in `txtime-core`, on every backend, sequentially and partitioned. This
 //! is the property that licenses consulting the memo in `Engine::eval` at
 //! all — and, since `modify_state` evaluates on the plain path and only
-//! queues a span for the memo, the property that licenses that bypass.
+//! logs its delta for the memo, the property that licenses that bypass.
+//! Maintenance is demand-driven (a read repairs the view it asks for and
+//! no other), so the scripted tests at the end read different roots at
+//! different lags behind their relations.
 
 use proptest::prelude::*;
 use txtime_snapshot::rng::rngs::StdRng;
@@ -17,11 +20,11 @@ use txtime_core::{Command, Database, Expr, RelationType, SchemeChange, Transacti
 use txtime_exec::ExecPool;
 use txtime_historical::generate::{random_historical_state, HistGenConfig};
 use txtime_snapshot::generate::{random_predicate, random_state, GenConfig};
-use txtime_snapshot::{DomainType, Schema, Value};
+use txtime_snapshot::{DomainType, Predicate, Schema, SnapshotState, Value};
 use txtime_storage::{BackendKind, CheckpointPolicy, Engine};
 
 /// 1 is the sequential oracle; 2 exercises the partitioned kernels that
-/// delta propagation runs beneath (`OpKind::Propagate`).
+/// a recomputed operator runs on.
 const THREADS: [usize; 2] = [1, 2];
 
 fn schema() -> Schema {
@@ -94,26 +97,34 @@ fn assert_agree(
     }
 }
 
-/// Runs the command sequence on both engines and the oracle in lockstep,
-/// checking the whole query pool after every command — so views
-/// registered early see every later modification, deletion, and scheme
-/// change as a delta propagation or an invalidation. Commands whose
-/// index lies in `unread` are not followed by reads: their writes pile
-/// up in one queued span that the next read folds and flushes.
-fn drive(
-    cmds: &[Command],
-    unread: std::ops::Range<usize>,
-    queries: &[Expr],
+/// The engine under test, the memo-less engine and the denotational
+/// oracle, driven in lockstep.
+struct Rig {
+    memo: Engine,
+    plain: Engine,
+    oracle: Database,
     backend: BackendKind,
     threads: usize,
-) -> (Engine, Engine) {
-    let mut memo = memo_engine(backend, threads);
-    let mut plain = plain_engine(backend, threads);
-    let mut oracle = Database::empty();
-    for (i, cmd) in cmds.iter().enumerate() {
-        let a = memo.execute(cmd);
-        let b = plain.execute(cmd);
-        let c = cmd.execute(&oracle);
+}
+
+impl Rig {
+    fn new(backend: BackendKind, threads: usize) -> Rig {
+        Rig {
+            memo: memo_engine(backend, threads),
+            plain: plain_engine(backend, threads),
+            oracle: Database::empty(),
+            backend,
+            threads,
+        }
+    }
+
+    /// Runs `cmd` on all three and demands the same outcome, errors
+    /// included.
+    fn exec(&mut self, cmd: &Command) {
+        let (backend, threads) = (self.backend, self.threads);
+        let a = self.memo.execute(cmd);
+        let b = self.plain.execute(cmd);
+        let c = cmd.execute(&self.oracle);
         match (&a, &b) {
             (Ok(_), Ok(_)) => {}
             (Err(x), Err(y)) => assert_eq!(
@@ -124,7 +135,7 @@ fn drive(
             _ => panic!("{backend}, {threads} threads: command outcome diverged: {a:?} vs {b:?}"),
         }
         match (b, c) {
-            (Ok(_), Ok((next, _))) => oracle = next,
+            (Ok(_), Ok((next, _))) => self.oracle = next,
             (Err(x), Err(y)) => assert_eq!(
                 format!("{x:?}"),
                 format!("{y:?}"),
@@ -135,14 +146,45 @@ fn drive(
                 c.map(|_| ())
             ),
         }
+    }
+
+    /// Reads `q` everywhere; see [`assert_agree`].
+    fn read(&self, q: &Expr) {
+        assert_agree(
+            &self.memo,
+            &self.plain,
+            &self.oracle,
+            q,
+            self.backend,
+            self.threads,
+        );
+    }
+}
+
+/// Runs the command sequence on both engines and the oracle in lockstep,
+/// checking the whole query pool after every command — so views
+/// registered early see every later modification, deletion, and scheme
+/// change as a repair or an invalidation. Commands whose index lies in
+/// `unread` are not followed by reads: their writes pile up in the log
+/// (or fall off it) until the next read catches its views up.
+fn drive(
+    cmds: &[Command],
+    unread: std::ops::Range<usize>,
+    queries: &[Expr],
+    backend: BackendKind,
+    threads: usize,
+) -> (Engine, Engine) {
+    let mut rig = Rig::new(backend, threads);
+    for (i, cmd) in cmds.iter().enumerate() {
+        rig.exec(cmd);
         if unread.contains(&i) {
             continue;
         }
         for q in queries {
-            assert_agree(&memo, &plain, &oracle, q, backend, threads);
+            rig.read(q);
         }
     }
-    (memo, plain)
+    (rig.memo, rig.plain)
 }
 
 /// Snapshot-algebra queries, the same shape pool as the other
@@ -215,8 +257,9 @@ proptest! {
         let registered_root = Expr::current("r0").union(Expr::current("r1"));
         cmds.push(Command::modify_state("r1", registered_root.clone()));
         // (b) A burst of 100 writes to a relation with registered readers
-        // and no read in between: one folded span, flushed by the next
-        // read. Expression writes and constant writes alternate.
+        // and no read in between: far more change than the log keeps
+        // for a ten-row relation, so the next read finds its views off
+        // the log. Expression writes and constant writes alternate.
         let burst_start = cmds.len();
         for i in 0..100usize {
             let fresh = Expr::snapshot_const(random_state(&mut rng, &schema(), &gen_cfg().values));
@@ -232,8 +275,8 @@ proptest! {
         // Reads resume after the last write of the burst.
         let unread = burst_start..cmds.len() - 1;
         // (c) An as-of reader registered before the burst whose target
-        // lands inside the folded span: the fold skips that version, so
-        // the view must be dropped and re-resolved, not patched. Each
+        // lands inside the burst: no fold ends at that version, so the
+        // view must be re-resolved from the store, not patched. Each
         // successful command advances the clock by one, so command `i`
         // commits at `i + 1` or a little earlier.
         let inside = TransactionNumber((burst_start + 50) as u64);
@@ -356,5 +399,364 @@ proptest! {
                 drive(&cmds, 0..0, &queries, backend, threads);
             }
         }
+    }
+}
+
+// --------------------------------------------------------------------
+// Scripted lag scenarios: which root is read when is the whole point, so
+// these are plain tests over a fixed script, on every backend and thread
+// budget, against the same two oracles.
+// --------------------------------------------------------------------
+
+/// Rows of `acct`: the log keeps a quarter of this in changes, two per
+/// update-one-row commit, so a view may lag 32 commits and still repair.
+const ACCT_ROWS: i64 = 256;
+
+fn acct_schema() -> Schema {
+    Schema::new(vec![("id", DomainType::Int), ("grade", DomainType::Int)]).unwrap()
+}
+
+fn acct_rows(rows: impl IntoIterator<Item = (i64, i64)>) -> Expr {
+    Expr::snapshot_const(
+        SnapshotState::from_rows(
+            acct_schema(),
+            rows.into_iter()
+                .map(|(id, grade)| vec![Value::Int(id), Value::Int(grade)]),
+        )
+        .unwrap(),
+    )
+}
+
+/// `acct(id, grade)` with `acct_len` rows, grade `id % 4`, and
+/// `dept(dgrade, label)` with sixteen rows, so that losing one stays
+/// under the quarter at which × recomputes.
+fn lag_setup(acct_len: i64) -> Vec<Command> {
+    let dept = SnapshotState::from_rows(
+        Schema::new(vec![
+            ("dgrade", DomainType::Int),
+            ("label", DomainType::Str),
+        ])
+        .unwrap(),
+        (0..16).map(|g| vec![Value::Int(g), Value::str(format!("d{g}"))]),
+    )
+    .unwrap();
+    vec![
+        Command::define_relation("acct", RelationType::Rollback),
+        Command::define_relation("dept", RelationType::Rollback),
+        Command::modify_state("acct", acct_rows((0..acct_len).map(|id| (id, id % 4)))),
+        Command::modify_state("dept", Expr::snapshot_const(dept)),
+    ]
+}
+
+/// The benchmark's update-one-row commit: the row of `id` gets `grade`.
+fn update_row(id: i64, grade: i64) -> Command {
+    Command::modify_state(
+        "acct",
+        Expr::current("acct")
+            .difference(Expr::current("acct").select(Predicate::eq_const("id", Value::Int(id))))
+            .union(acct_rows([(id, grade)])),
+    )
+}
+
+fn low_ids() -> Expr {
+    Expr::current("acct").select(Predicate::lt_const("id", Value::Int(40)))
+}
+
+fn grade_two_ids() -> Expr {
+    Expr::current("acct")
+        .select(Predicate::eq_const("grade", Value::Int(2)))
+        .project(vec!["id".into()])
+}
+
+fn labelled() -> Expr {
+    Expr::current("acct")
+        .product(Expr::current("dept"))
+        .select(Predicate::eq_attrs("grade", "dgrade"))
+        .project(vec!["id".into(), "label".into()])
+}
+
+fn for_every_configuration(scenario: impl Fn(&mut Rig)) {
+    for backend in BackendKind::ALL {
+        for threads in THREADS {
+            let mut rig = Rig::new(backend, threads);
+            for cmd in lag_setup(ACCT_ROWS) {
+                rig.exec(&cmd);
+            }
+            scenario(&mut rig);
+        }
+    }
+}
+
+/// (a) Three roots share the `ρ(acct, ∞)` leaf and are read at different
+/// lags: each catches up from its own stamp, by its delta rules alone.
+#[test]
+fn roots_sharing_a_leaf_repair_from_their_own_stamps() {
+    for_every_configuration(|rig| {
+        let (a, b, join) = (low_ids(), grade_two_ids(), labelled());
+        for q in [&a, &b, &join] {
+            rig.read(q);
+        }
+        let registered = rig.memo.memo_stats();
+        for i in 0..3 {
+            rig.exec(&update_row(i, 2));
+        }
+        rig.read(&b); // at t+3; brings the shared leaf to t+3 with it
+        rig.exec(&Command::modify_state(
+            "dept",
+            Expr::current("dept").select(Predicate::gt_const("dgrade", Value::Int(0))),
+        ));
+        for i in 3..10 {
+            rig.exec(&update_row(7 * i, (i + 1) % 4));
+        }
+        assert_eq!(rig.memo.memo_stats().max_lag, 10, "{}", rig.backend);
+        rig.read(&join); // at t+10, behind on both relations
+        rig.read(&a); // at t+10, its leaf already there
+        rig.read(&b); // from t+3
+        let stats = rig.memo.memo_stats();
+        assert_eq!(stats.max_lag, 0, "{}", rig.backend);
+        // The plan search (`TXTIME_OPTIMIZE=2`) lowers σ over × to a
+        // physical join, which has no delta rule and recomputes; the
+        // counts below are those of the plan as written.
+        if rig.memo.optimize_level() < 2 {
+            assert_eq!(
+                (stats.fallbacks, stats.invalidations),
+                (registered.fallbacks, registered.invalidations),
+                "{}, {} threads: every repair went through a delta rule: {stats:?}",
+                rig.backend,
+                rig.threads
+            );
+            assert_eq!(stats.repairs, registered.repairs + 4, "{}", rig.backend);
+        }
+    });
+}
+
+/// A root and its own subexpression are both registered and read at
+/// different lags: the subexpression's repair covers only its own span,
+/// so the operator above it, further behind, must recompute from it
+/// rather than apply a delta that starts too late.
+#[test]
+fn a_parent_behind_its_shared_child_recomputes_that_operator() {
+    for_every_configuration(|rig| {
+        let child = Expr::current("acct").select(Predicate::eq_const("grade", Value::Int(2)));
+        let parent = grade_two_ids();
+        rig.read(&parent);
+        rig.read(&child);
+        for i in 0..3 {
+            rig.exec(&update_row(4 * i, 2)); // three rows join grade 2
+        }
+        rig.read(&child); // the child moves to t+3, the parent stays at t
+        for i in 0..3 {
+            rig.exec(&update_row(4 * i + 2, 0)); // three others leave it
+        }
+        let before = rig.memo.memo_stats();
+        rig.read(&parent);
+        let after = rig.memo.memo_stats();
+        assert_eq!(
+            (after.fallbacks, after.invalidations),
+            (before.fallbacks + 1, before.invalidations),
+            "{}, {} threads: π recomputed from the repaired σ",
+            rig.backend,
+            rig.threads
+        );
+    });
+}
+
+/// (b) A hot root keeps up commit by commit while a cold one falls
+/// behind the trimmed log: the cold one is re-evaluated on its next read,
+/// not repaired.
+#[test]
+fn a_view_behind_the_trimmed_log_is_re_evaluated() {
+    for_every_configuration(|rig| {
+        let (cold, hot) = (low_ids(), grade_two_ids());
+        rig.read(&cold);
+        rig.read(&hot);
+        let commits = ACCT_ROWS / 4;
+        for i in 0..commits {
+            rig.exec(&update_row(i, 2));
+            rig.read(&hot);
+        }
+        let behind = rig.memo.memo_stats();
+        assert!(
+            behind.log_entries < commits as usize,
+            "{}: the log was trimmed ({} entries)",
+            rig.backend,
+            behind.log_entries
+        );
+        assert_eq!(behind.fallbacks, 0, "{}", rig.backend);
+        rig.read(&cold);
+        let after = rig.memo.memo_stats();
+        assert_eq!(
+            (after.invalidations, after.fallbacks),
+            (behind.invalidations + 1, 0),
+            "{}, {} threads: dropped for falling off the log",
+            rig.backend,
+            rig.threads
+        );
+        // Back on the log: the next commit is repaired again.
+        rig.exec(&update_row(5, 0));
+        rig.read(&cold);
+        assert_eq!(
+            rig.memo.memo_stats().invalidations,
+            after.invalidations,
+            "{}",
+            rig.backend
+        );
+    });
+}
+
+/// (c) An as-of probe whose target lies inside a span that a root has
+/// not caught up on: no fold ends there, so the leaf re-resolves from
+/// the store and the operator above it is recomputed.
+#[test]
+fn an_as_of_probe_inside_an_unrepaired_span_re_resolves() {
+    for_every_configuration(|rig| {
+        // The setup's four commands commit at 1..=4; the updates below
+        // at 5..=14.
+        let inside = TxSpec::At(TransactionNumber(9));
+        let probe = Expr::rollback("acct", inside);
+        let since = Expr::current("acct").difference(Expr::rollback("acct", inside));
+        let a = low_ids();
+        for q in [&probe, &since, &a] {
+            rig.read(q);
+        }
+        for i in 0..10 {
+            rig.exec(&update_row(i, 3));
+        }
+        rig.read(&a); // the ρ(acct, ∞) leaf moves on; `since` stays behind
+        rig.read(&since);
+        rig.read(&probe);
+        // From here the probe names a version before every new commit.
+        let before = rig.memo.memo_stats();
+        rig.exec(&update_row(11, 3));
+        rig.read(&since);
+        rig.read(&probe);
+        let after = rig.memo.memo_stats();
+        assert_eq!(
+            (after.fallbacks, after.invalidations),
+            (before.fallbacks, before.invalidations),
+            "{}, {} threads: a probe below the span only moves its stamp",
+            rig.backend,
+            rig.threads
+        );
+    });
+}
+
+/// (d) Deletion, scheme evolution and truncation while views lag purge
+/// the views and the log they would have caught up from.
+#[test]
+fn churn_under_lagging_views_purges_them_and_the_log() {
+    for_every_configuration(|rig| {
+        let queries = [low_ids(), grade_two_ids(), labelled()];
+        let lag = |rig: &mut Rig| {
+            for q in &queries {
+                rig.read(q);
+            }
+            for i in 0..5 {
+                rig.exec(&update_row(i, 1));
+            }
+            let stats = rig.memo.memo_stats();
+            assert!(stats.log_entries >= 1 && stats.max_lag == 5, "{stats:?}");
+        };
+        let assert_purged = |rig: &Rig, what: &str| {
+            let stats = rig.memo.memo_stats();
+            // Only `ρ(dept, ∞)` may survive: it never read `acct`.
+            assert!(
+                stats.views <= 1 && stats.log_entries == 0,
+                "{}, {} threads: after {what}: {stats:?}",
+                rig.backend,
+                rig.threads
+            );
+        };
+
+        lag(rig);
+        let cutoff = rig.memo.tx();
+        for e in [&mut rig.memo, &mut rig.plain] {
+            assert!(e.archive_before("acct", cutoff, None).unwrap().archived > 0);
+        }
+        assert_purged(rig, "truncation");
+        for q in &queries {
+            rig.read(q);
+        }
+
+        lag(rig);
+        rig.exec(&Command::evolve_scheme(
+            "acct",
+            SchemeChange::AddAttribute {
+                name: "extra".into(),
+                domain: DomainType::Bool,
+                default: Value::Bool(false),
+            },
+        ));
+        assert_purged(rig, "evolution");
+        for q in &queries {
+            rig.read(q);
+        }
+
+        // The evolved scheme no longer fits `update_row`'s literal; write
+        // through an expression over the relation itself.
+        for q in &queries {
+            rig.read(q);
+        }
+        rig.exec(&Command::modify_state(
+            "acct",
+            Expr::current("acct").select(Predicate::gt_const("id", Value::Int(3))),
+        ));
+        assert_eq!(rig.memo.memo_stats().max_lag, 1);
+        rig.exec(&Command::delete_relation("acct"));
+        assert_purged(rig, "deletion");
+        rig.exec(&Command::define_relation("acct", RelationType::Rollback));
+        rig.exec(&Command::modify_state("acct", acct_rows([(1, 1), (2, 2)])));
+        for q in &queries {
+            rig.read(q);
+        }
+    });
+}
+
+/// (f) 10 000 commits with no read: the log stays bounded and the read
+/// that follows is correct.
+#[test]
+fn ten_thousand_unread_commits_leave_the_log_bounded() {
+    // The denotational oracle copies its whole history per command, so
+    // the burst runs on the two engines alone and the oracle is rebuilt
+    // at the end from the test's own model of update-one-row.
+    const ROWS: i64 = 32;
+    for backend in BackendKind::ALL {
+        let mut rig = Rig::new(backend, 1);
+        for cmd in lag_setup(ROWS) {
+            rig.exec(&cmd);
+        }
+        let queries = [low_ids(), grade_two_ids(), labelled()];
+        for q in &queries {
+            rig.read(q);
+        }
+        // A quarter of the relation in changes, at least one per entry.
+        let bound = (ROWS / 4) as usize;
+        let mut model: Vec<i64> = (0..ROWS).map(|id| id % 4).collect();
+        for i in 0..10_000i64 {
+            let (id, grade) = (i * 7 % ROWS, i % 4);
+            model[id as usize] = grade;
+            for e in [&mut rig.memo, &mut rig.plain] {
+                e.execute(&update_row(id, grade)).unwrap();
+            }
+            if i % 500 == 0 {
+                let held = rig.memo.memo_stats().log_entries;
+                assert!(held <= bound, "{backend}: {held} entries after {i} commits");
+            }
+        }
+        let stats = rig.memo.memo_stats();
+        assert!(stats.log_entries <= bound, "{backend}: {stats:?}");
+        assert_eq!(stats.propagations, 0, "{backend}: writes walk no view");
+        let rows = model.iter().enumerate().map(|(id, g)| (id as i64, *g));
+        rig.oracle = Database::empty();
+        for mut cmd in lag_setup(ROWS) {
+            if matches!(&cmd, Command::ModifyState(ident, _) if ident == "acct") {
+                cmd = Command::modify_state("acct", acct_rows(rows.clone()));
+            }
+            rig.oracle = cmd.execute(&rig.oracle).unwrap().0;
+        }
+        for q in &queries {
+            rig.read(q);
+        }
+        assert_eq!(rig.memo.memo_stats().max_lag, 0, "{backend}");
     }
 }

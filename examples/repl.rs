@@ -8,8 +8,9 @@
 //! printed; everything else mutates the in-memory engine. `\q` quits,
 //! `\catalog` lists relations, `\versions r` shows a relation's recorded
 //! history, `\memo` shows the incremental view memo's counters (queries
-//! displayed more than once are registered automatically; later
-//! modifications update their cached answers by delta propagation),
+//! displayed more than once are registered automatically; after later
+//! modifications a cached answer is brought forward by delta rules when
+//! it is next displayed),
 //! `\shards` shows each relation's shard layout and compaction counters,
 //! `\optimize` shows (and `\optimize N` sets) the optimization level
 //! with the planner's counters, `\plan expr` prints the plan the engine

@@ -318,6 +318,19 @@ fn stats_reports_memo_and_interner_pools() {
     // View-memo counters and the hash-consed expression DAG footprint.
     assert!(stdout.contains("memo:"), "stdout: {stdout}");
     assert!(stdout.contains("hit rate"), "stdout: {stdout}");
+    // Demand-driven maintenance: repairs beside propagations and
+    // fallbacks, and what the lagging views hold.
+    let counters = stdout
+        .lines()
+        .find(|l| l.contains(" registrations, "))
+        .unwrap_or_else(|| panic!("no memo counter line: {stdout}"));
+    for word in ["repairs", "propagations", "fallbacks", "invalidations"] {
+        assert!(counters.contains(word), "{word} missing: {counters}");
+    }
+    assert!(
+        stdout.contains("log entries held, largest root lag"),
+        "stdout: {stdout}"
+    );
     assert!(stdout.contains("expr interner:"), "stdout: {stdout}");
     // The delta backends expose their per-relation string pools.
     assert!(stdout.contains("pool:  emp:"), "stdout: {stdout}");

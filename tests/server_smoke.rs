@@ -173,6 +173,62 @@ fn snapshot_durable_pins_to_the_fsynced_clock() {
     handle.wait();
 }
 
+/// The `STATS` memo line says what an operator can act on under
+/// demand-driven maintenance: how much log the lagging views hold, and
+/// how far behind the furthest registered root is.
+#[test]
+fn stats_reports_the_memo_log_and_the_largest_root_lag() {
+    let mut engine = Engine::new(BackendKind::ForwardDelta, CheckpointPolicy::Never);
+    // One chain, whatever `TXTIME_SHARDS` says: a sharded store hands
+    // out no per-commit delta, and its unread commits share one entry.
+    engine.set_shards(1);
+    let handle = serve(engine, listener(), ServerConfig::default()).expect("server starts");
+    let mut c = Client::connect(handle.addr()).expect("connect");
+    assert!(c.exec("define_relation(emp, rollback);").unwrap().is_ok());
+    assert!(c
+        .exec("modify_state(emp, {(x: int): (1), (2), (3), (4), (5), (6), (7), (8)});")
+        .unwrap()
+        .is_ok());
+    let memo_line = |c: &mut Client| {
+        let stats = c.stats().expect("stats");
+        stats
+            .lines()
+            .find(|l| l.starts_with("memo:"))
+            .unwrap_or_else(|| panic!("no memo line in STATS: {stats}"))
+            .to_string()
+    };
+    assert_eq!(
+        memo_line(&mut c),
+        "memo: 0 root(s), 0 log entries held, largest root lag 0 commit(s)"
+    );
+    // The second display registers the root (the shipped threshold).
+    for _ in 0..2 {
+        assert!(c
+            .exec("display(select[x > 2](rho(emp, inf)));")
+            .unwrap()
+            .is_ok());
+    }
+    for v in [9, 10] {
+        let write = format!("modify_state(emp, rho(emp, inf) union {{(x: int): ({v})}});");
+        assert!(c.exec(&write).unwrap().is_ok());
+    }
+    assert_eq!(
+        memo_line(&mut c),
+        "memo: 1 root(s), 2 log entries held, largest root lag 2 commit(s)"
+    );
+    // Reading the root repairs it; the log stays for whoever else lags.
+    match c.exec("display(select[x > 2](rho(emp, inf)));").unwrap() {
+        Response::Val(state) => assert!(state.contains("(10)"), "stale read: {state}"),
+        other => panic!("read failed: {other:?}"),
+    }
+    assert_eq!(
+        memo_line(&mut c),
+        "memo: 1 root(s), 2 log entries held, largest root lag 0 commit(s)"
+    );
+    handle.shutdown();
+    handle.wait();
+}
+
 /// Connections beyond `max_sessions` get `ERR busy` at the door.
 #[test]
 fn sessions_beyond_the_cap_are_rejected_busy() {
