@@ -65,20 +65,17 @@ pub trait RollbackStore: Send + Sync {
     /// must be presented in strictly increasing order.
     fn append(&mut self, state: &StateValue, tx: TransactionNumber);
 
-    /// [`RollbackStore::append`], additionally handing out the
-    /// [`StateDelta`] that carries the previous current state to the new
-    /// one when the store computes it for its own representation anyway
-    /// — the view memo logs it per commit ([`crate::ViewRegistry`]), so
-    /// a `modify_state` on those stores diffs once. `None` from a store
-    /// that diffs nothing on append (the provided implementation) and
-    /// for the first version: the memo then diffs the two states on
-    /// first demand.
-    fn append_with_delta(
-        &mut self,
-        state: &StateValue,
-        tx: TransactionNumber,
-    ) -> Option<StateDelta> {
-        self.append(state, tx);
+    /// The [`StateDelta`] that carried the previous version to the
+    /// current one, when the last [`RollbackStore::append`] left it in
+    /// the store's own representation: the view memo logs it per commit
+    /// ([`crate::ViewRegistry::queue_modify`]) and asks only when a
+    /// cached view reads the relation, so a write nobody reads pays
+    /// nothing here and one somebody reads diffs once. Costs the listed
+    /// changes, never the relation. `None` from a store that holds no
+    /// such delta (the provided implementation), at a checkpoint
+    /// position and for the first version: the memo then diffs the two
+    /// states on first demand.
+    fn last_delta(&self) -> Option<StateDelta> {
         None
     }
 

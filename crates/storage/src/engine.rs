@@ -1022,12 +1022,19 @@ impl Engine {
                 let fold = self.default_compact_every();
                 let rel = self.catalog.get_mut(ident).expect("checked above");
                 let rel_id = rel.rel_id;
-                let (prev, delta) = match &mut rel.keeper {
+                // One log entry if a cached view reads the relation,
+                // nothing otherwise; no view is walked here.
+                let memo = &self.memo;
+                match &mut rel.keeper {
                     Keeper::History(store) => {
                         let prev = store.current();
-                        // The delta stores diff for their own chain
-                        // anyway; the memo's log takes the same delta.
-                        let delta = store.append_with_delta(&state, next);
+                        store.append(&state, next);
+                        // The delta stores diffed for their own chain;
+                        // the memo's log takes that delta, and asks for
+                        // it only if the relation has readers (and before
+                        // a compaction can promote it to a checkpoint).
+                        let delta = || store.last_delta();
+                        memo.queue_modify(ident, rel_id, prev.as_ref(), &state, delta, next);
                         // Opportunistic compaction: fold the chain every
                         // `auto_compact` appends so no later rollback
                         // probe replays more than `fold` deltas. The
@@ -1040,20 +1047,15 @@ impl Engine {
                                 store.compact(fold);
                             }
                         }
-                        (prev, delta)
                     }
                     Keeper::Single(slot) => {
                         let prev = slot.take().map(|(p, _)| p);
                         *slot = Some((state.clone(), next));
-                        (prev, None)
+                        memo.queue_modify(ident, rel_id, prev.as_ref(), &state, || None, next);
                     }
-                };
+                }
                 self.tx = next;
                 self.note_state_meta(ident, &state);
-                // One log entry if a cached view reads the relation,
-                // nothing otherwise; no view is walked here.
-                self.memo
-                    .queue_modify(ident, rel_id, prev.as_ref(), &state, delta, next);
                 Ok(CommandOutcome::Modified)
             }
             Command::DeleteRelation(ident) => {

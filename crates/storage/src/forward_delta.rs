@@ -150,19 +150,12 @@ impl RollbackStore for ForwardDeltaStore {
         self.current = Some(state);
     }
 
-    /// The chain entry just pushed *is* the wanted delta. Checkpoint
-    /// positions hold a full state instead and pay the one diff here.
-    fn append_with_delta(
-        &mut self,
-        state: &StateValue,
-        tx: TransactionNumber,
-    ) -> Option<StateDelta> {
-        let prev = self.current.clone();
-        self.append(state, tx);
-        match (&self.entries.last()?.0, prev) {
-            (Entry::Delta(d), _) => Some(d.clone()),
-            (Entry::Checkpoint(cur), Some(prev)) => Some(StateDelta::between(&prev, cur)),
-            (Entry::Checkpoint(_), None) => None,
+    /// The newest chain entry *is* the wanted delta, unless it is a
+    /// checkpoint, which holds a full state and was never diffed.
+    fn last_delta(&self) -> Option<StateDelta> {
+        match &self.entries.last()?.0 {
+            Entry::Delta(d) => Some(d.clone()),
+            Entry::Checkpoint(_) => None,
         }
     }
 
@@ -514,6 +507,23 @@ mod tests {
         assert_eq!(s.state_at(TransactionNumber(5)), Some(snap(&[2])));
         assert_eq!(s.state_at(TransactionNumber(9)), Some(snap(&[2, 3])));
         assert_eq!(s.current(), Some(snap(&[2, 3])));
+    }
+
+    #[test]
+    fn last_delta_is_the_newest_chain_entry_and_none_at_a_checkpoint() {
+        let mut s = ForwardDeltaStore::new(CheckpointPolicy::every_k(3).unwrap());
+        assert_eq!(s.last_delta(), None);
+        let mut prev = None;
+        for v in 1..=9u64 {
+            let state = snap(&[v as i64, v as i64 + 1]);
+            s.append(&state, TransactionNumber(v));
+            let want = prev
+                .as_ref()
+                .filter(|_| (v - 1) % 3 != 0)
+                .map(|p| StateDelta::between(p, &state));
+            assert_eq!(s.last_delta(), want, "version {v}");
+            prev = Some(state);
+        }
     }
 
     #[test]

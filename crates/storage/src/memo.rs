@@ -26,8 +26,8 @@
 //!   transaction number and its small [`StateDelta`], which the delta
 //!   stores compute inside `append` anyway — and walks no view; a
 //!   relation no cached view reads has no log, and its commits return at
-//!   the first check. Every other view simply stays behind, at its
-//!   stamp. When [`ViewRegistry::decide`] or
+//!   the first check, before the store is even asked for that delta.
+//!   Every other view simply stays behind, at its stamp. When [`ViewRegistry::decide`] or
 //!   [`ViewRegistry::eval_and_register`] meets a cached node whose
 //!   stamps lag, it brings forward the nodes *under that node* only,
 //!   children first: a `ρ(I, ∞)` leaf takes the store's current handle;
@@ -39,7 +39,11 @@
 //!   one operator from its (repaired) children when no rule applies:
 //!   ×/×̂/δ over the [`delta_beats_reeval`] threshold, a child repaired
 //!   from a different stamp (a subexpression another root already
-//!   brought forward), or a `ρ(I, n)` probe that lands inside the span.
+//!   brought forward), a child standing ahead of the node on *another*
+//!   relation (the rules take the children's states for the node's own
+//!   old inputs with one relation moved; a shared leaf some other root
+//!   has brought forward is not that), or a `ρ(I, n)` probe that lands
+//!   inside the span.
 //!   Lagging is sound because stamps are per relation and transaction
 //!   numbers increase strictly: a view at stamp `s` *is* the expression's
 //!   value as of version `s`, and the entries after `s` are exactly what
@@ -47,10 +51,12 @@
 //!   the operators already use: once the logged changes pass a quarter
 //!   of the relation, recomputing wins, so the oldest entries go (the
 //!   newest always stays) and a view stamped before them is dropped and
-//!   re-evaluated on its next read. Stores that diff nothing on append
-//!   (full-copy, tuple-timestamp, sharded, single-version relations)
-//!   log the two state handles instead and the diff happens on first
-//!   demand; consecutive such commits share one entry.
+//!   re-evaluated on its next read. Commits whose store leaves no delta
+//!   behind (full-copy, tuple-timestamp, sharded, single-version
+//!   relations; the delta stores' checkpoint positions) log the two
+//!   state handles instead and the diff happens on first demand, so no
+//!   write ever diffs a relation; consecutive such commits share one
+//!   entry.
 //!
 //! Node-wise evaluation applies the plain operators rather than the
 //! pushdown shapes the engine's un-memoized path uses; the two are
@@ -208,21 +214,23 @@ enum Change {
     /// The delta carrying the previous version to this one, handed out
     /// by the store's own append.
     Delta(StateDelta),
-    /// For stores that diff nothing on append: the state handles before
-    /// the entry's first commit and after its last, diffed on first
-    /// demand. Handles are reference-counted, and only the newest entry
-    /// of a log is ever in this form.
+    /// For commits whose store left no delta behind (a store that diffs
+    /// nothing on append, or a delta store's checkpoint position): the
+    /// state handles before the entry's first commit and after its last,
+    /// diffed on first demand, so that the write path never diffs a
+    /// relation. Handles are reference-counted; the diff replaces them.
     Unfolded { prev: StateValue, new: StateValue },
 }
 
 impl Change {
     /// What the trim rule weighs: the changes a fold would have to
     /// carry, and at least one step per entry, so that commits that
-    /// change nothing cannot pile up either. Unknown until diffed.
+    /// change nothing cannot pile up either. An entry not yet diffed
+    /// weighs that one step.
     fn weight(&self) -> usize {
         match self {
             Change::Delta(d) => d.change_count().max(1),
-            Change::Unfolded { .. } => 0,
+            Change::Unfolded { .. } => 1,
         }
     }
 }
@@ -334,8 +342,9 @@ impl RelLog {
     fn fold(&mut self, idx: usize, current: &StateValue) -> Option<StateDelta> {
         for e in self.entries.range_mut(idx..) {
             if let Change::Unfolded { prev, new } = &e.change {
-                e.change = Change::Delta(StateDelta::between(prev, new));
-                self.weight += e.change.weight();
+                let diffed = Change::Delta(StateDelta::between(prev, new));
+                self.weight = self.weight - e.change.weight() + diffed.weight();
+                e.change = diffed;
             }
         }
         let mut deltas = self.entries.range(idx..).map(|e| match &e.change {
@@ -816,15 +825,39 @@ impl Inner {
         false
     }
 
+    /// Whether a cached child of `parent` stands, on some relation other
+    /// than `ident`, at a version the parent does not: another root has
+    /// brought the child forward there (or the child was re-evaluated),
+    /// and the parent has yet to follow.
+    fn out_of_step(&self, parent: &NodeView, child: ExprId, ident: &str) -> bool {
+        self.views.get(&child).is_some_and(|c| {
+            c.stamps
+                .iter()
+                .any(|(i, stamp)| i != ident && parent.stamp(i) != Some(*stamp))
+        })
+    }
+
     /// Brings operator node `id`, stamped `from` and with its children
     /// already repaired, to `pass.now`: by stamp alone if no child
     /// changed, by its delta rule if every changed child's delta covers
-    /// `(from, now]`, else by recomputing it from the children.
+    /// `(from, now]` and every child is otherwise the operand the cached
+    /// state was computed from, else by recomputing it from the children.
     fn repair_op(&mut self, id: ExprId, node: &ExprNode, from: RelStamp, pass: &mut Pass<'_>) {
         let mut any_dropped = false;
         let mut any_changed = false;
         let mut any_unknown = false;
         let mut off_log = false;
+        // The rules read the children's states as this node's old inputs
+        // with only the pass's relation moved (× pairs the changed side's
+        // removals with the *other* side as it stands). A child that is
+        // ahead on another relation is not that input, and the pass for
+        // that relation could not make up for it: pairs of two removed
+        // rows would appear in neither pass.
+        let view = self.views.get(&id).expect("caller saw the view");
+        let out_of_step = node
+            .children
+            .iter()
+            .any(|&child| self.out_of_step(view, child, pass.ident));
         for &child in &node.children {
             let cnode = self.interner.node(child);
             if !cnode.reads_relation(pass.ident) {
@@ -860,7 +893,7 @@ impl Inner {
             // Out of the map, the old state has one owner and the rule
             // edits it in place.
             let old = self.views.remove(&id).expect("caller saw the view");
-            let ruled = if any_unknown {
+            let ruled = if any_unknown || out_of_step {
                 None
             } else {
                 self.delta_rule(node, old.state, &pass.done)
@@ -1441,21 +1474,25 @@ impl ViewRegistry {
     /// store, committed at `new_tx`) — the engine's write-path entry and
     /// the only contact between a write and the memo. `prev` is the
     /// relation's state just before the append (`None` for its very
-    /// first state); `delta` carries `prev` to `new` when the store's
-    /// append computed it anyway, and is diffed on first demand when not.
+    /// first state); `delta` yields what carries `prev` to `new` if the
+    /// store's append left that behind ([`RollbackStore::last_delta`]),
+    /// and the two states are diffed on first demand when it does not.
     ///
     /// A relation no cached view reads has no log, and the call returns
-    /// at that check. Otherwise it is O(1) in the number of views and,
-    /// given `delta`, in the relation's size: one entry pushed, the
+    /// at that check, before `delta` is asked. Otherwise it is O(1) in
+    /// the number of views and in the relation's size: one entry pushed
+    /// (a copy of the commit's changes, or two state handles), the
     /// oldest trimmed. A scheme or state-kind boundary (no delta rule
     /// can cross it) purges the relation's readers and its log.
+    ///
+    /// [`RollbackStore::last_delta`]: crate::RollbackStore::last_delta
     pub fn queue_modify(
         &self,
         ident: &str,
         rel_id: u64,
         prev: Option<&StateValue>,
         new: &StateValue,
-        delta: Option<StateDelta>,
+        delta: impl FnOnce() -> Option<StateDelta>,
         new_tx: TransactionNumber,
     ) {
         let mut inner = self.lock();
@@ -1464,7 +1501,7 @@ impl ViewRegistry {
             // later evaluates against the already-modified store.
             return;
         };
-        let change = match (delta, prev) {
+        let change = match (delta(), prev) {
             (Some(StateDelta::Reschema(_)), _) | (None, None) => None,
             (Some(delta), _) => Some(Change::Delta(delta)),
             (None, Some(prev)) => same_shape(prev, new).then(|| Change::Unfolded {
@@ -1614,7 +1651,7 @@ mod tests {
             .as_ref()
             .filter(|_| with_delta)
             .map(|p| StateDelta::between(p, &new));
-        memo.queue_modify("r", 7, prev.as_ref(), &new, delta, TransactionNumber(tx));
+        memo.queue_modify("r", 7, prev.as_ref(), &new, || delta, TransactionNumber(tx));
     }
 
     fn register(memo: &ViewRegistry, db: &FakeDb, expr: &Expr) -> StateValue {
@@ -1783,6 +1820,97 @@ mod tests {
         assert_eq!(memo.stats().invalidations, 1, "recomputed, not repaired");
     }
 
+    /// What a delta store with checkpoints logs: deltas, with an
+    /// undiffed entry at every checkpoint position in between.
+    #[test]
+    fn a_log_mixing_deltas_and_undiffed_entries_folds_and_trims() {
+        let tx = TransactionNumber;
+        let state = |vals: &[i64]| StateValue::Snapshot(snap(vals));
+        let held = |log: &RelLog| log.entries.iter().map(|e| e.change.weight()).sum::<usize>();
+        let undiffed = |log: &RelLog| {
+            let forms = log.entries.iter();
+            forms
+                .map(|e| matches!(e.change, Change::Unfolded { .. }))
+                .collect::<Vec<_>>()
+        };
+
+        // +50; −1 +51 (undiffed); −50.
+        let mut vals: Vec<i64> = (1..=40).collect();
+        let v0 = state(&vals);
+        vals.push(50);
+        let v1 = state(&vals);
+        vals.retain(|v| *v != 1);
+        vals.push(51);
+        let v2 = state(&vals);
+        vals.retain(|v| *v != 50);
+        let v3 = state(&vals);
+        let mut log = RelLog::new((7, tx(3)));
+        log.push(
+            tx(4),
+            Change::Delta(StateDelta::between(&v0, &v1)),
+            v1.len(),
+        );
+        let (prev, new) = (v1.clone(), v2.clone());
+        log.push(tx(5), Change::Unfolded { prev, new }, v2.len());
+        log.push(
+            tx(6),
+            Change::Delta(StateDelta::between(&v2, &v3)),
+            v3.len(),
+        );
+        assert_eq!(undiffed(&log), [false, true, false]);
+        assert_eq!((log.weight, held(&log)), (3, 3), "one step each so far");
+
+        // A view at the newest stamp folds the last delta alone and
+        // leaves the undiffed entry as it is.
+        let now = (7, tx(6));
+        let idx = log.after((7, tx(5)), now).unwrap();
+        assert_eq!(log.fold(idx, &v3).unwrap().apply(&v2), v3);
+        assert_eq!(undiffed(&log), [false, true, false]);
+        // One further back diffs it, once; the trim rule then weighs
+        // what the diff found.
+        let idx = log.after((7, tx(4)), now).unwrap();
+        assert_eq!(log.fold(idx, &v3).unwrap().apply(&v1), v3);
+        assert_eq!(undiffed(&log), [false, false, false]);
+        assert_eq!((log.weight, held(&log)), (4, 4));
+        // From the base, across all three: 50 came and went, and is
+        // settled against the current state as a removal.
+        let idx = log.after((7, tx(3)), now).unwrap();
+        let folded = log.fold(idx, &v3).unwrap();
+        assert_eq!(folded.change_count(), 3);
+        assert_eq!(folded.apply(&v0), v3);
+        assert_eq!(log.after((7, tx(2)), now), None, "before the base");
+
+        // Trimming: one-row updates, every third one undiffed. Forty
+        // rows tolerate ten changes; the sum stays the entries' own.
+        let mut versions: BTreeMap<_, _> = (3..).map(tx).zip([v0, v1, v2, v3.clone()]).collect();
+        let mut prev = v3;
+        for i in 0..300u64 {
+            vals[(i % 40) as usize] += 100;
+            let new = state(&vals);
+            let change = if i % 3 == 0 {
+                let (prev, new) = (prev.clone(), new.clone());
+                Change::Unfolded { prev, new }
+            } else {
+                Change::Delta(StateDelta::between(&prev, &new))
+            };
+            log.push(tx(7 + i), change, new.len());
+            assert_eq!(log.weight, held(&log), "after {i} pushes");
+            assert!(log.entries.len() <= 10, "{} entries", log.entries.len());
+            if i % 7 == 0 {
+                // A reader now and then: its fold diffs what it needs.
+                let now = (7, tx(7 + i));
+                let idx = log.after((7, log.base), now).unwrap();
+                let folded = log.fold(idx, &new).unwrap();
+                assert_eq!(folded.apply(&versions[&log.base]), new, "at {i}");
+                assert_eq!(log.weight, held(&log), "after a fold at {i}");
+            }
+            versions.insert(tx(7 + i), new.clone());
+            prev = new;
+        }
+        assert!(log.base > tx(6), "the oldest entries went");
+        assert_eq!(log.head(), tx(306));
+    }
+
     #[test]
     fn shared_subexpressions_share_views() {
         let mut db = FakeDb::new();
@@ -1821,7 +1949,7 @@ mod tests {
                 id,
                 Some(&prev),
                 &new,
-                Some(delta),
+                || Some(delta),
                 TransactionNumber(tx),
             );
         }
@@ -1838,7 +1966,14 @@ mod tests {
         );
         let re = StateDelta::between(&prev, &other);
         assert!(matches!(re, StateDelta::Reschema(_)));
-        memo.queue_modify("r", 1, Some(&prev), &other, Some(re), TransactionNumber(5));
+        memo.queue_modify(
+            "r",
+            1,
+            Some(&prev),
+            &other,
+            || Some(re),
+            TransactionNumber(5),
+        );
         assert_eq!((memo.stats().views, memo.stats().log_entries), (2, 1));
         assert!(matches!(
             memo.decide(&on_s, &db),
@@ -1895,7 +2030,7 @@ mod tests {
             .unwrap(),
         );
         let prev = StateValue::Snapshot(snap(&[1]));
-        memo.queue_modify("r", 1, Some(&prev), &hist, None, TransactionNumber(2));
+        memo.queue_modify("r", 1, Some(&prev), &hist, || None, TransactionNumber(2));
         assert_eq!((memo.stats().views, memo.stats().log_entries), (0, 0));
     }
 
@@ -1907,6 +2042,10 @@ mod tests {
         for tx in 4..100 {
             commit(&mut db, &memo, tx, &[tx as i64], true);
         }
+        // The store is not even asked for the commit's delta.
+        let (prev, new) = (db.rels["r"].2.clone(), StateValue::Snapshot(snap(&[0])));
+        let unasked = || panic!("no reader, no delta");
+        memo.queue_modify("r", 7, Some(&prev), &new, unasked, TransactionNumber(100));
         assert_eq!(memo.stats(), MemoStats::default());
     }
 

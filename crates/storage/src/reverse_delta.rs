@@ -101,18 +101,11 @@ impl RollbackStore for ReverseDeltaStore {
         self.current = Some(state);
     }
 
-    /// The undo entry just pushed carries the new state back to the
+    /// The newest undo entry carries the current state back to the
     /// previous one; its mirror image is the wanted delta, at the cost
     /// of the changes rather than of a second diff.
-    fn append_with_delta(
-        &mut self,
-        state: &StateValue,
-        tx: TransactionNumber,
-    ) -> Option<StateDelta> {
-        let had_prev = self.current.is_some();
-        self.append(state, tx);
-        let undo = self.undo.last().filter(|_| had_prev)?;
-        Some(undo.mirror(self.current.as_ref()?))
+    fn last_delta(&self) -> Option<StateDelta> {
+        Some(self.undo.last()?.mirror(self.current.as_ref()?))
     }
 
     fn state_at(&self, tx: TransactionNumber) -> Option<StateValue> {
@@ -370,6 +363,20 @@ mod tests {
         assert_eq!(s.state_at(TransactionNumber(9)), Some(snap(&[2])));
         assert_eq!(s.current(), Some(snap(&[2])));
         assert_eq!(s.version_count(), 3);
+    }
+
+    #[test]
+    fn last_delta_mirrors_the_newest_undo_entry() {
+        let mut s = ReverseDeltaStore::with_cache(CheckpointPolicy::every_k(2).unwrap(), None);
+        assert_eq!(s.last_delta(), None);
+        let mut prev = None;
+        for v in 1..=6u64 {
+            let state = snap(&[v as i64, v as i64 + 1]);
+            s.append(&state, TransactionNumber(v));
+            let want = prev.as_ref().map(|p| StateDelta::between(p, &state));
+            assert_eq!(s.last_delta(), want, "version {v}");
+            prev = Some(state);
+        }
     }
 
     #[test]

@@ -19,8 +19,9 @@ use txtime_core::generate::{random_commands, CmdGenConfig};
 use txtime_core::{Command, Database, Expr, RelationType, SchemeChange, TransactionNumber, TxSpec};
 use txtime_exec::ExecPool;
 use txtime_historical::generate::{random_historical_state, HistGenConfig};
+use txtime_historical::{HistoricalState, TemporalElement};
 use txtime_snapshot::generate::{random_predicate, random_state, GenConfig};
-use txtime_snapshot::{DomainType, Predicate, Schema, SnapshotState, Value};
+use txtime_snapshot::{DomainType, Predicate, Schema, SnapshotState, Tuple, Value};
 use txtime_storage::{BackendKind, CheckpointPolicy, Engine};
 
 /// 1 is the sequential oracle; 2 exercises the partitioned kernels that
@@ -558,6 +559,95 @@ fn a_parent_behind_its_shared_child_recomputes_that_operator() {
             rig.backend,
             rig.threads
         );
+    });
+}
+
+/// A product is behind on both relations, and another root has already
+/// brought the shared leaf on one side to the present. While the product
+/// catches up on the other relation, that leaf is not the operand the
+/// cached product was computed from: a rule that paired the removed rows
+/// with it would leave `(removed row, removed row)` in the view for good.
+/// The operator is recomputed instead, for × and for ×̂.
+#[test]
+fn a_product_whose_other_side_was_brought_forward_recomputes() {
+    let hist = |attrs: [(&str, DomainType); 2], rows: Vec<(Vec<Value>, (u32, u32))>| {
+        Expr::historical_const(
+            HistoricalState::new(
+                Schema::new(attrs.to_vec()).unwrap(),
+                rows.into_iter().map(|(vals, (from, to))| {
+                    (Tuple::new(vals), TemporalElement::period(from, to))
+                }),
+            )
+            .unwrap(),
+        )
+    };
+    let hacct = |changed: Option<i64>| {
+        let rows = (0..64).map(|id| {
+            let grade = if changed == Some(id) { 3 } else { id % 4 };
+            (vec![Value::Int(id), Value::Int(grade)], (0, 10))
+        });
+        hist(
+            [("id", DomainType::Int), ("grade", DomainType::Int)],
+            rows.collect(),
+        )
+    };
+    let hdept = |from: i64| {
+        let rows = (from..16).map(|g| (vec![Value::Int(g), Value::str(format!("d{g}"))], (5, 20)));
+        hist(
+            [("dgrade", DomainType::Int), ("label", DomainType::Str)],
+            rows.collect(),
+        )
+    };
+    for_every_configuration(|rig| {
+        for cmd in [
+            Command::define_relation("hacct", RelationType::Temporal),
+            Command::define_relation("hdept", RelationType::Temporal),
+            Command::modify_state("hacct", hacct(None)),
+            Command::modify_state("hdept", hdept(0)),
+        ] {
+            rig.exec(&cmd);
+        }
+        let some_dept = Predicate::lt_const("dgrade", Value::Int(8));
+        let scripts = [
+            (
+                Expr::current("acct").product(Expr::current("dept")),
+                Expr::current("dept").select(some_dept.clone()),
+                update_row(5, 3),
+                Command::modify_state(
+                    "dept",
+                    Expr::current("dept").select(Predicate::gt_const("dgrade", Value::Int(0))),
+                ),
+                update_row(6, 1),
+            ),
+            (
+                Expr::hcurrent("hacct").hproduct(Expr::hcurrent("hdept")),
+                Expr::hcurrent("hdept").hselect(some_dept),
+                Command::modify_state("hacct", hacct(Some(5))),
+                Command::modify_state("hdept", hdept(1)),
+                Command::modify_state("hacct", hacct(Some(6))),
+            ),
+        ];
+        for (product, other, change_left, drop_right, change_again) in &scripts {
+            rig.read(product);
+            rig.read(other);
+            rig.exec(change_left);
+            rig.exec(drop_right);
+            rig.read(other); // the right-hand leaf moves on; the product stays
+            let before = rig.memo.memo_stats();
+            rig.read(product);
+            let after = rig.memo.memo_stats();
+            assert_eq!(
+                (after.fallbacks, after.invalidations, after.max_lag),
+                (before.fallbacks + 1, before.invalidations, 0),
+                "{}, {} threads: {product}: one operator recomputed",
+                rig.backend,
+                rig.threads
+            );
+            // In step again, the next change goes by rule.
+            rig.exec(change_again);
+            rig.read(product);
+            assert_eq!(rig.memo.memo_stats().fallbacks, after.fallbacks);
+        }
     });
 }
 
