@@ -252,13 +252,16 @@ fn e3_space() {
 fn e4_modify_state_throughput() {
     println!("E4. modify_state throughput (commands/s), |R| = 500, 200 commands");
     println!(
-        "{:<16} {:>10} {:>10} {:>10} {:>10}",
-        "backend", "append", "delete", "replace", "mixed"
+        "{:<16} {:>10} {:>10} {:>10} {:>10} {:>10}",
+        "backend", "append", "delete", "replace", "mixed", "literal"
     );
     let base = version_chain(1, 500, 0.0).pop().expect("one state");
     for backend in BackendKind::ALL {
         let mut row = format!("{:<16}", backend.to_string());
-        for mix in ["append", "delete", "replace", "mixed"] {
+        // The first four say which rows change and are installed as a
+        // delta; `literal` installs the append's result as a constant,
+        // the path any other right-hand side takes.
+        for mix in ["append", "delete", "replace", "mixed", "literal"] {
             let mut engine = Engine::new(backend, CheckpointPolicy::every_k(32).unwrap());
             engine
                 .execute(&Command::define_relation("r", RelationType::Rollback))
@@ -271,6 +274,7 @@ fn e4_modify_state_throughput() {
                 .unwrap();
             let mut rng = StdRng::seed_from_u64(SEED);
             let cfg = bench_gen_config(1);
+            let mut grown = base.clone();
             let cmds: Vec<Command> = (0..200)
                 .map(|i| {
                     let fresh =
@@ -282,6 +286,10 @@ fn e4_modify_state_throughput() {
                     let expr = match kind {
                         "append" => Expr::current("r").union(Expr::snapshot_const(fresh)),
                         "delete" => Expr::current("r").difference(Expr::snapshot_const(fresh)),
+                        "literal" => {
+                            grown = grown.union(&fresh).expect("same scheme");
+                            Expr::snapshot_const(grown.clone())
+                        }
                         _ => Expr::current("r")
                             .difference(Expr::snapshot_const(fresh.clone()))
                             .union(Expr::snapshot_const(fresh)),
@@ -298,7 +306,7 @@ fn e4_modify_state_throughput() {
         }
         println!("{row}");
     }
-    println!("=> every mix is one expression + one version install; backends differ in\n   install cost (delta diffing vs full copy vs interval bookkeeping).\n");
+    println!("=> an update that says which rows change costs those rows (the delta path);\n   a literal costs the relation: evaluate, intern, diff or stamp (the plain path).\n");
 }
 
 // --------------------------------------------------------------------

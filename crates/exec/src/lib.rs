@@ -85,11 +85,15 @@ pub enum OpKind {
     /// One served client request (parse→check→plan→execute); recorded
     /// externally by `txtime serve`, chunks count requests.
     Serve,
+    /// One `modify_state` installed as a delta folded from its own
+    /// right-hand side, not as an evaluated state; recorded externally by
+    /// the engine, chunks count the tuples the delta lists.
+    DeltaCommit,
 }
 
 impl OpKind {
     /// Every operator kind, in display order.
-    pub const ALL: [OpKind; 18] = [
+    pub const ALL: [OpKind; 19] = [
         OpKind::Select,
         OpKind::Project,
         OpKind::Product,
@@ -108,6 +112,7 @@ impl OpKind {
         OpKind::Compact,
         OpKind::Optimize,
         OpKind::Serve,
+        OpKind::DeltaCommit,
     ];
 
     /// The operator's display name.
@@ -131,6 +136,7 @@ impl OpKind {
             OpKind::Join => "join",
             OpKind::HJoin => "hjoin",
             OpKind::Serve => "serve",
+            OpKind::DeltaCommit => "delta-commit",
         }
     }
 
@@ -155,13 +161,14 @@ impl OpKind {
             OpKind::Product | OpKind::HProduct => PRODUCT_GRAIN,
             OpKind::Join | OpKind::HJoin => JOIN_GRAIN,
             // Units are whole rollback targets / memoized views / shards
-            // / chains.
+            // / chains / commits.
             OpKind::Resolve
             | OpKind::Propagate
             | OpKind::Shard
             | OpKind::Compact
             | OpKind::Optimize
-            | OpKind::Serve => 1,
+            | OpKind::Serve
+            | OpKind::DeltaCommit => 1,
         }
     }
 

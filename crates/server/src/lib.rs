@@ -716,6 +716,20 @@ fn handle_request(
         other if other.starts_with("SNAPSHOT AT ") => {
             match other["SNAPSHOT AT ".len()..].trim().parse::<u64>() {
                 Ok(n) => {
+                    // `ρ(I, n)` for `n` at or past the clock is the
+                    // *current* state: a pin beyond the applied clock
+                    // would move with every commit up to `n`, and a
+                    // snapshot is a version that can no longer change.
+                    let now = shared.read_engine().tx();
+                    if n > now.0 {
+                        return (
+                            format!(
+                                "ERR proto: SNAPSHOT AT {n} is beyond the applied clock (tx={})",
+                                now.0
+                            ),
+                            false,
+                        );
+                    }
                     *snapshot = Some(TransactionNumber(n));
                     (format!("OK snapshot tx={n}"), false)
                 }
@@ -950,8 +964,9 @@ fn sync_group(shared: &Arc<Shared>, wal_file: &mut Option<std::fs::File>, group:
 
 /// The apply stage of the committer: drains the session queue, applies
 /// each command under a briefly-held write lock (readers interleave
-/// between commands, never wait out a whole group), formats its journal
-/// line, and hands it to the sync stage.
+/// between commands, never wait out a whole group), then, with the lock
+/// released, formats its journal line, brings the static catalog along,
+/// and hands it to the sync stage.
 ///
 /// With group commit on, the sync stage runs in its own thread: while it
 /// fsyncs group K, this stage keeps applying group K+1, so batches form
@@ -988,13 +1003,23 @@ fn committer_loop(shared: &Arc<Shared>, mut wal_file: Option<std::fs::File>) {
     let mut last_tx = TransactionNumber(0);
     while let Some(batch) = shared.queue.pop_batch(group_commit) {
         for req in batch {
-            // The write lock is held for one engine apply at a time.
-            // Commit order is still total — this thread is the only
-            // writer — which is what keeps the clocks monotone.
-            let mut eng = shared.write_engine();
-            let (ack, journal) = match eng.execute(&req.cmd) {
+            // The write guard covers `Engine::execute` and nothing else:
+            // readers wait out one apply, never the journal formatting
+            // or the catalog update below. Commit order is still total
+            // (this thread is the only writer, and it finishes one
+            // request before it takes the next), which is what keeps the
+            // clocks monotone and the static catalog in commit order.
+            // The invariant the later steps rest on: an ack leaves only
+            // after the sync stage, which comes after everything here,
+            // so a client that has been told of a commit always checks
+            // its next command against a catalog that contains it.
+            let (result, tx) = {
+                let mut eng = shared.write_engine();
+                let result = eng.execute(&req.cmd);
+                (result, eng.tx())
+            };
+            let (ack, journal) = match result {
                 Ok(outcome) => {
-                    let tx = eng.tx();
                     // Claim 4's invariant, checked at every commit: one
                     // committer, one total order, strictly increasing
                     // transaction numbers.
@@ -1005,11 +1030,9 @@ fn committer_loop(shared: &Arc<Shared>, mut wal_file: Option<std::fs::File>) {
                     last_tx = tx;
                     // The engine has no WAL attached in serve mode; the
                     // journal line is formatted here and made durable by
-                    // the sync stage, outside the lock.
+                    // the sync stage.
                     let mut line = Vec::new();
                     let _ = wal::append_command(&mut line, &req.cmd);
-                    // Keep the static catalog in lock-step with the
-                    // engine, in commit order.
                     let warnings = shared
                         .linter
                         .lock()
@@ -1022,7 +1045,6 @@ fn committer_loop(shared: &Arc<Shared>, mut wal_file: Option<std::fs::File>) {
                 }
                 Err(e) => (Err(e.to_string()), Vec::new()),
             };
-            drop(eng);
             let item = SyncItem {
                 journal,
                 ack_to: req.ack,

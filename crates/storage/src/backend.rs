@@ -65,14 +65,35 @@ pub trait RollbackStore: Send + Sync {
     /// must be presented in strictly increasing order.
     fn append(&mut self, state: &StateValue, tx: TransactionNumber);
 
+    /// Installs the state `delta` carries the current one to, committed
+    /// at `tx`: what `append(&delta.apply(&current), tx)` leaves behind,
+    /// version for version and byte for byte, at the cost of the listed
+    /// tuples where the representation allows it (the provided
+    /// implementation is that definition). The engine calls this when the
+    /// command itself said which rows change (the delta path of
+    /// `Engine::apply`), so no store diffs two states to find them again.
+    ///
+    /// `delta` is normalised against the current state, as
+    /// [`StateDelta::between`] would list it (removals within the state,
+    /// arrivals outside it or revalued, both ascending), and is never a
+    /// `Reschema`: a scheme or kind boundary arrives as a state, through
+    /// [`RollbackStore::append`]. Panics on an empty store, which has no
+    /// state for a delta to apply to.
+    fn append_delta(&mut self, delta: &StateDelta, tx: TransactionNumber) {
+        let current = self.current().expect("a delta applies to a current state");
+        self.append(&delta.apply(&current), tx);
+    }
+
     /// The [`StateDelta`] that carried the previous version to the
     /// current one, when the last [`RollbackStore::append`] left it in
-    /// the store's own representation: the view memo logs it per commit
-    /// ([`crate::ViewRegistry::queue_modify`]) and asks only when a
-    /// cached view reads the relation, so a write nobody reads pays
-    /// nothing here and one somebody reads diffs once. Costs the listed
-    /// changes, never the relation. `None` from a store that holds no
-    /// such delta (the provided implementation), at a checkpoint
+    /// the store's own representation. Plain commits (a right-hand side
+    /// the delta path declines) are the only caller: the delta stores
+    /// diffed inside `append` for their own chain, so the view memo logs
+    /// that delta per commit ([`crate::ViewRegistry::queue_modify`])
+    /// instead of diffing the relation a second time on the first read,
+    /// and asks only when a cached view reads the relation. Costs the
+    /// listed changes, never the relation. `None` from a store that holds
+    /// no such delta (the provided implementation), at a checkpoint
     /// position and for the first version: the memo then diffs the two
     /// states on first demand.
     fn last_delta(&self) -> Option<StateDelta> {
@@ -256,9 +277,107 @@ impl fmt::Display for BackendKind {
     }
 }
 
+/// The `append_delta` ≡ `append` harness the per-store tests share.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+    use txtime_historical::{HistoricalState, TemporalElement};
+    use txtime_snapshot::{DomainType, Schema, SnapshotState, Tuple, Value};
+
+    fn schema() -> Schema {
+        Schema::new(vec![("id", DomainType::Int), ("name", DomainType::Str)]).unwrap()
+    }
+
+    fn row(id: i64, name: &str) -> Tuple {
+        Tuple::new(vec![Value::Int(id), Value::str(name)])
+    }
+
+    fn snap(rows: &[(i64, &str)]) -> StateValue {
+        let rows = rows.iter().map(|&(id, name)| row(id, name));
+        StateValue::Snapshot(SnapshotState::new(schema(), rows).unwrap())
+    }
+
+    fn hist(rows: &[(i64, &str, u32, u32)]) -> StateValue {
+        let rows = rows
+            .iter()
+            .map(|&(id, name, s, e)| (row(id, name), TemporalElement::period(s, e)));
+        StateValue::Historical(HistoricalState::new(schema(), rows).unwrap())
+    }
+
+    /// Chains of same-shape versions, strings included so that interning
+    /// shows: a version equal to the last, rows arriving (with a string
+    /// the pool has not seen), leaving, replaced, revalued, all at once,
+    /// everything leaving; long enough to cross checkpoint positions.
+    pub(crate) fn scripts() -> Vec<Vec<StateValue>> {
+        vec![
+            vec![
+                snap(&[(1, "a"), (2, "b"), (3, "c")]),
+                snap(&[(1, "a"), (2, "b"), (3, "c")]),
+                snap(&[(1, "a"), (2, "b"), (3, "c"), (4, "d")]),
+                snap(&[(1, "a"), (3, "c"), (4, "d")]),
+                snap(&[(1, "z"), (3, "c"), (4, "d")]),
+                snap(&[(0, "y"), (3, "c"), (9, "a")]),
+                snap(&[]),
+                snap(&[(5, "e")]),
+                snap(&[(5, "e"), (6, "e")]),
+            ],
+            vec![
+                hist(&[(1, "a", 0, 5), (2, "b", 0, 9)]),
+                hist(&[(1, "a", 0, 7), (2, "b", 0, 9)]),
+                hist(&[(1, "a", 0, 7), (2, "b", 0, 9)]),
+                hist(&[(1, "a", 0, 7), (3, "c", 2, 4)]),
+                hist(&[(1, "a", 3, 4), (3, "q", 2, 4), (4, "b", 1, 2)]),
+                hist(&[]),
+                hist(&[(7, "g", 0, 1)]),
+            ],
+        ]
+    }
+
+    /// Feeds every script to one fresh store through `append` and to
+    /// another through `append_delta` (after the first version, which
+    /// has nothing to be a delta of), and after every version demands
+    /// the same answers, the same accounting, and whatever `same`
+    /// compares of the stores' own representation.
+    pub(crate) fn assert_append_delta_is_append<S: RollbackStore>(
+        fresh: impl Fn() -> S,
+        same: impl Fn(&S, &S, &str),
+    ) {
+        for script in scripts() {
+            let (mut plain, mut delta) = (fresh(), fresh());
+            for (i, state) in script.iter().enumerate() {
+                let tx = TransactionNumber(2 * i as u64 + 1);
+                plain.append(state, tx);
+                match i.checked_sub(1) {
+                    Some(prev) => {
+                        delta.append_delta(&StateDelta::between(&script[prev], state), tx)
+                    }
+                    None => delta.append(state, tx),
+                }
+                let at = format!("{} version {i}", plain.kind());
+                assert_eq!(delta.current().as_ref(), Some(state), "{at}");
+                assert_eq!(plain.version_txs(), delta.version_txs(), "{at}");
+                assert_eq!(plain.space_bytes(), delta.space_bytes(), "{at}");
+                assert_eq!(plain.interner_stats(), delta.interner_stats(), "{at}");
+                for probe in 0..=tx.0 + 1 {
+                    let probe = TransactionNumber(probe);
+                    assert_eq!(plain.state_at(probe), delta.state_at(probe), "{at}");
+                }
+                same(&plain, &delta, &at);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The provided `append_delta` is the definition; the full-copy
+    /// store, the oracle of the others, keeps it.
+    #[test]
+    fn provided_append_delta_is_apply_then_append() {
+        testing::assert_append_delta_is_append(crate::FullCopyStore::new, |_, _, _| {});
+    }
 
     #[test]
     fn checkpoint_policy() {

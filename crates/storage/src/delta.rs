@@ -176,6 +176,27 @@ impl StateDelta {
         }
     }
 
+    /// A copy of this delta whose *arriving* tuples draw their strings
+    /// from `pool` — what [`intern_state`] over the whole new state
+    /// leaves in the pool, at the cost of the listed tuples: the removed
+    /// ones come out of a state that went through the pool already.
+    pub(crate) fn interned(&self, pool: &mut StrInterner) -> StateDelta {
+        match self {
+            StateDelta::Snapshot { added, removed } => StateDelta::Snapshot {
+                added: added.iter().map(|t| pool.intern_tuple(t)).collect(),
+                removed: removed.clone(),
+            },
+            StateDelta::Historical { upserted, removed } => StateDelta::Historical {
+                upserted: upserted
+                    .iter()
+                    .map(|(t, e)| (pool.intern_tuple(t), e.clone()))
+                    .collect(),
+                removed: removed.clone(),
+            },
+            StateDelta::Reschema(s) => StateDelta::Reschema(Box::new(intern_state(s, pool))),
+        }
+    }
+
     /// Number of changed tuples/entries carried by the delta.
     pub fn change_count(&self) -> usize {
         match self {

@@ -26,12 +26,13 @@ use txtime_optimizer::{
 
 use crate::backend::{BackendKind, CheckpointPolicy, RollbackStore};
 use crate::cache::MaterializationCache;
+use crate::delta::StateDelta;
 use crate::memo::{MemoDecision, RelStamp, StampSource, ViewRegistry};
 use crate::metrics::{
     CacheStats, CompactionStats, InternerStats, RelationSpace, ShardReport, SpaceReport,
 };
 use crate::shard::ShardedStore;
-use crate::wal;
+use crate::{update, wal};
 
 /// Default fold interval for [`Engine::compact`] when the engine's
 /// checkpoint policy is [`CheckpointPolicy::Never`]: compaction pins a
@@ -70,6 +71,15 @@ enum Keeper {
     History(Box<dyn RollbackStore>),
     /// Snapshot/historical relations: the single current version.
     Single(Option<(StateValue, TransactionNumber)>),
+}
+
+/// The two ways `modify_state` hands a new version to a keeper.
+enum Arrival {
+    /// The evaluated right-hand side: any expression.
+    State(StateValue),
+    /// What the right-hand side changes in the current state, folded
+    /// from the command without evaluating it ([`Engine::command_delta`]).
+    Delta(StateDelta),
 }
 
 /// A catalog entry.
@@ -1010,52 +1020,82 @@ impl Engine {
                 let rtype = self
                     .relation_type(ident)
                     .ok_or_else(|| CoreError::UndefinedRelation(ident.clone()))?;
-                let state = self.eval_unmemoized(expr)?;
-                if state.is_historical() != rtype.holds_historical() {
-                    return Err(CoreError::StateTypeMismatch {
-                        relation: ident.clone(),
-                        rtype,
-                    });
-                }
+                let started = std::time::Instant::now();
+                let arrival = match self.command_delta(ident, expr) {
+                    Some(delta) => Arrival::Delta(delta),
+                    None => {
+                        let state = self.eval_unmemoized(expr)?;
+                        if state.is_historical() != rtype.holds_historical() {
+                            return Err(CoreError::StateTypeMismatch {
+                                relation: ident.clone(),
+                                rtype,
+                            });
+                        }
+                        Arrival::State(state)
+                    }
+                };
                 let next = self.tx.next();
                 let auto_compact = self.auto_compact;
                 let fold = self.default_compact_every();
                 let rel = self.catalog.get_mut(ident).expect("checked above");
-                let rel_id = rel.rel_id;
-                // One log entry if a cached view reads the relation,
-                // nothing otherwise; no view is walked here.
-                let memo = &self.memo;
-                match &mut rel.keeper {
-                    Keeper::History(store) => {
+                // `prev` is kept only where the memo may have to diff it
+                // against `new`: holding a second handle on the state a
+                // delta is about to edit would make that edit a copy.
+                let (prev, new) = match (&mut rel.keeper, &arrival) {
+                    (Keeper::History(store), Arrival::State(state)) => {
                         let prev = store.current();
-                        store.append(&state, next);
-                        // The delta stores diffed for their own chain;
-                        // the memo's log takes that delta, and asks for
-                        // it only if the relation has readers (and before
-                        // a compaction can promote it to a checkpoint).
-                        let delta = || store.last_delta();
-                        memo.queue_modify(ident, rel_id, prev.as_ref(), &state, delta, next);
-                        // Opportunistic compaction: fold the chain every
-                        // `auto_compact` appends so no later rollback
-                        // probe replays more than `fold` deltas. The
-                        // delta stores seed the replay at the nearest
-                        // checkpoint to the first unpinned slot, so a
-                        // pass folds at most the appends since the
-                        // previous one plus one interval.
-                        if let Some(auto) = auto_compact {
-                            if store.version_count().is_multiple_of(auto.get()) {
-                                store.compact(fold);
-                            }
-                        }
+                        store.append(state, next);
+                        (prev, state.clone())
                     }
-                    Keeper::Single(slot) => {
-                        let prev = slot.take().map(|(p, _)| p);
-                        *slot = Some((state.clone(), next));
-                        memo.queue_modify(ident, rel_id, prev.as_ref(), &state, || None, next);
+                    (Keeper::History(store), Arrival::Delta(delta)) => {
+                        store.append_delta(delta, next);
+                        (None, store.current().expect("just appended"))
+                    }
+                    (Keeper::Single(slot), Arrival::State(state)) => {
+                        let prev = slot.replace((state.clone(), next)).map(|(p, _)| p);
+                        (prev, state.clone())
+                    }
+                    (Keeper::Single(slot), Arrival::Delta(delta)) => {
+                        let (state, at) = slot.as_mut().expect("folded against this state");
+                        delta.apply_in_place(state);
+                        *at = next;
+                        (None, state.clone())
+                    }
+                };
+                // One log entry if a cached view reads the relation,
+                // nothing otherwise; no view is walked here. The log
+                // takes the command's own delta, or the one a delta
+                // store diffed for its chain inside a plain `append`,
+                // and is asked for either only if the relation has
+                // readers (and before a compaction can promote the
+                // chain entry to a checkpoint).
+                let logged = || match (&arrival, &rel.keeper) {
+                    (Arrival::Delta(delta), _) => Some(delta.clone()),
+                    (Arrival::State(_), Keeper::History(store)) => store.last_delta(),
+                    (Arrival::State(_), Keeper::Single(_)) => None,
+                };
+                self.memo
+                    .queue_modify(ident, rel.rel_id, prev.as_ref(), &new, logged, next);
+                // Opportunistic compaction: fold the chain every
+                // `auto_compact` appends so no later rollback probe
+                // replays more than `fold` deltas. The delta stores seed
+                // the replay at the nearest checkpoint to the first
+                // unpinned slot, so a pass folds at most the appends
+                // since the previous one plus one interval.
+                if let (Keeper::History(store), Some(auto)) = (&mut rel.keeper, auto_compact) {
+                    if store.version_count().is_multiple_of(auto.get()) {
+                        store.compact(fold);
                     }
                 }
                 self.tx = next;
-                self.note_state_meta(ident, &state);
+                self.note_state_meta(ident, &new);
+                if let Arrival::Delta(delta) = &arrival {
+                    self.pool.record_external(
+                        OpKind::DeltaCommit,
+                        delta.change_count() as u64,
+                        started.elapsed(),
+                    );
+                }
                 Ok(CommandOutcome::Modified)
             }
             Command::DeleteRelation(ident) => {
@@ -1105,6 +1145,28 @@ impl Engine {
                 Ok(CommandOutcome::Displayed(state))
             }
         }
+    }
+
+    /// The delta `modify_state(ident, expr)` carries the relation's
+    /// current state through, if `expr` says so itself: `ρ(ident, ∞)`
+    /// under a chain of `− X`, `∪ X`, `σ_F` (or the hatted twins). Each
+    /// `X` runs on the write path's evaluator and sees the pre-commit
+    /// state. `None` is no verdict on the command: any other shape, a
+    /// relation with no state yet or of the other kind, an operand that
+    /// fails or does not fit; the plain path then decides, errors
+    /// included.
+    fn command_delta(&self, ident: &str, expr: &Expr) -> Option<StateDelta> {
+        let (historical, steps) = update::recognise(ident, expr)?;
+        let current = self.current_state(ident)?;
+        if current.is_historical() != historical {
+            return None;
+        }
+        let steps: Vec<_> = steps
+            .into_iter()
+            .map(|step| step.try_map(|x| self.eval_unmemoized(x)))
+            .collect::<Result<_, _>>()
+            .ok()?;
+        update::fold(&current, &steps)
     }
 
     fn current_state(&self, ident: &str) -> Option<StateValue> {
@@ -1831,8 +1893,18 @@ mod tests {
         e
     }
 
+    fn op_row(e: &Engine, name: &str) -> (u64, u64) {
+        let exec = e.exec_stats();
+        let op = exec.ops.iter().find(|o| o.name == name).unwrap();
+        (op.calls, op.chunks)
+    }
+
+    /// The count test of the delta path: an update-one-row commit runs
+    /// no ∪ and no − kernel (the parent ran one of each per commit), is
+    /// recorded as a delta commit listing the two rows it changes, and
+    /// touches the memo no more than before.
     #[test]
-    fn commits_feed_no_view_memo_and_split_nothing_at_1024_rows() {
+    fn update_commits_go_by_delta_feed_no_view_memo_and_run_no_set_kernel() {
         let mut e = two_thread_engine(1024);
         // Repeating keys: the same write expression recurs, which is what
         // used to cross the memo's registration threshold.
@@ -1847,10 +1919,14 @@ mod tests {
         );
         assert_eq!((memo.hits, memo.misses), (0, 0), "writes decide nothing");
         assert_eq!(e.memo_interner_footprint().0, 0, "writes intern nothing");
-        let exec = e.exec_stats();
-        assert!(exec.total_calls() >= 4_000, "minus and union per commit");
+        assert_eq!(op_row(&e, "union"), (0, 0));
+        assert_eq!(op_row(&e, "difference"), (0, 0));
+        // The first commit rewrites row 0 with its own values and lists
+        // nothing; every other one lists the row out and the row in.
+        assert_eq!(op_row(&e, "delta-commit"), (2_000, 2 * 1_999));
         // Every operator kernel (the rows whose chunks are splits, not
         // externally recorded counts such as plans enumerated).
+        let exec = e.exec_stats();
         for (kind, op) in OpKind::ALL.iter().zip(&exec.ops) {
             if kind.min_chunk() > 1 {
                 assert_eq!(op.chunks, op.calls, "{} split at 1024 rows", op.name);
@@ -1859,29 +1935,47 @@ mod tests {
         assert_eq!(e.version_count("acct"), Some(2_001));
     }
 
+    /// A right-hand side the delta path declines (its leaf is not the
+    /// relation being written) is evaluated as before, on kernels that
+    /// split past their break-even grain.
     #[test]
     fn commits_past_the_break_even_still_reach_the_partitioned_kernels() {
-        let rows = 4 * OpKind::Union.min_chunk() as i64;
-        let mut e = two_thread_engine(rows);
-        for i in 0..3 {
-            e.execute(&update_one_row(i, 1)).unwrap();
-        }
-        let exec = e.exec_stats();
-        for name in ["difference", "union"] {
-            let op = exec.ops.iter().find(|o| o.name == name).unwrap();
-            assert_eq!(op.calls, 3, "{name}");
-            assert_eq!(op.chunks, 6, "{name} splits two ways at {rows} rows");
-        }
-        // Same answer as the sequential engine.
-        let mut seq = two_thread_engine(rows);
-        seq.set_threads(1);
-        for i in 0..3 {
-            seq.execute(&update_one_row(i, 1)).unwrap();
-        }
+        let rows = 2 * OpKind::Union.min_chunk() as i64;
+        let both = Command::modify_state("acct", Expr::current("a").union(Expr::current("b")));
+        let run = |threads: usize| {
+            let mut e = two_thread_engine(1);
+            e.set_pool(ExecPool::new(threads));
+            for (name, from) in [("a", 0), ("b", rows)] {
+                let schema =
+                    Schema::new(vec![("id", DomainType::Int), ("bal", DomainType::Int)]).unwrap();
+                let half = SnapshotState::from_rows(
+                    schema,
+                    (from..from + rows).map(|i| vec![Value::Int(i), Value::Int(0)]),
+                )
+                .unwrap();
+                e.execute(&Command::define_relation(name, RelationType::Rollback))
+                    .unwrap();
+                e.execute(&Command::modify_state(name, Expr::snapshot_const(half)))
+                    .unwrap();
+            }
+            e.reset_exec_stats();
+            for _ in 0..3 {
+                e.execute(&both).unwrap();
+            }
+            e
+        };
+        let e = run(2);
         assert_eq!(
-            e.eval(&Expr::current("acct")).unwrap(),
-            seq.eval(&Expr::current("acct")).unwrap()
+            op_row(&e, "union"),
+            (3, 6),
+            "union splits two ways at {rows} rows a side"
         );
+        assert_eq!(op_row(&e, "delta-commit"), (0, 0));
+        // Same answer as the sequential engine.
+        let seq = run(1);
+        let acct = e.eval(&Expr::current("acct")).unwrap();
+        assert_eq!(acct.len() as i64, 2 * rows);
+        assert_eq!(acct, seq.eval(&Expr::current("acct")).unwrap());
     }
 
     #[test]
@@ -1897,11 +1991,7 @@ mod tests {
             .unwrap();
             e.execute(&update_one_row(v, v)).unwrap();
         }
-        let resolve_row = |e: &Engine| {
-            let exec = e.exec_stats();
-            let op = exec.ops.iter().find(|o| o.name == "resolve").unwrap();
-            (op.calls, op.chunks)
-        };
+        let resolve_row = |e: &Engine| op_row(e, "resolve");
         let past = TxSpec::At(TransactionNumber(5));
         // Two relations, every probe current: O(1) per leaf, no worker.
         e.reset_exec_stats();

@@ -17,7 +17,7 @@ use crate::delta::{intern_state, StateDelta};
 use crate::metrics::{CompactionStats, InternerStats};
 
 /// One entry in the forward chain.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 enum Entry {
     /// A materialized full state (version 0 and checkpoints).
     Checkpoint(StateValue),
@@ -134,20 +134,48 @@ impl ForwardDeltaStore {
     }
 }
 
-impl RollbackStore for ForwardDeltaStore {
-    fn append(&mut self, state: &StateValue, tx: TransactionNumber) {
+impl ForwardDeltaStore {
+    /// Writes one version to the chain, the only routine that does:
+    /// `state` in full at a checkpoint position (and first of all), the
+    /// `delta` that led to it anywhere else.
+    fn push(&mut self, delta: Option<StateDelta>, state: StateValue, tx: TransactionNumber) {
         debug_assert!(self.entries.last().is_none_or(|(_, t)| *t < tx));
-        // Intern once at the door: the delta (whose tuples are clones out
-        // of `state`) and every replayed reconstruction then share pooled
-        // string allocations with the prior versions.
-        let state = intern_state(state, &mut self.interner);
-        let index = self.entries.len();
-        let entry = match (&self.current, self.policy.is_checkpoint(index)) {
-            (Some(prev), false) => Entry::Delta(StateDelta::between(prev, &state)),
+        let entry = match delta {
+            Some(d) if !self.policy.is_checkpoint(self.entries.len()) => Entry::Delta(d),
             _ => Entry::Checkpoint(state.clone()),
         };
         self.entries.push((entry, tx));
         self.current = Some(state);
+    }
+}
+
+impl RollbackStore for ForwardDeltaStore {
+    fn append(&mut self, state: &StateValue, tx: TransactionNumber) {
+        // Intern once at the door: the delta (whose tuples are clones out
+        // of `state`) and every replayed reconstruction then share pooled
+        // string allocations with the prior versions.
+        let state = intern_state(state, &mut self.interner);
+        // A checkpoint position stores the state itself: nothing to diff.
+        let delta = match &self.current {
+            Some(prev) if !self.policy.is_checkpoint(self.entries.len()) => {
+                Some(StateDelta::between(prev, &state))
+            }
+            _ => None,
+        };
+        self.push(delta, state, tx);
+    }
+
+    /// The delta is the chain entry as it stands; only its arriving
+    /// tuples go through the pool, and `current` is edited in place
+    /// (copied first if a reader or a checkpoint still shares its run).
+    fn append_delta(&mut self, delta: &StateDelta, tx: TransactionNumber) {
+        let delta = delta.interned(&mut self.interner);
+        let mut state = self
+            .current
+            .take()
+            .expect("a delta applies to a current state");
+        delta.apply_in_place(&mut state);
+        self.push(Some(delta), state, tx);
     }
 
     /// The newest chain entry *is* the wanted delta, unless it is a
@@ -523,6 +551,22 @@ mod tests {
                 .map(|p| StateDelta::between(p, &state));
             assert_eq!(s.last_delta(), want, "version {v}");
             prev = Some(state);
+        }
+    }
+
+    #[test]
+    fn append_delta_writes_the_chain_entry_append_would_diff() {
+        for policy in [
+            CheckpointPolicy::Never,
+            CheckpointPolicy::every_k(3).unwrap(),
+        ] {
+            crate::backend::testing::assert_append_delta_is_append(
+                || ForwardDeltaStore::new(policy),
+                |plain, delta, at| {
+                    assert_eq!(plain.entries, delta.entries, "{at}");
+                    assert_eq!(plain.current, delta.current, "{at}");
+                },
+            );
         }
     }
 

@@ -48,6 +48,7 @@ pub mod recovery;
 pub mod reverse_delta;
 pub mod shard;
 pub mod tuple_ts;
+pub(crate) mod update;
 pub mod wal;
 
 pub use archive::ArchiveReport;

@@ -23,10 +23,12 @@
 //! * **Maintenance.** Pull-based: a read repairs the view it asks for
 //!   and nothing else. `modify_state` appends one record to the written
 //!   relation's *log* via [`ViewRegistry::queue_modify`] — the commit's
-//!   transaction number and its small [`StateDelta`], which the delta
-//!   stores compute inside `append` anyway — and walks no view; a
+//!   transaction number and its small [`StateDelta`], which is the
+//!   command's own when the engine folded it from the right-hand side,
+//!   and otherwise the one a delta store computes inside `append`
+//!   anyway — and walks no view; a
 //!   relation no cached view reads has no log, and its commits return at
-//!   the first check, before the store is even asked for that delta.
+//!   the first check, before anyone is even asked for that delta.
 //!   Every other view simply stays behind, at its stamp. When [`ViewRegistry::decide`] or
 //!   [`ViewRegistry::eval_and_register`] meets a cached node whose
 //!   stamps lag, it brings forward the nodes *under that node* only,
@@ -51,12 +53,12 @@
 //!   the operators already use: once the logged changes pass a quarter
 //!   of the relation, recomputing wins, so the oldest entries go (the
 //!   newest always stays) and a view stamped before them is dropped and
-//!   re-evaluated on its next read. Commits whose store leaves no delta
-//!   behind (full-copy, tuple-timestamp, sharded, single-version
-//!   relations; the delta stores' checkpoint positions) log the two
-//!   state handles instead and the diff happens on first demand, so no
-//!   write ever diffs a relation; consecutive such commits share one
-//!   entry.
+//!   re-evaluated on its next read. Commits that arrive as a state and
+//!   whose store leaves no delta behind (full-copy, tuple-timestamp,
+//!   sharded, single-version relations; the delta stores' checkpoint
+//!   positions) log the two state handles instead and the diff happens
+//!   on first demand, so no write ever diffs a relation for the memo;
+//!   consecutive such commits share one entry.
 //!
 //! Node-wise evaluation applies the plain operators rather than the
 //! pushdown shapes the engine's un-memoized path uses; the two are
@@ -1472,11 +1474,15 @@ impl ViewRegistry {
 
     /// Logs one `modify_state` against `ident` (already applied to the
     /// store, committed at `new_tx`) — the engine's write-path entry and
-    /// the only contact between a write and the memo. `prev` is the
-    /// relation's state just before the append (`None` for its very
-    /// first state); `delta` yields what carries `prev` to `new` if the
-    /// store's append left that behind ([`RollbackStore::last_delta`]),
-    /// and the two states are diffed on first demand when it does not.
+    /// the only contact between a write and the memo. `delta` yields
+    /// what carried the previous state to `new`: the command's own delta
+    /// when the engine folded one, else what the store's append left
+    /// behind ([`RollbackStore::last_delta`]). `prev`, the relation's
+    /// state just before the append, is consulted only when `delta`
+    /// yields nothing (a caller with the delta in hand passes `None`
+    /// rather than keep a second handle on a state it edits in place):
+    /// the two states are then diffed on first demand, and `None` there
+    /// means the relation's very first state.
     ///
     /// A relation no cached view reads has no log, and the call returns
     /// at that check, before `delta` is asked. Otherwise it is O(1) in

@@ -79,14 +79,12 @@ impl ReverseDeltaStore {
     }
 }
 
-impl RollbackStore for ReverseDeltaStore {
-    fn append(&mut self, state: &StateValue, tx: TransactionNumber) {
+impl ReverseDeltaStore {
+    /// Writes one version, the only routine that does: `undo` carries
+    /// `state` back to the version it supersedes (`None` for the first).
+    fn push(&mut self, undo: Option<StateDelta>, state: StateValue, tx: TransactionNumber) {
         debug_assert!(self.txs.last().is_none_or(|t| *t < tx));
-        // Intern once at the door (see ForwardDeltaStore::append).
-        let state = intern_state(state, &mut self.interner);
-        if let Some(prev) = &self.current {
-            self.undo.push(StateDelta::between(&state, prev));
-        }
+        self.undo.extend(undo);
         // Opportunistic checkpoint at the policy's interval: an O(1)
         // clone of the state being installed, pinned as a future replay
         // seed. (`Never` pins nothing — index 0 is the *base* for the
@@ -99,6 +97,31 @@ impl RollbackStore for ReverseDeltaStore {
         }
         self.txs.push(tx);
         self.current = Some(state);
+    }
+}
+
+impl RollbackStore for ReverseDeltaStore {
+    fn append(&mut self, state: &StateValue, tx: TransactionNumber) {
+        // Intern once at the door (see ForwardDeltaStore::append).
+        let state = intern_state(state, &mut self.interner);
+        let undo = self
+            .current
+            .as_ref()
+            .map(|prev| StateDelta::between(&state, prev));
+        self.push(undo, state, tx);
+    }
+
+    /// The undo entry is the delta's mirror image, read off the state it
+    /// is about to edit; only the arriving tuples go through the pool.
+    fn append_delta(&mut self, delta: &StateDelta, tx: TransactionNumber) {
+        let delta = delta.interned(&mut self.interner);
+        let mut state = self
+            .current
+            .take()
+            .expect("a delta applies to a current state");
+        let undo = delta.mirror(&state);
+        delta.apply_in_place(&mut state);
+        self.push(Some(undo), state, tx);
     }
 
     /// The newest undo entry carries the current state back to the
@@ -376,6 +399,23 @@ mod tests {
             let want = prev.as_ref().map(|p| StateDelta::between(p, &state));
             assert_eq!(s.last_delta(), want, "version {v}");
             prev = Some(state);
+        }
+    }
+
+    #[test]
+    fn append_delta_mirrors_into_the_undo_entry_append_would_diff() {
+        for policy in [
+            CheckpointPolicy::Never,
+            CheckpointPolicy::every_k(3).unwrap(),
+        ] {
+            crate::backend::testing::assert_append_delta_is_append(
+                || ReverseDeltaStore::with_cache(policy, None),
+                |plain, delta, at| {
+                    assert_eq!(plain.undo, delta.undo, "{at}");
+                    assert_eq!(plain.ckpts, delta.ckpts, "{at}");
+                    assert_eq!(plain.current, delta.current, "{at}");
+                },
+            );
         }
     }
 

@@ -32,6 +32,7 @@ use txtime_snapshot::{SnapshotState, Tuple};
 
 use crate::backend::{BackendKind, CheckpointPolicy, RollbackStore};
 use crate::cache::MaterializationCache;
+use crate::delta::StateDelta;
 use crate::metrics::{CompactionStats, InternerStats, ShardReport, ShardSlot};
 
 /// The shard a tuple lives in: a stable hash of its values modulo the
@@ -80,6 +81,33 @@ fn partition(state: &StateValue, k: usize) -> Vec<StateValue> {
                 })
                 .collect()
         }
+    }
+}
+
+/// Splits a delta into `k` deltas of the same kind, each listing the
+/// tuples of its shard: a listed tuple goes where [`partition`] put (or
+/// would put) it, so each part is normalised against its shard's state
+/// and a sorted list stays sorted.
+fn partition_delta(delta: &StateDelta, k: usize) -> Vec<StateDelta> {
+    fn route<T: Clone>(items: &[T], key: impl Fn(&T) -> &Tuple, k: usize) -> Vec<Vec<T>> {
+        let mut parts = vec![Vec::new(); k];
+        for item in items {
+            parts[shard_of(key(item), k)].push(item.clone());
+        }
+        parts
+    }
+    match delta {
+        StateDelta::Snapshot { added, removed } => route(added, |t| t, k)
+            .into_iter()
+            .zip(route(removed, |t| t, k))
+            .map(|(added, removed)| StateDelta::Snapshot { added, removed })
+            .collect(),
+        StateDelta::Historical { upserted, removed } => route(upserted, |(t, _)| t, k)
+            .into_iter()
+            .zip(route(removed, |t| t, k))
+            .map(|(upserted, removed)| StateDelta::Historical { upserted, removed })
+            .collect(),
+        StateDelta::Reschema(_) => unreachable!("a scheme boundary arrives as a state"),
     }
 }
 
@@ -191,6 +219,21 @@ impl RollbackStore for ShardedStore {
         }
         // The merge of what was just written is the written state itself.
         *self.current.lock().unwrap_or_else(|e| e.into_inner()) = Some(state.clone());
+    }
+
+    /// Listed tuples go to their shards; a shard with none still appends
+    /// (an empty delta), so all shards keep the one transaction list.
+    fn append_delta(&mut self, delta: &StateDelta, tx: TransactionNumber) {
+        let parts = partition_delta(delta, self.shards.len());
+        for (shard, part) in self.shards.iter_mut().zip(&parts) {
+            shard.append_delta(part, tx);
+        }
+        let current = self.current.get_mut().unwrap_or_else(|e| e.into_inner());
+        delta.apply_in_place(
+            current
+                .as_mut()
+                .expect("a delta applies to a current state"),
+        );
     }
 
     fn state_at(&self, tx: TransactionNumber) -> Option<StateValue> {
@@ -397,6 +440,21 @@ mod tests {
                     );
                 }
                 assert_eq!(flat.state_at_many(&txs), sharded.state_at_many(&txs));
+            }
+        }
+    }
+
+    #[test]
+    fn append_delta_routes_listed_tuples_and_keeps_one_tx_list() {
+        for kind in BackendKind::ALL {
+            for k in [1, 4] {
+                crate::backend::testing::assert_append_delta_is_append(
+                    || pair(kind, k).1,
+                    |plain, delta, at| {
+                        // Shard by shard: versions, tuples and bytes.
+                        assert_eq!(plain.shard_report(), delta.shard_report(), "{at} k={k}");
+                    },
+                );
             }
         }
     }

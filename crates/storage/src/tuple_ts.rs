@@ -22,12 +22,13 @@ use txtime_historical::{HistoricalState, TemporalElement};
 use txtime_snapshot::{Schema, SnapshotState, Tuple};
 
 use crate::backend::{BackendKind, RollbackStore};
+use crate::delta::StateDelta;
 
 const OPEN: u64 = u64::MAX;
 
 /// A tuple's presence interval, with the valid-time element it carried
 /// (historical states only; `None` for snapshot states).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Stamp {
     start: u64,
     stop: u64,
@@ -74,6 +75,22 @@ impl Epoch {
             .filter(|s| s.stop == OPEN)
     }
 
+    /// Closes the open stamp of `tuple`, if it has one.
+    fn close(&mut self, tuple: &Tuple, tx: TransactionNumber) {
+        if let Some(stamp) = self.open_stamp(tuple) {
+            stamp.stop = tx.0;
+        }
+    }
+
+    /// Opens a stamp for `tuple` at `tx`.
+    fn open(&mut self, tuple: &Tuple, valid: Option<&TemporalElement>, tx: TransactionNumber) {
+        self.records.entry(tuple.clone()).or_default().push(Stamp {
+            start: tx.0,
+            stop: OPEN,
+            valid: valid.cloned(),
+        });
+    }
+
     fn apply(&mut self, state: &StateValue, tx: TransactionNumber) {
         match state {
             StateValue::Snapshot(s) => {
@@ -87,16 +104,12 @@ impl Epoch {
                     .map(|(t, _)| t.clone())
                     .collect();
                 for t in leaving {
-                    self.open_stamp(&t).expect("filtered to open").stop = tx.0;
+                    self.close(&t, tx);
                 }
                 // Open intervals for arriving tuples.
                 for t in s.iter() {
                     if self.open_stamp(t).is_none() {
-                        self.records.entry(t.clone()).or_default().push(Stamp {
-                            start: tx.0,
-                            stop: OPEN,
-                            valid: None,
-                        });
+                        self.open(t, None, tx);
                     }
                 }
             }
@@ -113,19 +126,42 @@ impl Epoch {
                     .map(|(t, _)| t.clone())
                     .collect();
                 for t in closing {
-                    self.open_stamp(&t).expect("filtered to open").stop = tx.0;
+                    self.close(&t, tx);
                 }
                 // Open intervals for arriving/revalued tuples.
                 for (t, e) in h.iter() {
                     if self.open_stamp(t).is_none() {
-                        self.records.entry(t.clone()).or_default().push(Stamp {
-                            start: tx.0,
-                            stop: OPEN,
-                            valid: Some(e.clone()),
-                        });
+                        self.open(t, Some(e), tx);
                     }
                 }
             }
+        }
+    }
+
+    /// Stamps only the tuples `delta` lists: what [`Epoch::apply`] does
+    /// with the state the delta leads to, without scanning the records
+    /// for who left. The delta is normalised against the open stamps, so
+    /// a removal or a revaluation closes one and an arrival finds none.
+    fn apply_delta(&mut self, delta: &StateDelta, tx: TransactionNumber) {
+        match delta {
+            StateDelta::Snapshot { added, removed } => {
+                for t in removed {
+                    self.close(t, tx);
+                }
+                for t in added {
+                    self.open(t, None, tx);
+                }
+            }
+            StateDelta::Historical { upserted, removed } => {
+                for t in removed {
+                    self.close(t, tx);
+                }
+                for (t, e) in upserted {
+                    self.close(t, tx);
+                    self.open(t, Some(e), tx);
+                }
+            }
+            StateDelta::Reschema(_) => unreachable!("a scheme boundary arrives as a state"),
         }
     }
 
@@ -258,6 +294,16 @@ impl RollbackStore for TupleTimestampStore {
             Some(e) if e.compatible(state) => e.apply(state, tx),
             _ => self.epochs.push(Epoch::new(state, tx)),
         }
+    }
+
+    fn append_delta(&mut self, delta: &StateDelta, tx: TransactionNumber) {
+        debug_assert!(self.txs.last().is_none_or(|t| *t < tx));
+        self.txs.push(tx);
+        // Same scheme and kind by the method's contract: same epoch.
+        self.epochs
+            .last_mut()
+            .expect("a delta applies to a current state")
+            .apply_delta(delta, tx);
     }
 
     fn state_at(&self, tx: TransactionNumber) -> Option<StateValue> {
@@ -401,6 +447,17 @@ mod tests {
         s.append(&hist(&[(1, 0, 9)]), TransactionNumber(4)); // revalued
         assert_eq!(s.state_at(TransactionNumber(2)), Some(hist(&[(1, 0, 5)])));
         assert_eq!(s.state_at(TransactionNumber(4)), Some(hist(&[(1, 0, 9)])));
+    }
+
+    #[test]
+    fn append_delta_stamps_what_append_would_stamp() {
+        crate::backend::testing::assert_append_delta_is_append(
+            TupleTimestampStore::new,
+            |plain, delta, at| {
+                assert_eq!(plain.epochs.len(), 1, "{at}");
+                assert_eq!(plain.epochs[0].records, delta.epochs[0].records, "{at}");
+            },
+        );
     }
 
     #[test]

@@ -136,6 +136,61 @@ fn snapshot_reads_are_repeatable_under_concurrent_writes() {
     handle.wait();
 }
 
+/// `SNAPSHOT AT n` pins a version that can no longer change: `n` beyond
+/// the applied clock is refused (`ρ(I, n)` would be the current state
+/// and move with every commit), `n` at the clock is a repeatable read.
+#[test]
+fn snapshot_at_refuses_a_pin_beyond_the_applied_clock() {
+    let engine = Engine::new(BackendKind::FullCopy, CheckpointPolicy::Never);
+    let handle = serve(engine, listener(), ServerConfig::default()).expect("server starts");
+    let mut c = Client::connect(handle.addr()).expect("connect");
+    assert!(c.exec("define_relation(emp, rollback);").unwrap().is_ok());
+    assert!(c
+        .exec("modify_state(emp, {(x: int): (1)});")
+        .unwrap()
+        .is_ok());
+
+    match c.request("SNAPSHOT AT 3").expect("pin beyond the clock") {
+        Response::Err { kind, message } => {
+            assert_eq!(kind, "proto");
+            assert!(
+                message.contains("beyond the applied clock (tx=2)"),
+                "{message}"
+            );
+        }
+        other => panic!("a pin beyond the clock was accepted: {other:?}"),
+    }
+    // The refusal left the session unpinned.
+    assert!(c
+        .exec("modify_state(emp, rho(emp, inf) union {(x: int): (2)});")
+        .unwrap()
+        .is_ok());
+    match c.exec("display(rho(emp, inf));").expect("read") {
+        Response::Val(state) => assert!(state.contains("(2)"), "{state}"),
+        other => panic!("read failed: {other:?}"),
+    }
+
+    // At the clock: the same read gives the same reply across a commit.
+    match c.request("SNAPSHOT AT 3").expect("pin at the clock") {
+        Response::Ok(detail) => assert_eq!(detail, "snapshot tx=3"),
+        other => panic!("a pin at the clock was refused: {other:?}"),
+    }
+    let before = c.exec("display(rho(emp, inf));").expect("read");
+    assert!(c
+        .exec("modify_state(emp, rho(emp, inf) union {(x: int): (3)});")
+        .unwrap()
+        .is_ok());
+    let after = c.exec("display(rho(emp, inf));").expect("read");
+    assert_eq!(before, after, "a pin at the clock moved with a commit");
+    match &after {
+        Response::Val(state) => assert!(!state.contains("(3)"), "pin leaked: {state}"),
+        other => panic!("read failed: {other:?}"),
+    }
+
+    handle.shutdown();
+    handle.wait();
+}
+
 /// `SNAPSHOT DURABLE` pins to the fsynced clock: after an acked write
 /// the durable gauge covers it (acks are sent only after the group's
 /// fsync returns), so the pin equals the applied clock here and the read
