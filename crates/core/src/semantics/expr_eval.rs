@@ -16,7 +16,7 @@ use txtime_snapshot::{Predicate, SnapshotState};
 use crate::error::EvalError;
 use crate::semantics::aux::find_state;
 use crate::semantics::database::Database;
-use crate::semantics::domains::{Relation, RelationType, StateValue};
+use crate::semantics::domains::{Relation, RelationType, StateValue, TransactionNumber};
 use crate::syntax::expr::{Expr, TxSpec};
 
 /// A selection/projection pair pushed down into rollback resolution.
@@ -141,6 +141,54 @@ pub trait StateSource {
     ) -> Result<StateValue, EvalError> {
         filter.apply(self.resolve_rollback(ident, spec, historical)?, historical)
     }
+
+    /// Offers `ρ(ident, minuend) − ρ(ident, subtrahend)` (`historical =
+    /// false`) or `ρ̂(ident, minuend) −̂ ρ̂(ident, subtrahend)` to the
+    /// source as one question: what one relation held at one time and no
+    /// longer (or not yet) at another.
+    ///
+    /// `None` declines, and the evaluator then resolves the two leaves
+    /// and subtracts them, which is the definition and therefore decides
+    /// every value and every error; a source answers only where it can
+    /// give that same value without building both states. The provided
+    /// implementation always declines, so the reference [`Database`]
+    /// semantics is untouched.
+    fn resolve_version_difference(
+        &self,
+        _ident: &str,
+        _minuend: TransactionNumber,
+        _subtrahend: TransactionNumber,
+        _historical: bool,
+    ) -> Option<StateValue> {
+        None
+    }
+}
+
+/// The source's own answer to `a − b` (`a −̂ b` for `historical`) when
+/// both operands are ρ (ρ̂) leaves of one relation at fixed transaction
+/// numbers and the source has one; see
+/// [`StateSource::resolve_version_difference`].
+fn version_difference(
+    db: &impl StateSource,
+    a: &Expr,
+    b: &Expr,
+    historical: bool,
+) -> Option<StateValue> {
+    match (a, b, historical) {
+        (
+            Expr::Rollback(ident, TxSpec::At(minuend)),
+            Expr::Rollback(other, TxSpec::At(subtrahend)),
+            false,
+        )
+        | (
+            Expr::HRollback(ident, TxSpec::At(minuend)),
+            Expr::HRollback(other, TxSpec::At(subtrahend)),
+            true,
+        ) if ident == other => {
+            db.resolve_version_difference(ident, *minuend, *subtrahend, historical)
+        }
+        _ => None,
+    }
 }
 
 impl StateSource for Database {
@@ -172,6 +220,9 @@ impl Expr {
                 Ok(StateValue::Snapshot(l.union(&r)?))
             }
             Expr::Difference(a, b) => {
+                if let Some(state) = version_difference(db, a, b, false) {
+                    return Ok(state);
+                }
                 let (l, r) = (a.eval_snapshot(db, "minus")?, b.eval_snapshot(db, "minus")?);
                 Ok(StateValue::Snapshot(l.difference(&r)?))
             }
@@ -228,6 +279,9 @@ impl Expr {
                 Ok(StateValue::Historical(l.hunion(&r)?))
             }
             Expr::HDifference(a, b) => {
+                if let Some(state) = version_difference(db, a, b, true) {
+                    return Ok(state);
+                }
                 let (l, r) = (
                     a.eval_historical(db, "hminus")?,
                     b.eval_historical(db, "hminus")?,
@@ -327,6 +381,9 @@ impl Expr {
                 Ok(StateValue::Snapshot(l.union_par(&r, pool)?))
             }
             Expr::Difference(a, b) => {
+                if let Some(state) = version_difference(db, a, b, false) {
+                    return Ok(state);
+                }
                 let l = a.eval_snapshot_pool(db, pool, "minus")?;
                 let r = b.eval_snapshot_pool(db, pool, "minus")?;
                 Ok(StateValue::Snapshot(l.difference_par(&r, pool)?))
@@ -382,6 +439,9 @@ impl Expr {
                 Ok(StateValue::Historical(l.hunion_par(&r, pool)?))
             }
             Expr::HDifference(a, b) => {
+                if let Some(state) = version_difference(db, a, b, true) {
+                    return Ok(state);
+                }
                 let l = a.eval_historical_pool(db, pool, "hminus")?;
                 let r = b.eval_historical_pool(db, pool, "hminus")?;
                 Ok(StateValue::Historical(l.hdifference_par(&r, pool)?))

@@ -89,11 +89,15 @@ pub enum OpKind {
     /// right-hand side, not as an evaluated state; recorded externally by
     /// the engine, chunks count the tuples the delta lists.
     DeltaCommit,
+    /// One `ρ(I, n₂) − ρ(I, n₁)` answered by the store from its delta
+    /// chain, neither version built and no − kernel run; recorded
+    /// externally by the engine, chunks count the tuples returned.
+    VersionDiff,
 }
 
 impl OpKind {
     /// Every operator kind, in display order.
-    pub const ALL: [OpKind; 19] = [
+    pub const ALL: [OpKind; 20] = [
         OpKind::Select,
         OpKind::Project,
         OpKind::Product,
@@ -113,6 +117,7 @@ impl OpKind {
         OpKind::Optimize,
         OpKind::Serve,
         OpKind::DeltaCommit,
+        OpKind::VersionDiff,
     ];
 
     /// The operator's display name.
@@ -137,6 +142,7 @@ impl OpKind {
             OpKind::HJoin => "hjoin",
             OpKind::Serve => "serve",
             OpKind::DeltaCommit => "delta-commit",
+            OpKind::VersionDiff => "version-diff",
         }
     }
 
@@ -161,14 +167,15 @@ impl OpKind {
             OpKind::Product | OpKind::HProduct => PRODUCT_GRAIN,
             OpKind::Join | OpKind::HJoin => JOIN_GRAIN,
             // Units are whole rollback targets / memoized views / shards
-            // / chains / commits.
+            // / chains / commits / answers.
             OpKind::Resolve
             | OpKind::Propagate
             | OpKind::Shard
             | OpKind::Compact
             | OpKind::Optimize
             | OpKind::Serve
-            | OpKind::DeltaCommit => 1,
+            | OpKind::DeltaCommit
+            | OpKind::VersionDiff => 1,
         }
     }
 

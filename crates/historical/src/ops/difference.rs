@@ -11,10 +11,14 @@ impl HistoricalState {
     /// operand minus the valid time it had in the right; tuples whose
     /// valid time becomes empty disappear.
     ///
-    /// The kernel walks the left run once, galloping the right cursor
-    /// forward with binary jumps. When no element changes (including an
-    /// empty right operand, or value/time-disjoint operands), the left
-    /// run is reused as-is — an O(1) `Arc` clone.
+    /// The kernel is a one-pass merge: it walks the left run once and
+    /// moves the right cursor only forward, past every match, searching
+    /// for each left tuple from where the last search ended. Operands
+    /// that interleave cost O(|left| + |right|) tuple comparisons, a
+    /// right operand much the longer O(|left| · log(|right| / |left|)).
+    /// When no element changes (including an empty right operand, or
+    /// value/time-disjoint operands), the left run is reused as-is — an
+    /// O(1) `Arc` clone.
     pub fn hdifference(&self, other: &HistoricalState) -> Result<HistoricalState> {
         self.schema().require_union_compatible(other.schema())?;
         if other.is_empty() || self.is_empty() {

@@ -9,7 +9,10 @@
 
 use std::cmp::Ordering;
 
-use crate::state::Entry;
+use txtime_snapshot::Tuple;
+
+use crate::element::TemporalElement;
+use crate::state::{gallop, Entry};
 
 /// Two-pointer historical union: value-equal entries merge with their
 /// elements unioned (non-empty ∪ non-empty is non-empty, so the invariant
@@ -43,17 +46,21 @@ pub(crate) fn hmerge_union(left: &[Entry], right: &[Entry]) -> Vec<Entry> {
 /// right element of the same value tuple; entries whose element empties
 /// out disappear. Returns the surviving entries plus whether any element
 /// actually changed (the caller's share-the-left-run shortcut).
+///
+/// One pass over both runs: the right cursor only moves forward, past
+/// every match ([`seek`]), so interleaved operands cost
+/// O(|left| + |right|) tuple comparisons and a right run much the longer
+/// O(|left| · log(|right| / |left|)).
 pub(crate) fn hmerge_difference(left: &[Entry], right: &[Entry]) -> (Vec<Entry>, bool) {
     let mut out = Vec::with_capacity(left.len());
     let mut changed = false;
     let mut j = 0usize;
     for (t, e) in left {
-        if right.get(j).is_some_and(|(rt, _)| rt < t) {
-            j += right[j..].partition_point(|(rt, _)| rt < t);
-        }
-        let remaining = match right.get(j) {
-            Some((rt, re)) if rt == t => e.difference(re),
-            _ => e.clone(),
+        let (next, hit) = seek(right, j, t);
+        j = next;
+        let remaining = match hit {
+            Some(re) => e.difference(re),
+            None => e.clone(),
         };
         changed |= &remaining != e;
         if !remaining.is_empty() {
@@ -61,6 +68,19 @@ pub(crate) fn hmerge_difference(left: &[Entry], right: &[Entry]) -> (Vec<Entry>,
         }
     }
     (out, changed)
+}
+
+/// Looks for `t` in `right[j..]`: where the cursor stands afterwards and
+/// the valid time `right` holds under `t`, if any. A miss leaves the
+/// cursor on the first entry above `t`; a hit at `j` steps past it, to
+/// `j + 1`, because the left run is strictly increasing and no later
+/// tuple can match it again.
+fn seek<'a>(right: &'a [Entry], j: usize, t: &Tuple) -> (usize, Option<&'a TemporalElement>) {
+    let j = gallop(right, j, t);
+    match right.get(j) {
+        Some((rt, re)) if rt == t => (j + 1, Some(re)),
+        _ => (j, None),
+    }
 }
 
 /// Historical intersection: value-equal entries survive over the
@@ -88,8 +108,7 @@ pub(crate) fn hmerge_intersect(left: &[Entry], right: &[Entry]) -> Vec<Entry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::element::TemporalElement;
-    use txtime_snapshot::{Tuple, Value};
+    use txtime_snapshot::Value;
 
     fn entry(v: i64, s: u32, e: u32) -> Entry {
         (
@@ -113,6 +132,30 @@ mod tests {
         let (out, changed) = hmerge_difference(&[entry(1, 0, 5)], &[entry(2, 0, 9)]);
         assert!(!changed);
         assert_eq!(out, vec![entry(1, 0, 5)]);
+    }
+
+    /// The one-pass bound, on the cursor: a hit at `j` is never searched
+    /// again (the next search starts at `j + 1`), a miss parks the cursor
+    /// on the first entry above, and the cursor never moves back.
+    #[test]
+    fn difference_cursor_steps_past_a_hit_and_never_back() {
+        let right: Vec<Entry> = (0..6).map(|v| entry(2 * v, 0, 5)).collect();
+        for (j, (t, e)) in right.iter().enumerate() {
+            assert_eq!(seek(&right, j, t), (j + 1, Some(e)));
+            assert_eq!(seek(&right, 0, t), (j + 1, Some(e)));
+        }
+        let five = entry(5, 0, 1).0;
+        assert_eq!(seek(&right, 0, &five), (3, None));
+        assert_eq!(seek(&right, 3, &five), (3, None));
+        assert_eq!(seek(&right, 6, &entry(99, 0, 1).0), (6, None));
+        // Equal runs: one step per row, so the walk is |left| + |right|.
+        let mut j = 0;
+        for (i, (t, _)) in right.iter().enumerate() {
+            let (next, hit) = seek(&right, j, t);
+            assert!(hit.is_some() && next == i + 1 && next > j);
+            j = next;
+        }
+        assert_eq!(hmerge_difference(&right, &right), (vec![], true));
     }
 
     #[test]

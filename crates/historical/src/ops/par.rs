@@ -52,9 +52,10 @@ impl HistoricalState {
     /// [`HistoricalState::hselect`] evaluated over partitioned chunks.
     pub fn hselect_par(&self, predicate: &Predicate, pool: &ExecPool) -> Result<HistoricalState> {
         let compiled = predicate.compile(self.schema())?;
+        let range = compiled.key_range(self.run(), |(t, _)| t);
         let runs = pool.map_chunks(
             OpKind::HSelect,
-            self.run(),
+            &self.run()[range],
             pool.grain(OpKind::HSelect),
             |chunk| {
                 chunk

@@ -2,28 +2,37 @@
 
 use crate::state::HistoricalState;
 use crate::Result;
-use txtime_snapshot::Predicate;
+use txtime_snapshot::{CompiledPredicate, Predicate};
 
 impl HistoricalState {
     /// Historical selection `σ̂_F(E)`: filters on *value* attributes,
     /// leaving valid times untouched. Selection on valid time is the
     /// business of [`HistoricalState::delta`].
     ///
-    /// The kernel is a single filtering scan over the sorted run (a
-    /// filtered sorted sequence stays sorted); when every entry passes,
-    /// the input run is reused as-is — an O(1) `Arc` clone.
+    /// The run is cut to the predicate's key range
+    /// ([`CompiledPredicate::key_range`]: a binary search when the
+    /// predicate compares the leading attributes of the scheme with
+    /// constants, the whole run otherwise) and the entries inside are
+    /// evaluated in one scan (a filtered sorted sequence stays sorted);
+    /// when every entry passes, the input run is reused as-is — an O(1)
+    /// `Arc` clone.
     pub fn hselect(&self, predicate: &Predicate) -> Result<HistoricalState> {
-        let compiled = predicate.compile(self.schema())?;
-        let out: Vec<_> = self
-            .run()
+        Ok(self.hselect_compiled(&predicate.compile(self.schema())?))
+    }
+
+    /// [`HistoricalState::hselect`] with a predicate already compiled
+    /// against this state's scheme.
+    pub fn hselect_compiled(&self, compiled: &CompiledPredicate) -> HistoricalState {
+        let range = compiled.key_range(self.run(), |(t, _)| t);
+        let out: Vec<_> = self.run()[range]
             .iter()
             .filter(|(t, _)| compiled.eval(t))
             .cloned()
             .collect();
         if out.len() == self.len() {
-            return Ok(self.clone());
+            return self.clone();
         }
-        Ok(HistoricalState::from_sorted_vec(self.schema().clone(), out))
+        HistoricalState::from_sorted_vec(self.schema().clone(), out)
     }
 }
 
@@ -62,6 +71,26 @@ mod tests {
                 .unwrap(),
             &TemporalElement::period(3, 9)
         );
+    }
+
+    #[test]
+    fn select_on_the_leading_attribute_matches_a_scan() {
+        use txtime_snapshot::{CompOp, Operand};
+        for (op, want) in [
+            (CompOp::Eq, 1),
+            (CompOp::Lt, 1),
+            (CompOp::Le, 2),
+            (CompOp::Gt, 0),
+            (CompOp::Ge, 1),
+        ] {
+            let p = Predicate::Comp(Operand::attr("name"), op, Operand::Const(Value::str("bob")));
+            assert_eq!(emp().hselect(&p).unwrap().len(), want, "{p}");
+        }
+        let e = emp();
+        let all = e
+            .hselect(&Predicate::gt_const("name", Value::str("a")))
+            .unwrap();
+        assert!(e.shares_run(&all));
     }
 
     #[test]

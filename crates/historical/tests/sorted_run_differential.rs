@@ -77,6 +77,75 @@ fn arb_attrs() -> impl Strategy<Value = Vec<&'static str>> {
     })
 }
 
+/// A state over the shared schema holding exactly the given `a0`
+/// values, each valid over a period that depends on the value and on
+/// `shift` (so two states agree on some tuples' valid times, overlap on
+/// others and are disjoint on the rest).
+fn state_of(ids: impl IntoIterator<Item = i64>, shift: u32) -> HistoricalState {
+    let entries = ids.into_iter().map(|id| {
+        let from = (id % 7) as u32 + shift * (id % 3) as u32;
+        (
+            Tuple::new(vec![Value::Int(id), Value::str(format!("s{}", id % 6))]),
+            TemporalElement::period(from, from + 4 + (id % 5) as u32),
+        )
+    });
+    HistoricalState::new(fixed_schema(), entries).unwrap()
+}
+
+/// Operand pairs in the shapes a merge cursor meets, `n` entries to a
+/// side: interleaved and of equal size (no tuple shared, every third,
+/// every one), nested either way, disjoint either way and in
+/// alternating blocks, one side huge.
+fn shaped_pairs(n: i64) -> Vec<(&'static str, HistoricalState, HistoricalState)> {
+    let huge = 40 * n + 500;
+    vec![
+        (
+            "interleaved",
+            state_of((0..n).map(|i| 2 * i), 0),
+            state_of((0..n).map(|i| 2 * i + 1), 3),
+        ),
+        (
+            "interleaved, some equal",
+            state_of((0..n).map(|i| 2 * i), 0),
+            state_of((0..n).map(|i| 3 * i), 3),
+        ),
+        ("equal tuples", state_of(0..n, 0), state_of(0..n, 3)),
+        ("equal by value", state_of(0..n, 2), state_of(0..n, 2)),
+        (
+            "right nested in left",
+            state_of(0..n, 0),
+            state_of(n / 4..n / 2, 3),
+        ),
+        (
+            "left nested in right",
+            state_of(n / 4..n / 2, 0),
+            state_of(0..n, 3),
+        ),
+        ("left below right", state_of(0..n, 0), state_of(n..2 * n, 3)),
+        ("right below left", state_of(n..2 * n, 0), state_of(0..n, 3)),
+        (
+            "alternating blocks",
+            state_of((0..n).filter(|i| (i / 8) % 2 == 0), 0),
+            state_of((0..n).filter(|i| (i / 8) % 2 == 1), 3),
+        ),
+        (
+            "right huge",
+            state_of((0..n).map(|i| 37 * i), 0),
+            state_of(0..huge, 3),
+        ),
+        (
+            "left huge",
+            state_of(0..huge, 0),
+            state_of((0..n).map(|i| 37 * i), 3),
+        ),
+        (
+            "right huge and above",
+            state_of(0..n, 0),
+            state_of(n + 5..huge, 3),
+        ),
+    ]
+}
+
 fn norm(r: txtime_historical::Result<HistoricalState>) -> Result<HistoricalState, String> {
     r.map_err(|e| format!("{e:?}"))
 }
@@ -109,6 +178,63 @@ proptest! {
         for threads in THREADS {
             let pool = ExecPool::with_unit_grain(threads);
             prop_assert_eq!(norm(a.hdifference_par(&b, &pool)), expected.clone());
+        }
+    }
+
+    /// The one-pass cursor of −̂ (and ∪̂ for free) on every operand
+    /// shape, against two oracles: the `BTreeMap` reference, and
+    /// snapshot reducibility (the timeslice of the result is the
+    /// snapshot operator over the timeslices).
+    #[test]
+    fn merges_match_reference_on_shaped_operands(n in 1i64..100) {
+        for (shape, a, b) in shaped_pairs(n) {
+            let (ra, rb) = (RefHistorical::from_state(&a), RefHistorical::from_state(&b));
+            let (minus, union) = (norm_ref(ra.hdifference(&rb)), norm_ref(ra.hunion(&rb)));
+            prop_assert_eq!(norm(a.hdifference(&b)), minus.clone(), "{}: −̂", shape);
+            prop_assert_eq!(norm(a.hunion(&b)), union.clone(), "{}: ∪̂", shape);
+            for threads in THREADS {
+                let pool = ExecPool::with_unit_grain(threads);
+                prop_assert_eq!(norm(a.hdifference_par(&b, &pool)), minus.clone(), "{}: −̂", shape);
+                prop_assert_eq!(norm(a.hunion_par(&b, &pool)), union.clone(), "{}: ∪̂", shape);
+            }
+            let (minus, union) = (minus.unwrap(), union.unwrap());
+            for c in (0..24).step_by(3) {
+                let (sa, sb) = (a.timeslice(c), b.timeslice(c));
+                prop_assert_eq!(minus.timeslice(c), sa.difference(&sb).unwrap(), "{}: −̂ at {}", shape, c);
+                prop_assert_eq!(union.timeslice(c), sa.union(&sb).unwrap(), "{}: ∪̂ at {}", shape, c);
+            }
+        }
+    }
+
+    /// Selections that cut the run by its leading attribute before they
+    /// scan it, against the reference's full scan.
+    #[test]
+    fn key_range_hselect_matches_reference(
+        n in 1i64..60,
+        k in -2i64..70,
+        width in 0i64..20,
+        rest in arb_predicate(),
+    ) {
+        use txtime_snapshot::{CompOp, Operand};
+        let a = state_of((0..n).map(|i| i + i / 3), 1);
+        let ra = RefHistorical::from_state(&a);
+        let a0 = |op, v: i64| Predicate::Comp(Operand::attr("a0"), op, Operand::Const(Value::Int(v)));
+        let mut predicates = vec![rest.clone()];
+        for op in [CompOp::Eq, CompOp::Ne, CompOp::Lt, CompOp::Le, CompOp::Gt, CompOp::Ge] {
+            predicates.push(a0(op, k));
+            predicates.push(a0(op, k).and(rest.clone()));
+            predicates.push(a0(op, k).or(rest.clone()));
+            predicates.push(a0(op, k).not());
+            predicates.push(a0(CompOp::Ge, k).and(a0(op, k + width)));
+            predicates.push(Predicate::Comp(Operand::Const(Value::Int(k)), op, Operand::attr("a0")));
+        }
+        for p in &predicates {
+            let expected = norm_ref(ra.hselect(p));
+            prop_assert_eq!(norm(a.hselect(p)), expected.clone(), "{}", p);
+            for threads in THREADS {
+                let pool = ExecPool::with_unit_grain(threads);
+                prop_assert_eq!(norm(a.hselect_par(p, &pool)), expected.clone(), "{}", p);
+            }
         }
     }
 

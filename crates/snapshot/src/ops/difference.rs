@@ -10,12 +10,13 @@ impl SnapshotState {
     /// `E₁ − E₂` contains the tuples of the left operand that do not
     /// appear in the right operand.
     ///
-    /// The kernel walks the left run once, galloping the right cursor
-    /// forward with binary jumps, so a large right operand costs
-    /// O(|left| · log |right|) in the worst case and a near-linear merge
-    /// when the operands interleave. When nothing is removed (including an
-    /// empty right operand) the left run is reused as-is — an O(1) `Arc`
-    /// clone.
+    /// The kernel is a one-pass merge: it walks the left run once and
+    /// moves the right cursor only forward, past every match, searching
+    /// for each left tuple from where the last search ended. Operands
+    /// that interleave cost O(|left| + |right|) comparisons, a right
+    /// operand much the longer O(|left| · log(|right| / |left|)). When
+    /// nothing is removed (including an empty right operand) the left
+    /// run is reused as-is — an O(1) `Arc` clone.
     pub fn difference(&self, other: &SnapshotState) -> Result<SnapshotState> {
         self.schema().require_union_compatible(other.schema())?;
         if other.is_empty() || self.is_empty() {

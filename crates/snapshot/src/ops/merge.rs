@@ -9,6 +9,7 @@
 
 use std::cmp::Ordering;
 
+use crate::state::gallop;
 use crate::tuple::Tuple;
 
 /// Two-pointer union merge: every tuple in either input, once.
@@ -37,23 +38,37 @@ pub(crate) fn merge_union(left: &[Tuple], right: &[Tuple]) -> Vec<Tuple> {
     out
 }
 
-/// Difference merge: tuples of `left` absent from `right`.
+/// Difference merge: tuples of `left` absent from `right`, in one pass
+/// over both runs.
 ///
-/// The right cursor advances by a galloping `partition_point` jump when it
-/// trails, so a small left operand against a huge right one costs
-/// O(|left| · log |right|) instead of a full right scan.
+/// The right cursor only moves forward: each left tuple is looked for
+/// from where the previous search ended ([`seek`]), by exponential
+/// probing, so the whole merge costs O(|left| + |right|) comparisons
+/// when the operands interleave and O(|left| · log(|right| / |left|))
+/// when the right run is much the longer.
 pub(crate) fn merge_difference(left: &[Tuple], right: &[Tuple]) -> Vec<Tuple> {
     let mut out = Vec::with_capacity(left.len());
     let mut j = 0usize;
     for t in left {
-        if right.get(j).is_some_and(|r| r < t) {
-            j += right[j..].partition_point(|r| r < t);
-        }
-        if right.get(j) != Some(t) {
+        let (next, hit) = seek(right, j, t);
+        j = next;
+        if !hit {
             out.push(t.clone());
         }
     }
     out
+}
+
+/// Looks for `t` in `right[j..]`: where the cursor stands afterwards and
+/// whether `t` was there. A miss leaves the cursor on the first tuple
+/// above `t`; a hit at `j` steps past it, to `j + 1`, because the left
+/// run is strictly increasing and no later tuple can match it again.
+fn seek(right: &[Tuple], j: usize, t: &Tuple) -> (usize, bool) {
+    let j = gallop(right, j, t);
+    match right.get(j) {
+        Some(r) if r == t => (j + 1, true),
+        _ => (j, false),
+    }
 }
 
 /// Intersection merge: tuples present in both inputs.
@@ -97,6 +112,30 @@ mod tests {
         let right: Vec<Tuple> = run(&(0..1000).filter(|v| v % 2 == 0).collect::<Vec<_>>());
         let out = merge_difference(&left, &right);
         assert_eq!(out, run(&[5]));
+    }
+
+    /// The one-pass bound, on the cursor: a hit at `j` is never searched
+    /// again (the next search starts at `j + 1`), a miss parks the cursor
+    /// on the first tuple above, and the cursor never moves back.
+    #[test]
+    fn difference_cursor_steps_past_a_hit_and_never_back() {
+        let right = run(&[0, 2, 4, 6, 8, 10]);
+        for (j, t) in right.iter().enumerate() {
+            assert_eq!(seek(&right, j, t), (j + 1, true));
+            // Found from any earlier start as well, and stepped past.
+            assert_eq!(seek(&right, 0, t), (j + 1, true));
+        }
+        assert_eq!(seek(&right, 0, &run(&[5])[0]), (3, false));
+        assert_eq!(seek(&right, 3, &run(&[5])[0]), (3, false));
+        assert_eq!(seek(&right, 6, &run(&[99])[0]), (6, false));
+        // Equal runs: one step per row, so the walk is |left| + |right|.
+        let mut j = 0;
+        for (i, t) in right.iter().enumerate() {
+            let (next, hit) = seek(&right, j, t);
+            assert!(hit && next == i + 1 && next > j);
+            j = next;
+        }
+        assert!(merge_difference(&right, &right).is_empty());
     }
 
     #[test]

@@ -70,9 +70,10 @@ impl SnapshotState {
     /// [`SnapshotState::select`] evaluated over partitioned slice ranges.
     pub fn select_par(&self, predicate: &Predicate, pool: &ExecPool) -> Result<SnapshotState> {
         let compiled = predicate.compile(self.schema())?;
+        let range = compiled.key_range(self.run(), |t| t);
         let runs = pool.map_chunks(
             OpKind::Select,
-            self.run(),
+            &self.run()[range],
             pool.grain(OpKind::Select),
             |chunk| {
                 chunk

@@ -1,6 +1,6 @@
 //! Selection (σ).
 
-use crate::predicate::Predicate;
+use crate::predicate::{CompiledPredicate, Predicate};
 use crate::state::SnapshotState;
 use crate::Result;
 
@@ -8,16 +8,30 @@ impl SnapshotState {
     /// Selection `σ_F(E)`: the tuples satisfying predicate `F`.
     ///
     /// The predicate is validated against the state's scheme and compiled
-    /// once, then evaluated in a single scan over the sorted run —
-    /// filtering preserves canonical order. When every tuple passes, the
-    /// input run is reused as-is (an O(1) `Arc` clone).
+    /// once; the run is then cut to the predicate's key range
+    /// ([`CompiledPredicate::key_range`]: a binary search when the
+    /// predicate compares the leading attributes of the scheme with
+    /// constants, the whole run otherwise) and the rows inside are
+    /// evaluated in one scan — filtering preserves canonical order. When
+    /// every tuple passes, the input run is reused as-is (an O(1) `Arc`
+    /// clone).
     pub fn select(&self, predicate: &Predicate) -> Result<SnapshotState> {
-        let compiled = predicate.compile(self.schema())?;
-        let out: Vec<_> = self.iter().filter(|t| compiled.eval(t)).cloned().collect();
+        Ok(self.select_compiled(&predicate.compile(self.schema())?))
+    }
+
+    /// [`SnapshotState::select`] with a predicate already compiled
+    /// against this state's scheme.
+    pub fn select_compiled(&self, compiled: &CompiledPredicate) -> SnapshotState {
+        let range = compiled.key_range(self.run(), |t| t);
+        let out: Vec<_> = self.run()[range]
+            .iter()
+            .filter(|t| compiled.eval(t))
+            .cloned()
+            .collect();
         if out.len() == self.len() {
-            return Ok(self.clone());
+            return self.clone();
         }
-        Ok(SnapshotState::from_sorted_vec(self.schema().clone(), out))
+        SnapshotState::from_sorted_vec(self.schema().clone(), out)
     }
 }
 
@@ -83,6 +97,35 @@ mod tests {
         let f = Predicate::gt_const("sal", Value::Int(150));
         let once = emp().select(&f).unwrap();
         assert_eq!(once.select(&f).unwrap(), once);
+    }
+
+    #[test]
+    fn select_on_the_leading_attribute_matches_a_scan() {
+        let lo = Predicate::Comp(
+            crate::Operand::attr("name"),
+            crate::CompOp::Ge,
+            crate::Operand::Const(Value::str("b")),
+        );
+        let s = emp().select(&lo).unwrap();
+        assert_eq!(s.len(), 2);
+        let one = emp()
+            .select(&Predicate::eq_const("name", Value::str("bob")))
+            .unwrap();
+        assert_eq!(one.len(), 1);
+        let none = emp()
+            .select(&Predicate::eq_const("name", Value::str("bobby")))
+            .unwrap();
+        assert!(none.is_empty());
+        // Everything passes: the run is shared, range or no range.
+        let e = emp();
+        let all = e
+            .select(&Predicate::Comp(
+                crate::Operand::attr("name"),
+                crate::CompOp::Ge,
+                crate::Operand::Const(Value::str("a")),
+            ))
+            .unwrap();
+        assert!(e.shares_run(&all));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! evaluation is infallible and index-based (no name lookups per tuple).
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::domain::DomainType;
@@ -240,9 +241,10 @@ impl Predicate {
     /// against tuples of `schema`.
     pub fn compile(&self, schema: &Schema) -> Result<CompiledPredicate> {
         self.validate(schema)?;
-        Ok(CompiledPredicate {
-            node: self.compile_node(schema),
-        })
+        let node = self.compile_node(schema);
+        let mut bounds = Vec::new();
+        node.key_bounds(&mut bounds);
+        Ok(CompiledPredicate { node, bounds })
     }
 
     fn compile_node(&self, schema: &Schema) -> CompiledNode {
@@ -329,12 +331,37 @@ impl CompiledNode {
             CompiledNode::Not(a) => !a.eval(tuple),
         }
     }
+
+    /// Collects the `attribute ⋈ constant` comparisons every satisfying
+    /// tuple must pass: those reachable from the root through ∧ alone
+    /// (a conjunct that fails makes the whole predicate fail; nothing
+    /// under ∨ or ¬ is that strong). `constant ⋈ attribute` is listed
+    /// flipped.
+    fn key_bounds(&self, out: &mut Vec<(usize, CompOp, Value)>) {
+        match self {
+            CompiledNode::And(a, b) => {
+                a.key_bounds(out);
+                b.key_bounds(out);
+            }
+            CompiledNode::Comp(CompiledOperand::Attr(i), op, CompiledOperand::Const(v)) => {
+                out.push((*i, *op, v.clone()));
+            }
+            CompiledNode::Comp(CompiledOperand::Const(v), op, CompiledOperand::Attr(i)) => {
+                out.push((*i, op.flip(), v.clone()));
+            }
+            _ => {}
+        }
+    }
 }
 
 /// A predicate resolved against a fixed scheme; evaluation is infallible.
 #[derive(Debug, Clone)]
 pub struct CompiledPredicate {
     node: CompiledNode,
+    /// The top-level conjuncts of the form `attribute ⋈ constant`, as
+    /// `(attribute index, ⋈, constant)`; see
+    /// [`CompiledPredicate::key_range`].
+    bounds: Vec<(usize, CompOp, Value)>,
 }
 
 impl CompiledPredicate {
@@ -342,6 +369,44 @@ impl CompiledPredicate {
     /// for.
     pub fn eval(&self, tuple: &Tuple) -> bool {
         self.node.eval(tuple)
+    }
+
+    /// The index range of `run` that holds every row the predicate can
+    /// accept, found by binary search; the predicate is false on every
+    /// row outside it, so a selection need only evaluate the rows inside.
+    ///
+    /// `run` is sorted by `key`, lexicographically by attribute position,
+    /// as a state's run is. A top-level conjunct comparing the leading
+    /// attribute with a constant by `=`, `<`, `≤`, `>` or `≥` cuts the
+    /// run to the rows that pass it; while the conjuncts pin an attribute
+    /// with `=`, the rows left are sorted by the next one and its
+    /// conjuncts cut again. A predicate with no such conjunct (a
+    /// non-leading attribute, `≠`, anything under ∨ or ¬) keeps the whole
+    /// run.
+    pub fn key_range<R>(&self, run: &[R], key: impl Fn(&R) -> &Tuple) -> Range<usize> {
+        let mut range = 0..run.len();
+        for attr in 0.. {
+            let mut pinned = false;
+            for (_, op, v) in self.bounds.iter().filter(|(i, ..)| *i == attr) {
+                let rows = &run[range.clone()];
+                let below = || rows.partition_point(|r| key(r).get(attr) < v);
+                let through = || rows.partition_point(|r| key(r).get(attr) <= v);
+                let (lo, hi) = match op {
+                    CompOp::Eq => (below(), through()),
+                    CompOp::Lt => (0, below()),
+                    CompOp::Le => (0, through()),
+                    CompOp::Gt => (through(), rows.len()),
+                    CompOp::Ge => (below(), rows.len()),
+                    CompOp::Ne => continue,
+                };
+                range = range.start + lo..range.start + hi;
+                pinned |= *op == CompOp::Eq;
+            }
+            if !pinned {
+                break;
+            }
+        }
+        range
     }
 }
 
@@ -473,6 +538,73 @@ mod tests {
         let p = Predicate::gt_const("sal", Value::Int(50))
             .and(Predicate::eq_const("name", Value::str("a")).not());
         assert_eq!(p.to_string(), "(sal > 50 and (not name = \"a\"))");
+    }
+
+    /// The key range holds every accepted row and is found on the
+    /// leading attributes alone: checked against a full scan for every
+    /// comparison, alone and under ∧/∨/¬, on a two-attribute key.
+    #[test]
+    fn key_range_brackets_exactly_what_a_scan_accepts() {
+        let s = Schema::new(vec![
+            ("a", DomainType::Int),
+            ("b", DomainType::Int),
+            ("c", DomainType::Int),
+        ])
+        .unwrap();
+        let mut run: Vec<Tuple> = (0..4)
+            .flat_map(|a| (0..4).map(move |b| (a, b)))
+            .map(|(a, b)| Tuple::new(vec![Value::Int(a), Value::Int(2 * b), Value::Int(a + b)]))
+            .collect();
+        run.sort();
+        let comp = |attr: &str, op, v| {
+            Predicate::Comp(Operand::attr(attr), op, Operand::Const(Value::Int(v)))
+        };
+        let ops = [
+            CompOp::Eq,
+            CompOp::Ne,
+            CompOp::Lt,
+            CompOp::Le,
+            CompOp::Gt,
+            CompOp::Ge,
+        ];
+        let mut predicates = vec![Predicate::True, Predicate::False];
+        for op in ops {
+            for v in -1..=5 {
+                predicates.push(comp("a", op, v));
+                predicates.push(comp("c", op, v));
+                // The constant on the left.
+                predicates.push(Predicate::Comp(
+                    Operand::Const(Value::Int(v)),
+                    op,
+                    Operand::attr("a"),
+                ));
+                for op2 in ops {
+                    predicates.push(comp("a", CompOp::Eq, 2).and(comp("b", op2, v)));
+                    predicates.push(comp("a", op, 2).and(comp("b", op2, v)));
+                    predicates.push(comp("a", op, 1).and(comp("a", op2, v)));
+                    predicates.push(comp("a", op, v).or(comp("b", op2, 2)));
+                    predicates.push(comp("a", op, v).not().and(comp("a", op2, 2)));
+                }
+            }
+        }
+        let mut narrowed = 0;
+        for p in &predicates {
+            let c = p.compile(&s).unwrap();
+            let range = c.key_range(&run, |t| t);
+            for (i, t) in run.iter().enumerate() {
+                assert!(!c.eval(t) || range.contains(&i), "{p}: row {i} cut off");
+            }
+            narrowed += usize::from(range.len() < run.len());
+        }
+        assert!(narrowed > predicates.len() / 2);
+        // A pinned prefix narrows to exactly the matching rows.
+        let point = comp("a", CompOp::Eq, 2).and(comp("b", CompOp::Eq, 4));
+        let range = point.compile(&s).unwrap().key_range(&run, |t| t);
+        assert_eq!(range.len(), 1);
+        assert_eq!(run[range.start].get(2), &Value::Int(4));
+        // A non-leading attribute keeps the whole run.
+        let c = comp("b", CompOp::Eq, 4).compile(&s).unwrap();
+        assert_eq!(c.key_range(&run, |t| t), 0..run.len());
     }
 
     #[test]

@@ -305,7 +305,7 @@ impl SnapshotState {
 /// probing upward from `lo`. Delta events arrive in sorted order, so a
 /// sweep that restarts each search at the previous hit pays O(log gap)
 /// comparisons per event instead of O(log n).
-fn gallop(run: &[Tuple], lo: usize, target: &Tuple) -> usize {
+pub(crate) fn gallop(run: &[Tuple], lo: usize, target: &Tuple) -> usize {
     if lo >= run.len() || run[lo] >= *target {
         return lo;
     }

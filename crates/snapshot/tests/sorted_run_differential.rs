@@ -80,6 +80,71 @@ fn arb_attrs() -> impl Strategy<Value = Vec<&'static str>> {
     })
 }
 
+/// A state over the shared schema holding exactly the given `a0` values.
+fn state_of(ids: impl IntoIterator<Item = i64>) -> SnapshotState {
+    let rows = ids.into_iter().map(|id| {
+        vec![
+            Value::Int(id),
+            Value::str(format!("s{}", id % 6)),
+            Value::Bool(id % 2 == 0),
+        ]
+    });
+    SnapshotState::from_rows(fixed_schema(), rows).unwrap()
+}
+
+/// Operand pairs in the shapes a merge cursor meets, `n` rows to a
+/// side: interleaved and of equal size (no match, every third a match,
+/// every row a match), nested either way, disjoint either way and in
+/// alternating blocks, one side huge.
+fn shaped_pairs(n: i64) -> Vec<(&'static str, SnapshotState, SnapshotState)> {
+    let huge = 40 * n + 500;
+    vec![
+        (
+            "interleaved",
+            state_of((0..n).map(|i| 2 * i)),
+            state_of((0..n).map(|i| 2 * i + 1)),
+        ),
+        (
+            "interleaved, some equal",
+            state_of((0..n).map(|i| 2 * i)),
+            state_of((0..n).map(|i| 3 * i)),
+        ),
+        ("equal by value", state_of(0..n), state_of(0..n)),
+        (
+            "right nested in left",
+            state_of(0..n),
+            state_of(n / 4..n / 2),
+        ),
+        (
+            "left nested in right",
+            state_of(n / 4..n / 2),
+            state_of(0..n),
+        ),
+        ("left below right", state_of(0..n), state_of(n..2 * n)),
+        ("right below left", state_of(n..2 * n), state_of(0..n)),
+        (
+            "alternating blocks",
+            state_of((0..n).filter(|i| (i / 8) % 2 == 0)),
+            state_of((0..n).filter(|i| (i / 8) % 2 == 1)),
+        ),
+        (
+            "right huge",
+            state_of((0..n).map(|i| 37 * i)),
+            state_of(0..huge),
+        ),
+        (
+            "left huge",
+            state_of(0..huge),
+            state_of((0..n).map(|i| 37 * i)),
+        ),
+        (
+            "right huge and above",
+            state_of(0..n),
+            state_of(n + 5..huge),
+        ),
+    ]
+}
+
 /// Both sides reduced to a comparable form: states byte-for-byte, errors
 /// by their debug rendering (the same `SnapshotError` values flow through
 /// both implementations).
@@ -115,6 +180,59 @@ proptest! {
         for threads in THREADS {
             let pool = ExecPool::with_unit_grain(threads);
             prop_assert_eq!(norm(a.difference_par(&b, &pool)), expected.clone());
+        }
+    }
+
+    /// The one-pass cursor of − (and ∪ for free) on every operand
+    /// shape: a cursor that failed to step past a match, or stepped past
+    /// a row it had not matched, shows in one of them.
+    #[test]
+    fn merges_match_reference_on_shaped_operands(n in 1i64..120) {
+        for (shape, a, b) in shaped_pairs(n) {
+            let (ra, rb) = (RefSnapshot::from_state(&a), RefSnapshot::from_state(&b));
+            let (minus, union) = (norm_ref(ra.difference(&rb)), norm_ref(ra.union(&rb)));
+            prop_assert_eq!(norm(a.difference(&b)), minus.clone(), "{}: −", shape);
+            prop_assert_eq!(norm(a.union(&b)), union.clone(), "{}: ∪", shape);
+            for threads in THREADS {
+                let pool = ExecPool::with_unit_grain(threads);
+                prop_assert_eq!(norm(a.difference_par(&b, &pool)), minus.clone(), "{}: −", shape);
+                prop_assert_eq!(norm(a.union_par(&b, &pool)), union.clone(), "{}: ∪", shape);
+            }
+        }
+    }
+
+    /// Selections that cut the run by its leading attribute before they
+    /// scan it, against the reference's full scan.
+    #[test]
+    fn key_range_select_matches_reference(
+        n in 1i64..80,
+        k in -2i64..90,
+        width in 0i64..20,
+        rest in arb_predicate(),
+    ) {
+        use txtime_snapshot::{CompOp, Operand};
+        let a = state_of((0..n).map(|i| i + i / 3));
+        let ra = RefSnapshot::from_state(&a);
+        let on = |attr: &str, op, v: Value| Predicate::Comp(Operand::attr(attr), op, Operand::Const(v));
+        let a0 = |op, v: i64| on("a0", op, Value::Int(v));
+        let mut predicates = vec![rest.clone()];
+        for op in [CompOp::Eq, CompOp::Ne, CompOp::Lt, CompOp::Le, CompOp::Gt, CompOp::Ge] {
+            predicates.push(a0(op, k));
+            predicates.push(a0(op, k).and(rest.clone()));
+            predicates.push(rest.clone().and(a0(op, k)));
+            predicates.push(a0(op, k).or(rest.clone()));
+            predicates.push(a0(op, k).not());
+            predicates.push(a0(CompOp::Ge, k).and(a0(op, k + width)));
+            predicates.push(a0(CompOp::Eq, k).and(on("a1", op, Value::str(format!("s{}", k.rem_euclid(6))))));
+            predicates.push(Predicate::Comp(Operand::Const(Value::Int(k)), op, Operand::attr("a0")));
+        }
+        for p in &predicates {
+            let expected = norm_ref(ra.select(p));
+            prop_assert_eq!(norm(a.select(p)), expected.clone(), "{}", p);
+            for threads in THREADS {
+                let pool = ExecPool::with_unit_grain(threads);
+                prop_assert_eq!(norm(a.select_par(p, &pool)), expected.clone(), "{}", p);
+            }
         }
     }
 

@@ -93,9 +93,8 @@ pub trait RollbackStore: Send + Sync {
     /// instead of diffing the relation a second time on the first read,
     /// and asks only when a cached view reads the relation. Costs the
     /// listed changes, never the relation. `None` from a store that holds
-    /// no such delta (the provided implementation), at a checkpoint
-    /// position and for the first version: the memo then diffs the two
-    /// states on first demand.
+    /// no such delta (the provided implementation) and for the first
+    /// version: the memo then diffs the two states on first demand.
     fn last_delta(&self) -> Option<StateDelta> {
         None
     }
@@ -142,6 +141,29 @@ pub trait RollbackStore: Send + Sync {
             Some(s) => filter.apply(s, historical).map(Some),
             None => Ok(None),
         }
+    }
+
+    /// `state_at(minuend) − state_at(subtrahend)` where the store can
+    /// read it off its own representation without building either
+    /// version: the storage side of `ρ(I, n₂) − ρ(I, n₁)`, the "what
+    /// changed between two times" query.
+    ///
+    /// `None` declines, and the caller resolves both versions and
+    /// subtracts them, which decides every value and every error. The
+    /// delta stores answer from the net delta of the chain between the
+    /// two versions (the arriving side for `minuend ≥ subtrahend`, the
+    /// departing side otherwise) and decline what that delta cannot
+    /// decide: a probe before the first version, a scheme or kind
+    /// boundary or an undiffed version in the span, and historical
+    /// versions, whose deltas list a revalued tuple's new valid time but
+    /// not the old one `−̂` subtracts. The provided implementation always
+    /// declines.
+    fn version_difference(
+        &self,
+        _minuend: TransactionNumber,
+        _subtrahend: TransactionNumber,
+    ) -> Option<StateValue> {
+        None
     }
 
     /// The most recent state, if any.

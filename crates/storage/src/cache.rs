@@ -1,13 +1,17 @@
 //! A bounded LRU cache of materialized rollback versions.
 //!
 //! The delta backends pay for their space savings at query time: every
-//! `state_at` replays a chain of deltas from the nearest materialized
-//! state. Rollback workloads are heavily repetitive — audits re-read the
-//! same as-of points, differential tests sweep the same transaction range
-//! — so the engine shares one [`MaterializationCache`] across all of its
-//! stores: reconstructed versions are remembered under
-//! `(relation id, floor commit tx)` and later probes return an O(1)
-//! `Arc`-backed clone instead of replaying.
+//! `state_at` copies the nearest materialized state and applies the net
+//! delta of the chain from there. Rollback workloads are repetitive —
+//! audits re-read the same as-of points, differential tests sweep the
+//! same transaction range — so the engine shares one
+//! [`MaterializationCache`] across all of its stores: reconstructed
+//! versions are remembered under `(relation id, floor commit tx)` and a
+//! later probe of exactly that version returns an O(1) `Arc`-backed
+//! clone instead of the copy and the pass. That is all it buys: a
+//! cached version is never a replay seed for another one (the store's
+//! checkpoints bound the chain already, and looking for a nearer seed
+//! took this lock once per entry walked back).
 //!
 //! The key is stable by construction. A version's commit transaction
 //! number never changes once appended; `truncate_before` keeps the floor
@@ -102,19 +106,6 @@ impl MaterializationCache {
                 None
             }
         }
-    }
-
-    /// Like [`MaterializationCache::get`], but uncounted — used to probe
-    /// intermediate versions for the nearest cached replay seed, where a
-    /// miss is expected and says nothing about cache effectiveness.
-    pub fn peek(&self, rel: u64, tx: u64) -> Option<StateValue> {
-        let mut inner = self.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.entries.get_mut(&(rel, tx)).map(|entry| {
-            entry.last_used = tick;
-            entry.state.clone()
-        })
     }
 
     /// Remembers the materialized version of `rel` at `tx`, evicting the
@@ -236,33 +227,23 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_count() {
-        let c = MaterializationCache::new(4);
-        c.insert(1, 10, snap(&[1]));
-        assert_eq!(c.peek(1, 10), Some(snap(&[1])));
-        assert!(c.peek(1, 11).is_none());
-        let stats = c.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 0));
-    }
-
-    #[test]
     fn lru_eviction_prefers_stale_entries() {
         let c = MaterializationCache::new(2);
         c.insert(1, 1, snap(&[1]));
         c.insert(1, 2, snap(&[2]));
         let _ = c.get(1, 1); // refresh 1 — 2 is now the LRU victim
         c.insert(1, 3, snap(&[3]));
-        assert!(c.peek(1, 2).is_none());
-        assert_eq!(c.peek(1, 1), Some(snap(&[1])));
-        assert_eq!(c.peek(1, 3), Some(snap(&[3])));
         assert_eq!(c.stats().evictions, 1);
+        assert!(c.get(1, 2).is_none());
+        assert_eq!(c.get(1, 1), Some(snap(&[1])));
+        assert_eq!(c.get(1, 3), Some(snap(&[3])));
     }
 
     #[test]
     fn zero_capacity_disables_the_cache() {
         let c = MaterializationCache::new(0);
         c.insert(1, 1, snap(&[1]));
-        assert!(c.peek(1, 1).is_none());
+        assert!(c.get(1, 1).is_none());
         assert_eq!(c.stats().insertions, 0);
     }
 
@@ -275,7 +256,7 @@ mod tests {
         c.set_capacity(1);
         assert_eq!(c.stats().entries, 1);
         // The most recently inserted entry survives.
-        assert_eq!(c.peek(1, 3), Some(snap(&[3])));
+        assert_eq!(c.get(1, 3), Some(snap(&[3])));
     }
 
     #[test]
@@ -284,7 +265,7 @@ mod tests {
         c.insert(1, 1, snap(&[1]));
         c.insert(2, 1, snap(&[2]));
         c.purge_relation(1);
-        assert!(c.peek(1, 1).is_none());
-        assert_eq!(c.peek(2, 1), Some(snap(&[2])));
+        assert!(c.get(1, 1).is_none());
+        assert_eq!(c.get(2, 1), Some(snap(&[2])));
     }
 }

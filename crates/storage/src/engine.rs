@@ -1389,6 +1389,32 @@ impl StateSource for Engine {
             },
         }
     }
+
+    /// `ρ(I, n₂) − ρ(I, n₁)` handed to the store whole: a delta store
+    /// reads the answer off the chain between the two versions
+    /// ([`RollbackStore::version_difference`]). Anything else declines
+    /// (a relation the type rules refuse, one that keeps a single
+    /// version, a store without an answer), and the evaluator's own two
+    /// resolves and subtraction decide the value or word the error.
+    fn resolve_version_difference(
+        &self,
+        ident: &str,
+        minuend: TransactionNumber,
+        subtrahend: TransactionNumber,
+        historical: bool,
+    ) -> Option<StateValue> {
+        let rel = self
+            .rollback_relation(ident, TxSpec::At(minuend), historical)
+            .ok()?;
+        let Keeper::History(store) = &rel.keeper else {
+            return None;
+        };
+        let started = std::time::Instant::now();
+        let answer = store.version_difference(minuend, subtrahend)?;
+        self.pool
+            .record_external(OpKind::VersionDiff, answer.len() as u64, started.elapsed());
+        Some(answer)
+    }
 }
 
 /// The exact statistics of one materialized version: its cardinality and
@@ -1933,6 +1959,55 @@ mod tests {
             }
         }
         assert_eq!(e.version_count("acct"), Some(2_001));
+    }
+
+    /// The count test of the version difference: an audit diff
+    /// `ρ(acct, T+d) − ρ(acct, T)` on forward-delta is read off the
+    /// chain. No − kernel runs, no version is built (so none enters the
+    /// state cache), and each answer is a `version-diff` row entry
+    /// counting the tuples it returns. The parent ran one `difference`
+    /// and inserted two states per diff.
+    #[test]
+    fn audit_diffs_on_forward_delta_come_off_the_chain() {
+        let mut e = two_thread_engine(1024);
+        for i in 0..128i64 {
+            e.execute(&update_one_row((i * 37) % 1024, i + 1)).unwrap();
+        }
+        e.reset_exec_stats();
+        e.reset_cache_stats();
+        // 1 000 distinct spans (a repeated expression would be answered
+        // by the view memo), both directions, across checkpoints.
+        let first = 2u64; // define at 1, the literal at 2
+        let at = |n: u64| Expr::rollback("acct", TxSpec::At(TransactionNumber(n)));
+        let mut returned = 0;
+        for t in 0..100u64 {
+            for d in 1..=10u64 {
+                let (later, earlier) = (first + t + d, first + t);
+                let (minuend, subtrahend) = if d % 2 == 0 {
+                    (later, earlier)
+                } else {
+                    (earlier, later)
+                };
+                let got = e.eval(&at(minuend).difference(at(subtrahend))).unwrap();
+                // Every commit replaces one row with a fresh balance.
+                assert_eq!(got.len() as u64, d, "ρ({minuend}) − ρ({subtrahend})");
+                returned += d;
+            }
+        }
+        assert_eq!(op_row(&e, "difference"), (0, 0));
+        assert_eq!(op_row(&e, "version-diff"), (1_000, returned));
+        let cache = e.cache_stats();
+        assert_eq!((cache.insertions, cache.entries), (0, 0), "{cache:?}");
+        assert!(cache.replayed_deltas >= returned / 2, "{cache:?}");
+        // The same value as resolving both sides and subtracting.
+        let (l, r) = (
+            e.eval(&at(first + 40)).unwrap().into_snapshot().unwrap(),
+            e.eval(&at(first + 23)).unwrap().into_snapshot().unwrap(),
+        );
+        assert_eq!(
+            e.eval(&at(first + 40).difference(at(first + 23))).unwrap(),
+            StateValue::Snapshot(l.difference(&r).unwrap())
+        );
     }
 
     /// A right-hand side the delta path declines (its leaf is not the

@@ -6,36 +6,41 @@ use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use txtime_core::{EvalError, RollbackFilter, StateValue, TransactionNumber};
-use txtime_historical::HistoricalState;
-use txtime_snapshot::SnapshotState;
-
-use txtime_snapshot::StrInterner;
+use txtime_snapshot::{Schema, StrInterner};
 
 use crate::backend::{BackendKind, CheckpointPolicy, RollbackStore};
 use crate::cache::MaterializationCache;
 use crate::delta::{intern_state, StateDelta};
 use crate::metrics::{CompactionStats, InternerStats};
 
-/// One entry in the forward chain.
+/// One version in the forward chain.
 #[derive(Debug, PartialEq)]
-enum Entry {
-    /// A materialized full state (version 0 and checkpoints).
-    Checkpoint(StateValue),
-    /// A delta from the previous version.
-    Delta(StateDelta),
+struct Entry {
+    /// What carried the previous version to this one; `None` where there
+    /// is nothing to have diffed against: the first version, and the new
+    /// base a truncation leaves.
+    delta: Option<StateDelta>,
+    /// The version in full (a checkpoint): wherever `delta` is `None`, at
+    /// the policy's positions, and wherever compaction pinned one. The
+    /// delta stays beside it, so a span of versions crosses a checkpoint
+    /// without a hole.
+    state: Option<StateValue>,
+    tx: TransactionNumber,
 }
 
 /// Stores the first version in full and subsequent versions as forward
 /// deltas, materializing a checkpoint every K versions per the policy.
 ///
 /// `state_at` seeks the last version ≤ tx, walks *back* to the nearest
-/// checkpoint, then replays deltas forward — so rollback cost is bounded
-/// by the checkpoint interval, and space is proportional to churn rather
-/// than state size.
+/// checkpoint, composes the deltas in between into their net delta
+/// ([`StateDelta::compose`]) and applies that once — so rollback cost is
+/// one copy of the checkpoint and one edit pass however long the
+/// segment, the segment is bounded by the checkpoint interval, and space
+/// is proportional to churn rather than state size.
 #[derive(Debug)]
 pub struct ForwardDeltaStore {
     policy: CheckpointPolicy,
-    entries: Vec<(Entry, TransactionNumber)>,
+    entries: Vec<Entry>,
     /// Lifetime compaction counters.
     compaction: CompactionStats,
     /// The last compaction pass's interval and the chain length it saw:
@@ -74,57 +79,64 @@ impl ForwardDeltaStore {
         }
     }
 
-    /// Walks back from `index` to the nearest materialized replay seed —
-    /// a checkpoint, or a cached reconstruction of an earlier version
-    /// (uncounted probes: these are opportunistic). Returns the seed's
-    /// entry index and its materialized state; every entry in
-    /// `(seed, index]` is a delta.
-    fn seed_for(&self, index: usize) -> (usize, StateValue) {
-        let mut base = index;
-        let state = loop {
-            match &self.entries[base].0 {
-                Entry::Checkpoint(s) => break s.clone(),
-                Entry::Delta(_) => {
-                    if base < index {
-                        if let Some((cache, rel)) = &self.cache {
-                            if let Some(s) = cache.peek(*rel, self.entries[base].1 .0) {
-                                break s;
-                            }
-                        }
-                    }
-                    base -= 1;
-                }
-            }
-        };
-        (base, state)
+    /// The index of the version current at `tx`, if there is one yet.
+    fn floor(&self, tx: TransactionNumber) -> Option<usize> {
+        self.entries.partition_point(|e| e.tx <= tx).checked_sub(1)
     }
 
-    /// Reconstructs version `index` by replay, consulting the cache for
-    /// the finished version first and for the nearest materialized replay
-    /// seed second.
+    /// Walks back from `index` to the nearest checkpoint: its entry
+    /// index and state. Every entry in `(seed, index]` holds a delta.
+    fn seed_for(&self, index: usize) -> (usize, &StateValue) {
+        (0..=index)
+            .rev()
+            .find_map(|i| Some((i, self.entries[i].state.as_ref()?)))
+            .expect("chain starts with a checkpoint")
+    }
+
+    /// The deltas of versions `(from, to]`, oldest first; `None` if one
+    /// of them was never diffed against its predecessor.
+    fn deltas(&self, from: usize, to: usize) -> Option<Vec<&StateDelta>> {
+        self.entries[from + 1..=to]
+            .iter()
+            .map(|e| e.delta.as_ref())
+            .collect()
+    }
+
+    /// Version `to` from version `from`, no checkpoint strictly between:
+    /// the segment composed into its net delta, applied once.
+    fn replay(&self, from: usize, seed: &StateValue, to: usize) -> StateValue {
+        let chain = self
+            .deltas(from, to)
+            .expect("versions after a checkpoint hold deltas");
+        match StateDelta::compose(&chain) {
+            Some(net) => net.apply(seed),
+            None => seed.clone(),
+        }
+    }
+
+    /// Counts `n` composed deltas in the shared cache's statistics.
+    fn note_replayed(&self, n: usize) {
+        if let Some((cache, _)) = &self.cache {
+            cache.add_replayed(n as u64);
+        }
+    }
+
+    /// Reconstructs version `index`, consulting the cache for exactly
+    /// that version first and replaying from the nearest checkpoint
+    /// otherwise.
     fn reconstruct(&self, index: usize) -> StateValue {
-        let target_tx = self.entries[index].1;
+        let target_tx = self.entries[index].tx;
         if let Some((cache, rel)) = &self.cache {
             // Counted probe: the caller wanted exactly this version.
             if let Some(state) = cache.get(*rel, target_tx.0) {
                 return state;
             }
         }
-        let (base, mut state) = self.seed_for(index);
-        // Replay forward, mutating the one working state in place.
-        let mut replayed = 0u64;
-        for i in base + 1..=index {
-            match &self.entries[i].0 {
-                Entry::Delta(d) => {
-                    d.apply_in_place(&mut state);
-                    replayed += 1;
-                }
-                Entry::Checkpoint(s) => state = s.clone(),
-            }
-        }
+        let (base, seed) = self.seed_for(index);
+        let state = self.replay(base, seed, index);
+        self.note_replayed(index - base);
         if let Some((cache, rel)) = &self.cache {
-            cache.add_replayed(replayed);
-            if replayed > 0 {
+            if index > base {
                 // Checkpoints are O(1) to fetch; only replayed versions
                 // are worth remembering.
                 cache.insert(*rel, target_tx.0, state.clone());
@@ -132,19 +144,38 @@ impl ForwardDeltaStore {
         }
         state
     }
+
+    /// The scheme of snapshot version `index`, read off the nearest
+    /// entry at or below it that holds a state; `None` for an historical
+    /// version.
+    fn snapshot_schema_at(&self, index: usize) -> Option<&Schema> {
+        let state = (0..=index).rev().find_map(|i| match &self.entries[i] {
+            Entry { state: Some(s), .. } => Some(s),
+            Entry {
+                delta: Some(StateDelta::Reschema(s)),
+                ..
+            } => Some(&**s),
+            _ => None,
+        })?;
+        match state {
+            StateValue::Snapshot(s) => Some(s.schema()),
+            StateValue::Historical(_) => None,
+        }
+    }
 }
 
 impl ForwardDeltaStore {
-    /// Writes one version to the chain, the only routine that does:
-    /// `state` in full at a checkpoint position (and first of all), the
-    /// `delta` that led to it anywhere else.
+    /// Writes one version to the chain, the only routine that does: the
+    /// `delta` that led to it, and `state` in full beside it at a
+    /// checkpoint position (and wherever there is no delta).
     fn push(&mut self, delta: Option<StateDelta>, state: StateValue, tx: TransactionNumber) {
-        debug_assert!(self.entries.last().is_none_or(|(_, t)| *t < tx));
-        let entry = match delta {
-            Some(d) if !self.policy.is_checkpoint(self.entries.len()) => Entry::Delta(d),
-            _ => Entry::Checkpoint(state.clone()),
-        };
-        self.entries.push((entry, tx));
+        debug_assert!(self.entries.last().is_none_or(|e| e.tx < tx));
+        let pinned = delta.is_none() || self.policy.is_checkpoint(self.entries.len());
+        self.entries.push(Entry {
+            delta,
+            state: pinned.then(|| state.clone()),
+            tx,
+        });
         self.current = Some(state);
     }
 }
@@ -155,13 +186,10 @@ impl RollbackStore for ForwardDeltaStore {
         // of `state`) and every replayed reconstruction then share pooled
         // string allocations with the prior versions.
         let state = intern_state(state, &mut self.interner);
-        // A checkpoint position stores the state itself: nothing to diff.
-        let delta = match &self.current {
-            Some(prev) if !self.policy.is_checkpoint(self.entries.len()) => {
-                Some(StateDelta::between(prev, &state))
-            }
-            _ => None,
-        };
+        let delta = self
+            .current
+            .as_ref()
+            .map(|prev| StateDelta::between(prev, &state));
         self.push(delta, state, tx);
     }
 
@@ -178,13 +206,10 @@ impl RollbackStore for ForwardDeltaStore {
         self.push(Some(delta), state, tx);
     }
 
-    /// The newest chain entry *is* the wanted delta, unless it is a
-    /// checkpoint, which holds a full state and was never diffed.
+    /// The newest chain entry's delta *is* the wanted one; only the
+    /// first version (and a truncation's new base) has none.
     fn last_delta(&self) -> Option<StateDelta> {
-        match &self.entries.last()?.0 {
-            Entry::Delta(d) => Some(d.clone()),
-            Entry::Checkpoint(_) => None,
-        }
+        self.entries.last()?.delta.clone()
     }
 
     fn interner_stats(&self) -> Option<InternerStats> {
@@ -195,24 +220,16 @@ impl RollbackStore for ForwardDeltaStore {
     }
 
     fn state_at(&self, tx: TransactionNumber) -> Option<StateValue> {
-        let idx = self.entries.partition_point(|(_, t)| *t <= tx);
-        idx.checked_sub(1).map(|i| self.reconstruct(i))
+        self.floor(tx).map(|i| self.reconstruct(i))
     }
 
-    /// Batched FINDSTATE: one replay pass over the delta chain answers
-    /// every probe, instead of one replay per probe. The pass runs from
-    /// the seed of the *lowest* uncached floor version to the *highest*,
-    /// capturing each wanted version (and warming the cache with it) as
-    /// the working state sweeps past it.
+    /// Batched FINDSTATE: the distinct uncached floor versions are
+    /// reconstructed in ascending order, each from the nearer of its
+    /// checkpoint and the version reconstructed just before it, so no
+    /// delta is composed twice per batch (and every wanted version warms
+    /// the cache).
     fn state_at_many(&self, txs: &[TransactionNumber]) -> Vec<Option<StateValue>> {
-        let floors: Vec<Option<usize>> = txs
-            .iter()
-            .map(|tx| {
-                self.entries
-                    .partition_point(|(_, t)| *t <= *tx)
-                    .checked_sub(1)
-            })
-            .collect();
+        let floors: Vec<Option<usize>> = txs.iter().map(|tx| self.floor(*tx)).collect();
         // Triage the distinct floor versions through the cache (counted:
         // each was wanted by at least one probe).
         let mut resolved: BTreeMap<usize, StateValue> = BTreeMap::new();
@@ -222,42 +239,31 @@ impl RollbackStore for ForwardDeltaStore {
                 continue;
             }
             if let Some((cache, rel)) = &self.cache {
-                if let Some(s) = cache.get(*rel, self.entries[floor].1 .0) {
+                if let Some(s) = cache.get(*rel, self.entries[floor].tx.0) {
                     resolved.insert(floor, s);
                     continue;
                 }
             }
             missing.insert(floor);
         }
-        if let (Some(&lo), Some(&hi)) = (missing.first(), missing.last()) {
-            let (base, mut state) = self.seed_for(lo);
-            if missing.contains(&base) {
-                // The lowest wanted version is itself a checkpoint.
-                resolved.insert(base, state.clone());
-            }
-            let mut replayed = 0u64;
-            for i in base + 1..=hi {
-                match &self.entries[i].0 {
-                    Entry::Delta(d) => {
-                        d.apply_in_place(&mut state);
-                        replayed += 1;
-                    }
-                    Entry::Checkpoint(s) => state = s.clone(),
-                }
-                if missing.contains(&i) {
-                    resolved.insert(i, state.clone());
-                    if let Some((cache, rel)) = &self.cache {
-                        if matches!(self.entries[i].0, Entry::Delta(_)) {
-                            // Same rule as single-probe reconstruction:
-                            // only replayed versions are worth caching.
-                            cache.insert(*rel, self.entries[i].1 .0, state.clone());
-                        }
-                    }
+        let mut last: Option<(usize, StateValue)> = None;
+        for want in missing {
+            let (base, seed) = self.seed_for(want);
+            let (from, seed) = match &last {
+                Some((at, state)) if *at >= base => (*at, state),
+                _ => (base, seed),
+            };
+            let state = self.replay(from, seed, want);
+            self.note_replayed(want - from);
+            if let Some((cache, rel)) = &self.cache {
+                if want > base {
+                    // Same rule as single-probe reconstruction: only
+                    // replayed versions are worth caching.
+                    cache.insert(*rel, self.entries[want].tx.0, state.clone());
                 }
             }
-            if let Some((cache, _)) = &self.cache {
-                cache.add_replayed(replayed);
-            }
+            resolved.insert(want, state.clone());
+            last = Some((want, state));
         }
         floors
             .iter()
@@ -265,18 +271,19 @@ impl RollbackStore for ForwardDeltaStore {
             .collect()
     }
 
-    /// FINDSTATE with the selection evaluated *during replay*: the
-    /// working state carries only tuples the predicate accepts, so the
-    /// full version is never materialized (experiment E10).
+    /// FINDSTATE with the selection evaluated *before* the replay: the
+    /// checkpoint is cut to the rows the predicate accepts (a binary
+    /// search when it compares the leading attributes with constants),
+    /// the segment's net delta is cut to the arrivals it accepts, and the
+    /// one is applied to the other, so the full version is never
+    /// materialized (experiment E10).
     ///
     /// This is sound because a forward delta identifies changes by tuple
-    /// value: a tuple's predicate verdict is fixed at compile time, so
-    /// filtering `added`/`upserted` entries as they arrive and applying
-    /// removals to the reduced state commutes with σ over the fully
-    /// replayed version. Scheme (and kind) boundaries reset the chain via
-    /// `Reschema`/checkpoint entries, so only the suffix after the last
-    /// boundary is replayed filtered — against the one schema the
-    /// predicate was compiled for.
+    /// value and a tuple's predicate verdict is fixed: filtering the
+    /// arriving entries and applying removals to the reduced state
+    /// commutes with σ over the fully replayed version. A scheme (or
+    /// kind) boundary inside the segment makes its net delta a
+    /// `Reschema`, which carries the version in full.
     fn state_at_filtered(
         &self,
         tx: TransactionNumber,
@@ -292,104 +299,83 @@ impl RollbackStore for ForwardDeltaStore {
                 None => Ok(None),
             };
         };
-        let idx = self.entries.partition_point(|(_, t)| *t <= tx);
-        let Some(target) = idx.checked_sub(1) else {
+        let Some(target) = self.floor(tx) else {
             return Ok(None);
         };
         if let Some((cache, rel)) = &self.cache {
             // A cached full version short-circuits the replay entirely.
-            if let Some(s) = cache.get(*rel, self.entries[target].1 .0) {
+            if let Some(s) = cache.get(*rel, self.entries[target].tx.0) {
                 return filter.apply(s, historical).map(Some);
             }
         }
         let (base, seed) = self.seed_for(target);
-        // Every entry in (base, target] is a delta; a `Reschema` delta
-        // replaces the state wholesale, so replay effectively starts at
-        // the *last* such boundary.
-        let mut start = base;
-        let mut state = seed;
-        for i in base + 1..=target {
-            if let Entry::Delta(StateDelta::Reschema(s)) = &self.entries[i].0 {
-                start = i;
-                state = (**s).clone();
-            }
-        }
-        if state.is_historical() != historical {
-            // The suffix after the last boundary keeps this kind, so the
-            // query is doomed to a kind mismatch; materialize unfiltered
-            // and let the shared filter code produce the exact error the
-            // un-pushed path would.
-            return filter.apply(self.reconstruct(target), historical).map(Some);
-        }
+        let chain = self
+            .deltas(base, target)
+            .expect("versions after a checkpoint hold deltas");
+        // Filtered states never enter the cache — they are not the
+        // version — but the replay work is still accounted.
+        self.note_replayed(chain.len());
+        let net = StateDelta::compose(&chain);
         // Mirror σ/σ̂ error wrapping (see TupleTimestampStore): σ surfaces
         // a SnapshotError, σ̂ an HistoricalError.
-        let mut replayed = 0u64;
-        let filtered = match &state {
-            StateValue::Snapshot(s) => {
-                let compiled = match predicate.compile(s.schema()) {
-                    Ok(c) => c,
-                    Err(e) => return Err(EvalError::Snapshot(e)),
-                };
-                let mut tuples: BTreeSet<_> =
-                    s.iter().filter(|t| compiled.eval(t)).cloned().collect();
-                for i in start + 1..=target {
-                    let Entry::Delta(StateDelta::Snapshot { added, removed }) = &self.entries[i].0
-                    else {
-                        unreachable!("suffix after the last boundary is snapshot deltas");
-                    };
-                    for t in removed {
-                        tuples.remove(t);
-                    }
-                    tuples.extend(added.iter().filter(|t| compiled.eval(t)).cloned());
-                    replayed += 1;
-                }
-                StateValue::Snapshot(
-                    SnapshotState::new(s.schema().clone(), tuples)
-                        .expect("stored tuples fit the stored schema"),
-                )
+        let filtered = match (seed, net) {
+            (StateValue::Snapshot(s), Some(StateDelta::Snapshot { added, removed }))
+                if !historical =>
+            {
+                let compiled = predicate.compile(s.schema()).map_err(EvalError::Snapshot)?;
+                let mut kept = s.select_compiled(&compiled);
+                let added: Vec<_> = added.into_iter().filter(|t| compiled.eval(t)).collect();
+                kept.apply_delta(&removed, &added)
+                    .expect("stored tuples fit the stored schema");
+                StateValue::Snapshot(kept)
             }
-            StateValue::Historical(h) => {
-                let compiled = match predicate.compile(h.schema()) {
-                    Ok(c) => c,
-                    Err(e) => return Err(EvalError::Historical(e.into())),
-                };
-                let mut entries: BTreeMap<_, _> = h
-                    .iter()
+            (StateValue::Historical(h), Some(StateDelta::Historical { upserted, removed }))
+                if historical =>
+            {
+                let compiled = predicate
+                    .compile(h.schema())
+                    .map_err(|e| EvalError::Historical(e.into()))?;
+                let mut kept = h.hselect_compiled(&compiled);
+                // A revalued entry the predicate rejects is not in
+                // `kept` either, so dropping the upsert is all it takes.
+                let upserted: Vec<_> = upserted
+                    .into_iter()
                     .filter(|(t, _)| compiled.eval(t))
-                    .map(|(t, e)| (t.clone(), e.clone()))
                     .collect();
-                for i in start + 1..=target {
-                    let Entry::Delta(StateDelta::Historical { upserted, removed }) =
-                        &self.entries[i].0
-                    else {
-                        unreachable!("suffix after the last boundary is historical deltas");
-                    };
-                    for t in removed {
-                        entries.remove(t);
-                    }
-                    for (t, e) in upserted {
-                        if compiled.eval(t) {
-                            entries.insert(t.clone(), e.clone());
-                        }
-                    }
-                    replayed += 1;
-                }
-                StateValue::Historical(
-                    HistoricalState::new(h.schema().clone(), entries)
-                        .expect("stored entries fit the stored schema"),
-                )
+                kept.apply_delta(&removed, &upserted)
+                    .expect("stored entries fit the stored schema");
+                StateValue::Historical(kept)
             }
+            // A version held in full (a checkpoint itself, or past a
+            // boundary), or one of the other kind than the query's:
+            // the shared filter code selects, or words the mismatch.
+            (_, Some(StateDelta::Reschema(s))) => return filter.apply(*s, historical).map(Some),
+            (seed, None) => return filter.apply(seed.clone(), historical).map(Some),
+            (seed, Some(net)) => return filter.apply(net.apply(seed), historical).map(Some),
         };
-        if let Some((cache, _)) = &self.cache {
-            // Filtered states never enter the cache — they are not the
-            // version — but the replay work is still accounted.
-            cache.add_replayed(replayed);
-        }
         let remaining = RollbackFilter {
             predicate: None,
             project: filter.project,
         };
         remaining.apply(filtered, historical).map(Some)
+    }
+
+    /// `state_at(minuend) − state_at(subtrahend)` read off the chain:
+    /// the net delta of the versions between the two says which tuples
+    /// the later one gained (its arriving side) and which it lost (its
+    /// departing side), and the difference is the one or the other.
+    fn version_difference(
+        &self,
+        minuend: TransactionNumber,
+        subtrahend: TransactionNumber,
+    ) -> Option<StateValue> {
+        let (left, right) = (self.floor(minuend)?, self.floor(subtrahend)?);
+        let (lo, hi) = (left.min(right), left.max(right));
+        let chain = self.deltas(lo, hi)?;
+        let schema = self.snapshot_schema_at(lo)?;
+        let answer = StateDelta::difference_across(&chain, left == hi, schema)?;
+        self.note_replayed(chain.len());
+        Some(answer)
     }
 
     fn current(&self) -> Option<StateValue> {
@@ -401,11 +387,11 @@ impl RollbackStore for ForwardDeltaStore {
     }
 
     fn first_tx(&self) -> Option<TransactionNumber> {
-        self.entries.first().map(|(_, t)| *t)
+        self.entries.first().map(|e| e.tx)
     }
 
     fn last_tx(&self) -> Option<TransactionNumber> {
-        self.entries.last().map(|(_, t)| *t)
+        self.entries.last().map(|e| e.tx)
     }
 
     fn space_bytes(&self) -> usize {
@@ -415,63 +401,41 @@ impl RollbackStore for ForwardDeltaStore {
             + self
                 .entries
                 .iter()
-                .map(|(e, _)| {
-                    8 + match e {
-                        Entry::Checkpoint(s) => s.size_bytes(),
-                        Entry::Delta(d) => d.size_bytes(),
-                    }
+                .map(|e| {
+                    8 + e.state.as_ref().map_or(0, StateValue::size_bytes)
+                        + e.delta.as_ref().map_or(0, StateDelta::size_bytes)
                 })
                 .sum::<usize>()
     }
 
     fn version_txs(&self) -> Vec<TransactionNumber> {
-        self.entries.iter().map(|(_, t)| *t).collect()
+        self.entries.iter().map(|e| e.tx).collect()
     }
 
     fn compact(&mut self, every: NonZeroUsize) -> CompactionStats {
-        // Promote the delta entry at every `every`-th chain position to a
-        // materialized checkpoint, so no later probe replays more than
-        // `every` deltas. Positions below the previous pass's high-water
-        // mark are already pinned; one forward replay from the nearest
-        // checkpoint below the first missing slot fills the rest.
+        // Pin the version at every `every`-th chain position as a
+        // checkpoint (its delta stays beside it), so no later probe
+        // composes more than `every` deltas. Positions below the
+        // previous pass's high-water mark are already pinned; each
+        // missing one is replayed from the checkpoint just below it,
+        // which is the slot this pass pinned a moment ago.
         let len = self.entries.len();
         let scan_from = match self.compacted {
             Some((e, upto)) if e == every => upto,
             _ => 0,
         };
         self.compacted = Some((every, len));
-        let missing: Vec<usize> = (scan_from.next_multiple_of(every.get())..len)
-            .step_by(every.get())
-            .filter(|&i| matches!(self.entries[i].0, Entry::Delta(_)))
-            .collect();
-        let (Some(&lo), Some(&hi)) = (missing.first(), missing.last()) else {
-            return CompactionStats::default();
-        };
-        let mut pass = CompactionStats {
-            runs: 1,
-            ..CompactionStats::default()
-        };
-        let (seed, mut state) = (0..lo)
-            .rev()
-            .find_map(|i| match &self.entries[i].0 {
-                Entry::Checkpoint(s) => Some((i, s.clone())),
-                Entry::Delta(_) => None,
-            })
-            .expect("chain starts with a checkpoint");
-        let mut want = missing.into_iter().peekable();
-        for i in seed + 1..=hi {
-            match &self.entries[i].0 {
-                Entry::Checkpoint(s) => state = s.clone(),
-                Entry::Delta(d) => {
-                    d.apply_in_place(&mut state);
-                    pass.deltas_folded += 1;
-                }
+        let mut pass = CompactionStats::default();
+        for i in (scan_from.next_multiple_of(every.get())..len).step_by(every.get()) {
+            if self.entries[i].state.is_some() {
+                continue;
             }
-            if want.peek() == Some(&i) {
-                want.next();
-                pass.tuples_folded += state.len() as u64;
-                self.entries[i].0 = Entry::Checkpoint(state.clone());
-            }
+            let (base, seed) = self.seed_for(i);
+            let state = self.replay(base, seed, i);
+            pass.runs = 1;
+            pass.deltas_folded += (i - base) as u64;
+            pass.tuples_folded += state.len() as u64;
+            self.entries[i].state = Some(state);
         }
         self.compaction = self.compaction.merged(pass);
         pass
@@ -482,15 +446,18 @@ impl RollbackStore for ForwardDeltaStore {
     }
 
     fn truncate_before(&mut self, tx: TransactionNumber) -> usize {
-        let idx = self.entries.partition_point(|(_, t)| *t <= tx);
-        match idx.checked_sub(1) {
+        match self.floor(tx) {
             Some(floor) if floor > 0 => {
                 // Materialize the floor version as the new base
-                // checkpoint, then drop everything before it.
-                let base = self.reconstruct(floor);
-                let base_tx = self.entries[floor].1;
+                // checkpoint, then drop everything before it (the delta
+                // that led to it included: its predecessor is gone).
+                let base = Entry {
+                    delta: None,
+                    state: Some(self.reconstruct(floor)),
+                    tx: self.entries[floor].tx,
+                };
                 self.entries.drain(..=floor);
-                self.entries.insert(0, (Entry::Checkpoint(base), base_tx));
+                self.entries.insert(0, base);
                 // Chain positions shifted: the next pass rescans.
                 self.compacted = None;
                 floor
@@ -538,18 +505,20 @@ mod tests {
     }
 
     #[test]
-    fn last_delta_is_the_newest_chain_entry_and_none_at_a_checkpoint() {
+    fn last_delta_is_the_newest_chain_entry_checkpoint_positions_included() {
         let mut s = ForwardDeltaStore::new(CheckpointPolicy::every_k(3).unwrap());
         assert_eq!(s.last_delta(), None);
         let mut prev = None;
         for v in 1..=9u64 {
             let state = snap(&[v as i64, v as i64 + 1]);
             s.append(&state, TransactionNumber(v));
-            let want = prev
-                .as_ref()
-                .filter(|_| (v - 1) % 3 != 0)
-                .map(|p| StateDelta::between(p, &state));
+            let want = prev.as_ref().map(|p| StateDelta::between(p, &state));
             assert_eq!(s.last_delta(), want, "version {v}");
+            assert_eq!(
+                s.entries.last().unwrap().state.is_some(),
+                (v - 1) % 3 == 0,
+                "version {v}"
+            );
             prev = Some(state);
         }
     }

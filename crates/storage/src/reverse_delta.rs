@@ -5,7 +5,7 @@ use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use txtime_core::{StateValue, TransactionNumber};
-use txtime_snapshot::StrInterner;
+use txtime_snapshot::{Schema, StrInterner};
 
 use crate::backend::{BackendKind, CheckpointPolicy, RollbackStore};
 use crate::cache::MaterializationCache;
@@ -15,10 +15,12 @@ use crate::metrics::{CompactionStats, InternerStats};
 /// Stores the current state materialized and, for each superseded version
 /// `i`, the reverse delta carrying version `i+1` back to version `i`.
 ///
-/// Current-state access is O(1); `state_at(tx)` walks backwards applying
-/// reverse deltas until it reaches the target version (or a materialized
-/// checkpoint nearer to it), so the cost of a rollback grows with how far
-/// in the past it reaches — the natural trade-off when most queries are
+/// Current-state access is O(1); `state_at(tx)` composes the reverse
+/// deltas between the target version and the current state (or a
+/// materialized checkpoint nearer to it) into their net delta and applies
+/// that once, so the cost of a rollback is one copy and one edit pass
+/// plus the changes listed on the way, which grow with how far in the
+/// past it reaches — the natural trade-off when most queries are
 /// about the present (the same trade-off made by, e.g., RCS and by Reed's
 /// versioned objects). A [`CheckpointPolicy`] and the explicit
 /// [`RollbackStore::compact`] pass bound that replay length by pinning
@@ -68,14 +70,67 @@ impl ReverseDeltaStore {
         }
     }
 
-    /// The nearest replay seed strictly above `target` and below `limit`:
-    /// the closest checkpoint if one exists, else `limit` (whose state the
-    /// caller supplies).
-    fn checkpoint_seed(&self, target: usize, limit: usize) -> Option<(usize, StateValue)> {
-        self.ckpts
-            .range(target + 1..limit.max(target + 1))
-            .next()
-            .map(|(&j, s)| (j, s.clone()))
+    /// The index of the version current at `tx`, if there is one yet.
+    fn floor(&self, tx: TransactionNumber) -> Option<usize> {
+        self.txs.partition_point(|t| *t <= tx).checked_sub(1)
+    }
+
+    /// The nearest materialized version strictly above `target`: the
+    /// closest checkpoint if one exists, else the current state (version
+    /// `undo.len()`).
+    fn seed_above(&self, target: usize) -> (usize, &StateValue) {
+        match self.ckpts.range(target + 1..).next() {
+            Some((&j, s)) => (j, s),
+            None => (
+                self.undo.len(),
+                self.current
+                    .as_ref()
+                    .expect("non-empty store has a current"),
+            ),
+        }
+    }
+
+    /// The undo entries carrying version `from` back to version `to`,
+    /// in the order they apply (newest first).
+    fn undos(&self, from: usize, to: usize) -> Vec<&StateDelta> {
+        self.undo[to..from].iter().rev().collect()
+    }
+
+    /// Version `to` from the later version `from`: the undo entries in
+    /// between composed into their net delta, applied once.
+    fn replay(&self, from: usize, seed: &StateValue, to: usize) -> StateValue {
+        match StateDelta::compose(&self.undos(from, to)) {
+            Some(net) => net.apply(seed),
+            None => seed.clone(),
+        }
+    }
+
+    /// Counts `n` composed deltas in the shared cache's statistics.
+    fn note_replayed(&self, n: usize) {
+        if let Some((cache, _)) = &self.cache {
+            cache.add_replayed(n as u64);
+        }
+    }
+
+    /// The scheme of snapshot version `index`, read off the nearest
+    /// state at or above it: a checkpoint, the current state, or the
+    /// version an undo entry restores in full across a boundary. `None`
+    /// for an historical version.
+    fn snapshot_schema_at(&self, index: usize) -> Option<&Schema> {
+        let state = (index..=self.undo.len()).find_map(|i| {
+            if let Some(s) = self.ckpts.get(&i) {
+                return Some(s);
+            }
+            match self.undo.get(i) {
+                Some(StateDelta::Reschema(s)) => Some(&**s),
+                Some(_) => None,
+                None => self.current.as_ref(),
+            }
+        })?;
+        match state {
+            StateValue::Snapshot(s) => Some(s.schema()),
+            StateValue::Historical(_) => None,
+        }
     }
 }
 
@@ -132,8 +187,7 @@ impl RollbackStore for ReverseDeltaStore {
     }
 
     fn state_at(&self, tx: TransactionNumber) -> Option<StateValue> {
-        let idx = self.txs.partition_point(|t| *t <= tx);
-        let target = idx.checked_sub(1)?;
+        let target = self.floor(tx)?;
         let target_tx = self.txs[target];
         if let Some((cache, rel)) = &self.cache {
             // Counted probe: the caller wanted exactly this version.
@@ -145,33 +199,13 @@ impl RollbackStore for ReverseDeltaStore {
         if let Some(s) = self.ckpts.get(&target) {
             return Some(s.clone());
         }
-        // Replay starts from the materialized current state (version
-        // `undo.len()`) unless a checkpoint or a cached version nearer
-        // the target can seed it (uncounted, opportunistic probes).
-        let mut seed = self.undo.len();
-        let mut state = None;
-        if let Some((j, s)) = self.checkpoint_seed(target, seed) {
-            seed = j;
-            state = Some(s);
-        }
+        // Replay from the nearest checkpoint above the target, or from
+        // the materialized current state.
+        let (from, seed) = self.seed_above(target);
+        let state = self.replay(from, seed, target);
+        self.note_replayed(from - target);
         if let Some((cache, rel)) = &self.cache {
-            if let Some((j, s)) =
-                (target + 1..seed).find_map(|j| cache.peek(*rel, self.txs[j].0).map(|s| (j, s)))
-            {
-                seed = j;
-                state = Some(s);
-            }
-        }
-        let mut state =
-            state.unwrap_or_else(|| self.current.clone().expect("non-empty store has a current"));
-        let mut replayed = 0u64;
-        for i in (target..seed).rev() {
-            self.undo[i].apply_in_place(&mut state);
-            replayed += 1;
-        }
-        if let Some((cache, rel)) = &self.cache {
-            cache.add_replayed(replayed);
-            if replayed > 0 {
+            if from > target {
                 // The current state is O(1) to fetch; only replayed
                 // versions are worth remembering.
                 cache.insert(*rel, target_tx.0, state.clone());
@@ -180,15 +214,13 @@ impl RollbackStore for ReverseDeltaStore {
         Some(state)
     }
 
-    /// Batched FINDSTATE: one backward walk from the current state (or
-    /// the nearest cached seed) answers every probe, capturing each
-    /// wanted version as the walk sweeps past it — instead of one walk
-    /// per probe ([`crate::Engine::resolve_many`] is the caller).
+    /// Batched FINDSTATE: the distinct uncached floor versions are
+    /// reconstructed in descending order, each from the nearer of its
+    /// seed and the version reconstructed just before it, so no undo
+    /// entry is composed twice per batch — instead of one walk per probe
+    /// ([`crate::Engine::resolve_many`] is the caller).
     fn state_at_many(&self, txs: &[TransactionNumber]) -> Vec<Option<StateValue>> {
-        let floors: Vec<Option<usize>> = txs
-            .iter()
-            .map(|tx| self.txs.partition_point(|t| *t <= *tx).checked_sub(1))
-            .collect();
+        let floors: Vec<Option<usize>> = txs.iter().map(|tx| self.floor(*tx)).collect();
         // Triage the distinct floor versions through the cache (counted:
         // each was wanted by at least one probe).
         let mut resolved: BTreeMap<usize, StateValue> = BTreeMap::new();
@@ -209,50 +241,49 @@ impl RollbackStore for ReverseDeltaStore {
             }
             missing.insert(floor);
         }
-        if let (Some(&lo), Some(&hi)) = (missing.first(), missing.last()) {
-            // Seed the walk at the materialized current state, or at a
-            // checkpoint / cached version just above the highest wanted
-            // one.
-            let mut seed = self.undo.len();
-            let mut state = None;
-            if let Some((j, s)) = self.checkpoint_seed(hi, seed) {
-                seed = j;
-                state = Some(s);
+        let mut last: Option<(usize, StateValue)> = None;
+        for want in missing.into_iter().rev() {
+            if want == self.undo.len() {
+                // The current version: no replay, nothing worth caching.
+                let current = self.current.clone().expect("non-empty store has a current");
+                resolved.insert(want, current);
+                continue;
             }
+            let (above, seed) = self.seed_above(want);
+            let (from, seed) = match &last {
+                Some((at, state)) if *at <= above => (*at, state),
+                _ => (above, seed),
+            };
+            let state = self.replay(from, seed, want);
+            self.note_replayed(from - want);
             if let Some((cache, rel)) = &self.cache {
-                if let Some((j, s)) =
-                    (hi + 1..seed).find_map(|j| cache.peek(*rel, self.txs[j].0).map(|s| (j, s)))
-                {
-                    seed = j;
-                    state = Some(s);
-                }
+                cache.insert(*rel, self.txs[want].0, state.clone());
             }
-            let mut state = state
-                .unwrap_or_else(|| self.current.clone().expect("non-empty store has a current"));
-            if missing.contains(&seed) {
-                // The highest wanted version is the current one: no
-                // replay, and nothing worth caching.
-                resolved.insert(seed, state.clone());
-            }
-            let mut replayed = 0u64;
-            for i in (lo..seed).rev() {
-                self.undo[i].apply_in_place(&mut state);
-                replayed += 1;
-                if missing.contains(&i) {
-                    resolved.insert(i, state.clone());
-                    if let Some((cache, rel)) = &self.cache {
-                        cache.insert(*rel, self.txs[i].0, state.clone());
-                    }
-                }
-            }
-            if let Some((cache, _)) = &self.cache {
-                cache.add_replayed(replayed);
-            }
+            resolved.insert(want, state.clone());
+            last = Some((want, state));
         }
         floors
             .iter()
             .map(|f| f.map(|i| resolved[&i].clone()))
             .collect()
+    }
+
+    /// `state_at(minuend) − state_at(subtrahend)` read off the chain:
+    /// the net delta of the undo entries between the two versions
+    /// carries the later one back to the earlier, so what it removes is
+    /// what the later version gained and what it adds is what it lost.
+    fn version_difference(
+        &self,
+        minuend: TransactionNumber,
+        subtrahend: TransactionNumber,
+    ) -> Option<StateValue> {
+        let (left, right) = (self.floor(minuend)?, self.floor(subtrahend)?);
+        let (lo, hi) = (left.min(right), left.max(right));
+        let chain = self.undos(hi, lo);
+        let schema = self.snapshot_schema_at(hi)?;
+        let answer = StateDelta::difference_across(&chain, left == lo, schema)?;
+        self.note_replayed(chain.len());
+        Some(answer)
     }
 
     fn current(&self) -> Option<StateValue> {
@@ -294,34 +325,23 @@ impl RollbackStore for ReverseDeltaStore {
 
     fn compact(&mut self, every: NonZeroUsize) -> CompactionStats {
         // Pin a checkpoint at every `every`-th version index, so no later
-        // probe replays more than `every` deltas. One backward replay
-        // from the nearest existing seed fills every missing slot.
-        let missing: Vec<usize> = (0..self.undo.len())
-            .filter(|i| i.is_multiple_of(every.get()) && !self.ckpts.contains_key(i))
-            .collect();
-        let (Some(&lo), Some(&hi)) = (missing.first(), missing.last()) else {
-            return CompactionStats::default();
-        };
-        let mut pass = CompactionStats {
-            runs: 1,
-            ..CompactionStats::default()
-        };
-        let (seed, mut state) = match self.checkpoint_seed(hi, self.undo.len()) {
-            Some((j, s)) => (j, s),
-            None => (
-                self.undo.len(),
-                self.current.clone().expect("undo implies a current state"),
-            ),
-        };
-        let mut want = missing.iter().rev().peekable();
-        for i in (lo..seed).rev() {
-            self.undo[i].apply_in_place(&mut state);
-            pass.deltas_folded += 1;
-            if want.peek() == Some(&&i) {
-                want.next();
-                pass.tuples_folded += state.len() as u64;
-                self.ckpts.insert(i, state.clone());
+        // probe composes more than `every` deltas. Each missing slot is
+        // replayed from the seed just above it, which (going down) is
+        // the slot this pass pinned a moment ago.
+        let mut pass = CompactionStats::default();
+        for i in (0..self.undo.len())
+            .rev()
+            .filter(|i| i.is_multiple_of(every.get()))
+        {
+            if self.ckpts.contains_key(&i) {
+                continue;
             }
+            let (from, seed) = self.seed_above(i);
+            let state = self.replay(from, seed, i);
+            pass.runs = 1;
+            pass.deltas_folded += (from - i) as u64;
+            pass.tuples_folded += state.len() as u64;
+            self.ckpts.insert(i, state);
         }
         self.compaction = self.compaction.merged(pass);
         pass
@@ -336,8 +356,7 @@ impl RollbackStore for ReverseDeltaStore {
     }
 
     fn truncate_before(&mut self, tx: TransactionNumber) -> usize {
-        let idx = self.txs.partition_point(|t| *t <= tx);
-        match idx.checked_sub(1) {
+        match self.floor(tx) {
             Some(floor) if floor > 0 => {
                 // undo[i] carries version i+1 back to version i; dropping
                 // versions < floor means dropping undo[0..floor] and

@@ -30,7 +30,7 @@ use txtime_core::{Expr, StateValue, TxSpec};
 use txtime_historical::{Entry, TemporalElement};
 use txtime_snapshot::{Predicate, Schema, Tuple};
 
-use crate::delta::StateDelta;
+use crate::delta::{seek, StateDelta};
 
 /// One operator applied to the state being written, with its operand as
 /// `X`: the expression when recognised, its value when folded.
@@ -218,7 +218,7 @@ fn fold_rows<R: Row>(
     let (mut arriving, mut leaving) = (Vec::new(), Vec::new());
     let mut at = 0;
     for (t, now) in touched {
-        at = seek(cur, at, &t);
+        at = seek(cur, at, R::key, &t);
         let was = cur.get(at).filter(|r| *r.key() == t).map(R::held);
         match now {
             None if was.is_some() => leaving.push(t),
@@ -242,7 +242,7 @@ fn merge<R: Row>(cur: &[R], touched: Touched<R::Held>, x: &[R], union: bool) -> 
         out.push(match old.next_if(|(t, _)| t == row.key()) {
             Some((t, was)) => (t, R::combine(union, was.as_ref(), row.held())),
             None => {
-                at = seek(cur, at, row.key());
+                at = seek(cur, at, R::key, row.key());
                 let was = cur.get(at).filter(|r| r.key() == row.key());
                 // A tuple the state holds is listed as the state holds
                 // it (its strings went through the store's pool).
@@ -253,20 +253,6 @@ fn merge<R: Row>(cur: &[R], touched: Touched<R::Held>, x: &[R], union: bool) -> 
     }
     out.extend(old);
     out
-}
-
-/// The first index at or after `from` whose tuple is not below `key`,
-/// found by doubling steps: the callers' keys ascend, so a sweep costs
-/// O(log gap) per key and stays linear when the keys are dense.
-fn seek<R: Row>(run: &[R], from: usize, key: &Tuple) -> usize {
-    let mut step = 1;
-    let mut lo = from;
-    while lo + step <= run.len() && run[lo + step - 1].key() < key {
-        lo += step;
-        step *= 2;
-    }
-    let hi = (lo + step).min(run.len());
-    lo + run[lo..hi].partition_point(|r| r.key() < key)
 }
 
 #[cfg(test)]
@@ -435,7 +421,7 @@ mod tests {
             for k in 0..15 {
                 let key = Tuple::new(vec![Value::Int(k)]);
                 let want = run.partition_point(|t| *t < key).max(from);
-                assert_eq!(seek(run, from, &key), want, "from {from}, key {k}");
+                assert_eq!(seek(run, from, |t| t, &key), want, "from {from}, key {k}");
             }
         }
     }

@@ -48,7 +48,7 @@ fn main() {
     let mut buffer = String::new();
 
     println!(
-        "txtime REPL — commands end with ';'. \\q quits, \\catalog lists relations, \\memo shows view-memo counters, \\shards shows shard/compaction layout, \\optimize [N] shows/sets the plan level, \\plan EXPR explains a query, \\lint lists this session's warnings."
+        "txtime REPL — commands end with ';'. \\q quits, \\catalog lists relations, \\memo shows view-memo counters, \\exec shows state-cache and per-operator counters, \\shards shows shard/compaction layout, \\optimize [N] shows/sets the plan level, \\plan EXPR explains a query, \\lint lists this session's warnings."
     );
     print_prompt(&buffer);
     for line in stdin.lock().lines() {
@@ -77,6 +77,15 @@ fn main() {
                     print!("{}", engine.memo_stats());
                     let (nodes, bytes) = engine.memo_interner_footprint();
                     println!("       expr interner: {nodes} nodes / {bytes} bytes");
+                    print_prompt(&buffer);
+                    continue;
+                }
+                "\\exec" => {
+                    // Replayed deltas, then one row per kernel that ran;
+                    // `delta-commit` and `version-diff` rows count the
+                    // writes and audit diffs that ran none.
+                    print!("{}", engine.cache_stats());
+                    print!("{}", engine.exec_stats());
                     print_prompt(&buffer);
                     continue;
                 }

@@ -285,6 +285,49 @@ fn stats_reports_shard_layout_and_compact_folds_chains() {
     let _ = std::fs::remove_file(&script);
 }
 
+/// An audit diff on a delta store is read off the chain: `txtime stats`
+/// shows it as a `version-diff` row (calls = answers, chunks = tuples
+/// returned) and no `difference` kernel row beside it.
+#[test]
+fn stats_reports_version_differences_read_off_the_chain() {
+    let script = write_script(
+        "audit.txq",
+        r#"
+        define_relation(emp, rollback);
+        modify_state(emp, {(name: str, sal: int): ("alice", 100), ("bob", 200)});
+        modify_state(emp, rho(emp, inf) union {(name: str, sal: int): ("carol", 50)});
+        modify_state(emp, select[not name = "alice"](rho(emp, inf)));
+        display(rho(emp, 4) minus rho(emp, 2));
+        display(rho(emp, 2) minus rho(emp, 4));
+        "#,
+    );
+    for backend in ["fwd-delta", "rev-delta"] {
+        let out = txtime(&[
+            "stats",
+            script.to_str().unwrap(),
+            "--backend",
+            backend,
+            "--shards",
+            "1",
+        ]);
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let row = stdout
+            .lines()
+            .find(|l| l.contains("version-diff"))
+            .unwrap_or_else(|| panic!("{backend}: no version-diff row: {stdout}"));
+        let cols: Vec<&str> = row.split_whitespace().collect();
+        // Two answers, one tuple each ("carol" arrived, "alice" left).
+        assert_eq!((cols[1], cols[3]), ("2", "2"), "{backend}: {row}");
+        assert!(!stdout.contains(" difference "), "{backend}: {stdout}");
+    }
+    let _ = std::fs::remove_file(&script);
+}
+
 #[test]
 fn stats_reports_memo_and_interner_pools() {
     let script = write_script("stats.txq", SCRIPT);
