@@ -2162,13 +2162,13 @@ fn e18_query() -> Expr {
 /// (µs as written, µs at level 1, µs at level 2, result rows).
 fn measure_equi_join() -> (f64, f64, f64, usize) {
     let written = e18_engine(0);
-    let pushdown = e18_engine(1);
+    let lowered = e18_engine(1);
     let searched = e18_engine(2);
     let q = e18_query();
     let a = written.eval(&q).expect("level 0 evaluates");
-    let b = pushdown.eval(&q).expect("level 1 evaluates");
+    let b = lowered.eval(&q).expect("level 1 evaluates");
     let c = searched.eval(&q).expect("level 2 evaluates");
-    assert_eq!(a, b, "pushdown changed the answer");
+    assert_eq!(a, b, "level-1 lowering changed the answer");
     assert_eq!(a, c, "plan search changed the answer");
     let rows = match &a {
         StateValue::Snapshot(s) => s.tuples().len(),
@@ -2177,7 +2177,7 @@ fn measure_equi_join() -> (f64, f64, f64, usize) {
     // The product legs materialize 10⁶ concatenated tuples per query:
     // fewer reps keep the harness's wall time civil.
     let us_l0 = time_median(|| touch(&written.eval(&q).expect("level 0")), 5);
-    let us_l1 = time_median(|| touch(&pushdown.eval(&q).expect("level 1")), 5);
+    let us_l1 = time_median(|| touch(&lowered.eval(&q).expect("level 1")), 9);
     let us_l2 = time_median(|| touch(&searched.eval(&q).expect("level 2")), 9);
     (us_l0, us_l1, us_l2, rows)
 }
@@ -2213,16 +2213,23 @@ fn measure_join_kernels() -> (f64, f64) {
 fn e18_physical_joins() {
     println!("E18. Physical equi-joins: hash/merge kernels vs the σ(×) plan");
     let (us_l0, us_l1, us_l2, rows) = measure_equi_join();
-    let speedup = us_l1 / us_l2.max(1e-9);
+    let speedup = |us: f64| us_l0 / us.max(1e-9);
     println!(
         "\nE18a. σ_eno=dno over emp×dept ({E18_EMP}·{E18_DEPT} = 10⁶ product rows, {rows} survive; µs/query)"
     );
     println!("{:<44} {:>12}", "plan", "µs/query");
     println!("{:<44} {:>12.1}", "level 0: as written (σ over ×)", us_l0);
-    println!("{:<44} {:>12.1}", "level 1: pushdown (σ stays on ×)", us_l1);
     println!(
         "{:<44} {:>12.1} {:>8.2}x",
-        "level 2: search emits a physical join", us_l2, speedup
+        "level 1: lowered to a join, no search",
+        us_l1,
+        speedup(us_l1)
+    );
+    println!(
+        "{:<44} {:>12.1} {:>8.2}x",
+        "level 2: search emits a physical join",
+        us_l2,
+        speedup(us_l2)
     );
     let (hash_us, merge_us) = measure_join_kernels();
     println!("\nE18b. bare kernels on the same states (prefix key, µs/join)");
@@ -2250,14 +2257,15 @@ fn bench9() {
         .map(|n| n.get())
         .unwrap_or(1);
     let (us_l0, us_l1, us_l2, rows) = measure_equi_join();
-    let join_speedup = us_l1 / us_l2.max(1e-9);
+    let join_speedup = us_l0 / us_l2.max(1e-9);
     // The win is algorithmic — build + probe row counts against the
     // product's |A|·|B| — so it must hold on any host, single-core
-    // included: the acceptance bar is a 10x cut in query time.
+    // included: the acceptance bar is a 10x cut in query time. (Level 1
+    // lowers the same shape, so the product plan is level 0's.)
     assert!(
         join_speedup >= 10.0,
-        "the searched join must beat pushdown-over-product by 10x at 10^6 product rows, \
-         got {join_speedup:.2}x ({us_l1:.1}us vs {us_l2:.1}us)"
+        "the searched join must beat σ over × as written by 10x at 10^6 product rows, \
+         got {join_speedup:.2}x ({us_l0:.1}us vs {us_l2:.1}us)"
     );
     let (hash_us, merge_us) = measure_join_kernels();
     let json = format!(

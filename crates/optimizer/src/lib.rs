@@ -51,4 +51,7 @@ pub use interner::{ExprId, ExprInterner, ExprNode, NodeOp};
 pub use pushdown::pushdown;
 pub use rules::{optimize, optimize_with_trace, simplify_predicate, RewriteTrace};
 pub use schema_infer::SchemaCatalog;
-pub use search::{render_explain, render_plan, search, OptimizerStats, PlanReport, SearchStats};
+pub use search::{
+    has_select_over_product, lower_joins, render_explain, render_plan, search, OptimizerStats,
+    PlanReport, SearchStats,
+};

@@ -447,15 +447,77 @@ fn equi_key(conj: &Predicate, sa: &Schema, sb: &Schema) -> Option<(String, Strin
     None
 }
 
+/// Whether `expr` holds a σ directly over a × (or σ̂ over ×̂), the only
+/// shape [`lower_joins`] rewrites: a read without one needs no catalog.
+pub fn has_select_over_product(expr: &Expr) -> bool {
+    match expr {
+        Expr::Select(_, e) if matches!(**e, Expr::Product(..)) => true,
+        Expr::HSelect(_, e) if matches!(**e, Expr::HProduct(..)) => true,
+        _ => expr.operands().into_iter().any(has_select_over_product),
+    }
+}
+
+/// Optimize level 1's rewrite beside pushdown: every `σ_F(A × B)`
+/// (`σ̂_F(A ×̂ B)`) that [`lower_to_join`] can lower becomes the physical
+/// equi-join, bottom-up. Level 1 has no cost model to consult, so it
+/// takes the merge kernel where the single key leads both runs and the
+/// hash kernel otherwise. `None` when nothing lowers.
+pub fn lower_joins(expr: &Expr, catalog: &SchemaCatalog) -> Option<Expr> {
+    let low = |e: &Expr| lower_joins(e, catalog);
+    let both = |a: &Expr, b: &Expr| match (low(a), low(b)) {
+        (None, None) => None,
+        (x, y) => Some((
+            x.unwrap_or_else(|| a.clone()),
+            y.unwrap_or_else(|| b.clone()),
+        )),
+    };
+    let rebuilt = match expr {
+        Expr::SnapshotConst(_)
+        | Expr::HistoricalConst(_)
+        | Expr::Rollback(..)
+        | Expr::HRollback(..) => None,
+        Expr::Union(a, b) => both(a, b).map(|(a, b)| a.union(b)),
+        Expr::Difference(a, b) => both(a, b).map(|(a, b)| a.difference(b)),
+        Expr::Product(a, b) => both(a, b).map(|(a, b)| a.product(b)),
+        Expr::Project(x, e) => low(e).map(|e| e.project(x.clone())),
+        Expr::Select(p, e) => low(e).map(|e| e.select(p.clone())),
+        Expr::HUnion(a, b) => both(a, b).map(|(a, b)| a.hunion(b)),
+        Expr::HDifference(a, b) => both(a, b).map(|(a, b)| a.hdifference(b)),
+        Expr::HProduct(a, b) => both(a, b).map(|(a, b)| a.hproduct(b)),
+        Expr::HProject(x, e) => low(e).map(|e| e.hproject(x.clone())),
+        Expr::HSelect(p, e) => low(e).map(|e| e.hselect(p.clone())),
+        Expr::Delta(g, v, e) => low(e).map(|e| e.delta(g.clone(), v.clone())),
+        Expr::Join(spec, a, b) => both(a, b).map(|(a, b)| a.join(spec.clone(), b)),
+        Expr::HJoin(spec, a, b) => both(a, b).map(|(a, b)| a.hjoin(spec.clone(), b)),
+    };
+    let lowered = match rebuilt.as_ref().unwrap_or(expr) {
+        Expr::Select(p, e) => match &**e {
+            Expr::Product(a, b) => lower_to_join(p, a, b, catalog, false).pop(),
+            _ => None,
+        },
+        Expr::HSelect(p, e) => match &**e {
+            Expr::HProduct(a, b) => lower_to_join(p, a, b, catalog, true).pop(),
+            _ => None,
+        },
+        _ => None,
+    };
+    lowered.map(|(_, join)| join).or(rebuilt)
+}
+
 /// Lowers `σ_F(A × B)` (or the hatted form) to physical equi-join
 /// candidates: cross-operand `=` conjuncts become the key list,
 /// single-side conjuncts push onto their operand, and the rest rides as
 /// the join's residual. The same exact-schema guard as
 /// [`split_over_product`] keeps the rewrite observationally equivalent
-/// (the kernels are *defined* as `σ_spec(×)` — `laws.rs` pins this).
-/// Emits a hash join always and additionally a merge join when the
-/// single key is the first schema attribute on both sides (the only
-/// shape whose runs are already key-sorted).
+/// (the kernels are *defined* as `σ_spec(×)` — `laws.rs` pins this),
+/// and two more keep it so where the σ(×) form fails: both operands
+/// must be of the operator's state kind (the kind error names the
+/// operator), and `F` must compile against the product's scheme (the
+/// kernel compiles its keys before its residual, and a pushed conjunct
+/// compiles against its own operand before the clash check). Emits a
+/// hash join always and additionally a merge join when the single key
+/// is the first schema attribute on both sides (the only shape whose
+/// runs are already key-sorted).
 fn lower_to_join(
     p: &Predicate,
     a: &Expr,
@@ -463,9 +525,20 @@ fn lower_to_join(
     catalog: &SchemaCatalog,
     historical: bool,
 ) -> Vec<(&'static str, Expr)> {
+    let of_kind = if historical {
+        is_historical_kind
+    } else {
+        is_snapshot_kind
+    };
+    if !(of_kind(a) && of_kind(b)) {
+        return Vec::new();
+    }
     let (Some(sa), Some(sb)) = (infer_schema(a, catalog), infer_schema(b, catalog)) else {
         return Vec::new();
     };
+    if sa.product(&sb).and_then(|s| p.validate(&s)).is_err() {
+        return Vec::new();
+    }
     let mut keys: Vec<(String, String)> = Vec::new();
     let mut left: Option<Predicate> = None;
     let mut right: Option<Predicate> = None;
@@ -770,6 +843,60 @@ mod tests {
             false,
         );
         assert!(alts.is_empty());
+    }
+
+    #[test]
+    fn level_one_lowering_picks_one_kernel_and_declines_where_the_forms_could_fail_apart() {
+        let cat = catalog();
+        let (emp, dept) = (Expr::current("emp"), Expr::current("dept"));
+        let lowered = |e: &Expr| lower_joins(e, &cat);
+        // Fires bottom-up under other operators; merge where the key
+        // leads both runs, hash otherwise.
+        let on = |p: Predicate| emp.clone().product(dept.clone()).select(p);
+        let q = on(Predicate::eq_attrs("name", "dname")).project(vec!["sal".into()]);
+        assert!(has_select_over_product(&q));
+        let Some(Expr::Project(_, join)) = lowered(&q) else {
+            panic!("π(σ(×)) did not lower");
+        };
+        assert!(matches!(&*join, Expr::Join(s, ..) if s.physical == JoinPhysical::Merge));
+        let hashed = lowered(&on(Predicate::eq_attrs("sal", "dno"))).unwrap();
+        assert!(matches!(&hashed, Expr::Join(s, ..) if s.physical == JoinPhysical::Hash));
+        let hatted = Expr::hcurrent("emp")
+            .hproduct(Expr::hcurrent("dept"))
+            .hselect(Predicate::eq_attrs("sal", "dno"));
+        assert!(matches!(lowered(&hatted), Some(Expr::HJoin(..))));
+        // Declines: nothing to lower, no cross-operand `=`, an unknown
+        // (or unstable) relation, operands of the other kind, a scheme
+        // clash, and a predicate that does not fit the product's scheme.
+        assert!(!has_select_over_product(&emp));
+        assert_eq!(lowered(&emp), None);
+        assert_eq!(
+            lowered(&on(Predicate::gt_const("sal", Value::Int(1)))),
+            None
+        );
+        let ghost = Expr::current("ghost").product(dept.clone());
+        assert_eq!(
+            lowered(&ghost.select(Predicate::eq_attrs("sal", "dno"))),
+            None
+        );
+        let temporal = Expr::hcurrent("emp")
+            .product(Expr::hcurrent("dept"))
+            .select(Predicate::eq_attrs("sal", "dno"));
+        assert_eq!(lowered(&temporal), None);
+        let twin = emp
+            .clone()
+            .hproduct(dept.clone())
+            .hselect(Predicate::eq_attrs("sal", "dno"));
+        assert_eq!(lowered(&twin), None);
+        let clash = emp
+            .clone()
+            .product(emp.clone())
+            .select(Predicate::eq_attrs("sal", "sal"));
+        assert_eq!(lowered(&clash), None);
+        assert_eq!(lowered(&on(Predicate::eq_attrs("name", "dno"))), None);
+        let unknown =
+            Predicate::eq_attrs("sal", "dno").and(Predicate::gt_const("x", Value::Int(0)));
+        assert_eq!(lowered(&on(unknown)), None);
     }
 
     #[test]

@@ -211,6 +211,21 @@ impl Predicate {
         }
     }
 
+    /// Whether a conjunct reachable through ∧ alone compares `attr` with
+    /// a constant by `=`, `<`, `≤`, `>` or `≥`: on a run sorted by `attr`
+    /// first, the bound [`CompiledPredicate::key_range`] cuts by binary
+    /// search.
+    pub fn bounds(&self, attr: &str) -> bool {
+        match self {
+            Predicate::And(a, b) => a.bounds(attr) || b.bounds(attr),
+            Predicate::Comp(Operand::Attr(a), op, Operand::Const(_))
+            | Predicate::Comp(Operand::Const(_), op, Operand::Attr(a)) => {
+                **a == *attr && *op != CompOp::Ne
+            }
+            _ => false,
+        }
+    }
+
     /// Validates this predicate against `schema`: every referenced
     /// attribute must exist, and each comparison's operands must share a
     /// domain.
@@ -595,7 +610,14 @@ mod tests {
                 assert!(!c.eval(t) || range.contains(&i), "{p}: row {i} cut off");
             }
             narrowed += usize::from(range.len() < run.len());
+            // Only a bound on the leading attribute cuts.
+            assert!(p.bounds("a") || range == (0..run.len()), "{p}");
         }
+        assert!(comp("a", CompOp::Eq, 2)
+            .and(comp("c", CompOp::Ne, 1))
+            .bounds("a"));
+        assert!(!comp("a", CompOp::Ne, 2).bounds("a"));
+        assert!(!comp("c", CompOp::Eq, 2).bounds("a"));
         assert!(narrowed > predicates.len() / 2);
         // A pinned prefix narrows to exactly the matching rows.
         let point = comp("a", CompOp::Eq, 2).and(comp("b", CompOp::Eq, 4));

@@ -20,8 +20,8 @@ use txtime_core::{
 };
 use txtime_exec::{ExecPool, ExecStats, MemoStats, OpKind};
 use txtime_optimizer::{
-    pushdown, CostModel, ExprId, ExprInterner, OptimizerStats, PlanReport, SchemaCatalog,
-    SearchStats,
+    has_select_over_product, lower_joins, pushdown, CostModel, ExprId, ExprInterner,
+    OptimizerStats, PlanReport, SchemaCatalog, SearchStats,
 };
 
 use crate::backend::{BackendKind, CheckpointPolicy, RollbackStore};
@@ -127,6 +127,9 @@ impl RelMeta {
 /// expression. A mutation bumps the clock and invalidates everything.
 struct Planner {
     at_tx: Option<TransactionNumber>,
+    /// Whether this generation's model holds the per-attribute
+    /// statistics too, which only the search and `explain` read.
+    harvested: bool,
     catalog: SchemaCatalog,
     model: CostModel,
     interner: ExprInterner,
@@ -140,6 +143,7 @@ impl Planner {
     fn new() -> Planner {
         Planner {
             at_tx: None,
+            harvested: false,
             catalog: SchemaCatalog::new(),
             model: CostModel::new(),
             interner: ExprInterner::new(),
@@ -184,8 +188,9 @@ pub struct Engine {
     /// (logged O(1) per write; a read repairs the view it asks for).
     memo: ViewRegistry,
     /// Optimization level for `eval`: 0 = evaluate the expression as
-    /// written, 1 = error-preserving pushdown (the historical default),
-    /// 2 = cost-based plan search over the `ExprId` DAG.
+    /// written, 1 = equi-selections over products lowered to joins plus
+    /// error-preserving pushdown (the default), 2 = cost-based plan
+    /// search over the `ExprId` DAG.
     optimize: u8,
     /// Incremental planner statistics, maintained O(1) per mutation.
     planner_meta: BTreeMap<String, RelMeta>,
@@ -204,7 +209,7 @@ fn shards_from_env() -> NonZeroUsize {
 }
 
 /// The optimization level from the environment: `TXTIME_OPTIMIZE` if set
-/// to 0/1/2, otherwise 1 (pushdown only — the pre-search behavior).
+/// to 0/1/2, otherwise 1 (join lowering and pushdown, no search).
 fn optimize_from_env() -> u8 {
     std::env::var("TXTIME_OPTIMIZE")
         .ok()
@@ -445,13 +450,25 @@ impl Engine {
         self.eval_plan(&self.planned(expr))
     }
 
-    /// `expr` itself below optimize level 2, the searched plan at it.
+    /// `expr` itself at optimize level 0, its equi-selections over
+    /// products lowered to joins at level 1, the searched plan at 2.
     fn planned<'a>(&self, expr: &'a Expr) -> Cow<'a, Expr> {
-        if self.optimize >= 2 {
-            Cow::Owned(self.plan(expr))
-        } else {
-            Cow::Borrowed(expr)
+        match self.optimize {
+            0 => Cow::Borrowed(expr),
+            1 => self.lowered(expr).map_or(Cow::Borrowed(expr), Cow::Owned),
+            _ => Cow::Owned(self.plan(expr)),
         }
+    }
+
+    /// Level 1's join lowering ([`lower_joins`]) against this
+    /// generation's schema catalog; `None` when nothing lowers.
+    fn lowered(&self, expr: &Expr) -> Option<Expr> {
+        if !has_select_over_product(expr) {
+            return None;
+        }
+        let mut planner = self.planner.lock().unwrap_or_else(|e| e.into_inner());
+        self.refresh_planner(&mut planner, false);
+        lower_joins(expr, &planner.catalog)
     }
 
     /// Runs a plan on the plain evaluator. The evaluator is untouched by
@@ -479,7 +496,7 @@ impl Engine {
     /// canonical `ExprId`) was already planned this generation.
     fn plan(&self, expr: &Expr) -> Expr {
         let mut planner = self.planner.lock().unwrap_or_else(|e| e.into_inner());
-        self.refresh_planner(&mut planner);
+        self.refresh_planner(&mut planner, true);
         let id = planner.interner.intern(expr);
         if let Some(plan) = planner.plans.get(&id).cloned() {
             planner.cache_hits += 1;
@@ -500,25 +517,39 @@ impl Engine {
 
     /// Rebuilds the planner's inputs when the clock has moved since they
     /// were last snapshotted (any mutation bumps the clock, so a stale
-    /// catalog or model is impossible to observe).
-    fn refresh_planner(&self, planner: &mut Planner) {
-        if planner.at_tx == Some(self.tx) {
+    /// catalog or model is impossible to observe): the schema catalog and
+    /// the cardinalities, O(catalog) from [`RelMeta`], and with
+    /// `with_stats` the per-attribute statistics the search and `explain`
+    /// cost plans by, which level 1's lowering never reads.
+    fn refresh_planner(&self, planner: &mut Planner, with_stats: bool) {
+        if planner.at_tx != Some(self.tx) {
+            planner.at_tx = Some(self.tx);
+            planner.harvested = false;
+            planner.plans.clear();
+            planner.interner = ExprInterner::new();
+            planner.catalog = SchemaCatalog::new();
+            planner.model = CostModel::new();
+            for (name, meta) in &self.planner_meta {
+                planner
+                    .model
+                    .set_cardinality(name.clone(), meta.card as f64);
+                if let (true, Some(schema)) = (meta.stable, &meta.schema) {
+                    planner.catalog.insert(name.clone(), schema.clone());
+                }
+            }
+        }
+        if !with_stats || planner.harvested {
             return;
         }
-        planner.at_tx = Some(self.tx);
-        planner.plans.clear();
-        planner.interner = ExprInterner::new();
-        let mut catalog = SchemaCatalog::new();
-        let mut model = CostModel::new();
+        planner.harvested = true;
+        let model = &mut planner.model;
         for (name, meta) in &self.planner_meta {
-            model.set_cardinality(name.clone(), meta.card as f64);
             let (true, Some(schema)) = (meta.stable, &meta.schema) else {
                 continue;
             };
-            catalog.insert(name.clone(), schema.clone());
             // Current-version value ranges feed range selectivity. One
-            // state clone per stable relation per generation — only on
-            // the level-2 path, only when a query actually arrives.
+            // state clone per stable relation per generation — only when
+            // a query to search or explain actually arrives.
             if let Some(state) = self.current_state(name) {
                 let (_, ranges, columns) = state_stats(&state);
                 if let Some(ranges) = ranges {
@@ -534,8 +565,6 @@ impl Engine {
                 }
             }
         }
-        planner.catalog = catalog;
-        planner.model = model;
     }
 
     /// Records the schema and cardinality of `ident`'s newest version in
@@ -591,7 +620,7 @@ impl Engine {
     /// `\plan`).
     pub fn explain(&self, expr: &Expr) -> String {
         let mut planner = self.planner.lock().unwrap_or_else(|e| e.into_inner());
-        self.refresh_planner(&mut planner);
+        self.refresh_planner(&mut planner, true);
         let report = match self.optimize {
             2 => txtime_optimizer::search(expr, &planner.catalog, &planner.model),
             level => {
@@ -599,7 +628,8 @@ impl Engine {
                 let plan = if level == 0 {
                     expr.clone()
                 } else {
-                    pushdown(expr)
+                    let lowered = lower_joins(expr, &planner.catalog);
+                    pushdown(lowered.as_ref().unwrap_or(expr))
                 };
                 PlanReport {
                     cost: txtime_optimizer::estimate_cost(&plan, &planner.model),
@@ -1316,6 +1346,14 @@ impl StampSource for Engine {
             Keeper::Single(slot) => slot.as_ref().map(|(_, tx)| (rel.rel_id, *tx)),
         }
     }
+
+    fn relation_schema(&self, ident: &str) -> Option<txtime_snapshot::Schema> {
+        self.planner_meta.get(ident)?.schema.clone()
+    }
+
+    fn exec_pool(&self) -> &ExecPool {
+        &self.pool
+    }
 }
 
 impl StateSource for Engine {
@@ -1783,7 +1821,12 @@ mod tests {
         ))
         .unwrap();
         // Register a view, then write behind it: the write logs a delta.
-        let expr = Expr::rollback("r", TxSpec::Current).select(txtime_snapshot::Predicate::True);
+        let nonzero = txtime_snapshot::Predicate::Comp(
+            txtime_snapshot::Operand::attr("x"),
+            txtime_snapshot::CompOp::Ne,
+            txtime_snapshot::Operand::Const(Value::Int(0)),
+        );
+        let expr = Expr::rollback("r", TxSpec::Current).select(nonzero);
         e.eval(&expr).unwrap();
         e.execute(&Command::modify_state(
             "r",
@@ -1805,8 +1848,9 @@ mod tests {
     }
 
     /// Demand-driven maintenance, counted: with many roots registered
-    /// over one relation, a commit followed by one point read touches
-    /// the nodes under that root and no other view.
+    /// over one relation, a commit followed by one read touches the
+    /// views under that root and no other. (A bare key probe is never
+    /// registered; a projection over one is.)
     #[test]
     fn one_read_after_a_commit_repairs_only_the_root_it_asks_for() {
         const ROOTS: i64 = 40;
@@ -1824,6 +1868,7 @@ mod tests {
             let point = |key: i64| {
                 Expr::current("acct")
                     .select(txtime_snapshot::Predicate::eq_const("id", Value::Int(key)))
+                    .project(vec!["bal".into(), "id".into()])
             };
             for key in 0..ROOTS {
                 e.eval(&point(key)).unwrap();
@@ -1832,8 +1877,8 @@ mod tests {
             assert_eq!(registered.roots as i64, ROOTS, "{backend}");
             assert_eq!(
                 registered.views as i64,
-                ROOTS + 1,
-                "{backend}: one shared leaf"
+                2 * ROOTS,
+                "{backend}: π and σ per root; the shared leaf keeps no view"
             );
 
             e.execute(&update_one_row(3, 99)).unwrap();
@@ -1842,13 +1887,13 @@ mod tests {
             assert_eq!(got.len(), 1, "{backend}");
             assert!(
                 got.contains(&txtime_snapshot::Tuple::new(vec![
-                    Value::Int(3),
-                    Value::Int(99)
+                    Value::Int(99),
+                    Value::Int(3)
                 ])),
                 "{backend}: {got}"
             );
             let read = e.memo_stats();
-            // σ and its ρ leaf: the two nodes under the root.
+            // π and σ: the two views under the root.
             assert!(
                 read.propagations <= 2,
                 "{backend}: {} views touched by one point read",
@@ -1863,8 +1908,8 @@ mod tests {
                 let got = e.eval(&point(key)).unwrap().into_snapshot().unwrap();
                 assert!(
                     got.contains(&txtime_snapshot::Tuple::new(vec![
-                        Value::Int(key),
-                        Value::Int(want)
+                        Value::Int(want),
+                        Value::Int(key)
                     ])),
                     "{backend}: key {key}: {got}"
                 );
@@ -2093,6 +2138,112 @@ mod tests {
                 e.eval(&Expr::rollback(ident, spec)).ok().as_ref(),
                 "ρ({ident}, {spec:?})"
             );
+        }
+    }
+
+    /// A read under commits costs what changed, counted: with a cached
+    /// group view `π(σ(ρ(acct, ∞)))` and a join view over `acct` and
+    /// `dept` read between one-row commits, no view pins the current run
+    /// (each commit edits it in place: the allocation a reply sees stays
+    /// put across the commit when no reply is held), and the join is
+    /// lowered at level 1 and repaired by its delta rule, so no product
+    /// kernel ever runs. Answers match the memo-less engine throughout.
+    #[test]
+    fn reads_under_commits_pin_no_run_and_run_no_product() {
+        use txtime_snapshot::{Predicate, Tuple};
+        let schema = || {
+            Schema::new(vec![
+                ("id", DomainType::Int),
+                ("grade", DomainType::Int),
+                ("bal", DomainType::Int),
+            ])
+            .unwrap()
+        };
+        let rows = |rows: Vec<(i64, i64, i64)>| {
+            let rows = rows
+                .into_iter()
+                .map(|(id, grade, bal)| vec![Value::Int(id), Value::Int(grade), Value::Int(bal)]);
+            Expr::snapshot_const(SnapshotState::from_rows(schema(), rows).unwrap())
+        };
+        let update = |id: i64, grade: i64, bal: i64| {
+            let old = Predicate::eq_const("id", Value::Int(id));
+            Command::modify_state(
+                "acct",
+                Expr::current("acct")
+                    .difference(Expr::current("acct").select(old))
+                    .union(rows(vec![(id, grade, bal)])),
+            )
+        };
+        let dept = SnapshotState::from_rows(
+            Schema::new(vec![
+                ("dgrade", DomainType::Int),
+                ("label", DomainType::Int),
+            ])
+            .unwrap(),
+            (0..4).map(|g| vec![Value::Int(g), Value::Int(100 + g)]),
+        )
+        .unwrap();
+        let group = |g: i64| {
+            Expr::current("acct")
+                .select(Predicate::eq_const("grade", Value::Int(g)))
+                .project(vec!["id".into(), "bal".into()])
+        };
+        let join = Expr::current("acct")
+            .product(Expr::current("dept"))
+            .select(Predicate::eq_attrs("grade", "dgrade"))
+            .project(vec!["id".into(), "label".into()]);
+        for backend in [BackendKind::ForwardDelta, BackendKind::ReverseDelta] {
+            let engines: Vec<Engine> = [64, 0]
+                .into_iter()
+                .map(|capacity| {
+                    let mut e = Engine::new(backend, CheckpointPolicy::Never);
+                    e.set_pool(ExecPool::new(2));
+                    e.set_shards(1);
+                    e.set_optimize(1);
+                    e.set_auto_compact(None);
+                    e.set_memo_capacity(capacity);
+                    for cmd in [
+                        Command::define_relation("acct", RelationType::Rollback),
+                        Command::define_relation("dept", RelationType::Rollback),
+                        Command::modify_state(
+                            "acct",
+                            rows((0..64).map(|i| (i, i % 4, 0)).collect()),
+                        ),
+                        Command::modify_state("dept", Expr::snapshot_const(dept.clone())),
+                        // The literal's version is pinned as the chain's
+                        // base; the first delta commit copies it once.
+                        update(0, 0, 1),
+                    ] {
+                        e.execute(&cmd).unwrap();
+                    }
+                    e.reset_exec_stats();
+                    e
+                })
+                .collect();
+            let [mut e, mut plain] = <[Engine; 2]>::try_from(engines).ok().unwrap();
+            let run = |e: &Engine| {
+                let acct = e.eval(&Expr::current("acct")).unwrap();
+                acct.into_snapshot().unwrap().run().as_ptr()
+            };
+            for i in 0..1_000i64 {
+                let (id, grade) = ((i * 7) % 64, (i * 3) % 4);
+                let before = run(&e);
+                e.execute(&update(id, grade, i)).unwrap();
+                plain.execute(&update(id, grade, i)).unwrap();
+                assert_eq!(run(&e), before, "{backend}: commit {i} moved the run");
+                for q in [&group(i % 4), &join] {
+                    assert_eq!(e.eval(q).unwrap(), plain.eval(q).unwrap(), "{backend}: {i}");
+                }
+            }
+            let memo = e.memo_stats();
+            assert!(
+                memo.hits >= 1_900 && memo.fallbacks == 0,
+                "{backend}: {memo:?}"
+            );
+            assert_eq!(op_row(&e, "product"), (0, 0), "{backend}");
+            assert_eq!(op_row(&plain, "product"), (0, 0), "{backend}");
+            let joined = e.eval(&join).unwrap().into_snapshot().unwrap();
+            assert!(joined.contains(&Tuple::new(vec![Value::Int(0), Value::Int(100)])));
         }
     }
 

@@ -405,3 +405,123 @@ fn plan_cache_hits_within_a_generation() {
     e.eval(&q).unwrap();
     assert!(e.optimizer_stats().searches > stats.searches);
 }
+
+/// Level 1 lowers `σ_F(A × B)` (and `σ̂_F(A ×̂ B)`) to the physical join
+/// where `F` has a cross-operand `=` and the guard holds, and leaves the
+/// shape alone where it does not: a scheme-evolved relation (no exact
+/// schema), an attribute clash, temporal operands under σ over ×, the
+/// hatted twin over snapshot operands, a key of the wrong type. Values
+/// and error text match level 0 (σ over × as written) either way, on
+/// every backend, memo on and off, sharded and not.
+#[test]
+fn level_one_lowers_equi_selections_where_the_guard_holds() {
+    use txtime_core::SchemeChange;
+    use txtime_historical::{HistoricalState, TemporalElement};
+    use txtime_snapshot::{SnapshotState, Tuple};
+    let snap = |schema: Schema, rows: Vec<Vec<Value>>| {
+        Expr::snapshot_const(SnapshotState::from_rows(schema, rows).unwrap())
+    };
+    let hist = |schema: Schema, rows: Vec<Vec<Value>>| {
+        let entries = rows.into_iter().enumerate().map(|(i, vals)| {
+            let valid = TemporalElement::period(i as u32, i as u32 + 3);
+            (Tuple::new(vals), valid)
+        });
+        Expr::historical_const(HistoricalState::new(schema, entries).unwrap())
+    };
+    let r0 = || {
+        let rows = (0..6).map(|i| vec![Value::Int(i), Value::str(format!("s{}", i % 3))]);
+        rows.collect::<Vec<_>>()
+    };
+    let q0 = || (2..8).map(|i| vec![Value::Int(i)]).collect::<Vec<_>>();
+    let evolved = Schema::new(vec![("c0", DomainType::Int)]).unwrap();
+    let commands = vec![
+        Command::define_relation("r0", RelationType::Rollback),
+        Command::define_relation("r1", RelationType::Rollback),
+        Command::define_relation("q0", RelationType::Rollback),
+        Command::define_relation("t0", RelationType::Temporal),
+        Command::define_relation("u0", RelationType::Temporal),
+        Command::define_relation("ev", RelationType::Rollback),
+        Command::modify_state("r0", snap(schema(), r0())),
+        Command::modify_state("r1", snap(schema(), r0())),
+        Command::modify_state("q0", snap(schema_b(), q0())),
+        Command::modify_state("t0", hist(schema(), r0())),
+        Command::modify_state("u0", hist(schema_b(), q0())),
+        Command::modify_state("ev", snap(evolved, q0())),
+        Command::evolve_scheme(
+            "ev",
+            SchemeChange::AddAttribute {
+                name: "c1".into(),
+                domain: DomainType::Int,
+                default: Value::Int(0),
+            },
+        ),
+    ];
+    let key = Predicate::eq_attrs("a0", "b0");
+    let filtered = key.clone().and(Predicate::eq_const("a1", Value::str("s1")));
+    let lowered = [
+        Expr::current("r0")
+            .product(Expr::current("q0"))
+            .select(key.clone()),
+        Expr::current("r0")
+            .product(Expr::current("q0"))
+            .select(filtered)
+            .project(vec!["b0".into()]),
+        Expr::rollback("r0", TxSpec::At(TransactionNumber(8)))
+            .product(Expr::current("q0"))
+            .select(key.clone()),
+        Expr::hcurrent("t0")
+            .hproduct(Expr::hcurrent("u0"))
+            .hselect(key.clone()),
+    ];
+    let declined = [
+        Expr::current("ev")
+            .product(Expr::current("q0"))
+            .select(Predicate::eq_attrs("c0", "b0")),
+        Expr::current("r0")
+            .product(Expr::current("r1"))
+            .select(Predicate::eq_attrs("a0", "a0")),
+        Expr::hcurrent("t0")
+            .product(Expr::hcurrent("u0"))
+            .select(key.clone()),
+        Expr::current("r0")
+            .hproduct(Expr::current("q0"))
+            .hselect(key),
+        Expr::current("r0")
+            .product(Expr::current("q0"))
+            .select(Predicate::eq_attrs("a1", "b0")),
+    ];
+    for backend in BackendKind::ALL {
+        for memo in MEMO {
+            for shards in SHARDS {
+                let label = format!("{backend}, memo {memo}, {shards} shard(s)");
+                let mut level1 = engine(backend, 1, memo, shards);
+                let mut level0 = engine(backend, 0, memo, shards);
+                for cmd in &commands {
+                    level1.execute(cmd).unwrap();
+                    level0.execute(cmd).unwrap();
+                }
+                for (q, joins) in lowered
+                    .iter()
+                    .map(|q| (q, true))
+                    .chain(declined.iter().map(|q| (q, false)))
+                {
+                    let plan = level1.explain(q);
+                    assert_eq!(plan.contains("join["), joins, "{label}: {q}\n{plan}");
+                    for pass in 0..2 {
+                        match (level0.eval(q), level1.eval(q)) {
+                            (Ok(a), Ok(b)) => assert_eq!(a, b, "{label}, pass {pass}: {q}"),
+                            (Err(a), Err(b)) => {
+                                assert_eq!(
+                                    a.to_string(),
+                                    b.to_string(),
+                                    "{label}, pass {pass}: {q}"
+                                )
+                            }
+                            (a, b) => panic!("{label}, pass {pass}: {q}: {a:?} vs {b:?}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

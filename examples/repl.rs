@@ -121,7 +121,7 @@ fn main() {
                                 println!("  optimize level set to {}", engine.optimize_level());
                             }
                             _ => println!(
-                                "  \\optimize takes 0 (as written), 1 (pushdown), or 2 (cost-based search)"
+                                "  \\optimize takes 0 (as written), 1 (join lowering and pushdown), or 2 (cost-based search)"
                             ),
                         }
                     }

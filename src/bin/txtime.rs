@@ -82,7 +82,7 @@ struct Options {
     /// checkpoint policy's own interval.
     every: Option<usize>,
     /// Optimization level 0/1/2; `None` defers to the engine's default
-    /// (`TXTIME_OPTIMIZE`, else 1 = pushdown).
+    /// (`TXTIME_OPTIMIZE`, else 1 = join lowering and pushdown).
     optimize: Option<u8>,
     /// Opportunistic compaction threshold; `None` defers to the engine's
     /// default (`TXTIME_AUTO_COMPACT`, else 64).

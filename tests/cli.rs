@@ -530,6 +530,11 @@ fn explain_lowers_equi_select_to_physical_join() {
         "stdout: {stdout}"
     );
     assert!(stdout.contains("select-to-hash-join"), "stdout: {stdout}");
+    // Level 1 lowers the shape too, without a search to report.
+    let out = txtime(&["explain", script.to_str().unwrap(), "--optimize", "1"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("join[hash"), "stdout: {stdout}");
     // Level 0 explains the query exactly as written: σ over ×, no join.
     let out = txtime(&["explain", script.to_str().unwrap(), "--optimize", "0"]);
     assert!(out.status.success());
@@ -554,9 +559,14 @@ fn stats_reports_join_counters() {
     assert!(stdout.contains("joins: 1 ("), "stdout: {stdout}");
     assert!(stdout.contains("build rows"), "stdout: {stdout}");
     assert!(stdout.contains("probe rows"), "stdout: {stdout}");
-    // Without the searcher the σ(×) shape never becomes a join, and the
-    // gauge stays at zero (house style: the line itself still prints).
+    // Level 1 lowers the same shape without searching; as written
+    // (level 0) the σ(×) shape never becomes a join, and the gauge stays
+    // at zero (house style: the line itself still prints).
     let out = txtime(&["stats", script.to_str().unwrap(), "--optimize", "1"]);
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("joins: 1 ("), "stdout: {stdout}");
+    let out = txtime(&["stats", script.to_str().unwrap(), "--optimize", "0"]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("joins: 0 ("), "stdout: {stdout}");
