@@ -80,7 +80,7 @@ fn main() {
         e15_incremental();
     }
     if run("e16") {
-        e16_sharding();
+        e16_compaction();
     }
     if run("e17") {
         e17_plan_search();
@@ -104,7 +104,7 @@ fn main() {
     if args.iter().any(|a| a == "bench5") {
         bench5();
     }
-    // Explicit-only: writes BENCH_7.json (sharding + compaction headline).
+    // Explicit-only: writes BENCH_7.json (compaction headline).
     if args.iter().any(|a| a == "bench7") {
         bench7();
     }
@@ -997,8 +997,6 @@ fn e13_kernels() -> Vec<(&'static str, &'static str, Expr)> {
         txtime_snapshot::Schema::new(vec![("dno", txtime_snapshot::DomainType::Int)]).unwrap();
     let right =
         txtime_snapshot::generate::random_state(&mut rng, &dept_schema, &bench_gen_config(300));
-    let a = txtime_snapshot::generate::random_state(&mut rng, &schema, &bench_gen_config(10_000));
-    let b = txtime_snapshot::generate::random_state(&mut rng, &schema, &bench_gen_config(10_000));
     // Past every grain by an order of magnitude: does a split pay at all?
     let wide = GenConfig {
         int_range: 10_000_000,
@@ -1016,16 +1014,6 @@ fn e13_kernels() -> Vec<(&'static str, &'static str, Expr)> {
             "× 300 × 300",
             "product_300x300",
             Expr::snapshot_const(left).product(Expr::snapshot_const(right)),
-        ),
-        (
-            "∪ 10000 ∪ 10000",
-            "union_10k_10k",
-            Expr::snapshot_const(a).union(Expr::snapshot_const(b)),
-        ),
-        (
-            "∪ 100000 ∪ 100000",
-            "union_100k_100k",
-            Expr::snapshot_const(a100k.clone()).union(Expr::snapshot_const(b100k.clone())),
         ),
         (
             "− 100000 − 100000",
@@ -1143,7 +1131,6 @@ fn measure_kernel_units() -> Vec<(&'static str, OpKind, &'static str, usize, f64
         max_periods: 3,
     };
     let ha = txtime_historical::generate::random_historical_state(&mut rng, &schema, &hcfg);
-    let hb = txtime_historical::generate::random_historical_state(&mut rng, &schema, &hcfg);
     const REPS: usize = 41;
     vec![
         (
@@ -1159,20 +1146,6 @@ fn measure_kernel_units() -> Vec<(&'static str, OpKind, &'static str, usize, f64
             "input tuple",
             a.len(),
             time_median(|| a.project(&["id", "name"]).unwrap().len(), REPS),
-        ),
-        (
-            "∪ balanced",
-            OpKind::Union,
-            "input tuple (both)",
-            a.len() + b.len(),
-            time_median(|| a.union(&b).unwrap().len(), REPS),
-        ),
-        (
-            "∪ one-row right",
-            OpKind::Union,
-            "input tuple (both)",
-            a.len() + one.len(),
-            time_median(|| a.union(&one).unwrap().len(), REPS),
         ),
         (
             "− balanced",
@@ -1208,13 +1181,6 @@ fn measure_kernel_units() -> Vec<(&'static str, OpKind, &'static str, usize, f64
             "input entry",
             ha.len(),
             time_median(|| ha.hselect(&keep_half).unwrap().len(), REPS),
-        ),
-        (
-            "∪̂ balanced",
-            OpKind::HUnion,
-            "input entry (both)",
-            ha.len() + hb.len(),
-            time_median(|| ha.hunion(&hb).unwrap().len(), REPS),
         ),
     ]
 }
@@ -1772,44 +1738,8 @@ fn bench5() {
 }
 
 // --------------------------------------------------------------------
-// E16: sharded states — σ-kernel scaling and LSM-style compaction.
+// E16: LSM-style compaction of a reverse-delta chain.
 // --------------------------------------------------------------------
-
-/// The shard budgets the scaling sweep measures.
-const E16_SHARDS: [usize; 4] = [1, 2, 4, 8];
-
-/// σ over the current state of a 100k-tuple relation at 1/2/4/8 shards
-/// with an 8-thread budget (clamped to the host). Each shard holds its
-/// own sorted runs, so the filter fans out with zero intra-kernel
-/// coordination and the per-shard survivors merge once at the end.
-fn measure_sigma_shards() -> [f64; 4] {
-    let chain = version_chain(2, 100_000, 0.05);
-    // ~5% selectivity: the scan parallelizes across shards while the
-    // single serial merge of survivors stays small.
-    let q = Expr::current("r").select(Predicate::lt_const("grade", Value::Int(500)));
-    let mut out = [0.0f64; 4];
-    for (i, shards) in E16_SHARDS.into_iter().enumerate() {
-        let mut engine = Engine::new(
-            BackendKind::FullCopy,
-            CheckpointPolicy::every_k(16).unwrap(),
-        );
-        engine.set_shards(shards);
-        engine.set_threads(8);
-        engine
-            .execute(&Command::define_relation("r", RelationType::Rollback))
-            .expect("fresh engine");
-        for s in &chain {
-            engine
-                .execute(&Command::modify_state("r", Expr::snapshot_const(s.clone())))
-                .expect("valid modify");
-        }
-        // Raw kernel cost: no materialization cache, no view memo.
-        engine.set_cache_capacity(0);
-        engine.set_memo_capacity(0);
-        out[i] = time_median(|| engine.eval(&q).expect("σ probe").len(), 7);
-    }
-    out
-}
 
 /// The reverse-delta worst case — the `old` probe at 1024 versions with
 /// no checkpoints — before compaction, after `Engine::compact` with a
@@ -1862,27 +1792,8 @@ fn measure_compaction() -> (f64, f64, f64, f64, u64) {
     )
 }
 
-fn e16_sharding() {
-    let avail = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("E16. Sharded states: parallel σ kernel and LSM-style compaction");
-    println!("     (host reports {avail} available core(s); shard budgets are logical)");
-    println!("\nE16a. σ(ρ(r,∞)) over 100k tuples vs shard count, 8-thread budget (µs/query)");
-    println!(
-        "{:<24} {:>10} {:>10} {:>10} {:>10} {:>9}",
-        "workload", "1S", "2S", "4S", "8S", "1S/4S"
-    );
-    let us = measure_sigma_shards();
-    println!(
-        "{:<24} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>8.2}x",
-        "σ grade<500",
-        us[0],
-        us[1],
-        us[2],
-        us[3],
-        us[0] / us[2].max(1e-9)
-    );
+fn e16_compaction() {
+    println!("E16. LSM-style compaction");
     println!("\nE16b. Reverse-delta `old` probe, 1024 versions, no checkpoints (µs/query)");
     let (uncompacted, compacted, full_copy, compact_us, folded) = measure_compaction();
     println!("{:<28} {:>12.1}", "uncompacted (1023 replays)", uncompacted);
@@ -1898,34 +1809,17 @@ fn e16_sharding() {
         "{:<28} {:>12.1} ({folded} deltas folded)",
         "compaction pass", compact_us
     );
-    println!("=> each shard owns its delta chain, so kernels fan out with no coordination\n   and the merge kernels recombine survivors once; compaction replays each\n   chain once, pinning checkpoints so later probes seed from a nearby clone\n   instead of replaying the whole history.\n");
+    println!("=> compaction replays each chain once, pinning checkpoints so later probes\n   seed from a nearby clone instead of replaying the whole history.\n");
 }
 
 // --------------------------------------------------------------------
-// bench7: BENCH_7.json with the sharding + compaction headline numbers.
+// bench7: BENCH_7.json with the compaction headline numbers.
 // --------------------------------------------------------------------
 fn bench7() {
-    println!("bench7. Writing BENCH_7.json (σ shard scaling + rev-delta compaction)");
+    println!("bench7. Writing BENCH_7.json (rev-delta compaction)");
     let avail = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-
-    let us = measure_sigma_shards();
-    let mut scaling = String::new();
-    for (i, shards) in E16_SHARDS.into_iter().enumerate() {
-        if i > 0 {
-            scaling.push_str(", ");
-        }
-        scaling.push_str(&format!("\"s{shards}_us\": {:.1}", us[i]));
-    }
-    // host_cores rides along in every entry so downstream checks can
-    // judge each scaling number against the parallelism that was
-    // actually available when it was measured.
-    let sigma_speedup_4s = us[0] / us[2].max(1e-9);
-    scaling.push_str(&format!(
-        ", \"speedup_4s\": {sigma_speedup_4s:.2}, \"host_cores\": {avail}"
-    ));
-
     let (uncompacted, compacted, full_copy, compact_us, folded) = measure_compaction();
     let compacted_vs_full_copy = compacted / full_copy.max(1e-9);
     assert!(
@@ -1935,16 +1829,12 @@ fn bench7() {
     );
 
     let json = format!(
-        "{{\n  \"seed\": \"{SEED:#x}\",\n  \
-         \"host_cores\": {avail},\n  \
-         \"e16_sigma_shard_scaling\": {{{scaling}}},\n  \
-         \"e16_compaction_rev_delta_1024_versions\": {{\"uncompacted_old_us\": {uncompacted:.1}, \
+        "{{\n  \"e16_compaction_rev_delta_1024_versions\": {{\"uncompacted_old_us\": {uncompacted:.1}, \
          \"compacted_old_us\": {compacted:.1}, \"full_copy_old_us\": {full_copy:.1}, \
          \"compacted_vs_full_copy\": {compacted_vs_full_copy:.2}, \
          \"compact_pass_us\": {compact_us:.1}, \"deltas_folded\": {folded}, \
          \"host_cores\": {avail}}},\n  \
-         \"headline\": {{\"compacted_vs_full_copy\": {compacted_vs_full_copy:.2}, \
-         \"sigma_speedup_4s\": {sigma_speedup_4s:.2}}}\n}}\n"
+         \"headline\": {{\"compacted_vs_full_copy\": {compacted_vs_full_copy:.2}}}\n}}\n"
     );
     std::fs::write("BENCH_7.json", &json).expect("write BENCH_7.json");
     println!("{json}");

@@ -359,9 +359,10 @@ impl Expr {
     ///
     /// The tree is walked exactly as [`Expr::eval_with`] walks it — left
     /// operand, then right, so error selection is the same — and each
-    /// operator runs its partitioned kernel (`*_par` in
-    /// `txtime-snapshot`/`txtime-historical`), which splits only an
-    /// operand large enough to pay for the spawn. The result — value
+    /// operator but ∪/∪̂ (always the one-pass merge) runs its
+    /// partitioned kernel (`*_par` in `txtime-snapshot`/
+    /// `txtime-historical`), which splits only an operand large enough
+    /// to pay for the spawn. The result — value
     /// *and* error — is identical to the sequential evaluation: chunk
     /// merges preserve the canonical state order. A one-thread pool runs
     /// everything inline. The parallel-determinism property tests in
@@ -378,7 +379,7 @@ impl Expr {
             Expr::Union(a, b) => {
                 let l = a.eval_snapshot_pool(db, pool, "union")?;
                 let r = b.eval_snapshot_pool(db, pool, "union")?;
-                Ok(StateValue::Snapshot(l.union_par(&r, pool)?))
+                Ok(StateValue::Snapshot(l.union(&r)?))
             }
             Expr::Difference(a, b) => {
                 if let Some(state) = version_difference(db, a, b, false) {
@@ -436,7 +437,7 @@ impl Expr {
             Expr::HUnion(a, b) => {
                 let l = a.eval_historical_pool(db, pool, "hunion")?;
                 let r = b.eval_historical_pool(db, pool, "hunion")?;
-                Ok(StateValue::Historical(l.hunion_par(&r, pool)?))
+                Ok(StateValue::Historical(l.hunion(&r)?))
             }
             Expr::HDifference(a, b) => {
                 if let Some(state) = version_difference(db, a, b, true) {

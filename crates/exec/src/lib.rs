@@ -52,8 +52,6 @@ pub enum OpKind {
     Project,
     /// Snapshot cartesian product ×.
     Product,
-    /// Snapshot union ∪.
-    Union,
     /// Snapshot difference −.
     Difference,
     /// Historical selection σ̂.
@@ -62,16 +60,12 @@ pub enum OpKind {
     HProject,
     /// Historical product ×̂.
     HProduct,
-    /// Historical union ∪̂.
-    HUnion,
     /// Historical difference −̂.
     HDifference,
     /// Batched rollback resolution (`Engine::resolve_many`).
     Resolve,
     /// Delta propagation through memoized views (`modify_state`).
     Propagate,
-    /// Per-shard fan-out of a sharded store's rollback resolution.
-    Shard,
     /// Delta-chain compaction (folding deltas into checkpoints).
     Compact,
     /// Cost-based plan search (`Engine::eval` at optimize level 2);
@@ -97,22 +91,19 @@ pub enum OpKind {
 
 impl OpKind {
     /// Every operator kind, in display order.
-    pub const ALL: [OpKind; 20] = [
+    pub const ALL: [OpKind; 17] = [
         OpKind::Select,
         OpKind::Project,
         OpKind::Product,
         OpKind::Join,
-        OpKind::Union,
         OpKind::Difference,
         OpKind::HSelect,
         OpKind::HProject,
         OpKind::HProduct,
         OpKind::HJoin,
-        OpKind::HUnion,
         OpKind::HDifference,
         OpKind::Resolve,
         OpKind::Propagate,
-        OpKind::Shard,
         OpKind::Compact,
         OpKind::Optimize,
         OpKind::Serve,
@@ -126,16 +117,13 @@ impl OpKind {
             OpKind::Select => "select",
             OpKind::Project => "project",
             OpKind::Product => "product",
-            OpKind::Union => "union",
             OpKind::Difference => "difference",
             OpKind::HSelect => "hselect",
             OpKind::HProject => "hproject",
             OpKind::HProduct => "hproduct",
-            OpKind::HUnion => "hunion",
             OpKind::HDifference => "hdifference",
             OpKind::Resolve => "resolve",
             OpKind::Propagate => "propagate",
-            OpKind::Shard => "shard",
             OpKind::Compact => "compact",
             OpKind::Optimize => "optimize",
             OpKind::Join => "join",
@@ -149,7 +137,7 @@ impl OpKind {
     /// The break-even grain: the least work a chunk of this operator
     /// must carry before splitting pays for the `thread::scope`
     /// spawn-and-join it costs. For the set operators the unit is an
-    /// input tuple/entry (both operands counted for ∪/−), for the
+    /// input tuple/entry (both operands counted for −), for the
     /// products an output pair, for the joins a probe tuple.
     ///
     /// Each figure is `spawn+join time / per-unit kernel time`, measured
@@ -161,16 +149,13 @@ impl OpKind {
         match self {
             OpKind::Select | OpKind::HSelect => SELECT_GRAIN,
             OpKind::Project | OpKind::HProject => PROJECT_GRAIN,
-            OpKind::Union | OpKind::Difference | OpKind::HUnion | OpKind::HDifference => {
-                MERGE_GRAIN
-            }
+            OpKind::Difference | OpKind::HDifference => MERGE_GRAIN,
             OpKind::Product | OpKind::HProduct => PRODUCT_GRAIN,
             OpKind::Join | OpKind::HJoin => JOIN_GRAIN,
-            // Units are whole rollback targets / memoized views / shards
-            // / chains / commits / answers.
+            // Units are whole rollback targets / memoized views / chains
+            // / commits / answers.
             OpKind::Resolve
             | OpKind::Propagate
-            | OpKind::Shard
             | OpKind::Compact
             | OpKind::Optimize
             | OpKind::Serve
@@ -193,8 +178,8 @@ impl OpKind {
 const SELECT_GRAIN: usize = 8192;
 /// π/π̂: 131-159 ns per input tuple, break-even 369-446.
 const PROJECT_GRAIN: usize = 512;
-/// ∪/−/∪̂/−̂: 12.6-14.3 ns per input tuple of both operands in the
-/// cheapest case (a one-row right operand), break-even 4023-4936.
+/// −/−̂: 12.6-14.3 ns per input tuple of both operands in the cheapest
+/// case (a one-row right operand), break-even 4023-4936.
 const MERGE_GRAIN: usize = 8192;
 /// ×/×̂: 91-100 ns per output pair, break-even 575-696.
 const PRODUCT_GRAIN: usize = 1024;
@@ -534,20 +519,21 @@ mod tests {
         let pool = ExecPool::new(8);
         // 100 items at grain 60 → one chunk, inline.
         assert_eq!(
-            pool.map_chunks(OpKind::Union, &items, 60, <[u64]>::len)
+            pool.map_chunks(OpKind::Difference, &items, 60, <[u64]>::len)
                 .len(),
             1
         );
         // grain 10 → 8 chunks (thread budget).
         assert_eq!(
-            pool.map_chunks(OpKind::Union, &items, 10, <[u64]>::len)
+            pool.map_chunks(OpKind::Difference, &items, 10, <[u64]>::len)
                 .len(),
             8
         );
         // grain 1 on a 2-thread pool → 2 chunks.
         let two = ExecPool::new(2);
         assert_eq!(
-            two.map_chunks(OpKind::Union, &items, 1, <[u64]>::len).len(),
+            two.map_chunks(OpKind::Difference, &items, 1, <[u64]>::len)
+                .len(),
             2
         );
     }
@@ -595,15 +581,15 @@ mod tests {
         }
         // The tuple-at-a-time kernels demand far more than one unit; a
         // unit-grain pool (the differential suites' entry) overrides it.
-        assert!(OpKind::Union.min_chunk() > OpKind::Shard.min_chunk());
+        assert!(OpKind::Difference.min_chunk() > OpKind::Compact.min_chunk());
         let pool = ExecPool::with_unit_grain(2);
-        assert_eq!(pool.grain(OpKind::Union), 1);
-        assert_eq!(pool.chunks_for(OpKind::Union, 2), 2);
+        assert_eq!(pool.grain(OpKind::Difference), 1);
+        assert_eq!(pool.chunks_for(OpKind::Difference, 2), 2);
         let shipped = ExecPool::new(2);
-        let g = OpKind::Union.min_chunk();
-        assert_eq!(shipped.chunks_for(OpKind::Union, 2 * g - 1), 1);
-        assert_eq!(shipped.chunks_for(OpKind::Union, 2 * g), 2);
-        assert_eq!(shipped.chunks_for(OpKind::Union, 100 * g), 2);
+        let g = OpKind::Difference.min_chunk();
+        assert_eq!(shipped.chunks_for(OpKind::Difference, 2 * g - 1), 1);
+        assert_eq!(shipped.chunks_for(OpKind::Difference, 2 * g), 2);
+        assert_eq!(shipped.chunks_for(OpKind::Difference, 100 * g), 2);
     }
 
     #[test]

@@ -7,15 +7,16 @@
 //! evaluated on scoped worker threads, and the per-range results are
 //! concatenated in range order. σ̂, π̂-free kernels and −̂ yield disjoint
 //! sorted runs; ×̂ chunks the left operand so runs stay disjoint and
-//! sorted; ∪̂ and −̂ split *both* operands at aligned pivot tuples so
-//! each chunk is an independent two-pointer merge.
+//! sorted; −̂ splits *both* operands at aligned pivot tuples so each
+//! chunk is an independent two-pointer merge. ∪̂, like ∪, is always the
+//! one-pass merge ([`HistoricalState::hunion`]).
 
 use std::ops::Range;
 
 use txtime_exec::{ExecPool, OpKind};
 use txtime_snapshot::Predicate;
 
-use crate::ops::hmerge::{hmerge_difference, hmerge_union};
+use crate::ops::hmerge::hmerge_difference;
 use crate::state::{Entry, HistoricalState};
 use crate::Result;
 
@@ -131,32 +132,6 @@ impl HistoricalState {
         Ok(HistoricalState::from_sorted_vec(schema, out))
     }
 
-    /// [`HistoricalState::hunion`] partitioned into aligned range pairs,
-    /// each merged independently.
-    pub fn hunion_par(&self, other: &HistoricalState, pool: &ExecPool) -> Result<HistoricalState> {
-        self.schema().require_union_compatible(other.schema())?;
-        if self.is_empty() || other.is_empty() || self.shares_run(other) {
-            return self.hunion(other);
-        }
-        let want = pool.chunks_for(OpKind::HUnion, self.len() + other.len());
-        let parts = aligned_parts(self.run(), other.run(), want);
-        let runs = pool.map_chunks(OpKind::HUnion, &parts, 1, |chunk| {
-            let mut out = Vec::new();
-            for (lr, rr) in chunk {
-                out.extend(hmerge_union(
-                    &self.run()[lr.clone()],
-                    &other.run()[rr.clone()],
-                ));
-            }
-            out
-        });
-        let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
-        for run in runs {
-            out.extend(run);
-        }
-        Ok(HistoricalState::from_sorted_vec(self.schema().clone(), out))
-    }
-
     /// [`HistoricalState::hdifference`] partitioned into aligned range
     /// pairs, each subtracted independently.
     pub fn hdifference_par(
@@ -259,7 +234,6 @@ mod tests {
                 a.hproject(&["a1"]).unwrap(),
                 a.hproject_par(&["a1"], &pool).unwrap()
             );
-            assert_eq!(a.hunion(&b).unwrap(), a.hunion_par(&b, &pool).unwrap());
             assert_eq!(
                 a.hdifference(&b).unwrap(),
                 a.hdifference_par(&b, &pool).unwrap()
@@ -278,7 +252,6 @@ mod tests {
         assert!(a.hproject_par(&["ghost"], &pool).is_err());
         assert!(a.hproduct_par(&a, &pool).is_err());
         let other = random(2, "z", 8);
-        assert!(a.hunion_par(&other, &pool).is_err());
         assert!(a.hdifference_par(&other, &pool).is_err());
     }
 
@@ -287,8 +260,6 @@ mod tests {
         let a = random(1, "a", 1200);
         let empty = HistoricalState::empty(schema("a"));
         let pool = ExecPool::with_unit_grain(4);
-        let u = a.hunion_par(&empty, &pool).unwrap();
-        assert!(a.shares_run(&u));
         let d = a.hdifference_par(&empty, &pool).unwrap();
         assert!(a.shares_run(&d));
         // A value-equal twin with a distinct run still subtracts to keep

@@ -29,25 +29,6 @@ impl HistoricalState {
         let out = hmerge_union(self.run(), other.run());
         Ok(HistoricalState::from_sorted_vec(self.schema().clone(), out))
     }
-
-    /// Union of an ordered sequence of union-compatible states — the
-    /// merge entry point for horizontally partitioned (sharded) runs.
-    ///
-    /// A left fold over [`HistoricalState::hunion`]; the per-step
-    /// identity shortcuts (empty operand, shared run) apply, so merging
-    /// `K` shards with one survivor is `K − 1` Arc clones. Returns
-    /// `None` for an empty sequence (no schema to give the result).
-    pub fn hunion_many(states: &[HistoricalState]) -> Option<Result<HistoricalState>> {
-        let (first, rest) = states.split_first()?;
-        let mut acc = first.clone();
-        for s in rest {
-            match acc.hunion(s) {
-                Ok(u) => acc = u,
-                Err(e) => return Some(Err(e)),
-            }
-        }
-        Some(Ok(acc))
-    }
 }
 
 #[cfg(test)]
@@ -110,15 +91,24 @@ mod tests {
     }
 
     #[test]
-    fn hunion_many_folds_partitions() {
+    fn hunion_folds_partitions() {
+        // A tuple's valid time split across parts coalesces again, in any
+        // order, with an empty part in the way.
         let parts = [
             st(&[("a", 0, 5)]),
             st(&[("a", 5, 10), ("b", 0, 2)]),
             HistoricalState::empty(schema()),
+            st(&[("a", 3, 7)]),
         ];
-        let u = HistoricalState::hunion_many(&parts).unwrap().unwrap();
-        assert_eq!(u, st(&[("a", 0, 10), ("b", 0, 2)]));
-        assert!(HistoricalState::hunion_many(&[]).is_none());
+        for order in [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]] {
+            let u = order
+                .iter()
+                .try_fold(HistoricalState::empty(schema()), |acc, &i| {
+                    acc.hunion(&parts[i])
+                })
+                .unwrap();
+            assert_eq!(u, st(&[("a", 0, 10), ("b", 0, 2)]), "order {order:?}");
+        }
     }
 
     #[test]

@@ -393,7 +393,7 @@ pub fn estimate_cost(expr: &Expr, model: &CostModel) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema_infer::SchemaCatalog;
+    use txtime_analyze::schema_infer::SchemaCatalog;
     use txtime_analyze::Bound;
     use txtime_snapshot::{DomainType, Predicate, Schema, Value};
 

@@ -38,7 +38,6 @@ pub mod cost;
 pub mod laws;
 pub mod pushdown;
 pub mod rules;
-pub mod schema_infer;
 pub mod search;
 
 /// The hash-consed expression arena now lives in `txtime-analyze` (the
@@ -50,8 +49,8 @@ pub use cost::{delta_beats_reeval, estimate_cost, estimate_rows, sanitize_rows, 
 pub use interner::{ExprId, ExprInterner, ExprNode, NodeOp};
 pub use pushdown::pushdown;
 pub use rules::{optimize, optimize_with_trace, simplify_predicate, RewriteTrace};
-pub use schema_infer::SchemaCatalog;
 pub use search::{
     has_select_over_product, lower_joins, render_explain, render_plan, search, OptimizerStats,
     PlanReport, SearchStats,
 };
+pub use txtime_analyze::schema_infer::SchemaCatalog;

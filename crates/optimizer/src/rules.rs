@@ -1,9 +1,8 @@
 //! The rewrite rules and the fixpoint driver.
 
+use txtime_analyze::schema_infer::{infer_schema, SchemaCatalog};
 use txtime_core::Expr;
 use txtime_snapshot::{Predicate, SnapshotState};
-
-use crate::schema_infer::{infer_schema, SchemaCatalog};
 
 /// A record of which rules fired, in order.
 #[derive(Debug, Clone, Default)]

@@ -51,6 +51,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use txtime_analyze::schema_infer::{infer_schema, SchemaCatalog};
 use txtime_core::{Expr, JoinPhysical, JoinSpec};
 use txtime_historical::{TemporalExpr, TemporalPred};
 use txtime_snapshot::{CompOp, Operand, Predicate};
@@ -59,7 +60,6 @@ use crate::cost::{estimate_cost, estimate_rows, CostModel};
 use crate::interner::{ExprId, ExprInterner};
 use crate::pushdown::{is_historical_kind, is_snapshot_kind};
 use crate::rules::{conjuncts, subset, RewriteTrace};
-use crate::schema_infer::{infer_schema, SchemaCatalog};
 use txtime_snapshot::Schema;
 
 /// Work counters for one search (or, summed, for an engine's lifetime).
@@ -718,7 +718,7 @@ pub fn summarize_trace(trace: &RewriteTrace) -> String {
 }
 
 /// Lifetime optimizer counters for one engine, shown by `txtime stats`
-/// alongside the `MemoStats`/`ShardReport` blocks in the same style.
+/// alongside the `MemoStats` block in the same style.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OptimizerStats {
     /// The engine's current optimization level (0/1/2).

@@ -1,4 +1,4 @@
-//! Partitioned (parallel) variants of the five snapshot operators.
+//! Partitioned (parallel) variants of σ, π, × and −.
 //!
 //! Each `*_par` kernel is observationally identical to its sequential
 //! twin — same result, same errors — and differs only in how the work is
@@ -15,13 +15,18 @@
 //! * × chunks the *left* operand: distinct same-arity left tuples
 //!   `l₁ < l₂` concatenate to `l₁·x < l₂·y` for every `x`, `y`, so the
 //!   per-chunk sub-products are again disjoint sorted runs.
-//! * ∪ and − (two-operand merges) split both runs at aligned pivots:
-//!   the left run is cut at even indices and the right run is cut at the
+//! * − (a two-operand merge) splits both runs at aligned pivots: the
+//!   left run is cut at even indices and the right run is cut at the
 //!   `partition_point` of each pivot tuple, so every part sees exactly
 //!   the tuples of one disjoint key interval and the concatenated merge
 //!   outputs are the sequential merge.
 //! * π re-sorts the concatenated projection (unless the projection is an
 //!   order-preserving prefix), so the result does not depend on chunking.
+//!
+//! ∪ has no partitioned variant: split two ways it ran at 0.84–1.05× of
+//! the one-pass merge at every size up to 10⁵ ∪ 10⁵ on two cores
+//! (EXPERIMENTS.md E13a), so the evaluator always calls
+//! [`SnapshotState::union`].
 //!
 //! A kernel splits only when every chunk carries at least the operator's
 //! break-even grain ([`ExecPool::grain`]); below that, and on a
@@ -32,7 +37,7 @@ use std::ops::Range;
 
 use txtime_exec::{ExecPool, OpKind};
 
-use crate::ops::merge::{merge_difference, merge_union};
+use crate::ops::merge::merge_difference;
 use crate::ops::project::is_identity_prefix;
 use crate::predicate::Predicate;
 use crate::state::SnapshotState;
@@ -145,44 +150,6 @@ impl SnapshotState {
         Ok(SnapshotState::from_sorted_vec(schema, out))
     }
 
-    /// [`SnapshotState::union`] as a merge over aligned partitions of
-    /// both runs.
-    pub fn union_par(&self, other: &SnapshotState, pool: &ExecPool) -> Result<SnapshotState> {
-        self.schema().require_union_compatible(other.schema())?;
-        if self.is_empty() || other.is_empty() || self.shares_run(other) {
-            // Sequential identity shortcuts (O(1) Arc reuse).
-            return self.union(other);
-        }
-        let want = pool.chunks_for(OpKind::Union, self.len() + other.len());
-        let parts = aligned_parts(self.run(), other.run(), want);
-        let runs = pool.map_chunks(OpKind::Union, &parts, 1, |chunk| {
-            let mut out = Vec::new();
-            for (lr, rr) in chunk {
-                out.extend(merge_union(
-                    &self.run()[lr.clone()],
-                    &other.run()[rr.clone()],
-                ));
-            }
-            out
-        });
-        let total: usize = runs.iter().map(Vec::len).sum();
-        if total == self.len() {
-            // other ⊆ self: share the left run, like the sequential path.
-            return Ok(self.clone());
-        }
-        if total == other.len() {
-            return Ok(SnapshotState::from_shared(
-                self.schema().clone(),
-                other.shared_run().clone(),
-            ));
-        }
-        let mut out = Vec::with_capacity(total);
-        for run in runs {
-            out.extend(run);
-        }
-        Ok(SnapshotState::from_sorted_vec(self.schema().clone(), out))
-    }
-
     /// [`SnapshotState::difference`] as a merge over aligned partitions
     /// of both runs.
     pub fn difference_par(&self, other: &SnapshotState, pool: &ExecPool) -> Result<SnapshotState> {
@@ -278,7 +245,6 @@ mod tests {
                 a.project(&["a1"]).unwrap(),
                 a.project_par(&["a1"], &pool).unwrap()
             );
-            assert_eq!(a.union(&b).unwrap(), a.union_par(&b, &pool).unwrap());
             assert_eq!(
                 a.difference(&b).unwrap(),
                 a.difference_par(&b, &pool).unwrap()
@@ -295,10 +261,9 @@ mod tests {
             .select_par(&Predicate::eq_const("ghost", Value::Int(0)), &pool)
             .is_err());
         assert!(a.project_par(&["ghost"], &pool).is_err());
-        // Name clash in product; incompatible schemes in union/difference.
+        // Name clash in product; incompatible schemes in difference.
         assert!(a.product_par(&a, &pool).is_err());
         let other = random(2, "z", 8);
-        assert!(a.union_par(&other, &pool).is_err());
         assert!(a.difference_par(&other, &pool).is_err());
     }
 
@@ -307,14 +272,7 @@ mod tests {
         let a = random(1, "a", 1200);
         let empty = SnapshotState::empty(schema("a"));
         let pool = ExecPool::with_unit_grain(4);
-        let u = a.union_par(&empty, &pool).unwrap();
-        assert!(a.shares_run(&u));
         let d = a.difference_par(&empty, &pool).unwrap();
         assert!(a.shares_run(&d));
-        // Subsumption: a ∪ a (by value, not pointer) shares the left run.
-        let twin = SnapshotState::new(schema("a"), a.iter().cloned()).unwrap();
-        assert!(!a.shares_run(&twin));
-        let u2 = a.union_par(&twin, &pool).unwrap();
-        assert!(a.shares_run(&u2));
     }
 }

@@ -40,26 +40,6 @@ impl SnapshotState {
         }
         Ok(SnapshotState::from_sorted_vec(self.schema().clone(), out))
     }
-
-    /// Union of an ordered sequence of union-compatible states — the
-    /// merge entry point for horizontally partitioned (sharded) runs.
-    ///
-    /// A left fold over [`SnapshotState::union`], so all of its O(1)
-    /// identity shortcuts apply per step: merging `K` shards of which
-    /// only one is non-empty costs `K − 1` Arc clones and no tuple
-    /// copies. Returns `None` for an empty sequence (no schema to give
-    /// the result).
-    pub fn union_many(states: &[SnapshotState]) -> Option<Result<SnapshotState>> {
-        let (first, rest) = states.split_first()?;
-        let mut acc = first.clone();
-        for s in rest {
-            match acc.union(s) {
-                Ok(u) => acc = u,
-                Err(e) => return Some(Err(e)),
-            }
-        }
-        Some(Ok(acc))
-    }
 }
 
 #[cfg(test)]
@@ -139,13 +119,16 @@ mod tests {
     }
 
     #[test]
-    fn union_many_folds_partitions() {
+    fn union_folds_partitions() {
+        // Parts of a state, overlapping and empty ones included, fold
+        // back into the whole in any order.
         let parts = [state(&[1, 4]), state(&[2]), state(&[]), state(&[3, 4])];
-        let u = SnapshotState::union_many(&parts).unwrap().unwrap();
-        assert_eq!(u, state(&[1, 2, 3, 4]));
-        assert!(SnapshotState::union_many(&[]).is_none());
-        let other = Schema::new(vec![("y", DomainType::Int)]).unwrap();
-        let bad = [state(&[1]), SnapshotState::empty(other)];
-        assert!(SnapshotState::union_many(&bad).unwrap().is_err());
+        for order in [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]] {
+            let u = order
+                .iter()
+                .try_fold(state(&[]), |acc, &i| acc.union(&parts[i]))
+                .unwrap();
+            assert_eq!(u, state(&[1, 2, 3, 4]), "order {order:?}");
+        }
     }
 }

@@ -5,11 +5,10 @@ use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use txtime_core::{EvalError, RollbackFilter, StateValue, TransactionNumber};
-use txtime_exec::ExecPool;
 
 use crate::cache::MaterializationCache;
 use crate::delta::StateDelta;
-use crate::metrics::{CompactionStats, InternerStats, ShardReport, ShardSlot};
+use crate::metrics::{CompactionStats, InternerStats};
 
 /// The error from [`CheckpointPolicy::every_k`] for a zero interval.
 ///
@@ -197,11 +196,6 @@ pub trait RollbackStore: Send + Sync {
     /// The commit transaction numbers of every stored version, ascending.
     fn version_txs(&self) -> Vec<TransactionNumber>;
 
-    /// Installs the worker pool the store may fan work out on (per-shard
-    /// resolution in [`crate::ShardedStore`]). Unsharded backends run
-    /// sequentially and ignore it.
-    fn set_pool(&mut self, _pool: &Arc<ExecPool>) {}
-
     /// Folds the store's delta chain into materialized checkpoints so no
     /// rollback probe replays more than `every` deltas — the compaction
     /// pass bounding worst-case `state_at` latency. Backends without a
@@ -214,19 +208,6 @@ pub trait RollbackStore: Send + Sync {
     /// Compaction counters accumulated over the store's lifetime.
     fn compaction_stats(&self) -> CompactionStats {
         CompactionStats::default()
-    }
-
-    /// Per-shard chain breakdown; a single-slot report for unsharded
-    /// backends.
-    fn shard_report(&self) -> ShardReport {
-        ShardReport {
-            shards: vec![ShardSlot {
-                versions: self.version_count(),
-                tuples: self.current().map(|s| s.len()).unwrap_or(0),
-                bytes: self.space_bytes(),
-            }],
-            compaction: self.compaction_stats(),
-        }
     }
 
     /// Discards every version strictly older than the version current at
@@ -393,12 +374,124 @@ pub(crate) mod testing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use txtime_snapshot::{Predicate, Value};
+
+    /// One store of every kind, full-copy first, each holding `states`
+    /// committed at transactions 1, 3, 5, …
+    fn stores_holding(
+        states: &[StateValue],
+        policy: CheckpointPolicy,
+    ) -> Vec<Box<dyn RollbackStore>> {
+        let fill = |kind: &BackendKind| {
+            let mut store = kind.new_store(policy);
+            for (i, state) in states.iter().enumerate() {
+                store.append(state, TransactionNumber(2 * i as u64 + 1));
+            }
+            store
+        };
+        BackendKind::ALL.iter().map(fill).collect()
+    }
+
+    /// Every transaction number from before the first commit to past the
+    /// last.
+    fn probes(states: &[StateValue]) -> Vec<TransactionNumber> {
+        (0..=2 * states.len() as u64 + 1)
+            .map(TransactionNumber)
+            .collect()
+    }
 
     /// The provided `append_delta` is the definition; the full-copy
     /// store, the oracle of the others, keeps it.
     #[test]
     fn provided_append_delta_is_apply_then_append() {
         testing::assert_append_delta_is_append(crate::FullCopyStore::new, |_, _, _| {});
+    }
+
+    /// Every backend answers every probe, one at a time and batched in
+    /// any order, as the full-copy store does.
+    #[test]
+    fn every_backend_matches_full_copy_on_every_probe() {
+        for script in testing::scripts() {
+            let stores = stores_holding(&script, CheckpointPolicy::every_k(3).unwrap());
+            let (oracle, rest) = stores.split_first().unwrap();
+            let txs = probes(&script);
+            let want: Vec<_> = txs.iter().map(|&tx| oracle.state_at(tx)).collect();
+            for s in rest {
+                let kind = s.kind();
+                assert_eq!(s.version_txs(), oracle.version_txs(), "{kind}");
+                assert_eq!(s.first_tx(), oracle.first_tx(), "{kind}");
+                assert_eq!(s.last_tx(), oracle.last_tx(), "{kind}");
+                assert_eq!(s.current(), oracle.current(), "{kind}");
+                for (&tx, w) in txs.iter().zip(&want) {
+                    assert_eq!(&s.state_at(tx), w, "{kind} at {tx:?}");
+                }
+                let backwards: Vec<_> = txs.iter().rev().copied().collect();
+                let mut batched = s.state_at_many(&backwards);
+                batched.reverse();
+                assert_eq!(batched, want, "{kind} batched");
+            }
+        }
+    }
+
+    /// A filter pushed into resolution answers what resolving and then
+    /// filtering answers, on every backend, kind-mismatch errors included.
+    #[test]
+    fn filtered_resolution_is_resolve_then_filter_on_every_backend() {
+        let pred = Predicate::gt_const("id", Value::Int(2));
+        let project = ["name".to_string()];
+        let filter = RollbackFilter {
+            predicate: Some(&pred),
+            project: Some(&project),
+        };
+        for script in testing::scripts() {
+            for s in stores_holding(&script, CheckpointPolicy::every_k(3).unwrap()) {
+                let kind = s.kind();
+                for historical in [false, true] {
+                    let unpushed =
+                        |v: Option<StateValue>| v.map(|v| filter.apply(v, historical)).transpose();
+                    for tx in probes(&script) {
+                        assert_eq!(
+                            s.state_at_filtered(tx, historical, &filter),
+                            unpushed(s.state_at(tx)),
+                            "{kind} historical={historical} at {tx:?}"
+                        );
+                    }
+                    assert_eq!(
+                        s.current_filtered(historical, &filter),
+                        unpushed(s.current()),
+                        "{kind} historical={historical}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Compaction folds chains without changing an answer and reports
+    /// its pass in the store's lifetime counters; truncation then drops
+    /// the same versions from every backend and keeps every answer.
+    #[test]
+    fn compact_and_truncate_preserve_every_later_probe() {
+        let chain = [testing::scripts(), testing::scripts(), testing::scripts()].concat();
+        let chain = chain.concat();
+        let txs = probes(&chain);
+        let mut stores = stores_holding(&chain, CheckpointPolicy::Never);
+        let (oracle, rest) = stores.split_first_mut().unwrap();
+        // Between two commits, well inside the chain.
+        let floor = TransactionNumber(chain.len() as u64);
+        let dropped = oracle.truncate_before(floor);
+        assert!(dropped > 0);
+        for s in rest {
+            let kind = s.kind();
+            let pass = s.compact(NonZeroUsize::new(4).unwrap());
+            assert_eq!(s.compaction_stats(), pass, "{kind}");
+            let folds = matches!(kind, BackendKind::ForwardDelta | BackendKind::ReverseDelta);
+            assert_eq!(pass.runs > 0, folds, "{kind}");
+            assert_eq!(s.truncate_before(floor), dropped, "{kind}");
+            assert_eq!(s.version_txs(), oracle.version_txs(), "{kind}");
+            for &tx in &txs {
+                assert_eq!(s.state_at(tx), oracle.state_at(tx), "{kind} at {tx:?}");
+            }
+        }
     }
 
     #[test]

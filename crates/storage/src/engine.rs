@@ -28,10 +28,7 @@ use crate::backend::{BackendKind, CheckpointPolicy, RollbackStore};
 use crate::cache::MaterializationCache;
 use crate::delta::StateDelta;
 use crate::memo::{MemoDecision, RelStamp, StampSource, ViewRegistry};
-use crate::metrics::{
-    CacheStats, CompactionStats, InternerStats, RelationSpace, ShardReport, SpaceReport,
-};
-use crate::shard::ShardedStore;
+use crate::metrics::{CacheStats, CompactionStats, InternerStats, RelationSpace, SpaceReport};
 use crate::{update, wal};
 
 /// Default fold interval for [`Engine::compact`] when the engine's
@@ -90,10 +87,6 @@ struct StoredRelation {
     /// fresh on every `define_relation`, so a deleted-and-redefined
     /// relation can never observe its predecessor's cached versions.
     rel_id: u64,
-    /// How many consecutive cache ids the relation owns — a sharded
-    /// store caches shard `i` under `rel_id + i`, so deletion must purge
-    /// the whole span.
-    rel_span: u64,
 }
 
 /// What the planner tracks incrementally per relation — enough to build
@@ -174,12 +167,9 @@ pub struct Engine {
     cache: Arc<MaterializationCache>,
     next_rel_id: u64,
     /// The worker pool queries run on; one thread ⇒ the exact
-    /// sequential evaluator. Shared (`Arc`) with every sharded store,
-    /// which fans per-shard resolution out on it.
+    /// sequential evaluator. Shared (`Arc`) with the server, which
+    /// sizes its admission gate from it.
     pool: Arc<ExecPool>,
-    /// How many shards each *subsequently defined* history-keeping
-    /// relation is partitioned into; 1 = unsharded.
-    shards: NonZeroUsize,
     /// Opportunistic compaction: every this-many appends to one
     /// relation, `modify_state` folds its delta chain (`None` disables).
     auto_compact: Option<NonZeroUsize>,
@@ -196,16 +186,6 @@ pub struct Engine {
     planner_meta: BTreeMap<String, RelMeta>,
     /// The level-2 plan cache (interior mutability: `eval` is `&self`).
     planner: Mutex<Planner>,
-}
-
-/// The shard budget from the environment: `TXTIME_SHARDS` if set to a
-/// positive integer, otherwise 1 (unsharded).
-fn shards_from_env() -> NonZeroUsize {
-    std::env::var("TXTIME_SHARDS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .and_then(NonZeroUsize::new)
-        .unwrap_or(NonZeroUsize::MIN)
 }
 
 /// The optimization level from the environment: `TXTIME_OPTIMIZE` if set
@@ -259,7 +239,6 @@ impl Engine {
             cache: MaterializationCache::shared(),
             next_rel_id: 0,
             pool: Arc::new(ExecPool::from_env()),
-            shards: shards_from_env(),
             auto_compact: auto_compact_from_env(),
             memo: ViewRegistry::new(),
             optimize: optimize_from_env(),
@@ -471,9 +450,8 @@ impl Engine {
         lower_joins(expr, &planner.catalog)
     }
 
-    /// Runs a plan on the plain evaluator. The evaluator is untouched by
-    /// planning, so sharded stores fan the chosen plan's ρ-leaves out
-    /// exactly as they would the original's.
+    /// Runs a plan on the plain evaluator, which is untouched by
+    /// planning.
     fn eval_plan(&self, plan: &Expr) -> Result<StateValue, EvalError> {
         let rewritten = if self.optimize == 0 {
             Cow::Borrowed(plan)
@@ -775,25 +753,6 @@ impl Engine {
     #[doc(hidden)]
     pub fn set_pool(&mut self, pool: ExecPool) {
         self.pool = Arc::new(pool);
-        // Sharded stores fan per-shard work out on the engine's pool;
-        // hand every store the replacement.
-        for rel in self.catalog.values_mut() {
-            if let Keeper::History(store) = &mut rel.keeper {
-                store.set_pool(&self.pool);
-            }
-        }
-    }
-
-    /// The shard budget for relations defined from now on (existing
-    /// relations keep their layout — resharding in place would change
-    /// physical ids under live cache entries).
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = NonZeroUsize::new(shards).unwrap_or(NonZeroUsize::MIN);
-    }
-
-    /// The engine's shard budget for newly defined relations.
-    pub fn shards(&self) -> usize {
-        self.shards.get()
     }
 
     /// Reconfigures opportunistic compaction: every `every` appends to a
@@ -857,18 +816,6 @@ impl Engine {
             .into_iter()
             .fold(CompactionStats::default(), |acc, s| acc.merged(s));
         merged
-    }
-
-    /// Per-relation shard/compaction breakdown for the history-keeping
-    /// relations — `txtime stats` and the REPL's `\shards` read this.
-    pub fn shard_reports(&self) -> Vec<(String, ShardReport)> {
-        self.catalog
-            .iter()
-            .filter_map(|(name, rel)| match &rel.keeper {
-                Keeper::History(store) => Some((name.clone(), store.shard_report())),
-                Keeper::Single(_) => None,
-            })
-            .collect()
     }
 
     /// Per-operator counters from the worker pool (wall time, calls,
@@ -1010,36 +957,19 @@ impl Engine {
                     return Err(CoreError::AlreadyDefined(ident.clone()));
                 }
                 let rel_id = self.next_rel_id;
-                let (keeper, rel_span) = if rtype.keeps_history() {
-                    let k = self.shards;
-                    let store: Box<dyn RollbackStore> = if k.get() > 1 {
-                        Box::new(ShardedStore::new(
-                            self.backend,
-                            k,
-                            self.checkpoints,
-                            Some((self.cache.clone(), rel_id)),
-                            self.pool.clone(),
-                        ))
-                    } else {
-                        self.backend.new_store_with_cache(
-                            self.checkpoints,
-                            Some((self.cache.clone(), rel_id)),
-                        )
-                    };
-                    // A sharded store caches shard `i` under
-                    // `rel_id + i`; reserve the whole id span.
-                    (Keeper::History(store), k.get() as u64)
+                self.next_rel_id += 1;
+                let keeper = if rtype.keeps_history() {
+                    let cache = Some((self.cache.clone(), rel_id));
+                    Keeper::History(self.backend.new_store_with_cache(self.checkpoints, cache))
                 } else {
-                    (Keeper::Single(None), 1)
+                    Keeper::Single(None)
                 };
-                self.next_rel_id += rel_span;
                 self.catalog.insert(
                     ident.clone(),
                     StoredRelation {
                         rtype: *rtype,
                         keeper,
                         rel_id,
-                        rel_span,
                     },
                 );
                 self.planner_meta.insert(ident.clone(), RelMeta::fresh());
@@ -1133,11 +1063,8 @@ impl Engine {
                     return Err(CoreError::UndefinedRelation(ident.clone()));
                 };
                 // Its versions can never be probed again (relation ids are
-                // never reused); free their cache slots now — every id in
-                // the span, one per shard.
-                for id in removed.rel_id..removed.rel_id + removed.rel_span {
-                    self.cache.purge_relation(id);
-                }
+                // never reused); free their cache slots now.
+                self.cache.purge_relation(removed.rel_id);
                 self.memo.purge_relation(ident);
                 self.planner_meta.remove(ident);
                 self.tx = self.tx.next();
@@ -1263,11 +1190,14 @@ impl Engine {
                 .catalog
                 .iter()
                 .map(|(name, rel)| {
-                    let (versions, bytes) = match &rel.keeper {
-                        Keeper::History(s) => (s.version_count(), s.space_bytes()),
+                    let (versions, bytes, compaction) = match &rel.keeper {
+                        Keeper::History(s) => {
+                            (s.version_count(), s.space_bytes(), s.compaction_stats())
+                        }
                         Keeper::Single(v) => (
                             usize::from(v.is_some()),
                             v.as_ref().map_or(0, |(s, _)| s.size_bytes()),
+                            CompactionStats::default(),
                         ),
                     };
                     RelationSpace {
@@ -1276,6 +1206,7 @@ impl Engine {
                         backend: self.backend,
                         versions,
                         bytes,
+                        compaction,
                     }
                 })
                 .collect(),
@@ -1661,9 +1592,6 @@ mod tests {
             CheckpointPolicy::every_k(8).unwrap(),
         );
         e.set_cache_capacity(2);
-        // The counters below are one chain's: a sharded store probes
-        // the cache once per shard.
-        e.set_shards(1);
         for engine in [&mut oracle, &mut e] {
             engine
                 .execute(&Command::define_relation("r", RelationType::Rollback))
@@ -1699,7 +1627,6 @@ mod tests {
         // probe below must replay — this test pins the materialization
         // cache, not the checkpoint shortcut.
         let mut e = Engine::new(BackendKind::ReverseDelta, CheckpointPolicy::Never);
-        e.set_shards(1); // one chain, one cache probe per read
         e.execute(&Command::define_relation("r", RelationType::Rollback))
             .unwrap();
         for v in [vec![1], vec![1, 2], vec![2], vec![2, 3]] {
@@ -1856,7 +1783,6 @@ mod tests {
         const ROOTS: i64 = 40;
         for backend in BackendKind::ALL {
             let mut e = Engine::new(backend, CheckpointPolicy::every_k(16).unwrap());
-            e.set_shards(1);
             e.set_memo_register_after(1);
             e.execute(&Command::define_relation("acct", RelationType::Rollback))
                 .unwrap();
@@ -1951,8 +1877,6 @@ mod tests {
             CheckpointPolicy::every_k(16).unwrap(),
         );
         e.set_pool(ExecPool::new(2));
-        // One chain: a sharded store's own fan-out is not the subject.
-        e.set_shards(1);
         e.execute(&Command::define_relation("acct", RelationType::Rollback))
             .unwrap();
         e.execute(&Command::modify_state(
@@ -1971,7 +1895,7 @@ mod tests {
     }
 
     /// The count test of the delta path: an update-one-row commit runs
-    /// no ∪ and no − kernel (the parent ran one of each per commit), is
+    /// no − kernel (the plain path runs one per commit), is
     /// recorded as a delta commit listing the two rows it changes, and
     /// touches the memo no more than before.
     #[test]
@@ -1990,7 +1914,6 @@ mod tests {
         );
         assert_eq!((memo.hits, memo.misses), (0, 0), "writes decide nothing");
         assert_eq!(e.memo_interner_footprint().0, 0, "writes intern nothing");
-        assert_eq!(op_row(&e, "union"), (0, 0));
         assert_eq!(op_row(&e, "difference"), (0, 0));
         // The first commit rewrites row 0 with its own values and lists
         // nothing; every other one lists the row out and the row in.
@@ -2060,12 +1983,13 @@ mod tests {
     /// split past their break-even grain.
     #[test]
     fn commits_past_the_break_even_still_reach_the_partitioned_kernels() {
-        let rows = 2 * OpKind::Union.min_chunk() as i64;
-        let both = Command::modify_state("acct", Expr::current("a").union(Expr::current("b")));
+        let rows = 2 * OpKind::Difference.min_chunk() as i64;
+        let minus =
+            Command::modify_state("acct", Expr::current("a").difference(Expr::current("b")));
         let run = |threads: usize| {
             let mut e = two_thread_engine(1);
             e.set_pool(ExecPool::new(threads));
-            for (name, from) in [("a", 0), ("b", rows)] {
+            for (name, from) in [("a", 0), ("b", rows / 2)] {
                 let schema =
                     Schema::new(vec![("id", DomainType::Int), ("bal", DomainType::Int)]).unwrap();
                 let half = SnapshotState::from_rows(
@@ -2080,21 +2004,21 @@ mod tests {
             }
             e.reset_exec_stats();
             for _ in 0..3 {
-                e.execute(&both).unwrap();
+                e.execute(&minus).unwrap();
             }
             e
         };
         let e = run(2);
         assert_eq!(
-            op_row(&e, "union"),
+            op_row(&e, "difference"),
             (3, 6),
-            "union splits two ways at {rows} rows a side"
+            "difference splits two ways at {rows} rows a side"
         );
         assert_eq!(op_row(&e, "delta-commit"), (0, 0));
         // Same answer as the sequential engine.
         let seq = run(1);
         let acct = e.eval(&Expr::current("acct")).unwrap();
-        assert_eq!(acct.len() as i64, 2 * rows);
+        assert_eq!(acct.len() as i64, rows / 2);
         assert_eq!(acct, seq.eval(&Expr::current("acct")).unwrap());
     }
 
@@ -2198,7 +2122,6 @@ mod tests {
                 .map(|capacity| {
                     let mut e = Engine::new(backend, CheckpointPolicy::Never);
                     e.set_pool(ExecPool::new(2));
-                    e.set_shards(1);
                     e.set_optimize(1);
                     e.set_auto_compact(None);
                     e.set_memo_capacity(capacity);
@@ -2254,5 +2177,53 @@ mod tests {
         assert_eq!(report.relations.len(), 1);
         assert_eq!(report.relations[0].versions, 4);
         assert!(report.relations[0].bytes > 0);
+    }
+
+    /// Each row of the space report carries its own relation's compaction
+    /// counters: a pass's total is their sum, the longer chain folds
+    /// more, and a relation that keeps one version reports none.
+    #[test]
+    fn space_report_carries_each_relations_compaction_counters() {
+        for backend in BackendKind::ALL {
+            let mut e = Engine::new(backend, CheckpointPolicy::Never);
+            e.set_auto_compact(None);
+            for (name, rtype) in [
+                ("long", RelationType::Rollback),
+                ("short", RelationType::Rollback),
+                ("s", RelationType::Snapshot),
+            ] {
+                e.execute(&Command::define_relation(name, rtype)).unwrap();
+            }
+            for v in 1..=12 {
+                let mut targets = vec!["long", "s"];
+                if v % 4 == 0 {
+                    targets.push("short");
+                }
+                for name in targets {
+                    let state = Expr::snapshot_const(snap(&[v, v + 1]));
+                    e.execute(&Command::modify_state(name, state)).unwrap();
+                }
+            }
+            let folded = |e: &Engine, name: &str| {
+                let rows = e.space_report().relations;
+                rows.into_iter()
+                    .find(|r| r.name == name)
+                    .unwrap()
+                    .compaction
+            };
+            assert_eq!(folded(&e, "long"), CompactionStats::default());
+            let pass = e.compact(NonZeroUsize::new(2));
+            let (long, short) = (folded(&e, "long"), folded(&e, "short"));
+            assert_eq!(long.merged(short), pass, "{backend}");
+            assert_eq!(folded(&e, "s"), CompactionStats::default());
+            if matches!(
+                backend,
+                BackendKind::ForwardDelta | BackendKind::ReverseDelta
+            ) {
+                assert!(long.deltas_folded > short.deltas_folded, "{backend}");
+            } else {
+                assert_eq!(pass, CompactionStats::default(), "{backend}");
+            }
+        }
     }
 }

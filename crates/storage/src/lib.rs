@@ -46,7 +46,6 @@ pub mod memo;
 pub mod metrics;
 pub mod recovery;
 pub mod reverse_delta;
-pub mod shard;
 pub mod tuple_ts;
 pub(crate) mod update;
 pub mod wal;
@@ -60,10 +59,7 @@ pub use equiv::check_equivalence;
 pub use forward_delta::ForwardDeltaStore;
 pub use full_copy::FullCopyStore;
 pub use memo::{MemoDecision, StampSource, ViewRegistry, DEFAULT_MEMO_CAPACITY};
-pub use metrics::{
-    CacheStats, CompactionStats, InternerStats, ShardReport, ShardSlot, SpaceReport,
-};
+pub use metrics::{CacheStats, CompactionStats, InternerStats, SpaceReport};
 pub use reverse_delta::ReverseDeltaStore;
-pub use shard::ShardedStore;
 pub use tuple_ts::TupleTimestampStore;
 pub use txtime_exec::{ExecPool, ExecStats, MemoStats, OpKind, OpStat};

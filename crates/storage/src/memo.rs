@@ -66,7 +66,7 @@
 //!   newest always stays) and a view stamped before them is dropped and
 //!   re-evaluated on its next read. Commits that arrive as a state and
 //!   whose store leaves no delta behind (full-copy, tuple-timestamp,
-//!   sharded, single-version relations) log the two state handles
+//!   single-version relations) log the two state handles
 //!   instead and the diff happens on first demand, so no write ever
 //!   diffs a relation for the memo; consecutive such commits share one
 //!   entry.
@@ -656,7 +656,7 @@ impl Inner {
             NodeOp::Union => {
                 let l = self.eval_snap(c(0), src, counters, "union")?;
                 let r = self.eval_snap(c(1), src, counters, "union")?;
-                StateValue::Snapshot(l.union_par(&r, pool)?)
+                StateValue::Snapshot(l.union(&r)?)
             }
             NodeOp::Difference => {
                 let l = self.eval_snap(c(0), src, counters, "minus")?;
@@ -679,7 +679,7 @@ impl Inner {
             NodeOp::HUnion => {
                 let l = self.eval_hist(c(0), src, counters, "hunion")?;
                 let r = self.eval_hist(c(1), src, counters, "hunion")?;
-                StateValue::Historical(l.hunion_par(&r, pool)?)
+                StateValue::Historical(l.hunion(&r)?)
             }
             NodeOp::HDifference => {
                 let l = self.eval_hist(c(0), src, counters, "hminus")?;

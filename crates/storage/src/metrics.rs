@@ -90,16 +90,6 @@ pub struct InternerStats {
     pub bytes: usize,
 }
 
-impl InternerStats {
-    /// Component-wise sum, for catalog-level totals.
-    pub fn merged(self, other: InternerStats) -> InternerStats {
-        InternerStats {
-            strings: self.strings + other.strings,
-            bytes: self.bytes + other.bytes,
-        }
-    }
-}
-
 impl fmt::Display for InternerStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} strings / {} bytes", self.strings, self.bytes)
@@ -120,7 +110,7 @@ pub struct CompactionStats {
 }
 
 impl CompactionStats {
-    /// Component-wise sum, for shard- and catalog-level totals.
+    /// Component-wise sum, for catalog-level totals.
     pub fn merged(self, other: CompactionStats) -> CompactionStats {
         CompactionStats {
             runs: self.runs + other.runs,
@@ -140,56 +130,8 @@ impl fmt::Display for CompactionStats {
     }
 }
 
-/// One shard's row in a [`ShardReport`]: the length and footprint of its
-/// private delta chain.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardSlot {
-    /// Versions (chain entries) the shard stores.
-    pub versions: usize,
-    /// Tuples/entries in the shard's current state.
-    pub tuples: usize,
-    /// Approximate logical bytes of the shard's chain.
-    pub bytes: usize,
-}
-
-/// Per-shard breakdown of one relation's store — a single-slot report
-/// for unsharded backends ([`crate::RollbackStore::shard_report`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ShardReport {
-    /// One row per shard, in shard order.
-    pub shards: Vec<ShardSlot>,
-    /// Compaction counters accumulated across all shards.
-    pub compaction: CompactionStats,
-}
-
-impl ShardReport {
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-}
-
-impl fmt::Display for ShardReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "{} shard(s); compaction: {}",
-            self.shards.len(),
-            self.compaction
-        )?;
-        for (i, s) in self.shards.iter().enumerate() {
-            writeln!(
-                f,
-                "  shard {:>2}: {:>6} versions {:>8} tuples {:>10} bytes",
-                i, s.versions, s.tuples, s.bytes
-            )?;
-        }
-        Ok(())
-    }
-}
-
 /// Space usage of one relation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelationSpace {
     /// Relation name.
     pub name: String,
@@ -201,6 +143,9 @@ pub struct RelationSpace {
     pub versions: usize,
     /// Approximate logical bytes.
     pub bytes: usize,
+    /// Compaction counters accumulated over the store's lifetime (zero
+    /// for relations that keep one version).
+    pub compaction: CompactionStats,
 }
 
 impl RelationSpace {
@@ -237,19 +182,23 @@ impl fmt::Display for SpaceReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "{:<12} {:<10} {:<16} {:>9} {:>12} {:>10}",
+            "{:<12} {:<10} {:<16} {:>9} {:>12} {:>10}  compaction runs/deltas/tuples",
             "relation", "type", "backend", "versions", "bytes", "B/version"
         )?;
         for r in &self.relations {
+            let c = r.compaction;
             writeln!(
                 f,
-                "{:<12} {:<10} {:<16} {:>9} {:>12} {:>10.1}",
+                "{:<12} {:<10} {:<16} {:>9} {:>12} {:>10.1}  {}/{}/{}",
                 r.name,
                 r.rtype.to_string(),
                 r.backend.to_string(),
                 r.versions,
                 r.bytes,
-                r.bytes_per_version()
+                r.bytes_per_version(),
+                c.runs,
+                c.deltas_folded,
+                c.tuples_folded
             )?;
         }
         Ok(())
@@ -288,6 +237,11 @@ mod tests {
                     backend: BackendKind::FullCopy,
                     versions: 4,
                     bytes: 400,
+                    compaction: CompactionStats {
+                        runs: 1,
+                        deltas_folded: 3,
+                        tuples_folded: 12,
+                    },
                 },
                 RelationSpace {
                     name: "b".into(),
@@ -295,6 +249,7 @@ mod tests {
                     backend: BackendKind::FullCopy,
                     versions: 0,
                     bytes: 0,
+                    compaction: CompactionStats::default(),
                 },
             ],
         };
@@ -302,6 +257,8 @@ mod tests {
         assert_eq!(report.total_versions(), 4);
         assert_eq!(report.relations[0].bytes_per_version(), 100.0);
         assert_eq!(report.relations[1].bytes_per_version(), 0.0);
-        assert!(report.to_string().contains("full-copy"));
+        let table = report.to_string();
+        assert!(table.contains("full-copy"), "{table}");
+        assert!(table.contains("  1/3/12\n"), "{table}");
     }
 }

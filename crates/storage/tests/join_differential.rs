@@ -1,9 +1,8 @@
 //! Differential property tests for the physical join operators: a
 //! `join[spec]`/`hjoin[spec]` plan node is observationally identical —
 //! values *and* errors — to its defining `σ_spec(×)`/`σ̂_spec(×̂)` form,
-//! on every backend, with the view memo on and off, sharded and
-//! unsharded, at one and two worker threads, for both physical
-//! algorithms. This is the contract that lets the plan search emit join
+//! on every backend, with the view memo on and off, at one and two
+//! worker threads, for both physical algorithms. This is the contract that lets the plan search emit join
 //! nodes at all: the kernels are faster evaluation orders for claim 1's
 //! σ-over-× form, never different answers.
 
@@ -19,7 +18,6 @@ use txtime_snapshot::generate::{random_state, GenConfig};
 use txtime_snapshot::{DomainType, Predicate, Schema, Value};
 use txtime_storage::{BackendKind, CheckpointPolicy, Engine};
 
-const SHARDS: [usize; 2] = [1, 4];
 const MEMO: [bool; 2] = [false, true];
 const THREADS: [usize; 2] = [1, 2];
 const PHYSICALS: [JoinPhysical; 2] = [JoinPhysical::Hash, JoinPhysical::Merge];
@@ -46,9 +44,8 @@ fn gen_cfg() -> CmdGenConfig {
     }
 }
 
-fn engine(backend: BackendKind, memo: bool, shards: usize, threads: usize) -> Engine {
+fn engine(backend: BackendKind, memo: bool, threads: usize) -> Engine {
     let mut e = Engine::new(backend, CheckpointPolicy::every_k(3).unwrap());
-    e.set_shards(shards);
     e.set_pool(ExecPool::with_unit_grain(threads));
     if memo {
         e.set_memo_register_after(1);
@@ -162,9 +159,9 @@ fn q0_commands(rng: &mut StdRng) -> Vec<Command> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The full snapshot matrix: 4 backends × memo on/off × 1/4 shards ×
-    /// 1/2 threads, random command sequences, and the hash/merge pair
-    /// pool checked after every command.
+    /// The full snapshot matrix: 4 backends × memo on/off × 1/2 threads,
+    /// random command sequences, and the hash/merge pair pool checked
+    /// after every command.
     #[test]
     fn physical_joins_match_their_sigma_product_form(
         seed in any::<u64>(),
@@ -176,17 +173,13 @@ proptest! {
         let pairs = join_pairs();
         for backend in BackendKind::ALL {
             for memo in MEMO {
-                for shards in SHARDS {
-                    for threads in THREADS {
-                        let label = format!(
-                            "{backend}, memo={memo}, {shards} shard(s), {threads} thread(s)"
-                        );
-                        let mut e = engine(backend, memo, shards, threads);
-                        for cmd in &cmds {
-                            let _ = e.execute(cmd);
-                        }
-                        assert_pairs_agree(&e, &pairs, &label);
+                for threads in THREADS {
+                    let label = format!("{backend}, memo={memo}, {threads} thread(s)");
+                    let mut e = engine(backend, memo, threads);
+                    for cmd in &cmds {
+                        let _ = e.execute(cmd);
                     }
+                    assert_pairs_agree(&e, &pairs, &label);
                 }
             }
         }
@@ -246,35 +239,33 @@ proptest! {
         let slice_spec = spec(&[("a0", "b0")], Predicate::True, JoinPhysical::Hash);
         let hjoin = Expr::hcurrent("t0").hjoin(slice_spec.clone(), Expr::hcurrent("tb"));
         for backend in BackendKind::ALL {
-            for shards in SHARDS {
-                for threads in THREADS {
-                    let label = format!("{backend}, {shards} shard(s), {threads} thread(s)");
-                    let mut e = engine(backend, true, shards, threads);
-                    for cmd in &cmds {
-                        let _ = e.execute(cmd);
-                    }
-                    assert_pairs_agree(&e, &pairs, &label);
-                    // Snapshot reducibility on the evaluated states.
-                    let (Ok(StateValue::Historical(j)),
-                         Ok(StateValue::Historical(a)),
-                         Ok(StateValue::Historical(b))) = (
-                        e.eval(&hjoin),
-                        e.eval(&Expr::hcurrent("t0")),
-                        e.eval(&Expr::hcurrent("tb")),
-                    ) else {
-                        continue; // both temporal relations still empty
-                    };
-                    for c in (0..33u32).step_by(4) {
-                        prop_assert_eq!(
-                            j.timeslice(c),
-                            a.timeslice(c)
-                                .equi_join(&b.timeslice(c), &slice_spec)
-                                .unwrap(),
-                            "{}: chronon {}",
-                            label,
-                            c
-                        );
-                    }
+            for threads in THREADS {
+                let label = format!("{backend}, {threads} thread(s)");
+                let mut e = engine(backend, true, threads);
+                for cmd in &cmds {
+                    let _ = e.execute(cmd);
+                }
+                assert_pairs_agree(&e, &pairs, &label);
+                // Snapshot reducibility on the evaluated states.
+                let (Ok(StateValue::Historical(j)),
+                     Ok(StateValue::Historical(a)),
+                     Ok(StateValue::Historical(b))) = (
+                    e.eval(&hjoin),
+                    e.eval(&Expr::hcurrent("t0")),
+                    e.eval(&Expr::hcurrent("tb")),
+                ) else {
+                    continue; // both temporal relations still empty
+                };
+                for c in (0..33u32).step_by(4) {
+                    prop_assert_eq!(
+                        j.timeslice(c),
+                        a.timeslice(c)
+                            .equi_join(&b.timeslice(c), &slice_spec)
+                            .unwrap(),
+                        "{}: chronon {}",
+                        label,
+                        c
+                    );
                 }
             }
         }
@@ -311,9 +302,9 @@ proptest! {
         for backend in BackendKind::ALL {
             for threads in THREADS {
                 let label = format!("{backend}, {threads} thread(s), level 2 vs 0");
-                let mut opt = engine(backend, true, 1, threads);
+                let mut opt = engine(backend, true, threads);
                 opt.set_optimize(2);
-                let mut base = engine(backend, true, 1, threads);
+                let mut base = engine(backend, true, threads);
                 base.set_optimize(0);
                 for cmd in &cmds {
                     let a = opt.execute(cmd);
@@ -340,7 +331,7 @@ proptest! {
 #[test]
 fn join_counters_record_build_and_probe_sides() {
     let mut rng = StdRng::seed_from_u64(0xD1FF);
-    let mut e = engine(BackendKind::FullCopy, false, 1, 1);
+    let mut e = engine(BackendKind::FullCopy, false, 1);
     e.execute(&Command::define_relation("r0", RelationType::Rollback))
         .unwrap();
     e.execute(&Command::modify_state(

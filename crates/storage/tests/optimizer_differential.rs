@@ -3,7 +3,7 @@
 //! DAG) is observationally identical — values *and* errors — to an
 //! engine that evaluates expressions as written (level 0) or with the
 //! pushdown pass only (level 1), on every backend, with the view memo
-//! on and off, sharded and unsharded. This is the property that
+//! on and off. This is the property that
 //! licenses rewriting in `Engine::eval` at all: every enumeration rule
 //! in `txtime_optimizer::search` carries a guard precisely so this
 //! suite can demand error identity, not just value identity.
@@ -20,7 +20,6 @@ use txtime_snapshot::generate::{random_predicate, random_state, GenConfig};
 use txtime_snapshot::{DomainType, Predicate, Schema, Value};
 use txtime_storage::{BackendKind, CheckpointPolicy, Engine};
 
-const SHARDS: [usize; 2] = [1, 4];
 const MEMO: [bool; 2] = [false, true];
 
 fn schema() -> Schema {
@@ -45,9 +44,8 @@ fn gen_cfg() -> CmdGenConfig {
     }
 }
 
-fn engine(backend: BackendKind, level: u8, memo: bool, shards: usize) -> Engine {
+fn engine(backend: BackendKind, level: u8, memo: bool) -> Engine {
     let mut e = Engine::new(backend, CheckpointPolicy::every_k(3).unwrap());
-    e.set_shards(shards);
     e.set_optimize(level);
     if memo {
         e.set_memo_register_after(1);
@@ -211,7 +209,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Level 2 vs level 0 (no rewriting at all): the full matrix —
-    /// 4 backends × memo on/off × 1/4 shards — with random command
+    /// 4 backends × memo on/off — with random command
     /// sequences and a query pool of random, guard-targeting, and
     /// always-erroring shapes.
     #[test]
@@ -232,17 +230,15 @@ proptest! {
         }
         for backend in BackendKind::ALL {
             for memo in MEMO {
-                for shards in SHARDS {
-                    let label = format!("{backend}, memo={memo}, {shards} shard(s)");
-                    let mut opt = engine(backend, 2, memo, shards);
-                    let mut base = engine(backend, 0, memo, shards);
-                    drive(&cmds, &queries, &mut opt, &mut base, &label);
-                    prop_assert!(
-                        opt.optimizer_stats().searches > 0,
-                        "{}: the search never ran",
-                        label
-                    );
-                }
+                let label = format!("{backend}, memo={memo}");
+                let mut opt = engine(backend, 2, memo);
+                let mut base = engine(backend, 0, memo);
+                drive(&cmds, &queries, &mut opt, &mut base, &label);
+                prop_assert!(
+                    opt.optimizer_stats().searches > 0,
+                    "{}: the search never ran",
+                    label
+                );
             }
         }
     }
@@ -317,12 +313,10 @@ proptest! {
             queries.push(random_query(&mut qrng, depth)); // snapshot noise on a temporal db
         }
         for backend in BackendKind::ALL {
-            for shards in SHARDS {
-                let label = format!("{backend}, {shards} shard(s), vs pushdown");
-                let mut opt = engine(backend, 2, true, shards);
-                let mut base = engine(backend, 1, true, shards);
-                drive(&cmds, &queries, &mut opt, &mut base, &label);
-            }
+            let label = format!("{backend}, vs pushdown");
+            let mut opt = engine(backend, 2, true);
+            let mut base = engine(backend, 1, true);
+            drive(&cmds, &queries, &mut opt, &mut base, &label);
         }
     }
 }
@@ -333,7 +327,7 @@ proptest! {
 /// requirement, stated as a test.
 #[test]
 fn canonical_plans_share_memoized_views() {
-    let mut e = engine(BackendKind::FullCopy, 2, true, 1);
+    let mut e = engine(BackendKind::FullCopy, 2, true);
     let mut rng = StdRng::seed_from_u64(0xCAFE);
     let values = gen_cfg().values;
     e.execute(&Command::define_relation("r0", RelationType::Rollback))
@@ -374,7 +368,7 @@ fn canonical_plans_share_memoized_views() {
 /// re-searching, and a mutation invalidates it.
 #[test]
 fn plan_cache_hits_within_a_generation() {
-    let mut e = engine(BackendKind::ForwardDelta, 2, false, 1);
+    let mut e = engine(BackendKind::ForwardDelta, 2, false);
     let mut rng = StdRng::seed_from_u64(7);
     let values = gen_cfg().values;
     e.execute(&Command::define_relation("r0", RelationType::Rollback))
@@ -412,7 +406,7 @@ fn plan_cache_hits_within_a_generation() {
 /// schema), an attribute clash, temporal operands under σ over ×, the
 /// hatted twin over snapshot operands, a key of the wrong type. Values
 /// and error text match level 0 (σ over × as written) either way, on
-/// every backend, memo on and off, sharded and not.
+/// every backend, memo on and off.
 #[test]
 fn level_one_lowers_equi_selections_where_the_guard_holds() {
     use txtime_core::SchemeChange;
@@ -492,33 +486,27 @@ fn level_one_lowers_equi_selections_where_the_guard_holds() {
     ];
     for backend in BackendKind::ALL {
         for memo in MEMO {
-            for shards in SHARDS {
-                let label = format!("{backend}, memo {memo}, {shards} shard(s)");
-                let mut level1 = engine(backend, 1, memo, shards);
-                let mut level0 = engine(backend, 0, memo, shards);
-                for cmd in &commands {
-                    level1.execute(cmd).unwrap();
-                    level0.execute(cmd).unwrap();
-                }
-                for (q, joins) in lowered
-                    .iter()
-                    .map(|q| (q, true))
-                    .chain(declined.iter().map(|q| (q, false)))
-                {
-                    let plan = level1.explain(q);
-                    assert_eq!(plan.contains("join["), joins, "{label}: {q}\n{plan}");
-                    for pass in 0..2 {
-                        match (level0.eval(q), level1.eval(q)) {
-                            (Ok(a), Ok(b)) => assert_eq!(a, b, "{label}, pass {pass}: {q}"),
-                            (Err(a), Err(b)) => {
-                                assert_eq!(
-                                    a.to_string(),
-                                    b.to_string(),
-                                    "{label}, pass {pass}: {q}"
-                                )
-                            }
-                            (a, b) => panic!("{label}, pass {pass}: {q}: {a:?} vs {b:?}"),
+            let label = format!("{backend}, memo {memo}");
+            let mut level1 = engine(backend, 1, memo);
+            let mut level0 = engine(backend, 0, memo);
+            for cmd in &commands {
+                level1.execute(cmd).unwrap();
+                level0.execute(cmd).unwrap();
+            }
+            for (q, joins) in lowered
+                .iter()
+                .map(|q| (q, true))
+                .chain(declined.iter().map(|q| (q, false)))
+            {
+                let plan = level1.explain(q);
+                assert_eq!(plan.contains("join["), joins, "{label}: {q}\n{plan}");
+                for pass in 0..2 {
+                    match (level0.eval(q), level1.eval(q)) {
+                        (Ok(a), Ok(b)) => assert_eq!(a, b, "{label}, pass {pass}: {q}"),
+                        (Err(a), Err(b)) => {
+                            assert_eq!(a.to_string(), b.to_string(), "{label}, pass {pass}: {q}")
                         }
+                        (a, b) => panic!("{label}, pass {pass}: {q}: {a:?} vs {b:?}"),
                     }
                 }
             }

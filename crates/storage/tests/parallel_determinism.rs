@@ -2,7 +2,9 @@
 //! worker pool returns byte-identical results — values *and* errors — to
 //! the one-thread (exact sequential) pool, on every backend, on random
 //! workloads and queries. This is the property that licenses the
-//! partitioned kernels at all. The pools are unit-grain
+//! partitioned kernels at all. Neither thread budget nor the view memo
+//! can be told apart from a sequential, memo-less full-copy engine. The
+//! pools are unit-grain
 //! ([`ExecPool::with_unit_grain`]), so the ten-tuple states here split
 //! into several chunks; the shipped break-even grains would keep every
 //! kernel inline.
@@ -151,6 +153,68 @@ proptest! {
                 let depth = qrng.gen_range(0..4);
                 let q = random_query(&mut qrng, depth);
                 assert_all_agree(&engines, &q, backend);
+            }
+        }
+    }
+
+    /// Memo on or off, at one or two threads, every backend answers a
+    /// workload (command outcomes, a failing command included, a probe
+    /// at every transaction number, and queries asked twice so the second
+    /// asking takes the memo's hit path) as a memo-less sequential
+    /// full-copy engine does. A query that errs must err again, but which
+    /// operator reports first may differ once the memo holds its views.
+    #[test]
+    fn memo_and_threads_match_the_full_copy_oracle(
+        seed in any::<u64>(),
+        len in 4usize..14,
+        q_seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cmds = random_commands(&mut rng, &schema(), &gen_cfg(), len);
+        cmds.push(Command::modify_state("ghost", Expr::current("ghost")));
+        let mut qrng = StdRng::seed_from_u64(q_seed);
+        let mut queries: Vec<Expr> = (0..6)
+            .map(|_| {
+                let depth = qrng.gen_range(0..4);
+                random_query(&mut qrng, depth)
+            })
+            .collect();
+        for t in 0..=cmds.len() as u64 + 1 {
+            for r in ["r0", "r1"] {
+                queries.push(Expr::rollback(r, TxSpec::At(TransactionNumber(t))));
+            }
+        }
+        let observe = |backend: BackendKind, memo: bool, threads: usize| {
+            let mut e = Engine::new(backend, CheckpointPolicy::every_k(3).unwrap());
+            e.set_pool(ExecPool::with_unit_grain(threads));
+            if !memo {
+                e.set_memo_capacity(0);
+            }
+            let mut seen: Vec<String> =
+                cmds.iter().map(|c| format!("{:?}", e.execute(c))).collect();
+            for q in &queries {
+                let first = e.eval(q);
+                seen.push(format!("{first:?}"));
+                seen.push(match (first.is_err(), e.eval(q)) {
+                    (true, Err(_)) => "error again".to_string(),
+                    (_, second) => format!("{second:?}"),
+                });
+            }
+            seen
+        };
+        let oracle = observe(BackendKind::FullCopy, false, 1);
+        for backend in BackendKind::ALL {
+            for memo in [false, true] {
+                for threads in [1, 2] {
+                    prop_assert_eq!(
+                        &observe(backend, memo, threads),
+                        &oracle,
+                        "{} memo={} threads={}",
+                        backend,
+                        memo,
+                        threads
+                    );
+                }
             }
         }
     }

@@ -16,10 +16,10 @@
 //! After every command the engine and its twin must hold the same
 //! history, value for value: every version of every relation, the
 //! `space_report()` rows (for the delta stores that is the chain
-//! entries, byte for byte), the interner pools and the per-shard layout;
-//! and a reader registered with the view memo must see what the oracle
-//! computes, so the log takes the right delta. All of it on 4 backends ×
-//! 1/4 shards × memo on/off.
+//! entries, byte for byte, and the compaction counters) and the interner
+//! pools; and a reader registered with the view memo must see what the
+//! oracle computes, so the log takes the right delta. All of it on 4
+//! backends × memo on/off.
 
 use proptest::prelude::*;
 use txtime_snapshot::rng::rngs::StdRng;
@@ -32,6 +32,7 @@ use txtime_core::{
 use txtime_parser::parse_command;
 use txtime_snapshot::generate::{random_predicate, random_state, GenConfig};
 use txtime_snapshot::{DomainType, Predicate, Schema, Value};
+use txtime_storage::metrics::RelationSpace;
 use txtime_storage::recovery::recover;
 use txtime_storage::{BackendKind, CheckpointPolicy, Engine};
 
@@ -43,9 +44,8 @@ fn policy() -> CheckpointPolicy {
 
 /// Compaction is attempted every fourth append; it has something to fold
 /// under [`CheckpointPolicy::Never`] once a chain passes 32 versions.
-fn engine(backend: BackendKind, shards: usize, checkpoints: CheckpointPolicy) -> Engine {
+fn engine(backend: BackendKind, checkpoints: CheckpointPolicy) -> Engine {
     let mut e = Engine::new(backend, checkpoints);
-    e.set_shards(shards);
     e.set_auto_compact(std::num::NonZeroUsize::new(4));
     e
 }
@@ -81,13 +81,8 @@ struct Rig {
 }
 
 impl Rig {
-    fn new(
-        backend: BackendKind,
-        shards: usize,
-        reader: bool,
-        checkpoints: CheckpointPolicy,
-    ) -> Rig {
-        let under_test = engine(backend, shards, checkpoints);
+    fn new(backend: BackendKind, reader: bool, checkpoints: CheckpointPolicy) -> Rig {
+        let under_test = engine(backend, checkpoints);
         if reader {
             under_test.set_memo_register_after(1);
         } else {
@@ -95,21 +90,19 @@ impl Rig {
         }
         Rig {
             engine: under_test,
-            twin: engine(backend, shards, checkpoints),
+            twin: engine(backend, checkpoints),
             oracle: Database::empty(),
             reader,
-            label: format!("{backend}/{checkpoints:?}, {shards} shard(s), reader {reader}"),
+            label: format!("{backend}/{checkpoints:?}, reader {reader}"),
         }
     }
 
-    /// 4 backends × 1/4 shards × memo off/on with a registered reader.
+    /// 4 backends × memo off/on with a registered reader.
     fn all(checkpoints: CheckpointPolicy) -> Vec<Rig> {
         let mut rigs = Vec::new();
         for backend in BackendKind::ALL {
-            for shards in [1, 4] {
-                for reader in [false, true] {
-                    rigs.push(Rig::new(backend, shards, reader, checkpoints));
-                }
+            for reader in [false, true] {
+                rigs.push(Rig::new(backend, reader, checkpoints));
             }
         }
         rigs
@@ -169,11 +162,6 @@ impl Rig {
             self.twin.interner_report(),
             "{at}"
         );
-        assert_eq!(
-            self.engine.shard_reports(),
-            self.twin.shard_reports(),
-            "{at}"
-        );
         for name in self.engine.relations() {
             for n in from..=self.oracle.tx.0 + 1 {
                 let probe = leaf(&self.oracle, name, TxSpec::At(TransactionNumber(n)));
@@ -202,12 +190,8 @@ impl Rig {
 }
 
 /// `space_report()` as comparable rows.
-fn rows(e: &Engine) -> Vec<(String, usize, usize)> {
-    e.space_report()
-        .relations
-        .into_iter()
-        .map(|r| (r.name, r.versions, r.bytes))
-        .collect()
+fn rows(e: &Engine) -> Vec<RelationSpace> {
+    e.space_report().relations
 }
 
 fn delta_commits(e: &Engine) -> u64 {
@@ -482,12 +466,7 @@ fn hand_written_edges_leave_the_literal_twins_history() {
             assert_eq!(delta_commits(&rig.twin), 0, "{}", rig.label);
             // Auto-compaction fired mid-script, between delta commits,
             // wherever there is a chain and no policy pinned it already.
-            let compactions: u64 = rig
-                .engine
-                .shard_reports()
-                .iter()
-                .map(|(_, r)| r.compaction.runs)
-                .sum();
+            let compactions: u64 = rows(&rig.engine).iter().map(|r| r.compaction.runs).sum();
             let folds = checkpoints == CheckpointPolicy::Never
                 && matches!(
                     rig.engine.backend(),
@@ -507,8 +486,8 @@ fn recovering_the_journal_reaches_the_same_space_report() {
     for backend in BackendKind::ALL {
         let path = dir.join(format!("{backend}.wal"));
         let _ = std::fs::remove_file(&path);
-        // Shards and compaction as the environment gives them: recovery
-        // builds its engine the same way.
+        // Compaction as the environment gives it: recovery builds its
+        // engine the same way.
         let mut live = Engine::with_wal(backend, policy(), &path).unwrap();
         for (_, source) in edge_script() {
             let _ = live.execute(&parse_command(&source).unwrap());

@@ -11,7 +11,6 @@
 //! displayed more than once are registered automatically; after later
 //! modifications a cached answer is brought forward by delta rules when
 //! it is next displayed),
-//! `\shards` shows each relation's shard layout and compaction counters,
 //! `\optimize` shows (and `\optimize N` sets) the optimization level
 //! with the planner's counters, `\plan expr` prints the plan the engine
 //! would run for an expression — cost/cardinality estimates per node
@@ -48,7 +47,7 @@ fn main() {
     let mut buffer = String::new();
 
     println!(
-        "txtime REPL — commands end with ';'. \\q quits, \\catalog lists relations, \\memo shows view-memo counters, \\exec shows state-cache and per-operator counters, \\shards shows shard/compaction layout, \\optimize [N] shows/sets the plan level, \\plan EXPR explains a query, \\lint lists this session's warnings."
+        "txtime REPL — commands end with ';'. \\q quits, \\catalog lists relations, \\memo shows view-memo counters, \\exec shows state-cache and per-operator counters, \\optimize [N] shows/sets the plan level, \\plan EXPR explains a query, \\lint lists this session's warnings."
     );
     print_prompt(&buffer);
     for line in stdin.lock().lines() {
@@ -86,17 +85,6 @@ fn main() {
                     // writes and audit diffs that ran none.
                     print!("{}", engine.cache_stats());
                     print!("{}", engine.exec_stats());
-                    print_prompt(&buffer);
-                    continue;
-                }
-                "\\shards" => {
-                    let reports = engine.shard_reports();
-                    if reports.is_empty() {
-                        println!("  no history-keeping relations");
-                    }
-                    for (name, report) in reports {
-                        print!("  {name}: {report}");
-                    }
                     print_prompt(&buffer);
                     continue;
                 }

@@ -12,7 +12,6 @@
 //! txtime check script.txq --deny-warnings     # lint warnings become fatal
 //! txtime stats script.txq                     # execute, report space/cache/exec counters
 //! txtime stats script.txq --threads 4         # size the query worker pool
-//! txtime stats script.txq --shards 4          # shard each relation's store 4 ways
 //! txtime compact script.txq --every 8         # execute, then fold delta chains
 //! txtime explain script.txq                   # print chosen plans for displays
 //! txtime explain script.txq --optimize 2      # ...under cost-based plan search
@@ -51,7 +50,7 @@ fn main() -> ExitCode {
         Some((cmd, rest)) if cmd == "explain" => explain(rest),
         Some((cmd, rest)) if cmd == "serve" => serve_cmd(rest),
         _ => {
-            eprintln!("usage: txtime <run|recover|check|stats|compact|explain|serve> <file> [--backend KIND] [--wal FILE] [--checkpoint K] [--threads N] [--shards K] [--every N] [--optimize L] [--auto-compact N] [--no-check] [--lint] [--deny-warnings]");
+            eprintln!("usage: txtime <run|recover|check|stats|compact|explain|serve> <file> [--backend KIND] [--wal FILE] [--checkpoint K] [--threads N] [--every N] [--optimize L] [--auto-compact N] [--no-check] [--lint] [--deny-warnings]");
             eprintln!("       txtime serve [--listen ADDR] [--wal FILE] [--no-group-commit] [--max-sessions N] [tuning flags]");
             eprintln!("       txtime stats --addr ADDR    # gauges from a running server");
             eprintln!("backends: full-copy (default), fwd-delta, rev-delta, tuple-ts");
@@ -75,9 +74,6 @@ struct Options {
     /// Worker-pool size for query evaluation; `None` defers to the
     /// engine's default (`TXTIME_THREADS` / available parallelism).
     threads: Option<usize>,
-    /// Shards per history-keeping relation; `None` defers to the
-    /// engine's default (`TXTIME_SHARDS`, else unsharded).
-    shards: Option<usize>,
     /// Fold interval for `txtime compact`; `None` defers to the
     /// checkpoint policy's own interval.
     every: Option<usize>,
@@ -106,7 +102,6 @@ fn parse_options(rest: &[String]) -> Result<Options, String> {
     let mut lint = false;
     let mut deny_warnings = false;
     let mut threads = None;
-    let mut shards = None;
     let mut every = None;
     let mut optimize = None;
     let mut auto_compact = None;
@@ -118,16 +113,6 @@ fn parse_options(rest: &[String]) -> Result<Options, String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--no-check" => no_check = true,
-            "--shards" => {
-                let v = it.next().ok_or("--shards needs a value")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("invalid shard count {v:?}"))?;
-                if n == 0 {
-                    return Err("--shards must be at least 1".to_string());
-                }
-                shards = Some(n);
-            }
             "--every" => {
                 let v = it.next().ok_or("--every needs a value")?;
                 let n: usize = v
@@ -145,7 +130,7 @@ fn parse_options(rest: &[String]) -> Result<Options, String> {
                     .map_err(|_| format!("invalid optimization level {v:?}"))?;
                 if n > 2 {
                     return Err(
-                        "--optimize takes 0 (as written), 1 (pushdown), or 2 (cost-based search)"
+                        "--optimize takes 0 (as written), 1 (join lowering and pushdown), or 2 (cost-based search)"
                             .to_string(),
                     );
                 }
@@ -215,7 +200,6 @@ fn parse_options(rest: &[String]) -> Result<Options, String> {
         lint,
         deny_warnings,
         threads,
-        shards,
         every,
         optimize,
         auto_compact,
@@ -235,13 +219,10 @@ impl Options {
     }
 }
 
-/// Applies the `--threads`/`--shards`/`--optimize` tuning flags.
+/// Applies the `--threads`/`--optimize`/`--auto-compact` tuning flags.
 fn tune(engine: &mut Engine, opts: &Options) {
     if let Some(n) = opts.threads {
         engine.set_threads(n);
-    }
-    if let Some(k) = opts.shards {
-        engine.set_shards(k);
     }
     if let Some(l) = opts.optimize {
         engine.set_optimize(l);
@@ -466,6 +447,7 @@ fn stats(rest: &[String]) -> ExitCode {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
+    // Space and compaction counters per relation.
     println!("{}", engine.space_report());
     print!("{}", engine.cache_stats());
     // Per-operator wall time and chunk counts from the worker pool (the
@@ -485,11 +467,6 @@ fn stats(rest: &[String]) -> ExitCode {
     println!("       expr interner: {nodes} nodes / {bytes} bytes");
     for (name, interner) in engine.interner_report() {
         println!("pool:  {name}: {interner}");
-    }
-    // Shard layout and compaction counters, one block per
-    // history-keeping relation.
-    for (name, report) in engine.shard_reports() {
-        print!("shards: {name}: {report}");
     }
     ExitCode::SUCCESS
 }
@@ -533,9 +510,7 @@ fn compact(rest: &[String]) -> ExitCode {
             .unwrap_or_else(|| engine.default_compact_every())
             .get()
     );
-    for (name, report) in engine.shard_reports() {
-        print!("shards: {name}: {report}");
-    }
+    print!("{}", engine.space_report());
     ExitCode::SUCCESS
 }
 

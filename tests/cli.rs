@@ -226,62 +226,57 @@ fn usage_on_bad_invocation() {
     assert!(!out.status.success());
 }
 
+/// The space table carries each relation's compaction counters
+/// (runs/deltas/tuples folded): `stats` shows none for a chain nothing
+/// has folded, and `compact` reports its pass and then the table with
+/// the fold counted.
 #[test]
-fn stats_reports_shard_layout_and_compact_folds_chains() {
-    let script = write_script("shards.txq", SCRIPT);
-    // --shards 4 partitions emp across 4 chains; stats shows one row per
-    // shard plus the compaction counters.
-    let out = txtime(&[
-        "stats",
-        script.to_str().unwrap(),
-        "--backend",
-        "rev-delta",
-        "--shards",
-        "4",
-    ]);
+fn stats_and_compact_report_compaction_per_relation() {
+    let script = write_script("compaction.txq", SCRIPT);
+    let emp_row = |stdout: &str| {
+        stdout
+            .lines()
+            .find(|l| l.starts_with("emp "))
+            .unwrap_or_else(|| panic!("no emp row: {stdout}"))
+            .split_whitespace()
+            .last()
+            .unwrap()
+            .to_string()
+    };
+    let path = script.to_str().unwrap();
+    let run = |cmd: &str| {
+        let out = txtime(&[
+            cmd,
+            path,
+            "--backend",
+            "rev-delta",
+            "--checkpoint",
+            "0",
+            "--every",
+            "1",
+        ]);
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let stdout = run("stats");
     assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("shards: emp: 4 shard(s)"),
+        stdout.contains("compaction runs/deltas/tuples"),
         "stdout: {stdout}"
     );
-    assert!(stdout.contains("shard  3:"), "stdout: {stdout}");
-    assert!(stdout.contains("compaction:"), "stdout: {stdout}");
+    assert_eq!(emp_row(&stdout), "0/0/0", "stdout: {stdout}");
 
-    // compact folds the (tiny) chain and reports the pass. `--shards 1`
-    // is explicit so a `TXTIME_SHARDS` in the environment (the CI shard
-    // leg) cannot change the expected layout.
-    let out = txtime(&[
-        "compact",
-        script.to_str().unwrap(),
-        "--backend",
-        "rev-delta",
-        "--checkpoint",
-        "0",
-        "--every",
-        "1",
-        "--shards",
-        "1",
-    ]);
+    // Two versions, one reverse delta: the pass folds it into a
+    // checkpoint of the older version's two tuples.
+    let stdout = run("compact");
     assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("compacted every 1 versions:"),
+        stdout.contains("compacted every 1 versions: 1 run(s), 1 deltas folded"),
         "stdout: {stdout}"
     );
-    assert!(stdout.contains("run(s)"), "stdout: {stdout}");
-    assert!(
-        stdout.contains("shards: emp: 1 shard(s)"),
-        "stdout: {stdout}"
-    );
+    assert_eq!(emp_row(&stdout), "1/1/2", "stdout: {stdout}");
     let _ = std::fs::remove_file(&script);
 }
 
@@ -302,14 +297,7 @@ fn stats_reports_version_differences_read_off_the_chain() {
         "#,
     );
     for backend in ["fwd-delta", "rev-delta"] {
-        let out = txtime(&[
-            "stats",
-            script.to_str().unwrap(),
-            "--backend",
-            backend,
-            "--shards",
-            "1",
-        ]);
+        let out = txtime(&["stats", script.to_str().unwrap(), "--backend", backend]);
         assert!(
             out.status.success(),
             "stderr: {}",
@@ -348,13 +336,13 @@ fn stats_reports_memo_and_interner_pools() {
     // Space and cache counters from earlier milestones still lead.
     assert!(stdout.contains("cache:"), "stdout: {stdout}");
     // The pool schedules kernels only: no `subtree` row, and at three
-    // rows no operator kernel split (`N calls N chunks`; the shard and
-    // optimize rows count fan-out and plans, not splits).
+    // rows no operator kernel split (`N calls N chunks`; the optimize
+    // row counts plans, not splits).
     assert!(stdout.contains("exec:"), "stdout: {stdout}");
     assert!(!stdout.contains("subtree"), "stdout: {stdout}");
     for row in stdout.lines().filter(|l| l.contains(" calls ")) {
         let cols: Vec<&str> = row.split_whitespace().collect();
-        if !["shard", "optimize"].contains(&cols[0]) {
+        if cols[0] != "optimize" {
             assert_eq!(cols[1], cols[3], "a three-row operand was split: {row}");
         }
     }
@@ -445,6 +433,31 @@ fn explain_levels_change_the_printed_plan() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--optimize takes"), "stderr: {stderr}");
+    let _ = std::fs::remove_file(&script);
+}
+
+#[test]
+fn a_bad_optimize_level_is_refused_with_what_each_level_does() {
+    let script = write_script("optimize-levels.txq", PRODUCT);
+    for cmd in ["run", "stats", "explain"] {
+        let out = txtime(&[cmd, script.to_str().unwrap(), "--optimize", "3"]);
+        assert!(!out.status.success(), "{cmd}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        for level in [
+            "0 (as written)",
+            "1 (join lowering and pushdown)",
+            "2 (cost-based search)",
+        ] {
+            assert!(stderr.contains(level), "{cmd} stderr: {stderr}");
+        }
+        let out = txtime(&[cmd, script.to_str().unwrap(), "--optimize", "x"]);
+        assert!(!out.status.success(), "{cmd}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("invalid optimization level"),
+            "{cmd} stderr: {stderr}"
+        );
+    }
     let _ = std::fs::remove_file(&script);
 }
 

@@ -9,7 +9,7 @@
 //! write carries its commit-time transaction number, so replaying the
 //! acked writes in tx order on a fresh single-threaded engine *is* the
 //! sequential ordering the server claims to have implemented. The suite
-//! then checks, across memo on/off × 1/4 shards × every backend:
+//! then checks, across memo on/off × every backend:
 //!
 //! * every version of every relation matches the oracle's (the full
 //!   rollback history, not just the final state);
@@ -43,9 +43,8 @@ fn ack_tx(resp: &Response) -> Option<u64> {
 /// Drives `SESSIONS` concurrent sessions through an interleaved script
 /// against a freshly configured server; returns the per-session logs and
 /// the server's final engine.
-fn run_server(backend: BackendKind, memo: bool, shards: usize) -> (Vec<Log>, Engine) {
-    let mut engine = Engine::new(backend, CheckpointPolicy::every_k(4).unwrap());
-    engine.set_shards(shards);
+fn run_server(backend: BackendKind, memo: bool) -> (Vec<Log>, Engine) {
+    let engine = Engine::new(backend, CheckpointPolicy::every_k(4).unwrap());
     engine.set_memo_capacity(if memo { 256 } else { 0 });
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let handle = serve(engine, listener, ServerConfig::default()).expect("server starts");
@@ -116,7 +115,7 @@ fn run_server(backend: BackendKind, memo: bool, shards: usize) -> (Vec<Log>, Eng
 
 /// Replays the acked writes in commit-clock order on a fresh engine of
 /// the same configuration — the sequential oracle.
-fn replay_oracle(backend: BackendKind, memo: bool, shards: usize, logs: &[Log]) -> Engine {
+fn replay_oracle(backend: BackendKind, memo: bool, logs: &[Log]) -> Engine {
     let mut writes: Vec<(u64, &str)> = Vec::new();
     for log in logs {
         for (cmd, resp) in log {
@@ -148,7 +147,6 @@ fn replay_oracle(backend: BackendKind, memo: bool, shards: usize, logs: &[Log]) 
     );
 
     let mut oracle = Engine::new(backend, CheckpointPolicy::every_k(4).unwrap());
-    oracle.set_shards(shards);
     oracle.set_memo_capacity(if memo { 256 } else { 0 });
     for (tx, cmd) in &writes {
         let script = format!("{cmd}\n");
@@ -167,10 +165,10 @@ fn rendered(engine: &Engine, expr: &Expr) -> Result<String, String> {
         .map_err(|e| e.to_string())
 }
 
-fn assert_differential(backend: BackendKind, memo: bool, shards: usize) {
-    let label = format!("{backend} memo={memo} shards={shards}");
-    let (logs, server_engine) = run_server(backend, memo, shards);
-    let oracle = replay_oracle(backend, memo, shards, &logs);
+fn assert_differential(backend: BackendKind, memo: bool) {
+    let label = format!("{backend} memo={memo}");
+    let (logs, server_engine) = run_server(backend, memo);
+    let oracle = replay_oracle(backend, memo, &logs);
 
     // 1. The full version history of every relation matches: server and
     //    oracle agree on ρ(r, t) — value or error — for every t.
@@ -250,35 +248,27 @@ fn assert_differential(backend: BackendKind, memo: bool, shards: usize) {
 #[test]
 fn full_copy_matches_sequential_oracle() {
     for memo in [true, false] {
-        for shards in [1, 4] {
-            assert_differential(BackendKind::FullCopy, memo, shards);
-        }
+        assert_differential(BackendKind::FullCopy, memo);
     }
 }
 
 #[test]
 fn forward_delta_matches_sequential_oracle() {
     for memo in [true, false] {
-        for shards in [1, 4] {
-            assert_differential(BackendKind::ForwardDelta, memo, shards);
-        }
+        assert_differential(BackendKind::ForwardDelta, memo);
     }
 }
 
 #[test]
 fn reverse_delta_matches_sequential_oracle() {
     for memo in [true, false] {
-        for shards in [1, 4] {
-            assert_differential(BackendKind::ReverseDelta, memo, shards);
-        }
+        assert_differential(BackendKind::ReverseDelta, memo);
     }
 }
 
 #[test]
 fn tuple_timestamp_matches_sequential_oracle() {
     for memo in [true, false] {
-        for shards in [1, 4] {
-            assert_differential(BackendKind::TupleTimestamp, memo, shards);
-        }
+        assert_differential(BackendKind::TupleTimestamp, memo);
     }
 }

@@ -233,10 +233,7 @@ fn snapshot_durable_pins_to_the_fsynced_clock() {
 /// how far behind the furthest registered root is.
 #[test]
 fn stats_reports_the_memo_log_and_the_largest_root_lag() {
-    let mut engine = Engine::new(BackendKind::ForwardDelta, CheckpointPolicy::Never);
-    // One chain, whatever `TXTIME_SHARDS` says: a sharded store hands
-    // out no per-commit delta, and its unread commits share one entry.
-    engine.set_shards(1);
+    let engine = Engine::new(BackendKind::ForwardDelta, CheckpointPolicy::Never);
     let handle = serve(engine, listener(), ServerConfig::default()).expect("server starts");
     let mut c = Client::connect(handle.addr()).expect("connect");
     assert!(c.exec("define_relation(emp, rollback);").unwrap().is_ok());
