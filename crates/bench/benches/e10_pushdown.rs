@@ -62,7 +62,11 @@ fn bench_pushdown(c: &mut Criterion) {
     let mid = TransactionNumber(versions as u64 / 2 + 1);
     // int_range is 10_000, so this keeps ~5% of tuples.
     let pred = Predicate::lt_const("id", Value::Int(500));
-    for backend in [BackendKind::TupleTimestamp, BackendKind::ForwardDelta] {
+    for backend in [
+        BackendKind::TupleTimestamp,
+        BackendKind::ForwardDelta,
+        BackendKind::ReverseDelta,
+    ] {
         let engine = engine_with_chain(backend, CheckpointPolicy::every_k(32).unwrap(), &chain);
         engine.set_cache_capacity(0); // isolate pushdown from caching
         let pushed = Expr::rollback("r", TxSpec::At(mid)).select(pred.clone());

@@ -681,6 +681,13 @@ fn measure_cache(backend: BackendKind) -> (f64, f64, f64, f64) {
 /// through the engine (the store filters while reconstructing) vs
 /// resolving the full version and filtering afterwards. Returns
 /// (materialized µs, pushed µs).
+/// The stores that filter while they resolve, E10b's pushdown arm.
+const PUSHDOWN_BACKENDS: [BackendKind; 3] = [
+    BackendKind::TupleTimestamp,
+    BackendKind::ForwardDelta,
+    BackendKind::ReverseDelta,
+];
+
 fn measure_pushdown(backend: BackendKind) -> (f64, f64) {
     let versions = 128usize;
     let chain = version_chain(versions, 400, 0.1);
@@ -736,7 +743,7 @@ fn e10_cache_pushdown() {
         "{:<16} {:>14} {:>12} {:>9}",
         "backend", "materialized", "pushed", "speedup"
     );
-    for backend in [BackendKind::TupleTimestamp, BackendKind::ForwardDelta] {
+    for backend in PUSHDOWN_BACKENDS {
         let (materialized, pushed) = measure_pushdown(backend);
         println!(
             "{:<16} {:>14.1} {:>12.1} {:>8.1}x",
@@ -746,7 +753,7 @@ fn e10_cache_pushdown() {
             materialized / pushed.max(1e-9)
         );
     }
-    println!("=> revisited as-of points cost one cache lookup instead of a delta replay;\n   pushdown pays off where the store can filter during the scan (tuple-ts)\n   and never hurts elsewhere (delta stores fall back to filter-after).\n");
+    println!("=> revisited as-of points cost one cache lookup instead of a delta replay;\n   pushdown pays off where the store can filter during the scan (tuple-ts)\n   or during the replay (both delta directions).\n");
 }
 
 // --------------------------------------------------------------------
@@ -805,10 +812,7 @@ fn bench2() {
     }
 
     let mut e10_pushdown = String::new();
-    for (i, backend) in [BackendKind::TupleTimestamp, BackendKind::ForwardDelta]
-        .into_iter()
-        .enumerate()
-    {
+    for (i, backend) in PUSHDOWN_BACKENDS.into_iter().enumerate() {
         let (materialized, pushed) = measure_pushdown(backend);
         if i > 0 {
             e10_pushdown.push_str(", ");
@@ -1306,10 +1310,7 @@ fn bench3() {
     }
 
     let mut e10_pushdown = String::new();
-    for (i, backend) in [BackendKind::TupleTimestamp, BackendKind::ForwardDelta]
-        .into_iter()
-        .enumerate()
-    {
+    for (i, backend) in PUSHDOWN_BACKENDS.into_iter().enumerate() {
         let (materialized, pushed) = measure_pushdown(backend);
         if i > 0 {
             e10_pushdown.push_str(", ");

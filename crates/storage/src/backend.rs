@@ -28,7 +28,8 @@ impl std::error::Error for ZeroCheckpointInterval {}
 /// How often a delta-based store materializes a full checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointPolicy {
-    /// Never checkpoint: one base state, deltas forever.
+    /// Never checkpoint at append time: deltas only, beside whatever
+    /// full state the chain itself needs.
     Never,
     /// A full state every `k` versions. The payload is non-zero by
     /// construction; build it with [`CheckpointPolicy::every_k`].
@@ -47,7 +48,7 @@ impl CheckpointPolicy {
     /// Whether version number `index` (0-based) should be a checkpoint.
     pub fn is_checkpoint(self, index: usize) -> bool {
         match self {
-            CheckpointPolicy::Never => index == 0,
+            CheckpointPolicy::Never => false,
             CheckpointPolicy::EveryK(k) => index.is_multiple_of(k.get()),
         }
     }
@@ -99,8 +100,8 @@ pub trait RollbackStore: Send + Sync {
     }
 
     /// Size of the per-relation string pool, for stores that intern
-    /// appended states ([`crate::ForwardDeltaStore`],
-    /// [`crate::ReverseDeltaStore`]); `None` for stores without one.
+    /// appended states ([`crate::DeltaStore`]); `None` for stores
+    /// without one.
     fn interner_stats(&self) -> Option<InternerStats> {
         None
     }
@@ -126,7 +127,8 @@ pub trait RollbackStore: Send + Sync {
     /// The provided implementation materializes the version and then
     /// applies the filter, which is *definitionally* the un-pushed
     /// computation. Stores that can evaluate the filter while scanning
-    /// (such as [`crate::TupleTimestampStore`]) override it; the
+    /// or replaying ([`crate::TupleTimestampStore`],
+    /// [`crate::DeltaStore`]) override it; the
     /// differential tests in [`crate::equiv`] hold every override to the
     /// same observable behavior, errors included. `Ok(None)` means "no
     /// version at `tx`", exactly like [`RollbackStore::state_at`].
@@ -225,9 +227,9 @@ pub trait RollbackStore: Send + Sync {
 pub enum BackendKind {
     /// [`crate::FullCopyStore`]
     FullCopy,
-    /// [`crate::ForwardDeltaStore`]
+    /// A [`crate::DeltaStore`] linked [`crate::Direction::Forward`].
     ForwardDelta,
-    /// [`crate::ReverseDeltaStore`]
+    /// A [`crate::DeltaStore`] linked [`crate::Direction::Reverse`].
     ReverseDelta,
     /// [`crate::TupleTimestampStore`]
     TupleTimestamp,
@@ -242,7 +244,7 @@ impl BackendKind {
         BackendKind::TupleTimestamp,
     ];
 
-    /// Instantiates an empty store of this kind (forward-delta stores use
+    /// Instantiates an empty store of this kind (the delta stores use
     /// the given checkpoint policy; others ignore it).
     pub fn new_store(self, checkpoints: CheckpointPolicy) -> Box<dyn RollbackStore> {
         self.new_store_with_cache(checkpoints, None)
@@ -258,12 +260,16 @@ impl BackendKind {
     ) -> Box<dyn RollbackStore> {
         match self {
             BackendKind::FullCopy => Box::new(crate::FullCopyStore::new()),
-            BackendKind::ForwardDelta => {
-                Box::new(crate::ForwardDeltaStore::with_cache(checkpoints, cache))
-            }
-            BackendKind::ReverseDelta => {
-                Box::new(crate::ReverseDeltaStore::with_cache(checkpoints, cache))
-            }
+            BackendKind::ForwardDelta => Box::new(crate::DeltaStore::new(
+                crate::Direction::Forward,
+                checkpoints,
+                cache,
+            )),
+            BackendKind::ReverseDelta => Box::new(crate::DeltaStore::new(
+                crate::Direction::Reverse,
+                checkpoints,
+                cache,
+            )),
             BackendKind::TupleTimestamp => Box::new(crate::TupleTimestampStore::new()),
         }
     }
@@ -501,7 +507,7 @@ mod tests {
         assert!(!p.is_checkpoint(3));
         assert!(p.is_checkpoint(4));
         assert!(p.is_checkpoint(8));
-        assert!(CheckpointPolicy::Never.is_checkpoint(0));
+        assert!(!CheckpointPolicy::Never.is_checkpoint(0));
         assert!(!CheckpointPolicy::Never.is_checkpoint(100));
     }
 

@@ -18,12 +18,13 @@
 //!
 //! * [`FullCopyStore`] — every version in full; the direct transcription
 //!   of the semantics, and the oracle for the others.
-//! * [`ForwardDeltaStore`] — an initial state plus per-transaction deltas,
-//!   with optional periodic checkpoints; rollback replays forward from
-//!   the nearest checkpoint.
-//! * [`ReverseDeltaStore`] — the current state in full plus reverse
-//!   deltas; current-state access is O(1) and rollback cost grows with
-//!   the *age* of the target, which favours the common recent-query case.
+//! * [`DeltaStore`] — the current state in full plus one delta per
+//!   transaction and optional periodic checkpoints. Its [`Direction`]
+//!   says which way the deltas point: [`Direction::Forward`] holds the
+//!   first version in full and replays up from the nearest checkpoint;
+//!   [`Direction::Reverse`] replays down from the nearest checkpoint or
+//!   the current state, so rollback cost grows with the *age* of the
+//!   target, which favours the common recent-query case.
 //! * [`TupleTimestampStore`] — each tuple stored once with its
 //!   transaction-time interval \[start, stop); rollback is a scan filter.
 //!   This is the attribute/tuple-timestamping school of physical design
@@ -38,14 +39,13 @@ pub mod archive;
 pub mod backend;
 pub mod cache;
 pub mod delta;
+pub mod delta_store;
 pub mod engine;
 pub mod equiv;
-pub mod forward_delta;
 pub mod full_copy;
 pub mod memo;
 pub mod metrics;
 pub mod recovery;
-pub mod reverse_delta;
 pub mod tuple_ts;
 pub(crate) mod update;
 pub mod wal;
@@ -54,12 +54,11 @@ pub use archive::ArchiveReport;
 pub use backend::{BackendKind, CheckpointPolicy, RollbackStore, ZeroCheckpointInterval};
 pub use cache::{MaterializationCache, DEFAULT_CACHE_CAPACITY};
 pub use delta::StateDelta;
+pub use delta_store::{DeltaStore, Direction};
 pub use engine::{parse_auto_compact, Engine, ScriptError};
 pub use equiv::check_equivalence;
-pub use forward_delta::ForwardDeltaStore;
 pub use full_copy::FullCopyStore;
 pub use memo::{MemoDecision, StampSource, ViewRegistry, DEFAULT_MEMO_CAPACITY};
 pub use metrics::{CacheStats, CompactionStats, InternerStats, SpaceReport};
-pub use reverse_delta::ReverseDeltaStore;
 pub use tuple_ts::TupleTimestampStore;
 pub use txtime_exec::{ExecPool, ExecStats, MemoStats, OpKind, OpStat};

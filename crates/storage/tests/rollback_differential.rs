@@ -43,9 +43,7 @@ use txtime_parser::parse_command;
 use txtime_snapshot::{
     CompOp, DomainType, Operand, Predicate, Schema, SnapshotState, Tuple, Value,
 };
-use txtime_storage::{
-    BackendKind, CheckpointPolicy, Engine, ForwardDeltaStore, ReverseDeltaStore, RollbackStore,
-};
+use txtime_storage::{BackendKind, CheckpointPolicy, Engine, RollbackStore};
 
 /// Rows of a freshly loaded relation; ids are drawn from twice as many.
 const ROWS: i64 = 12;
@@ -661,11 +659,8 @@ fn a_store_answers_a_version_difference_as_the_plain_path_or_declines() {
         CheckpointPolicy::Never,
     ];
     for policy in policies {
-        let stores: [Box<dyn RollbackStore>; 2] = [
-            Box::new(ForwardDeltaStore::new(policy)),
-            Box::new(ReverseDeltaStore::with_cache(policy, None)),
-        ];
-        for mut store in stores {
+        for kind in [BackendKind::ForwardDelta, BackendKind::ReverseDelta] {
+            let mut store = kind.new_store(policy);
             let label = format!("{}/{policy:?}", store.kind());
             // Versions at tx 2, 4, 6, …: odd probes fall between them.
             // Every other one arrives as a delta, as a keyed update does.
