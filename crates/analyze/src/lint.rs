@@ -937,16 +937,18 @@ impl Linter {
         let before = self.warnings.len();
 
         // Expression-level abstract interpretation against the
-        // pre-command state.
-        let analysis = command.expr().map(|e| {
-            analyze_expr(
-                e,
-                expr_spans,
-                self.checker.catalog(),
-                &self.stats,
-                &mut self.interner,
-            )
-        });
+        // pre-command state. Only a `display` root needs an id that
+        // outlives the call (`displayed` counts it); every other command
+        // is analysed in a scratch arena, so a long-lived linter does
+        // not keep every constant it was ever sent.
+        let mut scratch = ExprInterner::new();
+        let interner = match command {
+            Command::Display(_) => &mut self.interner,
+            _ => &mut scratch,
+        };
+        let analysis = command
+            .expr()
+            .map(|e| analyze_expr(e, expr_spans, self.checker.catalog(), &self.stats, interner));
         if let Some(an) = &analysis {
             self.warnings.extend(an.warnings.iter().cloned());
             if matches!(command, Command::Display(_))
@@ -1465,6 +1467,32 @@ mod tests {
         let ranges = rs.versions[1].ranges.as_ref().unwrap();
         assert_eq!(ranges.len(), 3);
         assert_eq!(ranges[2], ValueRange::exact(Value::Int(7)));
+    }
+
+    /// A write's expression is analysed and dropped: after a thousand
+    /// `modify_state`s with distinct constants the arena holds no more
+    /// nodes than after the first.
+    #[test]
+    fn committed_writes_do_not_grow_the_arena() {
+        let mut linter = Linter::new();
+        linter.commit(
+            &Command::define_relation("emp", RelationType::Rollback),
+            None,
+        );
+        let write = |i: i64| {
+            let row = Expr::snapshot_const(emp_state(&[("a", i)]));
+            Command::modify_state("emp", Expr::current("emp").union(row))
+        };
+        linter.commit(&write(0), None);
+        let after_first = linter.interner.len();
+        for i in 1..1_000 {
+            linter.commit(&write(i), None);
+        }
+        assert!(
+            linter.interner.len() <= after_first,
+            "{} nodes after 1000 writes, {after_first} after the first",
+            linter.interner.len()
+        );
     }
 
     #[test]

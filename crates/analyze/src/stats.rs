@@ -20,7 +20,7 @@
 //! static interval contains the cardinality every execution produces; an
 //! engine-harvested interval is the cardinality the store produced. The
 //! differential proptests in the workspace root hold the static path to
-//! this contract against all four backends.
+//! this contract against both backends.
 
 use std::collections::BTreeMap;
 

@@ -23,28 +23,27 @@ fn bench_cache(c: &mut Criterion) {
     let probes: Vec<TransactionNumber> = (0..16)
         .map(|_| TransactionNumber(rng.gen_range(2..versions as u64 + 2)))
         .collect();
-    for backend in [BackendKind::ForwardDelta, BackendKind::ReverseDelta] {
-        let engine = engine_with_chain(backend, CheckpointPolicy::every_k(64).unwrap(), &chain);
-        for (label, capacity) in [("uncached", 0usize), ("cached", 128)] {
-            engine.set_cache_capacity(capacity);
-            group.bench_with_input(
-                BenchmarkId::new(format!("{backend}/{label}"), versions),
-                &probes,
-                |b, probes| {
-                    b.iter(|| {
-                        probes
-                            .iter()
-                            .map(|&t| {
-                                engine
-                                    .eval(&Expr::rollback("r", TxSpec::At(t)))
-                                    .expect("probe answers")
-                                    .len()
-                            })
-                            .sum::<usize>()
-                    })
-                },
-            );
-        }
+    let backend = BackendKind::ForwardDelta;
+    let engine = engine_with_chain(backend, CheckpointPolicy::every_k(64).unwrap(), &chain);
+    for (label, capacity) in [("uncached", 0usize), ("cached", 128)] {
+        engine.set_cache_capacity(capacity);
+        group.bench_with_input(
+            BenchmarkId::new(format!("{backend}/{label}"), versions),
+            &probes,
+            |b, probes| {
+                b.iter(|| {
+                    probes
+                        .iter()
+                        .map(|&t| {
+                            engine
+                                .eval(&Expr::rollback("r", TxSpec::At(t)))
+                                .expect("probe answers")
+                                .len()
+                        })
+                        .sum::<usize>()
+                })
+            },
+        );
     }
     group.finish();
 }
@@ -62,36 +61,31 @@ fn bench_pushdown(c: &mut Criterion) {
     let mid = TransactionNumber(versions as u64 / 2 + 1);
     // int_range is 10_000, so this keeps ~5% of tuples.
     let pred = Predicate::lt_const("id", Value::Int(500));
-    for backend in [
-        BackendKind::TupleTimestamp,
-        BackendKind::ForwardDelta,
-        BackendKind::ReverseDelta,
-    ] {
-        let engine = engine_with_chain(backend, CheckpointPolicy::every_k(32).unwrap(), &chain);
-        engine.set_cache_capacity(0); // isolate pushdown from caching
-        let pushed = Expr::rollback("r", TxSpec::At(mid)).select(pred.clone());
-        group.bench_with_input(
-            BenchmarkId::new(format!("{backend}/pushed"), versions),
-            &pushed,
-            |b, pushed| b.iter(|| engine.eval(pushed).expect("probe answers").len()),
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("{backend}/materialized"), versions),
-            &pred,
-            |b, pred| {
-                b.iter(|| {
-                    engine
-                        .resolve_rollback("r", TxSpec::At(mid), false)
-                        .expect("probe answers")
-                        .into_snapshot()
-                        .expect("snapshot relation")
-                        .select(pred)
-                        .expect("predicate compiles")
-                        .len()
-                })
-            },
-        );
-    }
+    let backend = BackendKind::ForwardDelta;
+    let engine = engine_with_chain(backend, CheckpointPolicy::every_k(32).unwrap(), &chain);
+    engine.set_cache_capacity(0); // isolate pushdown from caching
+    let pushed = Expr::rollback("r", TxSpec::At(mid)).select(pred.clone());
+    group.bench_with_input(
+        BenchmarkId::new(format!("{backend}/pushed"), versions),
+        &pushed,
+        |b, pushed| b.iter(|| engine.eval(pushed).expect("probe answers").len()),
+    );
+    group.bench_with_input(
+        BenchmarkId::new(format!("{backend}/materialized"), versions),
+        &pred,
+        |b, pred| {
+            b.iter(|| {
+                engine
+                    .resolve_rollback("r", TxSpec::At(mid), false)
+                    .expect("probe answers")
+                    .into_snapshot()
+                    .expect("snapshot relation")
+                    .select(pred)
+                    .expect("predicate compiles")
+                    .len()
+            })
+        },
+    );
     group.finish();
 }
 

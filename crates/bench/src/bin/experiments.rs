@@ -212,7 +212,7 @@ fn e2_rollback_cost() {
             println!("{row}");
         }
     }
-    println!("=> full-copy & tuple-timestamp are depth-insensitive; forward-delta pays per\n   distance-to-checkpoint; reverse-delta favours recent targets.\n");
+    println!("=> full-copy is depth-insensitive; forward-delta pays per distance to the\n   checkpoint below the target, and answers the newest version as held.\n");
 }
 
 // --------------------------------------------------------------------
@@ -243,7 +243,7 @@ fn e3_space() {
             }
         }
     }
-    println!("=> delta and tuple-timestamp space scales with churn, full-copy with state size.\n");
+    println!("=> delta space scales with churn, full-copy with state size.\n");
 }
 
 // --------------------------------------------------------------------
@@ -681,13 +681,6 @@ fn measure_cache(backend: BackendKind) -> (f64, f64, f64, f64) {
 /// through the engine (the store filters while reconstructing) vs
 /// resolving the full version and filtering afterwards. Returns
 /// (materialized µs, pushed µs).
-/// The stores that filter while they resolve, E10b's pushdown arm.
-const PUSHDOWN_BACKENDS: [BackendKind; 3] = [
-    BackendKind::TupleTimestamp,
-    BackendKind::ForwardDelta,
-    BackendKind::ReverseDelta,
-];
-
 fn measure_pushdown(backend: BackendKind) -> (f64, f64) {
     let versions = 128usize;
     let chain = version_chain(versions, 400, 0.1);
@@ -717,6 +710,17 @@ fn measure_pushdown(backend: BackendKind) -> (f64, f64) {
     (materialized, pushed)
 }
 
+/// The `e10_pushdown_sigma_over_rho` entry of BENCH_2/BENCH_3 for
+/// `backend`.
+fn pushdown_json(backend: BackendKind) -> String {
+    let (materialized, pushed) = measure_pushdown(backend);
+    format!(
+        "\"{backend}\": {{\"materialized_us\": {materialized:.1}, \"pushed_us\": {pushed:.1}, \
+         \"speedup\": {:.1}}}",
+        materialized / pushed.max(1e-9)
+    )
+}
+
 fn e10_cache_pushdown() {
     println!("E10. Materialization cache + operator pushdown");
     println!("E10a. Repeated rollback probes: 16-probe working set over 256 versions,");
@@ -725,35 +729,32 @@ fn e10_cache_pushdown() {
         "{:<16} {:>12} {:>12} {:>9} {:>9} {:>12}",
         "backend", "uncached", "cached", "speedup", "hit rate", "replay/miss"
     );
-    for backend in [BackendKind::ForwardDelta, BackendKind::ReverseDelta] {
-        let (uncached, cached, hit_rate, replay_per_miss) = measure_cache(backend);
-        println!(
-            "{:<16} {:>12.1} {:>12.1} {:>8.1}x {:>8.1}% {:>12.1}",
-            backend.to_string(),
-            uncached,
-            cached,
-            uncached / cached.max(1e-9),
-            hit_rate * 100.0,
-            replay_per_miss
-        );
-    }
+    let backend = BackendKind::ForwardDelta;
+    let (uncached, cached, hit_rate, replay_per_miss) = measure_cache(backend);
+    println!(
+        "{:<16} {:>12.1} {:>12.1} {:>8.1}x {:>8.1}% {:>12.1}",
+        backend.to_string(),
+        uncached,
+        cached,
+        uncached / cached.max(1e-9),
+        hit_rate * 100.0,
+        replay_per_miss
+    );
     println!("\nE10b. σ_F(ρ(r, mid)): pushed into resolution vs materialize-then-filter,");
     println!("      |R| = 400, 128 versions, ~5% selectivity (µs/query)");
     println!(
         "{:<16} {:>14} {:>12} {:>9}",
         "backend", "materialized", "pushed", "speedup"
     );
-    for backend in PUSHDOWN_BACKENDS {
-        let (materialized, pushed) = measure_pushdown(backend);
-        println!(
-            "{:<16} {:>14.1} {:>12.1} {:>8.1}x",
-            backend.to_string(),
-            materialized,
-            pushed,
-            materialized / pushed.max(1e-9)
-        );
-    }
-    println!("=> revisited as-of points cost one cache lookup instead of a delta replay;\n   pushdown pays off where the store can filter during the scan (tuple-ts)\n   or during the replay (both delta directions).\n");
+    let (materialized, pushed) = measure_pushdown(backend);
+    println!(
+        "{:<16} {:>14.1} {:>12.1} {:>8.1}x",
+        backend.to_string(),
+        materialized,
+        pushed,
+        materialized / pushed.max(1e-9)
+    );
+    println!("=> revisited as-of points cost one cache lookup instead of a delta replay;\n   pushdown pays off where the store can filter during the replay.\n");
 }
 
 // --------------------------------------------------------------------
@@ -794,35 +795,16 @@ fn bench2() {
 
     let (interp, binary, linear) = measure_findstate(4096);
 
-    let mut e10_cache = String::new();
-    for (i, backend) in [BackendKind::ForwardDelta, BackendKind::ReverseDelta]
-        .into_iter()
-        .enumerate()
-    {
-        let (uncached, cached, hit_rate, replay_per_miss) = measure_cache(backend);
-        if i > 0 {
-            e10_cache.push_str(", ");
-        }
-        e10_cache.push_str(&format!(
-            "\"{backend}\": {{\"uncached_us\": {uncached:.1}, \"cached_us\": {cached:.1}, \
-             \"speedup\": {:.1}, \"hit_rate\": {hit_rate:.3}, \
-             \"replayed_per_miss\": {replay_per_miss:.1}}}",
-            uncached / cached.max(1e-9)
-        ));
-    }
+    let backend = BackendKind::ForwardDelta;
+    let (uncached, cached, hit_rate, replay_per_miss) = measure_cache(backend);
+    let e10_cache = format!(
+        "\"{backend}\": {{\"uncached_us\": {uncached:.1}, \"cached_us\": {cached:.1}, \
+         \"speedup\": {:.1}, \"hit_rate\": {hit_rate:.3}, \
+         \"replayed_per_miss\": {replay_per_miss:.1}}}",
+        uncached / cached.max(1e-9)
+    );
 
-    let mut e10_pushdown = String::new();
-    for (i, backend) in PUSHDOWN_BACKENDS.into_iter().enumerate() {
-        let (materialized, pushed) = measure_pushdown(backend);
-        if i > 0 {
-            e10_pushdown.push_str(", ");
-        }
-        e10_pushdown.push_str(&format!(
-            "\"{backend}\": {{\"materialized_us\": {materialized:.1}, \"pushed_us\": {pushed:.1}, \
-             \"speedup\": {:.1}}}",
-            materialized / pushed.max(1e-9)
-        ));
-    }
+    let e10_pushdown = pushdown_json(backend);
 
     let json = format!(
         "{{\n  \"seed\": \"{SEED:#x}\",\n  \
@@ -1246,16 +1228,15 @@ fn e13_parallel() {
         "{:<16} {:>12} {:>12} {:>9}",
         "backend", "per-probe", "batched", "speedup"
     );
-    for backend in [BackendKind::ForwardDelta, BackendKind::ReverseDelta] {
-        let (per_probe, batched) = measure_resolve_batching(backend);
-        println!(
-            "{:<16} {:>12.1} {:>12.1} {:>8.1}x",
-            backend.to_string(),
-            per_probe,
-            batched,
-            per_probe / batched.max(1e-9)
-        );
-    }
+    let backend = BackendKind::ForwardDelta;
+    let (per_probe, batched) = measure_resolve_batching(backend);
+    println!(
+        "{:<16} {:>12.1} {:>12.1} {:>8.1}x",
+        backend.to_string(),
+        per_probe,
+        batched,
+        per_probe / batched.max(1e-9)
+    );
     e13_break_even();
     println!("=> a kernel splits only past its break-even grain (E13c), and then into at\n   most as many chunks as the host has cores (budgets above that clamp, so\n   4T and 8T repeat the 2T column on a 2-core host); which kernels a split\n   then pays for is E13a's answer, not the grain's. Batching is algorithmic —\n   the shared delta chain is replayed once per batch instead of once per\n   probe — so it does not depend on the core count.\n");
 }
@@ -1293,34 +1274,14 @@ fn bench3() {
         ));
     }
 
-    let mut batching = String::new();
-    for (i, backend) in [BackendKind::ForwardDelta, BackendKind::ReverseDelta]
-        .into_iter()
-        .enumerate()
-    {
-        let (per_probe, batched) = measure_resolve_batching(backend);
-        if i > 0 {
-            batching.push_str(", ");
-        }
-        batching.push_str(&format!(
-            "\"{backend}\": {{\"per_probe_us\": {per_probe:.1}, \"batched_us\": {batched:.1}, \
-             \"speedup\": {:.1}}}",
-            per_probe / batched.max(1e-9)
-        ));
-    }
-
-    let mut e10_pushdown = String::new();
-    for (i, backend) in PUSHDOWN_BACKENDS.into_iter().enumerate() {
-        let (materialized, pushed) = measure_pushdown(backend);
-        if i > 0 {
-            e10_pushdown.push_str(", ");
-        }
-        e10_pushdown.push_str(&format!(
-            "\"{backend}\": {{\"materialized_us\": {materialized:.1}, \"pushed_us\": {pushed:.1}, \
-             \"speedup\": {:.1}}}",
-            materialized / pushed.max(1e-9)
-        ));
-    }
+    let backend = BackendKind::ForwardDelta;
+    let (per_probe, batched) = measure_resolve_batching(backend);
+    let batching = format!(
+        "\"{backend}\": {{\"per_probe_us\": {per_probe:.1}, \"batched_us\": {batched:.1}, \
+         \"speedup\": {:.1}}}",
+        per_probe / batched.max(1e-9)
+    );
+    let e10_pushdown = pushdown_json(backend);
 
     let json = format!(
         "{{\n  \"seed\": \"{SEED:#x}\",\n  \
@@ -1739,20 +1700,24 @@ fn bench5() {
 }
 
 // --------------------------------------------------------------------
-// E16: LSM-style compaction of a reverse-delta chain.
+// E16: LSM-style compaction of a forward-delta chain.
 // --------------------------------------------------------------------
 
-/// The reverse-delta worst case — the `old` probe at 1024 versions with
-/// no checkpoints — before compaction, after `Engine::compact` with a
+/// The forward-delta worst case at 1024 versions with no checkpoints —
+/// the version just below the newest, 1022 links above the pinned first
+/// version — before compaction, after `Engine::compact` with a
 /// checkpoint at every slot, and on the depth-insensitive full-copy
-/// baseline. Returns (uncompacted µs, compacted µs, full-copy µs,
-/// compact-pass µs, deltas folded by the pass).
-fn measure_compaction() -> (f64, f64, f64, f64, u64) {
+/// baseline. Returns (links the uncompacted probe composes, uncompacted
+/// µs, compacted µs, full-copy µs, compact-pass µs, deltas folded by the
+/// pass).
+fn measure_compaction() -> (u64, f64, f64, f64, f64, u64) {
     let versions = 1024usize;
     let chain = version_chain(versions, 200, 0.1);
-    let (_, old_tx) = probe_txs(versions)[0];
+    // Define at tx 1, version i at tx i + 2: the next-to-newest is at
+    // tx `versions`.
+    let worst_tx = TransactionNumber(versions as u64);
 
-    let mut engine = Engine::new(BackendKind::ReverseDelta, CheckpointPolicy::Never);
+    let mut engine = Engine::new(BackendKind::ForwardDelta, CheckpointPolicy::Never);
     engine.set_auto_compact(None); // keep the full replay chain as the baseline
     engine
         .execute(&Command::define_relation("r", RelationType::Rollback))
@@ -1767,13 +1732,22 @@ fn measure_compaction() -> (f64, f64, f64, f64, u64) {
         time_median(
             || {
                 touch(
-                    &e.resolve_rollback("r", TxSpec::At(old_tx), false)
+                    &e.resolve_rollback("r", TxSpec::At(worst_tx), false)
                         .expect("probe answers"),
                 )
             },
             9,
         )
     };
+    engine.reset_cache_stats();
+    engine
+        .resolve_rollback("r", TxSpec::At(worst_tx), false)
+        .expect("probe answers");
+    let links = engine.cache_stats().replayed_deltas;
+    assert!(
+        links >= 1000,
+        "the uncompacted probe must walk the whole chain, composed {links} links"
+    );
     let uncompacted = probe(&engine);
 
     let t = Instant::now();
@@ -1785,6 +1759,7 @@ fn measure_compaction() -> (f64, f64, f64, f64, u64) {
     full.set_cache_capacity(0);
     let full_copy = probe(&full);
     (
+        links,
         uncompacted,
         compacted,
         full_copy,
@@ -1795,9 +1770,15 @@ fn measure_compaction() -> (f64, f64, f64, f64, u64) {
 
 fn e16_compaction() {
     println!("E16. LSM-style compaction");
-    println!("\nE16b. Reverse-delta `old` probe, 1024 versions, no checkpoints (µs/query)");
-    let (uncompacted, compacted, full_copy, compact_us, folded) = measure_compaction();
-    println!("{:<28} {:>12.1}", "uncompacted (1023 replays)", uncompacted);
+    println!(
+        "\nE16b. Forward-delta next-to-newest probe, 1024 versions, no checkpoints (µs/query)"
+    );
+    let (links, uncompacted, compacted, full_copy, compact_us, folded) = measure_compaction();
+    println!(
+        "{:<28} {:>12.1}",
+        format!("uncompacted ({links} links)"),
+        uncompacted
+    );
     println!(
         "{:<28} {:>12.1} {:>8.1}x vs uncompacted, {:.2}x full-copy",
         "after compact(every=1)",
@@ -1817,21 +1798,22 @@ fn e16_compaction() {
 // bench7: BENCH_7.json with the compaction headline numbers.
 // --------------------------------------------------------------------
 fn bench7() {
-    println!("bench7. Writing BENCH_7.json (rev-delta compaction)");
+    println!("bench7. Writing BENCH_7.json (forward-delta compaction)");
     let avail = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let (uncompacted, compacted, full_copy, compact_us, folded) = measure_compaction();
+    let (links, uncompacted, compacted, full_copy, compact_us, folded) = measure_compaction();
     let compacted_vs_full_copy = compacted / full_copy.max(1e-9);
     assert!(
         compacted_vs_full_copy <= 10.0,
-        "compacted old probe must land within 10x of full-copy, got {compacted_vs_full_copy:.2}x \
+        "compacted worst probe must land within 10x of full-copy, got {compacted_vs_full_copy:.2}x \
          ({compacted:.1}us vs {full_copy:.1}us)"
     );
 
     let json = format!(
-        "{{\n  \"e16_compaction_rev_delta_1024_versions\": {{\"uncompacted_old_us\": {uncompacted:.1}, \
-         \"compacted_old_us\": {compacted:.1}, \"full_copy_old_us\": {full_copy:.1}, \
+        "{{\n  \"e16_compaction_fwd_delta_1024_versions\": {{\"uncompacted_links\": {links}, \
+         \"uncompacted_worst_us\": {uncompacted:.1}, \
+         \"compacted_worst_us\": {compacted:.1}, \"full_copy_worst_us\": {full_copy:.1}, \
          \"compacted_vs_full_copy\": {compacted_vs_full_copy:.2}, \
          \"compact_pass_us\": {compact_us:.1}, \"deltas_folded\": {folded}, \
          \"host_cores\": {avail}}},\n  \

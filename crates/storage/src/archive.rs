@@ -190,7 +190,7 @@ mod tests {
 
     #[test]
     fn archive_before_first_version_is_a_noop() {
-        let mut e = engine(BackendKind::ReverseDelta);
+        let mut e = engine(BackendKind::ForwardDelta);
         let report = e.archive_before("r", TransactionNumber(1), None).unwrap();
         assert_eq!(report.archived, 0);
         assert_eq!(e.version_count("r"), Some(6));

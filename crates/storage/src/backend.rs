@@ -87,7 +87,7 @@ pub trait RollbackStore: Send + Sync {
     /// The [`StateDelta`] that carried the previous version to the
     /// current one, when the last [`RollbackStore::append`] left it in
     /// the store's own representation. Plain commits (a right-hand side
-    /// the delta path declines) are the only caller: the delta stores
+    /// the delta path declines) are the only caller: the delta store
     /// diffed inside `append` for their own chain, so the view memo logs
     /// that delta per commit ([`crate::ViewRegistry::queue_modify`])
     /// instead of diffing the relation a second time on the first read,
@@ -127,8 +127,7 @@ pub trait RollbackStore: Send + Sync {
     /// The provided implementation materializes the version and then
     /// applies the filter, which is *definitionally* the un-pushed
     /// computation. Stores that can evaluate the filter while scanning
-    /// or replaying ([`crate::TupleTimestampStore`],
-    /// [`crate::DeltaStore`]) override it; the
+    /// or replaying ([`crate::DeltaStore`]) override it; the
     /// differential tests in [`crate::equiv`] hold every override to the
     /// same observable behavior, errors included. `Ok(None)` means "no
     /// version at `tx`", exactly like [`RollbackStore::state_at`].
@@ -151,7 +150,7 @@ pub trait RollbackStore: Send + Sync {
     ///
     /// `None` declines, and the caller resolves both versions and
     /// subtracts them, which decides every value and every error. The
-    /// delta stores answer from the net delta of the chain between the
+    /// delta store answers from the net delta of the chain between the
     /// two versions (the arriving side for `minuend ≥ subtrahend`, the
     /// departing side otherwise) and decline what that delta cannot
     /// decide: a probe before the first version, a scheme or kind
@@ -200,9 +199,9 @@ pub trait RollbackStore: Send + Sync {
 
     /// Folds the store's delta chain into materialized checkpoints so no
     /// rollback probe replays more than `every` deltas — the compaction
-    /// pass bounding worst-case `state_at` latency. Backends without a
-    /// replay chain (full-copy, tuple-timestamp) have nothing to fold and
-    /// return zero counters.
+    /// pass bounding worst-case `state_at` latency. A backend without a
+    /// replay chain (full-copy) has nothing to fold and returns zero
+    /// counters.
     fn compact(&mut self, _every: NonZeroUsize) -> CompactionStats {
         CompactionStats::default()
     }
@@ -227,32 +226,23 @@ pub trait RollbackStore: Send + Sync {
 pub enum BackendKind {
     /// [`crate::FullCopyStore`]
     FullCopy,
-    /// A [`crate::DeltaStore`] linked [`crate::Direction::Forward`].
+    /// [`crate::DeltaStore`]
     ForwardDelta,
-    /// A [`crate::DeltaStore`] linked [`crate::Direction::Reverse`].
-    ReverseDelta,
-    /// [`crate::TupleTimestampStore`]
-    TupleTimestamp,
 }
 
 impl BackendKind {
     /// All backend kinds, for sweeps.
-    pub const ALL: [BackendKind; 4] = [
-        BackendKind::FullCopy,
-        BackendKind::ForwardDelta,
-        BackendKind::ReverseDelta,
-        BackendKind::TupleTimestamp,
-    ];
+    pub const ALL: [BackendKind; 2] = [BackendKind::FullCopy, BackendKind::ForwardDelta];
 
-    /// Instantiates an empty store of this kind (the delta stores use
-    /// the given checkpoint policy; others ignore it).
+    /// Instantiates an empty store of this kind (the delta store uses
+    /// the given checkpoint policy; full-copy ignores it).
     pub fn new_store(self, checkpoints: CheckpointPolicy) -> Box<dyn RollbackStore> {
         self.new_store_with_cache(checkpoints, None)
     }
 
     /// Instantiates an empty store wired to a shared materialization
-    /// cache under the given relation id. Only the delta-replay backends
-    /// consult the cache; the others ignore it.
+    /// cache under the given relation id. Only the delta store consults
+    /// the cache; full-copy ignores it.
     pub fn new_store_with_cache(
         self,
         checkpoints: CheckpointPolicy,
@@ -260,17 +250,7 @@ impl BackendKind {
     ) -> Box<dyn RollbackStore> {
         match self {
             BackendKind::FullCopy => Box::new(crate::FullCopyStore::new()),
-            BackendKind::ForwardDelta => Box::new(crate::DeltaStore::new(
-                crate::Direction::Forward,
-                checkpoints,
-                cache,
-            )),
-            BackendKind::ReverseDelta => Box::new(crate::DeltaStore::new(
-                crate::Direction::Reverse,
-                checkpoints,
-                cache,
-            )),
-            BackendKind::TupleTimestamp => Box::new(crate::TupleTimestampStore::new()),
+            BackendKind::ForwardDelta => Box::new(crate::DeltaStore::new(checkpoints, cache)),
         }
     }
 }
@@ -280,8 +260,6 @@ impl fmt::Display for BackendKind {
         f.write_str(match self {
             BackendKind::FullCopy => "full-copy",
             BackendKind::ForwardDelta => "forward-delta",
-            BackendKind::ReverseDelta => "reverse-delta",
-            BackendKind::TupleTimestamp => "tuple-timestamp",
         })
     }
 }
@@ -490,7 +468,7 @@ mod tests {
             let kind = s.kind();
             let pass = s.compact(NonZeroUsize::new(4).unwrap());
             assert_eq!(s.compaction_stats(), pass, "{kind}");
-            let folds = matches!(kind, BackendKind::ForwardDelta | BackendKind::ReverseDelta);
+            let folds = kind == BackendKind::ForwardDelta;
             assert_eq!(pass.runs > 0, folds, "{kind}");
             assert_eq!(s.truncate_before(floor), dropped, "{kind}");
             assert_eq!(s.version_txs(), oracle.version_txs(), "{kind}");

@@ -142,40 +142,6 @@ impl StateDelta {
         }
     }
 
-    /// The delta that undoes this one: given `from`, the state this
-    /// delta applies to, `d.mirror(&from).apply(&d.apply(&from)) == from`.
-    ///
-    /// Costs the listed changes, not a diff: a snapshot delta swaps its
-    /// lists, an historical one looks each listed tuple's old valid time
-    /// up in `from`.
-    pub fn mirror(&self, from: &StateValue) -> StateDelta {
-        match (self, from) {
-            (StateDelta::Snapshot { added, removed }, _) => StateDelta::Snapshot {
-                added: removed.clone(),
-                removed: added.clone(),
-            },
-            (StateDelta::Historical { upserted, removed }, StateValue::Historical(h)) => {
-                let old = |t: &Tuple| h.valid_time(t).map(|e| (t.clone(), e.clone()));
-                let mut restored: Vec<_> = removed
-                    .iter()
-                    .chain(upserted.iter().map(|(t, _)| t))
-                    .filter_map(old)
-                    .collect();
-                restored.sort_by(|a, b| a.0.cmp(&b.0));
-                StateDelta::Historical {
-                    upserted: restored,
-                    removed: upserted
-                        .iter()
-                        .map(|(t, _)| t)
-                        .filter(|t| h.valid_time(t).is_none())
-                        .cloned()
-                        .collect(),
-                }
-            }
-            _ => StateDelta::Reschema(Box::new(from.clone())),
-        }
-    }
-
     /// The net delta of this one followed by `next`: composition, at the
     /// cost of the listed changes. With `self` carrying a state `s` to
     /// `s′` and `next` carrying `s′` on, both listed against the state
@@ -489,22 +455,6 @@ mod tests {
         for (d, expect) in deltas.iter().zip(&chain[1..]) {
             d.apply_in_place(&mut working);
             assert_eq!(&working, expect);
-        }
-    }
-
-    #[test]
-    fn mirror_undoes_the_delta_it_is_taken_of() {
-        let pairs = [
-            (snap(&[1, 2, 3]), snap(&[2, 3, 4, 5])),
-            (hist(&[(1, 0, 5), (2, 0, 9)]), hist(&[(1, 0, 7), (3, 2, 4)])),
-            (snap(&[1]), hist(&[(1, 0, 5)])),
-        ];
-        for (a, b) in &pairs {
-            let d = StateDelta::between(a, b);
-            let back = d.mirror(a);
-            assert_eq!(back.apply(b), *a);
-            // Exactly the reverse diff, not merely an equivalent one.
-            assert_eq!(back, StateDelta::between(b, a));
         }
     }
 

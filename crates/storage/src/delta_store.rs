@@ -1,5 +1,5 @@
-//! The delta backends: one chain of versions joined by deltas, with
-//! full states at checkpoints, linked forward or in reverse.
+//! The delta backend: one chain of versions joined by forward deltas,
+//! with full states at checkpoints.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::num::NonZeroUsize;
@@ -13,34 +13,18 @@ use crate::cache::MaterializationCache;
 use crate::delta::{intern_state, StateDelta};
 use crate::metrics::{CompactionStats, InternerStats};
 
-/// Which way a [`DeltaStore`]'s links point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Each link carries the previous version to its own. The first
-    /// version is held in full, and a replay walks up from the nearest
-    /// full state at or below its target.
-    Forward,
-    /// Each link carries its own version back to the previous one. A
-    /// replay walks down from the nearest full state at or above its
-    /// target, the current state at the latest, so rollback cost grows
-    /// with the target's age: the trade made by RCS and by Reed's
-    /// versioned objects, for workloads that mostly ask about the
-    /// present.
-    Reverse,
-}
-
 /// One version in the chain.
 #[derive(Debug, PartialEq)]
 struct Entry {
     tx: TransactionNumber,
-    /// The delta between the previous version and this one, pointing the
-    /// store's [`Direction`]; `None` where there is no previous version:
-    /// the first, and the new first a truncation leaves.
+    /// The delta that carries the previous version to this one; `None`
+    /// where there is no previous version: the first, and the new first
+    /// a truncation leaves.
     link: Option<StateDelta>,
     /// The version in full (a checkpoint): at the policy's positions,
-    /// wherever compaction pinned one, and at the first version of a
-    /// forward chain. The link stays beside it, so a span of versions
-    /// crosses a checkpoint without a hole.
+    /// wherever compaction pinned one, and at the first version. The
+    /// link stays beside it, so a span of versions crosses a checkpoint
+    /// without a hole.
     state: Option<StateValue>,
 }
 
@@ -50,14 +34,13 @@ struct Entry {
 ///
 /// `state_at` answers a version held in full (a checkpoint or the
 /// current state) as it stands. Any other version is replayed: the
-/// links between it and the nearest full state on the side its
-/// [`Direction`] seeds from are composed into their net delta
-/// ([`StateDelta::compose`]) and applied once, so rollback costs one
-/// copy of the seed and one edit pass however long the segment, and
-/// space is proportional to churn rather than state size.
+/// links between the nearest full state at or below it and it are
+/// composed into their net delta ([`StateDelta::compose`]) and applied
+/// once, so rollback costs one copy of the seed and one edit pass
+/// however long the segment, and space is proportional to churn rather
+/// than state size.
 #[derive(Debug)]
 pub struct DeltaStore {
-    direction: Direction,
     policy: CheckpointPolicy,
     entries: Vec<Entry>,
     /// The newest version, held in full for O(1) appends and
@@ -77,16 +60,13 @@ pub struct DeltaStore {
 }
 
 impl DeltaStore {
-    /// An empty store linked in `direction`, checkpointed per `policy`,
-    /// and wired to a shared materialization cache under the given
-    /// relation id.
+    /// An empty store checkpointed per `policy` and wired to a shared
+    /// materialization cache under the given relation id.
     pub fn new(
-        direction: Direction,
         policy: CheckpointPolicy,
         cache: Option<(Arc<MaterializationCache>, u64)>,
     ) -> DeltaStore {
         DeltaStore {
-            direction,
             policy,
             entries: Vec::new(),
             current: None,
@@ -95,12 +75,6 @@ impl DeltaStore {
             cache,
             interner: StrInterner::new(),
         }
-    }
-
-    /// Whether the first version must be held in full: a forward chain
-    /// has nothing else to replay from.
-    fn pins_first(&self) -> bool {
-        matches!(self.direction, Direction::Forward)
     }
 
     /// The index of the version current at `tx`, if there is one yet.
@@ -118,49 +92,26 @@ impl DeltaStore {
         }
     }
 
-    /// The nearest version held in full on the side replays seed from,
-    /// `index` itself included: its index and state.
+    /// The nearest version held in full at or below `index`, `index`
+    /// itself included: its index and state.
     fn seed(&self, index: usize) -> (usize, &StateValue) {
-        let held = |i: usize| Some((i, self.held(i)?));
-        match self.direction {
-            Direction::Forward => (0..=index).rev().find_map(held),
-            Direction::Reverse => (index..self.entries.len()).find_map(held),
-        }
-        .expect("a chain holds its first or its newest version in full")
+        (0..=index)
+            .rev()
+            .find_map(|i| Some((i, self.held(i)?)))
+            .expect("a chain holds its first version in full")
     }
 
-    /// The span from version `a` to version `b` as the links run:
-    /// `(from, to)`, so that [`DeltaStore::path`] carries `from` to `to`.
-    fn orient(&self, a: usize, b: usize) -> (usize, usize) {
-        let (lo, hi) = (a.min(b), a.max(b));
-        match self.direction {
-            Direction::Forward => (lo, hi),
-            Direction::Reverse => (hi, lo),
-        }
-    }
-
-    /// `indices`, ascending, in the order the links run, so that each
-    /// can be replayed from the one before it.
-    fn in_link_order(&self, mut indices: Vec<usize>) -> Vec<usize> {
-        if self.direction == Direction::Reverse {
-            indices.reverse();
-        }
-        indices
-    }
-
-    /// The links that carry version `from` to version `to`, in the order
-    /// they apply.
+    /// The links that carry version `from` up to version `to`, in the
+    /// order they apply.
     fn path(&self, from: usize, to: usize) -> Vec<&StateDelta> {
-        fn link(e: &Entry) -> &StateDelta {
-            e.link
-                .as_ref()
-                .expect("versions after the first are linked")
-        }
-        if from <= to {
-            self.entries[from + 1..=to].iter().map(link).collect()
-        } else {
-            self.entries[to + 1..=from].iter().rev().map(link).collect()
-        }
+        self.entries[from + 1..=to]
+            .iter()
+            .map(|e| {
+                e.link
+                    .as_ref()
+                    .expect("versions after the first are linked")
+            })
+            .collect()
     }
 
     /// Version `to` from version `from`: the links between composed into
@@ -204,7 +155,7 @@ impl DeltaStore {
         }
         let (from, seed) = self.seed(index);
         let state = self.replay(from, seed, index);
-        self.remember(from.abs_diff(index), index, &state);
+        self.remember(index - from, index, &state);
         state
     }
 
@@ -234,7 +185,7 @@ impl DeltaStore {
     fn push(&mut self, link: Option<StateDelta>, state: StateValue, tx: TransactionNumber) {
         debug_assert!(self.entries.last().is_none_or(|e| e.tx < tx));
         let index = self.entries.len();
-        let pinned = self.policy.is_checkpoint(index) || (index == 0 && self.pins_first());
+        let pinned = index == 0 || self.policy.is_checkpoint(index);
         self.entries.push(Entry {
             tx,
             link,
@@ -250,15 +201,14 @@ impl RollbackStore for DeltaStore {
         // of the states) and every replayed reconstruction then share
         // pooled string allocations with the prior versions.
         let state = intern_state(state, &mut self.interner);
-        let link = self.current.as_ref().map(|prev| match self.direction {
-            Direction::Forward => StateDelta::between(prev, &state),
-            Direction::Reverse => StateDelta::between(&state, prev),
-        });
+        let link = self
+            .current
+            .as_ref()
+            .map(|prev| StateDelta::between(prev, &state));
         self.push(link, state, tx);
     }
 
-    /// The link is the delta as it stands, or its mirror image read off
-    /// the state it is about to edit; only its arriving tuples go
+    /// The link is the delta as it stands; only its arriving tuples go
     /// through the pool, and `current` is edited in place (copied first
     /// if a reader or a checkpoint still shares its run).
     fn append_delta(&mut self, delta: &StateDelta, tx: TransactionNumber) {
@@ -267,20 +217,15 @@ impl RollbackStore for DeltaStore {
             .current
             .take()
             .expect("a delta applies to a current state");
-        let mirror = (self.direction == Direction::Reverse).then(|| delta.mirror(&state));
         delta.apply_in_place(&mut state);
-        self.push(Some(mirror.unwrap_or(delta)), state, tx);
+        self.push(Some(delta), state, tx);
     }
 
-    /// The newest link is the wanted delta, or its mirror image read off
-    /// the current state: the cost of the changes, not of a second diff.
-    /// Only the first version (and a truncation's new first) has none.
+    /// The newest link is the wanted delta: the cost of the changes, not
+    /// of a second diff. Only the first version (and a truncation's new
+    /// first) has none.
     fn last_delta(&self) -> Option<StateDelta> {
-        let link = self.entries.last()?.link.as_ref()?;
-        match self.direction {
-            Direction::Forward => Some(link.clone()),
-            Direction::Reverse => Some(link.mirror(self.current.as_ref()?)),
-        }
+        self.entries.last()?.link.clone()
     }
 
     fn interner_stats(&self) -> Option<InternerStats> {
@@ -295,10 +240,10 @@ impl RollbackStore for DeltaStore {
     }
 
     /// Batched FINDSTATE: the distinct floor versions neither held nor
-    /// cached are replayed in the order the links run, each from the
-    /// nearer of its seed and the version replayed just before it, so
-    /// no link is composed twice per batch (and every wanted version
-    /// warms the cache).
+    /// cached are replayed oldest first, each from the nearer of its
+    /// seed and the version replayed just before it, so no link is
+    /// composed twice per batch (and every wanted version warms the
+    /// cache).
     fn state_at_many(&self, txs: &[TransactionNumber]) -> Vec<Option<StateValue>> {
         let floors: Vec<Option<usize>> = txs.iter().map(|tx| self.floor(*tx)).collect();
         let mut resolved: BTreeMap<usize, StateValue> = BTreeMap::new();
@@ -317,16 +262,14 @@ impl RollbackStore for DeltaStore {
             }
         }
         let mut last: Option<(usize, StateValue)> = None;
-        for want in self.in_link_order(missing.into_iter().collect()) {
+        for want in missing {
             let (seed_at, seed) = self.seed(want);
             let (from, seed) = match &last {
-                Some((at, state)) if seed_at.min(want) <= *at && *at <= seed_at.max(want) => {
-                    (*at, state)
-                }
+                Some((at, state)) if seed_at <= *at => (*at, state),
                 _ => (seed_at, seed),
             };
             let state = self.replay(from, seed, want);
-            self.remember(from.abs_diff(want), want, &state);
+            self.remember(want - from, want, &state);
             resolved.insert(want, state.clone());
             last = Some((want, state));
         }
@@ -343,8 +286,7 @@ impl RollbackStore for DeltaStore {
     /// one is applied to the other, so the full version is never
     /// materialized (experiment E10).
     ///
-    /// This is sound in either direction because a link identifies
-    /// changes by tuple value and a tuple's predicate verdict is fixed:
+    /// This is sound because a link identifies changes by tuple value and a tuple's predicate verdict is fixed:
     /// filtering the arriving entries and applying removals to the
     /// reduced state commutes with σ over the fully replayed version. A
     /// scheme (or kind) boundary inside the segment makes its net delta
@@ -376,8 +318,8 @@ impl RollbackStore for DeltaStore {
         // version), but the replay work is still accounted.
         self.note_replayed(chain.len());
         let net = StateDelta::compose(&chain).expect("a version not held has links to its seed");
-        // Mirror σ/σ̂ error wrapping (see TupleTimestampStore): σ surfaces
-        // a SnapshotError, σ̂ an HistoricalError.
+        // The plain path's σ/σ̂ error wrapping: σ surfaces a
+        // SnapshotError, σ̂ an HistoricalError.
         let filtered = match (seed, net) {
             (StateValue::Snapshot(s), StateDelta::Snapshot { added, removed }) if !historical => {
                 let compiled = predicate.compile(s.schema()).map_err(EvalError::Snapshot)?;
@@ -428,7 +370,8 @@ impl RollbackStore for DeltaStore {
         subtrahend: TransactionNumber,
     ) -> Option<StateValue> {
         let left = self.floor(minuend)?;
-        let (from, to) = self.orient(left, self.floor(subtrahend)?);
+        let right = self.floor(subtrahend)?;
+        let (from, to) = (left.min(right), left.max(right));
         let chain = self.path(from, to);
         let schema = self.snapshot_schema_at(from)?;
         let answer = StateDelta::difference_across(&chain, left == to, schema)?;
@@ -480,9 +423,9 @@ impl RollbackStore for DeltaStore {
         // checkpoint (its link stays beside it), so no later probe
         // composes more than `every` links. The newest version is
         // `current` already, and positions below the previous pass's
-        // high-water mark are pinned already. The slots are filled in
-        // the order the links run, so each missing one is replayed from
-        // the slot this pass pinned a moment ago.
+        // high-water mark are pinned already. The slots are filled
+        // oldest first, so each missing one is replayed from the slot
+        // this pass pinned a moment ago.
         let newest = self.entries.len().saturating_sub(1);
         let scan_from = match self.compacted {
             Some((e, upto)) if e == every => upto,
@@ -491,14 +434,14 @@ impl RollbackStore for DeltaStore {
         self.compacted = Some((every, newest));
         let slots = (scan_from.next_multiple_of(every.get())..newest).step_by(every.get());
         let mut pass = CompactionStats::default();
-        for i in self.in_link_order(slots.collect()) {
+        for i in slots {
             if self.entries[i].state.is_some() {
                 continue;
             }
             let (from, seed) = self.seed(i);
             let state = self.replay(from, seed, i);
             pass.runs = 1;
-            pass.deltas_folded += from.abs_diff(i) as u64;
+            pass.deltas_folded += (i - from) as u64;
             pass.tuples_folded += state.len() as u64;
             self.entries[i].state = Some(state);
         }
@@ -514,9 +457,9 @@ impl RollbackStore for DeltaStore {
         match self.floor(tx) {
             Some(floor) if floor > 0 => {
                 // The floor version becomes the first: it loses its link
-                // (its predecessor is gone), and a forward chain needs it
-                // in full.
-                if self.pins_first() && self.entries[floor].state.is_none() {
+                // (its predecessor is gone), and the chain needs it in
+                // full.
+                if self.entries[floor].state.is_none() {
                     self.entries[floor].state = Some(self.reconstruct(floor));
                 }
                 self.entries.drain(..floor);
@@ -530,19 +473,15 @@ impl RollbackStore for DeltaStore {
     }
 
     fn kind(&self) -> BackendKind {
-        match self.direction {
-            Direction::Forward => BackendKind::ForwardDelta,
-            Direction::Reverse => BackendKind::ReverseDelta,
-        }
+        BackendKind::ForwardDelta
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txtime_snapshot::{DomainType, Schema, SnapshotState, Value};
-
-    const DIRECTIONS: [Direction; 2] = [Direction::Forward, Direction::Reverse];
+    use txtime_historical::{HistoricalState, TemporalElement};
+    use txtime_snapshot::{DomainType, Schema, SnapshotState, Tuple, Value};
 
     fn snap(vals: &[i64]) -> StateValue {
         let schema = Schema::new(vec![("x", DomainType::Int)]).unwrap();
@@ -551,12 +490,30 @@ mod tests {
         )
     }
 
-    fn store(direction: Direction, policy: CheckpointPolicy) -> DeltaStore {
-        DeltaStore::new(direction, policy, None)
+    fn hist(vals: &[(i64, u32, u32)]) -> StateValue {
+        let schema = Schema::new(vec![("x", DomainType::Int)]).unwrap();
+        let rows = vals.iter().map(|&(v, s, e)| {
+            (
+                Tuple::new(vec![Value::Int(v)]),
+                TemporalElement::period(s, e),
+            )
+        });
+        StateValue::Historical(HistoricalState::new(schema, rows).unwrap())
     }
 
-    fn filled(direction: Direction, policy: CheckpointPolicy) -> DeltaStore {
-        let mut s = store(direction, policy);
+    fn policies() -> [CheckpointPolicy; 2] {
+        [
+            CheckpointPolicy::Never,
+            CheckpointPolicy::every_k(2).unwrap(),
+        ]
+    }
+
+    fn store(policy: CheckpointPolicy) -> DeltaStore {
+        DeltaStore::new(policy, None)
+    }
+
+    fn filled(policy: CheckpointPolicy) -> DeltaStore {
+        let mut s = store(policy);
         s.append(&snap(&[1]), TransactionNumber(1));
         s.append(&snap(&[1, 2]), TransactionNumber(3));
         s.append(&snap(&[2]), TransactionNumber(4));
@@ -566,226 +523,260 @@ mod tests {
 
     #[test]
     fn findstate_contract_without_checkpoints() {
-        for direction in DIRECTIONS {
-            let s = filled(direction, CheckpointPolicy::Never);
+        let s = filled(CheckpointPolicy::Never);
+        let at = |t| s.state_at(TransactionNumber(t));
+        assert_eq!(at(0), None);
+        assert_eq!(at(1), Some(snap(&[1])));
+        assert_eq!(at(2), Some(snap(&[1])));
+        assert_eq!(at(3), Some(snap(&[1, 2])));
+        assert_eq!(at(5), Some(snap(&[2])));
+        assert_eq!(at(9), Some(snap(&[2, 3])));
+        assert_eq!(s.current(), Some(snap(&[2, 3])));
+        assert_eq!(s.version_count(), 4);
+    }
+
+    #[test]
+    fn findstate_contract_snapshot() {
+        for policy in policies() {
+            let mut s = store(policy);
+            s.append(&snap(&[1]), TransactionNumber(1));
+            s.append(&snap(&[1, 2]), TransactionNumber(3));
+            s.append(&snap(&[2]), TransactionNumber(4));
+            s.append(&snap(&[1, 2]), TransactionNumber(7)); // 1 returns
             let at = |t| s.state_at(TransactionNumber(t));
-            assert_eq!(at(0), None, "{direction:?}");
-            assert_eq!(at(1), Some(snap(&[1])), "{direction:?}");
-            assert_eq!(at(2), Some(snap(&[1])), "{direction:?}");
-            assert_eq!(at(3), Some(snap(&[1, 2])), "{direction:?}");
-            assert_eq!(at(5), Some(snap(&[2])), "{direction:?}");
-            assert_eq!(at(9), Some(snap(&[2, 3])), "{direction:?}");
-            assert_eq!(s.current(), Some(snap(&[2, 3])), "{direction:?}");
-            assert_eq!(s.version_count(), 4, "{direction:?}");
+            assert_eq!(at(0), None, "{policy:?}");
+            assert_eq!(at(2), Some(snap(&[1])), "{policy:?}");
+            assert_eq!(at(3), Some(snap(&[1, 2])), "{policy:?}");
+            assert_eq!(at(5), Some(snap(&[2])), "{policy:?}");
+            assert_eq!(at(8), Some(snap(&[1, 2])), "{policy:?}");
         }
     }
 
     #[test]
+    fn findstate_contract_historical() {
+        for policy in policies() {
+            let mut s = store(policy);
+            s.append(&hist(&[(1, 0, 5)]), TransactionNumber(1));
+            s.append(&hist(&[(1, 0, 9)]), TransactionNumber(4)); // revalued
+            s.append(&hist(&[(2, 3, 4)]), TransactionNumber(6));
+            let at = |t| s.state_at(TransactionNumber(t));
+            assert_eq!(at(2), Some(hist(&[(1, 0, 5)])), "{policy:?}");
+            assert_eq!(at(5), Some(hist(&[(1, 0, 9)])), "{policy:?}");
+            assert_eq!(at(6), Some(hist(&[(2, 3, 4)])), "{policy:?}");
+        }
+    }
+
+    /// A version under another scheme is linked in full, and replay
+    /// crosses that link.
+    #[test]
+    fn schema_change_is_linked_in_full() {
+        let mut s = store(CheckpointPolicy::Never);
+        s.append(&snap(&[1]), TransactionNumber(1));
+        let other_schema = Schema::new(vec![("y", DomainType::Int)]).unwrap();
+        let other = StateValue::Snapshot(
+            SnapshotState::from_rows(other_schema, vec![vec![Value::Int(9)]]).unwrap(),
+        );
+        s.append(&other, TransactionNumber(2));
+        s.append(&snap(&[2]), TransactionNumber(3));
+        assert!(matches!(s.entries[1].link, Some(StateDelta::Reschema(_))));
+        assert_eq!(s.state_at(TransactionNumber(1)), Some(snap(&[1])));
+        assert_eq!(s.state_at(TransactionNumber(2)), Some(other));
+    }
+
+    /// An unchanging state is held once, in the first version; every
+    /// later link is empty.
+    #[test]
+    fn stable_tuples_are_stored_once() {
+        let mut s = store(CheckpointPolicy::Never);
+        let vals: Vec<i64> = (0..100).collect();
+        for v in 1..=20u64 {
+            s.append(&snap(&vals), TransactionNumber(v));
+        }
+        assert_eq!(s.entries.iter().filter(|e| e.state.is_some()).count(), 1);
+        let links = s.entries.iter().filter_map(|e| e.link.as_ref());
+        assert_eq!(links.map(StateDelta::change_count).sum::<usize>(), 0);
+        assert_eq!(s.state_at(TransactionNumber(10)), Some(snap(&vals)));
+    }
+
+    #[test]
     fn checkpoints_do_not_change_answers() {
-        // Nor does the direction: every store answers as the forward
-        // chain without checkpoints.
-        let reference = filled(Direction::Forward, CheckpointPolicy::Never);
-        for direction in DIRECTIONS {
-            let s = filled(direction, CheckpointPolicy::every_k(2).unwrap());
-            for t in 0..10 {
-                assert_eq!(
-                    s.state_at(TransactionNumber(t)),
-                    reference.state_at(TransactionNumber(t)),
-                    "{direction:?} at tx {t}"
-                );
-            }
+        // The chain answers as it does without checkpoints.
+        let reference = filled(CheckpointPolicy::Never);
+        let s = filled(CheckpointPolicy::every_k(2).unwrap());
+        for t in 0..10 {
+            assert_eq!(
+                s.state_at(TransactionNumber(t)),
+                reference.state_at(TransactionNumber(t)),
+                "at tx {t}"
+            );
         }
     }
 
     #[test]
     fn append_time_checkpoints_match_never_policy_answers() {
-        for direction in DIRECTIONS {
-            let mut every = store(direction, CheckpointPolicy::every_k(4).unwrap());
-            let mut never = store(direction, CheckpointPolicy::Never);
-            for v in 1..=33u64 {
-                let state = snap(&[v as i64, -(v as i64)]);
-                every.append(&state, TransactionNumber(v));
-                never.append(&state, TransactionNumber(v));
-            }
-            for v in 0..=34u64 {
-                assert_eq!(
-                    every.state_at(TransactionNumber(v)),
-                    never.state_at(TransactionNumber(v)),
-                    "{direction:?} at tx {v}"
-                );
-            }
+        let mut every = store(CheckpointPolicy::every_k(4).unwrap());
+        let mut never = store(CheckpointPolicy::Never);
+        for v in 1..=33u64 {
+            let state = snap(&[v as i64, -(v as i64)]);
+            every.append(&state, TransactionNumber(v));
+            never.append(&state, TransactionNumber(v));
+        }
+        for v in 0..=34u64 {
+            assert_eq!(
+                every.state_at(TransactionNumber(v)),
+                never.state_at(TransactionNumber(v)),
+                "at tx {v}"
+            );
         }
     }
 
     #[test]
     fn compact_promotes_deltas_without_changing_answers() {
-        for direction in DIRECTIONS {
-            let mut s = store(direction, CheckpointPolicy::Never);
-            for v in 1..=60u64 {
-                s.append(&snap(&[v as i64]), TransactionNumber(v));
-            }
-            let before: Vec<_> = (0..=61).map(|v| s.state_at(TransactionNumber(v))).collect();
-            let pass = s.compact(NonZeroUsize::new(5).unwrap());
-            assert_eq!(pass.runs, 1, "{direction:?}");
-            assert!(pass.deltas_folded > 0, "{direction:?}");
-            assert!(pass.tuples_folded > 0, "{direction:?}");
-            let after: Vec<_> = (0..=61).map(|v| s.state_at(TransactionNumber(v))).collect();
-            assert_eq!(before, after, "{direction:?}");
-            assert_eq!(s.compact(NonZeroUsize::new(5).unwrap()).runs, 0);
-            assert_eq!(s.compaction_stats().runs, 1, "{direction:?}");
+        let mut s = store(CheckpointPolicy::Never);
+        for v in 1..=60u64 {
+            s.append(&snap(&[v as i64]), TransactionNumber(v));
         }
+        let before: Vec<_> = (0..=61).map(|v| s.state_at(TransactionNumber(v))).collect();
+        let pass = s.compact(NonZeroUsize::new(5).unwrap());
+        assert_eq!(pass.runs, 1);
+        assert!(pass.deltas_folded > 0);
+        assert!(pass.tuples_folded > 0);
+        let after: Vec<_> = (0..=61).map(|v| s.state_at(TransactionNumber(v))).collect();
+        assert_eq!(before, after);
+        assert_eq!(s.compact(NonZeroUsize::new(5).unwrap()).runs, 0);
+        assert_eq!(s.compaction_stats().runs, 1);
     }
 
     #[test]
     fn compact_pins_checkpoints_and_preserves_answers() {
-        for direction in DIRECTIONS {
-            let mut s = store(direction, CheckpointPolicy::Never);
-            for v in 1..=100u64 {
-                s.append(&snap(&[v as i64]), TransactionNumber(v));
-            }
-            let before: Vec<_> = (0..=101)
-                .map(|v| s.state_at(TransactionNumber(v)))
-                .collect();
-            s.compact(NonZeroUsize::new(8).unwrap());
-            for (i, e) in s.entries.iter().enumerate().take(99) {
-                assert_eq!(e.state.is_some(), i % 8 == 0, "{direction:?} position {i}");
-            }
-            let after: Vec<_> = (0..=101)
-                .map(|v| s.state_at(TransactionNumber(v)))
-                .collect();
-            assert_eq!(before, after, "{direction:?}");
-            // Batched probes agree too.
-            let txs: Vec<TransactionNumber> = (0..=101).map(TransactionNumber).collect();
-            assert_eq!(s.state_at_many(&txs), before, "{direction:?}");
+        let mut s = store(CheckpointPolicy::Never);
+        for v in 1..=100u64 {
+            s.append(&snap(&[v as i64]), TransactionNumber(v));
         }
+        let before: Vec<_> = (0..=101)
+            .map(|v| s.state_at(TransactionNumber(v)))
+            .collect();
+        s.compact(NonZeroUsize::new(8).unwrap());
+        for (i, e) in s.entries.iter().enumerate().take(99) {
+            assert_eq!(e.state.is_some(), i % 8 == 0, "position {i}");
+        }
+        let after: Vec<_> = (0..=101)
+            .map(|v| s.state_at(TransactionNumber(v)))
+            .collect();
+        assert_eq!(before, after);
+        // Batched probes agree too.
+        let txs: Vec<TransactionNumber> = (0..=101).map(TransactionNumber).collect();
+        assert_eq!(s.state_at_many(&txs), before);
     }
 
     #[test]
     fn truncate_reindexes_checkpoints() {
-        for direction in DIRECTIONS {
-            let mut s = store(direction, CheckpointPolicy::every_k(4).unwrap());
-            for v in 1..=20u64 {
-                s.append(&snap(&[v as i64]), TransactionNumber(v));
-            }
-            assert_eq!(s.truncate_before(TransactionNumber(10)), 9, "{direction:?}");
-            assert_eq!(s.first_tx(), Some(TransactionNumber(10)), "{direction:?}");
-            // The new first version has no predecessor to link to.
-            assert_eq!(s.entries[0].link, None, "{direction:?}");
-            assert_eq!(s.state_at(TransactionNumber(9)), None, "{direction:?}");
-            for v in 10..=20u64 {
-                assert_eq!(
-                    s.state_at(TransactionNumber(v)),
-                    Some(snap(&[v as i64])),
-                    "{direction:?} at tx {v}"
-                );
-            }
+        let mut s = store(CheckpointPolicy::every_k(4).unwrap());
+        for v in 1..=20u64 {
+            s.append(&snap(&[v as i64]), TransactionNumber(v));
+        }
+        assert_eq!(s.truncate_before(TransactionNumber(10)), 9);
+        assert_eq!(s.first_tx(), Some(TransactionNumber(10)));
+        // The new first version has no predecessor to link to.
+        assert_eq!(s.entries[0].link, None);
+        assert_eq!(s.state_at(TransactionNumber(9)), None);
+        for v in 10..=20u64 {
+            assert_eq!(
+                s.state_at(TransactionNumber(v)),
+                Some(snap(&[v as i64])),
+                "at tx {v}"
+            );
         }
     }
 
     #[test]
     fn current_access_needs_no_replay() {
-        for direction in DIRECTIONS {
-            let mut s = store(direction, CheckpointPolicy::Never);
-            for v in 1..=50u64 {
-                s.append(&snap(&[v as i64]), TransactionNumber(v));
-            }
-            // The current state is materialized, whatever the depth of
-            // the history behind it.
-            assert_eq!(s.current(), Some(snap(&[50])), "{direction:?}");
-            // And the very first version is still reachable.
-            assert_eq!(
-                s.state_at(TransactionNumber(1)),
-                Some(snap(&[1])),
-                "{direction:?}"
-            );
+        let mut s = store(CheckpointPolicy::Never);
+        for v in 1..=50u64 {
+            s.append(&snap(&[v as i64]), TransactionNumber(v));
         }
+        // The current state is materialized, whatever the depth of
+        // the history behind it.
+        assert_eq!(s.current(), Some(snap(&[50])));
+        // And the very first version is still reachable.
+        assert_eq!(s.state_at(TransactionNumber(1)), Some(snap(&[1])));
     }
 
     #[test]
     fn a_batch_composes_each_link_at_most_once() {
-        for direction in DIRECTIONS {
-            let cache = MaterializationCache::shared();
-            let mut s =
-                DeltaStore::new(direction, CheckpointPolicy::Never, Some((cache.clone(), 0)));
-            for v in 1..=40u64 {
-                s.append(&snap(&[v as i64, 100 + v as i64]), TransactionNumber(v));
-            }
-            // Unsorted, repeated, and before the first version.
-            let txs: Vec<TransactionNumber> = [7, 0, 33, 7, 12, 40, 1, 25, 12]
-                .into_iter()
-                .map(TransactionNumber)
-                .collect();
-            let want: Vec<_> = txs
-                .iter()
-                .map(|&t| (t.0 > 0).then(|| snap(&[t.0 as i64, 100 + t.0 as i64])))
-                .collect();
-            assert_eq!(s.state_at_many(&txs), want, "{direction:?}");
-            assert!(
-                cache.stats().replayed_deltas < 40,
-                "{direction:?}: a batch composed {} links of a 39-link chain",
-                cache.stats().replayed_deltas
-            );
+        let cache = MaterializationCache::shared();
+        let mut s = DeltaStore::new(CheckpointPolicy::Never, Some((cache.clone(), 0)));
+        for v in 1..=40u64 {
+            s.append(&snap(&[v as i64, 100 + v as i64]), TransactionNumber(v));
         }
+        // Unsorted, repeated, and before the first version.
+        let txs: Vec<TransactionNumber> = [7, 0, 33, 7, 12, 40, 1, 25, 12]
+            .into_iter()
+            .map(TransactionNumber)
+            .collect();
+        let want: Vec<_> = txs
+            .iter()
+            .map(|&t| (t.0 > 0).then(|| snap(&[t.0 as i64, 100 + t.0 as i64])))
+            .collect();
+        assert_eq!(s.state_at_many(&txs), want);
+        assert!(
+            cache.stats().replayed_deltas < 40,
+            "a batch composed {} links of a 39-link chain",
+            cache.stats().replayed_deltas
+        );
     }
 
     #[test]
     fn append_delta_writes_the_chain_entry_append_would_diff() {
-        for direction in DIRECTIONS {
-            for policy in [
-                CheckpointPolicy::Never,
-                CheckpointPolicy::every_k(3).unwrap(),
-            ] {
-                crate::backend::testing::assert_append_delta_is_append(
-                    || store(direction, policy),
-                    |plain, delta, at| {
-                        assert_eq!(plain.entries, delta.entries, "{at}");
-                        assert_eq!(plain.current, delta.current, "{at}");
-                    },
-                );
-            }
+        for policy in [
+            CheckpointPolicy::Never,
+            CheckpointPolicy::every_k(3).unwrap(),
+        ] {
+            crate::backend::testing::assert_append_delta_is_append(
+                || store(policy),
+                |plain, delta, at| {
+                    assert_eq!(plain.entries, delta.entries, "{at}");
+                    assert_eq!(plain.current, delta.current, "{at}");
+                },
+            );
         }
     }
 
     #[test]
     fn last_delta_is_the_newest_link_checkpoint_positions_included() {
-        for direction in DIRECTIONS {
-            let mut s = store(direction, CheckpointPolicy::every_k(3).unwrap());
-            assert_eq!(s.last_delta(), None);
-            let mut prev = None;
-            for v in 1..=9u64 {
-                let state = snap(&[v as i64, v as i64 + 1]);
-                s.append(&state, TransactionNumber(v));
-                let want = prev.as_ref().map(|p| StateDelta::between(p, &state));
-                assert_eq!(s.last_delta(), want, "{direction:?} version {v}");
-                assert_eq!(
-                    s.entries.last().unwrap().state.is_some(),
-                    (v - 1) % 3 == 0,
-                    "{direction:?} version {v}"
-                );
-                prev = Some(state);
-            }
+        let mut s = store(CheckpointPolicy::every_k(3).unwrap());
+        assert_eq!(s.last_delta(), None);
+        let mut prev = None;
+        for v in 1..=9u64 {
+            let state = snap(&[v as i64, v as i64 + 1]);
+            s.append(&state, TransactionNumber(v));
+            let want = prev.as_ref().map(|p| StateDelta::between(p, &state));
+            assert_eq!(s.last_delta(), want, "version {v}");
+            assert_eq!(
+                s.entries.last().unwrap().state.is_some(),
+                (v - 1) % 3 == 0,
+                "version {v}"
+            );
+            prev = Some(state);
         }
     }
 
     #[test]
     fn the_newest_version_is_current_without_replay() {
-        for direction in DIRECTIONS {
-            let cache = MaterializationCache::shared();
-            let mut s =
-                DeltaStore::new(direction, CheckpointPolicy::Never, Some((cache.clone(), 0)));
-            for v in 1..=50u64 {
-                s.append(&snap(&[v as i64]), TransactionNumber(v));
-            }
-            for probe in [50, 99] {
-                assert_eq!(s.state_at(TransactionNumber(probe)), Some(snap(&[50])));
-            }
-            let stats = cache.stats();
-            assert_eq!(stats.replayed_deltas, 0, "{direction:?}");
-            assert_eq!(stats.insertions, 0, "{direction:?}");
-            // A version in the middle is reached by replay.
-            assert_eq!(s.state_at(TransactionNumber(25)), Some(snap(&[25])));
-            assert!(cache.stats().replayed_deltas > 0, "{direction:?}");
+        let cache = MaterializationCache::shared();
+        let mut s = DeltaStore::new(CheckpointPolicy::Never, Some((cache.clone(), 0)));
+        for v in 1..=50u64 {
+            s.append(&snap(&[v as i64]), TransactionNumber(v));
         }
+        for probe in [50, 99] {
+            assert_eq!(s.state_at(TransactionNumber(probe)), Some(snap(&[50])));
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.replayed_deltas, 0);
+        assert_eq!(stats.insertions, 0);
+        // A version in the middle is reached by replay.
+        assert_eq!(s.state_at(TransactionNumber(25)), Some(snap(&[25])));
+        assert!(cache.stats().replayed_deltas > 0);
     }
 
     #[test]
@@ -795,29 +786,22 @@ mod tests {
             predicate: Some(&pred),
             project: None,
         };
-        for direction in DIRECTIONS {
-            let cache = MaterializationCache::shared();
-            let mut s =
-                DeltaStore::new(direction, CheckpointPolicy::Never, Some((cache.clone(), 0)));
-            for v in 1..=30u64 {
-                s.append(&snap(&[v as i64, 10 + v as i64]), TransactionNumber(v));
-            }
-            let filtered = s
-                .state_at_filtered(TransactionNumber(15), false, &filter)
-                .unwrap();
-            assert_eq!(filtered, Some(snap(&[25])), "{direction:?}");
-            let stats = cache.stats();
-            assert!(stats.replayed_deltas > 0, "{direction:?}");
-            // σ of a version is not the version: the next plain read
-            // still replays.
-            assert_eq!(stats.insertions, 0, "{direction:?}");
-            assert_eq!(
-                s.state_at(TransactionNumber(15)),
-                Some(snap(&[15, 25])),
-                "{direction:?}"
-            );
-            assert_eq!(cache.stats().insertions, 1, "{direction:?}");
+        let cache = MaterializationCache::shared();
+        let mut s = DeltaStore::new(CheckpointPolicy::Never, Some((cache.clone(), 0)));
+        for v in 1..=30u64 {
+            s.append(&snap(&[v as i64, 10 + v as i64]), TransactionNumber(v));
         }
+        let filtered = s
+            .state_at_filtered(TransactionNumber(15), false, &filter)
+            .unwrap();
+        assert_eq!(filtered, Some(snap(&[25])));
+        let stats = cache.stats();
+        assert!(stats.replayed_deltas > 0);
+        // σ of a version is not the version: the next plain read
+        // still replays.
+        assert_eq!(stats.insertions, 0);
+        assert_eq!(s.state_at(TransactionNumber(15)), Some(snap(&[15, 25])));
+        assert_eq!(cache.stats().insertions, 1);
     }
 
     #[test]
@@ -825,70 +809,58 @@ mod tests {
         // `Never` leaves every slot to compaction, the case the engine's
         // opportunistic pass (every 64 appends) meets on a long chain.
         let every = NonZeroUsize::new(32).unwrap();
-        for direction in DIRECTIONS {
-            let mut s = store(direction, CheckpointPolicy::Never);
-            let mut v = 0u64;
-            let mut grow = |s: &mut DeltaStore, n: u64| {
-                for _ in 0..n {
-                    v += 1;
-                    s.append(&snap(&[v as i64]), TransactionNumber(v));
-                }
-            };
-            grow(&mut s, 1024);
-            let first = s.compact(every);
-            // One walk from the seeded end up to the last slot.
-            let walk = match direction {
-                Direction::Forward => 992,
-                Direction::Reverse => 1023,
-            };
-            assert_eq!(first.deltas_folded, walk, "{direction:?}");
-            for _ in 0..4 {
-                grow(&mut s, 64);
-                let pass = s.compact(every);
-                assert_eq!(pass.runs, 1);
-                assert!(
-                    pass.deltas_folded <= 64 + 32,
-                    "{direction:?}: a pass 64 appends later folded {} deltas",
-                    pass.deltas_folded
-                );
+        let mut s = store(CheckpointPolicy::Never);
+        let mut v = 0u64;
+        let mut grow = |s: &mut DeltaStore, n: u64| {
+            for _ in 0..n {
+                v += 1;
+                s.append(&snap(&[v as i64]), TransactionNumber(v));
             }
-            // A different interval rescans the chain and still pins it
-            // all.
-            let before: Vec<_> = (0..=v + 1)
-                .map(|t| s.state_at(TransactionNumber(t)))
-                .collect();
-            assert!(s.compact(NonZeroUsize::new(5).unwrap()).deltas_folded > 1024);
-            assert_eq!(s.compact(NonZeroUsize::new(5).unwrap()).runs, 0);
-            // Truncation shifts positions; the next pass must not trust
-            // the old high-water mark.
-            s.truncate_before(TransactionNumber(103));
-            assert_eq!(s.compact(NonZeroUsize::new(5).unwrap()).runs, 1);
-            let after: Vec<_> = (103..=v + 1)
-                .map(|t| s.state_at(TransactionNumber(t)))
-                .collect();
-            assert_eq!(before[103..], after[..], "{direction:?}");
+        };
+        grow(&mut s, 1024);
+        let first = s.compact(every);
+        // One walk from the pinned first version up to the last slot.
+        assert_eq!(first.deltas_folded, 992);
+        for _ in 0..4 {
+            grow(&mut s, 64);
+            let pass = s.compact(every);
+            assert_eq!(pass.runs, 1);
+            assert!(
+                pass.deltas_folded <= 64 + 32,
+                "a pass 64 appends later folded {} deltas",
+                pass.deltas_folded
+            );
         }
+        // A different interval rescans the chain and still pins it
+        // all.
+        let before: Vec<_> = (0..=v + 1)
+            .map(|t| s.state_at(TransactionNumber(t)))
+            .collect();
+        assert!(s.compact(NonZeroUsize::new(5).unwrap()).deltas_folded > 1024);
+        assert_eq!(s.compact(NonZeroUsize::new(5).unwrap()).runs, 0);
+        // Truncation shifts positions; the next pass must not trust
+        // the old high-water mark.
+        s.truncate_before(TransactionNumber(103));
+        assert_eq!(s.compact(NonZeroUsize::new(5).unwrap()).runs, 1);
+        let after: Vec<_> = (103..=v + 1)
+            .map(|t| s.state_at(TransactionNumber(t)))
+            .collect();
+        assert_eq!(before[103..], after[..]);
     }
 
     #[test]
     fn delta_storage_is_smaller_than_full_copy_for_low_churn() {
         let schema = Schema::new(vec![("x", DomainType::Int)]).unwrap();
         let base: Vec<Vec<Value>> = (0..200).map(|i| vec![Value::Int(i)]).collect();
-        for direction in DIRECTIONS {
-            let mut delta = store(direction, CheckpointPolicy::Never);
-            let mut full = crate::FullCopyStore::new();
-            for v in 0..20 {
-                let mut rows = base.clone();
-                rows[v as usize] = vec![Value::Int(1000 + v)];
-                let s =
-                    StateValue::Snapshot(SnapshotState::from_rows(schema.clone(), rows).unwrap());
-                delta.append(&s, TransactionNumber(v as u64 + 1));
-                full.append(&s, TransactionNumber(v as u64 + 1));
-            }
-            assert!(
-                delta.space_bytes() < full.space_bytes() / 4,
-                "{direction:?}"
-            );
+        let mut delta = store(CheckpointPolicy::Never);
+        let mut full = crate::FullCopyStore::new();
+        for v in 0..20 {
+            let mut rows = base.clone();
+            rows[v as usize] = vec![Value::Int(1000 + v)];
+            let s = StateValue::Snapshot(SnapshotState::from_rows(schema.clone(), rows).unwrap());
+            delta.append(&s, TransactionNumber(v as u64 + 1));
+            full.append(&s, TransactionNumber(v as u64 + 1));
         }
+        assert!(delta.space_bytes() < full.space_bytes() / 4);
     }
 }

@@ -1038,7 +1038,7 @@ impl Engine {
                     .queue_modify(ident, rel.rel_id, prev.as_ref(), &new, logged, next);
                 // Opportunistic compaction: fold the chain every
                 // `auto_compact` appends so no later rollback probe
-                // replays more than `fold` deltas. The delta stores seed
+                // replays more than `fold` deltas. The delta store seeds
                 // the replay at the nearest checkpoint to the first
                 // unpinned slot, so a pass folds at most the appends
                 // since the previous one plus one interval.
@@ -1531,7 +1531,7 @@ mod tests {
 
     #[test]
     fn delete_and_redefine() {
-        let mut e = engine_with_history(BackendKind::ReverseDelta);
+        let mut e = engine_with_history(BackendKind::ForwardDelta);
         e.execute(&Command::delete_relation("r")).unwrap();
         assert!(e.relation_type("r").is_none());
         assert!(matches!(
@@ -1625,10 +1625,10 @@ mod tests {
 
     #[test]
     fn repeated_rollback_probes_hit_the_cache() {
-        // `Never` keeps the reverse-delta chain checkpoint-free, so the
-        // probe below must replay — this test pins the materialization
-        // cache, not the checkpoint shortcut.
-        let mut e = Engine::new(BackendKind::ReverseDelta, CheckpointPolicy::Never);
+        // `Never` keeps the delta chain checkpoint-free past its first
+        // version, so the probe below must replay — this test pins the
+        // materialization cache, not the checkpoint shortcut.
+        let mut e = Engine::new(BackendKind::ForwardDelta, CheckpointPolicy::Never);
         e.execute(&Command::define_relation("r", RelationType::Rollback))
             .unwrap();
         for v in [vec![1], vec![1, 2], vec![2], vec![2, 3]] {
@@ -1638,7 +1638,7 @@ mod tests {
         // With the view memo on, repeated probes would be answered above
         // the cache.
         e.set_memo_capacity(0);
-        let spec = TxSpec::At(TransactionNumber(2));
+        let spec = TxSpec::At(TransactionNumber(4));
         let first = e.eval(&Expr::rollback("r", spec)).unwrap();
         let before = e.cache_stats();
         assert!(before.replayed_deltas > 0);
@@ -2118,67 +2118,64 @@ mod tests {
             .product(Expr::current("dept"))
             .select(Predicate::eq_attrs("grade", "dgrade"))
             .project(vec!["id".into(), "label".into()]);
-        for backend in [BackendKind::ForwardDelta, BackendKind::ReverseDelta] {
-            let engines: Vec<Engine> = [64, 0]
-                .into_iter()
-                .map(|capacity| {
-                    let mut e = Engine::new(backend, CheckpointPolicy::Never);
-                    e.set_pool(ExecPool::new(2));
-                    e.set_optimize(1);
-                    e.set_auto_compact(None);
-                    e.set_memo_capacity(capacity);
-                    for cmd in [
-                        Command::define_relation("acct", RelationType::Rollback),
-                        Command::define_relation("dept", RelationType::Rollback),
-                        Command::modify_state(
-                            "acct",
-                            rows((0..64).map(|i| (i, i % 4, 0)).collect()),
-                        ),
-                        Command::modify_state("dept", Expr::snapshot_const(dept.clone())),
-                        // The literal's version is pinned as the chain's
-                        // base; the first delta commit copies it once.
-                        update(0, 0, 1),
-                    ] {
-                        e.execute(&cmd).unwrap();
-                    }
-                    e.reset_exec_stats();
-                    e
-                })
-                .collect();
-            let [mut e, mut plain] = <[Engine; 2]>::try_from(engines).ok().unwrap();
-            let run = |e: &Engine| {
-                let acct = e.eval(&Expr::current("acct")).unwrap();
-                acct.into_snapshot().unwrap().run().as_ptr()
-            };
-            for i in 0..1_000i64 {
-                let (id, grade) = ((i * 7) % 64, (i * 3) % 4);
-                let before = run(&e);
-                e.execute(&update(id, grade, i)).unwrap();
-                plain.execute(&update(id, grade, i)).unwrap();
-                assert_eq!(run(&e), before, "{backend}: commit {i} moved the run");
-                for q in [&group(i % 4), &join] {
-                    assert_eq!(e.eval(q).unwrap(), plain.eval(q).unwrap(), "{backend}: {i}");
+        let backend = BackendKind::ForwardDelta;
+        let engines: Vec<Engine> = [64, 0]
+            .into_iter()
+            .map(|capacity| {
+                let mut e = Engine::new(backend, CheckpointPolicy::Never);
+                e.set_pool(ExecPool::new(2));
+                e.set_optimize(1);
+                e.set_auto_compact(None);
+                e.set_memo_capacity(capacity);
+                for cmd in [
+                    Command::define_relation("acct", RelationType::Rollback),
+                    Command::define_relation("dept", RelationType::Rollback),
+                    Command::modify_state("acct", rows((0..64).map(|i| (i, i % 4, 0)).collect())),
+                    Command::modify_state("dept", Expr::snapshot_const(dept.clone())),
+                    // The literal's version is pinned as the chain's
+                    // base; the first delta commit copies it once.
+                    update(0, 0, 1),
+                ] {
+                    e.execute(&cmd).unwrap();
                 }
+                e.reset_exec_stats();
+                e
+            })
+            .collect();
+        let [mut e, mut plain] = <[Engine; 2]>::try_from(engines).ok().unwrap();
+        let run = |e: &Engine| {
+            let acct = e.eval(&Expr::current("acct")).unwrap();
+            acct.into_snapshot().unwrap().run().as_ptr()
+        };
+        for i in 0..1_000i64 {
+            let (id, grade) = ((i * 7) % 64, (i * 3) % 4);
+            let before = run(&e);
+            e.execute(&update(id, grade, i)).unwrap();
+            plain.execute(&update(id, grade, i)).unwrap();
+            assert_eq!(run(&e), before, "{backend}: commit {i} moved the run");
+            for q in [&group(i % 4), &join] {
+                assert_eq!(e.eval(q).unwrap(), plain.eval(q).unwrap(), "{backend}: {i}");
             }
-            let memo = e.memo_stats();
-            assert!(
-                memo.hits >= 1_900 && memo.fallbacks == 0,
-                "{backend}: {memo:?}"
-            );
-            assert_eq!(op_row(&e, "product"), (0, 0), "{backend}");
-            assert_eq!(op_row(&plain, "product"), (0, 0), "{backend}");
-            let joined = e.eval(&join).unwrap().into_snapshot().unwrap();
-            assert!(joined.contains(&Tuple::new(vec![Value::Int(0), Value::Int(100)])));
         }
+        let memo = e.memo_stats();
+        assert!(
+            memo.hits >= 1_900 && memo.fallbacks == 0,
+            "{backend}: {memo:?}"
+        );
+        assert_eq!(op_row(&e, "product"), (0, 0), "{backend}");
+        assert_eq!(op_row(&plain, "product"), (0, 0), "{backend}");
+        let joined = e.eval(&join).unwrap().into_snapshot().unwrap();
+        assert!(joined.contains(&Tuple::new(vec![Value::Int(0), Value::Int(100)])));
     }
 
     #[test]
     fn space_report_covers_catalog() {
-        let e = engine_with_history(BackendKind::TupleTimestamp);
-        let report = e.space_report();
-        assert_eq!(report.relations.len(), 1);
-        assert_eq!(report.relations[0].versions, 4);
-        assert!(report.relations[0].bytes > 0);
+        for backend in BackendKind::ALL {
+            let report = engine_with_history(backend).space_report();
+            assert_eq!(report.relations.len(), 1, "{backend}");
+            assert_eq!(report.relations[0].versions, 4, "{backend}");
+            assert!(report.relations[0].bytes > 0, "{backend}");
+        }
     }
 
     /// Each row of the space report carries its own relation's compaction
@@ -2218,10 +2215,7 @@ mod tests {
             let (long, short) = (folded(&e, "long"), folded(&e, "short"));
             assert_eq!(long.merged(short), pass, "{backend}");
             assert_eq!(folded(&e, "s"), CompactionStats::default());
-            if matches!(
-                backend,
-                BackendKind::ForwardDelta | BackendKind::ReverseDelta
-            ) {
+            if backend == BackendKind::ForwardDelta {
                 assert!(long.deltas_folded > short.deltas_folded, "{backend}");
             } else {
                 assert_eq!(pass, CompactionStats::default(), "{backend}");

@@ -14,21 +14,13 @@
 //! structures" (§1).
 //!
 //! This crate supplies those physical structures and makes the rigorous
-//! statement executable. Four backends implement [`RollbackStore`]:
+//! statement executable. Two backends implement [`RollbackStore`]:
 //!
 //! * [`FullCopyStore`] — every version in full; the direct transcription
 //!   of the semantics, and the oracle for the others.
-//! * [`DeltaStore`] — the current state in full plus one delta per
-//!   transaction and optional periodic checkpoints. Its [`Direction`]
-//!   says which way the deltas point: [`Direction::Forward`] holds the
-//!   first version in full and replays up from the nearest checkpoint;
-//!   [`Direction::Reverse`] replays down from the nearest checkpoint or
-//!   the current state, so rollback cost grows with the *age* of the
-//!   target, which favours the common recent-query case.
-//! * [`TupleTimestampStore`] — each tuple stored once with its
-//!   transaction-time interval \[start, stop); rollback is a scan filter.
-//!   This is the attribute/tuple-timestamping school of physical design
-//!   (Ben-Zvi 1982, POSTGRES) realized for our semantics.
+//! * [`DeltaStore`] — the first and the current state in full, one
+//!   forward delta per transaction, and optional periodic checkpoints;
+//!   a past version is replayed up from the nearest full state below it.
 //!
 //! [`Engine`] executes the language's commands against a catalog of such
 //! stores, writes a textual WAL, and recovers from it; `equiv` provides
@@ -46,7 +38,6 @@ pub mod full_copy;
 pub mod memo;
 pub mod metrics;
 pub mod recovery;
-pub mod tuple_ts;
 pub(crate) mod update;
 pub mod wal;
 
@@ -54,11 +45,10 @@ pub use archive::ArchiveReport;
 pub use backend::{BackendKind, CheckpointPolicy, RollbackStore, ZeroCheckpointInterval};
 pub use cache::{MaterializationCache, DEFAULT_CACHE_CAPACITY};
 pub use delta::StateDelta;
-pub use delta_store::{DeltaStore, Direction};
+pub use delta_store::DeltaStore;
 pub use engine::{parse_auto_compact, Engine, ScriptError};
 pub use equiv::check_equivalence;
 pub use full_copy::FullCopyStore;
 pub use memo::{MemoDecision, StampSource, ViewRegistry, DEFAULT_MEMO_CAPACITY};
 pub use metrics::{CacheStats, CompactionStats, InternerStats, SpaceReport};
-pub use tuple_ts::TupleTimestampStore;
 pub use txtime_exec::{ExecPool, ExecStats, MemoStats, OpKind, OpStat};

@@ -65,11 +65,10 @@
 //!   of the relation, recomputing wins, so the oldest entries go (the
 //!   newest always stays) and a view stamped before them is dropped and
 //!   re-evaluated on its next read. Commits that arrive as a state and
-//!   whose store leaves no delta behind (full-copy, tuple-timestamp,
-//!   single-version relations) log the two state handles
-//!   instead and the diff happens on first demand, so no write ever
-//!   diffs a relation for the memo; consecutive such commits share one
-//!   entry.
+//!   whose store leaves no delta behind (full-copy and single-version
+//!   relations) log the two state handles instead and the diff happens
+//!   on first demand, so no write ever diffs a relation for the memo;
+//!   consecutive such commits share one entry.
 //!
 //! Node-wise evaluation applies the plain operators, on the source's
 //! worker pool, rather than the pushdown shapes the engine's un-memoized

@@ -11,7 +11,9 @@ use crate::wal::{read_journal, WalEntry};
 
 /// The outcome of a recovery run.
 pub struct Recovery {
-    /// The rebuilt engine (journaling re-enabled on the same file).
+    /// The rebuilt engine, with no WAL attached: a caller that goes on
+    /// writing attaches one ([`Engine::attach_wal`], as `txtime serve`
+    /// does).
     pub engine: Engine,
     /// Number of commands replayed.
     pub replayed: usize,
@@ -38,7 +40,7 @@ pub fn recover(
     let mut engine = Engine::new(backend, checkpoints);
     let mut replayed = 0;
     let mut skipped = Vec::new();
-    for (i, entry) in entries.into_iter().enumerate() {
+    for entry in entries {
         match entry {
             WalEntry::Command(cmd) => {
                 engine.execute(&cmd)?;
@@ -47,7 +49,6 @@ pub fn recover(
             WalEntry::Corrupt { line, reason } => {
                 skipped.push((line, reason));
                 // Prefix discipline: stop at the first torn/corrupt line.
-                let _ = i;
                 break;
             }
         }

@@ -6,7 +6,7 @@
 //! those to algebra over `ρ(I, ∞)`: `ρ(I,∞) ∪ A`, `σ_{¬F}(ρ(I,∞))`,
 //! `(ρ(I,∞) − σ_F(ρ(I,∞))) ∪ …`. Evaluating such an expression builds a
 //! fresh state the size of the relation, and installing it makes the
-//! delta stores diff that state against the previous one to recover the
+//! delta store diff that state against the previous one to recover the
 //! few rows the command started from. Claim 3 licenses any
 //! implementation observationally equal to evaluating **E**⟦e⟧ and
 //! installing the result, so when the command is `ρ(I, ∞)` of the

@@ -159,7 +159,7 @@ fn q0_commands(rng: &mut StdRng) -> Vec<Command> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The full snapshot matrix: 4 backends × memo on/off × 1/2 threads,
+    /// The full snapshot matrix: 2 backends × memo on/off × 1/2 threads,
     /// random command sequences, and the hash/merge pair pool checked
     /// after every command.
     #[test]

@@ -209,7 +209,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Level 2 vs level 0 (no rewriting at all): the full matrix —
-    /// 4 backends × memo on/off — with random command
+    /// 2 backends × memo on/off — with random command
     /// sequences and a query pool of random, guard-targeting, and
     /// always-erroring shapes.
     #[test]

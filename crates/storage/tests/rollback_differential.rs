@@ -8,7 +8,7 @@
 //! Generated histories (one-row updates in the benchmark's shape, bulk
 //! replaces, appends and deletes, scheme evolution, a relation deleted
 //! and redefined with the other kind, `compact`, `archive_before`) run
-//! on the oracle and on 4 backends × memo on/off ×
+//! on the oracle and on 2 backends × memo on/off ×
 //! `EveryK(3)`/`EveryK(16)`/`Never`. Then every probe shape is asked at
 //! every transaction number from before the first version to beyond the
 //! clock:
@@ -27,7 +27,7 @@
 //! leaves subtracted here, which still holds below an archival cutoff,
 //! where the oracle remembers versions the engine dropped. One history
 //! folds its chains every third step and once more before the reads. A
-//! last test drives the two delta stores directly, through scheme and kind
+//! last test drives the delta store directly, through scheme and kind
 //! boundaries no engine command can put into one chain, and holds
 //! `version_difference` to "the plain answer, or decline".
 
@@ -217,7 +217,7 @@ struct Rig {
     label: String,
 }
 
-/// 4 backends × memo off/on × three checkpoint policies.
+/// 2 backends × memo off/on × three checkpoint policies.
 fn rigs() -> Vec<Rig> {
     let policies = [
         CheckpointPolicy::every_k(3).unwrap(),
@@ -502,10 +502,7 @@ fn version_diffs(e: &Engine) -> u64 {
 /// The stores that read a difference off their chain did, and only they.
 fn check_who_answered(rigs: &[Rig]) {
     for rig in rigs {
-        let chain = matches!(
-            rig.engine.backend(),
-            BackendKind::ForwardDelta | BackendKind::ReverseDelta
-        );
+        let chain = rig.engine.backend() == BackendKind::ForwardDelta;
         assert_eq!(version_diffs(&rig.engine) > 0, chain, "{}", rig.label);
     }
 }
@@ -659,84 +656,83 @@ fn a_store_answers_a_version_difference_as_the_plain_path_or_declines() {
         CheckpointPolicy::Never,
     ];
     for policy in policies {
-        for kind in [BackendKind::ForwardDelta, BackendKind::ReverseDelta] {
-            let mut store = kind.new_store(policy);
-            let label = format!("{}/{policy:?}", store.kind());
-            // Versions at tx 2, 4, 6, …: odd probes fall between them.
-            // Every other one arrives as a delta, as a keyed update does.
-            for (i, state) in chain.iter().enumerate() {
-                let tx = TransactionNumber(2 * i as u64 + 2);
-                let same_shape = i > 0
-                    && chain[i - 1].is_historical() == state.is_historical()
-                    && chain[i - 1].empty_like() == state.empty_like();
-                if same_shape && i % 2 == 0 {
-                    let delta = txtime_storage::StateDelta::between(&chain[i - 1], state);
-                    store.append_delta(&delta, tx);
-                } else {
-                    store.append(state, tx);
-                }
+        let kind = BackendKind::ForwardDelta;
+        let mut store = kind.new_store(policy);
+        let label = format!("{}/{policy:?}", store.kind());
+        // Versions at tx 2, 4, 6, …: odd probes fall between them.
+        // Every other one arrives as a delta, as a keyed update does.
+        for (i, state) in chain.iter().enumerate() {
+            let tx = TransactionNumber(2 * i as u64 + 2);
+            let same_shape = i > 0
+                && chain[i - 1].is_historical() == state.is_historical()
+                && chain[i - 1].empty_like() == state.empty_like();
+            if same_shape && i % 2 == 0 {
+                let delta = txtime_storage::StateDelta::between(&chain[i - 1], state);
+                store.append_delta(&delta, tx);
+            } else {
+                store.append(state, tx);
             }
-            let last = 2 * chain.len() as u64 + 3;
-            let sweep = |store: &dyn RollbackStore, from: u64, at: &str| {
-                let (mut answered, mut declined) = (0, 0);
-                for n2 in from..=last {
-                    for n1 in from..=last {
-                        let (n2, n1) = (TransactionNumber(n2), TransactionNumber(n1));
-                        let Some(got) = store.version_difference(n2, n1) else {
-                            declined += 1;
-                            continue;
-                        };
-                        answered += 1;
-                        let plain = match (store.state_at(n2), store.state_at(n1)) {
-                            (Some(StateValue::Snapshot(l)), Some(StateValue::Snapshot(r))) => {
-                                StateValue::Snapshot(l.difference(&r).unwrap())
-                            }
-                            sides => panic!("{label}: {at}: answered {n2} − {n1} over {sides:?}"),
-                        };
-                        assert_eq!(got, plain, "{label}: {at}: {n2} − {n1}");
-                    }
-                }
-                (answered, declined)
-            };
-            let (answered, declined) = sweep(store.as_ref(), 0, "as written");
-            // Within each of the three snapshot stretches, and nowhere
-            // across a boundary, before the first version or over the
-            // historical stretch: both happen, many times.
-            assert!(
-                answered > 400 && declined > 400,
-                "{label}: {answered}/{declined}"
-            );
-            store.compact(std::num::NonZeroUsize::new(4).unwrap());
-            assert_eq!(
-                sweep(store.as_ref(), 0, "compacted"),
-                (answered, declined),
-                "{label}: compaction changes no answer and no refusal"
-            );
-            // The filtered replay against the definition, on the way.
-            for n in 0..=last {
-                let key = comp("a", CompOp::Eq, Value::Int((n % 8) as i64));
-                for historical in [false, true] {
-                    let filter = txtime_core::RollbackFilter {
-                        predicate: Some(&key),
-                        project: None,
-                    };
-                    let n = TransactionNumber(n);
-                    let want = match store.state_at(n) {
-                        Some(s) => filter.apply(s, historical).map(Some),
-                        None => Ok(None),
-                    };
-                    let got = store.state_at_filtered(n, historical, &filter);
-                    assert_eq!(
-                        got.map_err(|e| e.to_string()),
-                        want.map_err(|e| e.to_string()),
-                        "{label}: σ at {n}, historical {historical}"
-                    );
-                }
-            }
-            let cut = 2 * 12 + 3;
-            assert!(store.truncate_before(TransactionNumber(cut)) > 0);
-            let (answered_after, _) = sweep(store.as_ref(), cut, "truncated");
-            assert!(answered_after > 0 && answered_after < answered, "{label}");
         }
+        let last = 2 * chain.len() as u64 + 3;
+        let sweep = |store: &dyn RollbackStore, from: u64, at: &str| {
+            let (mut answered, mut declined) = (0, 0);
+            for n2 in from..=last {
+                for n1 in from..=last {
+                    let (n2, n1) = (TransactionNumber(n2), TransactionNumber(n1));
+                    let Some(got) = store.version_difference(n2, n1) else {
+                        declined += 1;
+                        continue;
+                    };
+                    answered += 1;
+                    let plain = match (store.state_at(n2), store.state_at(n1)) {
+                        (Some(StateValue::Snapshot(l)), Some(StateValue::Snapshot(r))) => {
+                            StateValue::Snapshot(l.difference(&r).unwrap())
+                        }
+                        sides => panic!("{label}: {at}: answered {n2} − {n1} over {sides:?}"),
+                    };
+                    assert_eq!(got, plain, "{label}: {at}: {n2} − {n1}");
+                }
+            }
+            (answered, declined)
+        };
+        let (answered, declined) = sweep(store.as_ref(), 0, "as written");
+        // Within each of the three snapshot stretches, and nowhere
+        // across a boundary, before the first version or over the
+        // historical stretch: both happen, many times.
+        assert!(
+            answered > 400 && declined > 400,
+            "{label}: {answered}/{declined}"
+        );
+        store.compact(std::num::NonZeroUsize::new(4).unwrap());
+        assert_eq!(
+            sweep(store.as_ref(), 0, "compacted"),
+            (answered, declined),
+            "{label}: compaction changes no answer and no refusal"
+        );
+        // The filtered replay against the definition, on the way.
+        for n in 0..=last {
+            let key = comp("a", CompOp::Eq, Value::Int((n % 8) as i64));
+            for historical in [false, true] {
+                let filter = txtime_core::RollbackFilter {
+                    predicate: Some(&key),
+                    project: None,
+                };
+                let n = TransactionNumber(n);
+                let want = match store.state_at(n) {
+                    Some(s) => filter.apply(s, historical).map(Some),
+                    None => Ok(None),
+                };
+                let got = store.state_at_filtered(n, historical, &filter);
+                assert_eq!(
+                    got.map_err(|e| e.to_string()),
+                    want.map_err(|e| e.to_string()),
+                    "{label}: σ at {n}, historical {historical}"
+                );
+            }
+        }
+        let cut = 2 * 12 + 3;
+        assert!(store.truncate_before(TransactionNumber(cut)) > 0);
+        let (answered_after, _) = sweep(store.as_ref(), cut, "truncated");
+        assert!(answered_after > 0 && answered_after < answered, "{label}");
     }
 }

@@ -15,10 +15,10 @@
 //!
 //! After every command the engine and its twin must hold the same
 //! history, value for value: every version of every relation, the
-//! `space_report()` rows (for the delta stores that is the chain
+//! `space_report()` rows (for the delta store that is the chain
 //! entries, byte for byte, and the compaction counters) and the interner
 //! pools; and a reader registered with the view memo must see what the
-//! oracle computes, so the log takes the right delta. All of it on 4
+//! oracle computes, so the log takes the right delta. All of it on 2
 //! backends × memo on/off.
 
 use proptest::prelude::*;
@@ -97,7 +97,7 @@ impl Rig {
         }
     }
 
-    /// 4 backends × memo off/on with a registered reader.
+    /// 2 backends × memo off/on with a registered reader.
     fn all(checkpoints: CheckpointPolicy) -> Vec<Rig> {
         let mut rigs = Vec::new();
         for backend in BackendKind::ALL {
@@ -468,10 +468,7 @@ fn hand_written_edges_leave_the_literal_twins_history() {
             // wherever there is a chain and no policy pinned it already.
             let compactions: u64 = rows(&rig.engine).iter().map(|r| r.compaction.runs).sum();
             let folds = checkpoints == CheckpointPolicy::Never
-                && matches!(
-                    rig.engine.backend(),
-                    BackendKind::ForwardDelta | BackendKind::ReverseDelta
-                );
+                && rig.engine.backend() == BackendKind::ForwardDelta;
             assert_eq!(compactions > 0, folds, "{}", rig.label);
         }
     }

@@ -6,7 +6,7 @@
 //!
 //! The paper deliberately specifies rollback relations as sequences of
 //! *full* states and leaves physical design open (§1, §2). This example
-//! loads the same 200-version history into all four backends, verifies
+//! loads the same 200-version history into both backends, verifies
 //! they answer identically, and prints the space/time trade-off each one
 //! makes.
 

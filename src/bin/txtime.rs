@@ -39,6 +39,9 @@ use txtime::storage::{
     check_equivalence, parse_auto_compact, recovery::recover, BackendKind, CheckpointPolicy, Engine,
 };
 
+/// The names `--backend` accepts, as the usage line and its error list them.
+const BACKENDS: &str = "full-copy, fwd-delta, forward-delta";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.split_first() {
@@ -53,7 +56,7 @@ fn main() -> ExitCode {
             eprintln!("usage: txtime <run|recover|check|stats|compact|explain|serve> <file> [--backend KIND] [--wal FILE] [--checkpoint K] [--threads N] [--every N] [--optimize L] [--auto-compact N] [--no-check] [--lint] [--deny-warnings]");
             eprintln!("       txtime serve [--listen ADDR] [--wal FILE] [--no-group-commit] [--max-sessions N] [tuning flags]");
             eprintln!("       txtime stats --addr ADDR    # gauges from a running server");
-            eprintln!("backends: full-copy (default), fwd-delta, rev-delta, tuple-ts");
+            eprintln!("backends: {BACKENDS} (full-copy is the default)");
             ExitCode::FAILURE
         }
     }
@@ -173,9 +176,11 @@ fn parse_options(rest: &[String]) -> Result<Options, String> {
                 backend = match v.as_str() {
                     "full-copy" => BackendKind::FullCopy,
                     "fwd-delta" | "forward-delta" => BackendKind::ForwardDelta,
-                    "rev-delta" | "reverse-delta" => BackendKind::ReverseDelta,
-                    "tuple-ts" | "tuple-timestamp" => BackendKind::TupleTimestamp,
-                    other => return Err(format!("unknown backend {other:?}")),
+                    other => {
+                        return Err(format!(
+                            "unknown backend {other:?}; expected one of: {BACKENDS}"
+                        ))
+                    }
                 };
             }
             "--wal" => wal = Some(it.next().ok_or("--wal needs a value")?.clone()),

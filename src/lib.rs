@@ -18,9 +18,9 @@
 //!   operators ρ/ρ̂, commands (`define_relation`, `modify_state`, …),
 //!   sentences, and their denotational semantics.
 //! * [`parser`] — a concrete surface syntax for sentences.
-//! * [`storage`] — efficient storage backends (deltas, checkpoints,
-//!   tuple-timestamping) observationally equivalent to the reference
-//!   semantics, plus a WAL-backed engine.
+//! * [`storage`] — an efficient storage backend (a forward delta chain
+//!   with checkpoints) observationally equivalent to the full-copy
+//!   reference semantics, plus a WAL-backed engine.
 //! * [`analyze`] — the static checker: expression typing (the paper's
 //!   FINDTYPE, statically), command well-formedness, and structured
 //!   `E0xx` diagnostics with source spans.

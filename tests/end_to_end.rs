@@ -94,32 +94,32 @@ fn temporal_queries_compose_across_crates() {
 fn wal_round_trip_through_the_parser() {
     let dir = std::env::temp_dir().join("txtime-e2e");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("e2e-{}.wal", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-
     let sentence = parse_sentence(SCRIPT).unwrap();
-    let mut live = Engine::with_wal(BackendKind::TupleTimestamp, CheckpointPolicy::Never, &path)
-        .expect("wal engine");
-    for c in sentence.commands() {
-        live.execute(c).expect("command valid");
-    }
-    let rec = recover(&path, BackendKind::TupleTimestamp, CheckpointPolicy::Never)
-        .expect("recovery succeeds");
-    assert!(rec.skipped.is_empty());
-    assert_eq!(rec.engine.tx(), live.tx());
-    for name in live.relations() {
-        let historical = matches!(
-            live.relation_type(name),
-            Some(txtime::core::RelationType::Historical | txtime::core::RelationType::Temporal)
-        );
-        for t in 0..=live.tx().0 {
-            let spec = TxSpec::At(TransactionNumber(t));
-            let a = live.resolve_rollback(name, spec, historical).ok();
-            let b = rec.engine.resolve_rollback(name, spec, historical).ok();
-            assert_eq!(a, b, "relation {name} at tx {t}");
+    for backend in BackendKind::ALL {
+        let path = dir.join(format!("e2e-{}-{backend}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let mut live =
+            Engine::with_wal(backend, CheckpointPolicy::Never, &path).expect("wal engine");
+        for c in sentence.commands() {
+            live.execute(c).expect("command valid");
         }
+        let rec = recover(&path, backend, CheckpointPolicy::Never).expect("recovery succeeds");
+        assert!(rec.skipped.is_empty(), "{backend}");
+        assert_eq!(rec.engine.tx(), live.tx(), "{backend}");
+        for name in live.relations() {
+            let historical = matches!(
+                live.relation_type(name),
+                Some(txtime::core::RelationType::Historical | txtime::core::RelationType::Temporal)
+            );
+            for t in 0..=live.tx().0 {
+                let spec = TxSpec::At(TransactionNumber(t));
+                let a = live.resolve_rollback(name, spec, historical).ok();
+                let b = rec.engine.resolve_rollback(name, spec, historical).ok();
+                assert_eq!(a, b, "{backend}: relation {name} at tx {t}");
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

@@ -8,7 +8,7 @@
 //!    subexpression evaluates to ∅; an equals-operand claim means the
 //!    operator returns its operand's value; an equals-current-rollback
 //!    claim means `ρ(I, n)` beyond the clock equals `ρ(I, inf)` — all
-//!    verified by evaluating both sides on all four backends, memo on
+//!    verified by evaluating both sides on both backends, memo on
 //!    and off.
 //! 2. **Cardinality bounds contain reality.** Every subexpression's
 //!    static [`CardInterval`] contains the evaluated cardinality, and

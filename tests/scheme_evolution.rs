@@ -3,8 +3,8 @@
 //!
 //! A relation's scheme changes over transaction time; past versions keep
 //! their old schemes and stay reachable by ρ. This must hold identically
-//! in the reference semantics and in every storage engine (the
-//! tuple-timestamp backend handles it with scheme epochs).
+//! in the reference semantics and in every storage engine (the delta
+//! chain carries a scheme boundary as the new version in full).
 
 use txtime::core::prelude::*;
 use txtime::core::{SchemeChange, StateSource};
@@ -102,41 +102,43 @@ fn catalog_refuses_unstable_schemes_for_optimization() {
 
 #[test]
 fn evolution_on_historical_relations() {
-    let mut engine = Engine::new(BackendKind::TupleTimestamp, CheckpointPolicy::Never);
-    engine
-        .execute_script(
-            r#"
-            define_relation(h, temporal);
-            modify_state(h, historical {(name: str): ("alice") @ {[0, 10)}});
-            "#,
-        )
-        .unwrap();
-    engine
-        .execute(&Command::evolve_scheme(
-            "h",
-            SchemeChange::AddAttribute {
-                name: "grade".into(),
-                domain: DomainType::Int,
-                default: Value::Int(0),
-            },
-        ))
-        .unwrap();
+    for backend in BackendKind::ALL {
+        let mut engine = Engine::new(backend, CheckpointPolicy::Never);
+        engine
+            .execute_script(
+                r#"
+                define_relation(h, temporal);
+                modify_state(h, historical {(name: str): ("alice") @ {[0, 10)}});
+                "#,
+            )
+            .unwrap();
+        engine
+            .execute(&Command::evolve_scheme(
+                "h",
+                SchemeChange::AddAttribute {
+                    name: "grade".into(),
+                    domain: DomainType::Int,
+                    default: Value::Int(0),
+                },
+            ))
+            .unwrap();
 
-    // The evolved version carries the new attribute; the old one doesn't.
-    let new = engine
-        .resolve_rollback("h", TxSpec::Current, true)
-        .unwrap()
-        .into_historical()
-        .unwrap();
-    assert!(new.schema().contains("grade"));
-    let old = engine
-        .resolve_rollback("h", TxSpec::At(TransactionNumber(2)), true)
-        .unwrap()
-        .into_historical()
-        .unwrap();
-    assert!(!old.schema().contains("grade"));
-    // Valid times survived the evolution.
-    assert_eq!(new.iter().next().unwrap().1.first(), Some(0));
+        // The evolved version carries the new attribute; the old one doesn't.
+        let new = engine
+            .resolve_rollback("h", TxSpec::Current, true)
+            .unwrap()
+            .into_historical()
+            .unwrap();
+        assert!(new.schema().contains("grade"), "{backend}");
+        let old = engine
+            .resolve_rollback("h", TxSpec::At(TransactionNumber(2)), true)
+            .unwrap()
+            .into_historical()
+            .unwrap();
+        assert!(!old.schema().contains("grade"), "{backend}");
+        // Valid times survived the evolution.
+        assert_eq!(new.iter().next().unwrap().1.first(), Some(0), "{backend}");
+    }
 }
 
 #[test]

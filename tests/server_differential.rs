@@ -9,7 +9,8 @@
 //! write carries its commit-time transaction number, so replaying the
 //! acked writes in tx order on a fresh single-threaded engine *is* the
 //! sequential ordering the server claims to have implemented. The suite
-//! then checks, across memo on/off × every backend:
+//! then checks, across memo on/off × every backend (and the delta
+//! chain without checkpoints and under compaction):
 //!
 //! * every version of every relation matches the oracle's (the full
 //!   rollback history, not just the final state);
@@ -18,6 +19,7 @@
 //! * scripted error commands failed identically on server and oracle.
 
 use std::net::TcpListener;
+use std::num::NonZeroUsize;
 use std::sync::{Arc, Barrier, Mutex};
 
 use txtime::core::{Expr, TransactionNumber, TxSpec};
@@ -40,12 +42,46 @@ fn ack_tx(resp: &Response) -> Option<u64> {
     }
 }
 
+/// One engine configuration, given to the server and its oracle alike.
+#[derive(Debug, Clone, Copy)]
+struct Setup {
+    backend: BackendKind,
+    checkpoints: CheckpointPolicy,
+    /// Replaces the engine's own auto-compaction threshold when set.
+    auto_compact: Option<NonZeroUsize>,
+    memo: bool,
+    /// Contended rounds per session.
+    rounds: usize,
+}
+
+impl Setup {
+    /// A checkpoint every 4 versions and the engine's own compaction
+    /// threshold.
+    fn new(backend: BackendKind, memo: bool) -> Setup {
+        Setup {
+            backend,
+            checkpoints: CheckpointPolicy::every_k(4).unwrap(),
+            auto_compact: None,
+            memo,
+            rounds: ROUNDS,
+        }
+    }
+
+    fn engine(self) -> Engine {
+        let mut engine = Engine::new(self.backend, self.checkpoints);
+        if self.auto_compact.is_some() {
+            engine.set_auto_compact(self.auto_compact);
+        }
+        engine.set_memo_capacity(if self.memo { 256 } else { 0 });
+        engine
+    }
+}
+
 /// Drives `SESSIONS` concurrent sessions through an interleaved script
 /// against a freshly configured server; returns the per-session logs and
 /// the server's final engine.
-fn run_server(backend: BackendKind, memo: bool) -> (Vec<Log>, Engine) {
-    let engine = Engine::new(backend, CheckpointPolicy::every_k(4).unwrap());
-    engine.set_memo_capacity(if memo { 256 } else { 0 });
+fn run_server(setup: Setup) -> (Vec<Log>, Engine) {
+    let engine = setup.engine();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let handle = serve(engine, listener, ServerConfig::default()).expect("server starts");
     let addr = handle.addr();
@@ -85,7 +121,7 @@ fn run_server(backend: BackendKind, memo: bool) -> (Vec<Log>, Engine) {
                 // The contended phase: every session appends to the
                 // shared relation, reads it back, reads its private
                 // relation, and fires a deterministic error.
-                for round in 0..ROUNDS {
+                for round in 0..setup.rounds {
                     send(
                         &mut c,
                         &mut log,
@@ -115,7 +151,7 @@ fn run_server(backend: BackendKind, memo: bool) -> (Vec<Log>, Engine) {
 
 /// Replays the acked writes in commit-clock order on a fresh engine of
 /// the same configuration — the sequential oracle.
-fn replay_oracle(backend: BackendKind, memo: bool, logs: &[Log]) -> Engine {
+fn replay_oracle(setup: Setup, logs: &[Log]) -> Engine {
     let mut writes: Vec<(u64, &str)> = Vec::new();
     for log in logs {
         for (cmd, resp) in log {
@@ -146,8 +182,7 @@ fn replay_oracle(backend: BackendKind, memo: bool, logs: &[Log]) -> Engine {
         "gaps in the acked commit clocks"
     );
 
-    let mut oracle = Engine::new(backend, CheckpointPolicy::every_k(4).unwrap());
-    oracle.set_memo_capacity(if memo { 256 } else { 0 });
+    let mut oracle = setup.engine();
     for (tx, cmd) in &writes {
         let script = format!("{cmd}\n");
         oracle
@@ -165,10 +200,12 @@ fn rendered(engine: &Engine, expr: &Expr) -> Result<String, String> {
         .map_err(|e| e.to_string())
 }
 
-fn assert_differential(backend: BackendKind, memo: bool) {
-    let label = format!("{backend} memo={memo}");
-    let (logs, server_engine) = run_server(backend, memo);
-    let oracle = replay_oracle(backend, memo, &logs);
+/// Runs `setup` on the server and the oracle, checks the three
+/// properties above, and returns the server's final engine.
+fn assert_differential(setup: Setup) -> Engine {
+    let label = format!("{setup:?}");
+    let (logs, server_engine) = run_server(setup);
+    let oracle = replay_oracle(setup, &logs);
 
     // 1. The full version history of every relation matches: server and
     //    oracle agree on ρ(r, t) — value or error — for every t.
@@ -243,32 +280,50 @@ fn assert_differential(backend: BackendKind, memo: bool) {
             }
         }
     }
+    server_engine
 }
 
 #[test]
 fn full_copy_matches_sequential_oracle() {
     for memo in [true, false] {
-        assert_differential(BackendKind::FullCopy, memo);
+        assert_differential(Setup::new(BackendKind::FullCopy, memo));
     }
 }
 
 #[test]
 fn forward_delta_matches_sequential_oracle() {
     for memo in [true, false] {
-        assert_differential(BackendKind::ForwardDelta, memo);
+        assert_differential(Setup::new(BackendKind::ForwardDelta, memo));
     }
 }
 
+/// No checkpoints: every past read of the shared relation replays the
+/// chain up from its first version.
 #[test]
-fn reverse_delta_matches_sequential_oracle() {
+fn forward_delta_without_checkpoints_matches_sequential_oracle() {
     for memo in [true, false] {
-        assert_differential(BackendKind::ReverseDelta, memo);
+        assert_differential(Setup {
+            checkpoints: CheckpointPolicy::Never,
+            ..Setup::new(BackendKind::ForwardDelta, memo)
+        });
     }
 }
 
+/// Compaction runs on every second append, between the sessions' reads;
+/// past the fold interval (32 versions without checkpoints) it pins a
+/// checkpoint in the shared relation's chain.
 #[test]
-fn tuple_timestamp_matches_sequential_oracle() {
+fn forward_delta_compacting_every_two_appends_matches_sequential_oracle() {
     for memo in [true, false] {
-        assert_differential(BackendKind::TupleTimestamp, memo);
+        let engine = assert_differential(Setup {
+            checkpoints: CheckpointPolicy::Never,
+            auto_compact: NonZeroUsize::new(2),
+            rounds: 10,
+            ..Setup::new(BackendKind::ForwardDelta, memo)
+        });
+        let report = engine.space_report();
+        let shared = report.relations.iter().find(|r| r.name == "shared");
+        let folded = shared.map(|r| r.compaction.deltas_folded);
+        assert!(folded > Some(0), "memo={memo}: {shared:?}");
     }
 }

@@ -359,7 +359,7 @@ fn diagnostics_flow_back_to_the_client() {
 #[test]
 fn client_shutdown_verb_stops_the_server() {
     let engine = Engine::new(
-        BackendKind::ReverseDelta,
+        BackendKind::ForwardDelta,
         CheckpointPolicy::every_k(4).unwrap(),
     );
     let handle = serve(engine, listener(), ServerConfig::default()).expect("server starts");
