@@ -172,14 +172,20 @@ impl StateValue {
             StateValue::Historical(h) => h.size_bytes(),
         }
     }
+
+    /// Writes the state's text (its `Display`) to any [`fmt::Write`] sink:
+    /// the state encoders of `txtime-snapshot` and `txtime-historical`.
+    pub fn encode<W: fmt::Write>(&self, w: &mut W) -> fmt::Result {
+        match self {
+            StateValue::Snapshot(s) => txtime_snapshot::encode::state(w, s),
+            StateValue::Historical(h) => txtime_historical::encode::state(w, h),
+        }
+    }
 }
 
 impl fmt::Display for StateValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StateValue::Snapshot(s) => write!(f, "{s}"),
-            StateValue::Historical(h) => write!(f, "{h}"),
-        }
+        self.encode(f)
     }
 }
 

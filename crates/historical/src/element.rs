@@ -199,17 +199,7 @@ impl TemporalElement {
 
 impl fmt::Display for TemporalElement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.periods.is_empty() {
-            return write!(f, "{{}}");
-        }
-        write!(f, "{{")?;
-        for (i, p) in self.periods.iter().enumerate() {
-            if i > 0 {
-                write!(f, " ∪ ")?;
-            }
-            write!(f, "{p}")?;
-        }
-        write!(f, "}}")
+        txtime_snapshot::encode::encode(f, |e| crate::encode::write_element(e, self))
     }
 }
 

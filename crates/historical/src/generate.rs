@@ -42,6 +42,45 @@ pub fn random_element(rng: &mut impl Rng, cfg: &HistGenConfig) -> TemporalElemen
     }))
 }
 
+/// Elements and states drawn to exercise rendering, for the encoder's
+/// reference tests.
+#[cfg(test)]
+pub mod edge {
+    use txtime_snapshot::generate::edge::{edge_schema, edge_tuple};
+    use txtime_snapshot::rng::Rng;
+
+    use crate::chronon::{Chronon, FOREVER};
+    use crate::element::TemporalElement;
+    use crate::period::Period;
+    use crate::state::HistoricalState;
+
+    /// An element drawn to exercise rendering: one to four periods, with
+    /// chronons near zero, near `u32::MAX` and open-ended (`forever`).
+    pub fn edge_element(rng: &mut impl Rng) -> TemporalElement {
+        const STARTS: [Chronon; 6] = [0, 1, 9, 10, 99_999, FOREVER - 2];
+        let n = rng.gen_range(1..=4);
+        TemporalElement::from_periods((0..n).map(|_| {
+            let start = STARTS[rng.gen_range(0..STARTS.len())];
+            if rng.gen() {
+                Period::from(start)
+            } else {
+                Period::new(start, start + 1).expect("start < start + 1")
+            }
+        }))
+    }
+
+    /// A state of 0–7 [`edge_tuple`]s with [`edge_element`]s over an
+    /// [`edge_schema`], for rendering tests.
+    pub fn edge_state(rng: &mut impl Rng) -> HistoricalState {
+        let schema = edge_schema(rng);
+        let rows = rng.gen_range(0..8);
+        let entries: Vec<_> = (0..rows)
+            .map(|_| (edge_tuple(rng, &schema), edge_element(rng)))
+            .collect();
+        HistoricalState::new(schema, entries).expect("generated entries are valid")
+    }
+}
+
 /// Generates a random historical state over `schema`.
 pub fn random_historical_state(
     rng: &mut impl Rng,

@@ -40,6 +40,7 @@
 
 pub mod chronon;
 pub mod element;
+pub mod encode;
 pub mod error;
 pub mod generate;
 pub mod ops;

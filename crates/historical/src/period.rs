@@ -95,11 +95,7 @@ impl Period {
 
 impl fmt::Display for Period {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.end == FOREVER {
-            write!(f, "[{}, forever)", self.start)
-        } else {
-            write!(f, "[{}, {})", self.start, self.end)
-        }
+        txtime_snapshot::encode::encode(f, |e| crate::encode::write_period(e, self))
     }
 }
 

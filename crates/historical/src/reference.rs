@@ -180,6 +180,67 @@ impl RefHistorical {
     }
 }
 
+/// The text of periods, elements and historical states as the
+/// `write!`-based `Display` bodies produced it, before [`crate::encode`]
+/// replaced them: the encoder's independent oracle, on top of
+/// `txtime_snapshot::reference::render` for tuples and schemes. Compiled
+/// for tests only.
+#[cfg(test)]
+pub mod render {
+    use std::fmt::Write;
+
+    use txtime_snapshot::reference::render::{schema, tuple};
+
+    use crate::chronon::FOREVER;
+    use crate::element::TemporalElement;
+    use crate::period::Period;
+    use crate::state::HistoricalState;
+
+    const INFALLIBLE: &str = "writing to a String cannot fail";
+
+    /// `[s, e)` or `[s, forever)`.
+    pub fn period(p: &Period) -> String {
+        if p.end() == FOREVER {
+            format!("[{}, forever)", p.start())
+        } else {
+            format!("[{}, {})", p.start(), p.end())
+        }
+    }
+
+    /// `{p1 ∪ p2 …}` or `{}`.
+    pub fn element(e: &TemporalElement) -> String {
+        if e.periods().is_empty() {
+            return "{}".to_string();
+        }
+        let mut out = String::from("{");
+        for (i, p) in e.periods().iter().enumerate() {
+            if i > 0 {
+                write!(out, " ∪ ").expect(INFALLIBLE);
+            }
+            write!(out, "{}", period(p)).expect(INFALLIBLE);
+        }
+        write!(out, "}}").expect(INFALLIBLE);
+        out
+    }
+
+    /// `schema { t1 @ e1, t2 @ e2 }`, with a blank between the braces
+    /// when empty.
+    pub fn state(s: &HistoricalState) -> String {
+        let mut out = String::new();
+        write!(out, "{} {{", schema(s.schema())).expect(INFALLIBLE);
+        let mut first = true;
+        for (t, e) in s.iter() {
+            if !first {
+                write!(out, ",").expect(INFALLIBLE);
+            }
+            write!(out, " {} @ {}", tuple(t), element(e)).expect(INFALLIBLE);
+            first = false;
+        }
+        write!(out, " }}").expect(INFALLIBLE);
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -385,16 +385,7 @@ fn normalize_entries(run: &[Entry]) -> Cow<'_, [Entry]> {
 
 impl fmt::Display for HistoricalState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {{", self.schema)?;
-        let mut first = true;
-        for (t, e) in self.run.iter() {
-            if !first {
-                write!(f, ",")?;
-            }
-            write!(f, " {t} @ {e}")?;
-            first = false;
-        }
-        write!(f, " }}")
+        crate::encode::state(f, self)
     }
 }
 

@@ -135,12 +135,13 @@ fn print_schema(s: &Schema) -> String {
 pub fn print_value(v: &Value) -> String {
     match v {
         Value::Int(i) => i.to_string(),
-        // {:?} prints the shortest representation that round-trips; the
-        // lexer accepts `d.d` forms, which covers every finite non-exotic
-        // double printed this way.
+        // {} prints the shortest digits that round-trip, and never an
+        // exponent (which the lexer has no syntax for: {:?} would print
+        // 1e-7, and the journal line would not parse back). The lexer
+        // wants `d.d`, so a whole number gets `.0`.
         Value::Real(r) => {
-            let s = format!("{:?}", r.get());
-            if s.contains('.') || s.contains('e') {
+            let s = r.get().to_string();
+            if s.contains('.') {
                 s
             } else {
                 format!("{s}.0")
@@ -293,6 +294,30 @@ mod tests {
             let printed = print_value(&v);
             let e =
                 parse_expr(&format!("{{(x: {}): ({})}}", v.domain().keyword(), printed)).unwrap();
+            match e {
+                Expr::SnapshotConst(s) => {
+                    assert_eq!(s.iter().next().unwrap().get(0), &v, "printed: {printed}")
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn reals_that_debug_prints_with_an_exponent_round_trip() {
+        for x in [
+            1e-7,
+            -1e-7,
+            1e20,
+            1.2345678901234568e16,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+        ] {
+            let v = Value::real(x);
+            let printed = print_value(&v);
+            let e = parse_expr(&format!("{{(x: real): ({printed})}}"))
+                .unwrap_or_else(|err| panic!("{printed} does not parse: {err}"));
             match e {
                 Expr::SnapshotConst(s) => {
                     assert_eq!(s.iter().next().unwrap().get(0), &v, "printed: {printed}")

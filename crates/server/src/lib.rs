@@ -596,6 +596,8 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream) {
     };
     let mut writer = stream;
     let mut reader = BufReader::new(reader_stream);
+    // Every reply is built in this one buffer and sent from it.
+    let mut frame = protocol::Frame::new();
     // A session's pinned snapshot: reads rewrite ρ(·, ∞) to ρ(·, At(n)).
     let mut snapshot: Option<TransactionNumber> = None;
     loop {
@@ -628,78 +630,82 @@ fn session_loop(shared: &Arc<Shared>, stream: TcpStream) {
         };
         shared.sessions.requests.fetch_add(1, Ordering::Relaxed);
         let started = Instant::now();
-        let (response, quit) = handle_request(shared, &request, &mut snapshot);
+        let quit = handle_request(shared, &request, &mut snapshot, &mut frame);
         shared
             .pool
             .record_external(OpKind::Serve, 1, started.elapsed());
-        if protocol::write_frame(&mut writer, &response).is_err() || quit {
+        if frame.send(&mut writer).is_err() || quit {
             return;
         }
     }
 }
 
-/// Dispatches one request payload; returns (response, close-session).
+/// Dispatches one request payload, writing the response into `frame`;
+/// returns whether to close the session.
 fn handle_request(
     shared: &Arc<Shared>,
     request: &str,
     snapshot: &mut Option<TransactionNumber>,
-) -> (String, bool) {
+    frame: &mut protocol::Frame,
+) -> bool {
     let request = request.trim();
     if let Some(text) = request.strip_prefix("EXEC ") {
         // Admission: a permit to execute, or shed under saturation. The
         // permit covers the CPU-bound pipeline (parse, check, evaluate,
-        // enqueue) — NOT the wait for a commit ack, which burns no CPU
-        // and is bounded separately by the commit queue's depth. Holding
-        // the permit across the fsync wait would cap concurrent commits
-        // at the gate width and starve the group-commit batcher.
+        // render a read's answer, enqueue) — NOT the wait for a commit
+        // ack, which burns no CPU and is bounded separately by the
+        // commit queue's depth. Holding the permit across the fsync wait
+        // would cap concurrent commits at the gate width and starve the
+        // group-commit batcher.
         if !shared.gate.acquire(shared.cfg.queue_wait) {
             shared
                 .sessions
                 .shed_requests
                 .fetch_add(1, Ordering::Relaxed);
-            return (
-                "ERR overloaded: execution queue saturated, retry".to_string(),
-                false,
-            );
+            frame.push_str("ERR overloaded: execution queue saturated, retry");
+            return false;
         }
-        let outcome = exec_command(shared, text, *snapshot);
+        let pending = exec_command(shared, text, *snapshot, frame);
         shared.gate.release();
-        let response = match outcome {
-            ExecOutcome::Ready(r) => r,
-            ExecOutcome::Pending(rx) => match rx.recv_timeout(ACK_TIMEOUT) {
+        if let Some(rx) = pending {
+            match rx.recv_timeout(ACK_TIMEOUT) {
                 Ok(Ok((outcome, tx, warnings))) => {
                     shared.sessions.writes.fetch_add(1, Ordering::Relaxed);
-                    let mut out = format!("OK {} tx={}", outcome_name(&outcome), tx.0);
+                    frame.push_str(&format!("OK {} tx={}", outcome_name(&outcome), tx.0));
                     for w in warnings {
-                        out.push('\n');
-                        out.push_str(&w);
+                        frame.push_str("\n");
+                        frame.push_str(&w);
                     }
-                    out
                 }
-                Ok(Err(e)) => format!("ERR exec: {e}"),
+                Ok(Err(e)) => frame.push_str(&format!("ERR exec: {e}")),
                 // No ack in time: the commit's outcome is UNKNOWN (it may
                 // yet be applied and fsynced), which is not the same
                 // thing as a definite `exec` failure — a client that
                 // retried on `exec` here could double-apply a write.
-                Err(_) => "ERR timeout: commit outcome unknown (no ack within 60s) — \
-                     the write may still become durable; consult the journal"
-                    .to_string(),
-            },
-        };
-        return (response, false);
+                Err(_) => frame.push_str(
+                    "ERR timeout: commit outcome unknown (no ack within 60s) — \
+                     the write may still become durable; consult the journal",
+                ),
+            }
+        }
+        return false;
     }
     match request {
-        "PING" => ("OK pong".to_string(), false),
-        "STATS" => (format!("OK stats\n{}", shared.stats_text()), false),
-        "QUIT" => ("OK bye".to_string(), true),
+        "PING" => frame.push_str("OK pong"),
+        "STATS" => frame.push_str(&format!("OK stats\n{}", shared.stats_text())),
+        "QUIT" => {
+            frame.push_str("OK bye");
+            return true;
+        }
         "SHUTDOWN" => {
             shared.shutdown.store(true, Ordering::SeqCst);
-            ("OK stopping".to_string(), true)
+            frame.push_str("OK stopping");
+            return true;
         }
         "SNAPSHOT" => {
             let tx = shared.read_engine().tx();
             *snapshot = Some(tx);
-            (format!("OK snapshot tx={}", tx.0), false)
+            frame.push_str(&format!("OK snapshot tx={}", tx.0));
         }
         "SNAPSHOT DURABLE" => {
             // Crash-consistent reads: pin to the newest transaction whose
@@ -707,11 +713,11 @@ fn handle_request(
             // state (the durability window DESIGN.md §14 documents).
             let tx = TransactionNumber(shared.commits.durable_tx());
             *snapshot = Some(tx);
-            (format!("OK snapshot tx={}", tx.0), false)
+            frame.push_str(&format!("OK snapshot tx={}", tx.0));
         }
         "SNAPSHOT OFF" => {
             *snapshot = None;
-            ("OK snapshot off".to_string(), false)
+            frame.push_str("OK snapshot off");
         }
         other if other.starts_with("SNAPSHOT AT ") => {
             match other["SNAPSHOT AT ".len()..].trim().parse::<u64>() {
@@ -722,53 +728,43 @@ fn handle_request(
                     // snapshot is a version that can no longer change.
                     let now = shared.read_engine().tx();
                     if n > now.0 {
-                        return (
-                            format!(
-                                "ERR proto: SNAPSHOT AT {n} is beyond the applied clock (tx={})",
-                                now.0
-                            ),
-                            false,
-                        );
+                        frame.push_str(&format!(
+                            "ERR proto: SNAPSHOT AT {n} is beyond the applied clock (tx={})",
+                            now.0
+                        ));
+                    } else {
+                        *snapshot = Some(TransactionNumber(n));
+                        frame.push_str(&format!("OK snapshot tx={n}"));
                     }
-                    *snapshot = Some(TransactionNumber(n));
-                    (format!("OK snapshot tx={n}"), false)
                 }
-                Err(_) => (
-                    "ERR proto: SNAPSHOT AT takes a transaction number".to_string(),
-                    false,
-                ),
+                Err(_) => frame.push_str("ERR proto: SNAPSHOT AT takes a transaction number"),
             }
         }
-        other => (
-            format!(
-                "ERR proto: unknown verb {:?} (EXEC, SNAPSHOT [AT n|DURABLE|OFF], PING, STATS, QUIT, SHUTDOWN)",
-                other.split_whitespace().next().unwrap_or("")
-            ),
-            false,
-        ),
+        other => frame.push_str(&format!(
+            "ERR proto: unknown verb {:?} (EXEC, SNAPSHOT [AT n|DURABLE|OFF], PING, STATS, QUIT, SHUTDOWN)",
+            other.split_whitespace().next().unwrap_or("")
+        )),
     }
+    false
 }
 
 /// The per-session pipeline for one command: parse → check → execute,
 /// with reads evaluated under the shared read lock and writes funneled
-/// through the group committer.
-/// What the gated stage of `exec_command` produced: a finished response,
-/// or a pending commit ack to be awaited *after* the admission permit is
-/// released.
-enum ExecOutcome {
-    Ready(String),
-    Pending(mpsc::Receiver<WriteAck>),
-}
-
+/// through the group committer. This is the gated stage: a finished
+/// response is written into `frame` here, and a commit hands back its
+/// pending ack, to be awaited *after* the admission permit is released.
 fn exec_command(
     shared: &Arc<Shared>,
     text: &str,
     snapshot: Option<TransactionNumber>,
-) -> ExecOutcome {
-    use ExecOutcome::Ready;
+    frame: &mut protocol::Frame,
+) -> Option<mpsc::Receiver<WriteAck>> {
     let (cmd, spans) = match parse_command_spanned(text.trim().trim_end_matches(';')) {
         Ok(pair) => pair,
-        Err(e) => return Ready(format!("ERR parse: {e}")),
+        Err(e) => {
+            frame.push_str(&format!("ERR parse: {e}"));
+            return None;
+        }
     };
     // Static check against the shared catalog — diagnostics carry spans
     // into the text the client sent.
@@ -781,47 +777,54 @@ fn exec_command(
             .sessions
             .check_rejected
             .fetch_add(1, Ordering::Relaxed);
-        let mut out = format!("ERR check: {} diagnostic(s)", diags.len());
+        frame.push_str(&format!("ERR check: {} diagnostic(s)", diags.len()));
         for d in &diags {
-            out.push('\n');
-            out.push_str(&d.to_string());
+            frame.push_str("\n");
+            frame.push_str(&d.to_string());
         }
-        return Ready(out);
+        return None;
     }
     if cmd.is_mutation() {
         let (ack_tx, ack_rx) = mpsc::channel();
         let req = WriteReq { cmd, ack: ack_tx };
         match shared.queue.push(req, &shared.commits) {
-            Ok(()) => ExecOutcome::Pending(ack_rx),
+            Ok(()) => return Some(ack_rx),
             Err(true) => {
                 shared
                     .sessions
                     .shed_requests
                     .fetch_add(1, Ordering::Relaxed);
-                Ready("ERR overloaded: commit queue full, retry".to_string())
+                frame.push_str("ERR overloaded: commit queue full, retry");
             }
-            Err(false) => Ready("ERR shutdown: server stopping".to_string()),
+            Err(false) => frame.push_str("ERR shutdown: server stopping"),
         }
-    } else {
-        // Reads: evaluate under the read lock, pinned if the session
-        // holds a snapshot. The lock spans one evaluation only; the
-        // answer is a reference-counted handle, so rendering it (the
-        // larger part of a big reply) happens after the guard is gone
-        // and never keeps the apply thread waiting.
-        shared.sessions.reads.fetch_add(1, Ordering::Relaxed);
-        let Command::Display(expr) = &cmd else {
-            return Ready("ERR exec: unsupported non-mutating command".to_string());
-        };
-        let expr = match snapshot {
-            Some(tx) => pin_expr(expr, tx),
-            None => expr.clone(),
-        };
-        let answer = shared.read_engine().eval(&expr);
-        Ready(match answer {
-            Ok(state) => format!("VAL\n{state}"),
-            Err(e) => format!("ERR exec: {e}"),
-        })
+        return None;
     }
+    // Reads: evaluate under the read lock, pinned if the session holds a
+    // snapshot. The lock spans one evaluation only; the answer is a
+    // reference-counted handle, so rendering it into the session's frame
+    // (the larger part of a big reply) happens after the guard is gone
+    // and never keeps the apply thread waiting.
+    shared.sessions.reads.fetch_add(1, Ordering::Relaxed);
+    let Command::Display(expr) = &cmd else {
+        frame.push_str("ERR exec: unsupported non-mutating command");
+        return None;
+    };
+    let expr = match snapshot {
+        Some(tx) => pin_expr(expr, tx),
+        None => expr.clone(),
+    };
+    let answer = shared.read_engine().eval(&expr);
+    match answer {
+        Ok(state) => {
+            frame.push_str("VAL\n");
+            state
+                .encode(frame)
+                .expect("a frame's buffer accepts every write");
+        }
+        Err(e) => frame.push_str(&format!("ERR exec: {e}")),
+    }
+    None
 }
 
 fn outcome_name(outcome: &CommandOutcome) -> &'static str {

@@ -84,6 +84,97 @@ pub fn random_state(rng: &mut impl Rng, schema: &Schema, cfg: &GenConfig) -> Sna
     .expect("generated tuples are valid")
 }
 
+/// Values, schemes and states drawn to exercise rendering rather than the
+/// algebra: the encoder's reference tests use them, here and, through the
+/// `test-support` feature, in `txtime-historical`.
+#[cfg(any(test, feature = "test-support"))]
+pub mod edge {
+    use crate::domain::DomainType;
+    use crate::rng::{Rng, SliceRandom};
+    use crate::schema::Schema;
+    use crate::state::SnapshotState;
+    use crate::tuple::Tuple;
+    use crate::value::Value;
+
+    /// Characters that `{:?}` escapes, or that sit on the edge of the range it
+    /// prints verbatim, with plain text between: the alphabet of
+    /// [`edge_value`]'s strings. `\u{301}` is a combining accent, escaped only
+    /// at the start of a string.
+    pub const EDGE_CHARS: [&str; 16] = [
+        "a", "Z", " ", "~", "'", "\"", "\\", "\n", "\r", "\t", "\0", "\u{7f}", "\u{1f}", "é",
+        "\u{301}", "ok",
+    ];
+
+    /// Reals whose text takes each branch of [`crate::Real`]'s `Display`.
+    pub const EDGE_REALS: [f64; 10] = [
+        1e15, 0.5, -0.5, 0.0, 3.0, 1e-7, 1.5e300, -2e15, 1e16, 123.25,
+    ];
+
+    /// Zero, ±1, the extremes, and both sides of every power-of-ten boundary.
+    pub fn edge_ints() -> Vec<i64> {
+        let mut v = vec![0, 1, -1, i64::MIN, i64::MAX, i64::MIN + 1, i64::MAX - 1];
+        let mut p: i64 = 1;
+        while let Some(next) = p.checked_mul(10) {
+            p = next;
+            v.extend([p - 1, p, p + 1, -(p - 1), -p, -(p + 1)]);
+        }
+        v
+    }
+
+    /// A value of `domain` drawn to exercise rendering rather than the
+    /// algebra: integers from [`edge_ints`] or the full range, reals from
+    /// [`EDGE_REALS`], both booleans, strings over [`EDGE_CHARS`].
+    pub fn edge_value(rng: &mut impl Rng, domain: DomainType) -> Value {
+        match domain {
+            DomainType::Int if rng.gen() => Value::Int(rng.gen::<u64>() as i64),
+            DomainType::Int => Value::Int(*edge_ints().choose(rng).expect("non-empty")),
+            DomainType::Real => Value::real(*EDGE_REALS.choose(rng).expect("non-empty")),
+            DomainType::Bool => Value::Bool(rng.gen()),
+            DomainType::Str => {
+                let len = rng.gen_range(0..6);
+                Value::str(
+                    (0..len)
+                        .map(|_| *EDGE_CHARS.choose(rng).expect("non-empty"))
+                        .collect::<String>(),
+                )
+            }
+        }
+    }
+
+    /// A scheme of 1–4 attributes over every domain, for rendering tests.
+    pub fn edge_schema(rng: &mut impl Rng) -> Schema {
+        let arity = rng.gen_range(1..=4);
+        Schema::new(
+            (0..arity)
+                .map(|i| {
+                    let d = *DomainType::ALL.choose(rng).expect("non-empty");
+                    (format!("a{i}"), d)
+                })
+                .collect(),
+        )
+        .expect("generated scheme is valid")
+    }
+
+    /// A tuple of [`edge_value`]s for `schema`.
+    pub fn edge_tuple(rng: &mut impl Rng, schema: &Schema) -> Tuple {
+        Tuple::new(
+            schema
+                .attributes()
+                .iter()
+                .map(|a| edge_value(rng, a.domain))
+                .collect(),
+        )
+    }
+
+    /// A state of 0–7 [`edge_tuple`]s over an [`edge_schema`].
+    pub fn edge_state(rng: &mut impl Rng) -> SnapshotState {
+        let schema = edge_schema(rng);
+        let rows = rng.gen_range(0..8);
+        let tuples: Vec<Tuple> = (0..rows).map(|_| edge_tuple(rng, &schema)).collect();
+        SnapshotState::new(schema, tuples).expect("generated tuples are valid")
+    }
+}
+
 /// Generates a random predicate of the given depth, valid for `schema`.
 pub fn random_predicate(
     rng: &mut impl Rng,

@@ -37,6 +37,7 @@
 //! ```
 
 pub mod domain;
+pub mod encode;
 pub mod error;
 pub mod generate;
 pub mod intern;

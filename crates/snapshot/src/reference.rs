@@ -140,6 +140,83 @@ impl RefSnapshot {
     }
 }
 
+/// The text of values, tuples, schemes and states as the `write!`-based
+/// `Display` bodies produced it, before [`crate::encode`] replaced them.
+///
+/// Kept as the encoder's independent oracle: the server's replies are
+/// checked against the core evaluator's rendering, which is the encoder
+/// too, so only this module can catch an encoder that changes the text.
+/// Compiled for tests only: `txtime-historical`'s tests reach it through
+/// the `test-support` feature.
+#[cfg(any(test, feature = "test-support"))]
+pub mod render {
+    use std::fmt::Write;
+
+    use crate::schema::Schema;
+    use crate::state::SnapshotState;
+    use crate::tuple::Tuple;
+    use crate::value::Value;
+
+    const INFALLIBLE: &str = "writing to a String cannot fail";
+
+    /// `{i}`, `{r}`, `{b}` or `{s:?}`.
+    pub fn value(v: &Value) -> String {
+        let mut out = String::new();
+        match v {
+            Value::Int(i) => write!(out, "{i}"),
+            Value::Real(r) => write!(out, "{r}"),
+            Value::Bool(b) => write!(out, "{b}"),
+            Value::Str(s) => write!(out, "{s:?}"),
+        }
+        .expect(INFALLIBLE);
+        out
+    }
+
+    /// `(v1, v2, …)`.
+    pub fn tuple(t: &Tuple) -> String {
+        let mut out = String::new();
+        write!(out, "(").expect(INFALLIBLE);
+        for (i, v) in t.values().iter().enumerate() {
+            if i > 0 {
+                write!(out, ", ").expect(INFALLIBLE);
+            }
+            write!(out, "{}", value(v)).expect(INFALLIBLE);
+        }
+        write!(out, ")").expect(INFALLIBLE);
+        out
+    }
+
+    /// `(a1: d1, a2: d2, …)`.
+    pub fn schema(s: &Schema) -> String {
+        let mut out = String::new();
+        write!(out, "(").expect(INFALLIBLE);
+        for (i, a) in s.attributes().iter().enumerate() {
+            if i > 0 {
+                write!(out, ", ").expect(INFALLIBLE);
+            }
+            write!(out, "{}: {}", a.name, a.domain.keyword()).expect(INFALLIBLE);
+        }
+        write!(out, ")").expect(INFALLIBLE);
+        out
+    }
+
+    /// `schema { t1, t2 }`, with a blank between the braces when empty.
+    pub fn state(s: &SnapshotState) -> String {
+        let mut out = String::new();
+        write!(out, "{} {{", schema(s.schema())).expect(INFALLIBLE);
+        let mut first = true;
+        for t in s.iter() {
+            if !first {
+                write!(out, ",").expect(INFALLIBLE);
+            }
+            write!(out, " {}", tuple(t)).expect(INFALLIBLE);
+            first = false;
+        }
+        write!(out, " }}").expect(INFALLIBLE);
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,7 +29,7 @@ impl Attribute {
 
 impl fmt::Display for Attribute {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.name, self.domain)
+        crate::encode::encode(f, |e| e.attribute(self))
     }
 }
 
@@ -175,14 +175,7 @@ impl Schema {
 
 impl fmt::Display for Schema {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "(")?;
-        for (i, a) in self.attributes.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{a}")?;
-        }
-        write!(f, ")")
+        crate::encode::encode(f, |e| e.schema(self))
     }
 }
 

@@ -335,16 +335,7 @@ fn normalize_run(run: &[Tuple]) -> Cow<'_, [Tuple]> {
 
 impl fmt::Display for SnapshotState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {{", self.schema)?;
-        let mut first = true;
-        for t in self.run.iter() {
-            if !first {
-                write!(f, ",")?;
-            }
-            write!(f, " {t}")?;
-            first = false;
-        }
-        write!(f, " }}")
+        crate::encode::state(f, self)
     }
 }
 

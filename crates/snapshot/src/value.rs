@@ -198,12 +198,7 @@ impl Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Real(r) => write!(f, "{r}"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Str(s) => write!(f, "{s:?}"),
-        }
+        crate::encode::encode(f, |e| e.value(self))
     }
 }
 

@@ -632,6 +632,19 @@ impl Engine {
     /// and distinct relations with past probes resolve on concurrent
     /// pool workers.
     pub fn resolve_many(&self, probes: &[(&str, TxSpec)]) -> Vec<Result<StateValue, EvalError>> {
+        // With no past probe there is no chain to replay: every answer is
+        // a handle clone, so the batch is answered in order, inline,
+        // without grouping it or going through the pool.
+        if probes.iter().all(|(_, spec)| *spec == TxSpec::Current) {
+            let started = std::time::Instant::now();
+            let out = probes
+                .iter()
+                .map(|(ident, _)| self.resolve_current(ident))
+                .collect();
+            self.pool
+                .record_external(OpKind::Resolve, 1, started.elapsed());
+            return out;
+        }
         let mut groups: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
         for (i, (ident, _)) in probes.iter().enumerate() {
             groups.entry(ident).or_default().push(i);
@@ -666,6 +679,26 @@ impl Engine {
         out.into_iter()
             .map(|r| r.expect("every probe resolved"))
             .collect()
+    }
+
+    /// `ρ(ident, ∞)` (or ρ̂, per the relation's type): a handle clone,
+    /// with no replay and no type rule that could fail.
+    fn resolve_current(&self, ident: &str) -> Result<StateValue, EvalError> {
+        match self.catalog.get(ident).map(|rel| &rel.keeper) {
+            None => Err(EvalError::UndefinedRelation(ident.to_string())),
+            Some(Keeper::Single(Some((s, _)))) => Ok(s.clone()),
+            Some(Keeper::Single(None)) => Err(EvalError::EmptyRelation(ident.to_string())),
+            Some(Keeper::History(store)) => Engine::current_of(store.as_ref(), ident),
+        }
+    }
+
+    /// A store's newest state, or the empty state a rollback before its
+    /// first version answers.
+    fn current_of(store: &dyn RollbackStore, ident: &str) -> Result<StateValue, EvalError> {
+        match store.current() {
+            Some(s) => Ok(s),
+            None => Engine::empty_like_first(store, ident),
+        }
     }
 
     /// One relation's slice of a [`Engine::resolve_many`] batch: answers
@@ -707,12 +740,7 @@ impl Engine {
                 for &i in indices {
                     match probes[i].1 {
                         TxSpec::Current => {
-                            // Same fast path as single-probe resolution.
-                            let r = match store.current() {
-                                Some(s) => Ok(s),
-                                None => Engine::empty_like_first(store.as_ref(), ident),
-                            };
-                            results.push((i, r));
+                            results.push((i, Engine::current_of(store.as_ref(), ident)))
                         }
                         TxSpec::At(n) => {
                             at_indices.push(i);

@@ -150,6 +150,32 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A real the parser accepts must come back from the journal: its
+    /// line is printed without an exponent, so it re-parses, and the
+    /// prefix discipline does not drop it and every later commit.
+    #[test]
+    fn a_tiny_real_survives_recovery_with_what_follows() {
+        let path = tmpfile("tiny-real");
+        let expected = {
+            let mut e = Engine::with_wal(BackendKind::ForwardDelta, CheckpointPolicy::Never, &path)
+                .unwrap();
+            for text in [
+                "define_relation(r, rollback)",
+                "modify_state(r, {(x: real): (0.0000001)})",
+                "modify_state(r, rho(r, inf) union {(x: real): (2.5)})",
+            ] {
+                e.execute(&txtime_parser::parse_command(text).unwrap())
+                    .unwrap();
+            }
+            e.eval(&Expr::current("r")).unwrap()
+        };
+        let rec = recover(&path, BackendKind::ForwardDelta, CheckpointPolicy::Never).unwrap();
+        assert!(rec.skipped.is_empty(), "{:?}", rec.skipped);
+        assert_eq!(rec.replayed, 3);
+        assert_eq!(rec.engine.eval(&Expr::current("r")).unwrap(), expected);
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn display_commands_are_not_journaled() {
         let path = tmpfile("display");

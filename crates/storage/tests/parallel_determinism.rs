@@ -273,7 +273,8 @@ proptest! {
     /// `resolve_many` answers each probe exactly as per-probe `eval` of
     /// the matching ρ/ρ̂ would — same states, same errors — on every
     /// backend and thread budget, with batches mixing relations, current
-    /// and past specs, repeats, and an undefined relation.
+    /// and past specs, repeats, and an undefined relation, and with each
+    /// probe alone (a current one takes the inline path).
     #[test]
     fn resolve_many_matches_repeated_eval(
         seed in any::<u64>(),
@@ -300,7 +301,12 @@ proptest! {
             for engine in engines(backend, &cmds, tiny_cache) {
                 let batched = engine.resolve_many(&probes);
                 prop_assert_eq!(batched.len(), probes.len());
-                for ((name, spec), got) in probes.iter().zip(&batched) {
+                let alone: Vec<_> = probes
+                    .iter()
+                    .flat_map(|p| engine.resolve_many(&[*p]))
+                    .collect();
+                let answers = batched.iter().chain(&alone);
+                for ((name, spec), got) in probes.iter().cycle().zip(answers) {
                     let historical = engine
                         .relation_type(name)
                         .is_some_and(|t| t.holds_historical());

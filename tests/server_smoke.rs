@@ -438,3 +438,73 @@ fn readers_never_fail_under_concurrent_writes() {
     handle.shutdown();
     handle.wait();
 }
+
+/// A raw connection to `addr`, for tests that shape the bytes on the wire.
+fn raw_session(
+    addr: std::net::SocketAddr,
+) -> (std::net::TcpStream, std::io::BufReader<std::net::TcpStream>) {
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).ok();
+    let reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
+    (stream, reader)
+}
+
+/// A frame's payload that arrives well after its header (longer than the
+/// session's shutdown poll, shorter than the frame timeout) is waited for,
+/// not dropped.
+#[test]
+fn a_payload_that_lags_its_header_still_gets_a_reply() {
+    use std::io::Write;
+    let engine = Engine::new(BackendKind::FullCopy, CheckpointPolicy::Never);
+    let handle = serve(engine, listener(), ServerConfig::default()).expect("server starts");
+    let (mut stream, mut reader) = raw_session(handle.addr());
+    stream.write_all(b"4 ").unwrap();
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    stream.write_all(b"PING\n").unwrap();
+    let reply = txtime::server::protocol::read_frame(&mut reader).unwrap();
+    assert_eq!(reply.as_deref(), Some("OK pong"));
+    handle.shutdown();
+    handle.wait();
+}
+
+/// Two frames that reach the server in one write get two replies, in the
+/// order they were sent.
+#[test]
+fn two_frames_in_one_write_get_two_replies_in_order() {
+    use std::io::Write;
+    let engine = Engine::new(BackendKind::FullCopy, CheckpointPolicy::Never);
+    let handle = serve(engine, listener(), ServerConfig::default()).expect("server starts");
+    let (mut stream, mut reader) = raw_session(handle.addr());
+    stream.write_all(b"4 PING\n12 SNAPSHOT OFF\n").unwrap();
+    let first = txtime::server::protocol::read_frame(&mut reader).unwrap();
+    let second = txtime::server::protocol::read_frame(&mut reader).unwrap();
+    assert_eq!(first.as_deref(), Some("OK pong"));
+    assert_eq!(second.as_deref(), Some("OK snapshot off"));
+    handle.shutdown();
+    handle.wait();
+}
+
+/// A session reuses one reply buffer: a small reply after a 1 024-row one
+/// is exactly its own text, with nothing left over from the big one.
+#[test]
+fn a_small_reply_after_a_large_one_carries_nothing_over() {
+    let engine = Engine::new(BackendKind::ForwardDelta, CheckpointPolicy::Never);
+    let handle = serve(engine, listener(), ServerConfig::default()).expect("server starts");
+    let mut c = Client::connect(handle.addr()).expect("connect");
+    let rows: Vec<String> = (0..1024).map(|x| format!("({x})")).collect();
+    assert!(c.exec("define_relation(r, rollback);").unwrap().is_ok());
+    let literal = format!("{{(x: int): {}}}", rows.join(", "));
+    assert!(c
+        .exec(&format!("modify_state(r, {literal});"))
+        .unwrap()
+        .is_ok());
+    let big = c.request_raw("EXEC display(rho(r, inf))").unwrap();
+    assert_eq!(big, format!("VAL\n(x: int) {{ {} }}", rows.join(", ")));
+    let small = c
+        .request_raw("EXEC display(select[x = 5](rho(r, inf)))")
+        .unwrap();
+    assert_eq!(small, "VAL\n(x: int) { (5) }");
+    assert_eq!(c.request_raw("PING").unwrap(), "OK pong");
+    handle.shutdown();
+    handle.wait();
+}
