@@ -20,8 +20,8 @@
 //!   display census the view memo uses, issuing the `W020`–`W022` dead
 //!   command warnings.
 //!
-//! **Soundness contract** (checked by differential proptests against all
-//! four storage backends): every warning states a fact that holds in
+//! **Soundness contract** (checked by differential proptests against the
+//! storage engine, view memo on and off): every warning states a fact that holds in
 //! *every* execution. Machine-checkable versions of the expression-level
 //! facts are exported as [`Claim`]s — a provably-∅ claim means the
 //! subexpression evaluates to ∅, an equals-operand claim means the
@@ -1226,25 +1226,41 @@ pub struct LintReport {
 
 /// Checks and lints a whole sentence from the empty database.
 pub fn lint_sentence(sentence: &Sentence, spans: Option<&SentenceSpans>) -> LintReport {
-    let mut linter = Linter::new();
-    let mut diagnostics = Vec::new();
-    for (i, command) in sentence.commands().iter().enumerate() {
-        let cspans = spans.and_then(|s| s.commands.get(i));
-        let (diags, _) = linter.check_and_commit(command, cspans);
-        diagnostics.extend(diags);
-    }
-    let Linter {
-        stats,
-        mut warnings,
-        dead_writes,
-        ..
-    } = linter;
-    warnings.sort_by_key(|w| (w.span.line, w.span.col));
-    LintReport {
-        diagnostics,
-        warnings,
-        stats,
-        dead_writes,
+    Linter::new().lint_sentence(sentence, spans)
+}
+
+impl Linter {
+    /// Checks and lints a whole sentence from the state this linter has
+    /// reached (the empty database for [`Linter::new`]; a state already
+    /// committed to, such as a journal's commands, otherwise). The report
+    /// holds the warnings the sentence's commands surfaced, and command
+    /// indices count every command the linter has seen.
+    pub fn lint_sentence(
+        mut self,
+        sentence: &Sentence,
+        spans: Option<&SentenceSpans>,
+    ) -> LintReport {
+        let before = self.warnings.len();
+        let mut diagnostics = Vec::new();
+        for (i, command) in sentence.commands().iter().enumerate() {
+            let cspans = spans.and_then(|s| s.commands.get(i));
+            let (diags, _) = self.check_and_commit(command, cspans);
+            diagnostics.extend(diags);
+        }
+        let Linter {
+            stats,
+            warnings: mut seen,
+            dead_writes,
+            ..
+        } = self;
+        let mut warnings = seen.split_off(before);
+        warnings.sort_by_key(|w| (w.span.line, w.span.col));
+        LintReport {
+            diagnostics,
+            warnings,
+            stats,
+            dead_writes,
+        }
     }
 }
 

@@ -20,7 +20,7 @@
 //! static interval contains the cardinality every execution produces; an
 //! engine-harvested interval is the cardinality the store produced. The
 //! differential proptests in the workspace root hold the static path to
-//! this contract against both backends.
+//! this contract against the engine.
 
 use std::collections::BTreeMap;
 

@@ -8,7 +8,7 @@ use txtime_snapshot::rng::{Rng, SeedableRng};
 use txtime_bench::{engine_with_chain, version_chain, SEED};
 use txtime_core::{Expr, StateSource, TransactionNumber, TxSpec};
 use txtime_snapshot::{Predicate, Value};
-use txtime_storage::{BackendKind, CheckpointPolicy};
+use txtime_storage::CheckpointPolicy;
 
 /// The audit shape: a small working set of as-of points revisited over
 /// and over. With the cache on, only the first visit replays deltas.
@@ -23,12 +23,11 @@ fn bench_cache(c: &mut Criterion) {
     let probes: Vec<TransactionNumber> = (0..16)
         .map(|_| TransactionNumber(rng.gen_range(2..versions as u64 + 2)))
         .collect();
-    let backend = BackendKind::ForwardDelta;
-    let engine = engine_with_chain(backend, CheckpointPolicy::every_k(64).unwrap(), &chain);
+    let engine = engine_with_chain(CheckpointPolicy::every_k(64).unwrap(), &chain);
     for (label, capacity) in [("uncached", 0usize), ("cached", 128)] {
         engine.set_cache_capacity(capacity);
         group.bench_with_input(
-            BenchmarkId::new(format!("{backend}/{label}"), versions),
+            BenchmarkId::new(format!("forward-delta/{label}"), versions),
             &probes,
             |b, probes| {
                 b.iter(|| {
@@ -61,17 +60,16 @@ fn bench_pushdown(c: &mut Criterion) {
     let mid = TransactionNumber(versions as u64 / 2 + 1);
     // int_range is 10_000, so this keeps ~5% of tuples.
     let pred = Predicate::lt_const("id", Value::Int(500));
-    let backend = BackendKind::ForwardDelta;
-    let engine = engine_with_chain(backend, CheckpointPolicy::every_k(32).unwrap(), &chain);
+    let engine = engine_with_chain(CheckpointPolicy::every_k(32).unwrap(), &chain);
     engine.set_cache_capacity(0); // isolate pushdown from caching
     let pushed = Expr::rollback("r", TxSpec::At(mid)).select(pred.clone());
     group.bench_with_input(
-        BenchmarkId::new(format!("{backend}/pushed"), versions),
+        BenchmarkId::new("forward-delta/pushed", versions),
         &pushed,
         |b, pushed| b.iter(|| engine.eval(pushed).expect("probe answers").len()),
     );
     group.bench_with_input(
-        BenchmarkId::new(format!("{backend}/materialized"), versions),
+        BenchmarkId::new("forward-delta/materialized", versions),
         &pred,
         |b, pred| {
             b.iter(|| {

@@ -6,11 +6,10 @@ use txtime_bench::{engine_with_temporal, historical_chain};
 use txtime_core::{Expr, TransactionNumber, TxSpec};
 use txtime_historical::{TemporalElement, TemporalExpr, TemporalPred};
 use txtime_snapshot::{Predicate, Value};
-use txtime_storage::BackendKind;
 
 fn bench_temporal(c: &mut Criterion) {
     let chain = historical_chain(64, 100);
-    let engine = engine_with_temporal(BackendKind::FullCopy, &chain);
+    let engine = engine_with_temporal(&chain);
     let window = TemporalElement::period(100, 300);
 
     let mut group = c.benchmark_group("e5_temporal_query");

@@ -182,20 +182,26 @@ fn e1_algebraic_laws() {
 }
 
 // --------------------------------------------------------------------
-// E2: rollback cost vs history depth per backend.
+// E2: rollback cost vs history depth per checkpoint interval.
 // --------------------------------------------------------------------
+
+/// The checkpoint intervals E2 and E3 sweep: every version whole (what a
+/// full-copy store would hold), the benchmark's interval, and a longer
+/// one.
+const INTERVALS: [usize; 3] = [1, 16, 32];
+
 fn e2_rollback_cost() {
     println!("E2. Rollback cost (µs/query) vs history depth, |R| = 200, churn = 10%");
     println!(
         "{:<16} {:>8} {:>12} {:>12} {:>12}",
-        "backend", "versions", "old", "mid", "recent"
+        "checkpoint", "versions", "old", "mid", "recent"
     );
     for &versions in &[16usize, 128, 1024] {
         let chain = version_chain(versions, 200, 0.1);
-        for backend in BackendKind::ALL {
-            let engine = engine_with_chain(backend, CheckpointPolicy::every_k(32).unwrap(), &chain);
+        for every in INTERVALS {
+            let engine = engine_with_chain(CheckpointPolicy::every_k(every).unwrap(), &chain);
             engine.set_cache_capacity(0); // raw reconstruction cost; E10 measures caching
-            let mut row = format!("{:<16} {:>8}", backend.to_string(), versions);
+            let mut row = format!("{:<16} {:>8}", format!("every {every}"), versions);
             for (_, tx) in probe_txs(versions) {
                 let us = time_median(
                     || {
@@ -212,29 +218,28 @@ fn e2_rollback_cost() {
             println!("{row}");
         }
     }
-    println!("=> full-copy is depth-insensitive; forward-delta pays per distance to the\n   checkpoint below the target, and answers the newest version as held.\n");
+    println!("=> every 1 is depth-insensitive; longer intervals pay per distance to the\n   checkpoint below the target, and answer the newest version as held.\n");
 }
 
 // --------------------------------------------------------------------
-// E3: space vs number of versions per backend.
+// E3: space vs number of versions per checkpoint interval.
 // --------------------------------------------------------------------
 fn e3_space() {
     println!("E3. Storage space vs versions, |R| = 200");
     println!(
         "{:<16} {:>8} {:>7} {:>14} {:>12}",
-        "backend", "versions", "churn", "bytes", "B/version"
+        "checkpoint", "versions", "churn", "bytes", "B/version"
     );
     for &versions in &[16usize, 128, 512] {
         for &churn in &[0.02f64, 0.2, 0.5] {
             let chain = version_chain(versions, 200, churn);
-            for backend in BackendKind::ALL {
-                let engine =
-                    engine_with_chain(backend, CheckpointPolicy::every_k(32).unwrap(), &chain);
+            for every in INTERVALS {
+                let engine = engine_with_chain(CheckpointPolicy::every_k(every).unwrap(), &chain);
                 let report = engine.space_report();
                 let bytes = report.total_bytes();
                 println!(
                     "{:<16} {:>8} {:>6.0}% {:>14} {:>12.1}",
-                    backend.to_string(),
+                    format!("every {every}"),
                     versions,
                     churn * 100.0,
                     bytes,
@@ -243,7 +248,7 @@ fn e3_space() {
             }
         }
     }
-    println!("=> delta space scales with churn, full-copy with state size.\n");
+    println!("=> with checkpoints apart, space scales with churn; every 1 with state size.\n");
 }
 
 // --------------------------------------------------------------------
@@ -253,16 +258,19 @@ fn e4_modify_state_throughput() {
     println!("E4. modify_state throughput (commands/s), |R| = 500, 200 commands");
     println!(
         "{:<16} {:>10} {:>10} {:>10} {:>10} {:>10}",
-        "backend", "append", "delete", "replace", "mixed", "literal"
+        "checkpoint", "append", "delete", "replace", "mixed", "literal"
     );
     let base = version_chain(1, 500, 0.0).pop().expect("one state");
-    for backend in BackendKind::ALL {
-        let mut row = format!("{:<16}", backend.to_string());
+    {
+        let mut row = format!("{:<16}", "every 32");
         // The first four say which rows change and are installed as a
         // delta; `literal` installs the append's result as a constant,
         // the path any other right-hand side takes.
         for mix in ["append", "delete", "replace", "mixed", "literal"] {
-            let mut engine = Engine::new(backend, CheckpointPolicy::every_k(32).unwrap());
+            let mut engine = Engine::new(
+                BackendKind::ForwardDelta,
+                CheckpointPolicy::every_k(32).unwrap(),
+            );
             engine
                 .execute(&Command::define_relation("r", RelationType::Rollback))
                 .unwrap();
@@ -316,7 +324,7 @@ fn e5_temporal_queries() {
     use txtime_historical::{TemporalElement, TemporalExpr, TemporalPred};
     println!("E5. Temporal queries on a temporal relation (64 versions × |R| = 100)");
     let chain = historical_chain(64, 100);
-    let engine = engine_with_temporal(BackendKind::FullCopy, &chain);
+    let engine = engine_with_temporal(&chain);
     let window = TemporalElement::period(100, 300);
 
     let queries: Vec<(&str, Expr)> = vec![
@@ -644,18 +652,18 @@ fn e9_findstate() {
 // E10: materialization cache + operator pushdown.
 // --------------------------------------------------------------------
 
-/// Cache headline row for one delta backend: a 16-probe working set of
+/// Cache headline row: a 16-probe working set of
 /// as-of points over a 256-version chain, revisited repeatedly (the
 /// audit shape). Returns (uncached µs/sweep, cached µs/sweep, hit rate,
 /// deltas replayed per miss).
-fn measure_cache(backend: BackendKind) -> (f64, f64, f64, f64) {
+fn measure_cache() -> (f64, f64, f64, f64) {
     let versions = 256usize;
     let chain = version_chain(versions, 200, 0.1);
     let mut rng = StdRng::seed_from_u64(SEED);
     let probes: Vec<TransactionNumber> = (0..16)
         .map(|_| TransactionNumber(rng.gen_range(2..versions as u64 + 2)))
         .collect();
-    let engine = engine_with_chain(backend, CheckpointPolicy::every_k(64).unwrap(), &chain);
+    let engine = engine_with_chain(CheckpointPolicy::every_k(64).unwrap(), &chain);
     let sweep = |engine: &Engine| {
         probes
             .iter()
@@ -677,17 +685,17 @@ fn measure_cache(backend: BackendKind) -> (f64, f64, f64, f64) {
     (uncached, cached, stats.hit_rate(), stats.replay_per_miss())
 }
 
-/// Pushdown headline row for one backend: σ_F(ρ(r, mid)) evaluated
+/// Pushdown headline row: σ_F(ρ(r, mid)) evaluated
 /// through the engine (the store filters while reconstructing) vs
 /// resolving the full version and filtering afterwards. Returns
 /// (materialized µs, pushed µs).
-fn measure_pushdown(backend: BackendKind) -> (f64, f64) {
+fn measure_pushdown() -> (f64, f64) {
     let versions = 128usize;
     let chain = version_chain(versions, 400, 0.1);
     let mid = TransactionNumber(versions as u64 / 2 + 1);
     // int_range is 10_000, so this keeps ~5% of tuples.
     let pred = Predicate::lt_const("id", Value::Int(500));
-    let engine = engine_with_chain(backend, CheckpointPolicy::every_k(32).unwrap(), &chain);
+    let engine = engine_with_chain(CheckpointPolicy::every_k(32).unwrap(), &chain);
     engine.set_cache_capacity(0); // isolate pushdown from caching
     let materialized = time_median(
         || {
@@ -710,12 +718,12 @@ fn measure_pushdown(backend: BackendKind) -> (f64, f64) {
     (materialized, pushed)
 }
 
-/// The `e10_pushdown_sigma_over_rho` entry of BENCH_2/BENCH_3 for
-/// `backend`.
-fn pushdown_json(backend: BackendKind) -> String {
-    let (materialized, pushed) = measure_pushdown(backend);
+/// The `e10_pushdown_sigma_over_rho` entry of BENCH_2/BENCH_3, under the
+/// `forward-delta` key the dashboards read.
+fn pushdown_json() -> String {
+    let (materialized, pushed) = measure_pushdown();
     format!(
-        "\"{backend}\": {{\"materialized_us\": {materialized:.1}, \"pushed_us\": {pushed:.1}, \
+        "\"forward-delta\": {{\"materialized_us\": {materialized:.1}, \"pushed_us\": {pushed:.1}, \
          \"speedup\": {:.1}}}",
         materialized / pushed.max(1e-9)
     )
@@ -727,13 +735,12 @@ fn e10_cache_pushdown() {
     println!("      |R| = 200, churn = 10%, checkpoint every 64 (µs/sweep)");
     println!(
         "{:<16} {:>12} {:>12} {:>9} {:>9} {:>12}",
-        "backend", "uncached", "cached", "speedup", "hit rate", "replay/miss"
+        "checkpoint", "uncached", "cached", "speedup", "hit rate", "replay/miss"
     );
-    let backend = BackendKind::ForwardDelta;
-    let (uncached, cached, hit_rate, replay_per_miss) = measure_cache(backend);
+    let (uncached, cached, hit_rate, replay_per_miss) = measure_cache();
     println!(
         "{:<16} {:>12.1} {:>12.1} {:>8.1}x {:>8.1}% {:>12.1}",
-        backend.to_string(),
+        "every 64",
         uncached,
         cached,
         uncached / cached.max(1e-9),
@@ -744,12 +751,12 @@ fn e10_cache_pushdown() {
     println!("      |R| = 400, 128 versions, ~5% selectivity (µs/query)");
     println!(
         "{:<16} {:>14} {:>12} {:>9}",
-        "backend", "materialized", "pushed", "speedup"
+        "checkpoint", "materialized", "pushed", "speedup"
     );
-    let (materialized, pushed) = measure_pushdown(backend);
+    let (materialized, pushed) = measure_pushdown();
     println!(
         "{:<16} {:>14.1} {:>12.1} {:>8.1}x",
-        backend.to_string(),
+        "every 32",
         materialized,
         pushed,
         materialized / pushed.max(1e-9)
@@ -763,12 +770,13 @@ fn e10_cache_pushdown() {
 fn bench2() {
     println!("bench2. Writing BENCH_2.json (e2 / e9 / e10 headline numbers)");
 
-    // E2 headline: rollback µs/query at 1024 versions per backend.
+    // E2 headline: rollback µs/query at 1024 versions per checkpoint
+    // interval.
     let versions = 1024usize;
     let chain = version_chain(versions, 200, 0.1);
     let mut e2 = String::new();
-    for (i, backend) in BackendKind::ALL.into_iter().enumerate() {
-        let engine = engine_with_chain(backend, CheckpointPolicy::every_k(32).unwrap(), &chain);
+    for (i, every) in INTERVALS.into_iter().enumerate() {
+        let engine = engine_with_chain(CheckpointPolicy::every_k(every).unwrap(), &chain);
         engine.set_cache_capacity(0); // raw reconstruction cost; E10 measures caching
         let mut probes = String::new();
         for (j, (label, tx)) in probe_txs(versions).into_iter().enumerate() {
@@ -790,21 +798,20 @@ fn bench2() {
         if i > 0 {
             e2.push_str(", ");
         }
-        e2.push_str(&format!("\"{backend}\": {{{probes}}}"));
+        e2.push_str(&format!("\"every {every}\": {{{probes}}}"));
     }
 
     let (interp, binary, linear) = measure_findstate(4096);
 
-    let backend = BackendKind::ForwardDelta;
-    let (uncached, cached, hit_rate, replay_per_miss) = measure_cache(backend);
+    let (uncached, cached, hit_rate, replay_per_miss) = measure_cache();
     let e10_cache = format!(
-        "\"{backend}\": {{\"uncached_us\": {uncached:.1}, \"cached_us\": {cached:.1}, \
+        "\"forward-delta\": {{\"uncached_us\": {uncached:.1}, \"cached_us\": {cached:.1}, \
          \"speedup\": {:.1}, \"hit_rate\": {hit_rate:.3}, \
          \"replayed_per_miss\": {replay_per_miss:.1}}}",
         uncached / cached.max(1e-9)
     );
 
-    let e10_pushdown = pushdown_json(backend);
+    let e10_pushdown = pushdown_json();
 
     let json = format!(
         "{{\n  \"seed\": \"{SEED:#x}\",\n  \
@@ -829,12 +836,8 @@ fn e11_recovery() {
     let _ = std::fs::remove_file(&path);
 
     let chain = version_chain(256, 100, 0.1);
-    let mut live = Engine::with_wal(
-        BackendKind::ForwardDelta,
-        CheckpointPolicy::every_k(16).unwrap(),
-        &path,
-    )
-    .expect("wal engine");
+    let mut live =
+        Engine::with_wal(CheckpointPolicy::every_k(16).unwrap(), &path).expect("wal engine");
     live.execute(&Command::define_relation("r", RelationType::Rollback))
         .unwrap();
     let t = Instant::now();
@@ -880,18 +883,19 @@ fn e11_recovery() {
         }
     );
 
-    // And the cross-backend differential summary, for the record.
+    // And the differential summary per checkpoint interval, for the
+    // record.
     let mut cmds = vec![Command::define_relation("r", RelationType::Rollback)];
     for s in version_chain(32, 50, 0.2) {
         cmds.push(Command::modify_state("r", Expr::snapshot_const(s)));
     }
     let mut all_ok = true;
-    for backend in BackendKind::ALL {
-        let ok = check_equivalence(&cmds, backend, CheckpointPolicy::every_k(8).unwrap()).is_ok();
+    for every in [1, 8] {
+        let ok = check_equivalence(&cmds, CheckpointPolicy::every_k(every).unwrap()).is_ok();
         all_ok &= ok;
         println!(
-            "backend {:<16} ≡ reference semantics: {}",
-            backend.to_string(),
+            "checkpoint {:<13} ≡ reference semantics: {}",
+            format!("every {every}"),
             if ok { "✓" } else { "✗" }
         );
     }
@@ -915,14 +919,14 @@ fn e12_archival() {
     let chain = version_chain(256, 200, 0.1);
     println!(
         "{:<16} {:>14} {:>14} {:>10} {:>10}",
-        "backend", "before B", "after B", "reclaim", "archived"
+        "checkpoint", "before B", "after B", "reclaim", "archived"
     );
     let dir = std::env::temp_dir().join("txtime-experiments");
     std::fs::create_dir_all(&dir).expect("tmp dir");
-    for backend in BackendKind::ALL {
-        let mut engine = engine_with_chain(backend, CheckpointPolicy::every_k(32).unwrap(), &chain);
+    for every in [1, 32] {
+        let mut engine = engine_with_chain(CheckpointPolicy::every_k(every).unwrap(), &chain);
         let before = engine.space_report().total_bytes();
-        let path = dir.join(format!("e12-{}-{backend}.txq", std::process::id()));
+        let path = dir.join(format!("e12-{}-every-{every}.txq", std::process::id()));
         let _ = std::fs::remove_file(&path);
         // Archive everything older than the version at mid-history.
         let cutoff = TransactionNumber(129);
@@ -932,7 +936,7 @@ fn e12_archival() {
         let after = engine.space_report().total_bytes();
         println!(
             "{:<16} {:>14} {:>14} {:>9.0}% {:>10}",
-            backend.to_string(),
+            format!("every {every}"),
             before,
             after,
             100.0 * (before - after) as f64 / before as f64,
@@ -1021,15 +1025,15 @@ fn measure_kernel(engine: &mut Engine, q: &Expr) -> [f64; 4] {
     out
 }
 
-/// Batched rollback for one delta backend: `resolve_many` over a 16-probe
+/// Batched rollback: `resolve_many` over a 16-probe
 /// set against per-probe `eval` of the matching ρ. No checkpoints and no
 /// cache, so per-probe resolution replays each probe's full chain while
 /// the batch replays the shared chain once. Returns
 /// (per-probe µs/set, batched µs/set).
-fn measure_resolve_batching(backend: BackendKind) -> (f64, f64) {
+fn measure_resolve_batching() -> (f64, f64) {
     let versions = 256usize;
     let chain = version_chain(versions, 200, 0.1);
-    let mut engine = engine_with_chain(backend, CheckpointPolicy::Never, &chain);
+    let mut engine = engine_with_chain(CheckpointPolicy::Never, &chain);
     // Both paths share one 4-thread pool: the measured gap is pure
     // batching (one shared-chain replay per batch), not thread count.
     engine.set_threads(4);
@@ -1207,7 +1211,7 @@ fn e13_parallel() {
         "workload", "1T", "2T", "4T", "8T", "1T/4T"
     );
     let mut engine = Engine::new(
-        BackendKind::FullCopy,
+        BackendKind::ForwardDelta,
         CheckpointPolicy::every_k(16).unwrap(),
     );
     for (label, _, q) in &e13_kernels() {
@@ -1226,13 +1230,12 @@ fn e13_parallel() {
     println!("      256 versions, |R| = 200, no checkpoints, cache off (µs/set)");
     println!(
         "{:<16} {:>12} {:>12} {:>9}",
-        "backend", "per-probe", "batched", "speedup"
+        "checkpoint", "per-probe", "batched", "speedup"
     );
-    let backend = BackendKind::ForwardDelta;
-    let (per_probe, batched) = measure_resolve_batching(backend);
+    let (per_probe, batched) = measure_resolve_batching();
     println!(
         "{:<16} {:>12.1} {:>12.1} {:>8.1}x",
-        backend.to_string(),
+        "never",
         per_probe,
         batched,
         per_probe / batched.max(1e-9)
@@ -1252,7 +1255,7 @@ fn bench3() {
 
     let mut kernels = String::new();
     let mut engine = Engine::new(
-        BackendKind::FullCopy,
+        BackendKind::ForwardDelta,
         CheckpointPolicy::every_k(16).unwrap(),
     );
     for (i, (_, key, q)) in e13_kernels().iter().enumerate() {
@@ -1274,14 +1277,13 @@ fn bench3() {
         ));
     }
 
-    let backend = BackendKind::ForwardDelta;
-    let (per_probe, batched) = measure_resolve_batching(backend);
+    let (per_probe, batched) = measure_resolve_batching();
     let batching = format!(
-        "\"{backend}\": {{\"per_probe_us\": {per_probe:.1}, \"batched_us\": {batched:.1}, \
+        "\"forward-delta\": {{\"per_probe_us\": {per_probe:.1}, \"batched_us\": {batched:.1}, \
          \"speedup\": {:.1}}}",
         per_probe / batched.max(1e-9)
     );
-    let e10_pushdown = pushdown_json(backend);
+    let e10_pushdown = pushdown_json();
 
     let json = format!(
         "{{\n  \"seed\": \"{SEED:#x}\",\n  \
@@ -1468,7 +1470,7 @@ fn e15_query() -> Expr {
 /// engine under test (memo on, registering on first evaluation) and the
 /// from-scratch oracle (memo disabled). Returns them with the current
 /// r1 state so callers can mutate it further.
-fn e15_setup(backend: BackendKind) -> (Engine, Engine, SnapshotState) {
+fn e15_setup() -> (Engine, Engine, SnapshotState) {
     let mut rng = StdRng::seed_from_u64(SEED);
     let schema = bench_schema();
     let cfg = bench_gen_config(10_000);
@@ -1480,9 +1482,15 @@ fn e15_setup(backend: BackendKind) -> (Engine, Engine, SnapshotState) {
         Command::modify_state("r1", Expr::snapshot_const(r1.clone())),
         Command::modify_state("r2", Expr::snapshot_const(r2)),
     ];
-    let mut memo = Engine::new(backend, CheckpointPolicy::every_k(16).unwrap());
+    let mut memo = Engine::new(
+        BackendKind::ForwardDelta,
+        CheckpointPolicy::every_k(16).unwrap(),
+    );
     memo.set_memo_register_after(1);
-    let mut plain = Engine::new(backend, CheckpointPolicy::every_k(16).unwrap());
+    let mut plain = Engine::new(
+        BackendKind::ForwardDelta,
+        CheckpointPolicy::every_k(16).unwrap(),
+    );
     plain.set_memo_capacity(0);
     for c in &cmds {
         memo.execute(c).expect("e15 setup");
@@ -1498,9 +1506,9 @@ fn e15_setup(backend: BackendKind) -> (Engine, Engine, SnapshotState) {
 /// apples-to-apples latency comparison the memo must stay within 2× of.
 /// Returns (cold µs, memo-hit µs, probe memo-hit µs, probe cache-hit µs).
 fn measure_e15_repeated() -> (f64, f64, f64, f64) {
-    // Forward-delta: the backend where both the PR-2 cache and the memo
-    // answer probes that would otherwise replay a delta chain.
-    let (memo, plain, r1) = e15_setup(BackendKind::ForwardDelta);
+    // Both the PR-2 cache and the memo answer probes that would
+    // otherwise replay a delta chain.
+    let (memo, plain, r1) = e15_setup();
     let mut memo = memo;
     let mut plain = plain;
     // Grow a few more versions of r1 so the as-of probe below replays
@@ -1536,15 +1544,16 @@ fn measure_e15_repeated() -> (f64, f64, f64, f64) {
 /// One delta-sweep row: mutate `churn` of r1, then re-evaluate the
 /// registered query on both engines. Returns (median changed tuples per
 /// modification, scratch re-eval µs, memo re-eval µs, scratch modify µs,
-/// memo modify µs) — the memo's modify time is one log entry (on this
-/// backend two state handles, diffed on demand); its re-eval time is
-/// the diff plus the repair of the one root that is read.
+/// memo modify µs) — the memo's modify time is the store's append plus
+/// one log entry (a copy of the delta the store diffed for its chain);
+/// its re-eval time is the repair of the one root that is read.
 fn measure_e15_delta(churn: f64) -> (u64, f64, f64, f64, f64) {
     const REPS: usize = 9;
-    // Full-copy: current-state resolution is a plain clone on both
-    // engines, so the from-scratch side pays only operator work — the
-    // conservative comparison for the propagation speedup.
-    let (mut memo, mut plain, mut r1) = e15_setup(BackendKind::FullCopy);
+    // Current-state resolution is a handle clone on both engines (the
+    // store holds the newest version whole), so the from-scratch side
+    // pays only operator work — the conservative comparison for the
+    // propagation speedup.
+    let (mut memo, mut plain, mut r1) = e15_setup();
     let q = e15_query();
     memo.eval(&q).expect("e15 register");
     memo.eval(&q).expect("e15 warm");
@@ -1610,7 +1619,7 @@ const E15_SWEEP: [(&str, f64); 3] = [("~1", 0.0001), ("~16", 0.0016), ("~256", 0
 fn e15_incremental() {
     println!("E15. Incremental re-evaluation: hash-consed view memo + delta propagation");
     println!("\nE15a. Repeated query σ(ρ(r1,∞)) ∪ (ρ(r2,∞) − ρ(r1,∞)), |r1|=|r2|=10k,");
-    println!("      forward-delta backend (µs/eval)");
+    println!("      checkpoint every 16 (µs/eval)");
     let (cold, hit, probe_memo, probe_cache) = measure_e15_repeated();
     println!("{:<28} {:>12.1}", "cold (memo off)", cold);
     println!(
@@ -1626,8 +1635,8 @@ fn e15_incremental() {
         probe_cache,
         probe_memo / probe_cache.max(1e-9)
     );
-    println!("\nE15b. Re-evaluation after modify_state(r1), full-copy backend (µs);");
-    println!("      memo modify logs the commit; memo eval diffs it and repairs the root read");
+    println!("\nE15b. Re-evaluation after modify_state(r1), checkpoint every 16 (µs);");
+    println!("      memo modify logs the store's delta; memo eval repairs the root read");
     println!(
         "{:<8} {:>9} {:>13} {:>11} {:>9} {:>13} {:>11}",
         "delta", "changes", "scratch-eval", "memo-eval", "speedup", "scratch-mod", "memo-mod"
@@ -1663,9 +1672,10 @@ fn bench5() {
             small_delta_speedup = speedup;
         }
         // Write amplification guard: logging the commit is the only
-        // contact between modify_state and the memo and is O(1) (this
-        // backend computes no delta on append, so the log takes two
-        // state handles and the diff waits for a reader), so a write
+        // contact between modify_state and the memo. Both sides pay the
+        // store's diff of a whole-state right-hand side for its chain;
+        // the memo side then logs a copy of that delta (`last_delta`),
+        // the cost of the changes, never of the relation. So a write
         // with registered readers must stay within an order of
         // magnitude of the memo-disabled write. (Before the lazy queue,
         // propagation ran inline and this ratio was ~2000x.)
@@ -1703,12 +1713,13 @@ fn bench5() {
 // E16: LSM-style compaction of a forward-delta chain.
 // --------------------------------------------------------------------
 
-/// The forward-delta worst case at 1024 versions with no checkpoints —
+/// The delta chain's worst case at 1024 versions with no checkpoints —
 /// the version just below the newest, 1022 links above the pinned first
 /// version — before compaction, after `Engine::compact` with a
-/// checkpoint at every slot, and on the depth-insensitive full-copy
-/// baseline. Returns (links the uncompacted probe composes, uncompacted
-/// µs, compacted µs, full-copy µs, compact-pass µs, deltas folded by the
+/// checkpoint at every slot, and on the depth-insensitive floor: a store
+/// that checkpoints every version (`every_k(1)`, what a full-copy store
+/// holds). Returns (links the uncompacted probe composes, uncompacted
+/// µs, compacted µs, floor µs, compact-pass µs, deltas folded by the
 /// pass).
 fn measure_compaction() -> (u64, f64, f64, f64, f64, u64) {
     let versions = 1024usize;
@@ -1755,14 +1766,14 @@ fn measure_compaction() -> (u64, f64, f64, f64, f64, u64) {
     let compact_us = t.elapsed().as_secs_f64() * 1e6;
     let compacted = probe(&engine);
 
-    let full = engine_with_chain(BackendKind::FullCopy, CheckpointPolicy::Never, &chain);
-    full.set_cache_capacity(0);
-    let full_copy = probe(&full);
+    let whole = engine_with_chain(CheckpointPolicy::every_k(1).unwrap(), &chain);
+    whole.set_cache_capacity(0);
+    let floor = probe(&whole);
     (
         links,
         uncompacted,
         compacted,
-        full_copy,
+        floor,
         compact_us,
         stats.deltas_folded,
     )
@@ -1773,20 +1784,20 @@ fn e16_compaction() {
     println!(
         "\nE16b. Forward-delta next-to-newest probe, 1024 versions, no checkpoints (µs/query)"
     );
-    let (links, uncompacted, compacted, full_copy, compact_us, folded) = measure_compaction();
+    let (links, uncompacted, compacted, floor, compact_us, folded) = measure_compaction();
     println!(
         "{:<28} {:>12.1}",
         format!("uncompacted ({links} links)"),
         uncompacted
     );
     println!(
-        "{:<28} {:>12.1} {:>8.1}x vs uncompacted, {:.2}x full-copy",
+        "{:<28} {:>12.1} {:>8.1}x vs uncompacted, {:.2}x every-1 floor",
         "after compact(every=1)",
         compacted,
         uncompacted / compacted.max(1e-9),
-        compacted / full_copy.max(1e-9)
+        compacted / floor.max(1e-9)
     );
-    println!("{:<28} {:>12.1}", "full-copy baseline", full_copy);
+    println!("{:<28} {:>12.1}", "checkpoint every 1", floor);
     println!(
         "{:<28} {:>12.1} ({folded} deltas folded)",
         "compaction pass", compact_us
@@ -1802,22 +1813,24 @@ fn bench7() {
     let avail = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let (links, uncompacted, compacted, full_copy, compact_us, folded) = measure_compaction();
-    let compacted_vs_full_copy = compacted / full_copy.max(1e-9);
+    let (links, uncompacted, compacted, floor, compact_us, folded) = measure_compaction();
+    // The key keeps its historical name: the floor is now a store that
+    // checkpoints every version, which holds what full-copy held.
+    let compacted_vs_floor = compacted / floor.max(1e-9);
     assert!(
-        compacted_vs_full_copy <= 10.0,
-        "compacted worst probe must land within 10x of full-copy, got {compacted_vs_full_copy:.2}x \
-         ({compacted:.1}us vs {full_copy:.1}us)"
+        compacted_vs_floor <= 10.0,
+        "compacted worst probe must land within 10x of the every-1 floor, got \
+         {compacted_vs_floor:.2}x ({compacted:.1}us vs {floor:.1}us)"
     );
 
     let json = format!(
         "{{\n  \"e16_compaction_fwd_delta_1024_versions\": {{\"uncompacted_links\": {links}, \
          \"uncompacted_worst_us\": {uncompacted:.1}, \
-         \"compacted_worst_us\": {compacted:.1}, \"full_copy_worst_us\": {full_copy:.1}, \
-         \"compacted_vs_full_copy\": {compacted_vs_full_copy:.2}, \
+         \"compacted_worst_us\": {compacted:.1}, \"full_copy_worst_us\": {floor:.1}, \
+         \"compacted_vs_full_copy\": {compacted_vs_floor:.2}, \
          \"compact_pass_us\": {compact_us:.1}, \"deltas_folded\": {folded}, \
          \"host_cores\": {avail}}},\n  \
-         \"headline\": {{\"compacted_vs_full_copy\": {compacted_vs_full_copy:.2}}}\n}}\n"
+         \"headline\": {{\"compacted_vs_full_copy\": {compacted_vs_floor:.2}}}\n}}\n"
     );
     std::fs::write("BENCH_7.json", &json).expect("write BENCH_7.json");
     println!("{json}");
@@ -1836,7 +1849,7 @@ type RelationSpec = (&'static str, &'static [(&'static str, DomainType)], usize)
 fn e17_engine(level: u8) -> Engine {
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x17);
     let mut engine = Engine::new(
-        BackendKind::FullCopy,
+        BackendKind::ForwardDelta,
         CheckpointPolicy::every_k(16).unwrap(),
     );
     engine.set_optimize(level);
@@ -1983,7 +1996,7 @@ const E18_DEPT: usize = 500;
 fn e18_engine(level: u8) -> Engine {
     let mut rng = StdRng::seed_from_u64(SEED ^ 0x18);
     let mut engine = Engine::new(
-        BackendKind::FullCopy,
+        BackendKind::ForwardDelta,
         CheckpointPolicy::every_k(16).unwrap(),
     );
     engine.set_optimize(level);

@@ -366,7 +366,7 @@ impl Expr {
     /// *and* error — is identical to the sequential evaluation: chunk
     /// merges preserve the canonical state order. A one-thread pool runs
     /// everything inline. The parallel-determinism property tests in
-    /// `txtime-storage` pin this equivalence on every backend.
+    /// `txtime-storage` pin this equivalence.
     pub fn eval_with_pool<S: StateSource>(
         &self,
         db: &S,

@@ -5,8 +5,8 @@
 //! equal strings share one allocation, in which case the pointer fast path
 //! in [`crate::Value`]'s `Ord` settles the comparison without a byte scan.
 //!
-//! A [`StrInterner`] is a deduplicating pool of `Arc<str>`. Storage
-//! backends keep one pool per relation and route every incoming state
+//! A [`StrInterner`] is a deduplicating pool of `Arc<str>`. The storage
+//! layer keeps one pool per relation and route every incoming state
 //! through [`StrInterner::intern_tuple`], so rollback replay never
 //! re-hashes a string it has already seen.
 

@@ -125,7 +125,7 @@ impl RefSnapshot {
     }
 
     /// Delta replay via per-element `remove`/`insert` — the original
-    /// storage-backend kernel (removals first, then insertions).
+    /// storage kernel (removals first, then insertions).
     pub fn apply_delta(&mut self, removed: &[Tuple], added: &[Tuple]) -> Result<()> {
         for t in added {
             t.check(&self.schema)?;

@@ -211,7 +211,7 @@ impl SnapshotState {
     /// Applies a batch of removals and insertions as an in-place merge of
     /// sorted runs.
     ///
-    /// This is the replay kernel of the delta-based storage backends. A
+    /// This is the replay kernel of the delta-chain store. A
     /// replay loop threads one working state through every delta in the
     /// chain; because the run is copy-on-write, the first application
     /// copies the shared run once and every later application edits it in

@@ -101,8 +101,8 @@ mod tests {
         SnapshotState::from_rows(schema, vals.iter().map(|&v| vec![Value::Int(v)])).unwrap()
     }
 
-    fn engine(backend: BackendKind) -> Engine {
-        let mut e = Engine::new(backend, CheckpointPolicy::every_k(2).unwrap());
+    fn engine(policy: CheckpointPolicy) -> Engine {
+        let mut e = Engine::new(BackendKind::ForwardDelta, policy);
         e.execute(&Command::define_relation("r", RelationType::Rollback))
             .unwrap();
         for v in 1..=6i64 {
@@ -116,17 +116,18 @@ mod tests {
     }
 
     #[test]
-    fn archive_preserves_cutoff_and_later_on_all_backends() {
-        for backend in BackendKind::ALL {
-            let mut e = engine(backend);
+    fn archive_preserves_cutoff_and_later_under_every_policy() {
+        let policies = [1, 2].map(|k| CheckpointPolicy::every_k(k).unwrap());
+        for policy in [CheckpointPolicy::Never, policies[0], policies[1]] {
+            let mut e = engine(policy);
             let report = e.archive_before("r", TransactionNumber(5), None).unwrap();
-            assert_eq!(report.archived, 3, "{backend}"); // tx 2, 3, 4
+            assert_eq!(report.archived, 3, "{policy:?}"); // tx 2, 3, 4
 
             // The floor version (tx 5) and everything later still answer.
             for tx in 5..=7 {
                 let s = e
                     .resolve_rollback("r", TxSpec::At(TransactionNumber(tx)), false)
-                    .unwrap_or_else(|err| panic!("{backend} at tx {tx}: {err}"));
+                    .unwrap_or_else(|err| panic!("{policy:?} at tx {tx}: {err}"));
                 assert_eq!(s.into_snapshot().unwrap(), snap(&[tx as i64 - 1]));
             }
             // Strictly older targets now miss.
@@ -135,7 +136,7 @@ mod tests {
                 if let Ok(s) = r {
                     assert!(
                         s.is_empty(),
-                        "{backend} at tx {tx} returned data after archival"
+                        "{policy:?} at tx {tx} returned data after archival"
                     )
                 }
             }
@@ -146,7 +147,7 @@ mod tests {
     #[test]
     fn interpolated_cutoff_keeps_floor_version() {
         // Cutoff between commits: the floor version must survive.
-        let mut e = engine(BackendKind::FullCopy);
+        let mut e = engine(CheckpointPolicy::every_k(1).unwrap());
         // No commit at tx 10; floor of 10 is tx 7 (the last version).
         let report = e.archive_before("r", TransactionNumber(10), None).unwrap();
         assert_eq!(report.archived, 5);
@@ -167,7 +168,7 @@ mod tests {
         let path = dir.join(format!("arch-{}.txq", std::process::id()));
         let _ = std::fs::remove_file(&path);
 
-        let mut e = engine(BackendKind::ForwardDelta);
+        let mut e = engine(CheckpointPolicy::every_k(2).unwrap());
         let report = e
             .archive_before("r", TransactionNumber(5), Some(&path))
             .unwrap();
@@ -190,7 +191,7 @@ mod tests {
 
     #[test]
     fn archive_before_first_version_is_a_noop() {
-        let mut e = engine(BackendKind::ForwardDelta);
+        let mut e = engine(CheckpointPolicy::every_k(2).unwrap());
         let report = e.archive_before("r", TransactionNumber(1), None).unwrap();
         assert_eq!(report.archived, 0);
         assert_eq!(e.version_count("r"), Some(6));
@@ -198,7 +199,7 @@ mod tests {
 
     #[test]
     fn archive_on_snapshot_relation_is_a_noop() {
-        let mut e = Engine::new(BackendKind::FullCopy, CheckpointPolicy::Never);
+        let mut e = Engine::new(BackendKind::ForwardDelta, CheckpointPolicy::Never);
         e.execute(&Command::define_relation("s", RelationType::Snapshot))
             .unwrap();
         e.execute(&Command::modify_state(
@@ -213,7 +214,7 @@ mod tests {
 
     #[test]
     fn archive_unknown_relation_errors() {
-        let mut e = Engine::new(BackendKind::FullCopy, CheckpointPolicy::Never);
+        let mut e = Engine::new(BackendKind::ForwardDelta, CheckpointPolicy::Never);
         assert!(e
             .archive_before("ghost", TransactionNumber(1), None)
             .is_err());

@@ -1,6 +1,6 @@
 //! A bounded LRU cache of materialized rollback versions.
 //!
-//! The delta backends pay for their space savings at query time: every
+//! The delta chain pays for its space savings at query time: every
 //! `state_at` copies the nearest materialized state and applies the net
 //! delta of the chain from there. Rollback workloads are repetitive —
 //! audits re-read the same as-of points, differential tests sweep the

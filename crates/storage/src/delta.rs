@@ -5,7 +5,7 @@ use txtime_historical::TemporalElement;
 use txtime_snapshot::{Schema, SnapshotState, StrInterner, Tuple};
 
 /// A state whose string values are all drawn from `pool` (see
-/// [`txtime_snapshot::SnapshotState::interned`]). Delta backends route
+/// [`txtime_snapshot::SnapshotState::interned`]). The store routes
 /// every appended state through one per-relation pool, so replay compares
 /// interned strings by pointer instead of re-hashing bytes.
 pub(crate) fn intern_state(state: &StateValue, pool: &mut StrInterner) -> StateValue {

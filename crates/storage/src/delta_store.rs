@@ -1,5 +1,5 @@
-//! The delta backend: one chain of versions joined by forward deltas,
-//! with full states at checkpoints.
+//! The store: one chain of versions joined by forward deltas, with full
+//! states at checkpoints.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::num::NonZeroUsize;
@@ -8,7 +8,7 @@ use std::sync::Arc;
 use txtime_core::{EvalError, RollbackFilter, StateValue, TransactionNumber};
 use txtime_snapshot::{Schema, StrInterner};
 
-use crate::backend::{BackendKind, CheckpointPolicy, RollbackStore};
+use crate::backend::CheckpointPolicy;
 use crate::cache::MaterializationCache;
 use crate::delta::{intern_state, StateDelta};
 use crate::metrics::{CompactionStats, InternerStats};
@@ -30,7 +30,12 @@ struct Entry {
 
 /// Stores a relation's versions as a chain of deltas plus the current
 /// state, materializing checkpoints per the [`CheckpointPolicy`] and
-/// wherever [`RollbackStore::compact`] pins one.
+/// wherever [`DeltaStore::compact`] pins one.
+///
+/// The contract, checked against the reference semantics by the
+/// differential tests in [`crate::equiv`], is FINDSTATE's:
+/// `state_at(tx)` returns the state of the version with the largest
+/// transaction number ≤ `tx`, or `None` before the first version.
 ///
 /// `state_at` answers a version held in full (a checkpoint or the
 /// current state) as it stands. Any other version is replayed: the
@@ -193,10 +198,10 @@ impl DeltaStore {
         });
         self.current = Some(state);
     }
-}
 
-impl RollbackStore for DeltaStore {
-    fn append(&mut self, state: &StateValue, tx: TransactionNumber) {
+    /// Installs a new current state committed at `tx`. Transaction
+    /// numbers must be presented in strictly increasing order.
+    pub fn append(&mut self, state: &StateValue, tx: TransactionNumber) {
         // Intern once at the door: the link (whose tuples are clones out
         // of the states) and every replayed reconstruction then share
         // pooled string allocations with the prior versions.
@@ -208,10 +213,24 @@ impl RollbackStore for DeltaStore {
         self.push(link, state, tx);
     }
 
+    /// Installs the state `delta` carries the current one to, committed
+    /// at `tx`: what `append(&delta.apply(&current), tx)` leaves behind,
+    /// version for version and byte for byte, at the cost of the listed
+    /// tuples. The engine calls this when the command itself said which
+    /// rows change (the delta path of `Engine::apply`), so the store does
+    /// not diff two states to find them again.
+    ///
+    /// `delta` is normalised against the current state, as
+    /// [`StateDelta::between`] would list it (removals within the state,
+    /// arrivals outside it or revalued, both ascending), and is never a
+    /// `Reschema`: a scheme or kind boundary arrives as a state, through
+    /// [`DeltaStore::append`]. Panics on an empty store, which has no
+    /// state for a delta to apply to.
+    ///
     /// The link is the delta as it stands; only its arriving tuples go
     /// through the pool, and `current` is edited in place (copied first
     /// if a reader or a checkpoint still shares its run).
-    fn append_delta(&mut self, delta: &StateDelta, tx: TransactionNumber) {
+    pub fn append_delta(&mut self, delta: &StateDelta, tx: TransactionNumber) {
         let delta = delta.interned(&mut self.interner);
         let mut state = self
             .current
@@ -221,30 +240,43 @@ impl RollbackStore for DeltaStore {
         self.push(Some(delta), state, tx);
     }
 
-    /// The newest link is the wanted delta: the cost of the changes, not
-    /// of a second diff. Only the first version (and a truncation's new
-    /// first) has none.
-    fn last_delta(&self) -> Option<StateDelta> {
+    /// The [`StateDelta`] that carried the previous version to the
+    /// current one: the newest link, so the cost of the changes, never of
+    /// the relation. Plain commits (a right-hand side the delta path
+    /// declines) are the only caller: `append` diffed for the chain
+    /// already, so the view memo logs that delta per commit
+    /// ([`crate::ViewRegistry::queue_modify`]) instead of diffing the
+    /// relation a second time on the first read, and asks only when a
+    /// cached view reads the relation. `None` for the first version (and
+    /// a truncation's new first): the memo then diffs the two states on
+    /// first demand.
+    pub fn last_delta(&self) -> Option<StateDelta> {
         self.entries.last()?.link.clone()
     }
 
-    fn interner_stats(&self) -> Option<InternerStats> {
-        Some(InternerStats {
+    /// Size of the per-relation string pool every appended state is
+    /// interned into.
+    pub fn interner_stats(&self) -> InternerStats {
+        InternerStats {
             strings: self.interner.len(),
             bytes: self.interner.size_bytes(),
-        })
+        }
     }
 
-    fn state_at(&self, tx: TransactionNumber) -> Option<StateValue> {
+    /// FINDSTATE: the state current at `tx`.
+    pub fn state_at(&self, tx: TransactionNumber) -> Option<StateValue> {
         self.floor(tx).map(|i| self.reconstruct(i))
     }
 
-    /// Batched FINDSTATE: the distinct floor versions neither held nor
-    /// cached are replayed oldest first, each from the nearer of its
-    /// seed and the version replayed just before it, so no link is
-    /// composed twice per batch (and every wanted version warms the
-    /// cache).
-    fn state_at_many(&self, txs: &[TransactionNumber]) -> Vec<Option<StateValue>> {
+    /// FINDSTATE for a batch of probes, answered together: `result[i]`
+    /// is exactly `state_at(txs[i])` ([`crate::Engine::resolve_many`] is
+    /// the caller).
+    ///
+    /// The distinct floor versions neither held nor cached are replayed
+    /// oldest first, each from the nearer of its seed and the version
+    /// replayed just before it, so no link is composed twice per batch
+    /// (and every wanted version warms the cache).
+    pub fn state_at_many(&self, txs: &[TransactionNumber]) -> Vec<Option<StateValue>> {
         let floors: Vec<Option<usize>> = txs.iter().map(|tx| self.floor(*tx)).collect();
         let mut resolved: BTreeMap<usize, StateValue> = BTreeMap::new();
         let mut missing: BTreeSet<usize> = BTreeSet::new();
@@ -279,7 +311,12 @@ impl RollbackStore for DeltaStore {
             .collect()
     }
 
-    /// FINDSTATE with the selection evaluated *before* the replay: the
+    /// FINDSTATE with a selection/projection pushed into it, the storage
+    /// side of `σ_F(ρ(I, N))` and friends: observably
+    /// `filter.apply(state_at(tx))`, errors included, and `Ok(None)`
+    /// where there is no version at `tx`.
+    ///
+    /// The selection is evaluated *before* the replay: the
     /// seed is cut to the rows the predicate accepts (a binary search
     /// when it compares the leading attributes with constants), the
     /// segment's net delta is cut to the arrivals it accepts, and the
@@ -291,7 +328,7 @@ impl RollbackStore for DeltaStore {
     /// reduced state commutes with σ over the fully replayed version. A
     /// scheme (or kind) boundary inside the segment makes its net delta
     /// a `Reschema`, which carries the version in full.
-    fn state_at_filtered(
+    pub fn state_at_filtered(
         &self,
         tx: TransactionNumber,
         historical: bool,
@@ -359,12 +396,21 @@ impl RollbackStore for DeltaStore {
         remaining.apply(filtered, historical).map(Some)
     }
 
-    /// `state_at(minuend) − state_at(subtrahend)` read off the chain:
-    /// the net delta of the links between the two versions carries one
+    /// `state_at(minuend) − state_at(subtrahend)` read off the chain
+    /// without building either version: the storage side of
+    /// `ρ(I, n₂) − ρ(I, n₁)`, the "what changed between two times" query.
+    /// The net delta of the links between the two versions carries one
     /// to the other, so what it adds is what the version it arrives at
     /// gained and what it removes is what that version lost; the
     /// difference is the one or the other.
-    fn version_difference(
+    ///
+    /// `None` declines, and the caller resolves both versions and
+    /// subtracts them, which decides every value and every error. The
+    /// store declines what the net delta cannot decide: a probe before
+    /// the first version, a scheme or kind boundary in the span, and
+    /// historical versions, whose deltas list a revalued tuple's new
+    /// valid time but not the old one `−̂` subtracts.
+    pub fn version_difference(
         &self,
         minuend: TransactionNumber,
         subtrahend: TransactionNumber,
@@ -379,23 +425,28 @@ impl RollbackStore for DeltaStore {
         Some(answer)
     }
 
-    fn current(&self) -> Option<StateValue> {
+    /// The most recent state, if any.
+    pub fn current(&self) -> Option<StateValue> {
         self.current.clone()
     }
 
-    fn version_count(&self) -> usize {
+    /// Number of versions stored.
+    pub fn version_count(&self) -> usize {
         self.entries.len()
     }
 
-    fn first_tx(&self) -> Option<TransactionNumber> {
+    /// The transaction number of the first version, if any.
+    pub fn first_tx(&self) -> Option<TransactionNumber> {
         self.entries.first().map(|e| e.tx)
     }
 
-    fn last_tx(&self) -> Option<TransactionNumber> {
+    /// The transaction number of the most recent version, if any.
+    pub fn last_tx(&self) -> Option<TransactionNumber> {
         self.entries.last().map(|e| e.tx)
     }
 
-    fn space_bytes(&self) -> usize {
+    /// Approximate logical footprint in bytes (experiment E3).
+    pub fn space_bytes(&self) -> usize {
         // The interner pool is real resident memory owned by this store;
         // count it alongside the entries it deduplicates, and `current`
         // unless the newest entry holds it as a checkpoint.
@@ -414,11 +465,15 @@ impl RollbackStore for DeltaStore {
                 .sum::<usize>()
     }
 
-    fn version_txs(&self) -> Vec<TransactionNumber> {
+    /// The commit transaction numbers of every stored version, ascending.
+    pub fn version_txs(&self) -> Vec<TransactionNumber> {
         self.entries.iter().map(|e| e.tx).collect()
     }
 
-    fn compact(&mut self, every: NonZeroUsize) -> CompactionStats {
+    /// Folds the chain into materialized checkpoints so no rollback probe
+    /// replays more than `every` links: the compaction pass bounding
+    /// worst-case `state_at` latency.
+    pub fn compact(&mut self, every: NonZeroUsize) -> CompactionStats {
         // Pin the version at every `every`-th chain position as a
         // checkpoint (its link stays beside it), so no later probe
         // composes more than `every` links. The newest version is
@@ -449,11 +504,16 @@ impl RollbackStore for DeltaStore {
         pass
     }
 
-    fn compaction_stats(&self) -> CompactionStats {
+    /// Compaction counters accumulated over the store's lifetime.
+    pub fn compaction_stats(&self) -> CompactionStats {
         self.compaction
     }
 
-    fn truncate_before(&mut self, tx: TransactionNumber) -> usize {
+    /// Discards every version strictly older than the version current at
+    /// `tx` (the floor version itself is retained, so `state_at(tx)` is
+    /// unchanged at and after the floor). Returns the number of versions
+    /// dropped; a `tx` before the first version is a no-op.
+    pub fn truncate_before(&mut self, tx: TransactionNumber) -> usize {
         match self.floor(tx) {
             Some(floor) if floor > 0 => {
                 // The floor version becomes the first: it loses its link
@@ -470,10 +530,6 @@ impl RollbackStore for DeltaStore {
             }
             _ => 0,
         }
-    }
-
-    fn kind(&self) -> BackendKind {
-        BackendKind::ForwardDelta
     }
 }
 
@@ -501,9 +557,11 @@ mod tests {
         StateValue::Historical(HistoricalState::new(schema, rows).unwrap())
     }
 
-    fn policies() -> [CheckpointPolicy; 2] {
+    /// No checkpoints, every version whole, and an interval between.
+    fn policies() -> [CheckpointPolicy; 3] {
         [
             CheckpointPolicy::Never,
+            CheckpointPolicy::every_k(1).unwrap(),
             CheckpointPolicy::every_k(2).unwrap(),
         ]
     }
@@ -726,19 +784,43 @@ mod tests {
         );
     }
 
+    /// `append_delta` is apply-then-append: fed one script through each,
+    /// two stores hold the same chain entries, the same answers and the
+    /// same accounting after every version.
     #[test]
-    fn append_delta_writes_the_chain_entry_append_would_diff() {
+    fn append_delta_is_apply_then_append() {
         for policy in [
             CheckpointPolicy::Never,
+            CheckpointPolicy::every_k(1).unwrap(),
             CheckpointPolicy::every_k(3).unwrap(),
         ] {
-            crate::backend::testing::assert_append_delta_is_append(
-                || store(policy),
-                |plain, delta, at| {
+            for script in scripts() {
+                let (mut plain, mut delta) = (store(policy), store(policy));
+                for (i, state) in script.iter().enumerate() {
+                    let tx = TransactionNumber(2 * i as u64 + 1);
+                    match i.checked_sub(1) {
+                        Some(prev) => {
+                            let change = StateDelta::between(&script[prev], state);
+                            plain.append(&change.apply(&plain.current().unwrap()), tx);
+                            delta.append_delta(&change, tx);
+                        }
+                        None => {
+                            plain.append(state, tx);
+                            delta.append(state, tx);
+                        }
+                    }
+                    let at = format!("{policy:?} version {i}");
+                    assert_eq!(delta.current().as_ref(), Some(state), "{at}");
                     assert_eq!(plain.entries, delta.entries, "{at}");
                     assert_eq!(plain.current, delta.current, "{at}");
-                },
-            );
+                    assert_eq!(plain.space_bytes(), delta.space_bytes(), "{at}");
+                    assert_eq!(plain.interner_stats(), delta.interner_stats(), "{at}");
+                    for probe in 0..=tx.0 + 1 {
+                        let probe = TransactionNumber(probe);
+                        assert_eq!(plain.state_at(probe), delta.state_at(probe), "{at}");
+                    }
+                }
+            }
         }
     }
 
@@ -849,18 +931,227 @@ mod tests {
     }
 
     #[test]
-    fn delta_storage_is_smaller_than_full_copy_for_low_churn() {
+    fn delta_storage_is_smaller_than_every_version_whole_for_low_churn() {
         let schema = Schema::new(vec![("x", DomainType::Int)]).unwrap();
         let base: Vec<Vec<Value>> = (0..200).map(|i| vec![Value::Int(i)]).collect();
         let mut delta = store(CheckpointPolicy::Never);
-        let mut full = crate::FullCopyStore::new();
+        let mut whole = store(CheckpointPolicy::every_k(1).unwrap());
         for v in 0..20 {
             let mut rows = base.clone();
             rows[v as usize] = vec![Value::Int(1000 + v)];
             let s = StateValue::Snapshot(SnapshotState::from_rows(schema.clone(), rows).unwrap());
             delta.append(&s, TransactionNumber(v as u64 + 1));
-            full.append(&s, TransactionNumber(v as u64 + 1));
+            whole.append(&s, TransactionNumber(v as u64 + 1));
         }
-        assert!(delta.space_bytes() < full.space_bytes() / 4);
+        assert!(delta.space_bytes() < whole.space_bytes() / 4);
+    }
+
+    /// Checkpointing every version holds each one whole: no probe
+    /// replays a link, and space grows by a full state per version.
+    #[test]
+    fn every_1_holds_every_version_and_replays_nothing() {
+        let cache = MaterializationCache::shared();
+        let empty = DeltaStore::new(CheckpointPolicy::every_k(1).unwrap(), None);
+        assert_eq!((empty.version_count(), empty.current()), (0, None));
+        let mut s = DeltaStore::new(
+            CheckpointPolicy::every_k(1).unwrap(),
+            Some((cache.clone(), 0)),
+        );
+        for v in 1..=30u64 {
+            s.append(&snap(&[v as i64, 100 + v as i64]), TransactionNumber(v));
+        }
+        assert!(s.entries.iter().all(|e| e.state.is_some()));
+        let one = snap(&[1, 101]).size_bytes();
+        assert!(s.space_bytes() >= 30 * one, "{} bytes", s.space_bytes());
+        let txs: Vec<TransactionNumber> = (0..=31).map(TransactionNumber).collect();
+        let want: Vec<_> = txs
+            .iter()
+            .map(|&t| (t.0 > 0).then(|| snap(&[t.0.min(30) as i64, 100 + t.0.min(30) as i64])))
+            .collect();
+        let one_at_a_time: Vec<_> = txs.iter().map(|&t| s.state_at(t)).collect();
+        assert_eq!(one_at_a_time, want);
+        assert_eq!(s.state_at_many(&txs), want);
+        assert_eq!(cache.stats().replayed_deltas, 0);
+        assert_eq!(cache.stats().insertions, 0);
+    }
+
+    /// Under `every_k(1)` each version is held whole, so space grows with
+    /// the version count even when the state does not change.
+    #[test]
+    fn space_grows_linearly_with_versions() {
+        let mut s = store(CheckpointPolicy::every_k(1).unwrap());
+        let state = snap(&[1, 2, 3]);
+        let sizes: Vec<usize> = (1..=3)
+            .map(|t| {
+                s.append(&state, TransactionNumber(t));
+                s.space_bytes()
+            })
+            .collect();
+        let step = sizes[1] - sizes[0];
+        assert_eq!(sizes[2] - sizes[1], step, "{sizes:?}");
+        assert!(step >= state.size_bytes(), "{sizes:?}");
+    }
+
+    /// FINDSTATE read off a script whose version `i` commits at `2i + 1`:
+    /// the state committed at the greatest transaction ≤ `tx`.
+    fn findstate(script: &[StateValue], tx: TransactionNumber) -> Option<StateValue> {
+        let committed = (tx.0 as usize).div_ceil(2);
+        committed
+            .checked_sub(1)
+            .map(|i| script[i.min(script.len() - 1)].clone())
+    }
+
+    /// A store under `policy` holding `script`, version `i` at `2i + 1`.
+    fn holding(script: &[StateValue], policy: CheckpointPolicy) -> DeltaStore {
+        let mut s = store(policy);
+        for (i, state) in script.iter().enumerate() {
+            s.append(state, TransactionNumber(2 * i as u64 + 1));
+        }
+        s
+    }
+
+    /// Every transaction number from before the first commit to past the
+    /// last.
+    fn probes(script: &[StateValue]) -> Vec<TransactionNumber> {
+        (0..=2 * script.len() as u64 + 1)
+            .map(TransactionNumber)
+            .collect()
+    }
+
+    /// Every policy answers every probe, one at a time and batched in any
+    /// order, with the state the script committed last at or before it.
+    #[test]
+    fn every_policy_answers_findstate_on_every_probe() {
+        for script in scripts() {
+            let txs = probes(&script);
+            let want: Vec<_> = txs.iter().map(|&tx| findstate(&script, tx)).collect();
+            let committed: Vec<_> = (0..script.len() as u64)
+                .map(|i| TransactionNumber(2 * i + 1))
+                .collect();
+            for policy in policies() {
+                let s = holding(&script, policy);
+                assert_eq!(s.version_txs(), committed, "{policy:?}");
+                assert_eq!(s.first_tx(), committed.first().copied(), "{policy:?}");
+                assert_eq!(s.last_tx(), committed.last().copied(), "{policy:?}");
+                assert_eq!(s.current(), script.last().cloned(), "{policy:?}");
+                for (&tx, w) in txs.iter().zip(&want) {
+                    assert_eq!(&s.state_at(tx), w, "{policy:?} at {tx:?}");
+                }
+                let backwards: Vec<_> = txs.iter().rev().copied().collect();
+                let mut batched = s.state_at_many(&backwards);
+                batched.reverse();
+                assert_eq!(batched, want, "{policy:?} batched");
+            }
+        }
+    }
+
+    /// A filter pushed into resolution answers what resolving and then
+    /// filtering answers, under every policy, kind-mismatch errors
+    /// included.
+    #[test]
+    fn filtered_resolution_is_resolve_then_filter() {
+        let pred = txtime_snapshot::Predicate::gt_const("id", Value::Int(2));
+        let project = ["name".to_string()];
+        let filter = RollbackFilter {
+            predicate: Some(&pred),
+            project: Some(&project),
+        };
+        for script in scripts() {
+            for policy in policies() {
+                let s = holding(&script, policy);
+                for historical in [false, true] {
+                    let unpushed =
+                        |v: Option<StateValue>| v.map(|v| filter.apply(v, historical)).transpose();
+                    for tx in probes(&script) {
+                        assert_eq!(
+                            s.state_at_filtered(tx, historical, &filter),
+                            unpushed(s.state_at(tx)),
+                            "{policy:?} historical={historical} at {tx:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Compaction folds chains without changing an answer and reports
+    /// its pass in the store's lifetime counters; truncation then drops
+    /// the versions below the floor and keeps every later answer.
+    #[test]
+    fn compact_and_truncate_preserve_every_later_probe() {
+        let chain = [scripts(), scripts(), scripts()].concat().concat();
+        // Between two commits, well inside the chain: the floor version
+        // is the one committed at `floor - 1`.
+        let floor = TransactionNumber(chain.len() as u64);
+        let kept = (chain.len() - 1) / 2;
+        for policy in policies() {
+            let mut s = holding(&chain, policy);
+            let pass = s.compact(NonZeroUsize::new(3).unwrap());
+            assert_eq!(s.compaction_stats(), pass, "{policy:?}");
+            // Only a store that holds every version whole has nothing to
+            // fold.
+            let whole = policy == CheckpointPolicy::every_k(1).unwrap();
+            assert_eq!(pass.runs > 0, !whole, "{policy:?}");
+            assert_eq!(s.truncate_before(floor), kept, "{policy:?}");
+            let committed: Vec<_> = (kept as u64..chain.len() as u64)
+                .map(|i| TransactionNumber(2 * i + 1))
+                .collect();
+            assert_eq!(s.version_txs(), committed, "{policy:?}");
+            for tx in probes(&chain) {
+                let want = (tx >= committed[0])
+                    .then(|| findstate(&chain, tx))
+                    .flatten();
+                assert_eq!(s.state_at(tx), want, "{policy:?} at {tx:?}");
+            }
+        }
+    }
+
+    fn schema() -> Schema {
+        Schema::new(vec![("id", DomainType::Int), ("name", DomainType::Str)]).unwrap()
+    }
+
+    fn row(id: i64, name: &str) -> Tuple {
+        Tuple::new(vec![Value::Int(id), Value::str(name)])
+    }
+
+    fn named(rows: &[(i64, &str)]) -> StateValue {
+        let rows = rows.iter().map(|&(id, name)| row(id, name));
+        StateValue::Snapshot(SnapshotState::new(schema(), rows).unwrap())
+    }
+
+    fn named_hist(rows: &[(i64, &str, u32, u32)]) -> StateValue {
+        let rows = rows
+            .iter()
+            .map(|&(id, name, s, e)| (row(id, name), TemporalElement::period(s, e)));
+        StateValue::Historical(HistoricalState::new(schema(), rows).unwrap())
+    }
+
+    /// Chains of same-shape versions, strings included so that interning
+    /// shows: a version equal to the last, rows arriving (with a string
+    /// the pool has not seen), leaving, replaced, revalued, all at once,
+    /// everything leaving; long enough to cross checkpoint positions.
+    fn scripts() -> Vec<Vec<StateValue>> {
+        vec![
+            vec![
+                named(&[(1, "a"), (2, "b"), (3, "c")]),
+                named(&[(1, "a"), (2, "b"), (3, "c")]),
+                named(&[(1, "a"), (2, "b"), (3, "c"), (4, "d")]),
+                named(&[(1, "a"), (3, "c"), (4, "d")]),
+                named(&[(1, "z"), (3, "c"), (4, "d")]),
+                named(&[(0, "y"), (3, "c"), (9, "a")]),
+                named(&[]),
+                named(&[(5, "e")]),
+                named(&[(5, "e"), (6, "e")]),
+            ],
+            vec![
+                named_hist(&[(1, "a", 0, 5), (2, "b", 0, 9)]),
+                named_hist(&[(1, "a", 0, 7), (2, "b", 0, 9)]),
+                named_hist(&[(1, "a", 0, 7), (2, "b", 0, 9)]),
+                named_hist(&[(1, "a", 0, 7), (3, "c", 2, 4)]),
+                named_hist(&[(1, "a", 3, 4), (3, "q", 2, 4), (4, "b", 1, 2)]),
+                named_hist(&[]),
+                named_hist(&[(7, "g", 0, 1)]),
+            ],
+        ]
     }
 }

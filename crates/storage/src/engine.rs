@@ -1,10 +1,10 @@
-//! The storage engine: the language executed over efficient backends.
+//! The storage engine: the language executed over an efficient store.
 //!
 //! `Engine` implements exactly the observable behaviour of the reference
 //! semantics (`txtime_core`), but represents each rollback/temporal
-//! relation with a configurable [`RollbackStore`] instead of a list of
-//! full states, and optionally journals every mutating command to a
-//! write-ahead log for recovery. The equivalence is not assumed — it is
+//! relation with a [`DeltaStore`] instead of a list of full states, and
+//! optionally journals every mutating command to a write-ahead log for
+//! recovery. The equivalence is not assumed — it is
 //! established by the differential tests in [`crate::equiv`].
 
 use std::borrow::Cow;
@@ -24,9 +24,10 @@ use txtime_optimizer::{
     OptimizerStats, PlanReport, SchemaCatalog, SearchStats,
 };
 
-use crate::backend::{BackendKind, CheckpointPolicy, RollbackStore};
+use crate::backend::{BackendKind, CheckpointPolicy};
 use crate::cache::MaterializationCache;
 use crate::delta::StateDelta;
+use crate::delta_store::DeltaStore;
 use crate::memo::{MemoDecision, RelStamp, StampSource, ViewRegistry};
 use crate::metrics::{CacheStats, CompactionStats, InternerStats, RelationSpace, SpaceReport};
 use crate::{update, wal};
@@ -65,7 +66,7 @@ impl std::error::Error for ScriptError {}
 /// How one relation's versions are kept.
 enum Keeper {
     /// Rollback/temporal relations: an append-only store.
-    History(Box<dyn RollbackStore>),
+    History(DeltaStore),
     /// Snapshot/historical relations: the single current version.
     Single(Option<(StateValue, TransactionNumber)>),
 }
@@ -148,9 +149,9 @@ impl Planner {
     }
 }
 
-/// A database engine over pluggable physical storage.
+/// A database engine over delta-chain storage.
 pub struct Engine {
-    backend: BackendKind,
+    /// The stores' checkpoint interval: the one physical-design setting.
     checkpoints: CheckpointPolicy,
     tx: TransactionNumber,
     catalog: BTreeMap<String, StoredRelation>,
@@ -224,11 +225,12 @@ fn auto_compact_from_env() -> Option<NonZeroUsize> {
 }
 
 impl Engine {
-    /// An engine holding everything in memory with the given backend for
-    /// history-keeping relations.
-    pub fn new(backend: BackendKind, checkpoints: CheckpointPolicy) -> Engine {
+    /// An engine holding everything in memory, its history-keeping
+    /// relations checkpointed per `checkpoints`. The [`BackendKind`]
+    /// names the one store there is and is ignored; it stays until the
+    /// benchmark harness stops passing it.
+    pub fn new(_backend: BackendKind, checkpoints: CheckpointPolicy) -> Engine {
         Engine {
-            backend,
             checkpoints,
             tx: TransactionNumber(0),
             catalog: BTreeMap::new(),
@@ -250,7 +252,6 @@ impl Engine {
     /// An engine that additionally journals every successful mutating
     /// command to the write-ahead log at `path` (created or appended).
     pub fn with_wal(
-        backend: BackendKind,
         checkpoints: CheckpointPolicy,
         path: impl AsRef<Path>,
     ) -> std::io::Result<Engine> {
@@ -258,14 +259,9 @@ impl Engine {
             .create(true)
             .append(true)
             .open(path.as_ref())?;
-        let mut e = Engine::new(backend, checkpoints);
+        let mut e = Engine::new(BackendKind::ForwardDelta, checkpoints);
         e.wal = Some((path.as_ref().to_path_buf(), file));
         Ok(e)
-    }
-
-    /// The backend used for history-keeping relations.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
     }
 
     /// The engine's transaction clock.
@@ -403,10 +399,10 @@ impl Engine {
     /// expression crossing the registration threshold is evaluated
     /// node-wise so every subexpression's state is cached. Both paths
     /// are observationally identical — value and error — to the plain
-    /// evaluation; the memo differential tests pin this on every
-    /// backend. Only reads come here: `modify_state` evaluates its
-    /// expression with [`Engine::eval_unmemoized`] and touches the memo
-    /// through `queue_modify` alone.
+    /// evaluation; the memo differential tests pin this. Only reads
+    /// come here: `modify_state` evaluates its expression with
+    /// [`Engine::eval_unmemoized`] and touches the memo through
+    /// `queue_modify` alone.
     pub fn eval(&self, expr: &Expr) -> Result<StateValue, EvalError> {
         // Level 2: cost-based search first, so the memo keys (and
         // registers views for) the *canonical* plan — every source
@@ -627,7 +623,7 @@ impl Engine {
     /// `ρ(probes[i].0, probes[i].1)` (or ρ̂, per the relation's own type)
     /// with [`Engine::eval`], but the work is batched: probes are grouped
     /// by relation, each delta store replays its chain once per batch via
-    /// [`RollbackStore::state_at_many`] instead of once per probe
+    /// [`DeltaStore::state_at_many`] instead of once per probe
     /// (warming the materialization cache with every version it passes),
     /// and distinct relations with past probes resolve on concurrent
     /// pool workers.
@@ -688,13 +684,13 @@ impl Engine {
             None => Err(EvalError::UndefinedRelation(ident.to_string())),
             Some(Keeper::Single(Some((s, _)))) => Ok(s.clone()),
             Some(Keeper::Single(None)) => Err(EvalError::EmptyRelation(ident.to_string())),
-            Some(Keeper::History(store)) => Engine::current_of(store.as_ref(), ident),
+            Some(Keeper::History(store)) => Engine::current_of(store, ident),
         }
     }
 
     /// A store's newest state, or the empty state a rollback before its
     /// first version answers.
-    fn current_of(store: &dyn RollbackStore, ident: &str) -> Result<StateValue, EvalError> {
+    fn current_of(store: &DeltaStore, ident: &str) -> Result<StateValue, EvalError> {
         match store.current() {
             Some(s) => Ok(s),
             None => Engine::empty_like_first(store, ident),
@@ -739,9 +735,7 @@ impl Engine {
                 let mut at_txs = Vec::new();
                 for &i in indices {
                     match probes[i].1 {
-                        TxSpec::Current => {
-                            results.push((i, Engine::current_of(store.as_ref(), ident)))
-                        }
+                        TxSpec::Current => results.push((i, Engine::current_of(store, ident))),
                         TxSpec::At(n) => {
                             at_indices.push(i);
                             at_txs.push(n);
@@ -752,7 +746,7 @@ impl Engine {
                 for (i, ans) in at_indices.into_iter().zip(answers) {
                     let r = match ans {
                         Some(s) => Ok(s),
-                        None => Engine::empty_like_first(store.as_ref(), ident),
+                        None => Engine::empty_like_first(store, ident),
                     };
                     results.push((i, r));
                 }
@@ -825,7 +819,7 @@ impl Engine {
     /// determines. Returns the merged counters for this pass.
     pub fn compact(&mut self, every: Option<NonZeroUsize>) -> CompactionStats {
         let every = every.unwrap_or_else(|| self.default_compact_every());
-        let stores: Vec<Mutex<&mut Box<dyn RollbackStore>>> = self
+        let stores: Vec<Mutex<&mut DeltaStore>> = self
             .catalog
             .values_mut()
             .filter_map(|rel| match &mut rel.keeper {
@@ -901,14 +895,14 @@ impl Engine {
         self.memo.set_register_after(evals);
     }
 
-    /// Per-relation string-pool sizes, for the stores that intern their
-    /// appended states (the delta-replay backends) — `txtime stats`
+    /// Per-relation string-pool sizes of the history-keeping relations,
+    /// whose stores intern their appended states — `txtime stats`
     /// reports these alongside the memo counters.
     pub fn interner_report(&self) -> Vec<(String, InternerStats)> {
         self.catalog
             .iter()
             .filter_map(|(name, rel)| match &rel.keeper {
-                Keeper::History(store) => store.interner_stats().map(|s| (name.clone(), s)),
+                Keeper::History(store) => Some((name.clone(), store.interner_stats())),
                 Keeper::Single(_) => None,
             })
             .collect()
@@ -947,7 +941,7 @@ impl Engine {
                             });
                         }
                     }
-                    rs.interner_strings = store.interner_stats().map(|s| s.strings);
+                    rs.interner_strings = Some(store.interner_stats().strings);
                     rs.space_bytes = Some(store.space_bytes());
                 }
                 Keeper::Single(Some((state, tx))) => {
@@ -988,7 +982,7 @@ impl Engine {
                 self.next_rel_id += 1;
                 let keeper = if rtype.keeps_history() {
                     let cache = Some((self.cache.clone(), rel_id));
-                    Keeper::History(self.backend.new_store_with_cache(self.checkpoints, cache))
+                    Keeper::History(DeltaStore::new(self.checkpoints, cache))
                 } else {
                     Keeper::Single(None)
                 };
@@ -1189,7 +1183,7 @@ impl Engine {
     }
 
     /// Truncates `ident`'s history before the version current at
-    /// `before`; see [`crate::backend::RollbackStore::truncate_before`].
+    /// `before`; see [`DeltaStore::truncate_before`].
     pub(crate) fn truncate_before(
         &mut self,
         ident: &str,
@@ -1231,7 +1225,6 @@ impl Engine {
                     RelationSpace {
                         name: name.clone(),
                         rtype: rel.rtype,
-                        backend: self.backend,
                         versions,
                         bytes,
                         compaction,
@@ -1279,7 +1272,7 @@ impl Engine {
 
     /// The empty state carrying the relation's earliest known scheme —
     /// the reference's answer for a rollback before the first version.
-    fn empty_like_first(store: &dyn RollbackStore, ident: &str) -> Result<StateValue, EvalError> {
+    fn empty_like_first(store: &DeltaStore, ident: &str) -> Result<StateValue, EvalError> {
         let first = store
             .first_tx()
             .and_then(|t| store.state_at(t))
@@ -1338,7 +1331,7 @@ impl StateSource for Engine {
                 };
                 match lookup {
                     Some(s) => Ok(s),
-                    None => Engine::empty_like_first(store.as_ref(), ident),
+                    None => Engine::empty_like_first(store, ident),
                 }
             }
             Keeper::Single(slot) => match slot {
@@ -1363,7 +1356,10 @@ impl StateSource for Engine {
         match &rel.keeper {
             Keeper::History(store) => {
                 let lookup = if matches!(spec, TxSpec::Current) {
-                    store.current_filtered(historical, filter)?
+                    store
+                        .current()
+                        .map(|s| filter.apply(s, historical))
+                        .transpose()?
                 } else {
                     let target = match spec {
                         TxSpec::Current => self.tx,
@@ -1376,7 +1372,7 @@ impl StateSource for Engine {
                     None => {
                         // Before the first version: filter the empty
                         // state, exactly as the un-pushed path would.
-                        filter.apply(Engine::empty_like_first(store.as_ref(), ident)?, historical)
+                        filter.apply(Engine::empty_like_first(store, ident)?, historical)
                     }
                 }
             }
@@ -1387,9 +1383,9 @@ impl StateSource for Engine {
         }
     }
 
-    /// `ρ(I, n₂) − ρ(I, n₁)` handed to the store whole: a delta store
-    /// reads the answer off the chain between the two versions
-    /// ([`RollbackStore::version_difference`]). Anything else declines
+    /// `ρ(I, n₂) − ρ(I, n₁)` handed to the store whole: it reads the
+    /// answer off the chain between the two versions
+    /// ([`DeltaStore::version_difference`]). Anything else declines
     /// (a relation the type rules refuse, one that keeps a single
     /// version, a store without an answer), and the evaluator's own two
     /// resolves and subtraction decide the value or word the error.
@@ -1455,8 +1451,8 @@ mod tests {
         SnapshotState::from_rows(schema, vals.iter().map(|&v| vec![Value::Int(v)])).unwrap()
     }
 
-    fn engine_with_history(backend: BackendKind) -> Engine {
-        let mut e = Engine::new(backend, CheckpointPolicy::every_k(4).unwrap());
+    fn engine_with_history(policy: CheckpointPolicy) -> Engine {
+        let mut e = Engine::new(BackendKind::ForwardDelta, policy);
         e.execute(&Command::define_relation("r", RelationType::Rollback))
             .unwrap();
         for v in [vec![1], vec![1, 2], vec![2], vec![2, 3]] {
@@ -1466,54 +1462,59 @@ mod tests {
         e
     }
 
+    /// Every version whole, and a checkpoint every fourth.
+    fn policies() -> [CheckpointPolicy; 2] {
+        [1, 4].map(|k| CheckpointPolicy::every_k(k).unwrap())
+    }
+
     #[test]
-    fn engine_answers_rollback_queries_on_every_backend() {
-        for backend in BackendKind::ALL {
-            let e = engine_with_history(backend);
+    fn engine_answers_rollback_queries_under_every_policy() {
+        for policy in policies() {
+            let e = engine_with_history(policy);
             let cur = e
                 .eval(&Expr::current("r"))
                 .unwrap()
                 .into_snapshot()
                 .unwrap();
-            assert_eq!(cur, snap(&[2, 3]), "{backend}");
+            assert_eq!(cur, snap(&[2, 3]), "{policy:?}");
             let old = e
                 .eval(&Expr::rollback("r", TxSpec::At(TransactionNumber(3))))
                 .unwrap()
                 .into_snapshot()
                 .unwrap();
-            assert_eq!(old, snap(&[1, 2]), "{backend}");
+            assert_eq!(old, snap(&[1, 2]), "{policy:?}");
         }
     }
 
     #[test]
-    fn stats_catalog_reports_exact_versions_on_every_backend() {
+    fn stats_catalog_reports_exact_versions_under_every_policy() {
         use txtime_analyze::CardInterval;
-        for backend in BackendKind::ALL {
-            let e = engine_with_history(backend);
+        for policy in policies() {
+            let e = engine_with_history(policy);
             let stats = e.stats_catalog();
             let rs = stats.get("r").unwrap();
             assert_eq!(
                 rs.versions.iter().map(|v| v.card).collect::<Vec<_>>(),
                 [1, 2, 1, 2].map(CardInterval::exact),
-                "{backend}"
+                "{policy:?}"
             );
             // Version txs 2..=5: define commits at 1, writes at 2..=5.
             assert_eq!(
                 rs.versions.iter().map(|v| v.tx.0).collect::<Vec<_>>(),
                 [2, 3, 4, 5],
-                "{backend}"
+                "{policy:?}"
             );
             // The last version holds {2, 3}: the x range is [2, 3].
             let ranges = rs.versions.last().unwrap().ranges.as_ref().unwrap();
             assert!(ranges[0].contains(&Value::Int(2)) && ranges[0].contains(&Value::Int(3)));
-            assert!(!ranges[0].contains(&Value::Int(1)), "{backend}");
-            assert!(rs.space_bytes.is_some(), "{backend}");
+            assert!(!ranges[0].contains(&Value::Int(1)), "{policy:?}");
+            assert!(rs.space_bytes.is_some(), "{policy:?}");
         }
     }
 
     #[test]
     fn engine_enforces_rollback_type_rules() {
-        let mut e = Engine::new(BackendKind::FullCopy, CheckpointPolicy::Never);
+        let mut e = Engine::new(BackendKind::ForwardDelta, CheckpointPolicy::Never);
         e.execute(&Command::define_relation("s", RelationType::Snapshot))
             .unwrap();
         e.execute(&Command::modify_state(
@@ -1559,7 +1560,7 @@ mod tests {
 
     #[test]
     fn delete_and_redefine() {
-        let mut e = engine_with_history(BackendKind::ForwardDelta);
+        let mut e = engine_with_history(CheckpointPolicy::every_k(4).unwrap());
         e.execute(&Command::delete_relation("r")).unwrap();
         assert!(e.relation_type("r").is_none());
         assert!(matches!(
@@ -1573,7 +1574,7 @@ mod tests {
 
     #[test]
     fn failed_commands_do_not_advance_the_clock() {
-        let mut e = Engine::new(BackendKind::FullCopy, CheckpointPolicy::Never);
+        let mut e = Engine::new(BackendKind::ForwardDelta, CheckpointPolicy::Never);
         e.execute(&Command::define_relation("r", RelationType::Rollback))
             .unwrap();
         let before = e.tx();
@@ -1585,7 +1586,7 @@ mod tests {
 
     #[test]
     fn execute_script_round_trip() {
-        let mut e = Engine::new(BackendKind::FullCopy, CheckpointPolicy::Never);
+        let mut e = Engine::new(BackendKind::ForwardDelta, CheckpointPolicy::Never);
         let outcomes = e
             .execute_script(
                 r#"
@@ -1613,36 +1614,34 @@ mod tests {
     #[test]
     fn cache_eviction_never_changes_answers() {
         // A 2-entry cache under a 30-version sweep evicts constantly;
-        // answers must stay identical to the full-copy oracle through it.
-        let mut oracle = Engine::new(BackendKind::FullCopy, CheckpointPolicy::Never);
+        // answers must stay FINDSTATE's through it.
         let mut e = Engine::new(
             BackendKind::ForwardDelta,
             CheckpointPolicy::every_k(8).unwrap(),
         );
         e.set_cache_capacity(2);
-        for engine in [&mut oracle, &mut e] {
-            engine
-                .execute(&Command::define_relation("r", RelationType::Rollback))
-                .unwrap();
-            for v in 0..30i64 {
-                engine
-                    .execute(&Command::modify_state(
-                        "r",
-                        Expr::snapshot_const(snap(&[v, v + 1])),
-                    ))
-                    .unwrap();
-            }
+        e.execute(&Command::define_relation("r", RelationType::Rollback))
+            .unwrap();
+        for v in 0..30i64 {
+            e.execute(&Command::modify_state(
+                "r",
+                Expr::snapshot_const(snap(&[v, v + 1])),
+            ))
+            .unwrap();
         }
+        // Version `v` commits at tx `v + 2`; before tx 2 a rollback
+        // answers the empty state.
+        let findstate = |t: u64| match t.checked_sub(2) {
+            Some(v) => snap(&[v.min(29) as i64, v.min(29) as i64 + 1]),
+            None => snap(&[]),
+        };
         for _round in 0..3 {
             // Each tx twice running: the second probe of a replayed
             // version finds it however hard the sweep evicts.
             for t in (0..=32u64).flat_map(|t| [t, t]) {
                 let spec = TxSpec::At(TransactionNumber(t));
-                assert_eq!(
-                    e.eval(&Expr::rollback("r", spec)).ok(),
-                    oracle.eval(&Expr::rollback("r", spec)).ok(),
-                    "at tx {t}"
-                );
+                let got = e.eval(&Expr::rollback("r", spec)).unwrap();
+                assert_eq!(got.into_snapshot().unwrap(), findstate(t), "at tx {t}");
             }
         }
         let stats = e.cache_stats();
@@ -1710,8 +1709,7 @@ mod tests {
         let path = dir.join("group.wal");
         let _ = std::fs::remove_file(&path);
         {
-            let mut e =
-                Engine::with_wal(BackendKind::FullCopy, CheckpointPolicy::Never, &path).unwrap();
+            let mut e = Engine::with_wal(CheckpointPolicy::Never, &path).unwrap();
             e.set_wal_buffered(true);
             e.execute(&Command::define_relation("r", RelationType::Rollback))
                 .unwrap();
@@ -1725,8 +1723,9 @@ mod tests {
             assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
             // Dropping the engine must not lose the buffered group.
         }
-        let rec = crate::recovery::recover(&path, BackendKind::FullCopy, CheckpointPolicy::Never)
-            .unwrap();
+        let rec =
+            crate::recovery::recover(&path, BackendKind::ForwardDelta, CheckpointPolicy::Never)
+                .unwrap();
         assert_eq!(rec.replayed, 2);
         assert_eq!(rec.engine.version_count("r"), Some(1));
         let _ = std::fs::remove_file(&path);
@@ -1738,8 +1737,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("sync.wal");
         let _ = std::fs::remove_file(&path);
-        let mut e =
-            Engine::with_wal(BackendKind::FullCopy, CheckpointPolicy::Never, &path).unwrap();
+        let mut e = Engine::with_wal(CheckpointPolicy::Never, &path).unwrap();
         e.set_wal_buffered(true);
         e.execute(&Command::define_relation("r", RelationType::Rollback))
             .unwrap();
@@ -1753,8 +1751,9 @@ mod tests {
         // An empty group still fsyncs (the per-commit baseline path) but
         // reports zero commands flushed.
         assert_eq!(e.sync_wal().unwrap(), 0);
-        let rec = crate::recovery::recover(&path, BackendKind::FullCopy, CheckpointPolicy::Never)
-            .unwrap();
+        let rec =
+            crate::recovery::recover(&path, BackendKind::ForwardDelta, CheckpointPolicy::Never)
+                .unwrap();
         assert_eq!(rec.replayed, 2);
         let _ = std::fs::remove_file(&path);
     }
@@ -1811,8 +1810,8 @@ mod tests {
     #[test]
     fn one_read_after_a_commit_repairs_only_the_root_it_asks_for() {
         const ROOTS: i64 = 40;
-        for backend in BackendKind::ALL {
-            let mut e = Engine::new(backend, CheckpointPolicy::every_k(16).unwrap());
+        for policy in [1, 16].map(|k| CheckpointPolicy::every_k(k).unwrap()) {
+            let mut e = Engine::new(BackendKind::ForwardDelta, policy);
             e.set_memo_register_after(1);
             e.execute(&Command::define_relation("acct", RelationType::Rollback))
                 .unwrap();
@@ -1830,35 +1829,35 @@ mod tests {
                 e.eval(&point(key)).unwrap();
             }
             let registered = e.memo_stats();
-            assert_eq!(registered.roots as i64, ROOTS, "{backend}");
+            assert_eq!(registered.roots as i64, ROOTS, "{policy:?}");
             assert_eq!(
                 registered.views as i64,
                 2 * ROOTS,
-                "{backend}: π and σ per root; the shared leaf keeps no view"
+                "{policy:?}: π and σ per root; the shared leaf keeps no view"
             );
 
             e.execute(&update_one_row(3, 99)).unwrap();
-            assert_eq!(e.memo_stats().propagations, 0, "{backend}: the write");
+            assert_eq!(e.memo_stats().propagations, 0, "{policy:?}: the write");
             let got = e.eval(&point(3)).unwrap().into_snapshot().unwrap();
-            assert_eq!(got.len(), 1, "{backend}");
+            assert_eq!(got.len(), 1, "{policy:?}");
             assert!(
                 got.contains(&txtime_snapshot::Tuple::new(vec![
                     Value::Int(99),
                     Value::Int(3)
                 ])),
-                "{backend}: {got}"
+                "{policy:?}: {got}"
             );
             let read = e.memo_stats();
             // π and σ: the two views under the root.
             assert!(
                 read.propagations <= 2,
-                "{backend}: {} views touched by one point read",
+                "{policy:?}: {} views touched by one point read",
                 read.propagations
             );
-            assert_eq!((read.repairs, read.fallbacks), (1, 0), "{backend}");
-            assert_eq!(read.hits, registered.hits + 1, "{backend}");
+            assert_eq!((read.repairs, read.fallbacks), (1, 0), "{policy:?}");
+            assert_eq!(read.hits, registered.hits + 1, "{policy:?}");
             // Every other root stays one commit behind until it is read.
-            assert_eq!(read.max_lag, 1, "{backend}");
+            assert_eq!(read.max_lag, 1, "{policy:?}");
             for key in 0..ROOTS {
                 let want = i64::from(key == 3) * 99;
                 let got = e.eval(&point(key)).unwrap().into_snapshot().unwrap();
@@ -1867,10 +1866,10 @@ mod tests {
                         Value::Int(want),
                         Value::Int(key)
                     ])),
-                    "{backend}: key {key}: {got}"
+                    "{policy:?}: key {key}: {got}"
                 );
             }
-            assert_eq!(e.memo_stats().max_lag, 0, "{backend}");
+            assert_eq!(e.memo_stats().max_lag, 0, "{policy:?}");
         }
     }
 
@@ -2146,11 +2145,10 @@ mod tests {
             .product(Expr::current("dept"))
             .select(Predicate::eq_attrs("grade", "dgrade"))
             .project(vec!["id".into(), "label".into()]);
-        let backend = BackendKind::ForwardDelta;
         let engines: Vec<Engine> = [64, 0]
             .into_iter()
             .map(|capacity| {
-                let mut e = Engine::new(backend, CheckpointPolicy::Never);
+                let mut e = Engine::new(BackendKind::ForwardDelta, CheckpointPolicy::Never);
                 e.set_pool(ExecPool::new(2));
                 e.set_optimize(1);
                 e.set_auto_compact(None);
@@ -2180,29 +2178,26 @@ mod tests {
             let before = run(&e);
             e.execute(&update(id, grade, i)).unwrap();
             plain.execute(&update(id, grade, i)).unwrap();
-            assert_eq!(run(&e), before, "{backend}: commit {i} moved the run");
+            assert_eq!(run(&e), before, "commit {i} moved the run");
             for q in [&group(i % 4), &join] {
-                assert_eq!(e.eval(q).unwrap(), plain.eval(q).unwrap(), "{backend}: {i}");
+                assert_eq!(e.eval(q).unwrap(), plain.eval(q).unwrap(), "{i}");
             }
         }
         let memo = e.memo_stats();
-        assert!(
-            memo.hits >= 1_900 && memo.fallbacks == 0,
-            "{backend}: {memo:?}"
-        );
-        assert_eq!(op_row(&e, "product"), (0, 0), "{backend}");
-        assert_eq!(op_row(&plain, "product"), (0, 0), "{backend}");
+        assert!(memo.hits >= 1_900 && memo.fallbacks == 0, "{memo:?}");
+        assert_eq!(op_row(&e, "product"), (0, 0));
+        assert_eq!(op_row(&plain, "product"), (0, 0));
         let joined = e.eval(&join).unwrap().into_snapshot().unwrap();
         assert!(joined.contains(&Tuple::new(vec![Value::Int(0), Value::Int(100)])));
     }
 
     #[test]
     fn space_report_covers_catalog() {
-        for backend in BackendKind::ALL {
-            let report = engine_with_history(backend).space_report();
-            assert_eq!(report.relations.len(), 1, "{backend}");
-            assert_eq!(report.relations[0].versions, 4, "{backend}");
-            assert!(report.relations[0].bytes > 0, "{backend}");
+        for policy in policies() {
+            let report = engine_with_history(policy).space_report();
+            assert_eq!(report.relations.len(), 1, "{policy:?}");
+            assert_eq!(report.relations[0].versions, 4, "{policy:?}");
+            assert!(report.relations[0].bytes > 0, "{policy:?}");
         }
     }
 
@@ -2211,8 +2206,11 @@ mod tests {
     /// more, and a relation that keeps one version reports none.
     #[test]
     fn space_report_carries_each_relations_compaction_counters() {
-        for backend in BackendKind::ALL {
-            let mut e = Engine::new(backend, CheckpointPolicy::Never);
+        for policy in [
+            CheckpointPolicy::Never,
+            CheckpointPolicy::every_k(1).unwrap(),
+        ] {
+            let mut e = Engine::new(BackendKind::ForwardDelta, policy);
             e.set_auto_compact(None);
             for (name, rtype) in [
                 ("long", RelationType::Rollback),
@@ -2241,12 +2239,13 @@ mod tests {
             assert_eq!(folded(&e, "long"), CompactionStats::default());
             let pass = e.compact(NonZeroUsize::new(2));
             let (long, short) = (folded(&e, "long"), folded(&e, "short"));
-            assert_eq!(long.merged(short), pass, "{backend}");
+            assert_eq!(long.merged(short), pass, "{policy:?}");
             assert_eq!(folded(&e, "s"), CompactionStats::default());
-            if backend == BackendKind::ForwardDelta {
-                assert!(long.deltas_folded > short.deltas_folded, "{backend}");
+            // Every version whole leaves nothing to fold.
+            if policy == CheckpointPolicy::Never {
+                assert!(long.deltas_folded > short.deltas_folded, "{policy:?}");
             } else {
-                assert_eq!(pass, CompactionStats::default(), "{backend}");
+                assert_eq!(pass, CompactionStats::default(), "{policy:?}");
             }
         }
     }

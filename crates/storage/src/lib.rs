@@ -13,19 +13,20 @@
 //! rigorous statements to be made concerning the correctness of those
 //! structures" (§1).
 //!
-//! This crate supplies those physical structures and makes the rigorous
-//! statement executable. Two backends implement [`RollbackStore`]:
-//!
-//! * [`FullCopyStore`] — every version in full; the direct transcription
-//!   of the semantics, and the oracle for the others.
-//! * [`DeltaStore`] — the first and the current state in full, one
-//!   forward delta per transaction, and optional periodic checkpoints;
-//!   a past version is replayed up from the nearest full state below it.
+//! This crate supplies one such structure and makes the rigorous
+//! statement executable. A [`DeltaStore`] holds the first and the
+//! current state in full, one forward delta per transaction, and full
+//! checkpoints at the positions its [`CheckpointPolicy`] names (and
+//! wherever compaction pins one); a past version is replayed up from the
+//! nearest full state below it. The checkpoint interval is the whole
+//! physical design: `CheckpointPolicy::every_k(1)` holds every version in
+//! full, the direct transcription of the semantics, and longer intervals
+//! trade replay for space.
 //!
 //! [`Engine`] executes the language's commands against a catalog of such
 //! stores, writes a textual WAL, and recovers from it; `equiv` provides
-//! the differential harness proving each backend observationally equal to
-//! the reference semantics.
+//! the differential harness proving the engine observationally equal to
+//! the reference semantics under any policy.
 
 pub mod archive;
 pub mod backend;
@@ -34,7 +35,6 @@ pub mod delta;
 pub mod delta_store;
 pub mod engine;
 pub mod equiv;
-pub mod full_copy;
 pub mod memo;
 pub mod metrics;
 pub mod recovery;
@@ -42,13 +42,12 @@ pub(crate) mod update;
 pub mod wal;
 
 pub use archive::ArchiveReport;
-pub use backend::{BackendKind, CheckpointPolicy, RollbackStore, ZeroCheckpointInterval};
+pub use backend::{BackendKind, CheckpointPolicy, ZeroCheckpointInterval};
 pub use cache::{MaterializationCache, DEFAULT_CACHE_CAPACITY};
 pub use delta::StateDelta;
 pub use delta_store::DeltaStore;
 pub use engine::{parse_auto_compact, Engine, ScriptError};
 pub use equiv::check_equivalence;
-pub use full_copy::FullCopyStore;
 pub use memo::{MemoDecision, StampSource, ViewRegistry, DEFAULT_MEMO_CAPACITY};
 pub use metrics::{CacheStats, CompactionStats, InternerStats, SpaceReport};
 pub use txtime_exec::{ExecPool, ExecStats, MemoStats, OpKind, OpStat};

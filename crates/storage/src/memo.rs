@@ -64,11 +64,11 @@
 //!   the operators already use: once the logged changes pass a quarter
 //!   of the relation, recomputing wins, so the oldest entries go (the
 //!   newest always stays) and a view stamped before them is dropped and
-//!   re-evaluated on its next read. Commits that arrive as a state and
-//!   whose store leaves no delta behind (full-copy and single-version
-//!   relations) log the two state handles instead and the diff happens
-//!   on first demand, so no write ever diffs a relation for the memo;
-//!   consecutive such commits share one entry.
+//!   re-evaluated on its next read. Commits to single-version
+//!   relations, which keep no store and so no delta, log the two state
+//!   handles instead and the diff happens on first demand, so no write
+//!   ever diffs a relation for the memo; consecutive such commits share
+//!   one entry.
 //!
 //! Node-wise evaluation applies the plain operators, on the source's
 //! worker pool, rather than the pushdown shapes the engine's un-memoized
@@ -1639,7 +1639,7 @@ impl ViewRegistry {
     /// the only contact between a write and the memo. `delta` yields
     /// what carried the previous state to `new`: the command's own delta
     /// when the engine folded one, else what the store's append left
-    /// behind ([`RollbackStore::last_delta`]). `prev`, the relation's
+    /// behind ([`DeltaStore::last_delta`]). `prev`, the relation's
     /// state just before the append, is consulted only when `delta`
     /// yields nothing (a caller with the delta in hand passes `None`
     /// rather than keep a second handle on a state it edits in place):
@@ -1653,7 +1653,7 @@ impl ViewRegistry {
     /// oldest trimmed. A scheme or state-kind boundary (no delta rule
     /// can cross it) purges the relation's readers and its log.
     ///
-    /// [`RollbackStore::last_delta`]: crate::RollbackStore::last_delta
+    /// [`DeltaStore::last_delta`]: crate::DeltaStore::last_delta
     pub fn queue_modify(
         &self,
         ident: &str,

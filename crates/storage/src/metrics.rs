@@ -10,8 +10,6 @@ use std::fmt;
 
 use txtime_core::RelationType;
 
-use crate::backend::BackendKind;
-
 /// Counters from the engine's materialization cache
 /// ([`crate::cache::MaterializationCache`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -98,7 +96,7 @@ impl fmt::Display for InternerStats {
 
 /// Counters from delta-chain compaction: how many passes ran and how
 /// much chain they folded into materialized checkpoints
-/// ([`crate::RollbackStore::compact`]).
+/// ([`crate::DeltaStore::compact`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactionStats {
     /// Compaction passes completed.
@@ -137,8 +135,6 @@ pub struct RelationSpace {
     pub name: String,
     /// Relation type.
     pub rtype: RelationType,
-    /// The backend storing it.
-    pub backend: BackendKind,
     /// Number of stored versions.
     pub versions: usize,
     /// Approximate logical bytes.
@@ -182,17 +178,16 @@ impl fmt::Display for SpaceReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "{:<12} {:<10} {:<16} {:>9} {:>12} {:>10}  compaction runs/deltas/tuples",
-            "relation", "type", "backend", "versions", "bytes", "B/version"
+            "{:<12} {:<10} {:>9} {:>12} {:>10}  compaction runs/deltas/tuples",
+            "relation", "type", "versions", "bytes", "B/version"
         )?;
         for r in &self.relations {
             let c = r.compaction;
             writeln!(
                 f,
-                "{:<12} {:<10} {:<16} {:>9} {:>12} {:>10.1}  {}/{}/{}",
+                "{:<12} {:<10} {:>9} {:>12} {:>10.1}  {}/{}/{}",
                 r.name,
                 r.rtype.to_string(),
-                r.backend.to_string(),
                 r.versions,
                 r.bytes,
                 r.bytes_per_version(),
@@ -234,7 +229,6 @@ mod tests {
                 RelationSpace {
                     name: "a".into(),
                     rtype: RelationType::Rollback,
-                    backend: BackendKind::FullCopy,
                     versions: 4,
                     bytes: 400,
                     compaction: CompactionStats {
@@ -246,7 +240,6 @@ mod tests {
                 RelationSpace {
                     name: "b".into(),
                     rtype: RelationType::Snapshot,
-                    backend: BackendKind::FullCopy,
                     versions: 0,
                     bytes: 0,
                     compaction: CompactionStats::default(),
@@ -258,7 +251,12 @@ mod tests {
         assert_eq!(report.relations[0].bytes_per_version(), 100.0);
         assert_eq!(report.relations[1].bytes_per_version(), 0.0);
         let table = report.to_string();
-        assert!(table.contains("full-copy"), "{table}");
+        let row: Vec<_> = table.lines().nth(1).unwrap().split_whitespace().collect();
+        assert_eq!(
+            row,
+            ["a", "rollback", "4", "400", "100.0", "1/3/12"],
+            "{table}"
+        );
         assert!(table.contains("  1/3/12\n"), "{table}");
     }
 }

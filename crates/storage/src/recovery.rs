@@ -27,6 +27,9 @@ pub struct Recovery {
 /// Replay applies the *prefix discipline*: entries are replayed in order
 /// until the first corrupt line; everything after a corrupt line is
 /// discarded (a torn write invalidates the tail, not just the line).
+///
+/// The [`BackendKind`] names the one store there is and is ignored; it
+/// stays until the benchmark harness stops passing it.
 pub fn recover(
     path: impl AsRef<Path>,
     backend: BackendKind,
@@ -83,12 +86,7 @@ mod tests {
     fn recovery_rebuilds_full_history() {
         let path = tmpfile("rebuild");
         {
-            let mut e = Engine::with_wal(
-                BackendKind::ForwardDelta,
-                CheckpointPolicy::every_k(2).unwrap(),
-                &path,
-            )
-            .unwrap();
+            let mut e = Engine::with_wal(CheckpointPolicy::every_k(2).unwrap(), &path).unwrap();
             e.execute(&Command::define_relation("r", RelationType::Rollback))
                 .unwrap();
             for v in [vec![1], vec![1, 2], vec![3]] {
@@ -128,8 +126,7 @@ mod tests {
     fn torn_tail_is_discarded() {
         let path = tmpfile("torn");
         {
-            let mut e =
-                Engine::with_wal(BackendKind::FullCopy, CheckpointPolicy::Never, &path).unwrap();
+            let mut e = Engine::with_wal(CheckpointPolicy::Never, &path).unwrap();
             e.execute(&Command::define_relation("r", RelationType::Rollback))
                 .unwrap();
             e.execute(&Command::modify_state(
@@ -143,7 +140,7 @@ mod tests {
         data.truncate(data.len() - 5);
         std::fs::write(&path, data).unwrap();
 
-        let rec = recover(&path, BackendKind::FullCopy, CheckpointPolicy::Never).unwrap();
+        let rec = recover(&path, BackendKind::ForwardDelta, CheckpointPolicy::Never).unwrap();
         assert_eq!(rec.replayed, 1); // only the define survived intact
         assert_eq!(rec.skipped.len(), 1);
         assert_eq!(rec.engine.tx(), TransactionNumber(1));
@@ -157,8 +154,7 @@ mod tests {
     fn a_tiny_real_survives_recovery_with_what_follows() {
         let path = tmpfile("tiny-real");
         let expected = {
-            let mut e = Engine::with_wal(BackendKind::ForwardDelta, CheckpointPolicy::Never, &path)
-                .unwrap();
+            let mut e = Engine::with_wal(CheckpointPolicy::Never, &path).unwrap();
             for text in [
                 "define_relation(r, rollback)",
                 "modify_state(r, {(x: real): (0.0000001)})",
@@ -180,8 +176,7 @@ mod tests {
     fn display_commands_are_not_journaled() {
         let path = tmpfile("display");
         {
-            let mut e =
-                Engine::with_wal(BackendKind::FullCopy, CheckpointPolicy::Never, &path).unwrap();
+            let mut e = Engine::with_wal(CheckpointPolicy::Never, &path).unwrap();
             e.execute(&Command::define_relation("r", RelationType::Rollback))
                 .unwrap();
             e.execute(&Command::modify_state(
@@ -191,7 +186,7 @@ mod tests {
             .unwrap();
             e.execute(&Command::display(Expr::current("r"))).unwrap();
         }
-        let rec = recover(&path, BackendKind::FullCopy, CheckpointPolicy::Never).unwrap();
+        let rec = recover(&path, BackendKind::ForwardDelta, CheckpointPolicy::Never).unwrap();
         assert_eq!(rec.replayed, 2);
         let _ = std::fs::remove_file(&path);
     }

@@ -5,7 +5,7 @@ use txtime_snapshot::rng::rngs::StdRng;
 use txtime_snapshot::rng::SeedableRng;
 
 use txtime_core::generate::{random_commands, CmdGenConfig};
-use txtime_core::{StateSource, TransactionNumber, TxSpec};
+use txtime_core::{Database, StateSource, TransactionNumber, TxSpec};
 use txtime_snapshot::generate::GenConfig;
 use txtime_snapshot::{DomainType, Schema};
 use txtime_storage::{BackendKind, CheckpointPolicy, Engine};
@@ -30,49 +30,45 @@ fn gen_cfg() -> CmdGenConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// After truncating at a random cutoff, every backend still answers
-    /// identically to an untruncated full-copy oracle at and after the
-    /// floor, and never fabricates data before it.
+    /// After truncating at a random cutoff, the engine still answers
+    /// what the reference semantics answers over the untruncated history
+    /// at and after the floor, and never fabricates data before it.
     #[test]
-    fn truncation_is_uniform_across_backends(seed in any::<u64>(), len in 3usize..20, cut in any::<u64>()) {
+    fn truncation_matches_the_reference_at_and_after_the_floor(seed in any::<u64>(), len in 3usize..20, cut in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let cmds = random_commands(&mut rng, &schema(), &gen_cfg(), len);
         let cutoff = TransactionNumber(cut % (len as u64 + 3));
 
-        // Oracle: untruncated full-copy engine.
-        let mut oracle = Engine::new(BackendKind::FullCopy, CheckpointPolicy::Never);
+        // Oracle: the reference semantics, untruncated.
+        let mut reference = Database::empty();
         for c in &cmds {
-            let _ = oracle.execute(c);
+            if let Ok((next, _)) = c.execute(&reference) {
+                reference = next;
+            }
         }
 
-        for backend in BackendKind::ALL {
-            let mut e = Engine::new(backend, CheckpointPolicy::every_k(3).unwrap());
-            for c in &cmds {
-                let _ = e.execute(c);
-            }
-            let report = e.archive_before("r0", cutoff, None).unwrap();
+        let mut e = Engine::new(BackendKind::ForwardDelta, CheckpointPolicy::every_k(3).unwrap());
+        for c in &cmds {
+            let _ = e.execute(c);
+        }
+        let report = e.archive_before("r0", cutoff, None).unwrap();
 
-            // Floor: the version current at the cutoff (if any).
-            let txs: Vec<u64> = (0..=oracle.tx().0).collect();
-            for t in txs {
-                let spec = TxSpec::At(TransactionNumber(t));
-                let want = oracle.resolve_rollback("r0", spec, false);
-                let got = e.resolve_rollback("r0", spec, false);
-                if report.archived > 0 && TransactionNumber(t) < cutoff {
-                    // Possibly archived range: the engine may miss (empty
-                    // or error) but must never return *wrong* data.
-                    if let (Ok(w), Ok(g)) = (&want, &got) {
-                        prop_assert!(
-                            g == w || g.is_empty(),
-                            "{backend} fabricated data at tx {t}"
-                        );
-                    }
-                } else {
-                    match (&want, &got) {
-                        (Ok(w), Ok(g)) => prop_assert_eq!(w, g, "{} at tx {}", backend, t),
-                        (Err(_), Err(_)) => {}
-                        _ => prop_assert!(false, "{} diverged at tx {}", backend, t),
-                    }
+        // Floor: the version current at the cutoff (if any).
+        for t in 0..=reference.tx.0 {
+            let spec = TxSpec::At(TransactionNumber(t));
+            let want = reference.resolve_rollback("r0", spec, false);
+            let got = e.resolve_rollback("r0", spec, false);
+            if report.archived > 0 && TransactionNumber(t) < cutoff {
+                // Possibly archived range: the engine may miss (empty
+                // or error) but must never return *wrong* data.
+                if let (Ok(w), Ok(g)) = (&want, &got) {
+                    prop_assert!(g == w || g.is_empty(), "fabricated data at tx {}", t);
+                }
+            } else {
+                match (&want, &got) {
+                    (Ok(w), Ok(g)) => prop_assert_eq!(w, g, "at tx {}", t),
+                    (Err(_), Err(_)) => {}
+                    _ => prop_assert!(false, "diverged at tx {}", t),
                 }
             }
         }
@@ -90,8 +86,7 @@ proptest! {
         let _ = std::fs::remove_file(&path);
 
         {
-            let mut live = Engine::with_wal(BackendKind::FullCopy, CheckpointPolicy::Never, &path)
-                .unwrap();
+            let mut live = Engine::with_wal(CheckpointPolicy::Never, &path).unwrap();
             for c in &cmds {
                 let _ = live.execute(c);
             }
@@ -106,13 +101,13 @@ proptest! {
 
         let rec = txtime_storage::recovery::recover(
             &path,
-            BackendKind::FullCopy,
+            BackendKind::ForwardDelta,
             CheckpointPolicy::Never,
         )
         .unwrap();
         // The replayed prefix must itself be a valid execution: replaying
         // the same number of original commands gives the same clock.
-        let mut oracle = Engine::new(BackendKind::FullCopy, CheckpointPolicy::Never);
+        let mut oracle = Engine::new(BackendKind::ForwardDelta, CheckpointPolicy::Never);
         let mut applied = 0;
         for c in &cmds {
             if applied == rec.replayed {

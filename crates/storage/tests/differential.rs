@@ -1,5 +1,5 @@
-//! Differential property tests: every backend is observationally
-//! equivalent to the reference semantics on random command sequences,
+//! Differential property tests: the engine, under every checkpoint
+//! policy, is observationally equivalent to the reference semantics on random command sequences,
 //! including historical/temporal relations, scheme evolution, and
 //! deletes.
 
@@ -110,37 +110,32 @@ proptest! {
 
     #[test]
     fn snapshot_workloads_equivalent(cmds in arb_snapshot_commands()) {
-        for backend in BackendKind::ALL {
-            for ck in [CheckpointPolicy::Never, CheckpointPolicy::every_k(3).unwrap()] {
-                if let Err(e) = check_equivalence(&cmds, backend, ck) {
-                    panic!("divergence: {e}");
-                }
+        let every = [1, 3].map(|k| CheckpointPolicy::every_k(k).unwrap());
+        for ck in [CheckpointPolicy::Never, every[0], every[1]] {
+            if let Err(e) = check_equivalence(&cmds, ck) {
+                panic!("divergence: {e}");
             }
         }
     }
 
     #[test]
     fn temporal_workloads_equivalent(cmds in arb_temporal_commands()) {
-        for backend in BackendKind::ALL {
-            if let Err(e) = check_equivalence(&cmds, backend, CheckpointPolicy::every_k(4).unwrap()) {
-                panic!("divergence: {e}");
-            }
+        if let Err(e) = check_equivalence(&cmds, CheckpointPolicy::every_k(4).unwrap()) {
+            panic!("divergence: {e}");
         }
     }
 
     #[test]
     fn spiced_workloads_equivalent(cmds in arb_spiced_commands()) {
-        for backend in BackendKind::ALL {
-            if let Err(e) = check_equivalence(&cmds, backend, CheckpointPolicy::every_k(2).unwrap()) {
-                panic!("divergence: {e}");
-            }
+        if let Err(e) = check_equivalence(&cmds, CheckpointPolicy::every_k(2).unwrap()) {
+            panic!("divergence: {e}");
         }
     }
 }
 
 /// `Engine::eval` — operator pushdown plus the materialization cache —
 /// is tuple-for-tuple equal to the reference evaluator on random
-/// queries, across every backend, including a cache small enough to
+/// queries, including a cache small enough to
 /// evict on every sweep. Each query runs twice so the second evaluation
 /// exercises the cache-hit path.
 mod eval_differential {
@@ -189,32 +184,28 @@ mod eval_differential {
                     reference = next;
                 }
             }
-            for backend in BackendKind::ALL {
-                let mut engine = Engine::new(backend, CheckpointPolicy::every_k(3).unwrap());
-                if tiny_cache {
-                    engine.set_cache_capacity(1);
-                }
-                for cmd in &cmds {
-                    let _ = engine.execute(cmd);
-                }
-                let mut qrng = StdRng::seed_from_u64(q_seed);
-                for _ in 0..8 {
-                    let depth = qrng.gen_range(0..4);
-                    let q = random_query(&mut qrng, depth);
-                    let want = q.eval(&reference);
-                    for pass in 0..2 {
-                        let got = engine.eval(&q);
-                        match (&want, &got) {
-                            (Ok(a), Ok(b)) => prop_assert_eq!(
-                                a, b, "{}: {} (pass {})", backend, q, pass
-                            ),
-                            (Err(_), Err(_)) => {}
-                            _ => prop_assert!(
-                                false,
-                                "{}: {} (pass {}): reference {:?} != engine {:?}",
-                                backend, q, pass, want, got
-                            ),
-                        }
+            let mut engine = Engine::new(BackendKind::ForwardDelta, CheckpointPolicy::every_k(3).unwrap());
+            if tiny_cache {
+                engine.set_cache_capacity(1);
+            }
+            for cmd in &cmds {
+                let _ = engine.execute(cmd);
+            }
+            let mut qrng = StdRng::seed_from_u64(q_seed);
+            for _ in 0..8 {
+                let depth = qrng.gen_range(0..4);
+                let q = random_query(&mut qrng, depth);
+                let want = q.eval(&reference);
+                for pass in 0..2 {
+                    let got = engine.eval(&q);
+                    match (&want, &got) {
+                        (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "{} (pass {})", q, pass),
+                        (Err(_), Err(_)) => {}
+                        _ => prop_assert!(
+                            false,
+                            "{} (pass {}): reference {:?} != engine {:?}",
+                            q, pass, want, got
+                        ),
                     }
                 }
             }
@@ -245,11 +236,7 @@ mod recovery_differential {
             let path = tmpfile(seed);
             let _ = std::fs::remove_file(&path);
 
-            let mut live = Engine::with_wal(
-                BackendKind::ForwardDelta,
-                CheckpointPolicy::every_k(4).unwrap(),
-                &path,
-            ).unwrap();
+            let mut live = Engine::with_wal(CheckpointPolicy::every_k(4).unwrap(), &path).unwrap();
             for c in &cmds {
                 let _ = live.execute(c);
             }

@@ -1,7 +1,7 @@
 //! Differential property tests for the physical join operators: a
 //! `join[spec]`/`hjoin[spec]` plan node is observationally identical —
 //! values *and* errors — to its defining `σ_spec(×)`/`σ̂_spec(×̂)` form,
-//! on every backend, with the view memo on and off, at one and two
+//! with the view memo on and off, at one and two
 //! worker threads, for both physical algorithms. This is the contract that lets the plan search emit join
 //! nodes at all: the kernels are faster evaluation orders for claim 1's
 //! σ-over-× form, never different answers.
@@ -44,8 +44,11 @@ fn gen_cfg() -> CmdGenConfig {
     }
 }
 
-fn engine(backend: BackendKind, memo: bool, threads: usize) -> Engine {
-    let mut e = Engine::new(backend, CheckpointPolicy::every_k(3).unwrap());
+fn engine(memo: bool, threads: usize) -> Engine {
+    let mut e = Engine::new(
+        BackendKind::ForwardDelta,
+        CheckpointPolicy::every_k(3).unwrap(),
+    );
     e.set_pool(ExecPool::with_unit_grain(threads));
     if memo {
         e.set_memo_register_after(1);
@@ -159,7 +162,7 @@ fn q0_commands(rng: &mut StdRng) -> Vec<Command> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The full snapshot matrix: 2 backends × memo on/off × 1/2 threads,
+    /// The full snapshot matrix: memo on/off × 1/2 threads,
     /// random command sequences, and the hash/merge pair pool checked
     /// after every command.
     #[test]
@@ -171,16 +174,14 @@ proptest! {
         let mut cmds = random_commands(&mut rng, &schema(), &gen_cfg(), len);
         cmds.extend(q0_commands(&mut rng));
         let pairs = join_pairs();
-        for backend in BackendKind::ALL {
-            for memo in MEMO {
-                for threads in THREADS {
-                    let label = format!("{backend}, memo={memo}, {threads} thread(s)");
-                    let mut e = engine(backend, memo, threads);
-                    for cmd in &cmds {
-                        let _ = e.execute(cmd);
-                    }
-                    assert_pairs_agree(&e, &pairs, &label);
+        for memo in MEMO {
+            for threads in THREADS {
+                let label = format!("memo={memo}, {threads} thread(s)");
+                let mut e = engine(memo, threads);
+                for cmd in &cmds {
+                    let _ = e.execute(cmd);
                 }
+                assert_pairs_agree(&e, &pairs, &label);
             }
         }
     }
@@ -238,35 +239,33 @@ proptest! {
         }
         let slice_spec = spec(&[("a0", "b0")], Predicate::True, JoinPhysical::Hash);
         let hjoin = Expr::hcurrent("t0").hjoin(slice_spec.clone(), Expr::hcurrent("tb"));
-        for backend in BackendKind::ALL {
-            for threads in THREADS {
-                let label = format!("{backend}, {threads} thread(s)");
-                let mut e = engine(backend, true, threads);
-                for cmd in &cmds {
-                    let _ = e.execute(cmd);
-                }
-                assert_pairs_agree(&e, &pairs, &label);
-                // Snapshot reducibility on the evaluated states.
-                let (Ok(StateValue::Historical(j)),
-                     Ok(StateValue::Historical(a)),
-                     Ok(StateValue::Historical(b))) = (
-                    e.eval(&hjoin),
-                    e.eval(&Expr::hcurrent("t0")),
-                    e.eval(&Expr::hcurrent("tb")),
-                ) else {
-                    continue; // both temporal relations still empty
-                };
-                for c in (0..33u32).step_by(4) {
-                    prop_assert_eq!(
-                        j.timeslice(c),
-                        a.timeslice(c)
-                            .equi_join(&b.timeslice(c), &slice_spec)
-                            .unwrap(),
-                        "{}: chronon {}",
-                        label,
-                        c
-                    );
-                }
+        for threads in THREADS {
+            let label = format!("{threads} thread(s)");
+            let mut e = engine(true, threads);
+            for cmd in &cmds {
+                let _ = e.execute(cmd);
+            }
+            assert_pairs_agree(&e, &pairs, &label);
+            // Snapshot reducibility on the evaluated states.
+            let (Ok(StateValue::Historical(j)),
+                 Ok(StateValue::Historical(a)),
+                 Ok(StateValue::Historical(b))) = (
+                e.eval(&hjoin),
+                e.eval(&Expr::hcurrent("t0")),
+                e.eval(&Expr::hcurrent("tb")),
+            ) else {
+                continue; // both temporal relations still empty
+            };
+            for c in (0..33u32).step_by(4) {
+                prop_assert_eq!(
+                    j.timeslice(c),
+                    a.timeslice(c)
+                        .equi_join(&b.timeslice(c), &slice_spec)
+                        .unwrap(),
+                    "{}: chronon {}",
+                    label,
+                    c
+                );
             }
         }
     }
@@ -299,25 +298,23 @@ proptest! {
                 .product(Expr::current("r1"))
                 .select(Predicate::eq_attrs("a0", "a1")),
         ];
-        for backend in BackendKind::ALL {
-            for threads in THREADS {
-                let label = format!("{backend}, {threads} thread(s), level 2 vs 0");
-                let mut opt = engine(backend, true, threads);
-                opt.set_optimize(2);
-                let mut base = engine(backend, true, threads);
-                base.set_optimize(0);
-                for cmd in &cmds {
-                    let a = opt.execute(cmd);
-                    let b = base.execute(cmd);
-                    assert_eq!(a.is_ok(), b.is_ok(), "{label}: command outcome diverged");
-                    for q in &queries {
-                        let want = base.eval(q);
-                        let got = opt.eval(q);
-                        match (&want, &got) {
-                            (Ok(a), Ok(b)) => assert_eq!(a, b, "{label}: {q} diverged"),
-                            (Err(_), Err(_)) => {}
-                            _ => panic!("{label}: {q}: base {want:?} != opt {got:?}"),
-                        }
+        for threads in THREADS {
+            let label = format!("{threads} thread(s), level 2 vs 0");
+            let mut opt = engine(true, threads);
+            opt.set_optimize(2);
+            let mut base = engine(true, threads);
+            base.set_optimize(0);
+            for cmd in &cmds {
+                let a = opt.execute(cmd);
+                let b = base.execute(cmd);
+                assert_eq!(a.is_ok(), b.is_ok(), "{label}: command outcome diverged");
+                for q in &queries {
+                    let want = base.eval(q);
+                    let got = opt.eval(q);
+                    match (&want, &got) {
+                        (Ok(a), Ok(b)) => assert_eq!(a, b, "{label}: {q} diverged"),
+                        (Err(_), Err(_)) => {}
+                        _ => panic!("{label}: {q}: base {want:?} != opt {got:?}"),
                     }
                 }
             }
@@ -331,7 +328,7 @@ proptest! {
 #[test]
 fn join_counters_record_build_and_probe_sides() {
     let mut rng = StdRng::seed_from_u64(0xD1FF);
-    let mut e = engine(BackendKind::FullCopy, false, 1);
+    let mut e = engine(false, 1);
     e.execute(&Command::define_relation("r0", RelationType::Rollback))
         .unwrap();
     e.execute(&Command::modify_state(

@@ -3,7 +3,7 @@
 //! queries hit cached views and every `modify_state` leaves them a delta
 //! to catch up from) is observationally identical — values *and* errors —
 //! to an engine with the memo disabled and to the denotational evaluator
-//! in `txtime-core`, on every backend, sequentially and partitioned. This
+//! in `txtime-core`, sequentially and partitioned. This
 //! is the property that licenses consulting the memo in `Engine::eval` at
 //! all — and, since `modify_state` evaluates on the plain path and only
 //! logs its delta for the memo, the property that licenses that bypass.
@@ -50,8 +50,11 @@ fn gen_cfg() -> CmdGenConfig {
 /// The engine under test: memo on, registering every expression on its
 /// first evaluation so each query's second pass is a hit and every
 /// subsequent modification must propagate.
-fn memo_engine(backend: BackendKind, threads: usize) -> Engine {
-    let mut e = Engine::new(backend, CheckpointPolicy::every_k(3).unwrap());
+fn memo_engine(threads: usize) -> Engine {
+    let mut e = Engine::new(
+        BackendKind::ForwardDelta,
+        CheckpointPolicy::every_k(3).unwrap(),
+    );
     e.set_pool(ExecPool::with_unit_grain(threads));
     e.set_memo_register_after(1);
     e
@@ -59,8 +62,11 @@ fn memo_engine(backend: BackendKind, threads: usize) -> Engine {
 
 /// The oracle: identical engine with the memo disabled outright, so
 /// every evaluation takes the plain plan-and-execute path.
-fn plain_engine(backend: BackendKind, threads: usize) -> Engine {
-    let mut e = Engine::new(backend, CheckpointPolicy::every_k(3).unwrap());
+fn plain_engine(threads: usize) -> Engine {
+    let mut e = Engine::new(
+        BackendKind::ForwardDelta,
+        CheckpointPolicy::every_k(3).unwrap(),
+    );
     e.set_pool(ExecPool::with_unit_grain(threads));
     e.set_memo_capacity(0);
     e
@@ -69,32 +75,24 @@ fn plain_engine(backend: BackendKind, threads: usize) -> Engine {
 /// Evaluates `q` twice on both engines (the second pass on the memo
 /// engine exercises the hit or freshly-propagated path) and once on the
 /// oracle, and demands byte-identical results, errors included.
-fn assert_agree(
-    memo: &Engine,
-    plain: &Engine,
-    oracle: &Database,
-    q: &Expr,
-    backend: BackendKind,
-    threads: usize,
-) {
+fn assert_agree(memo: &Engine, plain: &Engine, oracle: &Database, q: &Expr, threads: usize) {
     let denoted = q.eval(oracle);
     for pass in 0..2 {
         let want = plain.eval(q);
         let got = memo.eval(q);
         for (who, other) in [("memo", &got), ("oracle", &denoted)] {
             match (&want, other) {
-                (Ok(a), Ok(b)) => assert_eq!(
-                    a, b,
-                    "{backend}, {threads} threads, pass {pass}: {q}: plain vs {who}"
-                ),
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a, b, "{threads} threads, pass {pass}: {q}: plain vs {who}")
+                }
                 (Err(a), Err(b)) => assert_eq!(
                     format!("{a:?}"),
                     format!("{b:?}"),
-                    "{backend}, {threads} threads, pass {pass}: {q}: plain vs {who} error"
+                    "{threads} threads, pass {pass}: {q}: plain vs {who} error"
                 ),
-                _ => panic!(
-                    "{backend}, {threads} threads, pass {pass}: {q}: plain {want:?} != {who} {other:?}"
-                ),
+                _ => {
+                    panic!("{threads} threads, pass {pass}: {q}: plain {want:?} != {who} {other:?}")
+                }
             }
         }
     }
@@ -106,17 +104,15 @@ struct Rig {
     memo: Engine,
     plain: Engine,
     oracle: Database,
-    backend: BackendKind,
     threads: usize,
 }
 
 impl Rig {
-    fn new(backend: BackendKind, threads: usize) -> Rig {
+    fn new(threads: usize) -> Rig {
         Rig {
-            memo: memo_engine(backend, threads),
-            plain: plain_engine(backend, threads),
+            memo: memo_engine(threads),
+            plain: plain_engine(threads),
             oracle: Database::empty(),
-            backend,
             threads,
         }
     }
@@ -124,7 +120,7 @@ impl Rig {
     /// Runs `cmd` on all three and demands the same outcome, errors
     /// included.
     fn exec(&mut self, cmd: &Command) {
-        let (backend, threads) = (self.backend, self.threads);
+        let threads = self.threads;
         let a = self.memo.execute(cmd);
         let b = self.plain.execute(cmd);
         let c = cmd.execute(&self.oracle);
@@ -133,19 +129,19 @@ impl Rig {
             (Err(x), Err(y)) => assert_eq!(
                 format!("{x:?}"),
                 format!("{y:?}"),
-                "{backend}, {threads} threads: command error diverged"
+                "{threads} threads: command error diverged"
             ),
-            _ => panic!("{backend}, {threads} threads: command outcome diverged: {a:?} vs {b:?}"),
+            _ => panic!("{threads} threads: command outcome diverged: {a:?} vs {b:?}"),
         }
         match (b, c) {
             (Ok(_), Ok((next, _))) => self.oracle = next,
             (Err(x), Err(y)) => assert_eq!(
                 format!("{x:?}"),
                 format!("{y:?}"),
-                "{backend}, {threads} threads: command error diverged from the oracle"
+                "{threads} threads: command error diverged from the oracle"
             ),
             (b, c) => panic!(
-                "{backend}, {threads} threads: {cmd}: engine {b:?} vs oracle {:?}",
+                "{threads} threads: {cmd}: engine {b:?} vs oracle {:?}",
                 c.map(|_| ())
             ),
         }
@@ -153,14 +149,7 @@ impl Rig {
 
     /// Reads `q` everywhere; see [`assert_agree`].
     fn read(&self, q: &Expr) {
-        assert_agree(
-            &self.memo,
-            &self.plain,
-            &self.oracle,
-            q,
-            self.backend,
-            self.threads,
-        );
+        assert_agree(&self.memo, &self.plain, &self.oracle, q, self.threads);
     }
 }
 
@@ -174,10 +163,9 @@ fn drive(
     cmds: &[Command],
     unread: std::ops::Range<usize>,
     queries: &[Expr],
-    backend: BackendKind,
     threads: usize,
 ) -> (Engine, Engine) {
-    let mut rig = Rig::new(backend, threads);
+    let mut rig = Rig::new(threads);
     for (i, cmd) in cmds.iter().enumerate() {
         rig.exec(cmd);
         if unread.contains(&i) {
@@ -241,7 +229,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Snapshot workloads: the memoized engine tracks the plain one
-    /// through every modification, on every backend and thread budget.
+    /// through every modification, at every thread budget.
     /// The pool deliberately includes expressions that always error
     /// (undefined relation, ρ̂ of a snapshot-kind relation) — errors
     /// must never be cached into phantom successes.
@@ -298,19 +286,16 @@ proptest! {
             let depth = qrng.gen_range(1..4);
             queries.push(random_query(&mut qrng, depth));
         }
-        for backend in BackendKind::ALL {
-            for threads in THREADS {
-                let (memo, _) = drive(&cmds, unread.clone(), &queries, backend, threads);
-                // The fixed pool repeats every step: the memo must have
-                // actually answered from cache, not silently fallen
-                // through to the plain path each time.
-                prop_assert!(
-                    memo.memo_stats().hits > 0,
-                    "{}, {} threads: memo never hit",
-                    backend,
-                    threads
-                );
-            }
+        for threads in THREADS {
+            let (memo, _) = drive(&cmds, unread.clone(), &queries, threads);
+            // The fixed pool repeats every step: the memo must have
+            // actually answered from cache, not silently fallen
+            // through to the plain path each time.
+            prop_assert!(
+                memo.memo_stats().hits > 0,
+                "{} threads: memo never hit",
+                threads
+            );
         }
     }
 
@@ -351,10 +336,8 @@ proptest! {
             let depth = qrng.gen_range(1..4);
             queries.push(random_hquery(&mut qrng, depth));
         }
-        for backend in BackendKind::ALL {
-            for threads in THREADS {
-                drive(&cmds, 0..0, &queries, backend, threads);
-            }
+        for threads in THREADS {
+            drive(&cmds, 0..0, &queries, threads);
         }
     }
 
@@ -397,18 +380,15 @@ proptest! {
         for _ in 0..2 {
             queries.push(random_query(&mut qrng, 2));
         }
-        for backend in BackendKind::ALL {
-            for threads in THREADS {
-                drive(&cmds, 0..0, &queries, backend, threads);
-            }
+        for threads in THREADS {
+            drive(&cmds, 0..0, &queries, threads);
         }
     }
 }
 
 // --------------------------------------------------------------------
 // Scripted lag scenarios: which root is read when is the whole point, so
-// these are plain tests over a fixed script, on every backend and thread
-// budget, against the same two oracles.
+// these are plain tests over a fixed script, at every thread budget, against the same two oracles.
 // --------------------------------------------------------------------
 
 /// Rows of `acct`: the log keeps a quarter of this in changes, two per
@@ -504,14 +484,12 @@ fn dgrade_ne(g: i64) -> Predicate {
 }
 
 fn for_every_configuration(scenario: impl Fn(&mut Rig)) {
-    for backend in BackendKind::ALL {
-        for threads in THREADS {
-            let mut rig = Rig::new(backend, threads);
-            for cmd in lag_setup(ACCT_ROWS) {
-                rig.exec(&cmd);
-            }
-            scenario(&mut rig);
+    for threads in THREADS {
+        let mut rig = Rig::new(threads);
+        for cmd in lag_setup(ACCT_ROWS) {
+            rig.exec(&cmd);
         }
+        scenario(&mut rig);
     }
 }
 
@@ -535,20 +513,24 @@ fn roots_sharing_a_leaf_repair_from_their_own_stamps() {
         for i in 3..10 {
             rig.exec(&update_row(7 * i, (i + 1) % 4));
         }
-        assert_eq!(rig.memo.memo_stats().max_lag, 10, "{}", rig.backend);
+        assert_eq!(rig.memo.memo_stats().max_lag, 10, "{} threads", rig.threads);
         rig.read(&join); // from t+4
         rig.read(&a); // from t
         rig.read(&b); // from t+3
         let stats = rig.memo.memo_stats();
-        assert_eq!(stats.max_lag, 0, "{}", rig.backend);
+        assert_eq!(stats.max_lag, 0, "{} threads", rig.threads);
         assert_eq!(
             (stats.fallbacks, stats.invalidations),
             (registered.fallbacks, registered.invalidations),
-            "{}, {} threads: every repair went through a delta rule: {stats:?}",
-            rig.backend,
+            "{} threads: every repair went through a delta rule: {stats:?}",
             rig.threads
         );
-        assert_eq!(stats.repairs, registered.repairs + 6, "{}", rig.backend);
+        assert_eq!(
+            stats.repairs,
+            registered.repairs + 6,
+            "{} threads",
+            rig.threads
+        );
     });
 }
 
@@ -576,8 +558,7 @@ fn a_parent_behind_its_shared_child_recomputes_that_operator() {
         assert_eq!(
             (after.fallbacks, after.invalidations),
             (before.fallbacks + 1, before.invalidations),
-            "{}, {} threads: π recomputed from the repaired σ",
-            rig.backend,
+            "{} threads: π recomputed from the repaired σ",
             rig.threads
         );
     });
@@ -661,8 +642,7 @@ fn assert_reducible(rig: &Rig, q: &Expr) {
         assert_eq!(
             got.timeslice(c),
             sliced.select(f).unwrap(),
-            "{}, {} threads: {q} at chronon {c}",
-            rig.backend,
+            "{} threads: {q} at chronon {c}",
             rig.threads
         );
     }
@@ -734,8 +714,7 @@ fn an_operator_behind_on_both_relations_recomputes() {
             assert_eq!(
                 (after.fallbacks, after.invalidations),
                 (before.fallbacks + 1, before.invalidations),
-                "{}, {} threads: {operator}: one operator recomputed",
-                rig.backend,
+                "{} threads: {operator}: one operator recomputed",
                 rig.threads
             );
             rig.exec(change_again);
@@ -804,8 +783,7 @@ fn joins_repair_from_either_side_and_recompute_when_both_moved() {
             assert_eq!(
                 (after.fallbacks, after.invalidations),
                 (before.fallbacks + recomputed, before.invalidations),
-                "{}, {} threads: after {commands:?}",
-                rig.backend,
+                "{} threads: after {commands:?}",
                 rig.threads
             );
         }
@@ -871,8 +849,7 @@ fn projections_over_a_join_keep_images_that_another_pre_image_holds() {
         assert_eq!(
             (after.fallbacks, after.invalidations),
             (before.fallbacks, before.invalidations),
-            "{}, {} threads: every π repaired by rule",
-            rig.backend,
+            "{} threads: every π repaired by rule",
             rig.threads
         );
     });
@@ -912,8 +889,7 @@ fn key_probes_are_never_registered_and_answer_as_the_oracle() {
         assert_eq!(
             (stats.registrations, stats.views, stats.hits),
             (0, 0, 0),
-            "{}, {} threads: {stats:?}",
-            rig.backend,
+            "{} threads: {stats:?}",
             rig.threads
         );
         // Only the σ on an unknown attribute (not a key probe) was
@@ -939,18 +915,17 @@ fn a_view_behind_the_trimmed_log_is_re_evaluated() {
         let behind = rig.memo.memo_stats();
         assert!(
             behind.log_entries < commits as usize,
-            "{}: the log was trimmed ({} entries)",
-            rig.backend,
+            "{} threads: the log was trimmed ({} entries)",
+            rig.threads,
             behind.log_entries
         );
-        assert_eq!(behind.fallbacks, 0, "{}", rig.backend);
+        assert_eq!(behind.fallbacks, 0, "{} threads", rig.threads);
         rig.read(&cold);
         let after = rig.memo.memo_stats();
         assert_eq!(
             (after.invalidations, after.fallbacks),
             (behind.invalidations + 1, 0),
-            "{}, {} threads: dropped for falling off the log",
-            rig.backend,
+            "{} threads: dropped for falling off the log",
             rig.threads
         );
         // Back on the log: the next commit is repaired again.
@@ -959,8 +934,8 @@ fn a_view_behind_the_trimmed_log_is_re_evaluated() {
         assert_eq!(
             rig.memo.memo_stats().invalidations,
             after.invalidations,
-            "{}",
-            rig.backend
+            "{} threads",
+            rig.threads
         );
     });
 }
@@ -995,8 +970,7 @@ fn an_as_of_probe_inside_an_unrepaired_span_re_resolves() {
         assert_eq!(
             (after.fallbacks, after.invalidations),
             (before.fallbacks, before.invalidations),
-            "{}, {} threads: a probe below the span only moves its stamp",
-            rig.backend,
+            "{} threads: a probe below the span only moves its stamp",
             rig.threads
         );
     });
@@ -1023,8 +997,7 @@ fn churn_under_lagging_views_purges_them_and_the_log() {
             // Nothing reads `dept` alone, and `ρ(dept, ∞)` keeps no view.
             assert!(
                 stats.views == 0 && stats.log_entries == 0,
-                "{}, {} threads: after {what}: {stats:?}",
-                rig.backend,
+                "{} threads: after {what}: {stats:?}",
                 rig.threads
             );
         };
@@ -1081,43 +1054,41 @@ fn ten_thousand_unread_commits_leave_the_log_bounded() {
     // the burst runs on the two engines alone and the oracle is rebuilt
     // at the end from the test's own model of update-one-row.
     const ROWS: i64 = 32;
-    for backend in BackendKind::ALL {
-        let mut rig = Rig::new(backend, 1);
-        for cmd in lag_setup(ROWS) {
-            rig.exec(&cmd);
-        }
-        let queries = [off_grade_one(), grade_two_ids(), labelled()];
-        for q in &queries {
-            rig.read(q);
-        }
-        // A quarter of the relation in changes, at least one per entry.
-        let bound = (ROWS / 4) as usize;
-        let mut model: Vec<i64> = (0..ROWS).map(|id| id % 4).collect();
-        for i in 0..10_000i64 {
-            let (id, grade) = (i * 7 % ROWS, i % 4);
-            model[id as usize] = grade;
-            for e in [&mut rig.memo, &mut rig.plain] {
-                e.execute(&update_row(id, grade)).unwrap();
-            }
-            if i % 500 == 0 {
-                let held = rig.memo.memo_stats().log_entries;
-                assert!(held <= bound, "{backend}: {held} entries after {i} commits");
-            }
-        }
-        let stats = rig.memo.memo_stats();
-        assert!(stats.log_entries <= bound, "{backend}: {stats:?}");
-        assert_eq!(stats.propagations, 0, "{backend}: writes walk no view");
-        let rows = model.iter().enumerate().map(|(id, g)| (id as i64, *g));
-        rig.oracle = Database::empty();
-        for mut cmd in lag_setup(ROWS) {
-            if matches!(&cmd, Command::ModifyState(ident, _) if ident == "acct") {
-                cmd = Command::modify_state("acct", acct_rows(rows.clone()));
-            }
-            rig.oracle = cmd.execute(&rig.oracle).unwrap().0;
-        }
-        for q in &queries {
-            rig.read(q);
-        }
-        assert_eq!(rig.memo.memo_stats().max_lag, 0, "{backend}");
+    let mut rig = Rig::new(1);
+    for cmd in lag_setup(ROWS) {
+        rig.exec(&cmd);
     }
+    let queries = [off_grade_one(), grade_two_ids(), labelled()];
+    for q in &queries {
+        rig.read(q);
+    }
+    // A quarter of the relation in changes, at least one per entry.
+    let bound = (ROWS / 4) as usize;
+    let mut model: Vec<i64> = (0..ROWS).map(|id| id % 4).collect();
+    for i in 0..10_000i64 {
+        let (id, grade) = (i * 7 % ROWS, i % 4);
+        model[id as usize] = grade;
+        for e in [&mut rig.memo, &mut rig.plain] {
+            e.execute(&update_row(id, grade)).unwrap();
+        }
+        if i % 500 == 0 {
+            let held = rig.memo.memo_stats().log_entries;
+            assert!(held <= bound, "{held} entries after {i} commits");
+        }
+    }
+    let stats = rig.memo.memo_stats();
+    assert!(stats.log_entries <= bound, "{stats:?}");
+    assert_eq!(stats.propagations, 0, "writes walk no view");
+    let rows = model.iter().enumerate().map(|(id, g)| (id as i64, *g));
+    rig.oracle = Database::empty();
+    for mut cmd in lag_setup(ROWS) {
+        if matches!(&cmd, Command::ModifyState(ident, _) if ident == "acct") {
+            cmd = Command::modify_state("acct", acct_rows(rows.clone()));
+        }
+        rig.oracle = cmd.execute(&rig.oracle).unwrap().0;
+    }
+    for q in &queries {
+        rig.read(q);
+    }
+    assert_eq!(rig.memo.memo_stats().max_lag, 0);
 }

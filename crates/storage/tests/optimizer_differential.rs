@@ -2,8 +2,7 @@
 //! engine at optimize level 2 (memoized plan search over the `ExprId`
 //! DAG) is observationally identical — values *and* errors — to an
 //! engine that evaluates expressions as written (level 0) or with the
-//! pushdown pass only (level 1), on every backend, with the view memo
-//! on and off. This is the property that
+//! pushdown pass only (level 1), with the view memo on and off. This is the property that
 //! licenses rewriting in `Engine::eval` at all: every enumeration rule
 //! in `txtime_optimizer::search` carries a guard precisely so this
 //! suite can demand error identity, not just value identity.
@@ -44,8 +43,11 @@ fn gen_cfg() -> CmdGenConfig {
     }
 }
 
-fn engine(backend: BackendKind, level: u8, memo: bool) -> Engine {
-    let mut e = Engine::new(backend, CheckpointPolicy::every_k(3).unwrap());
+fn engine(level: u8, memo: bool) -> Engine {
+    let mut e = Engine::new(
+        BackendKind::ForwardDelta,
+        CheckpointPolicy::every_k(3).unwrap(),
+    );
     e.set_optimize(level);
     if memo {
         e.set_memo_register_after(1);
@@ -208,8 +210,8 @@ fn q0_commands(rng: &mut StdRng) -> Vec<Command> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Level 2 vs level 0 (no rewriting at all): the full matrix —
-    /// 2 backends × memo on/off — with random command
+    /// Level 2 vs level 0 (no rewriting at all), memo on and off, with
+    /// random command
     /// sequences and a query pool of random, guard-targeting, and
     /// always-erroring shapes.
     #[test]
@@ -228,18 +230,16 @@ proptest! {
             let depth = qrng.gen_range(1..4);
             queries.push(random_query(&mut qrng, depth));
         }
-        for backend in BackendKind::ALL {
-            for memo in MEMO {
-                let label = format!("{backend}, memo={memo}");
-                let mut opt = engine(backend, 2, memo);
-                let mut base = engine(backend, 0, memo);
-                drive(&cmds, &queries, &mut opt, &mut base, &label);
-                prop_assert!(
-                    opt.optimizer_stats().searches > 0,
-                    "{}: the search never ran",
-                    label
-                );
-            }
+        for memo in MEMO {
+            let label = format!("memo={memo}");
+            let mut opt = engine(2, memo);
+            let mut base = engine(0, memo);
+            drive(&cmds, &queries, &mut opt, &mut base, &label);
+            prop_assert!(
+                opt.optimizer_stats().searches > 0,
+                "{}: the search never ran",
+                label
+            );
         }
     }
 
@@ -312,12 +312,10 @@ proptest! {
             let depth = qrng.gen_range(1..3);
             queries.push(random_query(&mut qrng, depth)); // snapshot noise on a temporal db
         }
-        for backend in BackendKind::ALL {
-            let label = format!("{backend}, vs pushdown");
-            let mut opt = engine(backend, 2, true);
-            let mut base = engine(backend, 1, true);
-            drive(&cmds, &queries, &mut opt, &mut base, &label);
-        }
+        let label = "vs pushdown".to_string();
+        let mut opt = engine(2, true);
+        let mut base = engine(1, true);
+        drive(&cmds, &queries, &mut opt, &mut base, &label);
     }
 }
 
@@ -327,7 +325,7 @@ proptest! {
 /// requirement, stated as a test.
 #[test]
 fn canonical_plans_share_memoized_views() {
-    let mut e = engine(BackendKind::FullCopy, 2, true);
+    let mut e = engine(2, true);
     let mut rng = StdRng::seed_from_u64(0xCAFE);
     let values = gen_cfg().values;
     e.execute(&Command::define_relation("r0", RelationType::Rollback))
@@ -368,7 +366,7 @@ fn canonical_plans_share_memoized_views() {
 /// re-searching, and a mutation invalidates it.
 #[test]
 fn plan_cache_hits_within_a_generation() {
-    let mut e = engine(BackendKind::ForwardDelta, 2, false);
+    let mut e = engine(2, false);
     let mut rng = StdRng::seed_from_u64(7);
     let values = gen_cfg().values;
     e.execute(&Command::define_relation("r0", RelationType::Rollback))
@@ -405,8 +403,8 @@ fn plan_cache_hits_within_a_generation() {
 /// shape alone where it does not: a scheme-evolved relation (no exact
 /// schema), an attribute clash, temporal operands under σ over ×, the
 /// hatted twin over snapshot operands, a key of the wrong type. Values
-/// and error text match level 0 (σ over × as written) either way, on
-/// every backend, memo on and off.
+/// and error text match level 0 (σ over × as written) either way, memo
+/// on and off.
 #[test]
 fn level_one_lowers_equi_selections_where_the_guard_holds() {
     use txtime_core::SchemeChange;
@@ -484,30 +482,28 @@ fn level_one_lowers_equi_selections_where_the_guard_holds() {
             .product(Expr::current("q0"))
             .select(Predicate::eq_attrs("a1", "b0")),
     ];
-    for backend in BackendKind::ALL {
-        for memo in MEMO {
-            let label = format!("{backend}, memo {memo}");
-            let mut level1 = engine(backend, 1, memo);
-            let mut level0 = engine(backend, 0, memo);
-            for cmd in &commands {
-                level1.execute(cmd).unwrap();
-                level0.execute(cmd).unwrap();
-            }
-            for (q, joins) in lowered
-                .iter()
-                .map(|q| (q, true))
-                .chain(declined.iter().map(|q| (q, false)))
-            {
-                let plan = level1.explain(q);
-                assert_eq!(plan.contains("join["), joins, "{label}: {q}\n{plan}");
-                for pass in 0..2 {
-                    match (level0.eval(q), level1.eval(q)) {
-                        (Ok(a), Ok(b)) => assert_eq!(a, b, "{label}, pass {pass}: {q}"),
-                        (Err(a), Err(b)) => {
-                            assert_eq!(a.to_string(), b.to_string(), "{label}, pass {pass}: {q}")
-                        }
-                        (a, b) => panic!("{label}, pass {pass}: {q}: {a:?} vs {b:?}"),
+    for memo in MEMO {
+        let label = format!("memo {memo}");
+        let mut level1 = engine(1, memo);
+        let mut level0 = engine(0, memo);
+        for cmd in &commands {
+            level1.execute(cmd).unwrap();
+            level0.execute(cmd).unwrap();
+        }
+        for (q, joins) in lowered
+            .iter()
+            .map(|q| (q, true))
+            .chain(declined.iter().map(|q| (q, false)))
+        {
+            let plan = level1.explain(q);
+            assert_eq!(plan.contains("join["), joins, "{label}: {q}\n{plan}");
+            for pass in 0..2 {
+                match (level0.eval(q), level1.eval(q)) {
+                    (Ok(a), Ok(b)) => assert_eq!(a, b, "{label}, pass {pass}: {q}"),
+                    (Err(a), Err(b)) => {
+                        assert_eq!(a.to_string(), b.to_string(), "{label}, pass {pass}: {q}")
                     }
+                    (a, b) => panic!("{label}, pass {pass}: {q}: {a:?} vs {b:?}"),
                 }
             }
         }

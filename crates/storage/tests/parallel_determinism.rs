@@ -1,9 +1,9 @@
 //! Parallel execution is invisible: `Engine::eval` on a multi-thread
 //! worker pool returns byte-identical results — values *and* errors — to
-//! the one-thread (exact sequential) pool, on every backend, on random
-//! workloads and queries. This is the property that licenses the
-//! partitioned kernels at all. Neither thread budget nor the view memo
-//! can be told apart from a sequential, memo-less full-copy engine. The
+//! the one-thread (exact sequential) pool, on random workloads and
+//! queries. This is the property that licenses the partitioned kernels
+//! at all. Neither thread budget nor the view memo can be told apart
+//! from a sequential, memo-less engine holding every version whole. The
 //! pools are unit-grain
 //! ([`ExecPool::with_unit_grain`]), so the ten-tuple states here split
 //! into several chunks; the shipped break-even grains would keep every
@@ -44,11 +44,14 @@ fn gen_cfg() -> CmdGenConfig {
 
 /// Engines at every thread budget (unclamped: 8 threads on any host),
 /// fed the same command sequence.
-fn engines(backend: BackendKind, cmds: &[Command], tiny_cache: bool) -> Vec<Engine> {
+fn engines(cmds: &[Command], tiny_cache: bool) -> Vec<Engine> {
     THREADS
         .iter()
         .map(|&n| {
-            let mut e = Engine::new(backend, CheckpointPolicy::every_k(3).unwrap());
+            let mut e = Engine::new(
+                BackendKind::ForwardDelta,
+                CheckpointPolicy::every_k(3).unwrap(),
+            );
             e.set_pool(ExecPool::with_unit_grain(n));
             if tiny_cache {
                 e.set_cache_capacity(1);
@@ -63,22 +66,19 @@ fn engines(backend: BackendKind, cmds: &[Command], tiny_cache: bool) -> Vec<Engi
 
 /// Asserts every engine answers `q` identically to the first (sequential)
 /// one. Errors must agree in rendered form, not merely in presence.
-fn assert_all_agree(engines: &[Engine], q: &Expr, backend: BackendKind) {
+fn assert_all_agree(engines: &[Engine], q: &Expr) {
     let want = engines[0].eval(q);
     for (e, &threads) in engines.iter().zip(&THREADS).skip(1) {
         let got = e.eval(q);
         match (&want, &got) {
-            (Ok(a), Ok(b)) => assert_eq!(
-                a, b,
-                "{backend}, {threads} threads: {q} diverged from sequential"
-            ),
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "{threads} threads: {q} diverged from sequential"),
             (Err(a), Err(b)) => assert_eq!(
                 format!("{a:?}"),
                 format!("{b:?}"),
-                "{backend}, {threads} threads: {q} error diverged"
+                "{threads} threads: {q} error diverged"
             ),
             _ => {
-                panic!("{backend}, {threads} threads: {q}: sequential {want:?} != parallel {got:?}")
+                panic!("{threads} threads: {q}: sequential {want:?} != parallel {got:?}")
             }
         }
     }
@@ -135,8 +135,8 @@ fn random_hquery(rng: &mut StdRng, depth: usize) -> Expr {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Snapshot workloads: 1-, 2-, and 8-thread engines agree on every
-    /// backend, with and without a capacity-1 (evict-always) cache.
+    /// Snapshot workloads: 1-, 2-, and 8-thread engines agree, with and
+    /// without a capacity-1 (evict-always) cache.
     #[test]
     fn parallel_eval_matches_sequential(
         seed in any::<u64>(),
@@ -146,25 +146,23 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let cmds = random_commands(&mut rng, &schema(), &gen_cfg(), len);
-        for backend in BackendKind::ALL {
-            let engines = engines(backend, &cmds, tiny_cache);
-            let mut qrng = StdRng::seed_from_u64(q_seed);
-            for _ in 0..8 {
-                let depth = qrng.gen_range(0..4);
-                let q = random_query(&mut qrng, depth);
-                assert_all_agree(&engines, &q, backend);
-            }
+        let engines = engines(&cmds, tiny_cache);
+        let mut qrng = StdRng::seed_from_u64(q_seed);
+        for _ in 0..8 {
+            let depth = qrng.gen_range(0..4);
+            let q = random_query(&mut qrng, depth);
+            assert_all_agree(&engines, &q);
         }
     }
 
-    /// Memo on or off, at one or two threads, every backend answers a
+    /// Memo on or off, at one or two threads, the engine answers a
     /// workload (command outcomes, a failing command included, a probe
     /// at every transaction number, and queries asked twice so the second
     /// asking takes the memo's hit path) as a memo-less sequential
-    /// full-copy engine does. A query that errs must err again, but which
+    /// engine holding every version whole does. A query that errs must err again, but which
     /// operator reports first may differ once the memo holds its views.
     #[test]
-    fn memo_and_threads_match_the_full_copy_oracle(
+    fn memo_and_threads_match_the_sequential_memoless_oracle(
         seed in any::<u64>(),
         len in 4usize..14,
         q_seed in any::<u64>(),
@@ -184,8 +182,9 @@ proptest! {
                 queries.push(Expr::rollback(r, TxSpec::At(TransactionNumber(t))));
             }
         }
-        let observe = |backend: BackendKind, memo: bool, threads: usize| {
-            let mut e = Engine::new(backend, CheckpointPolicy::every_k(3).unwrap());
+        let observe = |policy: usize, memo: bool, threads: usize| {
+            let policy = CheckpointPolicy::every_k(policy).unwrap();
+            let mut e = Engine::new(BackendKind::ForwardDelta, policy);
             e.set_pool(ExecPool::with_unit_grain(threads));
             if !memo {
                 e.set_memo_capacity(0);
@@ -202,25 +201,21 @@ proptest! {
             }
             seen
         };
-        let oracle = observe(BackendKind::FullCopy, false, 1);
-        for backend in BackendKind::ALL {
-            for memo in [false, true] {
-                for threads in [1, 2] {
-                    prop_assert_eq!(
-                        &observe(backend, memo, threads),
-                        &oracle,
-                        "{} memo={} threads={}",
-                        backend,
-                        memo,
-                        threads
-                    );
-                }
+        let oracle = observe(1, false, 1);
+        for memo in [false, true] {
+            for threads in [1, 2] {
+                prop_assert_eq!(
+                    &observe(3, memo, threads),
+                    &oracle,
+                    "memo={} threads={}",
+                    memo,
+                    threads
+                );
             }
         }
     }
 
-    /// Temporal workloads: the ĥ operators agree across thread budgets
-    /// on every backend.
+    /// Temporal workloads: the ĥ operators agree across thread budgets.
     #[test]
     fn parallel_heval_matches_sequential(
         seed in any::<u64>(),
@@ -244,35 +239,33 @@ proptest! {
                 Expr::historical_const(random_historical_state(&mut rng, &schema(), &hcfg)),
             ));
         }
-        for backend in BackendKind::ALL {
-            let engines = engines(backend, &cmds, false);
-            let mut qrng = StdRng::seed_from_u64(q_seed);
-            for _ in 0..6 {
-                let depth = qrng.gen_range(0..4);
-                let q = random_hquery(&mut qrng, depth);
-                assert_all_agree(&engines, &q, backend);
-            }
-            // ×̂ needs disjoint attribute names: pair each leaf with a
-            // small constant relation on c0/c1.
-            let other_schema =
-                Schema::new(vec![("c0", DomainType::Int), ("c1", DomainType::Str)]).unwrap();
-            let small = random_historical_state(
-                &mut qrng,
-                &other_schema,
-                &HistGenConfig {
-                    values: GenConfig { arity: 2, cardinality: 4, int_range: 6, str_pool: 3 },
-                    horizon: 40,
-                    max_periods: 2,
-                },
-            );
-            let q = Expr::hcurrent("t0").hproduct(Expr::historical_const(small));
-            assert_all_agree(&engines, &q, backend);
+        let engines = engines(&cmds, false);
+        let mut qrng = StdRng::seed_from_u64(q_seed);
+        for _ in 0..6 {
+            let depth = qrng.gen_range(0..4);
+            let q = random_hquery(&mut qrng, depth);
+            assert_all_agree(&engines, &q);
         }
+        // ×̂ needs disjoint attribute names: pair each leaf with a
+        // small constant relation on c0/c1.
+        let other_schema =
+            Schema::new(vec![("c0", DomainType::Int), ("c1", DomainType::Str)]).unwrap();
+        let small = random_historical_state(
+            &mut qrng,
+            &other_schema,
+            &HistGenConfig {
+                values: GenConfig { arity: 2, cardinality: 4, int_range: 6, str_pool: 3 },
+                horizon: 40,
+                max_periods: 2,
+            },
+        );
+        let q = Expr::hcurrent("t0").hproduct(Expr::historical_const(small));
+        assert_all_agree(&engines, &q);
     }
 
     /// `resolve_many` answers each probe exactly as per-probe `eval` of
-    /// the matching ρ/ρ̂ would — same states, same errors — on every
-    /// backend and thread budget, with batches mixing relations, current
+    /// the matching ρ/ρ̂ would — same states, same errors — at every
+    /// thread budget, with batches mixing relations, current
     /// and past specs, repeats, and an undefined relation, and with each
     /// probe alone (a current one takes the inline path).
     #[test]
@@ -297,40 +290,38 @@ proptest! {
                 (name, spec)
             })
             .collect();
-        for backend in BackendKind::ALL {
-            for engine in engines(backend, &cmds, tiny_cache) {
-                let batched = engine.resolve_many(&probes);
-                prop_assert_eq!(batched.len(), probes.len());
-                let alone: Vec<_> = probes
-                    .iter()
-                    .flat_map(|p| engine.resolve_many(&[*p]))
-                    .collect();
-                let answers = batched.iter().chain(&alone);
-                for ((name, spec), got) in probes.iter().cycle().zip(answers) {
-                    let historical = engine
-                        .relation_type(name)
-                        .is_some_and(|t| t.holds_historical());
-                    let q = if historical {
-                        Expr::hrollback(*name, *spec)
-                    } else {
-                        Expr::rollback(*name, *spec)
-                    };
-                    let want = engine.eval(&q);
-                    match (&want, got) {
-                        (Ok(a), Ok(b)) => prop_assert_eq!(
-                            a, b, "{}: batched ρ({}, {:?}) diverged", backend, name, spec
-                        ),
-                        (Err(a), Err(b)) => prop_assert_eq!(
-                            format!("{a:?}"),
-                            format!("{b:?}"),
-                            "{}: batched ρ({}, {:?}) error diverged", backend, name, spec
-                        ),
-                        _ => prop_assert!(
-                            false,
-                            "{}: ρ({}, {:?}): eval {:?} != resolve_many {:?}",
-                            backend, name, spec, want, got
-                        ),
-                    }
+        for engine in engines(&cmds, tiny_cache) {
+            let batched = engine.resolve_many(&probes);
+            prop_assert_eq!(batched.len(), probes.len());
+            let alone: Vec<_> = probes
+                .iter()
+                .flat_map(|p| engine.resolve_many(&[*p]))
+                .collect();
+            let answers = batched.iter().chain(&alone);
+            for ((name, spec), got) in probes.iter().cycle().zip(answers) {
+                let historical = engine
+                    .relation_type(name)
+                    .is_some_and(|t| t.holds_historical());
+                let q = if historical {
+                    Expr::hrollback(*name, *spec)
+                } else {
+                    Expr::rollback(*name, *spec)
+                };
+                let want = engine.eval(&q);
+                match (&want, got) {
+                    (Ok(a), Ok(b)) => prop_assert_eq!(
+                        a, b, "batched ρ({}, {:?}) diverged", name, spec
+                    ),
+                    (Err(a), Err(b)) => prop_assert_eq!(
+                        format!("{a:?}"),
+                        format!("{b:?}"),
+                        "batched ρ({}, {:?}) error diverged", name, spec
+                    ),
+                    _ => prop_assert!(
+                        false,
+                        "ρ({}, {:?}): eval {:?} != resolve_many {:?}",
+                        name, spec, want, got
+                    ),
                 }
             }
         }

@@ -1,8 +1,8 @@
 //! Differential property tests for the sorted-run delta replay: the
 //! merge-based `StateDelta::apply_in_place` agrees byte-for-byte with the
-//! per-element `BTreeSet`/`BTreeMap` reference replay, and every rollback
-//! backend reconstructs byte-identical versions of the same random chain
-//! — including kind changes (snapshot ↔ historical), scheme changes
+//! per-element `BTreeSet`/`BTreeMap` reference replay, and the store,
+//! under every checkpoint policy, reconstructs every version of a random
+//! chain byte for byte — including kind changes (snapshot ↔ historical), scheme changes
 //! (forced `Reschema` boundaries), and empty states.
 
 use proptest::prelude::*;
@@ -15,7 +15,7 @@ use txtime_snapshot::reference::RefSnapshot;
 use txtime_snapshot::rng::rngs::StdRng;
 use txtime_snapshot::rng::{Rng, SeedableRng};
 use txtime_snapshot::{DomainType, Schema};
-use txtime_storage::{BackendKind, CheckpointPolicy, StateDelta};
+use txtime_storage::{CheckpointPolicy, DeltaStore, StateDelta};
 
 fn schema_a() -> Schema {
     Schema::new(vec![("a0", DomainType::Int), ("a1", DomainType::Str)]).unwrap()
@@ -99,32 +99,26 @@ proptest! {
     }
 
     #[test]
-    fn all_backends_reconstruct_identical_versions(seed in any::<u64>(), len in 1usize..10) {
+    fn every_policy_reconstructs_every_version(seed in any::<u64>(), len in 1usize..10) {
         let chain = random_chain(seed, len);
-        let policy = CheckpointPolicy::every_k(3).unwrap();
-        let mut stores: Vec<_> = BackendKind::ALL
-            .iter()
-            .map(|&k| (format!("{k:?}"), k.new_store(policy)))
-            .collect();
-        for (i, state) in chain.iter().enumerate() {
-            // Sparse transaction numbers: probes between versions must
-            // floor to the version at-or-below, identically everywhere.
-            let tx = TransactionNumber(2 * i as u64 + 1);
-            for (_, store) in &mut stores {
-                store.append(state, tx);
-            }
-        }
+        // Sparse transaction numbers: version `i` commits at `2i + 1`, so
+        // a probe between versions must floor to the version at or below
+        // it (FINDSTATE), and before the first there is none.
         let probes: Vec<TransactionNumber> = (0..=2 * len as u64 + 1).map(TransactionNumber).collect();
-        let (first_name, first) = &stores[0];
-        let baseline: Vec<_> = probes.iter().map(|&tx| first.state_at(tx)).collect();
-        let baseline_many = first.state_at_many(&probes);
-        prop_assert_eq!(&baseline, &baseline_many, "{} state_at_many", first_name);
-        for (name, store) in &stores[1..] {
+        let want: Vec<Option<StateValue>> = probes
+            .iter()
+            .map(|tx| (tx.0 as usize).div_ceil(2).checked_sub(1).map(|i| chain[i.min(len - 1)].clone()))
+            .collect();
+        let every = [1, 3].map(|k| CheckpointPolicy::every_k(k).unwrap());
+        for policy in [CheckpointPolicy::Never, every[0], every[1]] {
+            let mut store = DeltaStore::new(policy, None);
+            for (i, state) in chain.iter().enumerate() {
+                store.append(state, TransactionNumber(2 * i as u64 + 1));
+            }
             let got: Vec<_> = probes.iter().map(|&tx| store.state_at(tx)).collect();
-            prop_assert_eq!(&baseline, &got, "{} state_at", name);
-            let got_many = store.state_at_many(&probes);
-            prop_assert_eq!(&baseline, &got_many, "{} state_at_many", name);
-            prop_assert_eq!(first.current(), store.current(), "{} current", name);
+            prop_assert_eq!(&want, &got, "{:?} state_at", policy);
+            prop_assert_eq!(&want, &store.state_at_many(&probes), "{:?} state_at_many", policy);
+            prop_assert_eq!(chain.last().cloned(), store.current(), "{:?} current", policy);
         }
     }
 }

@@ -18,8 +18,8 @@
 //! `space_report()` rows (for the delta store that is the chain
 //! entries, byte for byte, and the compaction counters) and the interner
 //! pools; and a reader registered with the view memo must see what the
-//! oracle computes, so the log takes the right delta. All of it on 2
-//! backends × memo on/off.
+//! oracle computes, so the log takes the right delta. All of it with
+//! memo on/off.
 
 use proptest::prelude::*;
 use txtime_snapshot::rng::rngs::StdRng;
@@ -44,8 +44,8 @@ fn policy() -> CheckpointPolicy {
 
 /// Compaction is attempted every fourth append; it has something to fold
 /// under [`CheckpointPolicy::Never`] once a chain passes 32 versions.
-fn engine(backend: BackendKind, checkpoints: CheckpointPolicy) -> Engine {
-    let mut e = Engine::new(backend, checkpoints);
+fn engine(checkpoints: CheckpointPolicy) -> Engine {
+    let mut e = Engine::new(BackendKind::ForwardDelta, checkpoints);
     e.set_auto_compact(std::num::NonZeroUsize::new(4));
     e
 }
@@ -81,8 +81,8 @@ struct Rig {
 }
 
 impl Rig {
-    fn new(backend: BackendKind, reader: bool, checkpoints: CheckpointPolicy) -> Rig {
-        let under_test = engine(backend, checkpoints);
+    fn new(reader: bool, checkpoints: CheckpointPolicy) -> Rig {
+        let under_test = engine(checkpoints);
         if reader {
             under_test.set_memo_register_after(1);
         } else {
@@ -90,22 +90,18 @@ impl Rig {
         }
         Rig {
             engine: under_test,
-            twin: engine(backend, checkpoints),
+            twin: engine(checkpoints),
             oracle: Database::empty(),
             reader,
-            label: format!("{backend}/{checkpoints:?}, reader {reader}"),
+            label: format!("{checkpoints:?}, reader {reader}"),
         }
     }
 
-    /// 2 backends × memo off/on with a registered reader.
+    /// Memo off, and on with a registered reader.
     fn all(checkpoints: CheckpointPolicy) -> Vec<Rig> {
-        let mut rigs = Vec::new();
-        for backend in BackendKind::ALL {
-            for reader in [false, true] {
-                rigs.push(Rig::new(backend, reader, checkpoints));
-            }
-        }
-        rigs
+        [false, true]
+            .map(|reader| Rig::new(reader, checkpoints))
+            .into()
     }
 
     fn run(&mut self, source: &str) {
@@ -450,7 +446,8 @@ fn edge_script() -> Vec<(bool, String)> {
 
 #[test]
 fn hand_written_edges_leave_the_literal_twins_history() {
-    for checkpoints in [policy(), CheckpointPolicy::Never] {
+    let whole = CheckpointPolicy::every_k(1).unwrap();
+    for checkpoints in [whole, policy(), CheckpointPolicy::Never] {
         for mut rig in Rig::all(checkpoints) {
             for (by_delta, source) in edge_script() {
                 let before = delta_commits(&rig.engine);
@@ -467,8 +464,7 @@ fn hand_written_edges_leave_the_literal_twins_history() {
             // Auto-compaction fired mid-script, between delta commits,
             // wherever there is a chain and no policy pinned it already.
             let compactions: u64 = rows(&rig.engine).iter().map(|r| r.compaction.runs).sum();
-            let folds = checkpoints == CheckpointPolicy::Never
-                && rig.engine.backend() == BackendKind::ForwardDelta;
+            let folds = checkpoints == CheckpointPolicy::Never;
             assert_eq!(compactions > 0, folds, "{}", rig.label);
         }
     }
@@ -480,27 +476,21 @@ fn hand_written_edges_leave_the_literal_twins_history() {
 fn recovering_the_journal_reaches_the_same_space_report() {
     let dir = std::env::temp_dir().join(format!("txtime-update-diff-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for backend in BackendKind::ALL {
-        let path = dir.join(format!("{backend}.wal"));
-        let _ = std::fs::remove_file(&path);
-        // Compaction as the environment gives it: recovery builds its
-        // engine the same way.
-        let mut live = Engine::with_wal(backend, policy(), &path).unwrap();
-        for (_, source) in edge_script() {
-            let _ = live.execute(&parse_command(&source).unwrap());
-        }
-        let by_delta = delta_commits(&live);
-        assert!(by_delta > 20, "{backend}: {by_delta}");
-        let recovered = recover(&path, backend, policy()).unwrap();
-        assert!(recovered.skipped.is_empty(), "{backend}");
-        assert_eq!(recovered.engine.tx(), live.tx(), "{backend}");
-        assert_eq!(rows(&recovered.engine), rows(&live), "{backend}");
-        assert_eq!(delta_commits(&recovered.engine), by_delta, "{backend}");
-        assert_eq!(
-            recovered.engine.interner_report(),
-            live.interner_report(),
-            "{backend}"
-        );
-        let _ = std::fs::remove_file(&path);
+    let path = dir.join("journal.wal");
+    let _ = std::fs::remove_file(&path);
+    // Compaction as the environment gives it: recovery builds its
+    // engine the same way.
+    let mut live = Engine::with_wal(policy(), &path).unwrap();
+    for (_, source) in edge_script() {
+        let _ = live.execute(&parse_command(&source).unwrap());
     }
+    let by_delta = delta_commits(&live);
+    assert!(by_delta > 20, "{by_delta}");
+    let recovered = recover(&path, BackendKind::ForwardDelta, policy()).unwrap();
+    assert!(recovered.skipped.is_empty());
+    assert_eq!(recovered.engine.tx(), live.tx());
+    assert_eq!(rows(&recovered.engine), rows(&live));
+    assert_eq!(delta_commits(&recovered.engine), by_delta);
+    assert_eq!(recovered.engine.interner_report(), live.interner_report());
+    let _ = std::fs::remove_file(&path);
 }

@@ -48,12 +48,8 @@ fn main() {
     let sentence = parse_sentence(script).expect("script parses");
 
     // Execute on a delta-compressed, journaled engine.
-    let mut engine = Engine::with_wal(
-        BackendKind::ForwardDelta,
-        CheckpointPolicy::every_k(8).unwrap(),
-        &wal_path,
-    )
-    .expect("journal opens");
+    let mut engine =
+        Engine::with_wal(CheckpointPolicy::every_k(8).unwrap(), &wal_path).expect("journal opens");
     for cmd in sentence.commands() {
         engine.execute(cmd).expect("command valid");
     }

@@ -4,8 +4,8 @@
 //! ```text
 //! txtime run script.txq                       # check + lint + execute, print displays
 //! txtime run script.txq --no-check            # skip the static checker (and the lint)
-//! txtime run script.txq --backend fwd-delta   # choose physical design
-//! txtime run script.txq --wal journal.wal     # journal mutations
+//! txtime run script.txq --checkpoint 1        # hold every version whole
+//! txtime run script.txq --wal journal.wal     # resume + journal mutations
 //! txtime recover journal.wal                  # rebuild + summarize
 //! txtime check script.txq                     # static check + verify engine ≡ reference
 //! txtime check script.txq --lint              # also run txtime-lint (W-series warnings)
@@ -31,16 +31,14 @@
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
-use txtime::analyze::{lint_sentence, Diagnostic, Warning};
+use txtime::analyze::{Diagnostic, Linter, Warning};
 use txtime::core::{Command, CommandOutcome, Sentence, SentenceSpans};
 use txtime::parser::parse_sentence_spanned;
 use txtime::server::{Client, Failpoint, ServerConfig};
 use txtime::storage::{
-    check_equivalence, parse_auto_compact, recovery::recover, BackendKind, CheckpointPolicy, Engine,
+    check_equivalence, parse_auto_compact, recovery::recover, wal, BackendKind, CheckpointPolicy,
+    Engine,
 };
-
-/// The names `--backend` accepts, as the usage line and its error list them.
-const BACKENDS: &str = "full-copy, fwd-delta, forward-delta";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -53,10 +51,10 @@ fn main() -> ExitCode {
         Some((cmd, rest)) if cmd == "explain" => explain(rest),
         Some((cmd, rest)) if cmd == "serve" => serve_cmd(rest),
         _ => {
-            eprintln!("usage: txtime <run|recover|check|stats|compact|explain|serve> <file> [--backend KIND] [--wal FILE] [--checkpoint K] [--threads N] [--every N] [--optimize L] [--auto-compact N] [--no-check] [--lint] [--deny-warnings]");
+            eprintln!("usage: txtime <run|recover|check|stats|compact|explain|serve> <file> [--wal FILE] [--checkpoint K] [--threads N] [--every N] [--optimize L] [--auto-compact N] [--no-check] [--lint] [--deny-warnings]");
             eprintln!("       txtime serve [--listen ADDR] [--wal FILE] [--no-group-commit] [--max-sessions N] [tuning flags]");
             eprintln!("       txtime stats --addr ADDR    # gauges from a running server");
-            eprintln!("backends: {BACKENDS} (full-copy is the default)");
+            eprintln!("--checkpoint K holds every K-th version whole (default 16; 1 = every version, 0 = none)");
             ExitCode::FAILURE
         }
     }
@@ -66,7 +64,6 @@ struct Options {
     /// The script (or journal) file. Optional because `serve` and
     /// `stats --addr` operate without one.
     file: Option<String>,
-    backend: BackendKind,
     wal: Option<String>,
     checkpoint: CheckpointPolicy,
     no_check: bool,
@@ -98,7 +95,6 @@ struct Options {
 
 fn parse_options(rest: &[String]) -> Result<Options, String> {
     let mut file = None;
-    let mut backend = BackendKind::FullCopy;
     let mut wal = None;
     let mut checkpoint = CheckpointPolicy::every_k(16).unwrap();
     let mut no_check = false;
@@ -171,18 +167,6 @@ fn parse_options(rest: &[String]) -> Result<Options, String> {
                 }
                 threads = Some(n);
             }
-            "--backend" => {
-                let v = it.next().ok_or("--backend needs a value")?;
-                backend = match v.as_str() {
-                    "full-copy" => BackendKind::FullCopy,
-                    "fwd-delta" | "forward-delta" => BackendKind::ForwardDelta,
-                    other => {
-                        return Err(format!(
-                            "unknown backend {other:?}; expected one of: {BACKENDS}"
-                        ))
-                    }
-                };
-            }
             "--wal" => wal = Some(it.next().ok_or("--wal needs a value")?.clone()),
             "--checkpoint" => {
                 let v = it.next().ok_or("--checkpoint needs a value")?;
@@ -192,13 +176,12 @@ fn parse_options(rest: &[String]) -> Result<Options, String> {
                 // 0 keeps its CLI meaning of "no checkpoints".
                 checkpoint = CheckpointPolicy::every_k(k).unwrap_or(CheckpointPolicy::Never);
             }
-            other if file.is_none() => file = Some(other.to_string()),
+            other if file.is_none() && !other.starts_with("--") => file = Some(other.to_string()),
             other => return Err(format!("unexpected argument {other:?}")),
         }
     }
     Ok(Options {
         file,
-        backend,
         wal,
         checkpoint,
         no_check,
@@ -237,14 +220,71 @@ fn tune(engine: &mut Engine, opts: &Options) {
     }
 }
 
+/// An engine in the fixed configuration: the one store, checkpointed per
+/// `--checkpoint`.
+fn new_engine(opts: &Options) -> Engine {
+    Engine::new(BackendKind::ForwardDelta, opts.checkpoint)
+}
+
+/// The engine `run` and `serve` start from: a non-empty `--wal` journal
+/// is replayed, so the clock continues where the last process stopped,
+/// and cut back to the prefix it replayed, so what is appended next
+/// extends exactly that history; otherwise the empty database. No
+/// journal is attached: `run` attaches it, `serve` hands it to the
+/// server's committer.
+fn resume(opts: &Options) -> Result<Engine, String> {
+    let Some(path) = journal(opts) else {
+        return Ok(new_engine(opts));
+    };
+    let rec = recover(path, BackendKind::ForwardDelta, opts.checkpoint)
+        .map_err(|e| format!("cannot recover {path}: {e}"))?;
+    eprintln!(
+        "recovered {} commands from {path}; clock at tx {}; {} corrupt line(s) skipped",
+        rec.replayed,
+        rec.engine.tx(),
+        rec.skipped.len()
+    );
+    wal::truncate_to_verified_prefix(path)
+        .map_err(|e| format!("cannot truncate {path} to its verified prefix: {e}"))?;
+    Ok(rec.engine)
+}
+
+/// `--wal`'s journal, if it holds anything.
+fn journal(opts: &Options) -> Option<&String> {
+    opts.wal
+        .as_ref()
+        .filter(|p| std::fs::metadata(p).is_ok_and(|m| m.len() > 0))
+}
+
+/// The commands `--wal`'s journal holds once [`resume`] has cut it back:
+/// the state a resumed script is checked against.
+fn journaled(opts: &Options) -> Result<Vec<Command>, String> {
+    let Some(path) = journal(opts) else {
+        return Ok(Vec::new());
+    };
+    let file = std::fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let entries = wal::read_journal(std::io::BufReader::new(file))
+        .map_err(|e| format!("cannot read {path}: {e}"))?;
+    Ok(entries
+        .into_iter()
+        .map_while(|entry| match entry {
+            wal::WalEntry::Command(cmd) => Some(cmd),
+            wal::WalEntry::Corrupt { .. } => None,
+        })
+        .collect())
+}
+
 /// Parses the script with spans and runs the static checker (plus, when
-/// `lint`, the `txtime-lint` pass), printing diagnostics and warnings.
-/// Returns the parsed sentence, whether it checked clean, and the number
-/// of lint warnings — or `None` on a parse error (already reported).
+/// `lint`, the `txtime-lint` pass) against the state the `journaled`
+/// commands leave, the state the script will execute against; prints
+/// diagnostics and warnings. Returns the parsed sentence, whether it
+/// checked clean, and the number of lint warnings — or `None` on a parse
+/// error (already reported).
 fn parse_and_check(
     source: &str,
     file: &str,
     lint: bool,
+    journaled: &[Command],
 ) -> Option<(Sentence, SentenceSpans, bool, usize)> {
     let (sentence, spans) = match parse_sentence_spanned(source) {
         Ok(pair) => pair,
@@ -255,7 +295,11 @@ fn parse_and_check(
     };
     // The linter embeds the checker, so one sentence replay produces
     // both the E-series diagnostics and (when asked) the W-series.
-    let report = lint_sentence(&sentence, Some(&spans));
+    let mut linter = Linter::new();
+    for cmd in journaled {
+        linter.commit(cmd, None);
+    }
+    let report = linter.lint_sentence(&sentence, Some(&spans));
     for d in &report.diagnostics {
         print_diagnostic(file, d);
     }
@@ -314,12 +358,26 @@ fn run(rest: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // An engine always starts from the empty database (a WAL is appended
-    // to, not replayed), so whole-sentence checking is exactly the state
-    // the script will execute against. Lint warnings are printed but
-    // never stop a run unless --deny-warnings asks them to.
+    let mut engine = match resume(&opts) {
+        Ok(engine) => engine,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    // The script is checked against the state it will execute against:
+    // the empty database, or what the journal replayed. Lint warnings
+    // are printed but never stop a run unless --deny-warnings asks them
+    // to.
     if !opts.no_check {
-        match parse_and_check(&source, &file, true) {
+        let journaled = match journaled(&opts) {
+            Ok(commands) => commands,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        match parse_and_check(&source, &file, true, &journaled) {
             Some((_, _, true, warnings)) => {
                 if warnings > 0 && opts.deny_warnings {
                     eprintln!("error: {warnings} lint warning(s) denied by --deny-warnings");
@@ -333,16 +391,12 @@ fn run(rest: &[String]) -> ExitCode {
             None => return ExitCode::FAILURE,
         }
     }
-    let mut engine = match &opts.wal {
-        Some(path) => match Engine::with_wal(opts.backend, opts.checkpoint, path) {
-            Ok(e) => e,
-            Err(e) => {
-                eprintln!("error: cannot open WAL {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => Engine::new(opts.backend, opts.checkpoint),
-    };
+    if let Some(path) = &opts.wal {
+        if let Err(e) = engine.attach_wal(path) {
+            eprintln!("error: cannot open WAL {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
     tune(&mut engine, &opts);
     match engine.execute_script(&source) {
         Ok(outcomes) => {
@@ -381,7 +435,7 @@ fn recover_cmd(rest: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match recover(&file, opts.backend, opts.checkpoint) {
+    match recover(&file, BackendKind::ForwardDelta, opts.checkpoint) {
         Ok(rec) => {
             eprintln!(
                 "recovered {} commands; clock at tx {}; {} corrupt line(s) skipped",
@@ -446,7 +500,7 @@ fn stats(rest: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut engine = Engine::new(opts.backend, opts.checkpoint);
+    let mut engine = new_engine(&opts);
     tune(&mut engine, &opts);
     if let Err(e) = engine.execute_script(&source) {
         eprintln!("error: {e}");
@@ -466,7 +520,7 @@ fn stats(rest: &[String]) -> ExitCode {
     // memoized, rewrites fired).
     print!("{}", engine.optimizer_stats());
     // The view memo's counters, the hash-consed expression DAG behind
-    // it, and the per-relation string pools inside the delta backends.
+    // it, and the per-relation string pools inside the stores.
     print!("{}", engine.memo_stats());
     let (nodes, bytes) = engine.memo_interner_footprint();
     println!("       expr interner: {nodes} nodes / {bytes} bytes");
@@ -501,7 +555,7 @@ fn compact(rest: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut engine = Engine::new(opts.backend, opts.checkpoint);
+    let mut engine = new_engine(&opts);
     tune(&mut engine, &opts);
     if let Err(e) = engine.execute_script(&source) {
         eprintln!("error: {e}");
@@ -555,7 +609,7 @@ fn explain(rest: &[String]) -> ExitCode {
             }
         }
     } else {
-        match parse_and_check(&source, &file, opts.lint || opts.deny_warnings) {
+        match parse_and_check(&source, &file, opts.lint || opts.deny_warnings, &[]) {
             Some((s, _, true, warnings)) => {
                 if warnings > 0 && opts.deny_warnings {
                     eprintln!("error: {warnings} lint warning(s) denied by --deny-warnings");
@@ -570,7 +624,7 @@ fn explain(rest: &[String]) -> ExitCode {
             None => return ExitCode::FAILURE,
         }
     };
-    let mut engine = Engine::new(opts.backend, opts.checkpoint);
+    let mut engine = new_engine(&opts);
     tune(&mut engine, &opts);
     let mut shown = 0;
     for cmd in sentence.commands() {
@@ -620,7 +674,7 @@ fn check(rest: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (sentence, warnings) = match parse_and_check(&source, &file, opts.lint) {
+    let (sentence, warnings) = match parse_and_check(&source, &file, opts.lint, &[]) {
         Some((s, _, true, w)) => (s, w),
         Some((_, _, false, _)) => {
             eprintln!("static check: FAILED");
@@ -643,12 +697,15 @@ fn check(rest: &[String]) -> ExitCode {
         eprintln!("error: {warnings} lint warning(s) denied by --deny-warnings");
         return ExitCode::FAILURE;
     }
+    // The configured interval and the store holding every version whole.
+    let mut policies = vec![opts.checkpoint, CheckpointPolicy::every_k(1).unwrap()];
+    policies.dedup();
     let mut failed = false;
-    for backend in BackendKind::ALL {
-        match check_equivalence(sentence.commands(), backend, opts.checkpoint) {
-            Ok(()) => eprintln!("{backend}: ≡ reference semantics"),
+    for policy in policies {
+        match check_equivalence(sentence.commands(), policy) {
+            Ok(()) => eprintln!("checkpoint {policy}: ≡ reference semantics"),
             Err(e) => {
-                eprintln!("{backend}: DIVERGENCE — {e}");
+                eprintln!("checkpoint {policy}: DIVERGENCE — {e}");
                 failed = true;
             }
         }
@@ -671,32 +728,13 @@ fn serve_cmd(rest: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // A non-empty journal is replayed first so the transaction clock
-    // continues where the last process stopped; the committer then
-    // appends to the same file.
-    let mut engine = match &opts.wal {
-        Some(path)
-            if std::fs::metadata(path)
-                .map(|m| m.len() > 0)
-                .unwrap_or(false) =>
-        {
-            match recover(path, opts.backend, opts.checkpoint) {
-                Ok(rec) => {
-                    eprintln!(
-                        "recovered {} commands from {path}; clock at tx {}; {} corrupt line(s) skipped",
-                        rec.replayed,
-                        rec.engine.tx(),
-                        rec.skipped.len()
-                    );
-                    rec.engine
-                }
-                Err(e) => {
-                    eprintln!("error: cannot recover {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+    // The committer appends to the journal the engine was resumed from.
+    let mut engine = match resume(&opts) {
+        Ok(engine) => engine,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
-        _ => Engine::new(opts.backend, opts.checkpoint),
     };
     tune(&mut engine, &opts);
     let listener = match std::net::TcpListener::bind(&opts.listen) {
@@ -721,9 +759,9 @@ fn serve_cmd(rest: &[String]) -> ExitCode {
         }
     };
     eprintln!(
-        "listening on {} ({}, group commit {})",
+        "listening on {} (checkpoint {}, group commit {})",
         handle.addr(),
-        opts.backend,
+        opts.checkpoint,
         if opts.no_group_commit { "off" } else { "on" }
     );
     let report = handle.wait();

@@ -47,37 +47,122 @@ fn run_executes_and_prints_displays() {
     let _ = std::fs::remove_file(&script);
 }
 
+/// There is one store, so there is no `--backend` to choose it with:
+/// the flag is refused like any other unknown argument, wherever it
+/// stands, and `--checkpoint 1` (every version held whole, what the
+/// removed full-copy store held) runs the script.
 #[test]
-fn run_supports_every_backend_flag() {
-    let script = write_script("backends.txq", SCRIPT);
-    for backend in ["full-copy", "fwd-delta", "forward-delta"] {
-        let out = txtime(&["run", script.to_str().unwrap(), "--backend", backend]);
-        assert!(out.status.success(), "backend {backend}");
+fn run_refuses_the_backend_flag_and_takes_checkpoint_1() {
+    let script = write_script("one-store.txq", SCRIPT);
+    let path = script.to_str().unwrap();
+    for args in [
+        ["run", path, "--backend", "fwd-delta"],
+        ["run", "--backend", "fwd-delta", path],
+    ] {
+        let out = txtime(&args);
+        assert!(!out.status.success(), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unexpected argument \"--backend\""),
+            "{args:?}: {stderr}"
+        );
     }
-    let out = txtime(&["run", script.to_str().unwrap(), "--backend", "btree"]);
-    assert!(!out.status.success());
+    let out = txtime(&["run", path, "--checkpoint", "1"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(stderr.contains("clock at tx 3"), "stderr: {stderr}");
     let _ = std::fs::remove_file(&script);
 }
 
-/// `--backend` refuses every name outside its list, the short and long
-/// names of the reverse-delta and tuple-timestamp stores included, and
-/// the error lists the accepted ones.
+/// Every `--checkpoint` interval, none and every version whole
+/// included, answers past and current probes alike; a non-number is
+/// refused.
 #[test]
-fn run_refuses_removed_backends_and_lists_the_accepted_ones() {
-    let script = write_script("removed-backends.txq", SCRIPT);
-    for backend in ["rev-delta", "reverse-delta", "tuple-ts", "tuple-timestamp"] {
-        let out = txtime(&["run", script.to_str().unwrap(), "--backend", backend]);
-        assert!(!out.status.success(), "backend {backend}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
+fn run_supports_every_checkpoint_flag() {
+    let script = write_script(
+        "checkpoints.txq",
+        &format!("{SCRIPT}    display(rho(emp, 2));\n    display(rho(emp, inf));\n"),
+    );
+    let path = script.to_str().unwrap();
+    let default = txtime(&["run", path]);
+    assert!(default.status.success());
+    assert!(String::from_utf8_lossy(&default.stdout).contains("alice"));
+    for k in ["0", "1", "2", "16"] {
+        let out = txtime(&["run", path, "--checkpoint", k]);
         assert!(
-            stderr.contains(&format!("unknown backend {backend:?}")),
-            "stderr: {stderr}"
+            out.status.success(),
+            "--checkpoint {k}: {}",
+            String::from_utf8_lossy(&out.stderr)
         );
-        for accepted in ["full-copy", "fwd-delta", "forward-delta"] {
-            assert!(stderr.contains(accepted), "stderr: {stderr}");
-        }
+        assert_eq!(out.stdout, default.stdout, "--checkpoint {k}");
     }
+    let out = txtime(&["run", path, "--checkpoint", "btree"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("invalid checkpoint interval"),
+        "stderr: {stderr}"
+    );
     let _ = std::fs::remove_file(&script);
+}
+
+/// `run --wal` resumes a journal that already holds commands, as `serve`
+/// does: the script is checked and executed against the state the
+/// journal replays, and what it commits extends that history, so the
+/// journal stays recoverable.
+#[test]
+fn run_resumes_a_non_empty_journal() {
+    let define = write_script("resume-a.txq", "define_relation(r, rollback);");
+    let modify = write_script("resume-b.txq", "modify_state(r, {(x: int): (1), (2)});");
+    let wal = tmpdir().join(format!("{}-resume.wal", std::process::id()));
+    let _ = std::fs::remove_file(&wal);
+    let wal_arg = wal.to_str().unwrap();
+    let run = |script: &PathBuf| txtime(&["run", script.to_str().unwrap(), "--wal", wal_arg]);
+
+    let out = run(&define);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = run(&modify);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(stderr.contains("recovered 1 commands"), "stderr: {stderr}");
+    assert!(stderr.contains("clock at tx 2"), "stderr: {stderr}");
+    let out = txtime(&["recover", wal_arg]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(stderr.contains("recovered 2 commands"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("r: rollback (1 versions)"),
+        "stderr: {stderr}"
+    );
+
+    // Defining the relation again fails against the resumed state, with
+    // and without the static check, and journals nothing.
+    let journaled = std::fs::read(&wal).unwrap();
+    let out = run(&define);
+    assert!(!out.status.success());
+    let out = txtime(&[
+        "run",
+        define.to_str().unwrap(),
+        "--wal",
+        wal_arg,
+        "--no-check",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert!(stderr.contains("already defined"), "stderr: {stderr}");
+    assert_eq!(std::fs::read(&wal).unwrap(), journaled);
+    let out = txtime(&["recover", wal_arg]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(stderr.contains("recovered 2 commands"), "stderr: {stderr}");
+
+    for path in [&define, &modify, &wal] {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 #[test]
@@ -101,8 +186,6 @@ fn wal_then_recover_round_trips() {
         script.to_str().unwrap(),
         "--wal",
         wal.to_str().unwrap(),
-        "--backend",
-        "fwd-delta",
     ]);
     assert!(out.status.success());
 
@@ -116,23 +199,35 @@ fn wal_then_recover_round_trips() {
     let _ = std::fs::remove_file(&wal);
 }
 
+/// `check` verifies the configured checkpoint interval and the store
+/// holding every version whole, once each.
 #[test]
-fn check_verifies_all_backends() {
+fn check_verifies_each_checkpoint_policy() {
     let script = write_script("check.txq", SCRIPT);
-    let out = txtime(&["check", script.to_str().unwrap()]);
-    assert!(out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    for backend in ["full-copy", "forward-delta"] {
-        assert!(
-            stderr.contains(&format!("{backend}: ≡ reference semantics")),
-            "stderr: {stderr}"
+    let path = script.to_str().unwrap();
+    for (args, policies) in [
+        (vec!["check", path], vec!["every 16", "every 1"]),
+        (
+            vec!["check", path, "--checkpoint", "0"],
+            vec!["never", "every 1"],
+        ),
+        (vec!["check", path, "--checkpoint", "1"], vec!["every 1"]),
+    ] {
+        let out = txtime(&args);
+        assert!(out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        for policy in &policies {
+            assert!(
+                stderr.contains(&format!("checkpoint {policy}: ≡ reference semantics")),
+                "{args:?}: {stderr}"
+            );
+        }
+        assert_eq!(
+            stderr.matches("≡ reference semantics").count(),
+            policies.len(),
+            "{args:?}: {stderr}"
         );
     }
-    assert_eq!(
-        stderr.matches("≡ reference semantics").count(),
-        2,
-        "stderr: {stderr}"
-    );
     let _ = std::fs::remove_file(&script);
 }
 
@@ -218,7 +313,7 @@ fn run_lint_prints_warnings_and_still_executes() {
 #[test]
 fn bundled_example_scripts_pass_strict_lint() {
     // The CI gate in words: every checked-in example script must parse,
-    // check, and lint clean under --deny-warnings on every backend.
+    // check, and lint clean under --deny-warnings.
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/scripts");
     let mut seen = 0;
     for entry in std::fs::read_dir(dir).expect("scripts directory exists") {
@@ -274,16 +369,7 @@ fn stats_and_compact_report_compaction_per_relation() {
     };
     let path = script.to_str().unwrap();
     let run = |cmd: &str| {
-        let out = txtime(&[
-            cmd,
-            path,
-            "--backend",
-            "fwd-delta",
-            "--checkpoint",
-            "0",
-            "--every",
-            "1",
-        ]);
+        let out = txtime(&[cmd, path, "--checkpoint", "0", "--every", "1"]);
         assert!(
             out.status.success(),
             "stderr: {}",
@@ -310,7 +396,7 @@ fn stats_and_compact_report_compaction_per_relation() {
     let _ = std::fs::remove_file(&script);
 }
 
-/// An audit diff on a delta store is read off the chain: `txtime stats`
+/// An audit diff is read off the store's chain: `txtime stats`
 /// shows it as a `version-diff` row (calls = answers, chunks = tuples
 /// returned) and no `difference` kernel row beside it.
 #[test]
@@ -326,7 +412,7 @@ fn stats_reports_version_differences_read_off_the_chain() {
         display(rho(emp, 2) minus rho(emp, 4));
         "#,
     );
-    let out = txtime(&["stats", script.to_str().unwrap(), "--backend", "fwd-delta"]);
+    let out = txtime(&["stats", script.to_str().unwrap()]);
     assert!(
         out.status.success(),
         "stderr: {}",
@@ -347,14 +433,7 @@ fn stats_reports_version_differences_read_off_the_chain() {
 #[test]
 fn stats_reports_memo_and_interner_pools() {
     let script = write_script("stats.txq", SCRIPT);
-    let out = txtime(&[
-        "stats",
-        script.to_str().unwrap(),
-        "--backend",
-        "fwd-delta",
-        "--threads",
-        "2",
-    ]);
+    let out = txtime(&["stats", script.to_str().unwrap(), "--threads", "2"]);
     assert!(
         out.status.success(),
         "stderr: {}",
@@ -391,7 +470,7 @@ fn stats_reports_memo_and_interner_pools() {
         "stdout: {stdout}"
     );
     assert!(stdout.contains("expr interner:"), "stdout: {stdout}");
-    // The delta backends expose their per-relation string pools.
+    // The stores expose their per-relation string pools.
     assert!(stdout.contains("pool:  emp:"), "stdout: {stdout}");
     assert!(stdout.contains("strings"), "stdout: {stdout}");
     let _ = std::fs::remove_file(&script);

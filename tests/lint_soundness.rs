@@ -1,6 +1,5 @@
 //! Lint-soundness differential tests: every fact `txtime-lint` states
-//! must hold in the actual execution, on every storage backend, with the
-//! view memo on and off.
+//! must hold in the actual execution, with the view memo on and off.
 //!
 //! Three properties, each over random spiced command sequences:
 //!
@@ -8,8 +7,7 @@
 //!    subexpression evaluates to ∅; an equals-operand claim means the
 //!    operator returns its operand's value; an equals-current-rollback
 //!    claim means `ρ(I, n)` beyond the clock equals `ρ(I, inf)` — all
-//!    verified by evaluating both sides on both backends, memo on
-//!    and off.
+//!    verified by evaluating both sides, memo on and off.
 //! 2. **Cardinality bounds contain reality.** Every subexpression's
 //!    static [`CardInterval`] contains the evaluated cardinality, and
 //!    the end-of-sentence [`StatsCatalog`] intervals contain the true
@@ -17,7 +15,7 @@
 //!    version.
 //! 3. **Dead writes are dead.** Neutering every write the linter proved
 //!    dead (replacing its expression with `σ_false` of itself) changes
-//!    no display output and no final relation state, on every backend.
+//!    no display output and no final relation state.
 
 use proptest::prelude::*;
 use txtime::snapshot::rng::rngs::StdRng;
@@ -137,17 +135,18 @@ fn arb_commands() -> impl Strategy<Value = Vec<Command>> {
     })
 }
 
-/// Every backend × memo on/off: the lint's claims must hold on each.
+/// Memo on/off: the lint's claims must hold on each.
 fn all_engines() -> Vec<(String, Engine)> {
     let mut engines = Vec::new();
-    for backend in BackendKind::ALL {
-        for memo in [true, false] {
-            let engine = Engine::new(backend, CheckpointPolicy::every_k(3).unwrap());
-            if !memo {
-                engine.set_memo_capacity(0);
-            }
-            engines.push((format!("{backend}/memo={memo}"), engine));
+    for memo in [true, false] {
+        let engine = Engine::new(
+            BackendKind::ForwardDelta,
+            CheckpointPolicy::every_k(3).unwrap(),
+        );
+        if !memo {
+            engine.set_memo_capacity(0);
         }
+        engines.push((format!("memo={memo}"), engine));
     }
     engines
 }
@@ -205,7 +204,7 @@ proptest! {
     /// engine at the moment the claim is made, and the statistics
     /// catalog against the surviving relations at the end.
     #[test]
-    fn lint_claims_and_bounds_hold_on_all_backends(cmds in arb_commands()) {
+    fn lint_claims_and_bounds_hold_on_every_engine(cmds in arb_commands()) {
         let mut linter = Linter::new();
         let mut engines = all_engines();
         let mut interner = ExprInterner::new();
@@ -350,43 +349,41 @@ proptest! {
             }
         }
 
-        for backend in BackendKind::ALL {
-            let run = |commands: &[Command]| {
-                let mut engine = Engine::new(backend, CheckpointPolicy::every_k(3).unwrap());
-                let mut checker = Checker::new();
-                let mut displays = Vec::new();
-                for cmd in commands {
-                    if !checker.check(cmd, None).is_empty() {
-                        continue;
-                    }
-                    if let CommandOutcome::Displayed(state) =
-                        engine.execute(cmd).expect("clean command executes")
-                    {
-                        displays.push(state);
-                    }
-                    checker.commit(cmd);
+        let run = |commands: &[Command]| {
+            let mut engine = Engine::new(BackendKind::ForwardDelta, CheckpointPolicy::every_k(3).unwrap());
+            let mut checker = Checker::new();
+            let mut displays = Vec::new();
+            for cmd in commands {
+                if !checker.check(cmd, None).is_empty() {
+                    continue;
                 }
-                let finals: Vec<_> = engine
-                    .relations()
-                    .iter()
-                    .map(|name| {
-                        let rtype = engine.relation_type(name).expect("listed");
-                        (name.to_string(), engine.eval(&current_of(rtype, name)).ok())
-                    })
-                    .collect();
-                (displays, finals)
-            };
-            let (displays_orig, finals_orig) = run(&cmds);
-            let (displays_mut, finals_mut) = run(&mutated);
-            prop_assert_eq!(
-                &displays_orig, &displays_mut,
-                "{}: neutering dead writes changed a display", backend
-            );
-            prop_assert_eq!(
-                &finals_orig, &finals_mut,
-                "{}: neutering dead writes changed a final state", backend
-            );
-        }
+                if let CommandOutcome::Displayed(state) =
+                    engine.execute(cmd).expect("clean command executes")
+                {
+                    displays.push(state);
+                }
+                checker.commit(cmd);
+            }
+            let finals: Vec<_> = engine
+                .relations()
+                .iter()
+                .map(|name| {
+                    let rtype = engine.relation_type(name).expect("listed");
+                    (name.to_string(), engine.eval(&current_of(rtype, name)).ok())
+                })
+                .collect();
+            (displays, finals)
+        };
+        let (displays_orig, finals_orig) = run(&cmds);
+        let (displays_mut, finals_mut) = run(&mutated);
+        prop_assert_eq!(
+            &displays_orig, &displays_mut,
+            "neutering dead writes changed a display"
+        );
+        prop_assert_eq!(
+            &finals_orig, &finals_mut,
+            "neutering dead writes changed a final state"
+        );
     }
 }
 

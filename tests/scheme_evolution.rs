@@ -81,14 +81,8 @@ fn evolution_history_is_fully_reachable() {
 #[test]
 fn engines_agree_with_reference_under_evolution() {
     let sentence = parse_sentence(SCRIPT).unwrap();
-    for backend in BackendKind::ALL {
-        check_equivalence(
-            sentence.commands(),
-            backend,
-            CheckpointPolicy::every_k(2).unwrap(),
-        )
-        .unwrap_or_else(|e| panic!("{backend}: {e}"));
-    }
+    check_equivalence(sentence.commands(), CheckpointPolicy::every_k(2).unwrap())
+        .unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
@@ -102,43 +96,41 @@ fn catalog_refuses_unstable_schemes_for_optimization() {
 
 #[test]
 fn evolution_on_historical_relations() {
-    for backend in BackendKind::ALL {
-        let mut engine = Engine::new(backend, CheckpointPolicy::Never);
-        engine
-            .execute_script(
-                r#"
-                define_relation(h, temporal);
-                modify_state(h, historical {(name: str): ("alice") @ {[0, 10)}});
-                "#,
-            )
-            .unwrap();
-        engine
-            .execute(&Command::evolve_scheme(
-                "h",
-                SchemeChange::AddAttribute {
-                    name: "grade".into(),
-                    domain: DomainType::Int,
-                    default: Value::Int(0),
-                },
-            ))
-            .unwrap();
+    let mut engine = Engine::new(BackendKind::ForwardDelta, CheckpointPolicy::Never);
+    engine
+        .execute_script(
+            r#"
+            define_relation(h, temporal);
+            modify_state(h, historical {(name: str): ("alice") @ {[0, 10)}});
+            "#,
+        )
+        .unwrap();
+    engine
+        .execute(&Command::evolve_scheme(
+            "h",
+            SchemeChange::AddAttribute {
+                name: "grade".into(),
+                domain: DomainType::Int,
+                default: Value::Int(0),
+            },
+        ))
+        .unwrap();
 
-        // The evolved version carries the new attribute; the old one doesn't.
-        let new = engine
-            .resolve_rollback("h", TxSpec::Current, true)
-            .unwrap()
-            .into_historical()
-            .unwrap();
-        assert!(new.schema().contains("grade"), "{backend}");
-        let old = engine
-            .resolve_rollback("h", TxSpec::At(TransactionNumber(2)), true)
-            .unwrap()
-            .into_historical()
-            .unwrap();
-        assert!(!old.schema().contains("grade"), "{backend}");
-        // Valid times survived the evolution.
-        assert_eq!(new.iter().next().unwrap().1.first(), Some(0), "{backend}");
-    }
+    // The evolved version carries the new attribute; the old one doesn't.
+    let new = engine
+        .resolve_rollback("h", TxSpec::Current, true)
+        .unwrap()
+        .into_historical()
+        .unwrap();
+    assert!(new.schema().contains("grade"));
+    let old = engine
+        .resolve_rollback("h", TxSpec::At(TransactionNumber(2)), true)
+        .unwrap()
+        .into_historical()
+        .unwrap();
+    assert!(!old.schema().contains("grade"));
+    // Valid times survived the evolution.
+    assert_eq!(new.iter().next().unwrap().1.first(), Some(0));
 }
 
 #[test]

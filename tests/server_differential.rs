@@ -9,8 +9,8 @@
 //! write carries its commit-time transaction number, so replaying the
 //! acked writes in tx order on a fresh single-threaded engine *is* the
 //! sequential ordering the server claims to have implemented. The suite
-//! then checks, across memo on/off × every backend (and the delta
-//! chain without checkpoints and under compaction):
+//! then checks, across memo on/off × checkpoint policies (every version
+//! whole, every fourth, none, and none under compaction):
 //!
 //! * every version of every relation matches the oracle's (the full
 //!   rollback history, not just the final state);
@@ -45,7 +45,6 @@ fn ack_tx(resp: &Response) -> Option<u64> {
 /// One engine configuration, given to the server and its oracle alike.
 #[derive(Debug, Clone, Copy)]
 struct Setup {
-    backend: BackendKind,
     checkpoints: CheckpointPolicy,
     /// Replaces the engine's own auto-compaction threshold when set.
     auto_compact: Option<NonZeroUsize>,
@@ -57,9 +56,8 @@ struct Setup {
 impl Setup {
     /// A checkpoint every 4 versions and the engine's own compaction
     /// threshold.
-    fn new(backend: BackendKind, memo: bool) -> Setup {
+    fn new(memo: bool) -> Setup {
         Setup {
-            backend,
             checkpoints: CheckpointPolicy::every_k(4).unwrap(),
             auto_compact: None,
             memo,
@@ -68,7 +66,7 @@ impl Setup {
     }
 
     fn engine(self) -> Engine {
-        let mut engine = Engine::new(self.backend, self.checkpoints);
+        let mut engine = Engine::new(BackendKind::ForwardDelta, self.checkpoints);
         if self.auto_compact.is_some() {
             engine.set_auto_compact(self.auto_compact);
         }
@@ -283,17 +281,21 @@ fn assert_differential(setup: Setup) -> Engine {
     server_engine
 }
 
+/// Every version held whole: no past read replays a link.
 #[test]
-fn full_copy_matches_sequential_oracle() {
+fn every_version_whole_matches_sequential_oracle() {
     for memo in [true, false] {
-        assert_differential(Setup::new(BackendKind::FullCopy, memo));
+        assert_differential(Setup {
+            checkpoints: CheckpointPolicy::every_k(1).unwrap(),
+            ..Setup::new(memo)
+        });
     }
 }
 
 #[test]
 fn forward_delta_matches_sequential_oracle() {
     for memo in [true, false] {
-        assert_differential(Setup::new(BackendKind::ForwardDelta, memo));
+        assert_differential(Setup::new(memo));
     }
 }
 
@@ -304,7 +306,7 @@ fn forward_delta_without_checkpoints_matches_sequential_oracle() {
     for memo in [true, false] {
         assert_differential(Setup {
             checkpoints: CheckpointPolicy::Never,
-            ..Setup::new(BackendKind::ForwardDelta, memo)
+            ..Setup::new(memo)
         });
     }
 }
@@ -319,7 +321,7 @@ fn forward_delta_compacting_every_two_appends_matches_sequential_oracle() {
             checkpoints: CheckpointPolicy::Never,
             auto_compact: NonZeroUsize::new(2),
             rounds: 10,
-            ..Setup::new(BackendKind::ForwardDelta, memo)
+            ..Setup::new(memo)
         });
         let report = engine.space_report();
         let shared = report.relations.iter().find(|r| r.name == "shared");

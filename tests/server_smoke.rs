@@ -91,7 +91,10 @@ fn eight_concurrent_sessions_and_clean_shutdown() {
 /// it, and unpinning sees them all (the MVCC read path).
 #[test]
 fn snapshot_reads_are_repeatable_under_concurrent_writes() {
-    let engine = Engine::new(BackendKind::FullCopy, CheckpointPolicy::Never);
+    let engine = Engine::new(
+        BackendKind::ForwardDelta,
+        CheckpointPolicy::every_k(1).unwrap(),
+    );
     let handle = serve(engine, listener(), ServerConfig::default()).expect("server starts");
     let addr = handle.addr();
 
@@ -141,7 +144,10 @@ fn snapshot_reads_are_repeatable_under_concurrent_writes() {
 /// and move with every commit), `n` at the clock is a repeatable read.
 #[test]
 fn snapshot_at_refuses_a_pin_beyond_the_applied_clock() {
-    let engine = Engine::new(BackendKind::FullCopy, CheckpointPolicy::Never);
+    let engine = Engine::new(
+        BackendKind::ForwardDelta,
+        CheckpointPolicy::every_k(1).unwrap(),
+    );
     let handle = serve(engine, listener(), ServerConfig::default()).expect("server starts");
     let mut c = Client::connect(handle.addr()).expect("connect");
     assert!(c.exec("define_relation(emp, rollback);").unwrap().is_ok());
@@ -197,7 +203,10 @@ fn snapshot_at_refuses_a_pin_beyond_the_applied_clock() {
 /// can never observe state a crash would take back.
 #[test]
 fn snapshot_durable_pins_to_the_fsynced_clock() {
-    let engine = Engine::new(BackendKind::FullCopy, CheckpointPolicy::Never);
+    let engine = Engine::new(
+        BackendKind::ForwardDelta,
+        CheckpointPolicy::every_k(1).unwrap(),
+    );
     let handle = serve(engine, listener(), ServerConfig::default()).expect("server starts");
     let addr = handle.addr();
 
@@ -284,7 +293,10 @@ fn stats_reports_the_memo_log_and_the_largest_root_lag() {
 /// Connections beyond `max_sessions` get `ERR busy` at the door.
 #[test]
 fn sessions_beyond_the_cap_are_rejected_busy() {
-    let engine = Engine::new(BackendKind::FullCopy, CheckpointPolicy::Never);
+    let engine = Engine::new(
+        BackendKind::ForwardDelta,
+        CheckpointPolicy::every_k(1).unwrap(),
+    );
     let cfg = ServerConfig {
         max_sessions: 1,
         ..ServerConfig::default()
@@ -323,7 +335,10 @@ fn sessions_beyond_the_cap_are_rejected_busy() {
 /// and parse errors are reported without touching the engine.
 #[test]
 fn diagnostics_flow_back_to_the_client() {
-    let engine = Engine::new(BackendKind::FullCopy, CheckpointPolicy::Never);
+    let engine = Engine::new(
+        BackendKind::ForwardDelta,
+        CheckpointPolicy::every_k(1).unwrap(),
+    );
     let handle = serve(engine, listener(), ServerConfig::default()).expect("server starts");
     let addr = handle.addr();
 
@@ -455,7 +470,10 @@ fn raw_session(
 #[test]
 fn a_payload_that_lags_its_header_still_gets_a_reply() {
     use std::io::Write;
-    let engine = Engine::new(BackendKind::FullCopy, CheckpointPolicy::Never);
+    let engine = Engine::new(
+        BackendKind::ForwardDelta,
+        CheckpointPolicy::every_k(1).unwrap(),
+    );
     let handle = serve(engine, listener(), ServerConfig::default()).expect("server starts");
     let (mut stream, mut reader) = raw_session(handle.addr());
     stream.write_all(b"4 ").unwrap();
@@ -472,7 +490,10 @@ fn a_payload_that_lags_its_header_still_gets_a_reply() {
 #[test]
 fn two_frames_in_one_write_get_two_replies_in_order() {
     use std::io::Write;
-    let engine = Engine::new(BackendKind::FullCopy, CheckpointPolicy::Never);
+    let engine = Engine::new(
+        BackendKind::ForwardDelta,
+        CheckpointPolicy::every_k(1).unwrap(),
+    );
     let handle = serve(engine, listener(), ServerConfig::default()).expect("server starts");
     let (mut stream, mut reader) = raw_session(handle.addr());
     stream.write_all(b"4 PING\n12 SNAPSHOT OFF\n").unwrap();
