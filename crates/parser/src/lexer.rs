@@ -1,170 +1,124 @@
 //! The lexer: source text → token stream.
+//!
+//! It walks the input's bytes. Every token but a string literal is
+//! ASCII, so a char is decoded only inside a string, for Unicode
+//! whitespace and for the unexpected-character error; columns still
+//! count chars. Tokens borrow from the input: an identifier is a slice
+//! of it, and so is a string literal without escapes.
+
+use std::borrow::Cow;
 
 use crate::error::ParseError;
 use crate::token::{Spanned, Token};
 
 /// Tokenizes `input`; comments run from `--` to end of line.
-pub fn lex(input: &str) -> Result<Vec<Spanned>, ParseError> {
-    let mut tokens = Vec::new();
-    let chars: Vec<char> = input.chars().collect();
-    let mut i = 0;
-    let mut line = 1;
-    let mut col = 1;
-
-    macro_rules! push {
-        ($tok:expr, $len:expr) => {{
-            tokens.push(Spanned {
-                token: $tok,
-                line,
-                col,
-            });
-            i += $len;
-            col += $len;
-        }};
-    }
-
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            '\n' => {
+pub fn lex(input: &str) -> Result<Vec<Spanned<'_>>, ParseError> {
+    let bytes = input.as_bytes();
+    // Journal lines run about one token to two bytes.
+    let mut tokens = Vec::with_capacity(input.len() / 2 + 1);
+    let (mut i, mut line, mut col) = (0, 1, 1);
+    while let Some(&b) = bytes.get(i) {
+        let (token, len) = match b {
+            b'\n' => {
                 i += 1;
                 line += 1;
                 col = 1;
+                continue;
             }
-            c if c.is_whitespace() => {
+            b' ' | b'\t' | b'\r' | 0x0b | 0x0c => {
                 i += 1;
                 col += 1;
+                continue;
             }
-            '-' if chars.get(i + 1) == Some(&'-') => {
-                // Line comment.
-                while i < chars.len() && chars[i] != '\n' {
-                    i += 1;
-                }
+            b'-' if bytes.get(i + 1) == Some(&b'-') => {
+                // A line comment. The column stays put: the newline that
+                // ends the comment resets it.
+                i = bytes[i..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(bytes.len(), |n| i + n);
+                continue;
             }
-            '(' => push!(Token::LParen, 1),
-            ')' => push!(Token::RParen, 1),
-            '[' => push!(Token::LBracket, 1),
-            ']' => push!(Token::RBracket, 1),
-            '{' => push!(Token::LBrace, 1),
-            '}' => push!(Token::RBrace, 1),
-            ',' => push!(Token::Comma, 1),
-            ';' => push!(Token::Semicolon, 1),
-            ':' => push!(Token::Colon, 1),
-            '@' => push!(Token::At, 1),
-            '=' => push!(Token::Eq, 1),
-            '<' => match chars.get(i + 1) {
-                Some('>') => push!(Token::Ne, 2),
-                Some('=') => push!(Token::Le, 2),
-                _ => push!(Token::Lt, 1),
+            b'(' => (Token::LParen, 1),
+            b')' => (Token::RParen, 1),
+            b'[' => (Token::LBracket, 1),
+            b']' => (Token::RBracket, 1),
+            b'{' => (Token::LBrace, 1),
+            b'}' => (Token::RBrace, 1),
+            b',' => (Token::Comma, 1),
+            b';' => (Token::Semicolon, 1),
+            b':' => (Token::Colon, 1),
+            b'@' => (Token::At, 1),
+            b'=' => (Token::Eq, 1),
+            b'<' => match bytes.get(i + 1) {
+                Some(b'>') => (Token::Ne, 2),
+                Some(b'=') => (Token::Le, 2),
+                _ => (Token::Lt, 1),
             },
-            '>' => match chars.get(i + 1) {
-                Some('=') => push!(Token::Ge, 2),
-                _ => push!(Token::Gt, 1),
+            b'>' => match bytes.get(i + 1) {
+                Some(b'=') => (Token::Ge, 2),
+                _ => (Token::Gt, 1),
             },
-            '"' => {
-                let start_col = col;
-                let mut s = String::new();
-                let mut j = i + 1;
-                let mut closed = false;
-                while j < chars.len() {
-                    match chars[j] {
-                        '"' => {
-                            closed = true;
-                            break;
-                        }
-                        '\\' => {
-                            let esc = chars.get(j + 1).copied().ok_or_else(|| {
-                                ParseError::new("unterminated escape in string", line, start_col)
-                            })?;
-                            s.push(match esc {
-                                'n' => '\n',
-                                't' => '\t',
-                                '\\' => '\\',
-                                '"' => '"',
-                                other => {
-                                    return Err(ParseError::new(
-                                        format!("unknown escape \\{other}"),
-                                        line,
-                                        start_col,
-                                    ))
-                                }
-                            });
-                            j += 2;
-                        }
-                        '\n' => {
-                            return Err(ParseError::new(
-                                "unterminated string literal",
-                                line,
-                                start_col,
-                            ))
-                        }
-                        other => {
-                            s.push(other);
-                            j += 1;
-                        }
-                    }
-                }
-                if !closed {
-                    return Err(ParseError::new(
-                        "unterminated string literal",
-                        line,
-                        start_col,
-                    ));
-                }
-                let len = j + 1 - i;
-                push!(Token::Str(s), len);
+            b'"' => {
+                let (body, end, width) =
+                    string(input, i + 1).map_err(|msg| ParseError::new(msg, line, col))?;
+                tokens.push(Spanned {
+                    token: Token::Str(body),
+                    line,
+                    col,
+                });
+                col += width;
+                i = end;
+                continue;
             }
-            c if c.is_ascii_digit()
-                || (c == '-' && chars.get(i + 1).is_some_and(|d| d.is_ascii_digit())) =>
-            {
-                let start = i;
-                let start_col = col;
-                let mut j = i;
-                if chars[j] == '-' {
-                    j += 1;
+            b'0'..=b'9' | b'-' if b != b'-' || bytes.get(i + 1).is_some_and(u8::is_ascii_digit) => {
+                // The first byte is a sign or a digit; `d+` or `d+.d+`
+                // follows.
+                let mut j = digits_end(bytes, i + 1);
+                let is_real =
+                    bytes.get(j) == Some(&b'.') && bytes.get(j + 1).is_some_and(u8::is_ascii_digit);
+                if is_real {
+                    j = digits_end(bytes, j + 1);
                 }
-                while j < chars.len() && chars[j].is_ascii_digit() {
-                    j += 1;
-                }
-                let mut is_real = false;
-                if j + 1 < chars.len() && chars[j] == '.' && chars[j + 1].is_ascii_digit() {
-                    is_real = true;
-                    j += 1;
-                    while j < chars.len() && chars[j].is_ascii_digit() {
-                        j += 1;
-                    }
-                }
-                let text: String = chars[start..j].iter().collect();
+                let text = &input[i..j];
                 let token = if is_real {
                     Token::Real(text.parse().map_err(|_| {
-                        ParseError::new(format!("invalid real literal {text}"), line, start_col)
+                        ParseError::new(format!("invalid real literal {text}"), line, col)
                     })?)
                 } else {
                     Token::Int(text.parse().map_err(|_| {
-                        ParseError::new(format!("invalid integer literal {text}"), line, start_col)
+                        ParseError::new(format!("invalid integer literal {text}"), line, col)
                     })?)
                 };
-                let len = j - i;
-                push!(token, len);
+                (token, j - i)
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                let mut j = i;
-                while j < chars.len() && (chars[j].is_ascii_alphanumeric() || chars[j] == '_') {
-                    j += 1;
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                let len = bytes[i..]
+                    .iter()
+                    .position(|&b| !(b.is_ascii_alphanumeric() || b == b'_'))
+                    .unwrap_or(bytes.len() - i);
+                (Token::Ident(&input[i..i + len]), len)
+            }
+            _ => {
+                // Bytes only ever advance by whole chars, so `i` is on a
+                // char boundary.
+                let c = input[i..].chars().next().expect("not at end of input");
+                if c.is_whitespace() {
+                    i += c.len_utf8();
+                    col += 1;
+                    continue;
                 }
-                let text: String = chars[start..j].iter().collect();
-                let len = j - i;
-                push!(Token::Ident(text), len);
-            }
-            other => {
                 return Err(ParseError::new(
-                    format!("unexpected character {other:?}"),
+                    format!("unexpected character {c:?}"),
                     line,
                     col,
-                ))
+                ));
             }
-        }
+        };
+        // Every token but a string literal is ASCII: as many chars as bytes.
+        tokens.push(Spanned { token, line, col });
+        i += len;
+        col += len;
     }
     tokens.push(Spanned {
         token: Token::Eof,
@@ -174,11 +128,71 @@ pub fn lex(input: &str) -> Result<Vec<Spanned>, ParseError> {
     Ok(tokens)
 }
 
+/// The index of the first non-digit byte at or after `from`.
+fn digits_end(bytes: &[u8], from: usize) -> usize {
+    bytes[from..]
+        .iter()
+        .position(|b| !b.is_ascii_digit())
+        .map_or(bytes.len(), |n| from + n)
+}
+
+/// Reads the body of a string literal that starts at `start`, just past
+/// its opening quote. Returns the body with its escapes resolved, the
+/// index just past the closing quote, and the literal's width in chars,
+/// quotes included. The body is borrowed from `input` unless it has an
+/// escape.
+fn string(input: &str, start: usize) -> Result<(Cow<'_, str>, usize, usize), String> {
+    let bytes = input.as_bytes();
+    let mut owned: Option<String> = None;
+    // The start of the run of plain bytes not yet copied into `owned`.
+    let mut run = start;
+    let mut j = start;
+    // The opening quote; then one per byte that starts a char.
+    let mut width = 1;
+    loop {
+        match bytes.get(j) {
+            None | Some(b'\n') => return Err("unterminated string literal".into()),
+            Some(b'"') => {
+                let body = match owned {
+                    None => Cow::Borrowed(&input[start..j]),
+                    Some(mut s) => {
+                        s.push_str(&input[run..j]);
+                        Cow::Owned(s)
+                    }
+                };
+                return Ok((body, j + 1, width + 1));
+            }
+            Some(b'\\') => {
+                let Some(esc) = input[j + 1..].chars().next() else {
+                    return Err("unterminated escape in string".into());
+                };
+                let s = owned.get_or_insert_with(String::new);
+                s.push_str(&input[run..j]);
+                s.push(match esc {
+                    'n' => '\n',
+                    't' => '\t',
+                    '\\' => '\\',
+                    '"' => '"',
+                    other => return Err(format!("unknown escape \\{other}")),
+                });
+                j += 1 + esc.len_utf8();
+                width += 2;
+                run = j;
+            }
+            // A UTF-8 continuation byte (10xxxxxx) does not start a char.
+            Some(&b) => {
+                width += usize::from(b & 0xc0 != 0x80);
+                j += 1;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn toks(s: &str) -> Vec<Token> {
+    fn toks(s: &str) -> Vec<Token<'_>> {
         lex(s).unwrap().into_iter().map(|t| t.token).collect()
     }
 
@@ -240,9 +254,9 @@ mod tests {
         assert_eq!(
             toks("rho emp_2 union"),
             vec![
-                Token::Ident("rho".into()),
-                Token::Ident("emp_2".into()),
-                Token::Ident("union".into()),
+                Token::Ident("rho"),
+                Token::Ident("emp_2"),
+                Token::Ident("union"),
                 Token::Eof
             ]
         );
@@ -252,11 +266,7 @@ mod tests {
     fn comments_are_skipped() {
         assert_eq!(
             toks("a -- comment ; with stuff\nb"),
-            vec![
-                Token::Ident("a".into()),
-                Token::Ident("b".into()),
-                Token::Eof
-            ]
+            vec![Token::Ident("a"), Token::Ident("b"), Token::Eof]
         );
     }
 

@@ -42,6 +42,17 @@ pub mod parser;
 pub mod print;
 pub mod token;
 
+/// The char-vector lexer the byte lexer replaced: the front end's
+/// differential reference.
+#[cfg(test)]
+mod reference;
+
+/// The sentence generators `tests/round_trip.rs` uses, shared with the
+/// differential tests in `reference`.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod generate;
+
 pub use error::ParseError;
 
 use txtime_core::{Command, CommandSpans, Expr, ExprSpans, Sentence, SentenceSpans};

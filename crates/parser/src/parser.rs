@@ -6,6 +6,10 @@
 //! plus bounded backtracking at the one genuinely ambiguous point
 //! (parenthesized temporal predicates vs parenthesized temporal
 //! expressions inside δ's guard).
+//!
+//! Tokens borrow from the source and are never copied: stepping over one
+//! moves a cursor, and only what the AST keeps is allocated — an owned
+//! name from an identifier's slice, an `Arc<str>` from a string literal.
 
 use txtime_core::{
     Command, CommandSpans, Expr, ExprSpans, RelationType, SchemeChange, Sentence, SentenceSpans,
@@ -22,35 +26,34 @@ use crate::error::ParseError;
 use crate::lexer::lex;
 use crate::token::{Spanned, Token};
 
-/// The parser state: a token buffer and a cursor.
-pub struct Parser {
-    tokens: Vec<Spanned>,
+/// The parser state: the token buffer of one input and a cursor.
+pub struct Parser<'a> {
+    tokens: Vec<Spanned<'a>>,
     pos: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     /// Lexes `input` and prepares a parser over it.
-    pub fn new(input: &str) -> Result<Parser, ParseError> {
+    pub fn new(input: &'a str) -> Result<Parser<'a>, ParseError> {
         Ok(Parser {
             tokens: lex(input)?,
             pos: 0,
         })
     }
 
-    fn peek(&self) -> &Spanned {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+    fn peek(&self) -> &Spanned<'a> {
+        &self.tokens[self.pos]
     }
 
-    fn peek2(&self) -> &Spanned {
+    fn peek2(&self) -> &Spanned<'a> {
         &self.tokens[(self.pos + 1).min(self.tokens.len() - 1)]
     }
 
-    fn advance(&mut self) -> Spanned {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
+    /// Steps over the next token; the cursor stays on the final `Eof`.
+    fn advance(&mut self) {
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
-        t
     }
 
     /// The source position of the next token.
@@ -68,9 +71,17 @@ impl Parser {
         )
     }
 
-    fn expect(&mut self, token: Token) -> Result<(), ParseError> {
-        if self.peek().token == token {
+    /// Steps over the next token if it is `token`.
+    fn eat(&mut self, token: &Token<'_>) -> bool {
+        let found = self.peek().token == *token;
+        if found {
             self.advance();
+        }
+        found
+    }
+
+    fn expect(&mut self, token: Token<'_>) -> Result<(), ParseError> {
+        if self.eat(&token) {
             Ok(())
         } else {
             Err(self.error(format!("expected `{token}`")))
@@ -78,8 +89,7 @@ impl Parser {
     }
 
     fn expect_kw(&mut self, kw: &str) -> Result<(), ParseError> {
-        if self.peek().token.is_kw(kw) {
-            self.advance();
+        if self.eat_kw(kw) {
             Ok(())
         } else {
             Err(self.error(format!("expected `{kw}`")))
@@ -87,18 +97,12 @@ impl Parser {
     }
 
     fn eat_kw(&mut self, kw: &str) -> bool {
-        if self.peek().token.is_kw(kw) {
-            self.advance();
-            true
-        } else {
-            false
-        }
+        self.eat(&Token::Ident(kw))
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match &self.peek().token {
+    fn ident(&mut self) -> Result<&'a str, ParseError> {
+        match self.peek().token {
             Token::Ident(s) => {
-                let s = s.clone();
                 self.advance();
                 Ok(s)
             }
@@ -141,10 +145,7 @@ impl Parser {
     pub fn parse_single_command_spanned(&mut self) -> Result<(Command, CommandSpans), ParseError> {
         let (c, csp) = self.command()?;
         // Tolerate one optional trailing semicolon.
-        let _ = self.peek().token == Token::Semicolon && {
-            self.advance();
-            true
-        };
+        self.eat(&Token::Semicolon);
         self.expect(Token::Eof)?;
         Ok((c, csp))
     }
@@ -166,13 +167,22 @@ impl Parser {
         let head = self.here();
         let kw = self.ident()?;
         let no_expr = |c: Command| (c, CommandSpans { head, expr: None });
-        match kw.as_str() {
+        let with_expr = |c: Command, esp: ExprSpans| {
+            (
+                c,
+                CommandSpans {
+                    head,
+                    expr: Some(esp),
+                },
+            )
+        };
+        match kw {
             "define_relation" => {
                 self.expect(Token::LParen)?;
                 let ident = self.ident()?;
                 self.expect(Token::Comma)?;
                 let ty_name = self.ident()?;
-                let rtype = RelationType::from_keyword(&ty_name)
+                let rtype = RelationType::from_keyword(ty_name)
                     .ok_or_else(|| self.error(format!("unknown relation type `{ty_name}`")))?;
                 self.expect(Token::RParen)?;
                 Ok(no_expr(Command::define_relation(ident, rtype)))
@@ -183,13 +193,7 @@ impl Parser {
                 self.expect(Token::Comma)?;
                 let (expr, esp) = self.expr()?;
                 self.expect(Token::RParen)?;
-                Ok((
-                    Command::modify_state(ident, expr),
-                    CommandSpans {
-                        head,
-                        expr: Some(esp),
-                    },
-                ))
+                Ok(with_expr(Command::modify_state(ident, expr), esp))
             }
             "delete_relation" => {
                 self.expect(Token::LParen)?;
@@ -209,13 +213,7 @@ impl Parser {
                 self.expect(Token::LParen)?;
                 let (expr, esp) = self.expr()?;
                 self.expect(Token::RParen)?;
-                Ok((
-                    Command::display(expr),
-                    CommandSpans {
-                        head,
-                        expr: Some(esp),
-                    },
-                ))
+                Ok(with_expr(Command::display(expr), esp))
             }
             other => Err(self.error(format!("unknown command `{other}`"))),
         }
@@ -225,7 +223,7 @@ impl Parser {
     ///                  | rename I to I`
     fn scheme_change(&mut self) -> Result<SchemeChange, ParseError> {
         if self.eat_kw("add") {
-            let name = self.ident()?;
+            let name = self.ident()?.to_owned();
             self.expect(Token::Colon)?;
             let domain = self.domain()?;
             self.expect_kw("default")?;
@@ -236,11 +234,11 @@ impl Parser {
                 default,
             })
         } else if self.eat_kw("drop") {
-            Ok(SchemeChange::DropAttribute(self.ident()?))
+            Ok(SchemeChange::DropAttribute(self.ident()?.to_owned()))
         } else if self.eat_kw("rename") {
-            let from = self.ident()?;
+            let from = self.ident()?.to_owned();
             self.expect_kw("to")?;
-            let to = self.ident()?;
+            let to = self.ident()?.to_owned();
             Ok(SchemeChange::RenameAttribute { from, to })
         } else {
             Err(self.error("expected `add`, `drop`, or `rename`"))
@@ -258,29 +256,19 @@ impl Parser {
     fn expr(&mut self) -> Result<(Expr, ExprSpans), ParseError> {
         let (mut left, mut lsp) = self.unary_expr()?;
         loop {
-            let op = match &self.peek().token {
-                Token::Ident(s)
-                    if matches!(
-                        s.as_str(),
-                        "union" | "minus" | "times" | "hunion" | "hminus" | "htimes"
-                    ) =>
-                {
-                    s.clone()
-                }
+            let combine: fn(Expr, Expr) -> Expr = match self.peek().token {
+                Token::Ident("union") => Expr::union,
+                Token::Ident("minus") => Expr::difference,
+                Token::Ident("times") => Expr::product,
+                Token::Ident("hunion") => Expr::hunion,
+                Token::Ident("hminus") => Expr::hdifference,
+                Token::Ident("htimes") => Expr::hproduct,
                 _ => break,
             };
             let opsp = self.here();
             self.advance();
             let (right, rsp) = self.unary_expr()?;
-            left = match op.as_str() {
-                "union" => left.union(right),
-                "minus" => left.difference(right),
-                "times" => left.product(right),
-                "hunion" => left.hunion(right),
-                "hminus" => left.hdifference(right),
-                "htimes" => left.hproduct(right),
-                _ => unreachable!("matched above"),
-            };
+            left = combine(left, right);
             lsp = ExprSpans::node(opsp, vec![lsp, rsp]);
         }
         Ok((left, lsp))
@@ -288,132 +276,126 @@ impl Parser {
 
     fn unary_expr(&mut self) -> Result<(Expr, ExprSpans), ParseError> {
         let start = self.here();
-        match &self.peek().token {
+        let kw = match self.peek().token {
             Token::LParen => {
                 self.advance();
                 let e = self.expr()?;
                 self.expect(Token::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
-            Token::LBrace => Ok((
-                Expr::snapshot_const(self.snapshot_state()?),
-                ExprSpans::leaf(start),
-            )),
-            Token::Ident(kw) => {
-                let kw = kw.clone();
-                match kw.as_str() {
-                    "historical" => {
-                        self.advance();
-                        Ok((
-                            Expr::historical_const(self.historical_state()?),
-                            ExprSpans::leaf(start),
-                        ))
-                    }
-                    "project" | "hproject" => {
-                        self.advance();
-                        self.expect(Token::LBracket)?;
-                        let mut attrs = vec![self.ident()?];
-                        while self.peek().token == Token::Comma {
-                            self.advance();
-                            attrs.push(self.ident()?);
-                        }
-                        self.expect(Token::RBracket)?;
-                        self.expect(Token::LParen)?;
-                        let (e, esp) = self.expr()?;
-                        self.expect(Token::RParen)?;
-                        Ok((
-                            if kw == "project" {
-                                e.project(attrs)
-                            } else {
-                                e.hproject(attrs)
-                            },
-                            ExprSpans::node(start, vec![esp]),
-                        ))
-                    }
-                    "select" | "hselect" => {
-                        self.advance();
-                        self.expect(Token::LBracket)?;
-                        let p = self.predicate()?;
-                        self.expect(Token::RBracket)?;
-                        self.expect(Token::LParen)?;
-                        let (e, esp) = self.expr()?;
-                        self.expect(Token::RParen)?;
-                        Ok((
-                            if kw == "select" {
-                                e.select(p)
-                            } else {
-                                e.hselect(p)
-                            },
-                            ExprSpans::node(start, vec![esp]),
-                        ))
-                    }
-                    "delta" => {
-                        self.advance();
-                        self.expect(Token::LBracket)?;
-                        let g = self.temporal_pred()?;
-                        self.expect(Token::Semicolon)?;
-                        let v = self.temporal_expr()?;
-                        self.expect(Token::RBracket)?;
-                        self.expect(Token::LParen)?;
-                        let (e, esp) = self.expr()?;
-                        self.expect(Token::RParen)?;
-                        Ok((e.delta(g, v), ExprSpans::node(start, vec![esp])))
-                    }
-                    // `asof[N](E)` — sugar for the rollback-completeness
-                    // transformer: every ρ(I, ∞)/ρ̂(I, ∞) leaf of E is
-                    // rewritten to ρ(I, N)/ρ̂(I, N) at parse time. The
-                    // rewrite only changes rollback arguments, never the
-                    // tree's shape, so E's span table carries over.
-                    "asof" => {
-                        self.advance();
-                        self.expect(Token::LBracket)?;
-                        let spec = self.tx_spec()?;
-                        let TxSpec::At(n) = spec else {
-                            return Err(self.error("asof requires a specific transaction number"));
-                        };
-                        self.expect(Token::RBracket)?;
-                        self.expect(Token::LParen)?;
-                        let (e, esp) = self.expr()?;
-                        self.expect(Token::RParen)?;
-                        Ok((txtime_core::as_of(&e, n), esp))
-                    }
-                    "rho" | "hrho" => {
-                        self.advance();
-                        self.expect(Token::LParen)?;
-                        let ident = self.ident()?;
-                        self.expect(Token::Comma)?;
-                        let spec = self.tx_spec()?;
-                        self.expect(Token::RParen)?;
-                        Ok((
-                            if kw == "rho" {
-                                Expr::rollback(ident, spec)
-                            } else {
-                                Expr::hrollback(ident, spec)
-                            },
-                            ExprSpans::leaf(start),
-                        ))
-                    }
-                    other => Err(self.error(format!("unknown operator `{other}`"))),
+            Token::LBrace => {
+                return Ok((
+                    Expr::snapshot_const(self.snapshot_state()?),
+                    ExprSpans::leaf(start),
+                ))
+            }
+            Token::Ident(kw) => kw,
+            _ => return Err(self.error("expected an expression")),
+        };
+        match kw {
+            "historical" => {
+                self.advance();
+                Ok((
+                    Expr::historical_const(self.historical_state()?),
+                    ExprSpans::leaf(start),
+                ))
+            }
+            "project" | "hproject" => {
+                self.advance();
+                self.expect(Token::LBracket)?;
+                let mut attrs = vec![self.ident()?.to_owned()];
+                while self.eat(&Token::Comma) {
+                    attrs.push(self.ident()?.to_owned());
                 }
+                self.expect(Token::RBracket)?;
+                let (e, esp) = self.parenthesized_expr()?;
+                Ok((
+                    if kw == "project" {
+                        e.project(attrs)
+                    } else {
+                        e.hproject(attrs)
+                    },
+                    ExprSpans::node(start, vec![esp]),
+                ))
             }
-            _ => Err(self.error("expected an expression")),
+            "select" | "hselect" => {
+                self.advance();
+                self.expect(Token::LBracket)?;
+                let p = self.predicate()?;
+                self.expect(Token::RBracket)?;
+                let (e, esp) = self.parenthesized_expr()?;
+                Ok((
+                    if kw == "select" {
+                        e.select(p)
+                    } else {
+                        e.hselect(p)
+                    },
+                    ExprSpans::node(start, vec![esp]),
+                ))
+            }
+            "delta" => {
+                self.advance();
+                self.expect(Token::LBracket)?;
+                let g = self.temporal_pred()?;
+                self.expect(Token::Semicolon)?;
+                let v = self.temporal_expr()?;
+                self.expect(Token::RBracket)?;
+                let (e, esp) = self.parenthesized_expr()?;
+                Ok((e.delta(g, v), ExprSpans::node(start, vec![esp])))
+            }
+            // `asof[N](E)` — sugar for the rollback-completeness
+            // transformer: every ρ(I, ∞)/ρ̂(I, ∞) leaf of E is
+            // rewritten to ρ(I, N)/ρ̂(I, N) at parse time. The
+            // rewrite only changes rollback arguments, never the
+            // tree's shape, so E's span table carries over.
+            "asof" => {
+                self.advance();
+                self.expect(Token::LBracket)?;
+                let spec = self.tx_spec()?;
+                let TxSpec::At(n) = spec else {
+                    return Err(self.error("asof requires a specific transaction number"));
+                };
+                self.expect(Token::RBracket)?;
+                let (e, esp) = self.parenthesized_expr()?;
+                Ok((txtime_core::as_of(&e, n), esp))
+            }
+            "rho" | "hrho" => {
+                self.advance();
+                self.expect(Token::LParen)?;
+                let ident = self.ident()?;
+                self.expect(Token::Comma)?;
+                let spec = self.tx_spec()?;
+                self.expect(Token::RParen)?;
+                Ok((
+                    if kw == "rho" {
+                        Expr::rollback(ident, spec)
+                    } else {
+                        Expr::hrollback(ident, spec)
+                    },
+                    ExprSpans::leaf(start),
+                ))
+            }
+            other => Err(self.error(format!("unknown operator `{other}`"))),
         }
+    }
+
+    /// `'(' expr ')'`, an operator's operand.
+    fn parenthesized_expr(&mut self) -> Result<(Expr, ExprSpans), ParseError> {
+        self.expect(Token::LParen)?;
+        let e = self.expr()?;
+        self.expect(Token::RParen)?;
+        Ok(e)
     }
 
     /// `numeral := non-negative integer | inf`
     fn tx_spec(&mut self) -> Result<TxSpec, ParseError> {
-        match &self.peek().token {
-            Token::Int(n) if *n >= 0 => {
-                let n = *n as u64;
-                self.advance();
-                Ok(TxSpec::At(TransactionNumber(n)))
-            }
-            Token::Ident(s) if s == "inf" => {
-                self.advance();
-                Ok(TxSpec::Current)
-            }
-            _ => Err(self.error("expected a transaction number or `inf`")),
-        }
+        let spec = match self.peek().token {
+            Token::Int(n) if n >= 0 => TxSpec::At(TransactionNumber(n as u64)),
+            Token::Ident("inf") => TxSpec::Current,
+            _ => return Err(self.error("expected a transaction number or `inf`")),
+        };
+        self.advance();
+        Ok(spec)
     }
 
     // ----- constant states ----------------------------------------------
@@ -425,10 +407,9 @@ impl Parser {
         self.expect(Token::Colon)?;
         let mut tuples = Vec::new();
         if self.peek().token != Token::RBrace {
-            tuples.push(self.tuple()?);
-            while self.peek().token == Token::Comma {
-                self.advance();
-                tuples.push(self.tuple()?);
+            tuples.push(self.tuple(schema.arity())?);
+            while self.eat(&Token::Comma) {
+                tuples.push(self.tuple(schema.arity())?);
             }
         }
         self.expect(Token::RBrace)?;
@@ -443,13 +424,11 @@ impl Parser {
         let mut entries = Vec::new();
         if self.peek().token != Token::RBrace {
             loop {
-                let t = self.tuple()?;
+                let t = self.tuple(schema.arity())?;
                 self.expect(Token::At)?;
                 let e = self.temporal_element()?;
                 entries.push((t, e));
-                if self.peek().token == Token::Comma {
-                    self.advance();
-                } else {
+                if !self.eat(&Token::Comma) {
                     break;
                 }
             }
@@ -467,9 +446,7 @@ impl Parser {
             self.expect(Token::Colon)?;
             let domain = self.domain()?;
             attrs.push((name, domain));
-            if self.peek().token == Token::Comma {
-                self.advance();
-            } else {
+            if !self.eat(&Token::Comma) {
                 break;
             }
         }
@@ -479,49 +456,34 @@ impl Parser {
 
     fn domain(&mut self) -> Result<DomainType, ParseError> {
         let name = self.ident()?;
-        DomainType::from_keyword(&name)
-            .ok_or_else(|| self.error(format!("unknown domain `{name}`")))
+        DomainType::from_keyword(name).ok_or_else(|| self.error(format!("unknown domain `{name}`")))
     }
 
-    /// `'(' literal (',' literal)* ')'`
-    fn tuple(&mut self) -> Result<Tuple, ParseError> {
+    /// `'(' literal (',' literal)* ')'`, read into a buffer sized for the
+    /// schema's `arity`.
+    fn tuple(&mut self, arity: usize) -> Result<Tuple, ParseError> {
         self.expect(Token::LParen)?;
-        let mut values = vec![self.literal()?];
-        while self.peek().token == Token::Comma {
-            self.advance();
+        let mut values = Vec::with_capacity(arity);
+        values.push(self.literal()?);
+        while self.eat(&Token::Comma) {
             values.push(self.literal()?);
         }
         self.expect(Token::RParen)?;
         Ok(Tuple::new(values))
     }
 
+    /// A literal value; a string's one allocation is its `Arc<str>`.
     fn literal(&mut self) -> Result<Value, ParseError> {
-        match &self.peek().token {
-            Token::Int(n) => {
-                let n = *n;
-                self.advance();
-                Ok(Value::Int(n))
-            }
-            Token::Real(r) => {
-                let r = *r;
-                self.advance();
-                Ok(Value::real(r))
-            }
-            Token::Str(s) => {
-                let s = s.clone();
-                self.advance();
-                Ok(Value::str(s))
-            }
-            Token::Ident(s) if s == "true" => {
-                self.advance();
-                Ok(Value::Bool(true))
-            }
-            Token::Ident(s) if s == "false" => {
-                self.advance();
-                Ok(Value::Bool(false))
-            }
-            _ => Err(self.error("expected a literal value")),
-        }
+        let value = match &self.peek().token {
+            Token::Int(n) => Value::Int(*n),
+            Token::Real(r) => Value::real(*r),
+            Token::Str(s) => Value::str(s),
+            Token::Ident("true") => Value::Bool(true),
+            Token::Ident("false") => Value::Bool(false),
+            _ => return Err(self.error("expected a literal value")),
+        };
+        self.advance();
+        Ok(value)
     }
 
     // ----- predicates (𝓕) ------------------------------------------------
@@ -556,15 +518,15 @@ impl Parser {
     fn primary_pred(&mut self) -> Result<Predicate, ParseError> {
         // `true`/`false` are predicate constants unless followed by a
         // comparison operator (in which case they are Bool operands).
-        if (self.peek().token.is_kw("true") || self.peek().token.is_kw("false"))
-            && !is_comp_op(&self.peek2().token)
-        {
-            let b = self.peek().token.is_kw("true");
-            self.advance();
-            return Ok(if b { Predicate::True } else { Predicate::False });
+        if !is_comp_op(&self.peek2().token) {
+            if self.eat_kw("true") {
+                return Ok(Predicate::True);
+            }
+            if self.eat_kw("false") {
+                return Ok(Predicate::False);
+            }
         }
-        if self.peek().token == Token::LParen {
-            self.advance();
+        if self.eat(&Token::LParen) {
             let p = self.predicate()?;
             self.expect(Token::RParen)?;
             return Ok(p);
@@ -576,9 +538,8 @@ impl Parser {
     }
 
     fn operand(&mut self) -> Result<Operand, ParseError> {
-        match &self.peek().token {
+        match self.peek().token {
             Token::Ident(s) if s != "true" && s != "false" => {
-                let s = s.clone();
                 self.advance();
                 Ok(Operand::attr(s))
             }
@@ -630,18 +591,17 @@ impl Parser {
     }
 
     fn temporal_primary(&mut self) -> Result<TemporalPred, ParseError> {
-        if self.peek().token.is_kw("true") {
-            self.advance();
+        if self.eat_kw("true") {
             return Ok(TemporalPred::True);
         }
-        if self.peek().token.is_kw("false") {
-            self.advance();
+        if self.eat_kw("false") {
             return Ok(TemporalPred::False);
         }
         if self.peek().token == Token::LParen {
             // Ambiguity: '(' tpred ')' vs a comparison whose left operand
             // is a parenthesized temporal expression. Try the comparison
-            // first; backtrack on failure.
+            // first; backtrack on failure. Stepping over a token leaves it
+            // in the buffer, so the rewound cursor reads the same tokens.
             let save = self.pos;
             if let Ok(p) = self.try_temporal_comparison() {
                 return Ok(p);
@@ -657,8 +617,7 @@ impl Parser {
 
     fn try_temporal_comparison(&mut self) -> Result<TemporalPred, ParseError> {
         let left = self.temporal_expr()?;
-        if self.peek().token == Token::Eq {
-            self.advance();
+        if self.eat(&Token::Eq) {
             let right = self.temporal_expr()?;
             return Ok(TemporalPred::equals(left, right));
         }
@@ -693,18 +652,17 @@ impl Parser {
     }
 
     fn temporal_term(&mut self) -> Result<TemporalExpr, ParseError> {
-        match &self.peek().token {
-            Token::Ident(s) if s == "valid" => {
+        match self.peek().token {
+            Token::Ident("valid") => {
                 self.advance();
                 Ok(TemporalExpr::ValidTime)
             }
-            Token::Ident(s) if s == "first" || s == "last" => {
-                let is_first = s == "first";
+            Token::Ident(s @ ("first" | "last")) => {
                 self.advance();
                 self.expect(Token::LParen)?;
                 let inner = self.temporal_expr()?;
                 self.expect(Token::RParen)?;
-                Ok(if is_first {
+                Ok(if s == "first" {
                     TemporalExpr::first(inner)
                 } else {
                     TemporalExpr::last(inner)
@@ -727,8 +685,7 @@ impl Parser {
         let mut periods = Vec::new();
         if self.peek().token != Token::RBrace {
             periods.push(self.period()?);
-            while self.peek().token == Token::Comma {
-                self.advance();
+            while self.eat(&Token::Comma) {
                 periods.push(self.period()?);
             }
         }
@@ -761,7 +718,7 @@ impl Parser {
     }
 }
 
-fn is_comp_op(t: &Token) -> bool {
+fn is_comp_op(t: &Token<'_>) -> bool {
     matches!(
         t,
         Token::Eq | Token::Ne | Token::Lt | Token::Le | Token::Gt | Token::Ge

@@ -3,153 +3,269 @@
 //! Every printer here produces text that the parser maps back to an equal
 //! AST; `tests/round_trip.rs` property-tests this for randomly generated
 //! sentences.
+//!
+//! The printers append to one `String` sink, so a command costs one
+//! buffer however deep its tree: [`write_command`] is what the journal
+//! uses, and each `print_*` function is a wrapper that returns a fresh
+//! `String`.
 
 use std::fmt::Write;
 
 use txtime_core::{Command, Expr, SchemeChange, Sentence, TxSpec};
 use txtime_historical::{HistoricalState, TemporalElement, TemporalExpr, TemporalPred, FOREVER};
-use txtime_snapshot::{Operand, Predicate, Schema, SnapshotState, Value};
+use txtime_snapshot::{Operand, Predicate, Schema, SnapshotState, Tuple, Value};
+
+/// Runs one printer into a fresh `String`.
+fn render(print: impl FnOnce(&mut String)) -> String {
+    let mut out = String::new();
+    print(&mut out);
+    out
+}
+
+/// Appends each of `parts`.
+fn push_all(out: &mut String, parts: &[&str]) {
+    for part in parts {
+        out.push_str(part);
+    }
+}
+
+/// Appends `n` in decimal, as `{n}` would, without the formatter.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut k = digits.len();
+    loop {
+        k -= 1;
+        digits[k] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[k..]).expect("decimal digits are ASCII"));
+}
 
 /// Renders a sentence, one command per line.
 pub fn print_sentence(s: &Sentence) -> String {
-    let mut out = String::new();
-    for c in s.commands() {
-        let _ = writeln!(out, "{};", print_command(c));
-    }
-    out
+    render(|out| {
+        for c in s.commands() {
+            write_command(out, c);
+            out.push_str(";\n");
+        }
+    })
 }
 
 /// Renders a command.
 pub fn print_command(c: &Command) -> String {
+    render(|out| write_command(out, c))
+}
+
+/// Appends a command to `out`.
+pub fn write_command(out: &mut String, c: &Command) {
     match c {
-        Command::DefineRelation(i, y) => format!("define_relation({i}, {})", y.keyword()),
-        Command::ModifyState(i, e) => format!("modify_state({i}, {})", print_expr(e)),
-        Command::DeleteRelation(i) => format!("delete_relation({i})"),
-        Command::EvolveScheme(i, ch) => {
-            format!("evolve_scheme({i}, {})", print_scheme_change(ch))
+        Command::DefineRelation(i, y) => {
+            push_all(out, &["define_relation(", i, ", ", y.keyword(), ")"]);
         }
-        Command::Display(e) => format!("display({})", print_expr(e)),
+        Command::ModifyState(i, e) => {
+            push_all(out, &["modify_state(", i, ", "]);
+            expr(out, e);
+            out.push(')');
+        }
+        Command::DeleteRelation(i) => push_all(out, &["delete_relation(", i, ")"]),
+        Command::EvolveScheme(i, ch) => {
+            push_all(out, &["evolve_scheme(", i, ", "]);
+            scheme_change(out, ch);
+            out.push(')');
+        }
+        Command::Display(e) => {
+            out.push_str("display(");
+            expr(out, e);
+            out.push(')');
+        }
     }
 }
 
-/// Renders a scheme change.
-pub fn print_scheme_change(c: &SchemeChange) -> String {
+fn scheme_change(out: &mut String, c: &SchemeChange) {
     match c {
         SchemeChange::AddAttribute {
             name,
             domain,
             default,
-        } => format!(
-            "add {name}: {} default {}",
-            domain.keyword(),
-            print_value(default)
-        ),
-        SchemeChange::DropAttribute(name) => format!("drop {name}"),
-        SchemeChange::RenameAttribute { from, to } => format!("rename {from} to {to}"),
+        } => {
+            push_all(out, &["add ", name, ": ", domain.keyword(), " default "]);
+            value(out, default);
+        }
+        SchemeChange::DropAttribute(name) => push_all(out, &["drop ", name]),
+        SchemeChange::RenameAttribute { from, to } => {
+            push_all(out, &["rename ", from, " to ", to]);
+        }
     }
 }
 
 /// Renders an expression.
 pub fn print_expr(e: &Expr) -> String {
+    render(|out| expr(out, e))
+}
+
+/// Appends `name[attr, …](e)`.
+fn project(out: &mut String, name: &str, attrs: &[String], e: &Expr) {
+    out.push_str(name);
+    out.push('[');
+    out.push_str(&attrs.join(", "));
+    out.push_str("](");
+    expr(out, e);
+    out.push(')');
+}
+
+/// Appends `name[p](e)`.
+fn select(out: &mut String, name: &str, p: &Predicate, e: &Expr) {
+    out.push_str(name);
+    out.push('[');
+    predicate(out, p);
+    out.push_str("](");
+    expr(out, e);
+    out.push(')');
+}
+
+fn expr(out: &mut String, e: &Expr) {
     match e {
-        Expr::SnapshotConst(s) => print_snapshot_state(s),
-        Expr::HistoricalConst(h) => format!("historical {}", print_historical_state(h)),
-        Expr::Union(a, b) => format!("({} union {})", print_expr(a), print_expr(b)),
-        Expr::Difference(a, b) => format!("({} minus {})", print_expr(a), print_expr(b)),
-        Expr::Product(a, b) => format!("({} times {})", print_expr(a), print_expr(b)),
-        Expr::Project(attrs, e) => format!("project[{}]({})", attrs.join(", "), print_expr(e)),
-        Expr::Select(p, e) => format!("select[{}]({})", print_predicate(p), print_expr(e)),
-        Expr::Rollback(i, n) => format!("rho({i}, {})", print_tx_spec(n)),
-        Expr::HUnion(a, b) => format!("({} hunion {})", print_expr(a), print_expr(b)),
-        Expr::HDifference(a, b) => format!("({} hminus {})", print_expr(a), print_expr(b)),
-        Expr::HProduct(a, b) => format!("({} htimes {})", print_expr(a), print_expr(b)),
-        Expr::HProject(attrs, e) => {
-            format!("hproject[{}]({})", attrs.join(", "), print_expr(e))
+        Expr::SnapshotConst(s) => snapshot_state(out, s),
+        Expr::HistoricalConst(h) => {
+            out.push_str("historical ");
+            historical_state(out, h);
         }
-        Expr::HSelect(p, e) => format!("hselect[{}]({})", print_predicate(p), print_expr(e)),
-        Expr::Delta(g, v, e) => format!(
-            "delta[{}; {}]({})",
-            print_temporal_pred(g),
-            print_temporal_expr(v),
-            print_expr(e)
-        ),
-        Expr::HRollback(i, n) => format!("hrho({i}, {})", print_tx_spec(n)),
+        Expr::Union(a, b) => connective(out, expr, a, "union", b),
+        Expr::Difference(a, b) => connective(out, expr, a, "minus", b),
+        Expr::Product(a, b) => connective(out, expr, a, "times", b),
+        Expr::Project(attrs, e) => project(out, "project", attrs, e),
+        Expr::Select(p, e) => select(out, "select", p, e),
+        Expr::Rollback(i, n) => rollback(out, "rho", i, n),
+        Expr::HUnion(a, b) => connective(out, expr, a, "hunion", b),
+        Expr::HDifference(a, b) => connective(out, expr, a, "hminus", b),
+        Expr::HProduct(a, b) => connective(out, expr, a, "htimes", b),
+        Expr::HProject(attrs, e) => project(out, "hproject", attrs, e),
+        Expr::HSelect(p, e) => select(out, "hselect", p, e),
+        Expr::Delta(g, v, e) => {
+            out.push_str("delta[");
+            temporal_pred(out, g);
+            out.push_str("; ");
+            temporal_expr(out, v);
+            out.push_str("](");
+            expr(out, e);
+            out.push(')');
+        }
+        Expr::HRollback(i, n) => rollback(out, "hrho", i, n),
         // Physical joins have no surface syntax (only the plan search
         // constructs them); render them in the plan/explain notation.
-        Expr::Join(spec, a, b) => format!("join[{spec}]({}, {})", print_expr(a), print_expr(b)),
-        Expr::HJoin(spec, a, b) => format!("hjoin[{spec}]({}, {})", print_expr(a), print_expr(b)),
+        Expr::Join(spec, a, b) => join(out, "join", spec, a, b),
+        Expr::HJoin(spec, a, b) => join(out, "hjoin", spec, a, b),
     }
 }
 
-fn print_tx_spec(spec: &TxSpec) -> String {
+/// Appends `name[spec](a, b)`.
+fn join(out: &mut String, name: &str, spec: &impl std::fmt::Display, a: &Expr, b: &Expr) {
+    let _ = write!(out, "{name}[{spec}](");
+    expr(out, a);
+    out.push_str(", ");
+    expr(out, b);
+    out.push(')');
+}
+
+fn rollback(out: &mut String, name: &str, ident: &str, spec: &TxSpec) {
+    push_all(out, &[name, "(", ident, ", "]);
     match spec {
-        TxSpec::At(n) => n.0.to_string(),
-        TxSpec::Current => "inf".to_string(),
+        TxSpec::At(n) => push_u64(out, n.0),
+        TxSpec::Current => out.push_str("inf"),
     }
+    out.push(')');
 }
 
 /// Renders a snapshot state as `{(schema): tuple, …}`.
 pub fn print_snapshot_state(s: &SnapshotState) -> String {
-    let mut out = String::from("{");
-    out.push_str(&print_schema(s.schema()));
+    render(|out| snapshot_state(out, s))
+}
+
+fn snapshot_state(out: &mut String, s: &SnapshotState) {
+    out.push('{');
+    schema(out, s.schema());
     out.push_str(": ");
-    let tuples: Vec<String> = s
-        .iter()
-        .map(|t| {
-            let vals: Vec<String> = t.values().iter().map(print_value).collect();
-            format!("({})", vals.join(", "))
-        })
-        .collect();
-    out.push_str(&tuples.join(", "));
+    for (k, t) in s.iter().enumerate() {
+        if k > 0 {
+            out.push_str(", ");
+        }
+        tuple(out, t);
+    }
     out.push('}');
-    out
 }
 
 /// Renders an historical state as `{(schema): tuple @ element, …}`.
 pub fn print_historical_state(h: &HistoricalState) -> String {
-    let mut out = String::from("{");
-    out.push_str(&print_schema(h.schema()));
-    out.push_str(": ");
-    let entries: Vec<String> = h
-        .iter()
-        .map(|(t, e)| {
-            let vals: Vec<String> = t.values().iter().map(print_value).collect();
-            format!("({}) @ {}", vals.join(", "), print_temporal_element(e))
-        })
-        .collect();
-    out.push_str(&entries.join(", "));
-    out.push('}');
-    out
+    render(|out| historical_state(out, h))
 }
 
-fn print_schema(s: &Schema) -> String {
-    let attrs: Vec<String> = s
-        .attributes()
-        .iter()
-        .map(|a| format!("{}: {}", a.name, a.domain.keyword()))
-        .collect();
-    format!("({})", attrs.join(", "))
+fn historical_state(out: &mut String, h: &HistoricalState) {
+    out.push('{');
+    schema(out, h.schema());
+    out.push_str(": ");
+    for (k, (t, e)) in h.iter().enumerate() {
+        if k > 0 {
+            out.push_str(", ");
+        }
+        tuple(out, t);
+        out.push_str(" @ ");
+        temporal_element(out, e);
+    }
+    out.push('}');
+}
+
+fn schema(out: &mut String, s: &Schema) {
+    out.push('(');
+    for (k, a) in s.attributes().iter().enumerate() {
+        if k > 0 {
+            out.push_str(", ");
+        }
+        push_all(out, &[&a.name, ": ", a.domain.keyword()]);
+    }
+    out.push(')');
+}
+
+fn tuple(out: &mut String, t: &Tuple) {
+    out.push('(');
+    for (k, v) in t.values().iter().enumerate() {
+        if k > 0 {
+            out.push_str(", ");
+        }
+        value(out, v);
+    }
+    out.push(')');
 }
 
 /// Renders a value literal.
 pub fn print_value(v: &Value) -> String {
+    render(|out| value(out, v))
+}
+
+fn value(out: &mut String, v: &Value) {
     match v {
-        Value::Int(i) => i.to_string(),
+        Value::Int(i) => {
+            if *i < 0 {
+                out.push('-');
+            }
+            push_u64(out, i.unsigned_abs());
+        }
         // {} prints the shortest digits that round-trip, and never an
         // exponent (which the lexer has no syntax for: {:?} would print
         // 1e-7, and the journal line would not parse back). The lexer
         // wants `d.d`, so a whole number gets `.0`.
         Value::Real(r) => {
-            let s = r.get().to_string();
-            if s.contains('.') {
-                s
-            } else {
-                format!("{s}.0")
+            let start = out.len();
+            let _ = write!(out, "{}", r.get());
+            if !out[start..].contains('.') {
+                out.push_str(".0");
             }
         }
-        Value::Bool(b) => b.to_string(),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Value::Str(s) => {
-            let mut out = String::from("\"");
+            out.push('"');
             for c in s.chars() {
                 match c {
                     '"' => out.push_str("\\\""),
@@ -160,108 +276,115 @@ pub fn print_value(v: &Value) -> String {
                 }
             }
             out.push('"');
-            out
         }
     }
 }
 
-/// Renders a predicate.
-pub fn print_predicate(p: &Predicate) -> String {
+fn predicate(out: &mut String, p: &Predicate) {
     match p {
-        Predicate::True => "true".into(),
-        Predicate::False => "false".into(),
+        Predicate::True => out.push_str("true"),
+        Predicate::False => out.push_str("false"),
         Predicate::Comp(l, op, r) => {
-            format!("{} {} {}", print_operand(l), op.symbol(), print_operand(r))
+            operand(out, l);
+            out.push(' ');
+            out.push_str(op.symbol());
+            out.push(' ');
+            operand(out, r);
         }
-        Predicate::And(a, b) => format!("({} and {})", print_predicate(a), print_predicate(b)),
-        Predicate::Or(a, b) => format!("({} or {})", print_predicate(a), print_predicate(b)),
-        Predicate::Not(a) => format!("(not {})", print_predicate(a)),
+        Predicate::And(a, b) => connective(out, predicate, a, "and", b),
+        Predicate::Or(a, b) => connective(out, predicate, a, "or", b),
+        Predicate::Not(a) => {
+            out.push_str("(not ");
+            predicate(out, a);
+            out.push(')');
+        }
     }
 }
 
-fn print_operand(o: &Operand) -> String {
+/// Appends `(a op b)`, printing each side with `side`.
+fn connective<T>(out: &mut String, side: fn(&mut String, &T), a: &T, op: &str, b: &T) {
+    out.push('(');
+    side(out, a);
+    out.push(' ');
+    out.push_str(op);
+    out.push(' ');
+    side(out, b);
+    out.push(')');
+}
+
+fn operand(out: &mut String, o: &Operand) {
     match o {
-        Operand::Attr(a) => a.to_string(),
-        Operand::Const(v) => print_value(v),
+        Operand::Attr(a) => out.push_str(a),
+        Operand::Const(v) => value(out, v),
     }
 }
 
 /// Renders a temporal element as `{[s, e), …}`.
 pub fn print_temporal_element(e: &TemporalElement) -> String {
-    let parts: Vec<String> = e
-        .periods()
-        .iter()
-        .map(|p| {
-            if p.end() == FOREVER {
-                format!("[{}, forever)", p.start())
-            } else {
-                format!("[{}, {})", p.start(), p.end())
-            }
-        })
-        .collect();
-    format!("{{{}}}", parts.join(", "))
+    render(|out| temporal_element(out, e))
 }
 
-/// Renders a temporal expression.
-pub fn print_temporal_expr(e: &TemporalExpr) -> String {
+fn temporal_element(out: &mut String, e: &TemporalElement) {
+    out.push('{');
+    for (k, p) in e.periods().iter().enumerate() {
+        if k > 0 {
+            out.push_str(", ");
+        }
+        out.push('[');
+        push_u64(out, p.start().into());
+        out.push_str(", ");
+        if p.end() == FOREVER {
+            out.push_str("forever");
+        } else {
+            push_u64(out, p.end().into());
+        }
+        out.push(')');
+    }
+    out.push('}');
+}
+
+fn temporal_expr(out: &mut String, e: &TemporalExpr) {
     match e {
-        TemporalExpr::ValidTime => "valid".into(),
-        TemporalExpr::Const(el) => print_temporal_element(el),
-        TemporalExpr::Union(a, b) => format!(
-            "({} union {})",
-            print_temporal_expr(a),
-            print_temporal_expr(b)
-        ),
-        TemporalExpr::Intersect(a, b) => format!(
-            "({} intersect {})",
-            print_temporal_expr(a),
-            print_temporal_expr(b)
-        ),
-        TemporalExpr::Difference(a, b) => format!(
-            "({} minus {})",
-            print_temporal_expr(a),
-            print_temporal_expr(b)
-        ),
-        TemporalExpr::First(a) => format!("first({})", print_temporal_expr(a)),
-        TemporalExpr::Last(a) => format!("last({})", print_temporal_expr(a)),
+        TemporalExpr::ValidTime => out.push_str("valid"),
+        TemporalExpr::Const(el) => temporal_element(out, el),
+        TemporalExpr::Union(a, b) => connective(out, temporal_expr, a, "union", b),
+        TemporalExpr::Intersect(a, b) => connective(out, temporal_expr, a, "intersect", b),
+        TemporalExpr::Difference(a, b) => connective(out, temporal_expr, a, "minus", b),
+        TemporalExpr::First(a) => {
+            out.push_str("first(");
+            temporal_expr(out, a);
+            out.push(')');
+        }
+        TemporalExpr::Last(a) => {
+            out.push_str("last(");
+            temporal_expr(out, a);
+            out.push(')');
+        }
     }
 }
 
-/// Renders a temporal predicate.
-pub fn print_temporal_pred(p: &TemporalPred) -> String {
-    match p {
-        TemporalPred::True => "true".into(),
-        TemporalPred::False => "false".into(),
-        TemporalPred::Equals(a, b) => {
-            format!("{} = {}", print_temporal_expr(a), print_temporal_expr(b))
+fn temporal_pred(out: &mut String, p: &TemporalPred) {
+    let (a, op, b) = match p {
+        TemporalPred::True => return out.push_str("true"),
+        TemporalPred::False => return out.push_str("false"),
+        TemporalPred::And(a, b) => return connective(out, temporal_pred, a, "and", b),
+        TemporalPred::Or(a, b) => return connective(out, temporal_pred, a, "or", b),
+        TemporalPred::Not(a) => {
+            out.push_str("(not ");
+            temporal_pred(out, a);
+            return out.push(')');
         }
-        TemporalPred::Subset(a, b) => {
-            format!(
-                "{} subset {}",
-                print_temporal_expr(a),
-                print_temporal_expr(b)
-            )
-        }
-        TemporalPred::Overlaps(a, b) => format!(
-            "{} overlaps {}",
-            print_temporal_expr(a),
-            print_temporal_expr(b)
-        ),
-        TemporalPred::Precedes(a, b) => format!(
-            "{} precedes {}",
-            print_temporal_expr(a),
-            print_temporal_expr(b)
-        ),
-        TemporalPred::And(a, b) => format!(
-            "({} and {})",
-            print_temporal_pred(a),
-            print_temporal_pred(b)
-        ),
-        TemporalPred::Or(a, b) => {
-            format!("({} or {})", print_temporal_pred(a), print_temporal_pred(b))
-        }
-        TemporalPred::Not(a) => format!("(not {})", print_temporal_pred(a)),
-    }
+        TemporalPred::Equals(a, b) => (a, "=", b),
+        TemporalPred::Subset(a, b) => (a, "subset", b),
+        TemporalPred::Overlaps(a, b) => (a, "overlaps", b),
+        TemporalPred::Precedes(a, b) => (a, "precedes", b),
+    };
+    // A comparison has no parentheses of its own.
+    temporal_expr(out, a);
+    out.push(' ');
+    out.push_str(op);
+    out.push(' ');
+    temporal_expr(out, b);
 }
 
 #[cfg(test)]
@@ -286,6 +409,8 @@ mod tests {
     fn value_printing_round_trips() {
         for v in [
             Value::Int(-42),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
             Value::real(2.5),
             Value::real(3.0),
             Value::Bool(true),

@@ -1,19 +1,21 @@
 //! Tokens of the surface syntax.
 
+use std::borrow::Cow;
 use std::fmt;
 
-/// A lexical token.
+/// A lexical token, borrowing from the source text it was read from.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub enum Token<'a> {
     /// An identifier or keyword (keywords are not reserved; the parser
     /// matches them contextually).
-    Ident(String),
+    Ident(&'a str),
     /// An integer literal (sign included).
     Int(i64),
     /// A real literal (sign included; contains a decimal point).
     Real(f64),
-    /// A double-quoted string literal (escapes resolved).
-    Str(String),
+    /// A double-quoted string literal (escapes resolved): borrowed from
+    /// the source unless it had an escape to resolve.
+    Str(Cow<'a, str>),
     /// `(`
     LParen,
     /// `)`
@@ -50,14 +52,14 @@ pub enum Token {
     Eof,
 }
 
-impl Token {
+impl Token<'_> {
     /// Whether this token is the identifier/keyword `kw`.
     pub fn is_kw(&self, kw: &str) -> bool {
-        matches!(self, Token::Ident(s) if s == kw)
+        matches!(self, Token::Ident(s) if *s == kw)
     }
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "{s}"),
@@ -87,12 +89,12 @@ impl fmt::Display for Token {
 
 /// A token plus its source position (for diagnostics).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Spanned {
+pub struct Spanned<'a> {
     /// The token.
-    pub token: Token,
+    pub token: Token<'a>,
     /// 1-based line.
     pub line: usize,
-    /// 1-based column.
+    /// 1-based column, counted in chars.
     pub col: usize,
 }
 
@@ -102,8 +104,8 @@ mod tests {
 
     #[test]
     fn keyword_check() {
-        assert!(Token::Ident("union".into()).is_kw("union"));
-        assert!(!Token::Ident("union".into()).is_kw("minus"));
+        assert!(Token::Ident("union").is_kw("union"));
+        assert!(!Token::Ident("union").is_kw("minus"));
         assert!(!Token::Comma.is_kw("union"));
     }
 

@@ -156,14 +156,6 @@ pub struct Engine {
     tx: TransactionNumber,
     catalog: BTreeMap<String, StoredRelation>,
     wal: Option<(PathBuf, std::fs::File)>,
-    /// When set, `execute` journals into [`Engine::wal_pending`] instead
-    /// of the file; [`Engine::sync_wal`] writes the whole group with one
-    /// write and one fsync — the group-commit discipline.
-    wal_buffered: bool,
-    /// Journal lines buffered since the last [`Engine::sync_wal`].
-    wal_pending: Vec<u8>,
-    /// How many commands those lines hold.
-    wal_pending_cmds: usize,
     /// One materialization cache shared by every delta store.
     cache: Arc<MaterializationCache>,
     next_rel_id: u64,
@@ -235,9 +227,6 @@ impl Engine {
             tx: TransactionNumber(0),
             catalog: BTreeMap::new(),
             wal: None,
-            wal_buffered: false,
-            wal_pending: Vec::new(),
-            wal_pending_cmds: 0,
             cache: MaterializationCache::shared(),
             next_rel_id: 0,
             pool: Arc::new(ExecPool::from_env()),
@@ -287,62 +276,30 @@ impl Engine {
         })
     }
 
-    /// Executes one command, journaling it if it mutates and succeeds.
-    /// In buffered-WAL mode (see [`Engine::set_wal_buffered`]) the
-    /// journal line lands in the pending group instead of the file; the
-    /// command is durable only after the next [`Engine::sync_wal`].
+    /// Executes one command, journaling it if it mutates and succeeds:
+    /// the journal line is written through to the file at once, and
+    /// [`Engine::sync_wal`] makes it durable.
     pub fn execute(&mut self, cmd: &Command) -> Result<CommandOutcome, CoreError> {
         let outcome = self.apply(cmd)?;
-        if cmd.is_mutation() && self.wal.is_some() {
-            if self.wal_buffered {
-                wal::append_command(&mut self.wal_pending, cmd)
-                    .map_err(|e| CoreError::SchemeChange(format!("WAL write failed: {e}")))?;
-                self.wal_pending_cmds += 1;
-            } else if let Some((_, file)) = &mut self.wal {
+        if cmd.is_mutation() {
+            if let Some((_, file)) = &mut self.wal {
                 wal::append_command(file, cmd)
                     .map_err(|e| CoreError::SchemeChange(format!("WAL write failed: {e}")))?;
-                let _ = file.flush();
             }
         }
         Ok(outcome)
     }
 
-    /// Switches the journal between write-through (the default: every
-    /// mutation is appended and flushed immediately) and group-buffered
-    /// mode, where mutations accumulate in memory until
-    /// [`Engine::sync_wal`] commits the whole group with one write and
-    /// one fsync. Turning buffering *off* flushes anything pending.
-    pub fn set_wal_buffered(&mut self, buffered: bool) {
-        self.wal_buffered = buffered;
-        if !buffered {
-            let _ = self.sync_wal();
-        }
-    }
-
-    /// How many journaled commands are buffered but not yet durable.
-    pub fn wal_pending_commands(&self) -> usize {
-        self.wal_pending_cmds
-    }
-
-    /// Forces the journal to durable storage: the pending group (if any)
-    /// is written with a single `write_all`, then the file is fsynced
-    /// once — the group-commit point. Callers without buffering get the
-    /// per-commit-fsync discipline by calling this after each `execute`.
-    /// Returns how many buffered commands the call made durable (the
-    /// fsync happens regardless). A no-op without a WAL.
-    pub fn sync_wal(&mut self) -> std::io::Result<usize> {
+    /// Forces the journal to durable storage: flush, then one fsync. A
+    /// no-op without a WAL. (The server formats and fsyncs its own commit
+    /// groups; an engine with a journal attached journals one command at a
+    /// time.)
+    pub fn sync_wal(&mut self) -> std::io::Result<()> {
         let Some((_, file)) = &mut self.wal else {
-            return Ok(0);
+            return Ok(());
         };
-        let flushed = self.wal_pending_cmds;
-        if !self.wal_pending.is_empty() {
-            file.write_all(&self.wal_pending)?;
-            self.wal_pending.clear();
-            self.wal_pending_cmds = 0;
-        }
         file.flush()?;
-        file.sync_all()?;
-        Ok(flushed)
+        file.sync_all()
     }
 
     /// Attaches a journal at `path` (created or appended) to an engine
@@ -357,10 +314,9 @@ impl Engine {
         Ok(())
     }
 
-    /// Flushes what an orderly shutdown must not lose: the pending WAL
-    /// group is written and fsynced. `Drop` calls this, so an engine
-    /// going out of scope — `txtime serve` winding down, a panicking
-    /// test — never strands acked work in memory. Idempotent. (The view
+    /// Makes the journal durable (see [`Engine::sync_wal`]). `Drop` calls
+    /// this, so an engine going out of scope — `txtime serve` winding
+    /// down, a panicking test — leaves its journal fsynced. Idempotent. (The view
     /// memo dies with its engine and has nothing to settle: a lagging
     /// view is repaired by whoever reads it, or not at all.)
     pub fn shutdown(&mut self) {
@@ -1283,9 +1239,7 @@ impl Engine {
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        // The satellite fix behind `txtime serve`'s durability story: an
-        // engine dropped with a buffered WAL group writes it out. Cheap
-        // when there is nothing pending.
+        // An engine dropped with a journal attached leaves it fsynced.
         self.shutdown();
     }
 }
@@ -1702,15 +1656,43 @@ mod tests {
         assert_eq!(e.auto_compact(), None);
     }
 
+    /// Write-through journaling: each mutation is in the file as soon as
+    /// `execute` returns, one line per command, and a display adds none.
     #[test]
-    fn buffered_wal_groups_commits_and_drop_flushes() {
+    fn wal_is_written_through_per_command() {
+        let dir = std::env::temp_dir().join(format!("txtime-wal-through-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("through.wal");
+        let _ = std::fs::remove_file(&path);
+        let mut e = Engine::with_wal(CheckpointPolicy::Never, &path).unwrap();
+        e.execute(&Command::define_relation("r", RelationType::Rollback))
+            .unwrap();
+        let one = std::fs::read(&path).unwrap();
+        assert_eq!(one.iter().filter(|&&b| b == b'\n').count(), 1);
+        e.execute(&Command::modify_state(
+            "r",
+            Expr::snapshot_const(snap(&[1])),
+        ))
+        .unwrap();
+        e.execute(&Command::display(Expr::current("r"))).unwrap();
+        let two = std::fs::read(&path).unwrap();
+        assert!(two.starts_with(&one));
+        assert_eq!(two.iter().filter(|&&b| b == b'\n').count(), 2);
+        e.sync_wal().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), two);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// An engine dropped without an explicit sync leaves a journal that
+    /// recovers to the same clock and states.
+    #[test]
+    fn dropped_engine_recovers() {
         let dir = std::env::temp_dir().join(format!("txtime-wal-drop-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("group.wal");
+        let path = dir.join("drop.wal");
         let _ = std::fs::remove_file(&path);
         {
             let mut e = Engine::with_wal(CheckpointPolicy::Never, &path).unwrap();
-            e.set_wal_buffered(true);
             e.execute(&Command::define_relation("r", RelationType::Rollback))
                 .unwrap();
             e.execute(&Command::modify_state(
@@ -1718,43 +1700,13 @@ mod tests {
                 Expr::snapshot_const(snap(&[1])),
             ))
             .unwrap();
-            assert_eq!(e.wal_pending_commands(), 2);
-            // Nothing has reached the file yet: the group is pending.
-            assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
-            // Dropping the engine must not lose the buffered group.
         }
         let rec =
             crate::recovery::recover(&path, BackendKind::ForwardDelta, CheckpointPolicy::Never)
                 .unwrap();
         assert_eq!(rec.replayed, 2);
+        assert_eq!(rec.engine.tx(), TransactionNumber(2));
         assert_eq!(rec.engine.version_count("r"), Some(1));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn sync_wal_makes_the_group_durable_once() {
-        let dir = std::env::temp_dir().join(format!("txtime-wal-sync-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sync.wal");
-        let _ = std::fs::remove_file(&path);
-        let mut e = Engine::with_wal(CheckpointPolicy::Never, &path).unwrap();
-        e.set_wal_buffered(true);
-        e.execute(&Command::define_relation("r", RelationType::Rollback))
-            .unwrap();
-        e.execute(&Command::modify_state(
-            "r",
-            Expr::snapshot_const(snap(&[1])),
-        ))
-        .unwrap();
-        assert_eq!(e.sync_wal().unwrap(), 2);
-        assert_eq!(e.wal_pending_commands(), 0);
-        // An empty group still fsyncs (the per-commit baseline path) but
-        // reports zero commands flushed.
-        assert_eq!(e.sync_wal().unwrap(), 0);
-        let rec =
-            crate::recovery::recover(&path, BackendKind::ForwardDelta, CheckpointPolicy::Never)
-                .unwrap();
-        assert_eq!(rec.replayed, 2);
         let _ = std::fs::remove_file(&path);
     }
 

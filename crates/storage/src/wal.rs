@@ -18,7 +18,7 @@
 use std::io::{BufRead, Write};
 
 use txtime_core::Command;
-use txtime_parser::print::print_command;
+use txtime_parser::print::write_command;
 
 /// 64-bit FNV-1a, used as a line checksum (corruption detection, not
 /// cryptographic integrity).
@@ -31,10 +31,13 @@ pub fn fnv1a(data: &[u8]) -> u64 {
     hash
 }
 
-/// Appends one command to the journal.
+/// Appends one command to the journal: the line is built in one buffer
+/// and handed to the sink with one write.
 pub fn append_command(out: &mut impl Write, cmd: &Command) -> std::io::Result<()> {
-    let text = format!("{};", print_command(cmd));
-    writeln!(out, "{:016x} {}", fnv1a(text.as_bytes()), text)
+    // Room for an update commit's line without regrowing.
+    let mut line = String::with_capacity(256);
+    push_line(&mut line, cmd);
+    out.write_all(line.as_bytes())
 }
 
 /// Appends a group of commands as one contiguous write: every line is
@@ -46,11 +49,31 @@ pub fn append_commands<'a>(
     out: &mut impl Write,
     cmds: impl IntoIterator<Item = &'a Command>,
 ) -> std::io::Result<()> {
-    let mut buf = Vec::new();
+    let mut buf = String::new();
     for cmd in cmds {
-        append_command(&mut buf, cmd)?;
+        push_line(&mut buf, cmd);
     }
-    out.write_all(&buf)
+    out.write_all(buf.as_bytes())
+}
+
+/// Appends `cmd`'s journal line to `buf`: `{checksum:016x} {text};\n`.
+/// The text is printed in place after a placeholder that its checksum
+/// then overwrites.
+fn push_line(buf: &mut String, cmd: &Command) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let start = buf.len();
+    buf.push_str("0000000000000000 ");
+    let text = buf.len();
+    write_command(buf, cmd);
+    buf.push(';');
+    let sum = fnv1a(&buf.as_bytes()[text..]);
+    let mut digits = [0u8; 16];
+    for (k, d) in digits.iter_mut().enumerate() {
+        *d = HEX[(sum >> (60 - 4 * k)) as usize & 0xf];
+    }
+    let digits = std::str::from_utf8(&digits).expect("hex digits are ASCII");
+    buf.replace_range(start..start + 16, digits);
+    buf.push('\n');
 }
 
 /// A recovered journal entry or the reason it was rejected.
@@ -225,6 +248,28 @@ mod tests {
                 WalEntry::Corrupt { reason, .. } => panic!("corrupt: {reason}"),
             }
         }
+    }
+
+    /// The exact bytes of one journal line, pinned: a string with every
+    /// escape, a negative real, a historical constant and `inf`. The
+    /// checksum and the text were produced by the `format!`-based printer
+    /// the one-buffer line writer replaced.
+    #[test]
+    fn journal_line_golden() {
+        let cmd = txtime_parser::parse_command(
+            r#"modify_state(h, hrho(h, inf) hunion historical {(s: str, r: real): ("say \"hi\"\\\n\tend", -2.5) @ {[0, 5), [9, forever)}})"#,
+        )
+        .unwrap();
+        let mut line = Vec::new();
+        append_command(&mut line, &cmd).unwrap();
+        assert_eq!(
+            String::from_utf8(line).unwrap(),
+            concat!(
+                "810ee179173bf9ee modify_state(h, (hrho(h, inf) hunion historical ",
+                r#"{(s: str, r: real): ("say \"hi\"\\\n\tend", -2.5) @ {[0, 5), [9, forever)}}));"#,
+                "\n"
+            )
+        );
     }
 
     #[test]
