@@ -9,10 +9,11 @@
 
 use std::cmp::Ordering;
 
+use txtime_snapshot::run::gallop;
 use txtime_snapshot::Tuple;
 
 use crate::element::TemporalElement;
-use crate::state::{gallop, Entry};
+use crate::state::Entry;
 
 /// Two-pointer historical union: value-equal entries merge with their
 /// elements unioned (non-empty ∪ non-empty is non-empty, so the invariant

@@ -1,10 +1,10 @@
 //! Historical states: the semantic domain HISTORICAL STATE.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
+use txtime_snapshot::run::{self, is_strictly_sorted};
 use txtime_snapshot::{Schema, SnapshotState, StrInterner, Tuple};
 
 use crate::chronon::Chronon;
@@ -38,11 +38,6 @@ pub type Entry = (Tuple, TemporalElement);
 pub struct HistoricalState {
     schema: Schema,
     run: Arc<Vec<Entry>>,
-}
-
-/// Whether `run` is strictly increasing by value tuple.
-pub(crate) fn is_strictly_sorted(run: &[Entry]) -> bool {
-    run.windows(2).all(|w| w[0].0 < w[1].0)
 }
 
 impl HistoricalState {
@@ -137,17 +132,15 @@ impl HistoricalState {
         &self.run
     }
 
-    /// Applies a batch of removals and upserts as an in-place merge of
-    /// sorted runs.
+    /// Applies a batch of removals and upserts: the historical twin of
+    /// [`SnapshotState::apply_delta`], through the same kernel
+    /// ([`txtime_snapshot::run::edit`]).
     ///
     /// Upserts *replace* an existing entry's temporal element (they do not
-    /// union with it) — this is delta-replay semantics, not `hunion`. Like
-    /// [`SnapshotState::apply_delta`], a replay loop that uniquely owns
-    /// its working state pays one forward compaction pass for removals and
-    /// one backward gap merge for genuinely new tuples; present tuples are
-    /// revalued in place and untouched entries are moved, not cloned.
-    /// Upserted tuples are checked against the scheme and their elements
-    /// must be non-empty.
+    /// union with it) — this is delta-replay semantics, not `hunion`. A
+    /// tuple both removed and upserted ends present with the upserted
+    /// element. Upserted tuples are checked against the scheme and their
+    /// elements must be non-empty.
     pub fn apply_delta(&mut self, removed: &[Tuple], upserted: &[Entry]) -> Result<()> {
         for (t, e) in upserted {
             t.check(&self.schema)?;
@@ -155,73 +148,7 @@ impl HistoricalState {
                 return Err(HistoricalError::EmptyValidTime);
             }
         }
-        if removed.is_empty() && upserted.is_empty() {
-            return Ok(());
-        }
-        let removed = normalize_tuples(removed);
-        let upserted = normalize_entries(upserted);
-        let run = Arc::make_mut(&mut self.run);
-        // Pass 1: removals. One galloping sweep locates the present ones
-        // (both runs are sorted, so each search costs O(log gap)), then
-        // compare-free swaps close the holes — untouched entries are
-        // moved, never cloned or re-compared.
-        if !removed.is_empty() {
-            let mut holes: Vec<usize> = Vec::with_capacity(removed.len());
-            let mut pos = 0;
-            for r in removed.iter() {
-                pos = gallop(run, pos, r);
-                if run.get(pos).map(|(t, _)| t) == Some(r) {
-                    holes.push(pos);
-                    pos += 1;
-                }
-            }
-            if !holes.is_empty() {
-                let mut d = holes[0];
-                for (h, &hole) in holes.iter().enumerate() {
-                    let next = holes.get(h + 1).copied().unwrap_or(run.len());
-                    for s in hole + 1..next {
-                        run.swap(d, s);
-                        d += 1;
-                    }
-                }
-                run.truncate(d);
-            }
-        }
-        // Pass 2: upserts. The same sweep revalues present tuples where
-        // they stand (assignments never move entries) and records the
-        // insertion points of genuinely new ones. A tuple removed and
-        // re-upserted by the same delta is absent by now and re-enters as
-        // fresh — the upserts-win-ties rule.
-        if !upserted.is_empty() {
-            let mut ins: Vec<(usize, usize)> = Vec::with_capacity(upserted.len());
-            let mut pos = 0;
-            for (k, (t, e)) in upserted.iter().enumerate() {
-                pos = gallop(run, pos, t);
-                if run.get(pos).map(|(rt, _)| rt) == Some(t) {
-                    run[pos].1 = e.clone();
-                    pos += 1;
-                } else {
-                    ins.push((pos, k));
-                }
-            }
-            if !ins.is_empty() {
-                let m = run.len();
-                // Placeholder clones open the gap; every slot at or above
-                // the lowest insertion point is overwritten by the shift.
-                run.extend(upserted.iter().take(ins.len()).cloned());
-                let (mut s, mut d) = (m, m + ins.len());
-                for &(p, k) in ins.iter().rev() {
-                    while s > p {
-                        s -= 1;
-                        d -= 1;
-                        run.swap(d, s);
-                    }
-                    d -= 1;
-                    run[d] = upserted[k].clone();
-                }
-            }
-        }
-        debug_assert!(is_strictly_sorted(run));
+        run::edit(&mut self.run, removed, upserted);
         Ok(())
     }
 
@@ -327,59 +254,6 @@ impl HistoricalState {
                 .iter()
                 .map(|(t, e)| t.size_bytes() + e.size_bytes())
                 .sum::<usize>()
-    }
-}
-
-/// First index `i >= lo` whose entry tuple is `>= target`, found by
-/// exponential probing upward from `lo`. Delta events arrive in sorted
-/// order, so a sweep that restarts each search at the previous hit pays
-/// O(log gap) comparisons per event instead of O(log n).
-pub(crate) fn gallop(run: &[Entry], lo: usize, target: &Tuple) -> usize {
-    if lo >= run.len() || run[lo].0 >= *target {
-        return lo;
-    }
-    // Invariant: run[prev].0 < target.
-    let (mut prev, mut step) = (lo, 1usize);
-    while prev + step < run.len() && run[prev + step].0 < *target {
-        prev += step;
-        step *= 2;
-    }
-    let hi = (prev + step).min(run.len());
-    prev + 1 + run[prev + 1..hi].partition_point(|(t, _)| t < target)
-}
-
-/// Removal slices are usually already canonical; fall back to a local
-/// sort + dedup when they are not.
-fn normalize_tuples(run: &[Tuple]) -> Cow<'_, [Tuple]> {
-    if run.windows(2).all(|w| w[0] < w[1]) {
-        Cow::Borrowed(run)
-    } else {
-        let mut owned = run.to_vec();
-        owned.sort_unstable();
-        owned.dedup();
-        Cow::Owned(owned)
-    }
-}
-
-/// Upsert slices are usually already canonical; fall back to a local
-/// stable sort keeping the **last** entry per tuple (matching the
-/// last-write-wins semantics of sequential map inserts).
-fn normalize_entries(run: &[Entry]) -> Cow<'_, [Entry]> {
-    if is_strictly_sorted(run) {
-        Cow::Borrowed(run)
-    } else {
-        let mut owned = run.to_vec();
-        owned.sort_by(|a, b| a.0.cmp(&b.0));
-        // dedup_by keeps the FIRST of a duplicate group; reverse the
-        // stable order within groups by deduping from the back instead.
-        let mut deduped: Vec<Entry> = Vec::with_capacity(owned.len());
-        for entry in owned {
-            match deduped.last_mut() {
-                Some(last) if last.0 == entry.0 => *last = entry,
-                _ => deduped.push(entry),
-            }
-        }
-        Cow::Owned(deduped)
     }
 }
 

@@ -45,6 +45,7 @@ pub mod ops;
 pub mod predicate;
 pub mod reference;
 pub mod rng;
+pub mod run;
 pub mod schema;
 pub mod state;
 pub mod tuple;

@@ -9,7 +9,7 @@
 
 use std::cmp::Ordering;
 
-use crate::state::gallop;
+use crate::run::gallop;
 use crate::tuple::Tuple;
 
 /// Two-pointer union merge: every tuple in either input, once.

@@ -1,11 +1,11 @@
 //! Snapshot states: the semantic domain SNAPSHOT STATE.
 
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::intern::StrInterner;
+use crate::run::is_strictly_sorted;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -31,11 +31,6 @@ use crate::Result;
 pub struct SnapshotState {
     schema: Schema,
     run: Arc<Vec<Tuple>>,
-}
-
-/// Whether `run` is strictly increasing (sorted with no duplicates).
-pub(crate) fn is_strictly_sorted(run: &[Tuple]) -> bool {
-    run.windows(2).all(|w| w[0] < w[1])
 }
 
 impl SnapshotState {
@@ -208,128 +203,27 @@ impl SnapshotState {
         }
     }
 
-    /// Applies a batch of removals and insertions as an in-place merge of
-    /// sorted runs.
+    /// Applies a batch of removals and insertions: the replay kernel of
+    /// the delta-chain store, and of every delta a commit folds.
     ///
-    /// This is the replay kernel of the delta-chain store. A
-    /// replay loop threads one working state through every delta in the
-    /// chain; because the run is copy-on-write, the first application
-    /// copies the shared run once and every later application edits it in
-    /// place: removals are one forward compaction pass and insertions one
-    /// backward gap merge, so untouched tuples are moved (not cloned) and
-    /// no per-delta allocation happens beyond the `Vec`'s own growth.
-    /// Semantics match the set formulation — removals apply first, then
-    /// insertions, so a tuple present in both slices ends up in the state.
-    /// Inserted tuples are checked against the scheme; removals need no
-    /// check.
+    /// Removals apply first, then insertions, so a tuple present in both
+    /// slices ends up in the state. The cost is the changes' (see
+    /// [`crate::run::edit`]): a tuple revalued into the slot its old value
+    /// held is overwritten there, other shifts move untouched tuples as
+    /// blocks, and a run another state shares is rebuilt in one pass
+    /// rather than copied and then edited. Inserted tuples are checked
+    /// against the scheme; removals need no check.
     pub fn apply_delta(&mut self, removed: &[Tuple], added: &[Tuple]) -> Result<()> {
         for t in added {
             t.check(&self.schema)?;
         }
-        if removed.is_empty() && added.is_empty() {
-            return Ok(());
-        }
-        let removed = normalize_run(removed);
-        let added = normalize_run(added);
-        let run = Arc::make_mut(&mut self.run);
-        // Pass 1: removals. One galloping sweep locates the present ones
-        // (both runs are sorted, so each search costs O(log gap)), then
-        // compare-free swaps close the holes — untouched tuples are moved,
-        // never cloned or re-compared.
-        if !removed.is_empty() {
-            let mut holes: Vec<usize> = Vec::with_capacity(removed.len());
-            let mut pos = 0;
-            for r in removed.iter() {
-                pos = gallop(run, pos, r);
-                if run.get(pos) == Some(r) {
-                    holes.push(pos);
-                    pos += 1;
-                }
-            }
-            if !holes.is_empty() {
-                let mut d = holes[0];
-                for (h, &hole) in holes.iter().enumerate() {
-                    let next = holes.get(h + 1).copied().unwrap_or(run.len());
-                    for s in hole + 1..next {
-                        run.swap(d, s);
-                        d += 1;
-                    }
-                }
-                run.truncate(d);
-            }
-        }
-        // Pass 2: insertions. Locate the genuinely fresh tuples the same
-        // way (already-present ones are kept — set semantics, which also
-        // realizes the insertions-win-ties rule for a tuple removed and
-        // re-added by the same delta), open a gap at the tail, and shift
-        // blocks up from the back.
-        if !added.is_empty() {
-            let mut ins: Vec<(usize, usize)> = Vec::with_capacity(added.len());
-            let mut pos = 0;
-            for (k, a) in added.iter().enumerate() {
-                pos = gallop(run, pos, a);
-                if run.get(pos) == Some(a) {
-                    pos += 1;
-                } else {
-                    ins.push((pos, k));
-                }
-            }
-            if !ins.is_empty() {
-                let m = run.len();
-                // Placeholder clones open the gap; every slot at or above
-                // the lowest insertion point is overwritten by the shift.
-                run.extend(added.iter().take(ins.len()).cloned());
-                let (mut s, mut d) = (m, m + ins.len());
-                for &(p, k) in ins.iter().rev() {
-                    while s > p {
-                        s -= 1;
-                        d -= 1;
-                        run.swap(d, s);
-                    }
-                    d -= 1;
-                    run[d] = added[k].clone();
-                }
-            }
-        }
-        debug_assert!(is_strictly_sorted(run));
+        crate::run::edit(&mut self.run, removed, added);
         Ok(())
     }
 
     /// Approximate footprint in bytes for space accounting (experiment E3).
     pub fn size_bytes(&self) -> usize {
         std::mem::size_of::<SnapshotState>() + self.run.iter().map(Tuple::size_bytes).sum::<usize>()
-    }
-}
-
-/// First index `i >= lo` with `run[i] >= target`, found by exponential
-/// probing upward from `lo`. Delta events arrive in sorted order, so a
-/// sweep that restarts each search at the previous hit pays O(log gap)
-/// comparisons per event instead of O(log n).
-pub(crate) fn gallop(run: &[Tuple], lo: usize, target: &Tuple) -> usize {
-    if lo >= run.len() || run[lo] >= *target {
-        return lo;
-    }
-    // Invariant: run[prev] < target.
-    let (mut prev, mut step) = (lo, 1usize);
-    while prev + step < run.len() && run[prev + step] < *target {
-        prev += step;
-        step *= 2;
-    }
-    let hi = (prev + step).min(run.len());
-    prev + 1 + run[prev + 1..hi].partition_point(|t| t < target)
-}
-
-/// Delta slices from [`crate::SnapshotState::apply_delta`] callers are
-/// usually already canonical (they come from sorted-set differences); fall
-/// back to a local sort+dedup when they are not.
-fn normalize_run(run: &[Tuple]) -> Cow<'_, [Tuple]> {
-    if is_strictly_sorted(run) {
-        Cow::Borrowed(run)
-    } else {
-        let mut owned = run.to_vec();
-        owned.sort_unstable();
-        owned.dedup();
-        Cow::Owned(owned)
     }
 }
 

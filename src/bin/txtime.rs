@@ -228,7 +228,8 @@ fn new_engine(opts: &Options) -> Engine {
 
 /// The engine `run` and `serve` start from: a non-empty `--wal` journal
 /// is replayed, so the clock continues where the last process stopped,
-/// and cut back to the prefix it replayed, so what is appended next
+/// and cut back to the prefix it replayed (whose length the replay
+/// reports, so the journal is not read again), so what is appended next
 /// extends exactly that history; otherwise the empty database. No
 /// journal is attached: `run` attaches it, `serve` hands it to the
 /// server's committer.
@@ -244,7 +245,7 @@ fn resume(opts: &Options) -> Result<Engine, String> {
         rec.engine.tx(),
         rec.skipped.len()
     );
-    wal::truncate_to_verified_prefix(path)
+    wal::cut_to_prefix(path, rec.prefix)
         .map_err(|e| format!("cannot truncate {path} to its verified prefix: {e}"))?;
     Ok(rec.engine)
 }
