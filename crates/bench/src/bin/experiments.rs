@@ -1420,7 +1420,7 @@ fn e14_sorted_runs() {
         sorted,
         btree / sorted.max(1e-9)
     );
-    println!("=> merge kernels stream two sorted runs once instead of issuing one tree\n   insert per tuple; replay edits one uniquely-owned run in place (galloping\n   event location plus compare-free swaps), where the BTree-era replay cloned\n   a full tree per version — per-version allocation drops to zero.\n");
+    println!("=> merge kernels stream two sorted runs once instead of issuing one tree\n   insert per tuple; replay edits one uniquely-owned run in place (galloping\n   event location, same-slot overwrites, block moves), where the BTree-era replay cloned\n   a full tree per version — per-version allocation drops to zero.\n");
 }
 
 // --------------------------------------------------------------------
