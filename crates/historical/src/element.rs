@@ -12,10 +12,25 @@ use crate::period::Period;
 /// complement, which is what lets the historical operators manipulate
 /// valid time set-theoretically. The canonical (coalesced) form makes
 /// structural equality coincide with set equality.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TemporalElement {
     periods: Vec<Period>,
+}
+
+/// By hand for `clone_from`, which keeps the target's buffer where the
+/// source's periods fit: a revalued entry's element is overwritten in
+/// place (see `txtime_snapshot::run::Keyed::set_annotation`).
+impl Clone for TemporalElement {
+    fn clone(&self) -> TemporalElement {
+        TemporalElement {
+            periods: self.periods.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &TemporalElement) {
+        self.periods.clone_from(&source.periods);
+    }
 }
 
 impl TemporalElement {

@@ -440,6 +440,36 @@ fn unique_run_moves_its_kept_entries() {
     }
 }
 
+/// New elements for present tuples, on a run no other handle holds:
+/// each entry keeps its own tuple handle (not the arrival's) and its
+/// element buffer, whose periods are overwritten where they fit.
+#[test]
+fn a_revalue_writes_only_the_element() {
+    let mut state = state_of(0..40, 0);
+    let element = TemporalElement::period(50, 60);
+    let upserted: Vec<Entry> = (0..40)
+        .step_by(4)
+        .map(|i| (entry(i).0, element.clone()))
+        .collect();
+    let held: Vec<(*const Value, *const _)> = state
+        .run()
+        .iter()
+        .map(|(t, e)| (t.values().as_ptr(), e.periods().as_ptr()))
+        .collect();
+    let mut reference = RefHistorical::from_state(&state);
+    state.apply_delta(&[], &upserted).unwrap();
+    reference.apply_delta(&[], &upserted).unwrap();
+    assert_eq!(reference.to_state(), state);
+    for ((t, e), (tuple, periods)) in state.run().iter().zip(held) {
+        assert_eq!(t.values().as_ptr(), tuple, "{t}'s tuple was replaced");
+        assert_eq!(
+            e.periods().as_ptr(),
+            periods,
+            "{t}'s element was reallocated"
+        );
+    }
+}
+
 /// Deltas that touch much of the run.
 #[test]
 fn many_change_deltas_match_reference() {

@@ -19,17 +19,40 @@ use crate::tuple::Tuple;
 pub trait Keyed: Clone + PartialEq {
     /// The tuple the run is ordered by.
     fn key(&self) -> &Tuple;
+
+    /// Whether `other`, an entry with the same key, carries the same
+    /// annotation: whether it would change nothing here.
+    fn same_annotation(&self, other: &Self) -> bool;
+
+    /// Takes `other`'s annotation, keeping this entry's key handle;
+    /// `other` has the same key.
+    fn set_annotation(&mut self, other: &Self);
 }
 
+/// A bare tuple is all key.
 impl Keyed for Tuple {
     fn key(&self) -> &Tuple {
         self
     }
+
+    fn same_annotation(&self, _: &Tuple) -> bool {
+        true
+    }
+
+    fn set_annotation(&mut self, _: &Tuple) {}
 }
 
 impl<A: Clone + PartialEq> Keyed for (Tuple, A) {
     fn key(&self) -> &Tuple {
         &self.0
+    }
+
+    fn same_annotation(&self, other: &Self) -> bool {
+        self.1 == other.1
+    }
+
+    fn set_annotation(&mut self, other: &Self) {
+        self.1.clone_from(&other.1);
     }
 }
 
@@ -83,9 +106,12 @@ enum Edit<'a, E> {
     Insert(usize, &'a E),
     /// The entry at this position leaves.
     Remove(usize),
-    /// The arrival takes the entry's slot: a revalue, or a removal whose
-    /// slot the next arrival fills.
+    /// The arrival takes the entry's slot: a removal whose slot the next
+    /// arrival fills.
     Set(usize, &'a E),
+    /// The entry at this position takes the arrival's annotation, the
+    /// two having one key: a revalue.
+    Revalue(usize, &'a E),
 }
 
 /// Applies a delta to `run`: the entries keyed by `removed` leave, then
@@ -97,7 +123,8 @@ enum Edit<'a, E> {
 /// The cost is the changes', not the run's:
 /// - the changes are located by one galloping sweep, O(changes · log n);
 /// - an arrival that lands in the slot a removal vacates overwrites it,
-///   so a revalue moves nothing;
+///   so a revalue moves nothing, and an arrival with a present entry's
+///   key writes only its annotation (the run keeps its tuple handle);
 /// - on a run this handle alone holds, other net shifts move the
 ///   untouched entries between changes as blocks, each segment once,
 ///   so the whole edit moves at most about twice the run's length and
@@ -133,13 +160,14 @@ fn net<E>(edit: &Edit<'_, E>) -> isize {
     match edit {
         Edit::Insert(..) => 1,
         Edit::Remove(_) => -1,
-        Edit::Set(..) => 0,
+        Edit::Set(..) | Edit::Revalue(..) => 0,
     }
 }
 
 /// The edits `removed` and `arrivals` (both strictly sorted) make to
 /// `run`, in key order, with every removal whose slot the next arrival
-/// fills paired into a [`Edit::Set`].
+/// fills paired into a [`Edit::Set`], and every arrival for a present
+/// key a [`Edit::Revalue`] (or nothing, if the annotations agree).
 fn plan<'a, E: Keyed>(run: &[E], removed: &[Tuple], arrivals: &'a [E]) -> Vec<Edit<'a, E>> {
     let mut edits: Vec<Edit<'a, E>> = Vec::with_capacity(removed.len() + arrivals.len());
     let (mut r, mut a, mut pos) = (0, 0, 0);
@@ -174,8 +202,8 @@ fn plan<'a, E: Keyed>(run: &[E], removed: &[Tuple], arrivals: &'a [E]) -> Vec<Ed
         pos = gallop(run, pos, key);
         let present = run.get(pos).is_some_and(|e| e.key() == key);
         let next = match (arrival, present) {
-            (Some(e), true) if run[pos] == *e => None,
-            (Some(e), true) => Some(Edit::Set(pos, e)),
+            (Some(e), true) if run[pos].same_annotation(e) => None,
+            (Some(e), true) => Some(Edit::Revalue(pos, e)),
             (Some(e), false) => Some(Edit::Insert(pos, e)),
             (None, true) => Some(Edit::Remove(pos)),
             (None, false) => None,
@@ -215,6 +243,10 @@ fn edit_in_place<E: Keyed>(v: &mut Vec<E>, edits: &[Edit<'_, E>], len: usize) {
                 v[p] = e.clone();
                 continue;
             }
+            Edit::Revalue(p, e) => {
+                v[p].set_annotation(e);
+                continue;
+            }
             Edit::Insert(q, _) => (q, q),
             Edit::Remove(p) => (p, p + 1),
         };
@@ -237,7 +269,7 @@ fn edit_in_place<E: Keyed>(v: &mut Vec<E>, edits: &[Edit<'_, E>], len: usize) {
     let mut cursor = n;
     for edit in edits.iter().rev() {
         let (start, prev) = match *edit {
-            Edit::Set(..) => continue,
+            Edit::Set(..) | Edit::Revalue(..) => continue,
             Edit::Insert(q, _) => (q, q),
             Edit::Remove(p) => (p + 1, p),
         };
@@ -274,7 +306,8 @@ fn shift_block<E>(v: &mut [E], seg: Range<usize>, shift: isize) {
 }
 
 /// The edited run, built afresh in one merge pass over `old`: kept
-/// entries are cloned once, block by block, and arrivals once.
+/// entries are cloned once, block by block, and arrivals once (a
+/// revalued entry is the arrival, cloned whole).
 fn rebuild<E: Clone>(old: &[E], edits: &[Edit<'_, E>], len: usize) -> Vec<E> {
     let mut out = Vec::with_capacity(len);
     let mut cursor = 0;
@@ -282,7 +315,7 @@ fn rebuild<E: Clone>(old: &[E], edits: &[Edit<'_, E>], len: usize) -> Vec<E> {
         let (kept, next, arrival) = match *edit {
             Edit::Insert(q, e) => (q, q, Some(e)),
             Edit::Remove(p) => (p, p + 1, None),
-            Edit::Set(p, e) => (p, p + 1, Some(e)),
+            Edit::Set(p, e) | Edit::Revalue(p, e) => (p, p + 1, Some(e)),
         };
         out.extend_from_slice(&old[cursor..kept]);
         out.extend(arrival.cloned());

@@ -9,9 +9,16 @@ use txtime_core::{EvalError, RollbackFilter, StateValue, TransactionNumber};
 use txtime_snapshot::{Schema, StrInterner};
 
 use crate::backend::CheckpointPolicy;
-use crate::cache::MaterializationCache;
+use crate::cache::{CachedVersion, MaterializationCache};
 use crate::delta::{intern_state, StateDelta};
 use crate::metrics::{CompactionStats, InternerStats};
+
+/// A version the store holds or the cache remembers: whole, or as its
+/// checkpoint and the net delta that carries it there.
+enum Known<'a> {
+    Whole(StateValue),
+    Replay(&'a StateValue, Arc<StateDelta>),
+}
 
 /// One version in the chain.
 #[derive(Debug, PartialEq)]
@@ -135,32 +142,61 @@ impl DeltaStore {
         }
     }
 
-    /// Version `index` from the cache: a counted probe, since the
-    /// caller wanted exactly that version.
-    fn cached(&self, index: usize) -> Option<StateValue> {
-        let (cache, rel) = self.cache.as_ref()?;
-        cache.get(*rel, self.entries[index].tx.0)
+    /// The checkpoint committed at `tx`, if the chain still holds it.
+    fn checkpoint(&self, tx: TransactionNumber) -> Option<&StateValue> {
+        let entry = &self.entries[self.floor(tx)?];
+        (entry.tx == tx).then_some(entry.state.as_ref()).flatten()
     }
 
-    /// Accounts the `replayed` links that rebuilt version `index` and
-    /// remembers it in the cache. Only replayed versions go there: one
-    /// held in full is O(1) to fetch already.
-    fn remember(&self, replayed: usize, index: usize, state: &StateValue) {
-        self.note_replayed(replayed);
+    /// Version `index` as the store holds it or the cache remembers it:
+    /// whole, or as a checkpoint and the net delta from there. A cache
+    /// probe is counted, since the caller wanted exactly that version.
+    fn known(&self, index: usize) -> Option<Known<'_>> {
+        if let Some(state) = self.held(index) {
+            return Some(Known::Whole(state.clone()));
+        }
+        let (cache, rel) = self.cache.as_ref()?;
+        match cache.get(*rel, self.entries[index].tx.0)? {
+            CachedVersion::Whole(state) => Some(Known::Whole(state)),
+            // The cache drops a relation's entries when its chain is
+            // truncated, so the checkpoint is there; should it not be,
+            // the caller composes afresh.
+            CachedVersion::Replay { seed, net } => Some(Known::Replay(self.checkpoint(seed)?, net)),
+        }
+    }
+
+    /// Remembers `version` as version `index` in the cache. Only
+    /// versions the store does not hold go there: one held in full is
+    /// O(1) to fetch already.
+    fn remember(&self, index: usize, version: CachedVersion) {
         if let Some((cache, rel)) = &self.cache {
-            cache.insert(*rel, self.entries[index].tx.0, state.clone());
+            cache.insert(*rel, self.entries[index].tx.0, version);
+        }
+    }
+
+    /// Known version `index` whole: a cached replay is applied to its
+    /// checkpoint, and the version remembered whole in its place.
+    fn whole(&self, index: usize, known: Known<'_>) -> StateValue {
+        match known {
+            Known::Whole(state) => state,
+            Known::Replay(seed, net) => {
+                let state = net.apply(seed);
+                self.remember(index, CachedVersion::Whole(state.clone()));
+                state
+            }
         }
     }
 
     /// Version `index`: as held, from the cache, or replayed from its
-    /// seed.
+    /// seed. A version the store does not hold is remembered whole.
     fn reconstruct(&self, index: usize) -> StateValue {
-        if let Some(state) = self.held(index).cloned().or_else(|| self.cached(index)) {
-            return state;
+        if let Some(known) = self.known(index) {
+            return self.whole(index, known);
         }
         let (from, seed) = self.seed(index);
+        self.note_replayed(index - from);
         let state = self.replay(from, seed, index);
-        self.remember(index - from, index, &state);
+        self.remember(index, CachedVersion::Whole(state.clone()));
         state
     }
 
@@ -274,8 +310,9 @@ impl DeltaStore {
     ///
     /// The distinct floor versions neither held nor cached are replayed
     /// oldest first, each from the nearer of its seed and the version
-    /// replayed just before it, so no link is composed twice per batch
-    /// (and every wanted version warms the cache).
+    /// replayed just before it, so no link is composed twice per batch;
+    /// a cached replay is applied to its checkpoint. Every wanted
+    /// version the store does not hold is remembered whole.
     pub fn state_at_many(&self, txs: &[TransactionNumber]) -> Vec<Option<StateValue>> {
         let floors: Vec<Option<usize>> = txs.iter().map(|tx| self.floor(*tx)).collect();
         let mut resolved: BTreeMap<usize, StateValue> = BTreeMap::new();
@@ -284,9 +321,9 @@ impl DeltaStore {
             if resolved.contains_key(&floor) || missing.contains(&floor) {
                 continue;
             }
-            match self.held(floor).cloned().or_else(|| self.cached(floor)) {
-                Some(state) => {
-                    resolved.insert(floor, state);
+            match self.known(floor) {
+                Some(known) => {
+                    resolved.insert(floor, self.whole(floor, known));
                 }
                 None => {
                     missing.insert(floor);
@@ -301,7 +338,8 @@ impl DeltaStore {
                 _ => (seed_at, seed),
             };
             let state = self.replay(from, seed, want);
-            self.remember(want - from, want, &state);
+            self.note_replayed(want - from);
+            self.remember(want, CachedVersion::Whole(state.clone()));
             resolved.insert(want, state.clone());
             last = Some((want, state));
         }
@@ -321,7 +359,10 @@ impl DeltaStore {
     /// when it compares the leading attributes with constants), the
     /// segment's net delta is cut to the arrivals it accepts, and the
     /// one is applied to the other, so the full version is never
-    /// materialized (experiment E10).
+    /// materialized (experiment E10). The composed replay (the seed's
+    /// position and the net delta) is remembered in the cache, so the
+    /// next read of the version, filtered or whole, composes nothing;
+    /// a version the cache holds whole is filtered as it stands.
     ///
     /// This is sound because a link identifies changes by tuple value and a tuple's predicate verdict is fixed:
     /// filtering the arriving entries and applying removals to the
@@ -346,23 +387,37 @@ impl DeltaStore {
         let Some(target) = self.floor(tx) else {
             return Ok(None);
         };
-        if let Some(s) = self.held(target).cloned().or_else(|| self.cached(target)) {
-            return filter.apply(s, historical).map(Some);
-        }
-        let (from, seed) = self.seed(target);
-        let chain = self.path(from, target);
-        // Filtered states never enter the cache (they are not the
-        // version), but the replay work is still accounted.
-        self.note_replayed(chain.len());
-        let net = StateDelta::compose(&chain).expect("a version not held has links to its seed");
+        let (seed, net) = match self.known(target) {
+            Some(Known::Whole(state)) => return filter.apply(state, historical).map(Some),
+            Some(Known::Replay(seed, net)) => (seed, net),
+            None => {
+                // A filtered state is not the version, so the cache
+                // keeps what it is made from: the seed's position and
+                // the net delta.
+                let (from, seed) = self.seed(target);
+                let chain = self.path(from, target);
+                self.note_replayed(chain.len());
+                let net = Arc::new(
+                    StateDelta::compose(&chain).expect("a version not held has links to its seed"),
+                );
+                let seed_tx = self.entries[from].tx;
+                let replay = CachedVersion::Replay {
+                    seed: seed_tx,
+                    net: Arc::clone(&net),
+                };
+                self.remember(target, replay);
+                (seed, net)
+            }
+        };
         // The plain path's σ/σ̂ error wrapping: σ surfaces a
-        // SnapshotError, σ̂ an HistoricalError.
-        let filtered = match (seed, net) {
+        // SnapshotError, σ̂ an HistoricalError. Only the accepted
+        // arrivals are copied out of the (shared) net delta.
+        let filtered = match (seed, &*net) {
             (StateValue::Snapshot(s), StateDelta::Snapshot { added, removed }) if !historical => {
                 let compiled = predicate.compile(s.schema()).map_err(EvalError::Snapshot)?;
                 let mut kept = s.select_compiled(&compiled);
-                let added: Vec<_> = added.into_iter().filter(|t| compiled.eval(t)).collect();
-                kept.apply_delta(&removed, &added)
+                let added: Vec<_> = added.iter().filter(|t| compiled.eval(t)).cloned().collect();
+                kept.apply_delta(removed, &added)
                     .expect("stored tuples fit the stored schema");
                 StateValue::Snapshot(kept)
             }
@@ -376,17 +431,20 @@ impl DeltaStore {
                 // A revalued entry the predicate rejects is not in
                 // `kept` either, so dropping the upsert is all it takes.
                 let upserted: Vec<_> = upserted
-                    .into_iter()
+                    .iter()
                     .filter(|(t, _)| compiled.eval(t))
+                    .cloned()
                     .collect();
-                kept.apply_delta(&removed, &upserted)
+                kept.apply_delta(removed, &upserted)
                     .expect("stored entries fit the stored schema");
                 StateValue::Historical(kept)
             }
             // A version past a boundary, held in full, or one of the
             // other kind than the query's: the shared filter code
             // selects, or words the mismatch.
-            (_, StateDelta::Reschema(s)) => return filter.apply(*s, historical).map(Some),
+            (_, StateDelta::Reschema(s)) => {
+                return filter.apply((**s).clone(), historical).map(Some)
+            }
             (seed, net) => return filter.apply(net.apply(seed), historical).map(Some),
         };
         let remaining = RollbackFilter {
@@ -524,6 +582,10 @@ impl DeltaStore {
                 }
                 self.entries.drain(..floor);
                 self.entries[0].link = None;
+                // A cached replay may start from a dropped checkpoint.
+                if let Some((cache, rel)) = &self.cache {
+                    cache.purge_relation(*rel);
+                }
                 // Chain positions shifted: the next pass rescans.
                 self.compacted = None;
                 floor
@@ -861,8 +923,12 @@ mod tests {
         assert!(cache.stats().replayed_deltas > 0);
     }
 
+    /// A filtered read caches the replay it composes; a whole read of
+    /// the same version applies that replay without composing the chain
+    /// again and keeps the version whole, which the next whole read
+    /// finds.
     #[test]
-    fn a_filtered_replay_is_counted_but_never_cached() {
+    fn a_filtered_replay_is_cached_and_a_whole_read_keeps_the_version() {
         let pred = txtime_snapshot::Predicate::gt_const("x", Value::Int(20));
         let filter = RollbackFilter {
             predicate: Some(&pred),
@@ -873,17 +939,35 @@ mod tests {
         for v in 1..=30u64 {
             s.append(&snap(&[v as i64, 10 + v as i64]), TransactionNumber(v));
         }
-        let filtered = s
-            .state_at_filtered(TransactionNumber(15), false, &filter)
-            .unwrap();
+        let at = TransactionNumber(15);
+        let filtered = s.state_at_filtered(at, false, &filter).unwrap();
         assert_eq!(filtered, Some(snap(&[25])));
         let stats = cache.stats();
-        assert!(stats.replayed_deltas > 0);
-        // σ of a version is not the version: the next plain read
-        // still replays.
-        assert_eq!(stats.insertions, 0);
-        assert_eq!(s.state_at(TransactionNumber(15)), Some(snap(&[15, 25])));
-        assert_eq!(cache.stats().insertions, 1);
+        // Fourteen links from the first version, composed once.
+        assert_eq!(
+            (stats.replayed_deltas, stats.misses, stats.insertions),
+            (14, 1, 1)
+        );
+        assert_eq!(s.state_at_filtered(at, false, &filter).unwrap(), filtered);
+        assert_eq!(s.state_at(at), Some(snap(&[15, 25])));
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.replayed_deltas, stats.hits, stats.insertions),
+            (14, 2, 2)
+        );
+        // The second whole read is a whole-version hit.
+        assert_eq!(s.state_at(at), Some(snap(&[15, 25])));
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.replayed_deltas, stats.hits, stats.insertions),
+            (14, 3, 2)
+        );
+        assert_eq!(
+            cache.get(0, 15),
+            Some(CachedVersion::Whole(snap(&[15, 25])))
+        );
+        assert_eq!(s.state_at_filtered(at, false, &filter).unwrap(), filtered);
+        assert_eq!(cache.stats().replayed_deltas, 14);
     }
 
     #[test]

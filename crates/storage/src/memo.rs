@@ -23,12 +23,23 @@
 //!   view: it *is* the store's current handle, which a view would pin (a
 //!   commit could then no longer edit the run in place), and it stands
 //!   wherever the source stands.
-//! * **What is never registered.** Two kinds of root are answered below
-//!   the memo, and neither interned nor counted: a bare `ρ/ρ̂(I, ∞)` (a
-//!   handle clone), and a key probe — a `σ/σ̂` straight over a `ρ/ρ̂`
-//!   leaf whose predicate bounds the relation's leading attribute, which
-//!   the store's filtered resolve answers in O(log n + answer). A view of
-//!   either would cost more to keep current than the read it saves.
+//! * **What is never registered.** Four kinds of root are answered below
+//!   the memo, and never interned, counted or registered:
+//!   - a bare `ρ/ρ̂(I, ∞)` (a handle clone);
+//!   - a key probe: a `σ/σ̂` straight over a `ρ/ρ̂` leaf whose predicate
+//!     bounds the relation's leading attribute, which the store's
+//!     filtered resolve answers in O(log n + answer);
+//!   - a filtered past read: a chain of `σ/π` (or `σ̂/π̂`) with a `σ`
+//!     straight over a `ρ/ρ̂(I, n)` leaf, which the store answers by
+//!     filtering a checkpoint and a composed replay it caches;
+//!   - a past difference `ρ(I, a) − ρ(I, b)` of one relation, which the
+//!     store reads off the links between the two versions.
+//!
+//!   A view of the first two would cost more to keep current than the
+//!   read it saves; registering either of the last two builds both whole
+//!   versions the store never needs. A bare `ρ(I, n)`, a π-only chain, a
+//!   ×/⋈ over past leaves, a `ρ̂ −̂ ρ̂` (whose answer the store declines)
+//!   and any other root register as before.
 //! * **Maintenance.** Pull-based: a read repairs the view it asks for
 //!   and nothing else. `modify_state` appends one record to the written
 //!   relation's *log* via [`ViewRegistry::queue_modify`] — the commit's
@@ -199,10 +210,24 @@ fn current_leaf(node: &ExprNode) -> Option<(&str, bool)> {
 }
 
 /// Whether the store answers root `expr` at least as cheaply as a view
-/// could: a bare `ρ/ρ̂(I, ∞)`, or a key probe (see the module docs).
+/// could, building no version it does not return: a bare `ρ/ρ̂(I, ∞)`,
+/// a key probe, a filtered past read or a past difference (see the
+/// module docs).
 fn answered_by_store(expr: &Expr, src: &dyn StampSource) -> bool {
     match expr {
         Expr::Rollback(_, TxSpec::Current) | Expr::HRollback(_, TxSpec::Current) => true,
+        Expr::Difference(a, b) => matches!(
+            (&**a, &**b),
+            (Expr::Rollback(i, TxSpec::At(_)), Expr::Rollback(j, TxSpec::At(_))) if i == j
+        ),
+        _ => key_probe(expr, src) || filtered_past_read(expr),
+    }
+}
+
+/// Whether `expr` is a `σ/σ̂` straight over a `ρ/ρ̂` leaf whose predicate
+/// bounds the relation's leading attribute.
+fn key_probe(expr: &Expr, src: &dyn StampSource) -> bool {
+    match expr {
         Expr::Select(p, leaf) | Expr::HSelect(p, leaf) => match &**leaf {
             Expr::Rollback(ident, _) | Expr::HRollback(ident, _) => src
                 .relation_schema(ident)
@@ -210,6 +235,26 @@ fn answered_by_store(expr: &Expr, src: &dyn StampSource) -> bool {
             _ => false,
         },
         _ => false,
+    }
+}
+
+/// Whether `expr` is a chain of `σ/π` (`σ̂/π̂`) over one past
+/// `ρ/ρ̂(I, n)` leaf with a `σ` straight over the leaf: the store's
+/// filtered replay answers the lower operators, and the rest run on
+/// what it returns.
+fn filtered_past_read(expr: &Expr) -> bool {
+    let mut node = expr;
+    loop {
+        node = match node {
+            Expr::Select(_, e) | Expr::HSelect(_, e) => match &**e {
+                Expr::Rollback(_, TxSpec::At(_)) | Expr::HRollback(_, TxSpec::At(_)) => {
+                    return true
+                }
+                _ => e,
+            },
+            Expr::Project(_, e) | Expr::HProject(_, e) => e,
+            _ => return false,
+        };
     }
 }
 
@@ -1578,8 +1623,8 @@ impl ViewRegistry {
         // before touching the interner keeps the write path from
         // hashing multi-thousand-tuple constant payloads into the DAG
         // (the `reads` walk visits operator nodes only, not payloads).
-        // A bare current leaf and a key probe are answered by the store
-        // as cheaply as by a view, and are not even interned.
+        // A root the store answers without building a version it does
+        // not return is not even interned.
         if expr.reads().is_empty() || answered_by_store(expr, src) {
             return MemoDecision::Evaluate { register: false };
         }
@@ -1759,6 +1804,7 @@ impl std::fmt::Debug for ViewRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use txtime_core::JoinSpec;
     use txtime_snapshot::{CompOp, DomainType, Operand, Predicate, Value};
 
     /// A miniature stamp source: one snapshot state per relation.
@@ -2253,10 +2299,12 @@ mod tests {
         }
     }
 
-    /// A bare current leaf and a key probe (σ over a ρ leaf bounding the
-    /// leading attribute, now or in the past, alone or under ∧) are
-    /// answered below the memo: never interned, counted or registered.
-    /// The same σ spelled without a bound is registered as before.
+    /// A bare current leaf, a key probe (σ over a ρ leaf bounding the
+    /// leading attribute, now or in the past, alone or under ∧), a σ/π
+    /// chain with a σ straight over a past leaf, and a difference of two
+    /// past versions of one relation are answered below the memo: never
+    /// interned, counted or registered. The same σ over the current leaf
+    /// spelled without a bound is registered as before.
     #[test]
     fn key_probes_and_bare_leaves_are_never_interned_or_counted() {
         let mut db = FakeDb::new();
@@ -2264,31 +2312,94 @@ mod tests {
         let memo = ViewRegistry::new();
         memo.set_register_after(1);
         let at = || Expr::rollback("r", TxSpec::At(TransactionNumber(2)));
+        let hat = || Expr::hrollback("r", TxSpec::At(TransactionNumber(2)));
         let bound = Predicate::gt_const("x", Value::Int(0));
+        let x = || vec!["x".to_string()];
         let probes = [
             Expr::current("r"),
             Expr::hcurrent("r"),
             Expr::current("r").select(bound.clone()),
             at().select(Predicate::eq_const("x", Value::Int(1)).and(bound.clone().not())),
-            Expr::hcurrent("r").hselect(bound),
+            Expr::hcurrent("r").hselect(bound.clone()),
+            // Filtered past reads: σ straight over the leaf, under any
+            // σ/π chain.
+            positive(at()),
+            positive(at()).project(x()),
+            positive(positive(at())).project(x()).select(bound.clone()),
+            hat().hselect(bound.clone().not()),
+            hat().hselect(bound.clone().not()).hproject(x()),
+            // Past differences of one relation, either way round.
+            at().difference(Expr::rollback("r", TxSpec::At(TransactionNumber(1)))),
+            Expr::rollback("r", TxSpec::At(TransactionNumber(1))).difference(at()),
         ];
         for probe in &probes {
             for _ in 0..3 {
-                assert!(matches!(
-                    memo.decide(probe, &db),
-                    MemoDecision::Evaluate { register: false }
-                ));
+                assert!(
+                    matches!(
+                        memo.decide(probe, &db),
+                        MemoDecision::Evaluate { register: false }
+                    ),
+                    "{probe}"
+                );
             }
         }
         assert_eq!(memo.stats(), MemoStats::default());
         assert_eq!(memo.interner_footprint().0, 0);
-        for root in [positive(Expr::current("r")), positive(at())] {
-            assert!(matches!(
-                memo.decide(&root, &db),
-                MemoDecision::Evaluate { register: true }
-            ));
+        assert!(matches!(
+            memo.decide(&positive(Expr::current("r")), &db),
+            MemoDecision::Evaluate { register: true }
+        ));
+        assert_eq!(memo.stats().misses, 1);
+    }
+
+    /// Roots the store would answer by building whole versions still
+    /// register: a bare past leaf, a π-only chain over one, a σ over a π
+    /// over one, ×/⋈ over past leaves, a historical difference (which
+    /// the store declines), differences of two relations or of a past
+    /// and a current leaf, and any σ or π over a current leaf.
+    #[test]
+    fn past_reads_the_store_builds_whole_still_register() {
+        let mut db = FakeDb::new();
+        db.set("r", 7, 3, StateValue::Snapshot(snap(&[-1, 1, 2])));
+        db.set("s", 8, 3, StateValue::Snapshot(snap(&[1])));
+        let memo = ViewRegistry::new();
+        memo.set_register_after(1);
+        let at = |ident: &str, n| Expr::rollback(ident, TxSpec::At(TransactionNumber(n)));
+        let hat = |n| Expr::hrollback("r", TxSpec::At(TransactionNumber(n)));
+        let x = || vec!["x".to_string()];
+        let keys = JoinSpec {
+            keys: vec![("x".to_string(), "x".to_string())],
+            residual: Predicate::True,
+            physical: txtime_snapshot::JoinPhysical::Hash,
+        };
+        let roots = [
+            at("r", 2),
+            hat(2),
+            at("r", 2).project(x()),
+            hat(2).hproject(x()),
+            positive(at("r", 2).project(x())),
+            positive(at("r", 2).product(at("s", 1))),
+            at("r", 2).join(keys.clone(), at("s", 1)),
+            hat(2).hjoin(keys, hat(1)),
+            hat(2).hproduct(hat(1)),
+            hat(2).hdifference(hat(1)),
+            at("r", 2).difference(at("s", 2)),
+            at("r", 2).difference(Expr::current("r")),
+            Expr::current("r").difference(at("r", 2)),
+            positive(at("r", 2)).union(Expr::current("r")),
+            positive(Expr::current("r")).project(x()),
+            Expr::current("r").project(x()),
+        ];
+        for (i, root) in roots.iter().enumerate() {
+            assert!(
+                matches!(
+                    memo.decide(root, &db),
+                    MemoDecision::Evaluate { register: true }
+                ),
+                "{root}"
+            );
+            assert_eq!(memo.stats().misses, i as u64 + 1, "{root}");
         }
-        assert_eq!(memo.stats().misses, 2);
     }
 
     #[test]

@@ -10,22 +10,24 @@ use std::fmt;
 
 use txtime_core::RelationType;
 
-/// Counters from the engine's materialization cache
+/// Counters from the engine's state cache
 /// ([`crate::cache::MaterializationCache`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Counted probes that found a materialized version.
+    /// Counted probes that found a version, as a composed replay or
+    /// whole.
     pub hits: u64,
     /// Counted probes that did not.
     pub misses: u64,
-    /// Versions remembered.
+    /// Versions remembered, a replay and its later whole version
+    /// counted apart.
     pub insertions: u64,
     /// Entries discarded to make room.
     pub evictions: u64,
     /// Deltas the stores replayed for versions the cache did not have —
     /// the work the cache exists to avoid.
     pub replayed_deltas: u64,
-    /// Materialized versions currently held.
+    /// Versions currently held.
     pub entries: usize,
     /// Maximum entries held (0 = caching disabled).
     pub capacity: usize,

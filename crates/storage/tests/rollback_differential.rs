@@ -736,3 +736,132 @@ fn a_store_answers_a_version_difference_as_the_plain_path_or_declines() {
         assert!(answered_after > 0 && answered_after < answered, "{label}");
     }
 }
+
+/// Asks every rig, for every transaction number from before the first
+/// version to beyond the clock (from `cutoff` on), `σ_F(ρ(I, n))` for
+/// the relation's kind and, with `leaves`, `ρ(I, n)`, each against the
+/// oracle. Per `n` a selection comes first (it composes the replay and
+/// caches it), then the leaf (which applies that replay and keeps the
+/// version whole), then the selections again (which filter the whole
+/// version); a second sweep, newest first, asks only the selections.
+fn check_past_reads(oracle: &Database, cutoff: u64, rigs: &[Rig], leaves: bool, phase: &str) {
+    let clock = oracle.tx.0;
+    for (ident, hatted) in [("acct", false), ("temp", true)] {
+        let selections = |n: u64| -> Vec<Expr> {
+            let all = predicates(n);
+            [0, 1, 10, 11, 13, 16]
+                .into_iter()
+                .map(|i| {
+                    let p = all[i].clone();
+                    if hatted {
+                        leaf(ident, hatted, n).hselect(p)
+                    } else {
+                        leaf(ident, hatted, n).select(p)
+                    }
+                })
+                .collect()
+        };
+        let mut asks: Vec<Expr> = Vec::new();
+        for n in cutoff..=clock + 2 {
+            let sel = selections(n);
+            asks.push(sel[0].clone());
+            asks.extend(leaves.then(|| leaf(ident, hatted, n)));
+            asks.extend(sel);
+            asks.extend(leaves.then(|| leaf(ident, hatted, n)));
+        }
+        for n in (cutoff..=clock + 2).rev() {
+            asks.extend(selections(n));
+        }
+        for probe in &asks {
+            let want = outcome(probe.eval(oracle));
+            for rig in rigs {
+                let got = outcome(rig.engine.eval(probe));
+                assert_eq!(got, want, "{}: {phase}: {probe}", rig.label);
+            }
+        }
+    }
+}
+
+/// The state cache holds composed replays (a checkpoint's commit tx and
+/// a net delta) and whole versions, and neither is ever observable: every
+/// past read and every selection over one answers as the oracle does with
+/// the cache off, holding one version and holding them all, under two
+/// checkpoint policies; after `compact` pins checkpoints nearer than the
+/// ones the cached replays start from; and after `archive_before` drops
+/// the checkpoints they start from. A replay whose checkpoint has moved
+/// or gone is never served.
+#[test]
+fn the_state_cache_never_changes_a_past_read() {
+    let steps: Vec<Step> = history(2024, 40)
+        .into_iter()
+        .filter(|step| matches!(step, Step::Run(_)))
+        .collect();
+    let mut rigs = Vec::new();
+    for capacity in [0, 1, 128] {
+        for policy in [
+            CheckpointPolicy::Never,
+            CheckpointPolicy::every_k(8).unwrap(),
+        ] {
+            let mut engine = Engine::new(BackendKind::ForwardDelta, policy);
+            engine.set_auto_compact(None);
+            engine.set_memo_capacity(0);
+            engine.set_cache_capacity(capacity);
+            rigs.push(Rig {
+                engine,
+                memo: false,
+                label: format!("{policy:?}, cache {capacity}"),
+            });
+        }
+    }
+    let (oracle, _) = drive(&steps, &mut rigs);
+    check_past_reads(&oracle, 0, &rigs, true, "as written");
+    // Replays only: each cache emptied, then refilled by selections
+    // alone, from the first version and the policy's checkpoints.
+    let refill = |rigs: &mut [Rig], cutoff: u64, phase: &str| {
+        for rig in rigs.iter_mut() {
+            let capacity = rig.engine.cache_stats().capacity;
+            rig.engine.set_cache_capacity(0);
+            rig.engine.set_cache_capacity(capacity);
+        }
+        check_past_reads(&oracle, cutoff, rigs, false, phase);
+    };
+    refill(&mut rigs, 0, "replays cached");
+    // Pin checkpoints nearer than the ones the cached replays start
+    // from, then read through those replays and whole.
+    for rig in &mut rigs {
+        rig.engine.compact(std::num::NonZeroUsize::new(3));
+    }
+    check_past_reads(&oracle, 0, &rigs, false, "compacted, old replays");
+    check_past_reads(&oracle, 0, &rigs, true, "compacted");
+    // Drop the checkpoints the cached replays start from: `acct` loses
+    // one, two or three versions at a time, so the chain's positions
+    // shift by every residue of the compaction interval, and by the
+    // interval itself, which puts another checkpoint where each dropped
+    // one stood.
+    let versions: Vec<u64> = oracle
+        .state
+        .lookup("acct")
+        .expect("acct is defined")
+        .versions()
+        .iter()
+        .map(|v| v.tx.0)
+        .collect();
+    let (mut first, mut cutoff) = (0, 0);
+    for shift in [3, 1, 3, 2] {
+        refill(&mut rigs, cutoff, "replays cached before archival");
+        first += shift;
+        cutoff = versions[first];
+        for rig in &mut rigs {
+            for ident in ["acct", "temp"] {
+                rig.engine
+                    .archive_before(ident, TransactionNumber(cutoff), None)
+                    .unwrap_or_else(|e| panic!("{}: archive: {e}", rig.label));
+            }
+        }
+        let phase = format!("archived before {cutoff}");
+        check_past_reads(&oracle, cutoff, &rigs, false, &phase);
+        check_past_reads(&oracle, cutoff, &rigs, true, &phase);
+    }
+    let cache = rigs[rigs.len() - 1].engine.cache_stats();
+    assert!(cache.hits > 0 && cache.misses > 0, "{cache:?}");
+}
