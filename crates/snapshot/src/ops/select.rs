@@ -1,7 +1,9 @@
 //! Selection (σ).
 
 use crate::predicate::{CompiledPredicate, Predicate};
+use crate::run::is_strictly_sorted;
 use crate::state::SnapshotState;
+use crate::tuple::Tuple;
 use crate::Result;
 
 impl SnapshotState {
@@ -32,6 +34,43 @@ impl SnapshotState {
             return self.clone();
         }
         SnapshotState::from_sorted_vec(self.schema().clone(), out)
+    }
+
+    /// `π_X(σ_F((self − removed) ∪ added))` in one pass, with `F`
+    /// compiled against this state's scheme: the filtered read of a past
+    /// version that a checkpoint (`self`) and a net delta carry.
+    ///
+    /// The checkpoint's rows in `F`'s key range are read where they lie;
+    /// a row `F` accepts is looked up in `removed` (ascending, as a delta
+    /// lists it) by a merge cursor, and only the kept rows' projections
+    /// are built, so no stored tuple is cloned. As with `apply_delta`, a tuple both
+    /// removed and added is in the result. Fails, as `project` does, on
+    /// an unknown or repeated attribute name.
+    pub fn select_project_delta(
+        &self,
+        compiled: &CompiledPredicate,
+        attrs: &[impl AsRef<str>],
+        removed: &[Tuple],
+        added: &[Tuple],
+    ) -> Result<SnapshotState> {
+        debug_assert!(is_strictly_sorted(removed), "removals must be ascending");
+        let (schema, indices) = self.schema().project(attrs)?;
+        let range = compiled.key_range(self.run(), |t| t);
+        let mut gone = removed.iter().peekable();
+        let mut out = Vec::new();
+        for t in self.run()[range].iter().filter(|t| compiled.eval(t)) {
+            while gone.next_if(|r| *r < t).is_some() {}
+            if gone.next_if(|r| *r == t).is_none() {
+                out.push(t.project(&indices));
+            }
+        }
+        out.extend(
+            added
+                .iter()
+                .filter(|t| compiled.eval(t))
+                .map(|t| t.project(&indices)),
+        );
+        Ok(SnapshotState::from_unsorted_vec(schema, out))
     }
 }
 

@@ -35,36 +35,51 @@ impl Engine {
     ///
     /// The version current at `before` itself is retained, so
     /// `ρ(ident, before)` still answers exactly as before; only strictly
-    /// older rollbacks lose their targets.
+    /// older rollbacks lose their targets. The archived versions are
+    /// read only to be written out, past the state cache, so archival
+    /// evicts no other relation's cached versions.
     pub fn archive_before(
         &mut self,
         ident: &str,
         before: TransactionNumber,
         path: Option<&Path>,
     ) -> Result<ArchiveReport, CoreError> {
-        let victims = self.versions_before(ident, before)?;
-        if victims.is_empty() {
-            return Ok(ArchiveReport {
-                archived: 0,
-                file: path.map(Path::to_path_buf),
-            });
-        }
-        if let Some(path) = path {
-            let mut file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .map_err(|e| CoreError::SchemeChange(format!("cannot open archive: {e}")))?;
-            for (state, tx) in &victims {
-                write_archived_version(&mut file, ident, state, *tx)
-                    .map_err(|e| CoreError::SchemeChange(format!("archive write failed: {e}")))?;
-            }
-        }
+        let written = path
+            .map(|path| self.write_versions_before(ident, before, path))
+            .transpose()?;
         let dropped = self.truncate_before(ident, before)?;
-        debug_assert_eq!(dropped, victims.len());
+        debug_assert!(written.is_none_or(|n| n == dropped));
         Ok(ArchiveReport {
             archived: dropped,
             file: path.map(Path::to_path_buf),
+        })
+    }
+
+    /// Appends the versions `archive_before` drops to the script at
+    /// `path`, oldest first; the file is opened at the first of them, so
+    /// nothing to archive creates no file. Returns how many it wrote.
+    fn write_versions_before(
+        &self,
+        ident: &str,
+        before: TransactionNumber,
+        path: &Path,
+    ) -> Result<usize, CoreError> {
+        let mut file: Option<std::fs::File> = None;
+        self.for_each_version_before(ident, before, |state, tx| {
+            let out = match &mut file {
+                Some(out) => out,
+                None => file.insert(
+                    std::fs::OpenOptions::new()
+                        .create(true)
+                        .append(true)
+                        .open(path)
+                        .map_err(|e| {
+                            CoreError::SchemeChange(format!("cannot open archive: {e}"))
+                        })?,
+                ),
+            };
+            write_archived_version(out, ident, state, tx)
+                .map_err(|e| CoreError::SchemeChange(format!("archive write failed: {e}")))
         })
     }
 }
@@ -187,6 +202,60 @@ mod tests {
         assert_eq!(rel.versions().len(), 3);
         assert_eq!(rel.versions()[0].state.as_snapshot().unwrap(), &snap(&[1]));
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn archival_reads_past_the_state_cache() {
+        let dir = std::env::temp_dir().join("txtime-archive-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("arch-cache-{}.txq", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+
+        let mut e = Engine::new(BackendKind::ForwardDelta, CheckpointPolicy::Never);
+        e.set_memo_capacity(0);
+        for ident in ["a", "b"] {
+            e.execute(&Command::define_relation(ident, RelationType::Rollback))
+                .unwrap();
+        }
+        for v in 1..=6i64 {
+            for ident in ["a", "b"] {
+                e.execute(&Command::modify_state(
+                    ident,
+                    Expr::snapshot_const(snap(&[v])),
+                ))
+                .unwrap();
+            }
+        }
+        // a's versions are at odd tx 3..=13, b's at even tx 4..=14; b's
+        // at 6, 8, 10 and 12 are replayed and cached.
+        let read_b = |e: &Engine| {
+            for tx in [6, 8, 10, 12] {
+                e.resolve_rollback("b", TxSpec::At(TransactionNumber(tx)), false)
+                    .unwrap();
+            }
+        };
+        read_b(&e);
+        let before = e.cache_stats();
+        assert_eq!((before.entries, before.insertions), (4, 4));
+
+        // a loses two versions with no script, then two with one.
+        let report = e.archive_before("a", TransactionNumber(7), None).unwrap();
+        assert_eq!(report.archived, 2);
+        let report = e
+            .archive_before("a", TransactionNumber(11), Some(&path))
+            .unwrap();
+        assert_eq!(report.archived, 2);
+        let script = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(script.matches("modify_state(a,").count(), 2);
+        let _ = std::fs::remove_file(&path);
+
+        let after = e.cache_stats();
+        assert_eq!(
+            (after.entries, after.insertions, after.hits, after.misses),
+            (4, 4, before.hits, before.misses),
+        );
+        read_b(&e);
+        assert_eq!(e.cache_stats().hits, before.hits + 4);
     }
 
     #[test]

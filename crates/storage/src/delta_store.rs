@@ -6,7 +6,7 @@ use std::num::NonZeroUsize;
 use std::sync::Arc;
 
 use txtime_core::{EvalError, RollbackFilter, StateValue, TransactionNumber};
-use txtime_snapshot::{Schema, StrInterner};
+use txtime_snapshot::{Predicate, Schema, SnapshotState, StrInterner, Tuple};
 
 use crate::backend::CheckpointPolicy;
 use crate::cache::{CachedVersion, MaterializationCache};
@@ -362,7 +362,10 @@ impl DeltaStore {
     /// materialized (experiment E10). The composed replay (the seed's
     /// position and the net delta) is remembered in the cache, so the
     /// next read of the version, filtered or whole, composes nothing;
-    /// a version the cache holds whole is filtered as it stands.
+    /// a version the cache holds whole is filtered as it stands. A
+    /// snapshot read with a projection as well (`π_X(σ_F(ρ(I, n)))`)
+    /// builds only the accepted rows' projections, reading the seed's
+    /// rows where they lie; an historical one selects, then projects.
     ///
     /// This is sound because a link identifies changes by tuple value and a tuple's predicate verdict is fixed:
     /// filtering the arriving entries and applying removals to the
@@ -388,7 +391,15 @@ impl DeltaStore {
             return Ok(None);
         };
         let (seed, net) = match self.known(target) {
-            Some(Known::Whole(state)) => return filter.apply(state, historical).map(Some),
+            Some(Known::Whole(state)) => {
+                return match (&state, filter.project) {
+                    (StateValue::Snapshot(s), Some(attrs)) if !historical => {
+                        select_project(s, predicate, attrs, &[], &[])
+                    }
+                    _ => filter.apply(state, historical),
+                }
+                .map(Some);
+            }
             Some(Known::Replay(seed, net)) => (seed, net),
             None => {
                 // A filtered state is not the version, so the cache
@@ -414,6 +425,9 @@ impl DeltaStore {
         // arrivals are copied out of the (shared) net delta.
         let filtered = match (seed, &*net) {
             (StateValue::Snapshot(s), StateDelta::Snapshot { added, removed }) if !historical => {
+                if let Some(attrs) = filter.project {
+                    return select_project(s, predicate, attrs, removed, added).map(Some);
+                }
                 let compiled = predicate.compile(s.schema()).map_err(EvalError::Snapshot)?;
                 let mut kept = s.select_compiled(&compiled);
                 let added: Vec<_> = added.iter().filter(|t| compiled.eval(t)).cloned().collect();
@@ -567,6 +581,38 @@ impl DeltaStore {
         self.compaction
     }
 
+    /// Visits every version strictly older than the one current at `tx`
+    /// (the versions [`DeltaStore::truncate_before`] drops), oldest
+    /// first, and returns how many it visited. Each is the checkpoint
+    /// the chain holds or the version before it with its link applied,
+    /// so the walk composes no segment twice and neither reads nor fills
+    /// the state cache.
+    pub fn for_each_version_before<E>(
+        &self,
+        tx: TransactionNumber,
+        mut visit: impl FnMut(&StateValue, TransactionNumber) -> Result<(), E>,
+    ) -> Result<usize, E> {
+        let end = self.floor(tx).unwrap_or(0);
+        let mut previous: Option<StateValue> = None;
+        for entry in &self.entries[..end] {
+            let version = match &entry.state {
+                Some(held) => held.clone(),
+                None => {
+                    let mut state = previous.take().expect("a chain holds its first version");
+                    entry
+                        .link
+                        .as_ref()
+                        .expect("versions after the first are linked")
+                        .apply_in_place(&mut state);
+                    state
+                }
+            };
+            visit(&version, entry.tx)?;
+            previous = Some(version);
+        }
+        Ok(end)
+    }
+
     /// Discards every version strictly older than the version current at
     /// `tx` (the floor version itself is retained, so `state_at(tx)` is
     /// unchanged at and after the floor). Returns the number of versions
@@ -576,9 +622,11 @@ impl DeltaStore {
             Some(floor) if floor > 0 => {
                 // The floor version becomes the first: it loses its link
                 // (its predecessor is gone), and the chain needs it in
-                // full.
+                // full. It is replayed past the cache, whose entries for
+                // this relation go below.
                 if self.entries[floor].state.is_none() {
-                    self.entries[floor].state = Some(self.reconstruct(floor));
+                    let (from, seed) = self.seed(floor);
+                    self.entries[floor].state = Some(self.replay(from, seed, floor));
                 }
                 self.entries.drain(..floor);
                 self.entries[0].link = None;
@@ -593,6 +641,21 @@ impl DeltaStore {
             _ => 0,
         }
     }
+}
+
+/// `π_X(σ_F((seed − removed) ∪ added))` in one pass that clones no
+/// stored tuple ([`SnapshotState::select_project_delta`]); errors as σ
+/// then π word them.
+fn select_project(
+    seed: &SnapshotState,
+    predicate: &Predicate,
+    attrs: &[String],
+    removed: &[Tuple],
+    added: &[Tuple],
+) -> Result<StateValue, EvalError> {
+    let compiled = predicate.compile(seed.schema())?;
+    let state = seed.select_project_delta(&compiled, attrs, removed, added)?;
+    Ok(StateValue::Snapshot(state))
 }
 
 #[cfg(test)]

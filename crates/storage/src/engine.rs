@@ -1111,31 +1111,26 @@ impl Engine {
         }
     }
 
-    /// The versions of `ident` strictly older than the version current at
-    /// `before`, as (state, commit tx) pairs — the candidates for
-    /// archival. Snapshot/historical relations have no history to
-    /// archive, so the list is empty for them.
-    pub(crate) fn versions_before(
+    /// Visits the versions of `ident` strictly older than the version
+    /// current at `before`, oldest first, as (state, commit tx): the
+    /// candidates for archival, read as
+    /// [`DeltaStore::for_each_version_before`] reads them, past the
+    /// state cache. Snapshot/historical relations have no history to
+    /// archive, so they visit none. Returns the number visited.
+    pub(crate) fn for_each_version_before(
         &self,
         ident: &str,
         before: TransactionNumber,
-    ) -> Result<Vec<(StateValue, TransactionNumber)>, CoreError> {
+        visit: impl FnMut(&StateValue, TransactionNumber) -> Result<(), CoreError>,
+    ) -> Result<usize, CoreError> {
         let rel = self
             .catalog
             .get(ident)
             .ok_or_else(|| CoreError::UndefinedRelation(ident.to_string()))?;
-        let Keeper::History(store) = &rel.keeper else {
-            return Ok(Vec::new());
-        };
-        let txs = store.version_txs();
-        let idx = txs.partition_point(|t| *t <= before);
-        let Some(floor) = idx.checked_sub(1) else {
-            return Ok(Vec::new());
-        };
-        Ok(txs[..floor]
-            .iter()
-            .map(|&t| (store.state_at(t).expect("listed version exists"), t))
-            .collect())
+        match &rel.keeper {
+            Keeper::History(store) => store.for_each_version_before(before, visit),
+            Keeper::Single(_) => Ok(0),
+        }
     }
 
     /// Truncates `ident`'s history before the version current at

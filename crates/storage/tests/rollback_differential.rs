@@ -865,3 +865,141 @@ fn the_state_cache_never_changes_a_past_read() {
     let cache = rigs[rigs.len() - 1].engine.cache_stats();
     assert!(cache.hits > 0 && cache.misses > 0, "{cache:?}");
 }
+
+/// The past reads two sessions interleave at transaction `n`: `ρ(I, n)`;
+/// σ over it, under projections that keep every row, collapse rows
+/// (`π[owner]`, `π[bal]`), reorder attributes or name one the version
+/// lacks; and version differences either way. `temp` gets the hatted
+/// twins.
+fn session_reads(ident: &str, hatted: bool, n: u64) -> Vec<Expr> {
+    let k = Value::Int((n % (2 * ROWS as u64)) as i64);
+    let attrs = |names: &[&str]| names.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+    let past = || leaf(ident, hatted, n);
+    let diff = |a: u64, b: u64| {
+        let (l, r) = (leaf(ident, hatted, a), leaf(ident, hatted, b));
+        if hatted {
+            l.hdifference(r)
+        } else {
+            l.difference(r)
+        }
+    };
+    if hatted {
+        return vec![
+            past(),
+            past().hselect(comp("id", CompOp::Ge, k.clone())),
+            past()
+                .hselect(comp("id", CompOp::Lt, k))
+                .hproject(attrs(&["owner"])),
+            diff(n + 1, n),
+        ];
+    }
+    vec![
+        past(),
+        past().select(comp("id", CompOp::Ge, k.clone())),
+        past()
+            .select(comp("id", CompOp::Ge, k.clone()))
+            .project(attrs(&["owner"])),
+        past()
+            .select(comp("bal", CompOp::Lt, Value::Int(25)))
+            .project(attrs(&["bal"])),
+        past()
+            .select(comp("id", CompOp::Lt, k.clone()))
+            .project(attrs(&["bal", "id"])),
+        past()
+            .select(comp("owner", CompOp::Ne, Value::str("o1")))
+            .project(attrs(&["owner", "id"])),
+        past()
+            .select(comp("id", CompOp::Eq, k))
+            .project(attrs(&["grade"])),
+        diff(n + 1, n),
+        diff(n, n + 3),
+        diff(n + 17, n),
+    ]
+}
+
+/// Two sessions on one engine read its past at once, each comparing
+/// every answer with the oracle's: every read of [`session_reads`] at
+/// every transaction number from `cutoff` to beyond the clock, twice
+/// over, the second session seven reads behind the first, so the two
+/// keep asking for the same versions, hitting and evicting each other's
+/// entries.
+fn check_two_sessions(oracle: &Database, cutoff: u64, rigs: &[Rig], phase: &str) {
+    let clock = oracle.tx.0;
+    let mut asks: Vec<(Expr, Outcome)> = Vec::new();
+    for (ident, hatted) in [("acct", false), ("temp", true)] {
+        for n in cutoff..=clock + 2 {
+            for probe in session_reads(ident, hatted, n) {
+                let want = outcome(probe.eval(oracle));
+                asks.push((probe, want));
+            }
+        }
+    }
+    for rig in rigs {
+        std::thread::scope(|scope| {
+            for session in 0..2 {
+                let asks = &asks;
+                scope.spawn(move || {
+                    let lag = asks.len() - 7 * session;
+                    for (probe, want) in asks.iter().cycle().skip(lag).take(2 * asks.len()) {
+                        let got = outcome(rig.engine.eval(probe));
+                        assert_eq!(
+                            &got, want,
+                            "{}: session {session}: {phase}: {probe}",
+                            rig.label
+                        );
+                    }
+                });
+            }
+        });
+    }
+}
+
+/// Past reads from two sessions at once are still the oracle's: σ/π
+/// over `ρ(I, n)` (the fused σ∘π kernel among them, with projections
+/// that collapse rows), bare `ρ(I, n)` and `ρ(I, a) − ρ(I, b)`,
+/// interleaved by two threads sharing one engine, at state-cache
+/// capacities of 1, 2 and 128 (where each session keeps evicting the
+/// other's entries, where each holds one, and where both fit), as
+/// written, after `compact` and after an `archive_before` cut.
+#[test]
+fn two_sessions_reading_the_past_at_once_read_as_the_oracle_does() {
+    let steps: Vec<Step> = history(1987, 96)
+        .into_iter()
+        .filter(|step| matches!(step, Step::Run(_)))
+        .collect();
+    let mut rigs = Vec::new();
+    for capacity in [1, 2, 128] {
+        for policy in [
+            CheckpointPolicy::Never,
+            CheckpointPolicy::every_k(8).unwrap(),
+        ] {
+            let mut engine = Engine::new(BackendKind::ForwardDelta, policy);
+            engine.set_auto_compact(None);
+            engine.set_memo_capacity(0);
+            engine.set_cache_capacity(capacity);
+            rigs.push(Rig {
+                engine,
+                memo: false,
+                label: format!("{policy:?}, cache {capacity}"),
+            });
+        }
+    }
+    let (oracle, _) = drive(&steps, &mut rigs);
+    check_two_sessions(&oracle, 0, &rigs, "as written");
+    for rig in &mut rigs {
+        rig.engine.compact(std::num::NonZeroUsize::new(3));
+    }
+    check_two_sessions(&oracle, 0, &rigs, "compacted");
+    let versions = oracle.state.lookup("acct").expect("acct").versions();
+    let cutoff = versions[versions.len() / 3].tx.0;
+    for rig in &mut rigs {
+        for ident in ["acct", "temp"] {
+            rig.engine
+                .archive_before(ident, TransactionNumber(cutoff), None)
+                .unwrap_or_else(|e| panic!("{}: archive: {e}", rig.label));
+        }
+    }
+    check_two_sessions(&oracle, cutoff, &rigs, &format!("archived before {cutoff}"));
+    let (tight, roomy) = (rigs[0].engine.cache_stats(), rigs[5].engine.cache_stats());
+    assert!(tight.evictions > 0 && roomy.hits > 0, "{tight:?} {roomy:?}");
+}
