@@ -23,16 +23,19 @@
 //!   `SNAPSHOT DURABLE` pins to the newest *fsynced* transaction instead
 //!   of the applied clock, for clients that must never observe state a
 //!   crash could take back (DESIGN.md §14, "the durability window").
-//! * **Group commit** — all writes funnel through a single committer
-//!   thread: a batch is validated and applied under the write lock,
-//!   journal lines for the *successful* commands are formatted with
-//!   [`wal::append_commands`], and then — outside the lock — written
-//!   with one `write_all` and made durable with one fsync before any
-//!   client is acked. One fsync per group instead of one per commit is
-//!   the throughput lever BENCH_10 measures; acks after fsync is the
-//!   durability story. A single committer makes commit order a total
-//!   order, so commit clocks are monotone by construction
-//!   ([`txtime_txn::is_monotone`] asserts it per batch).
+//! * **Group commit** — a session commits its own write. Under one apply
+//!   mutex it executes the command (the engine's write guard held around
+//!   [`Engine::execute`] alone), asserts the clock is monotone
+//!   ([`txtime_txn::is_monotone`]), formats the journal line into a
+//!   pending buffer and brings the static catalog along, so commit order
+//!   is one total order and journal order is commit order. Then, outside
+//!   every lock, it makes the write durable before it answers: if no
+//!   other session is syncing, it takes every pending line — its own and
+//!   whatever was applied meanwhile — and writes and syncs them as one
+//!   group ([`wal::JournalWriter`]); otherwise it waits for a sync that
+//!   covers it. One sync per group instead of one per commit is the
+//!   throughput lever BENCH_10 measures; acks after the covering sync
+//!   is the durability story.
 //! * **Admission control** — connections beyond `max_sessions` are
 //!   turned away (`ERR busy`); requests queue on a gate sized from the
 //!   engine's [`ExecPool`] thread budget and are load-shed
@@ -40,12 +43,11 @@
 //!   [`SessionStats`] and [`GroupCommitStats`], surfaced by the `STATS`
 //!   verb and `txtime stats --addr`.
 
-use std::collections::VecDeque;
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::time::{Duration, Instant};
 
 use txtime_analyze::Linter;
@@ -68,18 +70,17 @@ const POLL_INTERVAL: Duration = Duration::from_millis(100);
 /// How long a session waits for the rest of a frame once its first byte
 /// has arrived.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(10);
-/// The most commits one group flushes (bounds write-lock hold time).
-const MAX_GROUP: usize = 64;
-/// How long a session waits for its commit ack before giving up. Hitting
-/// it does NOT mean the write failed — the commit may still be applied
-/// and become durable — so the response uses the dedicated `ERR timeout`
-/// kind, never `ERR exec` (which is reserved for definite failures).
+/// How long a session waits for a sync that covers its commit before
+/// giving up. Hitting it does NOT mean the write failed — the commit is
+/// applied and may yet become durable — so the response uses the
+/// dedicated `ERR timeout` kind, never `ERR exec` (which is reserved for
+/// definite failures).
 const ACK_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Crash injection points for the recovery tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Failpoint {
-    /// Kill the process after a commit group's WAL append + fsync but
+    /// Kill the process after a commit group's WAL write + sync but
     /// before any client is acked — the window the crash-recovery suite
     /// pins: everything durable replays, nothing acked is lost.
     CrashBeforeGroupAck,
@@ -104,20 +105,19 @@ pub const FAILPOINT_EXIT_CODE: i32 = 86;
 pub struct ServerConfig {
     /// Journal path; `None` serves memory-only (no durability).
     pub wal_path: Option<PathBuf>,
-    /// Batch write commits into one fsync (`false` = the per-commit
-    /// fsync baseline BENCH_10 compares against).
+    /// Batch write commits into one sync (`false` = the per-commit sync
+    /// baseline BENCH_10 compares against: each commit is synced before
+    /// the next one applies).
     pub group_commit: bool,
     /// Connections beyond this are refused with `ERR busy`.
     pub max_sessions: usize,
     /// Concurrently *executing* requests; `0` derives `2 × pool threads`
     /// from the engine's worker pool, floored at 8 so small hosts can
-    /// still overlap request pipelines with the fsync stage.
+    /// still overlap request pipelines with commits waiting on a sync.
     pub max_inflight: usize,
     /// How long a request may wait for an execution permit before being
     /// load-shed with `ERR overloaded`.
     pub queue_wait: Duration,
-    /// Bound on the committer's queue; pushes beyond it are load-shed.
-    pub commit_queue_depth: usize,
     /// Crash injection for the recovery tests (see [`Failpoint`]).
     pub failpoint: Option<Failpoint>,
 }
@@ -130,7 +130,6 @@ impl Default for ServerConfig {
             max_sessions: 64,
             max_inflight: 0,
             queue_wait: Duration::from_millis(500),
-            commit_queue_depth: 1024,
             failpoint: None,
         }
     }
@@ -145,85 +144,6 @@ pub struct ServerReport {
     pub sessions: SessionStats,
     /// Final group-commit gauges.
     pub group_commit: GroupCommitStats,
-}
-
-type WriteAck = Result<(CommandOutcome, TransactionNumber, Vec<String>), String>;
-
-struct WriteReq {
-    cmd: Command,
-    ack: mpsc::Sender<WriteAck>,
-}
-
-#[derive(Default)]
-struct QueueInner {
-    q: VecDeque<WriteReq>,
-    closed: bool,
-}
-
-/// The bounded commit queue (push from sessions, drain by the committer).
-struct CommitQueue {
-    inner: Mutex<QueueInner>,
-    nonempty: Condvar,
-    depth: usize,
-}
-
-impl CommitQueue {
-    fn new(depth: usize) -> CommitQueue {
-        CommitQueue {
-            inner: Mutex::new(QueueInner::default()),
-            nonempty: Condvar::new(),
-            depth: depth.max(1),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, QueueInner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// `Err(true)` = queue full (shed), `Err(false)` = closed (shutdown).
-    fn push(&self, req: WriteReq, gauges: &GroupCommitCounters) -> Result<(), bool> {
-        let mut inner = self.lock();
-        if inner.closed {
-            return Err(false);
-        }
-        if inner.q.len() >= self.depth {
-            return Err(true);
-        }
-        inner.q.push_back(req);
-        gauges.note_queue_depth(inner.q.len());
-        self.nonempty.notify_one();
-        Ok(())
-    }
-
-    /// Blocks for work. `group` drains up to [`MAX_GROUP`] requests;
-    /// otherwise exactly one (the per-commit-fsync baseline). `None` =
-    /// closed and drained.
-    fn pop_batch(&self, group: bool) -> Option<Vec<WriteReq>> {
-        let mut inner = self.lock();
-        loop {
-            if !inner.q.is_empty() {
-                let take = if group {
-                    MAX_GROUP.min(inner.q.len())
-                } else {
-                    1
-                };
-                return Some(inner.q.drain(..take).collect());
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self
-                .nonempty
-                .wait_timeout(inner, POLL_INTERVAL)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
-    }
-
-    fn close(&self) {
-        self.lock().closed = true;
-        self.nonempty.notify_all();
-    }
 }
 
 /// A counting gate over the worker pool: at most `permits` requests
@@ -268,12 +188,58 @@ impl Gate {
     }
 }
 
+/// Locks `m`, shrugging off poison: every mutex but the apply mutex
+/// guards data that each update leaves whole.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Commits applied and not yet taken by a sync.
+#[derive(Default)]
+struct Group {
+    /// Their journal lines, in commit order (none serving memory-only).
+    lines: Vec<u8>,
+    /// How many commits.
+    commits: usize,
+    /// The newest one's transaction number.
+    newest: u64,
+}
+
+/// What the apply mutex guards: the commit order.
+#[derive(Default)]
+struct Applied {
+    /// The last commit's clock, for claim 4's monotonicity check.
+    last_tx: TransactionNumber,
+    /// Applied since the last sync took its group.
+    pending: Group,
+}
+
+/// How far the syncs have got.
+#[derive(Default)]
+struct Syncs {
+    /// A session is writing and syncing a group now.
+    syncing: bool,
+    /// Every commit at or below this transaction number has been through
+    /// a sync, successful or not.
+    settled: u64,
+    /// Groups whose sync failed: the commits after `.0` up to `.1`, and
+    /// the error.
+    failed: Vec<(u64, u64, String)>,
+}
+
 struct Shared {
     engine: RwLock<Engine>,
     linter: Mutex<Linter>,
     pool: Arc<ExecPool>,
     cfg: ServerConfig,
-    queue: CommitQueue,
+    /// Held across one commit's apply ([`Shared::commit`]).
+    applied: Mutex<Applied>,
+    /// The journal, `None` serving memory-only. Only the session syncing
+    /// takes it.
+    journal: Mutex<Option<wal::JournalWriter>>,
+    syncs: Mutex<Syncs>,
+    /// Signalled whenever a sync settles.
+    synced: Condvar,
     gate: Gate,
     sessions: SessionCounters,
     commits: GroupCommitCounters,
@@ -281,6 +247,161 @@ struct Shared {
 }
 
 impl Shared {
+    /// Commits `cmd` from the calling session and writes the reply into
+    /// `frame` once the commit is durable: `OK <outcome> tx=<n>` and any
+    /// lint warnings, or an `ERR`.
+    ///
+    /// The apply mutex is held from the execution to the catalog update,
+    /// so commits apply one at a time, in the order their journal lines
+    /// take; the engine's write guard covers `Engine::execute` alone, so
+    /// readers wait out one apply and never the journal formatting, the
+    /// catalog update or a sync. The reply leaves only after a sync that
+    /// covers the commit, which comes after everything done here, so a
+    /// client told of a commit checks its next command against a catalog
+    /// that holds it.
+    fn commit(&self, cmd: &Command, frame: &mut protocol::Frame) {
+        let mut applied = self.apply_lock();
+        let (result, tx) = {
+            let mut eng = self.write_engine();
+            let result = eng.execute(cmd);
+            (result, eng.tx())
+        };
+        let outcome = match result {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                frame.push_str(&format!("ERR exec: {e}"));
+                return;
+            }
+        };
+        // Claim 4's invariant, checked at every commit: one apply at a
+        // time, one total order, strictly increasing transaction numbers.
+        assert!(
+            txtime_txn::is_monotone(&[applied.last_tx, tx]),
+            "commit clock regressed: {:?} then {tx:?}",
+            applied.last_tx
+        );
+        applied.last_tx = tx;
+        let pending = &mut applied.pending;
+        if self.cfg.wal_path.is_some() {
+            let _ = wal::append_command(&mut pending.lines, cmd);
+        }
+        pending.commits += 1;
+        pending.newest = tx.0;
+        self.commits
+            .note_unsynced(tx.0.saturating_sub(self.commits.durable_tx()));
+        let warnings = lock(&self.linter).commit(cmd, None);
+        let durable = if self.cfg.group_commit {
+            drop(applied);
+            self.await_sync(tx.0)
+        } else {
+            // The per-commit baseline: the sync runs inside the apply
+            // mutex, so the next commit applies only after it.
+            let group = std::mem::take(&mut applied.pending);
+            self.sync_group(&group)
+                .map_err(|e| format!("ERR exec: {e}"))
+        };
+        if let Err(reply) = durable {
+            frame.push_str(&reply);
+            return;
+        }
+        self.sessions.writes.fetch_add(1, Ordering::Relaxed);
+        frame.push_str(&format!("OK {} tx={}", outcome_name(&outcome), tx.0));
+        for w in &warnings {
+            frame.push_str("\n");
+            frame.push_str(&w.to_string());
+        }
+    }
+
+    /// The apply mutex. A commit that panicked under it may have
+    /// changed the engine without journaling the change, so no later
+    /// commit may follow it: the poison stays.
+    fn apply_lock(&self) -> MutexGuard<'_, Applied> {
+        self.applied
+            .lock()
+            .expect("a commit panicked while applying; the journal may lack it")
+    }
+
+    /// Returns once a sync covers commit `tx`, `Err` holding the reply
+    /// if that sync failed or none came within [`ACK_TIMEOUT`]. When no
+    /// other session is syncing, this one does: it takes every pending
+    /// line — its own and whatever was applied meanwhile — as one group.
+    /// Otherwise it waits for the running sync to settle, and then
+    /// either is covered or takes the next group itself.
+    fn await_sync(&self, tx: u64) -> Result<(), String> {
+        let deadline = Instant::now() + ACK_TIMEOUT;
+        let mut syncs = lock(&self.syncs);
+        loop {
+            if syncs.settled >= tx {
+                return match syncs.failed.iter().find(|f| f.0 < tx && tx <= f.1) {
+                    // The state applied but is not durable: report the
+                    // failure instead of acking a commit that may not
+                    // survive a crash.
+                    Some((_, _, e)) => Err(format!("ERR exec: {e}")),
+                    None => Ok(()),
+                };
+            }
+            if !syncs.syncing {
+                syncs.syncing = true;
+                drop(syncs);
+                // No sync is running and this commit is unsettled, so its
+                // line is still pending and lands in this group.
+                let group = std::mem::take(&mut self.apply_lock().pending);
+                debug_assert!(group.commits > 0 && group.newest >= tx);
+                let synced = self.sync_group(&group);
+                syncs = lock(&self.syncs);
+                if let Err(e) = synced {
+                    let after = syncs.settled;
+                    syncs.failed.push((after, group.newest, e));
+                }
+                syncs.settled = group.newest;
+                syncs.syncing = false;
+                self.synced.notify_all();
+                continue;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                // The commit's outcome is UNKNOWN (it may yet be synced),
+                // which is not the same thing as a definite `exec`
+                // failure — a client that retried on `exec` here could
+                // double-apply a write.
+                return Err("ERR timeout: commit outcome unknown (no ack within 60s) — \
+                     the write may still become durable; consult the journal"
+                    .into());
+            }
+            syncs = self
+                .synced
+                .wait_timeout(syncs, deadline - now)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+    }
+
+    /// Makes one group durable — one write and one `sync_data` for all
+    /// of its commits, none serving memory-only — and then advances the
+    /// durable clock to its newest commit, before any of them is
+    /// answered: an acked commit is therefore always ≤ the durable
+    /// gauge.
+    fn sync_group(&self, group: &Group) -> Result<(), String> {
+        let synced = match lock(&self.journal).as_mut() {
+            Some(journal) => journal
+                .write_group(&group.lines)
+                .map_err(|e| format!("WAL sync failed: {e}")),
+            None => Ok(()),
+        };
+        if synced.is_ok() {
+            if let Some(Failpoint::CrashBeforeGroupAck) = self.cfg.failpoint {
+                // The crash-recovery window: the group is durable, the
+                // acks are not sent. Recovery must replay it; clients
+                // must treat the silence as "unknown, consult the log".
+                eprintln!("failpoint group-commit-ack: crashing before ack");
+                std::process::exit(FAILPOINT_EXIT_CODE);
+            }
+            self.commits.note_durable(group.newest);
+        }
+        self.commits.record_group(group.commits);
+        synced
+    }
+
     fn read_engine(&self) -> std::sync::RwLockReadGuard<'_, Engine> {
         self.engine.read().unwrap_or_else(|e| e.into_inner())
     }
@@ -310,23 +431,22 @@ impl Shared {
     }
 }
 
-/// A running server: the listener, committer, and session threads.
+/// A running server: the listener and session threads.
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     listener: Option<std::thread::JoinHandle<()>>,
-    committer: Option<std::thread::JoinHandle<()>>,
 }
 
 /// Starts a server on `listener`, taking ownership of `engine`.
 ///
 /// The engine should *not* have a WAL attached ([`Engine::with_wal`]);
-/// the server journals through `cfg.wal_path` itself so the group fsync
+/// the server journals through `cfg.wal_path` itself so the group sync
 /// happens outside the engine's write lock — readers are never stalled
 /// behind a disk flush. Use [`txtime_storage::recovery::recover`] first
-/// to continue an existing journal; before attaching it for append, the
-/// server truncates any corrupt tail ([`wal::truncate_to_verified_prefix`])
-/// so new commits extend exactly the prefix recovery replayed — appending
+/// to continue an existing journal; the server opens it with
+/// [`wal::JournalWriter::open`], which cuts any corrupt tail first, so
+/// new commits extend exactly the prefix recovery replayed — appending
 /// after dead bytes would let the *next* recovery discard acked writes.
 pub fn serve(
     engine: Engine,
@@ -341,32 +461,16 @@ pub fn serve(
     } else {
         cfg.max_inflight
     };
-    let wal_file = match &cfg.wal_path {
+    let journal = match &cfg.wal_path {
         Some(path) => {
-            // Recovery replays only the verified prefix of the journal;
-            // anything after the first corrupt line is dead bytes. They
-            // must be truncated *before* we attach in append mode —
-            // otherwise new (acked, fsynced) commits would land after
-            // the corruption and the next recovery would silently
-            // discard them.
-            if std::fs::metadata(path)
-                .map(|m| m.len() > 0)
-                .unwrap_or(false)
-            {
-                let dropped = wal::truncate_to_verified_prefix(path)?;
-                if dropped > 0 {
-                    eprintln!(
-                        "wal: truncated {dropped} corrupt trailing byte(s) from {} before appending",
-                        path.display()
-                    );
-                }
+            let (journal, dropped) = wal::JournalWriter::open(path)?;
+            if dropped > 0 {
+                eprintln!(
+                    "wal: cut {dropped} byte(s) after the last verified line of {} before appending",
+                    path.display()
+                );
             }
-            Some(
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)?,
-            )
+            Some(journal)
         }
         None => None,
     };
@@ -378,13 +482,24 @@ pub fn serve(
     let commits = GroupCommitCounters::default();
     // Everything the engine holds at startup came from the recovered
     // journal (or is a fresh empty database): the durable clock starts
-    // at the engine clock, not 0.
+    // at the engine clock, not 0, and so does the settled one.
     commits.note_durable(engine.tx().0);
+    let syncs = Syncs {
+        settled: engine.tx().0,
+        ..Syncs::default()
+    };
+    let applied = Applied {
+        last_tx: engine.tx(),
+        ..Applied::default()
+    };
     let shared = Arc::new(Shared {
         engine: RwLock::new(engine),
         linter: Mutex::new(linter),
         pool,
-        queue: CommitQueue::new(cfg.commit_queue_depth),
+        applied: Mutex::new(applied),
+        journal: Mutex::new(journal),
+        syncs: Mutex::new(syncs),
+        synced: Condvar::new(),
         gate: Gate::new(inflight),
         sessions: SessionCounters::default(),
         commits,
@@ -392,12 +507,6 @@ pub fn serve(
         cfg,
     });
 
-    let committer = {
-        let shared = shared.clone();
-        std::thread::Builder::new()
-            .name("txtime-commit".into())
-            .spawn(move || committer_loop(&shared, wal_file))?
-    };
     let listener_thread = {
         let shared = shared.clone();
         std::thread::Builder::new()
@@ -408,7 +517,6 @@ pub fn serve(
         addr,
         shared,
         listener: Some(listener_thread),
-        committer: Some(committer),
     })
 }
 
@@ -435,33 +543,45 @@ impl ServerHandle {
     }
 
     /// Blocks until the server has shut down (via [`ServerHandle::shutdown`]
-    /// or a client `SHUTDOWN`), joins every thread, drains the commit
-    /// queue, flushes the engine, and returns the final report.
+    /// or a client `SHUTDOWN`), joins every thread, syncs what is still
+    /// pending, closes the journal (trimming its reserved space), flushes
+    /// the engine, and returns the final report.
     pub fn wait(mut self) -> ServerReport {
         while !self.shared.shutdown.load(Ordering::SeqCst) {
             std::thread::sleep(POLL_INTERVAL);
         }
+        // The acceptor joins every session thread before it returns. A
+        // stuck session (peer holding a half-frame) is bounded by
+        // FRAME_TIMEOUT.
         if let Some(t) = self.listener.take() {
-            let _ = t.join();
-        }
-        // Sessions poll the flag at POLL_INTERVAL; wait for them to
-        // drain before closing the commit queue so no enqueue races the
-        // close. A stuck session (peer holding a half-frame) is bounded
-        // by FRAME_TIMEOUT.
-        let deadline = Instant::now() + FRAME_TIMEOUT + Duration::from_secs(5);
-        while self.shared.sessions.snapshot().active > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        self.shared.queue.close();
-        if let Some(t) = self.committer.take() {
             let _ = t.join();
         }
         let sessions = self.shared.sessions.snapshot();
         let group_commit = self.shared.commits.snapshot();
-        let shared = self.shared;
         // Every thread has joined; the Arc is now unique.
-        let shared = Arc::try_unwrap(shared)
+        let shared = Arc::try_unwrap(self.shared)
             .unwrap_or_else(|_| panic!("server threads joined but Shared still aliased"));
+        // Lines stay pending only behind a session that gave up waiting
+        // (`ERR timeout`); they go out before the journal closes.
+        let pending = shared
+            .applied
+            .into_inner()
+            .unwrap_or_else(|e| e.into_inner())
+            .pending;
+        if let Some(mut journal) = shared
+            .journal
+            .into_inner()
+            .unwrap_or_else(|e| e.into_inner())
+        {
+            let closed = if pending.lines.is_empty() {
+                Ok(())
+            } else {
+                journal.write_group(&pending.lines)
+            };
+            if let Err(e) = closed.and_then(|()| journal.close()) {
+                eprintln!("wal: cannot close the journal cleanly: {e}");
+            }
+        }
         let mut engine = shared
             .engine
             .into_inner()
@@ -652,11 +772,11 @@ fn handle_request(
     if let Some(text) = request.strip_prefix("EXEC ") {
         // Admission: a permit to execute, or shed under saturation. The
         // permit covers the CPU-bound pipeline (parse, check, evaluate,
-        // render a read's answer, enqueue) — NOT the wait for a commit
-        // ack, which burns no CPU and is bounded separately by the
-        // commit queue's depth. Holding the permit across the fsync wait
-        // would cap concurrent commits at the gate width and starve the
-        // group-commit batcher.
+        // render a read's answer) — NOT a commit, which runs after the
+        // permit is released: its apply is serialized by the apply mutex
+        // and its wait for a sync burns no CPU. Holding the permit across
+        // them would cap concurrent commits at the gate width and starve
+        // group commit; `max_sessions` bounds the commits in flight.
         if !shared.gate.acquire(shared.cfg.queue_wait) {
             shared
                 .sessions
@@ -665,28 +785,10 @@ fn handle_request(
             frame.push_str("ERR overloaded: execution queue saturated, retry");
             return false;
         }
-        let pending = exec_command(shared, text, *snapshot, frame);
+        let write = exec_command(shared, text, *snapshot, frame);
         shared.gate.release();
-        if let Some(rx) = pending {
-            match rx.recv_timeout(ACK_TIMEOUT) {
-                Ok(Ok((outcome, tx, warnings))) => {
-                    shared.sessions.writes.fetch_add(1, Ordering::Relaxed);
-                    frame.push_str(&format!("OK {} tx={}", outcome_name(&outcome), tx.0));
-                    for w in warnings {
-                        frame.push_str("\n");
-                        frame.push_str(&w);
-                    }
-                }
-                Ok(Err(e)) => frame.push_str(&format!("ERR exec: {e}")),
-                // No ack in time: the commit's outcome is UNKNOWN (it may
-                // yet be applied and fsynced), which is not the same
-                // thing as a definite `exec` failure — a client that
-                // retried on `exec` here could double-apply a write.
-                Err(_) => frame.push_str(
-                    "ERR timeout: commit outcome unknown (no ack within 60s) — \
-                     the write may still become durable; consult the journal",
-                ),
-            }
+        if let Some(cmd) = write {
+            shared.commit(&cmd, frame);
         }
         return false;
     }
@@ -749,16 +851,16 @@ fn handle_request(
 }
 
 /// The per-session pipeline for one command: parse → check → execute,
-/// with reads evaluated under the shared read lock and writes funneled
-/// through the group committer. This is the gated stage: a finished
-/// response is written into `frame` here, and a commit hands back its
-/// pending ack, to be awaited *after* the admission permit is released.
+/// with reads evaluated under the shared read lock. This is the gated
+/// stage: a read's response is written into `frame` here, and a checked
+/// write is handed back, to be committed ([`Shared::commit`]) *after* the
+/// admission permit is released.
 fn exec_command(
     shared: &Arc<Shared>,
     text: &str,
     snapshot: Option<TransactionNumber>,
     frame: &mut protocol::Frame,
-) -> Option<mpsc::Receiver<WriteAck>> {
+) -> Option<Command> {
     let (cmd, spans) = match parse_command_spanned(text.trim().trim_end_matches(';')) {
         Ok(pair) => pair,
         Err(e) => {
@@ -768,10 +870,7 @@ fn exec_command(
     };
     // Static check against the shared catalog — diagnostics carry spans
     // into the text the client sent.
-    let diags = {
-        let linter = shared.linter.lock().unwrap_or_else(|e| e.into_inner());
-        linter.check(&cmd, Some(&spans))
-    };
+    let diags = lock(&shared.linter).check(&cmd, Some(&spans));
     if !diags.is_empty() {
         shared
             .sessions
@@ -785,26 +884,13 @@ fn exec_command(
         return None;
     }
     if cmd.is_mutation() {
-        let (ack_tx, ack_rx) = mpsc::channel();
-        let req = WriteReq { cmd, ack: ack_tx };
-        match shared.queue.push(req, &shared.commits) {
-            Ok(()) => return Some(ack_rx),
-            Err(true) => {
-                shared
-                    .sessions
-                    .shed_requests
-                    .fetch_add(1, Ordering::Relaxed);
-                frame.push_str("ERR overloaded: commit queue full, retry");
-            }
-            Err(false) => frame.push_str("ERR shutdown: server stopping"),
-        }
-        return None;
+        return Some(cmd);
     }
     // Reads: evaluate under the read lock, pinned if the session holds a
     // snapshot. The lock spans one evaluation only; the answer is a
     // reference-counted handle, so rendering it into the session's frame
     // (the larger part of a big reply) happens after the guard is gone
-    // and never keeps the apply thread waiting.
+    // and never keeps a committing session waiting.
     shared.sessions.reads.fetch_add(1, Ordering::Relaxed);
     let Command::Display(expr) = &cmd else {
         frame.push_str("ERR exec: unsupported non-mutating command");
@@ -866,210 +952,6 @@ pub fn pin_expr(expr: &Expr, tx: TransactionNumber) -> Expr {
     }
 }
 
-/// One applied-but-not-yet-durable commit, in flight between the apply
-/// stage and the sync stage.
-struct SyncItem {
-    journal: Vec<u8>,
-    ack_to: mpsc::Sender<WriteAck>,
-    ack: WriteAck,
-}
-
-/// The hand-off queue between the apply stage and the sync stage.
-#[derive(Default)]
-struct SyncQueue {
-    inner: Mutex<(VecDeque<SyncItem>, bool)>,
-    nonempty: Condvar,
-}
-
-impl SyncQueue {
-    fn push(&self, item: SyncItem) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.0.push_back(item);
-        self.nonempty.notify_one();
-    }
-
-    /// Everything applied since the last fsync, up to [`MAX_GROUP`];
-    /// `None` once closed and drained.
-    fn drain_group(&self) -> Option<Vec<SyncItem>> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if !inner.0.is_empty() {
-                let take = MAX_GROUP.min(inner.0.len());
-                return Some(inner.0.drain(..take).collect());
-            }
-            if inner.1 {
-                return None;
-            }
-            inner = self
-                .nonempty
-                .wait_timeout(inner, POLL_INTERVAL)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
-    }
-
-    fn close(&self) {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).1 = true;
-        self.nonempty.notify_all();
-    }
-}
-
-/// Makes one group durable (single write + fsync) and acks it. The
-/// group-commit core: every item in `group` shares the one fsync.
-fn sync_group(shared: &Arc<Shared>, wal_file: &mut Option<std::fs::File>, group: Vec<SyncItem>) {
-    let mut journal: Vec<u8> = Vec::new();
-    for item in &group {
-        journal.extend_from_slice(&item.journal);
-    }
-    let mut sync_err: Option<String> = None;
-    if let (Some(file), false) = (wal_file.as_mut(), journal.is_empty()) {
-        let sync = file
-            .write_all(&journal)
-            .and_then(|()| file.flush())
-            .and_then(|()| file.sync_all());
-        if let Err(e) = sync {
-            sync_err = Some(format!("WAL sync failed: {e}"));
-        }
-    }
-    let committed = group.iter().filter(|i| i.ack.is_ok()).count();
-    if committed > 0 && sync_err.is_none() {
-        if let Some(Failpoint::CrashBeforeGroupAck) = shared.cfg.failpoint {
-            // The crash-recovery window: the group is durable, the acks
-            // are not sent. Recovery must replay it; clients must treat
-            // the silence as "unknown, consult the log".
-            eprintln!("failpoint group-commit-ack: crashing before ack");
-            std::process::exit(FAILPOINT_EXIT_CODE);
-        }
-        // The group's fsync has returned: advance the durable clock to
-        // the newest commit it covered, *before* any ack goes out — an
-        // acked commit is therefore always ≤ the durable gauge. (With no
-        // journal attached there is nothing more durable to wait for;
-        // the gauge then tracks the applied clock.)
-        if let Some(tx) = group
-            .iter()
-            .filter_map(|i| i.ack.as_ref().ok().map(|(_, tx, _)| tx.0))
-            .max()
-        {
-            shared.commits.note_durable(tx);
-        }
-    }
-    shared.commits.record_group(committed);
-    for item in group {
-        let ack = match (&sync_err, item.ack) {
-            // The state applied but is not durable: report the failure
-            // instead of acking a commit that may not survive a crash.
-            (Some(e), Ok(_)) => Err(e.clone()),
-            (_, ack) => ack,
-        };
-        let _ = item.ack_to.send(ack);
-    }
-}
-
-/// The apply stage of the committer: drains the session queue, applies
-/// each command under a briefly-held write lock (readers interleave
-/// between commands, never wait out a whole group), then, with the lock
-/// released, formats its journal line, brings the static catalog along,
-/// and hands it to the sync stage.
-///
-/// With group commit on, the sync stage runs in its own thread: while it
-/// fsyncs group K, this stage keeps applying group K+1, so batches form
-/// from genuine concurrency — no artificial batching window. With group
-/// commit off, apply and fsync run in lockstep here, one fsync per
-/// commit: the baseline BENCH_10 compares against.
-fn committer_loop(shared: &Arc<Shared>, mut wal_file: Option<std::fs::File>) {
-    let group_commit = shared.cfg.group_commit;
-    let sync_queue = Arc::new(SyncQueue::default());
-    let syncer = if group_commit {
-        let shared = shared.clone();
-        let sync_queue = sync_queue.clone();
-        let mut wal_file = wal_file.take();
-        Some(
-            std::thread::Builder::new()
-                .name("txtime-sync".into())
-                .spawn(move || {
-                    while let Some(group) = sync_queue.drain_group() {
-                        sync_group(&shared, &mut wal_file, group);
-                    }
-                    // Closed and drained: one final sync so an empty
-                    // tail can never leave buffered bytes behind.
-                    if let Some(file) = &mut wal_file {
-                        let _ = file.flush();
-                        let _ = file.sync_all();
-                    }
-                })
-                .expect("spawn sync stage"),
-        )
-    } else {
-        None
-    };
-
-    let mut last_tx = TransactionNumber(0);
-    while let Some(batch) = shared.queue.pop_batch(group_commit) {
-        for req in batch {
-            // The write guard covers `Engine::execute` and nothing else:
-            // readers wait out one apply, never the journal formatting
-            // or the catalog update below. Commit order is still total
-            // (this thread is the only writer, and it finishes one
-            // request before it takes the next), which is what keeps the
-            // clocks monotone and the static catalog in commit order.
-            // The invariant the later steps rest on: an ack leaves only
-            // after the sync stage, which comes after everything here,
-            // so a client that has been told of a commit always checks
-            // its next command against a catalog that contains it.
-            let (result, tx) = {
-                let mut eng = shared.write_engine();
-                let result = eng.execute(&req.cmd);
-                (result, eng.tx())
-            };
-            let (ack, journal) = match result {
-                Ok(outcome) => {
-                    // Claim 4's invariant, checked at every commit: one
-                    // committer, one total order, strictly increasing
-                    // transaction numbers.
-                    assert!(
-                        txtime_txn::is_monotone(&[last_tx, tx]),
-                        "commit clock regressed: {last_tx:?} then {tx:?}"
-                    );
-                    last_tx = tx;
-                    // The engine has no WAL attached in serve mode; the
-                    // journal line is formatted here and made durable by
-                    // the sync stage.
-                    let mut line = Vec::new();
-                    let _ = wal::append_command(&mut line, &req.cmd);
-                    let warnings = shared
-                        .linter
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .commit(&req.cmd, None)
-                        .iter()
-                        .map(|w| w.to_string())
-                        .collect();
-                    (Ok((outcome, tx, warnings)), line)
-                }
-                Err(e) => (Err(e.to_string()), Vec::new()),
-            };
-            let item = SyncItem {
-                journal,
-                ack_to: req.ack,
-                ack,
-            };
-            if group_commit {
-                sync_queue.push(item);
-            } else {
-                sync_group(shared, &mut wal_file, vec![item]);
-            }
-        }
-    }
-    sync_queue.close();
-    if let Some(t) = syncer {
-        let _ = t.join();
-    }
-    if let Some(file) = &mut wal_file {
-        let _ = file.flush();
-        let _ = file.sync_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1099,23 +981,5 @@ mod tests {
         assert!(!gate.acquire(Duration::from_millis(10)));
         gate.release();
         assert!(gate.acquire(Duration::from_millis(1)));
-    }
-
-    #[test]
-    fn queue_bounds_and_closes() {
-        let gauges = GroupCommitCounters::default();
-        let q = CommitQueue::new(1);
-        let (tx, _rx) = mpsc::channel();
-        let req = |t: &mpsc::Sender<WriteAck>| WriteReq {
-            cmd: Command::delete_relation("r"),
-            ack: t.clone(),
-        };
-        assert!(q.push(req(&tx), &gauges).is_ok());
-        assert_eq!(q.push(req(&tx), &gauges), Err(true));
-        q.close();
-        assert_eq!(q.push(req(&tx), &gauges), Err(false));
-        // Drain the queued request, then the closed queue reports done.
-        assert_eq!(q.pop_batch(true).map(|b| b.len()), Some(1));
-        assert!(q.pop_batch(true).is_none());
     }
 }

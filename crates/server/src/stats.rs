@@ -52,7 +52,7 @@ pub struct SessionStats {
     pub requests: u64,
     /// Read commands evaluated (displays).
     pub reads: u64,
-    /// Write commands acked through the committer.
+    /// Write commands committed and acked.
     pub writes: u64,
     /// Commands rejected by the static checker before execution.
     pub check_rejected: u64,
@@ -92,11 +92,12 @@ impl GroupCommitCounters {
         self.max_group.fetch_max(commits as u64, Ordering::Relaxed);
     }
 
-    pub fn note_queue_depth(&self, depth: usize) {
-        self.queue_peak.fetch_max(depth as u64, Ordering::Relaxed);
+    /// Notes how many commits are applied and not yet durable.
+    pub fn note_unsynced(&self, commits: u64) {
+        self.queue_peak.fetch_max(commits, Ordering::Relaxed);
     }
 
-    /// Advances the durable-clock gauge after a group's fsync returns
+    /// Advances the durable-clock gauge after a group's sync returns
     /// (before its acks go out, so an acked commit is always ≤ the
     /// gauge). Acquire/Release so a reader that sees the gauge also sees
     /// the states it covers.
@@ -127,13 +128,15 @@ pub struct GroupCommitStats {
     pub groups: u64,
     /// Write commands committed across all groups.
     pub commits: u64,
-    /// fsyncs issued (one per group — the point of the stage).
+    /// Syncs issued (one per group — the point of group commit).
     pub fsyncs: u64,
     /// The largest group flushed.
     pub max_group: u64,
-    /// The deepest the commit queue got.
+    /// The most commits applied and not yet durable at once: the ones a
+    /// sync in progress holds, plus those applied behind it, waiting for
+    /// the next group.
     pub queue_peak: u64,
-    /// The highest transaction number whose group fsync has returned —
+    /// The highest transaction number whose group sync has returned —
     /// every commit at or below it survives a crash. The engine clock
     /// may run ahead of this while a group is in flight (see DESIGN.md
     /// §14, "the durability window"); `SNAPSHOT DURABLE` pins to it.
@@ -176,8 +179,8 @@ mod tests {
         let c = GroupCommitCounters::default();
         c.record_group(4);
         c.record_group(2);
-        c.note_queue_depth(7);
-        c.note_queue_depth(3);
+        c.note_unsynced(7);
+        c.note_unsynced(3);
         c.note_durable(5);
         c.note_durable(3); // never regresses
         let s = c.snapshot();

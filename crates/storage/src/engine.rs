@@ -303,8 +303,12 @@ impl Engine {
     }
 
     /// Attaches a journal at `path` (created or appended) to an engine
-    /// built without one — the serve path recovers an engine from an
-    /// existing journal first, then attaches the same file for append.
+    /// built without one — `txtime run --wal` recovers an engine from an
+    /// existing journal first, cuts it to the replayed prefix
+    /// ([`wal::cut_to_prefix`]), then attaches the same file for append:
+    /// a line appended after a corrupt tail, or after the space a
+    /// [`wal::JournalWriter`] reserved, is lost to the next recovery.
+    /// Appends, not a reserve: the journal is synced once, at shutdown.
     pub fn attach_wal(&mut self, path: impl AsRef<Path>) -> std::io::Result<()> {
         let file = std::fs::OpenOptions::new()
             .create(true)

@@ -3,7 +3,7 @@
 use std::io::BufReader;
 use std::path::Path;
 
-use txtime_core::CoreError;
+use txtime_core::{Command, CoreError};
 
 use crate::backend::{BackendKind, CheckpointPolicy};
 use crate::engine::Engine;
@@ -42,6 +42,19 @@ pub fn recover(
     backend: BackendKind,
     checkpoints: CheckpointPolicy,
 ) -> Result<Recovery, CoreError> {
+    recover_with(path, backend, checkpoints, |_| {})
+}
+
+/// [`recover`], handing `visit` each command once it has replayed — what
+/// a caller that keeps state alongside the engine (`txtime run`'s static
+/// checker) follows the journal with, without reading it again. A
+/// corrupt line, and everything after it, never reaches `visit`.
+pub fn recover_with(
+    path: impl AsRef<Path>,
+    backend: BackendKind,
+    checkpoints: CheckpointPolicy,
+    mut visit: impl FnMut(&Command),
+) -> Result<Recovery, CoreError> {
     let file = std::fs::File::open(path.as_ref())
         .map_err(|e| CoreError::SchemeChange(format!("cannot open WAL: {e}")))?;
     let mut engine = Engine::new(backend, checkpoints);
@@ -54,6 +67,7 @@ pub fn recover(
             Ok(None) => {}
             Ok(Some(cmd)) => {
                 engine.execute(cmd)?;
+                visit(cmd);
                 replayed += 1;
             }
             Err(reason) => {
@@ -76,7 +90,7 @@ pub fn recover(
 mod tests {
     use super::*;
     use crate::wal::{self, read_journal, WalEntry};
-    use txtime_core::{Command, Expr, RelationType, TransactionNumber, TxSpec};
+    use txtime_core::{Expr, RelationType, TransactionNumber, TxSpec};
     use txtime_snapshot::rng::rngs::StdRng;
     use txtime_snapshot::rng::{Rng, SeedableRng};
     use txtime_snapshot::{DomainType, Schema, SnapshotState, Value};

@@ -152,12 +152,42 @@ impl<R: BufRead> JournalReader<R> {
     }
 }
 
+impl<R: BufRead> JournalReader<R> {
+    /// Reads the next line into `raw`: through its `\n`, or up to (not
+    /// including) the first NUL, or to the end of the input. A NUL where
+    /// a line would start is the end of the journal — the zeroed space a
+    /// [`JournalWriter`] reserved ahead of its last line — so the reader
+    /// never reads into that space and never counts it as a line.
+    fn read_line(&mut self) -> std::io::Result<usize> {
+        loop {
+            let buf = match self.input.fill_buf() {
+                Ok(buf) => buf,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if buf.is_empty() || (self.raw.is_empty() && buf[0] == 0) {
+                return Ok(self.raw.len());
+            }
+            let (take, done) = match buf.iter().position(|&b| b == b'\n' || b == 0) {
+                Some(at) if buf[at] == b'\n' => (at + 1, true),
+                Some(at) => (at, true),
+                None => (buf.len(), false),
+            };
+            self.raw.extend_from_slice(&buf[..take]);
+            self.input.consume(take);
+            if done {
+                return Ok(self.raw.len());
+            }
+        }
+    }
+}
+
 impl<R: BufRead> Iterator for JournalReader<R> {
     type Item = std::io::Result<JournalLine>;
 
     fn next(&mut self) -> Option<Self::Item> {
         self.raw.clear();
-        match self.input.read_until(b'\n', &mut self.raw) {
+        match self.read_line() {
             Err(e) => Some(Err(e)),
             Ok(0) => None,
             Ok(len) => {
@@ -276,6 +306,102 @@ pub fn cut_to_prefix(
         file.sync_all()?;
     }
     Ok(dropped)
+}
+
+/// How far a [`JournalWriter`] grows its file past the last line at a
+/// time. The space is sparse until a group lands in it.
+const RESERVE: u64 = 4 << 20;
+
+/// A journal written in groups, each made durable with one `sync_data`:
+/// what `txtime serve` commits through.
+///
+/// An append past the end of a file changes its size, so every fsync of
+/// an appended journal also journals the new size in the file system. The
+/// writer instead grows the file in [`RESERVE`]-sized steps of zeroed
+/// space and writes each group at its offset inside it, so most syncs
+/// leave the size alone; `sync_data` still flushes the block allocation
+/// the group's bytes need (and the size, on a sync that grew the file),
+/// so a synced group is as durable as an appended and fsynced one.
+///
+/// Readers take a NUL where a line would start as the end of the journal
+/// ([`read_journal`], recovery, the truncations), so the reserved tail
+/// left behind by a crash is never a line. [`JournalWriter::close`]
+/// trims the file to its last line; dropping the writer does too, and
+/// ignores a failure.
+pub struct JournalWriter {
+    file: std::fs::File,
+    /// Where the next group goes: the bytes of lines written so far.
+    end: u64,
+    /// The file's length: `end` plus the reserved, still-zeroed space.
+    len: u64,
+}
+
+impl JournalWriter {
+    /// Opens (or creates) the journal at `path` for writing after its
+    /// verified prefix: everything from the first corrupt line on —
+    /// a torn tail, or the reserved space a crash left — is cut first
+    /// ([`truncate_to_verified_prefix`]), so new lines extend exactly the
+    /// history recovery replays. Returns the writer and the number of
+    /// bytes cut.
+    pub fn open(path: impl AsRef<std::path::Path>) -> std::io::Result<(JournalWriter, u64)> {
+        let path = path.as_ref();
+        let dropped = if std::fs::metadata(path).is_ok_and(|m| m.len() > 0) {
+            truncate_to_verified_prefix(path)?
+        } else {
+            0
+        };
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(false)
+            .open(path)?;
+        let end = file.metadata()?.len();
+        Ok((
+            JournalWriter {
+                file,
+                end,
+                len: end,
+            },
+            dropped,
+        ))
+    }
+
+    /// Writes `lines` (whole journal lines) after the last group and
+    /// makes them durable with one `sync_data`, first growing the file by
+    /// as many [`RESERVE`] steps as the group needs.
+    pub fn write_group(&mut self, lines: &[u8]) -> std::io::Result<()> {
+        use std::os::unix::fs::FileExt;
+        let end = self.end + lines.len() as u64;
+        if end > self.len {
+            let len = (end / RESERVE + 1) * RESERVE;
+            self.file.set_len(len)?;
+            self.len = len;
+        }
+        self.file.write_all_at(lines, self.end)?;
+        self.end = end;
+        self.file.sync_data()
+    }
+
+    /// A clean close: the reserved space goes, so the file ends with its
+    /// last line.
+    pub fn close(mut self) -> std::io::Result<()> {
+        self.trim()
+    }
+
+    fn trim(&mut self) -> std::io::Result<()> {
+        if self.len > self.end {
+            self.file.set_len(self.end)?;
+            self.len = self.end;
+            self.file.sync_all()?;
+        }
+        Ok(())
+    }
+}
+
+impl Drop for JournalWriter {
+    fn drop(&mut self) {
+        let _ = self.trim();
+    }
 }
 
 #[cfg(test)]
@@ -491,5 +617,150 @@ mod tests {
             &entries[1],
             WalEntry::Corrupt { line: 2, reason } if reason.contains("UTF-8")
         ));
+    }
+
+    /// Two verified lines, as a writer leaves them.
+    fn two_lines() -> Vec<u8> {
+        let mut buf = Vec::new();
+        append_command(
+            &mut buf,
+            &Command::define_relation("e", RelationType::Rollback),
+        )
+        .unwrap();
+        append_command(&mut buf, &Command::delete_relation("e")).unwrap();
+        buf
+    }
+
+    /// `lines` followed by `nuls` zero bytes: the reserved space a
+    /// [`JournalWriter`] leaves behind a crash.
+    fn reserved(lines: &[u8], nuls: usize) -> Vec<u8> {
+        let mut journal = lines.to_vec();
+        journal.resize(lines.len() + nuls, 0);
+        journal
+    }
+
+    #[test]
+    fn a_nul_run_ends_the_journal() {
+        let lines = two_lines();
+        for nuls in [1, 7, 70_000] {
+            let entries = read_journal(Cursor::new(reserved(&lines, nuls))).unwrap();
+            assert_eq!(entries.len(), 2, "{nuls} NULs");
+            assert!(
+                entries.iter().all(|e| matches!(e, WalEntry::Command(_))),
+                "{nuls} NULs: {entries:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn recovery_over_a_reserve_skips_nothing_and_stops_its_prefix_at_the_run() {
+        let path = tmpfile("reserve-recover");
+        let lines = two_lines();
+        std::fs::write(&path, reserved(&lines, 4096)).unwrap();
+        let rec = crate::recovery::recover(
+            &path,
+            crate::BackendKind::ForwardDelta,
+            crate::CheckpointPolicy::Never,
+        )
+        .unwrap();
+        assert_eq!(rec.replayed, 2);
+        assert!(rec.skipped.is_empty(), "{:?}", rec.skipped);
+        assert_eq!(rec.prefix.bytes, lines.len() as u64);
+        assert!(!rec.prefix.unterminated);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn both_cuts_drop_the_reserve() {
+        let (path, twin) = (tmpfile("reserve-cut"), tmpfile("reserve-cut-twin"));
+        let lines = two_lines();
+        std::fs::write(&path, reserved(&lines, 4096)).unwrap();
+        std::fs::write(&twin, reserved(&lines, 4096)).unwrap();
+        let mut prefix = VerifiedPrefix::default();
+        for line in JournalReader::new(Cursor::new(std::fs::read(&path).unwrap())) {
+            prefix.extend(&line.unwrap());
+        }
+        assert_eq!(cut_to_prefix(&path, prefix).unwrap(), 4096);
+        assert_eq!(truncate_to_verified_prefix(&twin).unwrap(), 4096);
+        assert_eq!(std::fs::read(&path).unwrap(), lines);
+        assert_eq!(std::fs::read(&twin).unwrap(), lines);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&twin);
+    }
+
+    /// A group torn inside its second line, then the reserve: one corrupt
+    /// line, read up to its first NUL and no further.
+    #[test]
+    fn a_torn_line_before_the_reserve_is_one_corrupt_line() {
+        let lines = two_lines();
+        let torn = lines.len() - 6;
+        let journal = reserved(&lines[..torn], 1 << 20);
+        let mut input = Cursor::new(&journal[..]);
+        let read: Vec<JournalLine> = JournalReader::new(&mut input).map(Result::unwrap).collect();
+        assert_eq!(read.len(), 2);
+        assert!(matches!(read[0].entry, Ok(Some(_))));
+        assert!(read[1].entry.is_err(), "{:?}", read[1]);
+        assert!(!read[1].terminated);
+        assert_eq!(read[0].len + read[1].len, torn as u64);
+        assert_eq!(input.position(), torn as u64, "read into the reserve");
+    }
+
+    /// A line that lost only its terminator before the reserve still
+    /// verifies, and the cut terminates it in place of the run.
+    #[test]
+    fn an_unterminated_line_before_the_reserve_is_terminated_by_the_cut() {
+        let path = tmpfile("reserve-unterminated");
+        let lines = two_lines();
+        std::fs::write(&path, reserved(&lines[..lines.len() - 1], 512)).unwrap();
+        assert_eq!(truncate_to_verified_prefix(&path).unwrap(), 512);
+        assert_eq!(std::fs::read(&path).unwrap(), lines);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A writer grows the file in reserve steps and writes each group
+    /// right after the last; dropping it trims the reserve. A writer that
+    /// never closes (a crash) leaves the reserve, and the next writer
+    /// cuts it and goes on right after the last line.
+    #[test]
+    fn a_writer_reserves_ahead_and_trims_on_close() {
+        let path = tmpfile("writer");
+        let lines = two_lines();
+        let (mut writer, dropped) = JournalWriter::open(&path).unwrap();
+        assert_eq!(dropped, 0);
+        writer.write_group(&lines).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), RESERVE);
+        writer.write_group(&lines).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), RESERVE);
+        writer.close().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), [&lines[..], &lines].concat());
+
+        let (mut writer, dropped) = JournalWriter::open(&path).unwrap();
+        assert_eq!(dropped, 0);
+        writer.write_group(&lines).unwrap();
+        std::mem::forget(writer);
+        let len = 3 * lines.len() as u64;
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), RESERVE);
+
+        let (writer, dropped) = JournalWriter::open(&path).unwrap();
+        assert_eq!(dropped, RESERVE - len);
+        drop(writer);
+        let entries = read_journal(Cursor::new(std::fs::read(&path).unwrap())).unwrap();
+        assert_eq!(entries.len(), 6);
+        assert!(entries.iter().all(|e| matches!(e, WalEntry::Command(_))));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A group larger than the reserve step grows the file past it in
+    /// whole steps.
+    #[test]
+    fn a_group_past_the_reserve_grows_the_file_in_steps() {
+        let path = tmpfile("writer-big");
+        let group = vec![b'\n'; RESERVE as usize + 1];
+        let (mut writer, _) = JournalWriter::open(&path).unwrap();
+        writer.write_group(&group).unwrap();
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 2 * RESERVE);
+        drop(writer);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), RESERVE + 1);
+        let _ = std::fs::remove_file(&path);
     }
 }

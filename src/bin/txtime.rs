@@ -36,8 +36,9 @@ use txtime::core::{Command, CommandOutcome, Sentence, SentenceSpans};
 use txtime::parser::parse_sentence_spanned;
 use txtime::server::{Client, Failpoint, ServerConfig};
 use txtime::storage::{
-    check_equivalence, parse_auto_compact, recovery::recover, wal, BackendKind, CheckpointPolicy,
-    Engine,
+    check_equivalence, parse_auto_compact,
+    recovery::{recover, recover_with},
+    wal, BackendKind, CheckpointPolicy, Engine,
 };
 
 fn main() -> ExitCode {
@@ -230,14 +231,15 @@ fn new_engine(opts: &Options) -> Engine {
 /// is replayed, so the clock continues where the last process stopped,
 /// and cut back to the prefix it replayed (whose length the replay
 /// reports, so the journal is not read again), so what is appended next
-/// extends exactly that history; otherwise the empty database. No
-/// journal is attached: `run` attaches it, `serve` hands it to the
-/// server's committer.
-fn resume(opts: &Options) -> Result<Engine, String> {
+/// extends exactly that history; otherwise the empty database. Each
+/// replayed command is handed to `visit` (`run` commits it to its static
+/// checker). No journal is attached: `run` attaches it, `serve` hands it
+/// to the server.
+fn resume(opts: &Options, visit: impl FnMut(&Command)) -> Result<Engine, String> {
     let Some(path) = journal(opts) else {
         return Ok(new_engine(opts));
     };
-    let rec = recover(path, BackendKind::ForwardDelta, opts.checkpoint)
+    let rec = recover_with(path, BackendKind::ForwardDelta, opts.checkpoint, visit)
         .map_err(|e| format!("cannot recover {path}: {e}"))?;
     eprintln!(
         "recovered {} commands from {path}; clock at tx {}; {} corrupt line(s) skipped",
@@ -257,35 +259,17 @@ fn journal(opts: &Options) -> Option<&String> {
         .filter(|p| std::fs::metadata(p).is_ok_and(|m| m.len() > 0))
 }
 
-/// The commands `--wal`'s journal holds once [`resume`] has cut it back:
-/// the state a resumed script is checked against.
-fn journaled(opts: &Options) -> Result<Vec<Command>, String> {
-    let Some(path) = journal(opts) else {
-        return Ok(Vec::new());
-    };
-    let file = std::fs::File::open(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let entries = wal::read_journal(std::io::BufReader::new(file))
-        .map_err(|e| format!("cannot read {path}: {e}"))?;
-    Ok(entries
-        .into_iter()
-        .map_while(|entry| match entry {
-            wal::WalEntry::Command(cmd) => Some(cmd),
-            wal::WalEntry::Corrupt { .. } => None,
-        })
-        .collect())
-}
-
 /// Parses the script with spans and runs the static checker (plus, when
-/// `lint`, the `txtime-lint` pass) against the state the `journaled`
-/// commands leave, the state the script will execute against; prints
-/// diagnostics and warnings. Returns the parsed sentence, whether it
-/// checked clean, and the number of lint warnings — or `None` on a parse
-/// error (already reported).
+/// `lint`, the `txtime-lint` pass) through `linter`, which holds the
+/// state the script will execute against (empty, or what a journal
+/// replayed); prints diagnostics and warnings. Returns the parsed
+/// sentence, whether it checked clean, and the number of lint warnings —
+/// or `None` on a parse error (already reported).
 fn parse_and_check(
     source: &str,
     file: &str,
     lint: bool,
-    journaled: &[Command],
+    linter: Linter,
 ) -> Option<(Sentence, SentenceSpans, bool, usize)> {
     let (sentence, spans) = match parse_sentence_spanned(source) {
         Ok(pair) => pair,
@@ -296,10 +280,6 @@ fn parse_and_check(
     };
     // The linter embeds the checker, so one sentence replay produces
     // both the E-series diagnostics and (when asked) the W-series.
-    let mut linter = Linter::new();
-    for cmd in journaled {
-        linter.commit(cmd, None);
-    }
     let report = linter.lint_sentence(&sentence, Some(&spans));
     for d in &report.diagnostics {
         print_diagnostic(file, d);
@@ -359,26 +339,25 @@ fn run(rest: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut engine = match resume(&opts) {
+    // The script is checked against the state it will execute against:
+    // the empty database, or what the journal replayed, which the replay
+    // commits to the checker as it goes. Lint warnings are printed but
+    // never stop a run unless --deny-warnings asks them to.
+    let mut linter = Linter::new();
+    let resumed = resume(&opts, |cmd| {
+        if !opts.no_check {
+            linter.commit(cmd, None);
+        }
+    });
+    let mut engine = match resumed {
         Ok(engine) => engine,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    // The script is checked against the state it will execute against:
-    // the empty database, or what the journal replayed. Lint warnings
-    // are printed but never stop a run unless --deny-warnings asks them
-    // to.
     if !opts.no_check {
-        let journaled = match journaled(&opts) {
-            Ok(commands) => commands,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match parse_and_check(&source, &file, true, &journaled) {
+        match parse_and_check(&source, &file, true, linter) {
             Some((_, _, true, warnings)) => {
                 if warnings > 0 && opts.deny_warnings {
                     eprintln!("error: {warnings} lint warning(s) denied by --deny-warnings");
@@ -610,7 +589,12 @@ fn explain(rest: &[String]) -> ExitCode {
             }
         }
     } else {
-        match parse_and_check(&source, &file, opts.lint || opts.deny_warnings, &[]) {
+        match parse_and_check(
+            &source,
+            &file,
+            opts.lint || opts.deny_warnings,
+            Linter::new(),
+        ) {
             Some((s, _, true, warnings)) => {
                 if warnings > 0 && opts.deny_warnings {
                     eprintln!("error: {warnings} lint warning(s) denied by --deny-warnings");
@@ -675,7 +659,7 @@ fn check(rest: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (sentence, warnings) = match parse_and_check(&source, &file, opts.lint, &[]) {
+    let (sentence, warnings) = match parse_and_check(&source, &file, opts.lint, Linter::new()) {
         Some((s, _, true, w)) => (s, w),
         Some((_, _, false, _)) => {
             eprintln!("static check: FAILED");
@@ -729,8 +713,8 @@ fn serve_cmd(rest: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // The committer appends to the journal the engine was resumed from.
-    let mut engine = match resume(&opts) {
+    // The server appends to the journal the engine was resumed from.
+    let mut engine = match resume(&opts, |_| {}) {
         Ok(engine) => engine,
         Err(e) => {
             eprintln!("error: {e}");

@@ -165,6 +165,49 @@ fn run_resumes_a_non_empty_journal() {
     }
 }
 
+/// `run --wal` checks its script against what the journal replayed and
+/// nothing more: a corrupt line after the verified prefix — here a
+/// `delete_relation` of the relation the script writes, with a bad
+/// checksum — never reaches the checker, so the script checks clean,
+/// runs, and the journal goes on from the prefix.
+#[test]
+fn run_checks_against_the_replayed_prefix_only() {
+    let define = write_script("prefix-a.txq", "define_relation(r, rollback);");
+    let modify = write_script("prefix-b.txq", "modify_state(r, {(x: int): (1)});");
+    let wal = tmpdir().join(format!("{}-prefix.wal", std::process::id()));
+    let _ = std::fs::remove_file(&wal);
+    let wal_arg = wal.to_str().unwrap();
+    let out = txtime(&["run", define.to_str().unwrap(), "--wal", wal_arg]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut journal = std::fs::read(&wal).unwrap();
+    journal.extend_from_slice(b"0123456789abcdef delete_relation(r);\n");
+    std::fs::write(&wal, journal).unwrap();
+
+    let out = txtime(&["run", modify.to_str().unwrap(), "--wal", wal_arg]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(
+        stderr.contains("recovered 1 commands") && stderr.contains("1 corrupt line(s) skipped"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("error["), "stderr: {stderr}");
+    let out = txtime(&["recover", wal_arg]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(
+        stderr.contains("recovered 2 commands") && stderr.contains("0 corrupt line(s) skipped"),
+        "stderr: {stderr}"
+    );
+
+    for path in [&define, &modify, &wal] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
 #[test]
 fn run_reports_parse_errors_with_position() {
     let script = write_script("bad.txq", "define_relation(emp rollback);");

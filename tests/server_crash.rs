@@ -1,5 +1,5 @@
-//! Crash-recovery test for the group-commit stage: kill the server at
-//! the failpoint between the group's WAL fsync and the client acks, then
+//! Crash-recovery test for group commit: kill the server at the
+//! failpoint between the group's WAL sync and the client acks, then
 //! assert recovery replays a prefix of the journal consistent with
 //! monotonically increasing transaction numbers (the paper's §3.2
 //! commit-clock discipline) — nothing durable is lost, nothing torn is
@@ -51,12 +51,21 @@ fn spawn_server(wal: &PathBuf, env: &[(&str, &str)]) -> (Child, std::net::Socket
     (child, addr)
 }
 
-#[test]
-fn crash_between_group_fsync_and_ack_recovers_the_durable_prefix() {
-    let wal = tmp_wal("group-ack");
+/// The bytes of `wal`'s lines: everything before its first NUL, where a
+/// journal's reserved space begins.
+fn lines_len(wal: &PathBuf) -> u64 {
+    let data = std::fs::read(wal).expect("wal readable");
+    data.iter().position(|&b| b == 0).unwrap_or(data.len()) as u64
+}
 
+/// Phases 1 and 2 of the crash tests: a healthy server commits three
+/// writes and shuts down cleanly (its journal then holds exactly its
+/// lines), and a restarted one with the failpoint armed makes a fourth
+/// write durable and dies before acking it (its journal then holds its
+/// reserved space too).
+fn commit_then_crash_before_the_ack(wal: &PathBuf) {
     // Phase 1: a healthy server commits a base history and shuts down.
-    let (mut child, addr) = spawn_server(&wal, &[]);
+    let (mut child, addr) = spawn_server(wal, &[]);
     let mut c = Client::connect_timeout(&addr, std::time::Duration::from_secs(5)).expect("connect");
     assert!(c.exec("define_relation(led, rollback);").unwrap().is_ok());
     assert!(c
@@ -70,11 +79,18 @@ fn crash_between_group_fsync_and_ack_recovers_the_durable_prefix() {
     assert!(c.request("SHUTDOWN").unwrap().is_ok());
     let status = child.wait().expect("server exits");
     assert!(status.success(), "clean shutdown failed: {status:?}");
+    let len = std::fs::metadata(wal).expect("wal exists").len();
+    assert_eq!(
+        len,
+        lines_len(wal),
+        "a clean shutdown left reserved space behind"
+    );
+    assert!(std::fs::read(wal).unwrap().ends_with(b"\n"));
 
     // Phase 2: restart with the failpoint armed. The write is made
-    // durable (journal append + fsync), then the process dies before the
+    // durable (journal write + sync), then the process dies before the
     // ack — the client sees silence, not an OK.
-    let (mut child, addr) = spawn_server(&wal, &[("TXTIME_FAILPOINT", "group-commit-ack")]);
+    let (mut child, addr) = spawn_server(wal, &[("TXTIME_FAILPOINT", "group-commit-ack")]);
     let mut c = Client::connect_timeout(&addr, std::time::Duration::from_secs(5)).expect("connect");
     let unacked = c.exec("modify_state(led, rho(led, inf) union {(x: int): (3)});");
     assert!(
@@ -87,6 +103,20 @@ fn crash_between_group_fsync_and_ack_recovers_the_durable_prefix() {
         Some(FAILPOINT_EXIT_CODE),
         "expected the failpoint exit code, got {status:?}"
     );
+    assert!(
+        lines_len(wal) > len,
+        "the durable write is not in the journal"
+    );
+    assert!(
+        std::fs::metadata(wal).unwrap().len() > lines_len(wal),
+        "the crash left no reserved space to recover across"
+    );
+}
+
+#[test]
+fn crash_between_group_fsync_and_ack_recovers_the_durable_prefix() {
+    let wal = tmp_wal("group-ack");
+    commit_then_crash_before_the_ack(&wal);
 
     // Phase 3: recovery replays the durable prefix — the 3 acked commands
     // AND the durable-but-unacked one — with monotone commit clocks.
@@ -139,6 +169,52 @@ fn crash_between_group_fsync_and_ack_recovers_the_durable_prefix() {
     assert!(child.wait().expect("server exits").success());
 
     let _ = std::fs::remove_file(&wal);
+}
+
+/// `txtime run --wal` over the journal a crash left — lines, then
+/// reserved space — appends right after the last line, not after the
+/// reserve, and the next recovery replays it with the rest.
+#[test]
+fn run_after_a_crash_appends_right_after_the_last_line() {
+    let wal = tmp_wal("run-after-crash");
+    commit_then_crash_before_the_ack(&wal);
+    let lines = lines_len(&wal);
+
+    let script = wal.with_extension("txq");
+    std::fs::write(
+        &script,
+        "modify_state(led, rho(led, inf) union {(x: int): (5)});",
+    )
+    .unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_txtime"))
+        .arg("run")
+        .arg(&script)
+        .arg("--wal")
+        .arg(&wal)
+        .output()
+        .expect("txtime run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    assert!(
+        stderr.contains("recovered 4 commands") && stderr.contains("0 corrupt line(s) skipped"),
+        "stderr: {stderr}"
+    );
+
+    let data = std::fs::read(&wal).unwrap();
+    assert_eq!(data.len() as u64, lines_len(&wal), "reserved space left");
+    assert!(data.len() as u64 > lines && data.ends_with(b"\n"));
+    let rec = recover(
+        wal.to_str().unwrap(),
+        BackendKind::ForwardDelta,
+        CheckpointPolicy::every_k(8).unwrap(),
+    )
+    .expect("recovery succeeds");
+    assert!(rec.skipped.is_empty(), "{:?}", rec.skipped);
+    assert_eq!(rec.replayed, 5);
+    assert_eq!(rec.engine.tx(), TransactionNumber(5));
+
+    let _ = std::fs::remove_file(&wal);
+    let _ = std::fs::remove_file(&script);
 }
 
 /// A server restarted over a journal with a torn tail must not append
